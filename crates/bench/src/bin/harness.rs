@@ -45,10 +45,7 @@ use deepeye_bench::perf::{
     health_objectives, record_stage_samples, results_json, scenario_matrix, stall_budgets,
     RobustTiming, ScenarioRun, Stage,
 };
-use deepeye_core::{
-    build_nodes_parallel_costed, build_nodes_parallel_observed, ClassifierKind,
-    ProgressiveSelector, Recognizer,
-};
+use deepeye_core::{build_nodes, ClassifierKind, ProgressiveSelector, Recognizer};
 use deepeye_datagen::{build_table, recognition_examples, training_tables, PerceptionOracle};
 use deepeye_obs::{
     validate_cost_json, validate_health_json, validate_telemetry_jsonl, CostCollector,
@@ -291,8 +288,7 @@ fn soak_main(args: &Args, iters: usize) -> ExitCode {
         let nodes = {
             let span = obs.span(Stage::Execute.span_name());
             let clock = Stopwatch::start();
-            let n =
-                build_nodes_parallel_costed(&table, queries, &udfs, true, &obs, span.id(), &costs);
+            let n = build_nodes(&table, queries, &udfs, true, true, &obs, span.id(), &costs);
             iter_ns[1] = clock.elapsed_ns();
             n
         };
@@ -479,18 +475,27 @@ fn main() -> ExitCode {
         );
         let mut stages: Vec<(Stage, RobustTiming)> = Vec::new();
         let queries = deepeye_core::rules::rule_based_queries(&table);
-        let nodes =
-            build_nodes_parallel_observed(&table, queries.clone(), &udfs, false, &obs, None);
+        let nodes = build_nodes(
+            &table,
+            queries.clone(),
+            &udfs,
+            false,
+            true,
+            &obs,
+            None,
+            &CostCollector::disabled(),
+        );
         for stage in Stage::PIPELINE {
             let samples = match stage {
                 Stage::Enumerate => time_stage(&obs, stage, args.warmup, args.reps, |_| {
                     deepeye_core::rules::rule_based_queries(&table)
                 }),
                 Stage::Execute => time_stage(&obs, stage, args.warmup, args.reps, |parent| {
-                    build_nodes_parallel_costed(
+                    build_nodes(
                         &table,
                         queries.clone(),
                         &udfs,
+                        true,
                         true,
                         &obs,
                         parent,

@@ -11,9 +11,7 @@ use deepeye_bench::perf::{
     check_budgets, perf_gate, record_stage_samples, results_json, validate_bench_json, GateConfig,
     RobustTiming, ScenarioRun, Stage, BUDGETS, SCHEMA_FIELDS,
 };
-use deepeye_core::{
-    build_nodes_parallel_costed, build_nodes_parallel_observed, ProgressiveSelector,
-};
+use deepeye_core::{build_nodes, ProgressiveSelector};
 use deepeye_datagen::flight_table;
 use deepeye_obs::{validate_cost_json, CostAcc, CostCollector, Observer, Op, Stopwatch};
 use deepeye_query::UdfRegistry;
@@ -32,7 +30,16 @@ fn mini_harness_with(obs: &Observer, reps: usize, costs: &CostCollector) -> Stri
     let table = flight_table(7, 250);
     let udfs = UdfRegistry::default();
     let queries = deepeye_core::rules::rule_based_queries(&table);
-    let nodes = build_nodes_parallel_observed(&table, queries.clone(), &udfs, false, obs, None);
+    let nodes = build_nodes(
+        &table,
+        queries.clone(),
+        &udfs,
+        false,
+        true,
+        obs,
+        None,
+        &CostCollector::disabled(),
+    );
     let mut stages: Vec<(Stage, RobustTiming)> = Vec::new();
     for stage in Stage::PIPELINE {
         let mut samples = Vec::with_capacity(reps);
@@ -44,10 +51,11 @@ fn mini_harness_with(obs: &Observer, reps: usize, costs: &CostCollector) -> Stri
                     std::hint::black_box(deepeye_core::rules::rule_based_queries(&table));
                 }
                 Stage::Execute => {
-                    std::hint::black_box(build_nodes_parallel_costed(
+                    std::hint::black_box(build_nodes(
                         &table,
                         queries.clone(),
                         &udfs,
+                        true,
                         true,
                         obs,
                         span.id(),

@@ -347,28 +347,16 @@ impl DeepEye {
         };
         let nodes = {
             let execute = obs.span("pipeline.execute");
-            let parent = execute.id();
-            if self.config.parallel {
-                crate::parallel::build_nodes_parallel_costed(
-                    table,
-                    queries,
-                    &self.udfs,
-                    false,
-                    obs,
-                    parent,
-                    &self.config.costs,
-                )
-            } else {
-                crate::parallel::build_nodes_serial_costed(
-                    table,
-                    queries,
-                    &self.udfs,
-                    false,
-                    obs,
-                    parent,
-                    &self.config.costs,
-                )
-            }
+            crate::parallel::build_nodes(
+                table,
+                queries,
+                &self.udfs,
+                false,
+                self.config.parallel,
+                obs,
+                execute.id(),
+                &self.config.costs,
+            )
         };
         if prov.is_enabled() {
             let built: std::collections::HashSet<String> = nodes.iter().map(VisNode::id).collect();

@@ -67,10 +67,7 @@ pub use multi_select::{
     MultiYRecommendation, AXIS_COMPAT_THRESHOLD, MAX_SERIES,
 };
 pub use node::VisNode;
-pub use parallel::{
-    build_nodes_parallel, build_nodes_parallel_costed, build_nodes_parallel_observed,
-    build_nodes_serial_costed, build_nodes_serial_observed,
-};
+pub use parallel::{build_nodes, build_nodes_parallel, build_nodes_serial_observed};
 pub use partial_order::{compute_factor_breakdowns, compute_factors, FactorBreakdown, Factors};
 pub use progressive::{
     canonical_candidates, exhaustive_top_k, exhaustive_top_k_parallel, ProgressiveSelector,

@@ -3,10 +3,7 @@
 
 use crate::features::NodeFeatures;
 use deepeye_data::{DataType, Table};
-use deepeye_obs::OpCosts;
-use deepeye_query::{
-    execute_costed, execute_with, ChartData, ChartType, QueryError, UdfRegistry, VisQuery,
-};
+use deepeye_query::{execute_with, ChartData, ChartType, QueryError, UdfRegistry, VisQuery};
 
 /// A visualization node: "the original data X, Y, the transformed data
 /// X', Y', features F, and the visualization type T" (Def. 1). We carry
@@ -24,43 +21,24 @@ impl VisNode {
     /// query is invalid for the data (those candidates are simply not
     /// nodes).
     pub fn build(table: &Table, query: VisQuery, udfs: &UdfRegistry) -> Result<Self, QueryError> {
-        let source_rows = table.row_count();
+        let data = execute_with(table, &query, udfs)?;
+        Ok(Self::from_chart(table, query, data))
+    }
+
+    /// The node of an already-executed `query`: extracts features from
+    /// `data` against the source table (the shared-scan executor's
+    /// counterpart of [`VisNode::build`]).
+    pub fn from_chart(table: &Table, query: VisQuery, data: ChartData) -> Self {
         let source_x_type = table
             .column_by_name(&query.x)
             .map(|c| c.data_type())
             .unwrap_or(DataType::Categorical);
-        let data = execute_with(table, &query, udfs)?;
-        let features = NodeFeatures::from_chart(&data, source_rows, source_x_type);
-        Ok(VisNode {
+        let features = NodeFeatures::from_chart(&data, table.row_count(), source_x_type);
+        VisNode {
             query,
             data,
             features,
-        })
-    }
-
-    /// [`VisNode::build`], also returning the executor's per-operator
-    /// work counts for this candidate (cost profiling). Failed builds
-    /// still report the work done before the failure.
-    pub fn build_costed(
-        table: &Table,
-        query: VisQuery,
-        udfs: &UdfRegistry,
-    ) -> (Result<Self, QueryError>, OpCosts) {
-        let source_rows = table.row_count();
-        let source_x_type = table
-            .column_by_name(&query.x)
-            .map(|c| c.data_type())
-            .unwrap_or(DataType::Categorical);
-        let (out, costs) = execute_costed(table, &query, udfs);
-        let node = out.map(|data| {
-            let features = NodeFeatures::from_chart(&data, source_rows, source_x_type);
-            VisNode {
-                query,
-                data,
-                features,
-            }
-        });
-        (node, costs)
+        }
     }
 
     pub fn chart_type(&self) -> ChartType {

@@ -1,13 +1,17 @@
 //! Parallel candidate generation. §VI-D notes that "the task of
 //! visualization selection is trivially parallelizable"; this module
-//! shards query execution and feature extraction across scoped std
-//! threads (no runtime dependency needed — the work units are
-//! independent table scans).
+//! shards the candidates across scoped std threads (no runtime dependency
+//! needed), and each worker builds its share through the shared-scan
+//! executor ([`deepeye_query::execute_batch_each`], §V-B optimization 1):
+//! one key pass and one aggregation sweep per (x column, transform), then
+//! per-candidate materialization and feature extraction.
 
 use crate::node::VisNode;
 use deepeye_data::{DataType, Table};
-use deepeye_obs::{CandidateCost, CostCollector, Observer, Op, OpCosts, SpanId, Stopwatch};
-use deepeye_query::{Transform, UdfRegistry, VisQuery};
+use deepeye_obs::{
+    CandidateCost, CostAcc, CostCollector, NoCost, Observer, Op, OpCosts, SpanId, Stopwatch,
+};
+use deepeye_query::{execute_batch_each, Transform, UdfRegistry, VisQuery};
 use std::num::NonZeroUsize;
 
 /// Number of worker threads to use: the available parallelism, capped by
@@ -19,150 +23,18 @@ pub(crate) fn worker_count(work_items: usize) -> usize {
     hw.min(work_items).max(1)
 }
 
-/// Build visualization nodes for `queries` in parallel. Invalid queries
-/// are skipped; output order matches input order (deterministic regardless
-/// of thread count); duplicates by node id are removed keeping the first.
+/// [`build_nodes`] across all cores, unobserved and unprofiled.
 pub fn build_nodes_parallel(
     table: &Table,
     queries: Vec<VisQuery>,
     udfs: &UdfRegistry,
     slim: bool,
 ) -> Vec<VisNode> {
-    build_nodes_parallel_observed(table, queries, udfs, slim, &Observer::disabled(), None)
+    let (obs, costs) = (Observer::disabled(), CostCollector::disabled());
+    build_nodes(table, queries, udfs, slim, true, &obs, None, &costs)
 }
 
-/// [`build_nodes_parallel`] with observability. Each worker thread runs
-/// under an `execute.worker` span parented to `parent` (normally the
-/// caller's `pipeline.execute` stage span — passing the parent explicitly
-/// is what merges worker spans under the right stage across threads), and
-/// per-query build latencies are buffered locally and flushed into the
-/// `exec.query_ns` histogram once per chunk.
-pub fn build_nodes_parallel_observed(
-    table: &Table,
-    queries: Vec<VisQuery>,
-    udfs: &UdfRegistry,
-    slim: bool,
-    obs: &Observer,
-    parent: Option<SpanId>,
-) -> Vec<VisNode> {
-    let workers = worker_count(queries.len());
-    if workers <= 1 || queries.len() < 32 {
-        return build_nodes_serial_observed(table, queries, udfs, slim, obs, parent);
-    }
-    let chunk = queries.len().div_ceil(workers);
-    let chunks: Vec<&[VisQuery]> = queries.chunks(chunk).collect();
-    let mut per_chunk: Vec<Vec<VisNode>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let _worker = obs.span_under("execute.worker", parent);
-                    build_chunk(table, chunk, udfs, slim, &obs)
-                })
-            })
-            .collect();
-        for h in handles {
-            // A panicked worker contributes no nodes; the panic itself is
-            // surfaced by the runtime on stderr.
-            per_chunk.push(h.join().unwrap_or_default());
-        }
-    });
-    let mut seen = std::collections::HashSet::new();
-    let mut nodes = Vec::new();
-    for chunk in per_chunk {
-        for node in chunk {
-            if seen.insert(node.id()) {
-                nodes.push(node);
-            }
-        }
-    }
-    nodes
-}
-
-/// [`build_nodes_parallel_observed`] with cost profiling: each worker
-/// additionally accumulates per-candidate executor operator counts
-/// ([`OpCosts`]) and flushes them into `costs` once per chunk — inside
-/// its `execute.worker` span, so the registry's `cost.*` counters equal
-/// the worker stage totals by construction. Delegates to the observed
-/// path when the collector is disabled (no cost overhead).
-pub fn build_nodes_parallel_costed(
-    table: &Table,
-    queries: Vec<VisQuery>,
-    udfs: &UdfRegistry,
-    slim: bool,
-    obs: &Observer,
-    parent: Option<SpanId>,
-    costs: &CostCollector,
-) -> Vec<VisNode> {
-    if !costs.is_enabled() {
-        return build_nodes_parallel_observed(table, queries, udfs, slim, obs, parent);
-    }
-    let workers = worker_count(queries.len());
-    if workers <= 1 || queries.len() < 32 {
-        return build_nodes_serial_costed(table, queries, udfs, slim, obs, parent, costs);
-    }
-    let chunk = queries.len().div_ceil(workers);
-    let chunks: Vec<&[VisQuery]> = queries.chunks(chunk).collect();
-    let mut per_chunk: Vec<Vec<VisNode>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let obs = obs.clone();
-                let costs = costs.clone();
-                scope.spawn(move || {
-                    let _worker = obs.span_under("execute.worker", parent);
-                    build_chunk_costed(table, chunk, udfs, slim, &obs, &costs)
-                })
-            })
-            .collect();
-        for h in handles {
-            per_chunk.push(h.join().unwrap_or_default());
-        }
-    });
-    let mut seen = std::collections::HashSet::new();
-    let mut nodes = Vec::new();
-    for chunk in per_chunk {
-        for node in chunk {
-            if seen.insert(node.id()) {
-                nodes.push(node);
-            }
-        }
-    }
-    nodes
-}
-
-/// Serial counterpart of [`build_nodes_parallel_costed`] (one
-/// `execute.worker` span, one cost flush).
-#[allow(clippy::too_many_arguments)]
-pub fn build_nodes_serial_costed(
-    table: &Table,
-    queries: Vec<VisQuery>,
-    udfs: &UdfRegistry,
-    slim: bool,
-    obs: &Observer,
-    parent: Option<SpanId>,
-    costs: &CostCollector,
-) -> Vec<VisNode> {
-    if !costs.is_enabled() {
-        return build_nodes_serial_observed(table, queries, udfs, slim, obs, parent);
-    }
-    let _worker = obs.span_under("execute.worker", parent);
-    let built = build_chunk_costed(table, &queries, udfs, slim, obs, costs);
-    let mut seen = std::collections::HashSet::new();
-    let mut nodes = Vec::new();
-    for node in built {
-        if seen.insert(node.id()) {
-            nodes.push(node);
-        }
-    }
-    nodes
-}
-
-/// Serial fallback with the same observability contract as the parallel
-/// path (one `execute.worker` span, batched latency flush).
+/// [`build_nodes`] on the calling thread, observed but unprofiled.
 pub fn build_nodes_serial_observed(
     table: &Table,
     queries: Vec<VisQuery>,
@@ -171,125 +43,169 @@ pub fn build_nodes_serial_observed(
     obs: &Observer,
     parent: Option<SpanId>,
 ) -> Vec<VisNode> {
-    let _worker = obs.span_under("execute.worker", parent);
-    let built = build_chunk(table, &queries, udfs, slim, obs);
+    build_nodes(
+        table,
+        queries,
+        udfs,
+        slim,
+        false,
+        obs,
+        parent,
+        &CostCollector::disabled(),
+    )
+}
+
+/// Build visualization nodes for `queries`. Invalid queries are skipped;
+/// output order matches input order, and duplicates by node id are
+/// dropped keeping the first, at any worker count. `slim` drops each
+/// node's series after feature extraction ([`VisNode::slim`]).
+///
+/// With `parallel`, 32 or more candidates are cut into one contiguous
+/// chunk per core; otherwise the whole input is one chunk built on the
+/// calling thread. Each chunk runs under an `execute.worker` span
+/// parented to `parent` (normally the caller's `pipeline.execute` span —
+/// passing it explicitly is what merges worker spans under the right
+/// stage across threads) and flushes its observations once: one
+/// `exec.query_ns` sample per candidate, the `exec.ok` / `exec.err`
+/// counts, and an allocation charge. With `costs` enabled it also
+/// records one [`CandidateCost`] per candidate and flushes the `cost.*`
+/// counters inside its span, so those counters equal the collector's
+/// totals by construction.
+#[allow(clippy::too_many_arguments)]
+pub fn build_nodes(
+    table: &Table,
+    queries: Vec<VisQuery>,
+    udfs: &UdfRegistry,
+    slim: bool,
+    parallel: bool,
+    obs: &Observer,
+    parent: Option<SpanId>,
+    costs: &CostCollector,
+) -> Vec<VisNode> {
+    let workers = if parallel && queries.len() >= 32 {
+        worker_count(queries.len())
+    } else {
+        1
+    };
+    let per_chunk: Vec<Vec<VisNode>> = if workers == 1 {
+        vec![build_worker(
+            table, &queries, udfs, slim, obs, parent, costs,
+        )]
+    } else {
+        let chunk = queries.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = queries
+                .chunks(chunk)
+                .map(|chunk| {
+                    let (obs, costs) = (obs.clone(), costs.clone());
+                    scope
+                        .spawn(move || build_worker(table, chunk, udfs, slim, &obs, parent, &costs))
+                })
+                .collect();
+            // A panicked worker contributes no nodes; the panic itself is
+            // surfaced by the runtime on stderr.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_default())
+                .collect()
+        })
+    };
     let mut seen = std::collections::HashSet::new();
-    let mut nodes = Vec::new();
-    for node in built {
-        if seen.insert(node.id()) {
-            nodes.push(node);
-        }
+    per_chunk
+        .into_iter()
+        .flatten()
+        .filter(|node| seen.insert(node.id()))
+        .collect()
+}
+
+/// One worker: its chunk under an `execute.worker` span, with
+/// per-candidate operator counts only when `costs` is enabled.
+fn build_worker(
+    table: &Table,
+    chunk: &[VisQuery],
+    udfs: &UdfRegistry,
+    slim: bool,
+    obs: &Observer,
+    parent: Option<SpanId>,
+    costs: &CostCollector,
+) -> Vec<VisNode> {
+    let _worker = obs.span_under("execute.worker", parent);
+    if !costs.is_enabled() {
+        return build_chunk(
+            table,
+            chunk,
+            udfs,
+            slim,
+            obs,
+            &mut vec![NoCost; chunk.len()],
+        );
     }
+    let mut per_query = vec![OpCosts::default(); chunk.len()];
+    let nodes = build_chunk(table, chunk, udfs, slim, obs, &mut per_query);
+    let mut total = OpCosts::default();
+    for c in &per_query {
+        total.merge(c);
+    }
+    flush_cost_counters(obs, &total);
+    costs.record_worker(
+        chunk
+            .iter()
+            .zip(per_query)
+            .map(|(q, costs)| CandidateCost {
+                id: crate::provenance::query_id(q),
+                chart: q.chart.name().to_owned(),
+                transform: transform_label(&q.transform).to_owned(),
+                signature: pair_signature(table, q),
+                builds: 1,
+                costs,
+            })
+            .collect(),
+    );
     nodes
 }
 
-/// Build one chunk of queries. When the observer is enabled, per-query
-/// latencies are collected locally (no per-query locking) and flushed in
-/// one batch; when disabled, this is the bare build loop with zero
-/// observability work.
-fn build_chunk(
+/// The chunk body, for every build: runs `chunk` through the shared-scan
+/// executor and builds each chart's node. When the observer is enabled,
+/// a candidate's `exec.query_ns` sample is the gap between the
+/// executor's emissions: its sema check, materialization and feature
+/// extraction, plus — for the first valid candidate of each
+/// (x, transform) group — the group's shared scan, the same candidate
+/// its operator counts land on.
+fn build_chunk<C: CostAcc>(
     table: &Table,
     chunk: &[VisQuery],
     udfs: &UdfRegistry,
     slim: bool,
     obs: &Observer,
+    costs: &mut [C],
 ) -> Vec<VisNode> {
-    let mut out = Vec::with_capacity(chunk.len());
-    if obs.is_enabled() {
-        let mut latencies = Vec::with_capacity(chunk.len());
-        let (mut ok, mut err) = (0u64, 0u64);
-        let mut bytes = 0u64;
-        for q in chunk {
-            let start = Stopwatch::start();
-            let built = VisNode::build(table, q.clone(), udfs);
-            latencies.push(start.elapsed_ns());
-            match built {
-                Ok(mut node) => {
-                    if slim {
-                        node.slim();
-                    }
-                    ok += 1;
-                    bytes += node.approx_heap_bytes();
-                    out.push(node);
-                }
-                Err(_) => err += 1,
-            }
-        }
-        obs.record_many_ns("exec.query_ns", &latencies);
-        obs.incr("exec.ok", ok);
-        obs.incr("exec.err", err);
-        // One batched charge per chunk, attributed to this worker's span.
-        obs.alloc_many(ok, bytes);
-    } else {
-        for q in chunk {
-            if let Ok(mut node) = VisNode::build(table, q.clone(), udfs) {
-                if slim {
-                    node.slim();
-                }
-                out.push(node);
-            }
-        }
-    }
-    out
-}
-
-/// Build one chunk with cost profiling: per-query operator counts are
-/// buffered locally as [`CandidateCost`] records (no locking inside the
-/// loop) and flushed to the collector once per chunk. Observability
-/// recordings mirror [`build_chunk`]; the chunk's cost totals are
-/// additionally flushed into the registry's `cost.*` counters while the
-/// caller's `execute.worker` span is open.
-fn build_chunk_costed(
-    table: &Table,
-    chunk: &[VisQuery],
-    udfs: &UdfRegistry,
-    slim: bool,
-    obs: &Observer,
-    costs: &CostCollector,
-) -> Vec<VisNode> {
-    let mut out = Vec::with_capacity(chunk.len());
-    let mut cands = Vec::with_capacity(chunk.len());
     let obs_on = obs.is_enabled();
     let mut latencies = Vec::with_capacity(if obs_on { chunk.len() } else { 0 });
-    let (mut ok, mut err) = (0u64, 0u64);
-    let mut bytes = 0u64;
-    let mut worker_total = OpCosts::default();
-    for q in chunk {
-        let start = Stopwatch::start();
-        let (built, query_costs) = VisNode::build_costed(table, q.clone(), udfs);
-        if obs_on {
-            latencies.push(start.elapsed_ns());
-        }
-        worker_total.merge(&query_costs);
-        cands.push(CandidateCost {
-            id: crate::provenance::query_id(q),
-            chart: q.chart.name().to_owned(),
-            transform: transform_label(&q.transform).to_owned(),
-            signature: pair_signature(table, q),
-            builds: 1,
-            costs: query_costs,
-        });
-        match built {
-            Ok(mut node) => {
-                if slim {
-                    node.slim();
-                }
-                ok += 1;
-                bytes += node.approx_heap_bytes();
-                out.push(node);
+    let mut lap = obs_on.then(Stopwatch::start);
+    let mut built: Vec<Option<VisNode>> = vec![None; chunk.len()];
+    execute_batch_each(table, chunk, udfs, costs, |i, result| {
+        if let Ok(data) = result {
+            let mut node = VisNode::from_chart(table, chunk[i].clone(), data);
+            if slim {
+                node.slim();
             }
-            Err(_) => err += 1,
+            built[i] = Some(node);
         }
-    }
+        if let Some(lap) = &mut lap {
+            latencies.push(lap.elapsed_ns());
+            *lap = Stopwatch::start();
+        }
+    });
+    let nodes: Vec<VisNode> = built.into_iter().flatten().collect();
     if obs_on {
+        let ok = nodes.len() as u64;
         obs.record_many_ns("exec.query_ns", &latencies);
         obs.incr("exec.ok", ok);
-        obs.incr("exec.err", err);
-        obs.alloc_many(ok, bytes);
-        flush_cost_counters(obs, &worker_total);
+        obs.incr("exec.err", (chunk.len() as u64).saturating_sub(ok));
+        // One batched charge per chunk, attributed to this worker's span.
+        obs.alloc_many(ok, nodes.iter().map(VisNode::approx_heap_bytes).sum());
     }
-    costs.record_worker(cands);
-    out
+    nodes
 }
 
 /// Flush one worker chunk's operator totals into the metric registry's
@@ -338,20 +254,10 @@ fn pair_signature(table: &Table, q: &VisQuery) -> String {
 }
 
 #[cfg(test)]
-fn build_serial(
-    table: &Table,
-    queries: Vec<VisQuery>,
-    udfs: &UdfRegistry,
-    slim: bool,
-) -> Vec<VisNode> {
-    build_nodes_serial_observed(table, queries, udfs, slim, &Observer::disabled(), None)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::rule_based_queries;
-    use deepeye_data::TableBuilder;
+    use deepeye_data::{parse_timestamp, Column, ColumnData, TableBuilder};
 
     fn table() -> Table {
         let n = 400;
@@ -364,17 +270,86 @@ mod tests {
             .unwrap()
     }
 
+    /// Categorical, numeric and temporal columns, each with null cells.
+    fn mixed_table() -> Table {
+        let n = 120;
+        let null_every = |k: usize, i: usize| i % k == 1;
+        TableBuilder::new("m")
+            .column(Column::new(
+                "cat",
+                ColumnData::Text(
+                    (0..n)
+                        .map(|i| (!null_every(11, i)).then(|| format!("c{}", i % 5)))
+                        .collect(),
+                ),
+            ))
+            .column(Column::new(
+                "num",
+                ColumnData::Numeric(
+                    (0..n)
+                        .map(|i| (!null_every(7, i)).then(|| ((i * 37) % 23) as f64 - 6.5))
+                        .collect(),
+                ),
+            ))
+            .column(Column::new(
+                "when",
+                ColumnData::Temporal(
+                    (0..n)
+                        .map(|i| {
+                            (!null_every(13, i)).then(|| {
+                                parse_timestamp(&format!(
+                                    "2015-{:02}-{:02} {:02}:15",
+                                    i % 12 + 1,
+                                    i % 28 + 1,
+                                    (i * 5) % 24
+                                ))
+                                .unwrap()
+                            })
+                        })
+                        .collect(),
+                ),
+            ))
+            .build()
+            .unwrap()
+    }
+
+    fn plain(table: &Table, queries: Vec<VisQuery>, parallel: bool) -> Vec<VisNode> {
+        let (obs, costs) = (Observer::disabled(), CostCollector::disabled());
+        let udfs = UdfRegistry::default();
+        build_nodes(table, queries, &udfs, false, parallel, &obs, None, &costs)
+    }
+
+    /// The scalar reference: per-query [`VisNode::build`], deduplicated.
+    fn reference(table: &Table, queries: &[VisQuery]) -> Vec<VisNode> {
+        let udfs = UdfRegistry::default();
+        let mut seen = std::collections::HashSet::new();
+        queries
+            .iter()
+            .filter_map(|q| VisNode::build(table, q.clone(), &udfs).ok())
+            .filter(|node| seen.insert(node.id()))
+            .collect()
+    }
+
     #[test]
     fn parallel_equals_serial() {
-        let t = table();
+        let t = mixed_table();
         let udfs = UdfRegistry::default();
-        let queries = rule_based_queries(&t);
-        let serial = build_serial(&t, queries.clone(), &udfs, false);
-        let parallel = build_nodes_parallel(&t, queries, &udfs, false);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.id(), b.id());
-            assert_eq!(a.data.series, b.data.series);
+        let spaces = [
+            rule_based_queries(&t),
+            deepeye_query::valid_queries(&t, &udfs).collect(),
+        ];
+        for queries in spaces {
+            let want = reference(&t, &queries);
+            assert!(want.len() >= 32, "the parallel path must engage");
+            for parallel in [false, true] {
+                let got = plain(&t, queries.clone(), parallel);
+                assert_eq!(got.len(), want.len(), "parallel = {parallel}");
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.query, b.query);
+                    assert_eq!(a.data.series, b.data.series, "{:?}", a.query);
+                    assert_eq!(a.features, b.features, "{:?}", a.query);
+                }
+            }
         }
     }
 
@@ -416,7 +391,7 @@ mod tests {
         let plain = build_nodes_parallel(&t, queries.clone(), &udfs, false);
         let obs = Observer::enabled();
         let costs = CostCollector::enabled();
-        let nodes = build_nodes_parallel_costed(&t, queries, &udfs, false, &obs, None, &costs);
+        let nodes = build_nodes(&t, queries, &udfs, false, true, &obs, None, &costs);
         assert_eq!(plain.len(), nodes.len());
         for (a, b) in plain.iter().zip(&nodes) {
             assert_eq!(a.id(), b.id());
@@ -452,15 +427,8 @@ mod tests {
         let queries: Vec<VisQuery> = rule_based_queries(&t).into_iter().take(8).collect();
         let costs = CostCollector::enabled();
         for _ in 0..3 {
-            build_nodes_serial_costed(
-                &t,
-                queries.clone(),
-                &udfs,
-                false,
-                &Observer::disabled(),
-                None,
-                &costs,
-            );
+            let obs = Observer::disabled();
+            build_nodes(&t, queries.clone(), &udfs, false, false, &obs, None, &costs);
         }
         let report = costs.report();
         assert_eq!(report.candidates.len(), 8);
@@ -470,17 +438,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_delegates_to_observed_path() {
+    fn disabled_collector_records_nothing() {
         let t = table();
         let udfs = UdfRegistry::default();
-        let queries = rule_based_queries(&t);
         let costs = CostCollector::disabled();
-        let nodes = build_nodes_parallel_costed(
+        let obs = Observer::disabled();
+        let nodes = build_nodes(
             &t,
-            queries,
+            rule_based_queries(&t),
             &udfs,
             false,
-            &Observer::disabled(),
+            true,
+            &obs,
             None,
             &costs,
         );

@@ -15,15 +15,11 @@
 //! exact for this score: it returns the same top-k as scoring every
 //! candidate (see the `matches_exhaustive` tests).
 
-use crate::features::NodeFeatures;
 use crate::node::VisNode;
 use crate::partial_order::{raw_match_quality, transform_quality};
 use crate::rules;
 use deepeye_data::{DataType, Table};
-use deepeye_query::{
-    bin_keys, group_keys, Aggregate, Bucketizer, ChartData, Key, Series, SortOrder, Transform,
-    UdfRegistry, VisQuery,
-};
+use deepeye_query::{execute_batch, Series, SortOrder, Transform, UdfRegistry, VisQuery};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -339,9 +335,11 @@ impl<'a> ProgressiveSelector<'a> {
         (out, stats)
     }
 
-    /// Materialize every candidate of one column with shared scans: one
-    /// keys pass per transform, then all (Y, aggregate) accumulations in a
-    /// single row sweep.
+    /// Materialize every candidate of one column through the shared-scan
+    /// executor: one key pass and aggregation sweep per transform. ORDER
+    /// BY is cleared on aggregated candidates so only the winners are
+    /// sorted (optimization 3); features of text-keyed charts depend on
+    /// series order, so this is also what the scores are defined over.
     fn materialize_column(
         &self,
         candidates: &[Candidate],
@@ -362,157 +360,27 @@ impl<'a> ProgressiveSelector<'a> {
 
         let mut out = Vec::new();
         for (transform, cands) in by_transform {
-            match transform {
-                Transform::None => {
-                    // Raw charts execute directly (no aggregation to share).
-                    for cand in cands {
-                        if let Ok(node) = VisNode::build(self.table, cand.query.clone(), self.udfs)
-                        {
-                            stats.nodes_generated += 1;
-                            out.push(self.score_node(node, cand.w_raw, max_w));
-                        }
-                    }
-                }
-                _ => {
-                    stats.shared_scans += 1;
-                    out.extend(self.shared_scan(transform, &cands, max_w, stats));
+            // Raw charts execute directly, ORDER BY included.
+            let raw = matches!(transform, Transform::None);
+            if !raw {
+                stats.shared_scans += 1;
+            }
+            let queries: Vec<VisQuery> = cands
+                .iter()
+                .map(|c| VisQuery {
+                    order: if raw { c.query.order } else { SortOrder::None },
+                    ..c.query.clone()
+                })
+                .collect();
+            let results = execute_batch(self.table, &queries, self.udfs);
+            for ((cand, mut query), result) in cands.iter().zip(queries).zip(results) {
+                if let Ok(data) = result {
+                    stats.nodes_generated += 1;
+                    query.order = cand.query.order;
+                    let node = VisNode::from_chart(self.table, query, data);
+                    out.push(self.score_node(node, cand.w_raw, max_w));
                 }
             }
-        }
-        out
-    }
-
-    /// One scan of the table for a (column, transform): computes CNT plus
-    /// SUM/AVG of every referenced y-column per bucket, then builds every
-    /// candidate chart from the accumulated buckets.
-    fn shared_scan(
-        &self,
-        transform: &Transform,
-        cands: &[&Candidate],
-        max_w: f64,
-        stats: &mut SelectionStats,
-    ) -> Vec<ScoredNode> {
-        let x_name = &cands[0].query.x;
-        let Some(x_col) = self.table.column_by_name(x_name) else {
-            return Vec::new();
-        };
-        let keys = match transform {
-            Transform::Group => group_keys(x_col),
-            Transform::Bin(strategy) => match bin_keys(x_col, strategy, self.udfs) {
-                Ok(k) => k,
-                Err(_) => return Vec::new(),
-            },
-            Transform::None => unreachable!("raw charts handled by caller"),
-        };
-
-        // The y-columns any candidate needs SUM/AVG for.
-        let mut y_names: Vec<&str> = Vec::new();
-        for cand in cands {
-            if let (Some(y), Aggregate::Sum | Aggregate::Avg) =
-                (&cand.query.y, cand.query.aggregate)
-            {
-                if !y_names.contains(&y.as_str()) {
-                    y_names.push(y);
-                }
-            }
-        }
-        let y_values: Vec<Vec<Option<f64>>> = y_names
-            .iter()
-            .map(|name| {
-                self.table
-                    .column_by_name(name)
-                    .map(|c| match c.data() {
-                        deepeye_data::ColumnData::Numeric(v) => v.clone(),
-                        _ => vec![None; self.table.row_count()],
-                    })
-                    .unwrap_or_default()
-            })
-            .collect();
-
-        let mut buckets = Bucketizer::new();
-        let mut counts: Vec<u64> = Vec::new();
-        let mut sums: Vec<Vec<f64>> = vec![Vec::new(); y_names.len()]; // [y][bucket]
-        let mut y_counts: Vec<Vec<u64>> = vec![Vec::new(); y_names.len()];
-        for (row, key) in keys.into_iter().enumerate() {
-            let Some(key) = key else { continue };
-            let idx = buckets.index_of(key);
-            if idx == counts.len() {
-                counts.push(0);
-                for s in &mut sums {
-                    s.push(0.0);
-                }
-                for c in &mut y_counts {
-                    c.push(0);
-                }
-            }
-            counts[idx] += 1;
-            for (yi, vals) in y_values.iter().enumerate() {
-                if let Some(v) = vals.get(row).copied().flatten() {
-                    sums[yi][idx] += v;
-                    y_counts[yi][idx] += 1;
-                }
-            }
-        }
-        if buckets.is_empty() {
-            return Vec::new();
-        }
-        let keys_dense: Vec<Key> = buckets.into_keys();
-
-        let mut out = Vec::with_capacity(cands.len());
-        for cand in cands {
-            let pairs: Vec<(Key, f64)> = match (&cand.query.y, cand.query.aggregate) {
-                (_, Aggregate::Cnt) => keys_dense
-                    .iter()
-                    .cloned()
-                    .zip(counts.iter().map(|&c| c as f64))
-                    .collect(),
-                (Some(y), Aggregate::Sum) => {
-                    let Some(yi) = y_names.iter().position(|n| n == y) else {
-                        continue;
-                    };
-                    keys_dense
-                        .iter()
-                        .cloned()
-                        .zip(sums[yi].iter().copied())
-                        .collect()
-                }
-                (Some(y), Aggregate::Avg) => {
-                    let Some(yi) = y_names.iter().position(|n| n == y) else {
-                        continue;
-                    };
-                    keys_dense
-                        .iter()
-                        .cloned()
-                        .zip(sums[yi].iter().zip(&y_counts[yi]).map(|(&s, &c)| {
-                            if c == 0 {
-                                0.0
-                            } else {
-                                s / c as f64
-                            }
-                        }))
-                        .collect()
-                }
-                _ => continue,
-            };
-            let y_label = match (&cand.query.y, cand.query.aggregate) {
-                (Some(y), agg) => format!("{}({})", agg.name(), y),
-                (None, _) => format!("CNT({})", cand.query.x),
-            };
-            let data = ChartData {
-                chart: cand.query.chart,
-                x_label: cand.query.x.clone(),
-                y_label,
-                series: Series::Keyed(pairs),
-            };
-            let features =
-                NodeFeatures::from_chart(&data, self.table.row_count(), x_col.data_type());
-            stats.nodes_generated += 1;
-            let node = VisNode {
-                query: cand.query.clone(),
-                data,
-                features,
-            };
-            out.push(self.score_node(node, cand.w_raw, max_w));
         }
         out
     }

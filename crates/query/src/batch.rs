@@ -1,19 +1,21 @@
-//! Batch execution with shared scans (§V-B optimization 1, as a public
-//! API): "for each column X, when grouping and binning the column, we
-//! compute the AGG values on other columns together and avoid
-//! binning/grouping multiple times."
+//! The shared-scan executor (§V-B optimization 1): "for each column X,
+//! when grouping and binning the column, we compute the AGG values on
+//! other columns together and avoid binning/grouping multiple times."
 //!
-//! Queries are grouped by `(x column, transform)`; each group performs one
-//! pass over the table computing CNT plus SUM for every referenced
-//! y-column, then materializes every requested chart from the shared
-//! accumulators. Raw (untransformed) queries fall back to the one-shot
-//! executor. Results are position-aligned with the input and identical to
-//! calling [`crate::execute_with`] per query.
+//! This is the pipeline's executor: `core::parallel` builds every
+//! candidate through it and `core::progressive` materializes every leaf
+//! with it. Aggregated queries are grouped by `(x column, transform)`;
+//! each group makes one key pass and one aggregation sweep computing CNT
+//! plus SUM and non-null count for every numeric y-column its queries
+//! aggregate, then materializes each chart from the shared accumulators.
+//! Raw (untransformed) queries run through the single-query executor.
+//! Every query passes [`crate::sema::check_executable`] first, so each
+//! result — chart or error — equals [`crate::execute_with`]'s.
 
-use crate::ast::{Aggregate, SortOrder, Transform, VisQuery};
+use crate::ast::{Aggregate, Transform, VisQuery};
 use crate::bins::{bin_keys, group_keys, Bucketizer, Key, UdfRegistry};
 use crate::chart::{ChartData, Series};
-use crate::exec::{execute_impl, QueryError};
+use crate::exec::{apply_order, execute_impl, QueryError};
 use deepeye_data::{ColumnData, Table};
 use deepeye_obs::{CostAcc, NoCost, Op, OpCosts};
 use std::collections::HashMap;
@@ -27,301 +29,234 @@ pub fn execute_batch(
 ) -> Vec<Result<ChartData, QueryError>> {
     // NoCost is zero-sized: the per-query vector allocates nothing and
     // every counter monomorphizes away.
-    let mut per_query = vec![NoCost; queries.len()];
-    execute_batch_impl(table, queries, udfs, &mut NoCost, &mut per_query)
+    execute_in_order(table, queries, udfs, &mut vec![NoCost; queries.len()])
 }
 
-/// The executor cost breakdown of one batch: work that ran once per
-/// shared scan versus work attributable to a single query.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchCosts {
-    /// Scan-phase work (rows scanned, bin computations, group-hash
-    /// probes/inserts, aggregate updates) performed once per
-    /// `(x, transform)` group and amortized over its queries.
-    pub shared: OpCosts,
-    /// Per-query work, aligned with the input: materialization (output
-    /// rows, sort comparisons) for shareable queries, the full operator
-    /// vector for queries that fell back to the scalar executor.
-    pub per_query: Vec<OpCosts>,
-}
-
-impl BatchCosts {
-    /// Shared plus per-query work — comparable against the sum of
-    /// [`crate::execute_costed`] totals to measure shared-scan savings.
-    pub fn total(&self) -> OpCosts {
-        let mut out = self.shared;
-        for q in &self.per_query {
-            out.merge(q);
-        }
-        out
-    }
-}
-
-/// [`execute_batch`], also returning the per-operator cost breakdown.
+/// [`execute_batch`], also returning each query's operator counts
+/// (aligned with `queries`). A group's shared scan is charged to its
+/// first member that passes sema, so the counts sum to exactly the work
+/// the batch did.
 pub fn execute_batch_costed(
     table: &Table,
     queries: &[VisQuery],
     udfs: &UdfRegistry,
-) -> (Vec<Result<ChartData, QueryError>>, BatchCosts) {
-    let mut shared = OpCosts::default();
-    let mut per_query = vec![OpCosts::default(); queries.len()];
-    let results = execute_batch_impl(table, queries, udfs, &mut shared, &mut per_query);
-    (results, BatchCosts { shared, per_query })
+) -> (Vec<Result<ChartData, QueryError>>, Vec<OpCosts>) {
+    let mut costs = vec![OpCosts::default(); queries.len()];
+    let results = execute_in_order(table, queries, udfs, &mut costs);
+    (results, costs)
 }
 
-/// The batch body, generic over the cost accumulator. `per_query` is
-/// aligned with `queries`.
-fn execute_batch_impl<C: CostAcc>(
+/// The shared-scan executor's results, in input order.
+fn execute_in_order<C: CostAcc>(
     table: &Table,
     queries: &[VisQuery],
     udfs: &UdfRegistry,
-    shared: &mut C,
-    per_query: &mut [C],
+    costs: &mut [C],
 ) -> Vec<Result<ChartData, QueryError>> {
-    let mut results: Vec<Option<Result<ChartData, QueryError>>> = vec![None; queries.len()];
-
-    // Group aggregated queries by (x, transform); run everything else
-    // through the scalar path.
-    let mut groups: HashMap<(String, String), Vec<usize>> = HashMap::new();
-    for (i, q) in queries.iter().enumerate() {
-        let shareable = !matches!(q.transform, Transform::None) && q.aggregate != Aggregate::Raw;
-        if shareable {
-            groups
-                .entry((q.x.clone(), format!("{:?}", q.transform)))
-                .or_default()
-                .push(i);
-        } else {
-            results[i] = Some(execute_impl(table, q, udfs, &mut per_query[i]));
-        }
-    }
-
-    for ((x_name, _), indices) in groups {
-        let outcome = scan_group(table, &x_name, queries, &indices, udfs, shared, per_query);
-        match outcome {
-            Ok(mut produced) => {
-                for i in indices {
-                    let r = produced.remove(&i);
-                    debug_assert!(r.is_some(), "scan produced one result per query");
-                    results[i] = Some(r.unwrap_or_else(|| {
-                        Err(QueryError::Invalid(
-                            "internal: shared scan dropped a query".to_owned(),
-                        ))
-                    }));
-                }
-            }
-            Err(e) => {
-                for i in indices {
-                    results[i] = Some(Err(e.clone()));
-                }
-            }
-        }
-    }
-
-    results
-        .into_iter()
-        .map(|r| {
-            debug_assert!(r.is_some(), "every query handled");
-            r.unwrap_or_else(|| {
-                Err(QueryError::Invalid(
-                    "internal: query skipped by batch dispatch".to_owned(),
-                ))
-            })
-        })
-        .collect()
+    let mut results = Vec::with_capacity(queries.len());
+    execute_batch_each(table, queries, udfs, costs, |i, r| results.push((i, r)));
+    results.sort_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One shared scan for a set of same-(x, transform) query indices.
-/// Scan-phase work is charged to `shared` (it runs once regardless of
-/// how many queries ride the scan); materialization work is charged to
-/// each query's own accumulator in `per_query`.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn scan_group<C: CostAcc>(
+/// Whether a query rides a shared scan: GROUP or BIN with an aggregate.
+fn shareable(q: &VisQuery) -> bool {
+    !matches!(q.transform, Transform::None) && q.aggregate != Aggregate::Raw
+}
+
+/// The shared-scan executor. Calls `emit(i, result)` exactly once per
+/// `queries[i]`: a group's queries one after another (in input order) at
+/// its first member's position, every other query at its own.
+///
+/// Each query's sema check, materialization and ORDER BY are charged to
+/// `costs[i]`; a group's scan is charged to — and runs just before the
+/// emission of — its first member that passes sema. A caller timing the
+/// gaps between emissions therefore attributes time the way costs are.
+pub fn execute_batch_each<C: CostAcc>(
     table: &Table,
-    x_name: &str,
     queries: &[VisQuery],
-    indices: &[usize],
     udfs: &UdfRegistry,
-    shared: &mut C,
-    per_query: &mut [C],
-) -> Result<HashMap<usize, Result<ChartData, QueryError>>, QueryError> {
-    let x_col = table
-        .column_by_name(x_name)
-        .ok_or_else(|| QueryError::NoSuchColumn(x_name.to_owned()))?;
-    let transform = &queries[indices[0]].transform;
-    let keys = match transform {
-        Transform::Group => group_keys(x_col),
-        Transform::Bin(strategy) => {
-            let keys = bin_keys(x_col, strategy, udfs)?;
-            shared.add(Op::BinComputations, keys.len() as u64);
-            keys
-        }
-        Transform::None => unreachable!("caller filters raw queries"),
-    };
-    shared.add(Op::RowsScanned, keys.len() as u64);
-
-    // The numeric y-columns any query needs SUM/AVG over.
-    let mut y_names: Vec<&str> = Vec::new();
-    for &i in indices {
-        if let (Some(y), Aggregate::Sum | Aggregate::Avg) = (&queries[i].y, queries[i].aggregate) {
-            if !y_names.contains(&y.as_str()) {
-                y_names.push(y);
-            }
+    costs: &mut [C],
+    mut emit: impl FnMut(usize, Result<ChartData, QueryError>),
+) {
+    // Query indices per unit of work, in order of first appearance: one
+    // unit per (x, transform) group, one per unshareable query.
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut group_unit: HashMap<(&str, &Transform), usize> = HashMap::new();
+    for (i, q) in queries.iter().enumerate() {
+        if shareable(q) {
+            let u = *group_unit
+                .entry((q.x.as_str(), &q.transform))
+                .or_insert_with(|| {
+                    units.push(Vec::new());
+                    units.len() - 1
+                });
+            units[u].push(i);
+        } else {
+            units.push(vec![i]);
         }
     }
-    let y_values: Vec<Option<&Vec<Option<f64>>>> = y_names
-        .iter()
-        .map(|name| {
-            table.column_by_name(name).and_then(|c| match c.data() {
-                ColumnData::Numeric(v) => Some(v),
-                _ => None,
-            })
-        })
-        .collect();
-    // SUM/AVG require a *numeric* y; remember which resolved.
-    let y_numeric: Vec<bool> = y_values.iter().map(Option::is_some).collect();
 
-    let mut buckets = Bucketizer::new();
-    let mut counts: Vec<u64> = Vec::new();
-    let mut sums: Vec<Vec<f64>> = vec![Vec::new(); y_names.len()];
-    let mut y_counts: Vec<Vec<u64>> = vec![Vec::new(); y_names.len()];
-    for (row, key) in keys.into_iter().enumerate() {
-        let Some(key) = key else { continue };
-        shared.add(Op::GroupProbes, 1);
-        let idx = buckets.index_of(key);
-        if idx == counts.len() {
-            shared.add(Op::GroupInserts, 1);
-            counts.push(0);
-            for s in &mut sums {
-                s.push(0.0);
-            }
-            for c in &mut y_counts {
-                c.push(0);
-            }
-        }
-        shared.add(Op::AggUpdates, 1);
-        counts[idx] += 1;
-        for (yi, vals) in y_values.iter().enumerate() {
-            if let Some(Some(v)) = vals.map(|v| v[row]) {
-                shared.add(Op::AggUpdates, 1);
-                sums[yi][idx] += v;
-                y_counts[yi][idx] += 1;
-            }
-        }
-    }
-    let keys_dense: Vec<Key> = buckets.into_keys();
-
-    let mut out = HashMap::with_capacity(indices.len());
-    for &i in indices {
-        let q = &queries[i];
-        if keys_dense.is_empty() {
-            out.insert(i, Err(QueryError::EmptyResult));
+    for members in &units {
+        let first = members[0];
+        if !shareable(&queries[first]) {
+            emit(
+                first,
+                execute_impl(table, &queries[first], udfs, &mut costs[first]),
+            );
             continue;
         }
-        let result = materialize(
-            q,
-            &keys_dense,
-            &counts,
-            &sums,
-            &y_counts,
-            &y_names,
-            &y_numeric,
-            &mut per_query[i],
-        );
-        out.insert(i, result);
+        let mut scan: Option<Result<Scan, QueryError>> = None;
+        for &i in members {
+            let q = &queries[i];
+            if let Err(diagnostic) = crate::sema::check_executable(table, q, udfs) {
+                emit(i, Err(diagnostic.into_query_error(q)));
+                continue;
+            }
+            let scan =
+                scan.get_or_insert_with(|| Scan::run(table, queries, members, udfs, &mut costs[i]));
+            emit(
+                i,
+                match scan {
+                    Ok(scan) => scan.materialize(q, &mut costs[i]),
+                    Err(e) => Err(e.clone()),
+                },
+            );
+        }
     }
-    Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn materialize<C: CostAcc>(
-    q: &VisQuery,
-    keys: &[Key],
-    counts: &[u64],
-    sums: &[Vec<f64>],
-    y_counts: &[Vec<u64>],
-    y_names: &[&str],
-    y_numeric: &[bool],
-    cost: &mut C,
-) -> Result<ChartData, QueryError> {
-    let (pairs, y_label): (Vec<(Key, f64)>, String) = match (&q.y, q.aggregate) {
-        (None, Aggregate::Cnt) => (
-            keys.iter()
-                .cloned()
-                .zip(counts.iter().map(|&c| c as f64))
-                .collect(),
-            format!("CNT({})", q.x),
-        ),
-        (None, other) => {
-            return Err(QueryError::Invalid(format!(
-                "one-column queries support CNT only, got {}",
-                other.name()
-            )));
-        }
-        (Some(y), Aggregate::Cnt) => (
-            keys.iter()
-                .cloned()
-                .zip(counts.iter().map(|&c| c as f64))
-                .collect(),
-            format!("CNT({y})"),
-        ),
-        (Some(y), agg @ (Aggregate::Sum | Aggregate::Avg)) => {
-            let yi = y_names.iter().position(|n| n == y).ok_or_else(|| {
-                QueryError::Invalid(format!(
-                    "{} requires a numerical y column, {y:?} is not",
-                    agg.name()
-                ))
-            })?;
-            if !y_numeric[yi] {
-                return Err(QueryError::Invalid(format!(
-                    "{} requires a numerical y column, {y:?} is not",
-                    agg.name()
-                )));
+/// One shared scan's accumulators, per bucket in first-seen key order:
+/// CNT, plus SUM and non-null count for each numeric y-column the
+/// group's queries aggregate with SUM or AVG.
+struct Scan<'q> {
+    keys: Vec<Key>,
+    counts: Vec<u64>,
+    ys: Vec<&'q str>,
+    sums: Vec<Vec<f64>>,
+    y_counts: Vec<Vec<u64>>,
+}
+
+impl<'q> Scan<'q> {
+    /// The key pass and aggregation sweep for the group `members` (same
+    /// x and transform; at least one passed sema, so x resolves and the
+    /// transform suits it). Y-columns are borrowed, not cloned.
+    fn run<C: CostAcc>(
+        table: &Table,
+        queries: &'q [VisQuery],
+        members: &[usize],
+        udfs: &UdfRegistry,
+        cost: &mut C,
+    ) -> Result<Self, QueryError> {
+        let q0 = &queries[members[0]];
+        let x_col = table
+            .column_by_name(&q0.x)
+            .ok_or_else(|| QueryError::NoSuchColumn(q0.x.clone()))?;
+        let keys = match &q0.transform {
+            Transform::Bin(strategy) => {
+                let keys = bin_keys(x_col, strategy, udfs)?;
+                cost.add(Op::BinComputations, keys.len() as u64);
+                keys
             }
-            let values: Vec<f64> = match agg {
-                Aggregate::Sum => sums[yi].clone(),
-                Aggregate::Avg => sums[yi]
-                    .iter()
-                    .zip(&y_counts[yi])
-                    .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-                    .collect(),
-                _ => unreachable!(),
+            // GROUP: raw queries never reach a scan.
+            _ => group_keys(x_col),
+        };
+        cost.add(Op::RowsScanned, keys.len() as u64);
+
+        let mut ys: Vec<&'q str> = Vec::new();
+        let mut y_values: Vec<&[Option<f64>]> = Vec::new();
+        for &i in members {
+            let q = &queries[i];
+            let (Some(y), Aggregate::Sum | Aggregate::Avg) = (&q.y, q.aggregate) else {
+                continue;
             };
-            (
-                keys.iter().cloned().zip(values).collect(),
-                format!("{}({y})", agg.name()),
-            )
+            if ys.contains(&y.as_str()) {
+                continue;
+            }
+            if let Some(ColumnData::Numeric(v)) = table.column_by_name(y).map(|c| c.data()) {
+                ys.push(y);
+                y_values.push(v);
+            }
         }
-        (_, Aggregate::Raw) => unreachable!("caller filters raw queries"),
-    };
-    let mut series = Series::Keyed(pairs);
-    if let Series::Keyed(pairs) = &mut series {
-        let mut cmps = 0u64;
-        match q.order {
-            SortOrder::None => {}
-            SortOrder::ByX => pairs.sort_by(|a, b| {
-                cmps += 1;
-                a.0.total_cmp(&b.0)
-            }),
-            SortOrder::ByY => pairs.sort_by(|a, b| {
-                cmps += 1;
-                b.1.total_cmp(&a.1)
-            }),
+
+        let mut buckets = Bucketizer::new();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut sums: Vec<Vec<f64>> = vec![Vec::new(); ys.len()];
+        let mut y_counts: Vec<Vec<u64>> = vec![Vec::new(); ys.len()];
+        for (row, key) in keys.into_iter().enumerate() {
+            let Some(key) = key else { continue };
+            cost.add(Op::GroupProbes, 1);
+            let idx = buckets.index_of(key);
+            if idx == counts.len() {
+                cost.add(Op::GroupInserts, 1);
+                counts.push(0);
+                sums.iter_mut().for_each(|s| s.push(0.0));
+                y_counts.iter_mut().for_each(|c| c.push(0));
+            }
+            cost.add(Op::AggUpdates, 1);
+            counts[idx] += 1;
+            for (yi, vals) in y_values.iter().enumerate() {
+                if let Some(v) = vals[row] {
+                    cost.add(Op::AggUpdates, 1);
+                    sums[yi][idx] += v;
+                    y_counts[yi][idx] += 1;
+                }
+            }
         }
-        cost.add(Op::SortComparisons, cmps);
+        Ok(Scan {
+            keys: buckets.into_keys(),
+            counts,
+            ys,
+            sums,
+            y_counts,
+        })
     }
-    cost.add(Op::OutputRows, series.len() as u64);
-    Ok(ChartData {
-        chart: q.chart,
-        x_label: q.x.clone(),
-        y_label,
-        series,
-    })
+
+    /// One member's chart from the accumulators, ORDER BY applied.
+    fn materialize<C: CostAcc>(&self, q: &VisQuery, cost: &mut C) -> Result<ChartData, QueryError> {
+        if self.keys.is_empty() {
+            return Err(QueryError::EmptyResult);
+        }
+        let yi =
+            q.y.as_deref()
+                .and_then(|y| self.ys.iter().position(|n| *n == y));
+        let values: Vec<f64> = match (q.aggregate, yi) {
+            (Aggregate::Sum, Some(yi)) => self.sums[yi].clone(),
+            (Aggregate::Avg, Some(yi)) => self.sums[yi]
+                .iter()
+                .zip(&self.y_counts[yi])
+                .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
+                .collect(),
+            (Aggregate::Cnt, _) => self.counts.iter().map(|&c| c as f64).collect(),
+            // Sema admits SUM/AVG only over a numeric y, which the scan
+            // accumulated.
+            (agg, _) => {
+                return Err(QueryError::Invalid(format!(
+                    "{} requires a numerical y column",
+                    agg.name()
+                )))
+            }
+        };
+        let y_label = match &q.y {
+            Some(y) => format!("{}({y})", q.aggregate.name()),
+            None => format!("CNT({})", q.x),
+        };
+        let mut series = Series::Keyed(self.keys.iter().cloned().zip(values).collect());
+        apply_order(&mut series, q.order, cost);
+        cost.add(Op::OutputRows, series.len() as u64);
+        Ok(ChartData {
+            chart: q.chart,
+            x_label: q.x.clone(),
+            y_label,
+            series,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BinStrategy, ChartType};
+    use crate::ast::{BinStrategy, ChartType, SortOrder};
     use crate::exec::{execute_costed, execute_with};
     use deepeye_data::{parse_timestamp, Column, TableBuilder};
 
@@ -361,28 +296,8 @@ mod tests {
         out
     }
 
-    #[test]
-    fn batch_matches_scalar_execution() {
-        let t = table();
-        let udfs = UdfRegistry::default();
-        let qs = queries();
-        let batch = execute_batch(&t, &qs, &udfs);
-        assert_eq!(batch.len(), qs.len());
-        for (q, batch_result) in qs.iter().zip(&batch) {
-            let scalar = execute_with(&t, q, &udfs);
-            match (batch_result, &scalar) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "mismatch for {q:?}"),
-                (Err(_), Err(_)) => {}
-                other => panic!("outcome mismatch for {q:?}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn shared_group_results_consistent() {
-        // All three aggregates of the same (x, transform) from one scan.
-        let t = table();
-        let udfs = UdfRegistry::default();
+    /// Three aggregates of one (x, transform): one shared scan.
+    fn sum_avg_cnt() -> Vec<VisQuery> {
         let base = VisQuery {
             chart: ChartType::Bar,
             x: "cat".into(),
@@ -391,18 +306,35 @@ mod tests {
             aggregate: Aggregate::Sum,
             order: SortOrder::ByX,
         };
-        let qs = vec![
-            base.clone(),
-            VisQuery {
-                aggregate: Aggregate::Avg,
+        [Aggregate::Sum, Aggregate::Avg, Aggregate::Cnt]
+            .into_iter()
+            .map(|aggregate| VisQuery {
+                aggregate,
                 ..base.clone()
-            },
-            VisQuery {
-                aggregate: Aggregate::Cnt,
-                ..base.clone()
-            },
-        ];
-        let results = execute_batch(&t, &qs, &udfs);
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_matches_scalar_execution() {
+        let t = table();
+        let udfs = UdfRegistry::default();
+        let qs = queries();
+        let batch = execute_batch(&t, &qs, &udfs);
+        assert_eq!(batch.len(), qs.len());
+        for (q, batch_result) in qs.iter().zip(&batch) {
+            assert_eq!(
+                batch_result,
+                &execute_with(&t, q, &udfs),
+                "mismatch for {q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_group_results_consistent() {
+        let t = table();
+        let results = execute_batch(&t, &sum_avg_cnt(), &UdfRegistry::default());
         let sum = results[0].as_ref().unwrap().series.y_values();
         let avg = results[1].as_ref().unwrap().series.y_values();
         let cnt = results[2].as_ref().unwrap().series.y_values();
@@ -415,17 +347,30 @@ mod tests {
     fn invalid_queries_fail_identically() {
         let t = table();
         let udfs = UdfRegistry::default();
-        let bad = VisQuery {
+        let avg_of_text = VisQuery {
             chart: ChartType::Bar,
             x: "cat".into(),
             y: Some("cat".into()),
             transform: Transform::Group,
-            aggregate: Aggregate::Avg, // AVG over categorical y
+            aggregate: Aggregate::Avg,
             order: SortOrder::None,
         };
-        let results = execute_batch(&t, std::slice::from_ref(&bad), &udfs);
-        assert!(results[0].is_err());
-        assert!(execute_with(&t, &bad, &udfs).is_err());
+        let cnt_of_missing = VisQuery {
+            y: Some("nope".into()),
+            aggregate: Aggregate::Cnt,
+            ..avg_of_text.clone()
+        };
+        let bad = [avg_of_text, cnt_of_missing];
+        let results = execute_batch(&t, &bad, &udfs);
+        for (q, batch_result) in bad.iter().zip(&results) {
+            assert!(batch_result.is_err(), "{q:?} must fail");
+            assert_eq!(
+                batch_result,
+                &execute_with(&t, q, &udfs),
+                "mismatch for {q:?}"
+            );
+        }
+        assert_eq!(results[1], Err(QueryError::NoSuchColumn("nope".into())));
     }
 
     #[test]
@@ -453,7 +398,7 @@ mod tests {
         assert!(execute_batch(&table(), &[], &UdfRegistry::default()).is_empty());
         let (results, costs) = execute_batch_costed(&table(), &[], &UdfRegistry::default());
         assert!(results.is_empty());
-        assert!(costs.total().is_zero());
+        assert!(costs.is_empty());
     }
 
     #[test]
@@ -463,68 +408,63 @@ mod tests {
         let qs = queries();
         let plain = execute_batch(&t, &qs, &udfs);
         let (costed, costs) = execute_batch_costed(&t, &qs, &udfs);
-        assert_eq!(costs.per_query.len(), qs.len());
-        for (i, (a, b)) in plain.iter().zip(&costed).enumerate() {
-            match (a, b) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "mismatch for {:?}", qs[i]),
-                (Err(_), Err(_)) => {}
-                other => panic!("outcome mismatch for {:?}: {other:?}", qs[i]),
-            }
-        }
-        assert!(!costs.total().is_zero());
+        assert_eq!(plain, costed);
+        assert_eq!(costs.len(), qs.len());
+        assert!(costs.iter().any(|c| !c.is_zero()));
     }
 
     #[test]
     fn shared_scan_saves_work_versus_scalar() {
         // Three aggregates over the same (x, transform) share one scan:
         // the batch's total work must be strictly below three scalar
-        // executions, and scan-phase operators must sit in `shared`.
+        // executions, and the scan must be charged to the first query.
         let t = table();
         let udfs = UdfRegistry::default();
-        let base = VisQuery {
-            chart: ChartType::Bar,
-            x: "cat".into(),
-            y: Some("w".into()),
-            transform: Transform::Group,
-            aggregate: Aggregate::Sum,
-            order: SortOrder::ByX,
-        };
-        let qs = vec![
-            base.clone(),
-            VisQuery {
-                aggregate: Aggregate::Avg,
-                ..base.clone()
-            },
-            VisQuery {
-                aggregate: Aggregate::Cnt,
-                ..base.clone()
-            },
-        ];
+        let qs = sum_avg_cnt();
         let (results, costs) = execute_batch_costed(&t, &qs, &udfs);
         assert!(results.iter().all(Result::is_ok));
         let mut scalar_total = OpCosts::default();
-        for q in &qs {
-            let (out, c) = execute_costed(&t, q, &udfs);
+        let mut batch_total = OpCosts::default();
+        for (q, c) in qs.iter().zip(&costs) {
+            let (out, scalar) = execute_costed(&t, q, &udfs);
             assert!(out.is_ok());
-            scalar_total.merge(&c);
+            scalar_total.merge(&scalar);
+            batch_total.merge(c);
         }
-        let batch_total = costs.total();
         // One scan instead of three.
         assert_eq!(batch_total.get(Op::RowsScanned), 60);
         assert_eq!(scalar_total.get(Op::RowsScanned), 180);
         assert!(batch_total.get(Op::GroupProbes) < scalar_total.get(Op::GroupProbes));
         assert!(batch_total.total() < scalar_total.total());
-        // Scan work is shared; materialization is per-query.
-        assert_eq!(costs.shared.get(Op::RowsScanned), 60);
-        for per in &costs.per_query {
-            assert_eq!(per.get(Op::RowsScanned), 0);
-            assert_eq!(per.get(Op::OutputRows), 3); // a, b, c
-        }
-        // Output cardinality matches the materialized charts exactly.
-        for (r, per) in results.iter().zip(&costs.per_query) {
+        // The scan lands on the group's first query; every query pays
+        // for its own materialization.
+        assert_eq!(costs[0].get(Op::RowsScanned), 60);
+        for (r, per) in results.iter().zip(&costs) {
             let chart = r.as_ref().unwrap();
             assert_eq!(per.get(Op::OutputRows), chart.series.len() as u64);
         }
+        for per in &costs[1..] {
+            assert_eq!(per.get(Op::RowsScanned), 0);
+            assert_eq!(per.get(Op::GroupProbes), 0);
+            assert_eq!(per.get(Op::OutputRows), 3); // a, b, c
+        }
+    }
+
+    #[test]
+    fn scan_is_charged_to_the_first_valid_member() {
+        let t = table();
+        let mut qs = sum_avg_cnt();
+        qs.insert(
+            0,
+            VisQuery {
+                y: Some("nope".into()),
+                ..qs[2].clone()
+            },
+        );
+        let (results, costs) = execute_batch_costed(&t, &qs, &UdfRegistry::default());
+        assert!(results[0].is_err());
+        assert!(costs[0].is_zero(), "a sema rejection does no work");
+        assert_eq!(costs[1].get(Op::RowsScanned), 60);
     }
 
     #[test]
@@ -541,8 +481,37 @@ mod tests {
         };
         let (results, costs) = execute_batch_costed(&t, std::slice::from_ref(&raw), &udfs);
         assert!(results[0].is_ok());
-        assert!(costs.shared.is_zero());
         let (_, scalar) = execute_costed(&t, &raw, &udfs);
-        assert_eq!(costs.per_query[0], scalar);
+        assert_eq!(costs[0], scalar);
+    }
+
+    #[test]
+    fn emission_follows_groups() {
+        // Interleaved groups: each group's members are emitted together,
+        // at the position of the group's first member.
+        let t = table();
+        let a = sum_avg_cnt();
+        let b: Vec<VisQuery> = a
+            .iter()
+            .map(|q| VisQuery {
+                transform: Transform::Bin(BinStrategy::Default),
+                x: "w".into(),
+                y: Some("v".into()),
+                ..q.clone()
+            })
+            .collect();
+        let qs = vec![a[0].clone(), b[0].clone(), a[1].clone(), b[1].clone()];
+        let mut order = Vec::new();
+        execute_batch_each(
+            &t,
+            &qs,
+            &UdfRegistry::default(),
+            &mut [NoCost; 4],
+            |i, r| {
+                assert!(r.is_ok());
+                order.push(i);
+            },
+        );
+        assert_eq!(order, vec![0, 2, 1, 3]);
     }
 }

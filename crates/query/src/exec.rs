@@ -302,7 +302,7 @@ fn aggregated_chart<C: CostAcc>(
 /// Apply the ORDER BY clause in place: X' ascending or Y' descending.
 /// Comparator invocations are counted (`sort_comparisons`) — the sort's
 /// data-dependent work — then flushed to `cost` in one add.
-fn apply_order<C: CostAcc>(series: &mut Series, order: SortOrder, cost: &mut C) {
+pub(crate) fn apply_order<C: CostAcc>(series: &mut Series, order: SortOrder, cost: &mut C) {
     let mut cmps = 0u64;
     if let Series::Keyed(pairs) = series {
         match order {

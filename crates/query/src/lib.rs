@@ -41,7 +41,7 @@ pub mod parser;
 pub mod sema;
 
 pub use ast::{Aggregate, BinStrategy, ChartType, SortOrder, Transform, VisQuery, DEFAULT_BUCKETS};
-pub use batch::{execute_batch, execute_batch_costed, BatchCosts};
+pub use batch::{execute_batch, execute_batch_costed, execute_batch_each};
 pub use bins::{bin_keys, group_keys, BinError, Bucketizer, Key, UdfRegistry};
 pub use chart::{ChartData, Series};
 pub use enumerate::{

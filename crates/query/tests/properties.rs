@@ -9,22 +9,54 @@ use deepeye_query::{
 use proptest::prelude::*;
 
 fn arbitrary_table() -> impl Strategy<Value = Table> {
+    table_strategy(false)
+}
+
+/// [`arbitrary_table`] with nulls in every column: each cell is null with
+/// probability 1/4.
+fn nullable_table() -> impl Strategy<Value = Table> {
+    table_strategy(true)
+}
+
+fn table_strategy(nullable: bool) -> impl Strategy<Value = Table> {
     let rows = 1usize..40;
-    rows.prop_flat_map(|n| {
+    rows.prop_flat_map(move |n| {
         (
             proptest::collection::vec(-100.0f64..100.0, n),
             proptest::collection::vec(0u8..4, n),
             proptest::collection::vec(0i64..100_000_000, n),
+            proptest::collection::vec(0u8..64, n),
         )
-            .prop_map(move |(nums, cats, secs)| {
+            .prop_map(move |(nums, cats, secs, nulls)| {
+                // Bits 2c..2c+1 of a row's draw are both clear → column c
+                // is null in that row.
+                let keep = |row: usize, col: u8| !nullable || (nulls[row] >> (2 * col)) & 3 != 0;
+                let cell = |row: usize, col: u8, v| keep(row, col).then_some(v);
                 TableBuilder::new("t")
-                    .numeric("num", nums)
-                    .text("cat", cats.iter().map(|c| format!("c{c}")))
+                    .column(Column::new(
+                        "num",
+                        ColumnData::Numeric(
+                            nums.iter()
+                                .enumerate()
+                                .map(|(r, &v)| cell(r, 0, v))
+                                .collect(),
+                        ),
+                    ))
+                    .column(Column::new(
+                        "cat",
+                        ColumnData::Text(
+                            cats.iter()
+                                .enumerate()
+                                .map(|(r, c)| keep(r, 1).then(|| format!("c{c}")))
+                                .collect(),
+                        ),
+                    ))
                     .column(Column::new(
                         "tem",
                         ColumnData::Temporal(
                             secs.iter()
-                                .map(|&s| Some(Timestamp::from_unix_seconds(s)))
+                                .enumerate()
+                                .map(|(r, &s)| keep(r, 2).then(|| Timestamp::from_unix_seconds(s)))
                                 .collect(),
                         ),
                     ))
@@ -147,19 +179,16 @@ proptest! {
     }
 
     /// Batch execution with shared scans returns exactly what the scalar
-    /// executor returns, for every query in a sampled slice of the space.
+    /// executor returns — the same chart or the same error — for every
+    /// query in a sampled slice of the space, over tables with nulls.
     #[test]
-    fn batch_equals_scalar((table, skip) in (arbitrary_table(), 0usize..100)) {
+    fn batch_equals_scalar((table, skip) in (nullable_table(), 0usize..100)) {
         let udfs = deepeye_query::UdfRegistry::default();
         let qs: Vec<VisQuery> = all_queries(&table).skip(skip * 11).take(40).collect();
         let batch = deepeye_query::execute_batch(&table, &qs, &udfs);
         for (q, b) in qs.iter().zip(batch) {
             let scalar = deepeye_query::execute_with(&table, q, &udfs);
-            match (b, scalar) {
-                (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
-                (Err(_), Err(_)) => {}
-                other => prop_assert!(false, "outcome mismatch for {:?}: {:?}", q, other),
-            }
+            prop_assert_eq!(b, scalar, "{:?}: batch {:?} != scalar {:?}", q, b, scalar);
         }
     }
 
