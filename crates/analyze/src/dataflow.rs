@@ -1,7 +1,7 @@
 //! Interprocedural rules over the workspace call graph (A0008–A0012).
 //!
-//! Where A0001–A0007 are single-window token matchers, these rules walk
-//! the [`Analysis`] built once per run:
+//! Where the rules in [`crate::rules`] match tokens in one window or sync
+//! name tables, these rules walk the [`Analysis`] built once per run:
 //!
 //! * **A0008** — builds the static lock-order graph (which locks are
 //!   held when other locks are acquired, transitively through calls) and

@@ -7,12 +7,13 @@
 //!   a lightweight Rust lexer plus a rule framework enforcing the
 //!   project invariants rustc and clippy cannot see: the clock
 //!   discipline (`A0001`), observability call-site guards (`A0002`),
-//!   no lock held across a recording callback (`A0003`), doc/code sync
-//!   for sema diagnostic codes (`A0004`) and metric names (`A0005`),
-//!   and structured concurrency only (`A0006`). Rules produce
-//!   `file:line` diagnostics, honour a checked-in `analyze.allow`
-//!   baseline (expected to stay empty), and export machine-readable
-//!   JSON validated by `trace_check --lint-report`.
+//!   no lock held across a recording callback (`A0003`), structured
+//!   concurrency only (`A0006`), and one table of name families (sema
+//!   codes, metric namespaces, cost operators) kept in sync with their
+//!   registries, use sites and DESIGN.md sections ([`rules::FAMILIES`]).
+//!   Rules produce `file:line` diagnostics, honour a checked-in
+//!   `analyze.allow` baseline (expected to stay empty), and export
+//!   machine-readable JSON validated by `trace_check --lint-report`.
 //!
 //!   On top of the lexer sits an interprocedural dataflow layer
 //!   ([`cfg`](mod@cfg), [`callgraph`], [`dataflow`]): per-function CFG-lite

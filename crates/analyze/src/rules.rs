@@ -10,7 +10,9 @@
 //! unguarded shortcuts are the failure channel there) and never scan
 //! `vendor/*` (not loaded at all).
 //!
-//! `A0001`–`A0007`, `A0013`, `A0014`, and `A0020` are single-window token matchers;
+//! `A0001`–`A0003` and `A0006` are single-window token matchers. The
+//! name-sync rules (`A0004`, `A0005`, `A0007`, `A0013`, `A0014`, `A0020`)
+//! are rows of one table, [`FAMILIES`], checked by one engine.
 //! `A0008`–`A0012` (implemented in [`crate::dataflow`]) walk the call
 //! graph and attach `file:line` witness chains to their findings.
 //!
@@ -20,6 +22,7 @@
 use crate::callgraph::Analysis;
 use crate::lexer::Token;
 use crate::lint::{Diagnostic, SourceFile, Workspace};
+use deepeye_obs::{metrics, Op};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One registered rule.
@@ -60,13 +63,13 @@ pub static RULES: &[Rule] = &[
         summary:
             "sema diagnostic codes are unique and in sync with the sema doc table and DESIGN.md",
         interprocedural: false,
-        check: sema_code_sync,
+        check: |ws, _| sync(ws, "A0004"),
     },
     Rule {
         code: "A0005",
         summary: "metric name literals match the central registry (deepeye_obs::metrics)",
         interprocedural: false,
-        check: metric_registry_sync,
+        check: |ws, _| sync(ws, "A0005"),
     },
     Rule {
         code: "A0006",
@@ -78,7 +81,7 @@ pub static RULES: &[Rule] = &[
         code: "A0007",
         summary: "bench.* metric names agree across the perf harness, the registry, and DESIGN.md",
         interprocedural: false,
-        check: bench_registry_sync,
+        check: |ws, _| sync(ws, "A0007"),
     },
     Rule {
         code: "A0008",
@@ -114,13 +117,13 @@ pub static RULES: &[Rule] = &[
         code: "A0013",
         summary: "telemetry metric and field names agree across the obs registry, the recorder sources, and DESIGN.md §10",
         interprocedural: false,
-        check: telemetry_registry_sync,
+        check: |ws, _| sync(ws, "A0013"),
     },
     Rule {
         code: "A0014",
         summary: "executor cost operator and cost.* counter names agree across the registry, the executor instrumentation, and DESIGN.md §12",
         interprocedural: false,
-        check: cost_registry_sync,
+        check: |ws, _| sync(ws, "A0014"),
     },
     Rule {
         code: "A0015",
@@ -156,13 +159,13 @@ pub static RULES: &[Rule] = &[
         code: "A0020",
         summary: "health.* metric and field names agree across the obs registry, the health-engine sources, and DESIGN.md §13",
         interprocedural: false,
-        check: health_registry_sync,
+        check: |ws, _| sync(ws, "A0020"),
     },
 ];
 
-fn diag(file: &SourceFile, line: u32, code: &'static str, message: String) -> Diagnostic {
+fn diag(file: &str, line: u32, code: &'static str, message: String) -> Diagnostic {
     Diagnostic {
-        file: file.rel.clone(),
+        file: file.to_owned(),
         line,
         code,
         message,
@@ -182,7 +185,7 @@ fn instant_outside_obs(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
         for (i, t) in file.tokens.iter().enumerate() {
             if t.is_ident("Instant") && file.is_product(i) {
                 out.push(diag(
-                    file,
+                    &file.rel,
                     t.line,
                     "A0001",
                     "raw `std::time::Instant`; time through deepeye-obs \
@@ -262,9 +265,14 @@ pub(crate) fn record_call_at(file: &SourceFile, i: usize) -> Option<(&str, &str,
     let recv_lower = recv.to_ascii_lowercase();
     let is_prov_recv = recv_lower.contains("prov");
     let is_obs_recv = recv_lower == "obs" || recv_lower.contains("observer");
+    let allocates = || {
+        call_args(toks, i + 3)
+            .iter()
+            .any(|t| t.ident().is_some_and(|id| ALLOC_MARKERS.contains(&id)))
+    };
     if is_prov_recv && PROV_METHODS.contains(&method) {
         Some((recv, method, RecordKind::Prov))
-    } else if is_obs_recv && OBS_METHODS.contains(&method) && args_allocate(toks, i + 3) {
+    } else if is_obs_recv && OBS_METHODS.contains(&method) && allocates() {
         Some((recv, method, RecordKind::ObsAlloc))
     } else {
         None
@@ -302,29 +310,27 @@ fn unguarded_record_calls(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
                      `is_enabled()` guard — the disabled observer still pays for it"
                 ),
             };
-            out.push(diag(file, file.tokens[i].line, "A0002", message));
+            out.push(diag(&file.rel, file.tokens[i].line, "A0002", message));
         }
     }
     out
 }
 
-/// Whether the argument list opening at `toks[open]` (a `(`) contains an
-/// allocation marker before its matching close.
-fn args_allocate(toks: &[Token], open: usize) -> bool {
+/// The tokens of the argument list opening at `toks[open]` (a `(`), up
+/// to its matching `)`.
+fn call_args(toks: &[Token], open: usize) -> &[Token] {
     let mut depth = 0usize;
-    for t in &toks[open..] {
+    for (k, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct('(') {
             depth += 1;
         } else if t.is_punct(')') {
             depth -= 1;
             if depth == 0 {
-                return false;
+                return &toks[open..k];
             }
-        } else if t.ident().is_some_and(|id| ALLOC_MARKERS.contains(&id)) {
-            return true;
         }
     }
-    false
+    &toks[open.min(toks.len())..]
 }
 
 // ---------------------------------------------------------------------------
@@ -333,24 +339,11 @@ fn args_allocate(toks: &[Token], open: usize) -> bool {
 // Recording into the Observer/Provenance sinks takes *their* internal
 // lock; calling them while holding one of ours nests two mutexes on the
 // hot path — a contention multiplier at best, a deadlock when the sink
-// ever calls back out. `deepeye-obs` and `core::provenance` own their
-// sink locks and are exempt.
+// ever calls back out. The callbacks are A0002's record families;
+// `deepeye-obs` and `core::provenance` own their sink locks and are
+// exempt.
 
 fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    const CALLBACKS: &[&str] = &[
-        "alloc",
-        "alloc_many",
-        "alloc_release",
-        "incr",
-        "record_ns",
-        "record_many_ns",
-        "timer",
-        "span",
-        "span_under",
-        "record",
-        "record_rejected",
-        "bump",
-    ];
     let mut out = Vec::new();
     for file in &ws.files {
         if file.in_dir("crates/obs")
@@ -410,13 +403,13 @@ fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
                 && toks
                     .get(i + 1)
                     .and_then(Token::ident)
-                    .is_some_and(|m| CALLBACKS.contains(&m))
+                    .is_some_and(|m| OBS_METHODS.contains(&m) || PROV_METHODS.contains(&m))
                 && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
                 && file.is_product(i)
             {
                 let method = toks[i + 1].ident().unwrap_or_default();
                 out.push(diag(
-                    file,
+                    &file.rel,
                     toks[i + 1].line,
                     "A0003",
                     format!(
@@ -424,247 +417,6 @@ fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
                          {lock_line} is still held — drop the guard before recording"
                     ),
                 ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A0004 — sema diagnostic-code sync.
-
-fn sema_code_sync(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    let Some(sema) = ws.file("crates/query/src/sema.rs") else {
-        return Vec::new(); // partial workspace (unit tests)
-    };
-    let is_code = |s: &str| {
-        s.len() == 5
-            && (s.starts_with("E00") || s.starts_with("W01"))
-            && s[1..].chars().all(|c| c.is_ascii_digit())
-    };
-
-    // Emitted codes: string literals in non-test sema code (the
-    // `Code::as_str` table is the only place they occur).
-    let mut emitted: BTreeMap<String, u32> = BTreeMap::new();
-    let mut dups: Vec<(String, u32)> = Vec::new();
-    for (i, t) in sema.tokens.iter().enumerate() {
-        if let Some(lit) = t.str_lit() {
-            if is_code(lit) && sema.is_product(i) {
-                if emitted.contains_key(lit) {
-                    dups.push((lit.to_owned(), t.line));
-                } else {
-                    emitted.insert(lit.to_owned(), t.line);
-                }
-            }
-        }
-    }
-
-    // The module-doc table: `//! | E0001 | … |` rows in the raw text.
-    let mut doc_table: BTreeSet<String> = BTreeSet::new();
-    for line in sema.raw.lines() {
-        let line = line.trim_start();
-        let Some(rest) = line.strip_prefix("//!") else {
-            continue;
-        };
-        let Some(cell) = rest.trim_start().strip_prefix('|') else {
-            continue;
-        };
-        let code = cell.split('|').next().unwrap_or("").trim();
-        if is_code(code) {
-            doc_table.insert(code.to_owned());
-        }
-    }
-
-    // Codes mentioned anywhere in DESIGN.md.
-    let mut design: BTreeSet<String> = BTreeSet::new();
-    let text = &ws.design;
-    let chars: Vec<char> = text.chars().collect();
-    let mut k = 0usize;
-    while k < chars.len() {
-        if (chars[k] == 'E' || chars[k] == 'W')
-            && k + 5 <= chars.len()
-            && chars[k + 1..k + 5].iter().all(|c| c.is_ascii_digit())
-            && (k == 0 || !chars[k - 1].is_ascii_alphanumeric())
-            && (k + 5 == chars.len() || !chars[k + 5].is_ascii_alphanumeric())
-        {
-            let code: String = chars[k..k + 5].iter().collect();
-            if is_code(&code) {
-                design.insert(code);
-            }
-            k += 5;
-        } else {
-            k += 1;
-        }
-    }
-
-    let mut out = Vec::new();
-    for (code, line) in dups {
-        out.push(diag(
-            sema,
-            line,
-            "A0004",
-            format!("diagnostic code {code} emitted twice — codes must be unique"),
-        ));
-    }
-    for (code, &line) in &emitted {
-        if !doc_table.contains(code) {
-            out.push(diag(
-                sema,
-                line,
-                "A0004",
-                format!("code {code} is emitted but missing from the sema module-doc table"),
-            ));
-        }
-        if !ws.design.is_empty() && !design.contains(code) {
-            out.push(diag(
-                sema,
-                line,
-                "A0004",
-                format!("code {code} is emitted but never mentioned in DESIGN.md"),
-            ));
-        }
-    }
-    for code in &doc_table {
-        if !emitted.contains_key(code) {
-            out.push(diag(
-                sema,
-                1,
-                "A0004",
-                format!("doc table lists {code} but sema never emits it"),
-            ));
-        }
-    }
-    if !ws.design.is_empty() {
-        for code in &design {
-            if !emitted.contains_key(code) {
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: 1,
-                    code: "A0004",
-                    message: format!("DESIGN.md mentions {code} but sema never emits it"),
-                    path: Vec::new(),
-                });
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A0005 — metric names come from the registry.
-
-fn metric_registry_sync(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    const COUNTER_CALLS: &[&str] = &["incr"];
-    const HIST_CALLS: &[&str] = &["timer", "record_ns", "record_many_ns"];
-    let metric_shaped = |s: &str| {
-        s.contains('.')
-            && !s.is_empty()
-            && s.chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c))
-    };
-    let mut used_counters: BTreeSet<String> = BTreeSet::new();
-    let mut used_hists: BTreeSet<String> = BTreeSet::new();
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.in_dir("crates/obs") || file.in_dir("crates/analyze") {
-            continue; // the registry's own crate and this linter's fixtures
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !toks[i].is_punct('.') {
-                continue;
-            }
-            let Some(method) = toks.get(i + 1).and_then(Token::ident) else {
-                continue;
-            };
-            let is_counter_call = COUNTER_CALLS.contains(&method);
-            let is_hist_call = HIST_CALLS.contains(&method);
-            if !(is_counter_call || is_hist_call)
-                || !toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-            {
-                continue;
-            }
-            if !file.is_product(i) {
-                continue;
-            }
-            // Every metric-shaped string literal inside the argument list
-            // (covers `incr(if ok { "exec.ok" } else { "exec.err" }, 1)`).
-            let mut depth = 0usize;
-            for t in &toks[i + 2..] {
-                if t.is_punct('(') {
-                    depth += 1;
-                } else if t.is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if let Some(lit) = t.str_lit() {
-                    if !metric_shaped(lit) {
-                        continue;
-                    }
-                    let known = if is_counter_call {
-                        used_counters.insert(lit.to_owned());
-                        deepeye_obs::metrics::is_counter(lit)
-                    } else {
-                        used_hists.insert(lit.to_owned());
-                        deepeye_obs::metrics::is_histogram(lit)
-                    };
-                    if !known {
-                        let kind = if is_counter_call {
-                            "counter"
-                        } else {
-                            "histogram"
-                        };
-                        out.push(diag(
-                            file,
-                            t.line,
-                            "A0005",
-                            format!(
-                                "{kind} {lit:?} is not in the central metric registry \
-                                 (deepeye_obs::metrics) — a typo forks the metric"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // Dead registry entries: only meaningful on a full workspace scan.
-    if ws.file("crates/core/src/deepeye.rs").is_some() {
-        // Flight-recorder and health-engine self-metrics are recorded
-        // inside crates/obs, which this rule's scan skips; A0013 and
-        // A0020 own their sync instead.
-        let recorder_metric = |name: &str| {
-            name.starts_with("obs.")
-                || name.starts_with("telemetry.")
-                || name.starts_with("health.")
-        };
-        for name in deepeye_obs::metrics::COUNTERS {
-            if recorder_metric(name) {
-                continue;
-            }
-            if !used_counters.contains(*name) {
-                out.push(Diagnostic {
-                    file: "crates/obs/src/metrics.rs".to_owned(),
-                    line: 1,
-                    code: "A0005",
-                    message: format!("registered counter {name:?} is recorded nowhere"),
-                    path: Vec::new(),
-                });
-            }
-        }
-        for name in deepeye_obs::metrics::HISTOGRAMS {
-            if recorder_metric(name) {
-                continue;
-            }
-            if !used_hists.contains(*name) {
-                out.push(Diagnostic {
-                    file: "crates/obs/src/metrics.rs".to_owned(),
-                    line: 1,
-                    code: "A0005",
-                    message: format!("registered histogram {name:?} is recorded nowhere"),
-                    path: Vec::new(),
-                });
             }
         }
     }
@@ -686,7 +438,7 @@ fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
                 && file.is_product(i)
             {
                 out.push(diag(
-                    file,
+                    &file.rel,
                     toks[i].line,
                     "A0006",
                     "free `thread::spawn` — use `thread::scope` so every worker joins \
@@ -700,461 +452,471 @@ fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// A0007 — the bench perf layer, the registry, and DESIGN.md agree.
+// The name-sync table: A0004, A0005, A0007, A0013, A0014 and A0020.
 //
-// The perf harness is a third consumer of the metric namespace: its JSON
-// artifact names the `bench.*` histogram each stage records into, the
-// budget table constrains those same histograms, and DESIGN.md §9
-// documents them. A0005 already rejects unregistered names at record
-// call sites; this rule closes the remaining drift channels — a
-// `bench.*` literal anywhere in the harness layer that the registry
-// does not know, a registered `bench.*` histogram the harness never
-// wires up, and DESIGN.md naming a `bench.*` metric that does not exist.
+// Each row of `FAMILIES` keeps one family of names in sync across a
+// registry, the code that uses the names, and a DESIGN.md section.
+// `Family::check` runs the same four checks on every row:
+//
+// 1. every use is registered (a record call's metric as the kind the
+//    call records);
+// 2. every registered name is used in the row's files;
+// 3. every registered name and schema field is documented in the section;
+// 4. every family-shaped word in the section is registered.
+//
+// Checks 2–4 run only when the row's anchor file is scanned, so a unit
+// fixture picks the directions it exercises. Two rows add one check
+// each: A0004 reports a code emitted twice, and the A0014 operator row
+// pairs the operators with the `cost.*` counters.
 
-fn bench_registry_sync(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    const BENCH_FILES: &[&str] = &[
-        "crates/bench/src/perf.rs",
-        "crates/bench/src/bin/harness.rs",
-        "crates/bench/src/bin/perfgate.rs",
-    ];
-    let metric_shaped = |s: &str| {
-        s.chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c))
-    };
-    let mut out = Vec::new();
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    for rel in BENCH_FILES {
-        let Some(file) = ws.file(rel) else { continue };
-        for (i, t) in file.tokens.iter().enumerate() {
-            let Some(lit) = t.str_lit() else { continue };
-            if !lit.starts_with("bench.") || !metric_shaped(lit) || !file.is_product(i) {
-                continue;
-            }
-            used.insert(lit.to_owned());
-            if !deepeye_obs::metrics::is_histogram(lit) {
-                out.push(diag(
-                    file,
-                    t.line,
-                    "A0007",
-                    format!(
-                        "bench metric {lit:?} is not a registered histogram \
-                         (deepeye_obs::metrics) — the artifact would name a \
-                         metric dashboards cannot find"
-                    ),
-                ));
-            }
-        }
-    }
-    // The reverse directions only make sense when the harness layer is in
-    // the scanned set (full workspace runs; unit fixtures gate themselves
-    // by including crates/bench/src/perf.rs).
-    if ws.file("crates/bench/src/perf.rs").is_some() {
-        for name in deepeye_obs::metrics::HISTOGRAMS {
-            if !name.starts_with("bench.") {
-                continue;
-            }
-            if !used.contains(*name) {
-                out.push(Diagnostic {
-                    file: "crates/bench/src/perf.rs".to_owned(),
-                    line: 1,
-                    code: "A0007",
-                    message: format!(
-                        "registered bench histogram {name:?} is not wired into the \
-                         perf harness layer"
-                    ),
-                    path: Vec::new(),
-                });
-            }
-            if !ws.design.is_empty() && !ws.design.contains(name) {
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: 1,
-                    code: "A0007",
-                    message: format!(
-                        "registered bench histogram {name:?} is not documented in DESIGN.md"
-                    ),
-                    path: Vec::new(),
-                });
-            }
-        }
-        // DESIGN.md → registry: a `bench.*_ns`-shaped token in the prose
-        // that the registry does not know is a doc lie.
-        let design = ws.design.as_str();
-        let mut pos = 0usize;
-        while let Some(found) = design[pos..].find("bench.") {
-            let start = pos + found;
-            pos = start + "bench.".len();
-            // Skip words like "microbench." or "deepeye-bench.": only a
-            // standalone `bench.` token starts a metric name.
-            if start > 0
-                && design[..start]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || "_-.".contains(c))
-            {
-                continue;
-            }
-            let rest = &design[pos..];
-            let word_len = rest
-                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-                .unwrap_or(rest.len());
-            let token = &design[start..pos + word_len];
-            if token.ends_with("_ns") && !deepeye_obs::metrics::is_histogram(token) {
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: (design[..start].matches('\n').count() + 1) as u32,
-                    code: "A0007",
-                    message: format!(
-                        "DESIGN.md names bench metric {token:?}, which is not in the registry"
-                    ),
-                    path: Vec::new(),
-                });
-            }
-        }
-    }
-    out
+const METRICS_RS: &str = "crates/obs/src/metrics.rs";
+const SEMA_RS: &str = "crates/query/src/sema.rs";
+const PERF_RS: &str = "crates/bench/src/perf.rs";
+const EXEC_RS: &str = "crates/query/src/exec.rs";
+const FLUSH_RS: &str = "crates/core/src/parallel.rs";
+
+/// Where a family's registered names come from.
+pub enum Registry {
+    /// The `deepeye_obs::metrics` counters and histograms under these
+    /// prefixes.
+    Metrics(&'static [&'static str]),
+    /// Only the counters under these prefixes.
+    Counters(&'static [&'static str]),
+    /// Only the histograms under these prefixes.
+    Histograms(&'static [&'static str]),
+    /// The executor cost operators, `deepeye_obs::Op::ALL`.
+    Ops,
+    /// The `//! | E0001 | … |` table in the anchor file's module doc.
+    SemaTable,
 }
 
-// ---------------------------------------------------------------------------
-// A0013 — the flight recorder's telemetry names and fields stay in sync.
-//
-// The flight recorder owns a second metric namespace (`obs.*`,
-// `telemetry.*`) recorded inside crates/obs itself — exactly the region
-// A0005's workspace scan skips — plus the `deepeye-telemetry/v1` line
-// schema whose field names the emitter, the validator, and DESIGN.md §10
-// must agree on. This rule closes those channels: a recorder-owned
-// metric literal in the recorder sources that the registry does not
-// know; a registered `obs.*`/`telemetry.*` metric the recorder never
-// records or §10 never documents; a recorder-shaped token in §10 that
-// the registry does not know; and a `TELEMETRY_FIELDS` schema field §10
-// does not document backticked.
+/// How a family's uses are found.
+pub enum Uses {
+    /// String literals shaped like a family name (a registry prefix, then
+    /// `[a-z0-9_.]`), in the product code of every crate but this one.
+    Literals,
+    /// Metric literals in `Observer` record calls (`incr` records a
+    /// counter; `timer`, `record_ns` and `record_many_ns` a histogram)
+    /// outside deepeye-obs and this crate.
+    RecordCalls,
+    /// `Op::<Variant>` charge sites in the row's files.
+    Charges,
+}
 
-fn telemetry_registry_sync(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    const OBS_FILES: &[&str] = &[
-        "crates/obs/src/observer.rs",
-        "crates/obs/src/ring.rs",
-        "crates/obs/src/telemetry.rs",
-        "crates/obs/src/watchdog.rs",
-    ];
-    let metric_shaped = |s: &str| {
-        s.contains('.')
-            && s.chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c))
-    };
-    let recorder_name = |s: &str| s.starts_with("obs.") || s.starts_with("telemetry.");
-    let mut out = Vec::new();
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    for rel in OBS_FILES {
-        let Some(file) = ws.file(rel) else { continue };
-        for (i, t) in file.tokens.iter().enumerate() {
-            let Some(lit) = t.str_lit() else { continue };
-            if !recorder_name(lit) || !metric_shaped(lit) || !file.is_product(i) {
-                continue;
-            }
-            used.insert(lit.to_owned());
-            if !deepeye_obs::metrics::is_counter(lit) && !deepeye_obs::metrics::is_histogram(lit) {
-                out.push(diag(
-                    file,
-                    t.line,
-                    "A0013",
-                    format!(
-                        "recorder metric {lit:?} is not in the central metric registry \
-                         (deepeye_obs::metrics) — a typo forks the metric"
-                    ),
-                ));
-            }
-        }
-    }
-    // The reverse directions gate on the recorder sources being in the
-    // scanned set (full workspace runs; unit fixtures gate themselves by
-    // including crates/obs/src/telemetry.rs).
-    if ws.file("crates/obs/src/telemetry.rs").is_some() {
-        let design = ws.design.as_str();
-        // The flight-recorder section: "## 10." up to the next top-level
-        // heading. If the heading moves, fall back to the whole document
-        // so the rule degrades to weaker matching instead of passing
-        // silently.
-        let (section, section_start) = match design.find("## 10.") {
-            Some(start) => {
-                let rest = &design[start..];
-                match rest.find("\n## 11.") {
-                    Some(end) => (&rest[..end], start),
-                    None => (rest, start),
-                }
-            }
-            None => (design, 0),
+/// A DESIGN.md section: how messages name it (`§10`), the heading it
+/// starts at, and the text it ends before.
+pub struct Section(pub &'static str, pub &'static str, pub &'static str);
+
+/// One row of the name-sync table.
+pub struct Family {
+    /// The rule the row reports under.
+    pub code: &'static str,
+    /// What messages call one name of the family.
+    pub noun: &'static str,
+    pub registry: Registry,
+    pub uses: Uses,
+    /// The files that must use every registered name (empty: any file).
+    pub files: &'static [&'static str],
+    /// Checks 2–4 run only when this file is scanned.
+    pub anchor: &'static str,
+    /// The file an unused registered name is reported against, and what
+    /// the message says is missing.
+    pub unused_at: &'static str,
+    pub unused: &'static str,
+    /// The section documenting the family (`None`: all of DESIGN.md). A
+    /// missing heading falls back to the whole document, so the doc
+    /// checks get weaker instead of passing silently.
+    pub section: Option<Section>,
+    /// Schema fields the section must name, backticked.
+    pub fields: &'static [&'static str],
+}
+
+/// The name-sync table, in rule-code order.
+pub static FAMILIES: &[Family] = &[
+    Family {
+        code: "A0004",
+        noun: "diagnostic code",
+        registry: Registry::SemaTable,
+        uses: Uses::Literals,
+        files: &[SEMA_RS],
+        anchor: SEMA_RS,
+        unused_at: SEMA_RS,
+        unused: "sema never emits it",
+        section: None,
+        fields: &[],
+    },
+    Family {
+        code: "A0005",
+        noun: "metric",
+        registry: Registry::Metrics(&[
+            "bench.",
+            "cost.",
+            "enumerate.",
+            "exec.",
+            "ltr.",
+            "progressive.",
+            "rank.",
+            "recognize.",
+            "sema.",
+        ]),
+        uses: Uses::RecordCalls,
+        files: &[],
+        anchor: "crates/core/src/deepeye.rs",
+        unused_at: METRICS_RS,
+        unused: "recorded nowhere",
+        section: Some(Section("§6", "### Metric names", "### Exporters")),
+        fields: &[],
+    },
+    Family {
+        code: "A0007",
+        noun: "bench metric",
+        registry: Registry::Histograms(&["bench."]),
+        uses: Uses::Literals,
+        files: &[
+            PERF_RS,
+            "crates/bench/src/bin/harness.rs",
+            "crates/bench/src/bin/perfgate.rs",
+        ],
+        anchor: PERF_RS,
+        unused_at: PERF_RS,
+        unused: "not wired into the perf harness layer",
+        section: None,
+        fields: &[],
+    },
+    Family {
+        code: "A0013",
+        noun: "recorder metric",
+        registry: Registry::Metrics(&["obs.", "telemetry."]),
+        uses: Uses::Literals,
+        files: &[
+            "crates/obs/src/observer.rs",
+            "crates/obs/src/ring.rs",
+            "crates/obs/src/telemetry.rs",
+            "crates/obs/src/watchdog.rs",
+        ],
+        anchor: "crates/obs/src/telemetry.rs",
+        unused_at: METRICS_RS,
+        unused: "recorded nowhere in the flight-recorder sources",
+        section: Some(Section("§10", "## 10.", "\n## 11.")),
+        fields: deepeye_obs::TELEMETRY_FIELDS,
+    },
+    Family {
+        code: "A0014",
+        noun: "cost operator",
+        registry: Registry::Ops,
+        uses: Uses::Charges,
+        files: &[EXEC_RS, "crates/query/src/batch.rs"],
+        anchor: EXEC_RS,
+        unused_at: EXEC_RS,
+        unused: "never charged in the executor instrumentation",
+        section: Some(Section("§12", "## 12.", "\n## 13.")),
+        fields: &[],
+    },
+    Family {
+        code: "A0014",
+        noun: "cost counter",
+        registry: Registry::Counters(&["cost."]),
+        uses: Uses::Literals,
+        files: &[FLUSH_RS],
+        anchor: FLUSH_RS,
+        unused_at: FLUSH_RS,
+        unused: "never flushed by the worker flush site",
+        section: Some(Section("§12", "## 12.", "\n## 13.")),
+        fields: &[],
+    },
+    Family {
+        code: "A0020",
+        noun: "health metric",
+        registry: Registry::Metrics(&["health."]),
+        uses: Uses::Literals,
+        files: &[
+            "crates/obs/src/health.rs",
+            "crates/obs/src/series.rs",
+            "crates/obs/src/observer.rs",
+            "crates/obs/src/telemetry.rs",
+        ],
+        anchor: "crates/obs/src/health.rs",
+        unused_at: METRICS_RS,
+        unused: "recorded nowhere in the health-engine sources",
+        section: Some(Section("§13", "## 13.", "\n## 14.")),
+        fields: deepeye_obs::HEALTH_FIELDS,
+    },
+];
+
+/// Run every row of the name-sync table that reports under `code`.
+fn sync(ws: &Workspace, code: &str) -> Vec<Diagnostic> {
+    let rows = FAMILIES.iter().filter(|f| f.code == code);
+    rows.flat_map(|f| f.check(ws)).collect()
+}
+
+/// One use of a family name: the name, its file and line, and the metric
+/// kind a record call records.
+type Use<'a> = (&'a str, &'a str, u32, Option<&'static str>);
+
+impl Family {
+    fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
+        let noun = self.noun;
+        let mut out = Vec::new();
+        let mut report = |file: &str, line: u32, message: String| {
+            out.push(diag(file, line, self.code, message));
         };
-        for name in deepeye_obs::metrics::COUNTERS
-            .iter()
-            .chain(deepeye_obs::metrics::HISTOGRAMS)
-        {
-            if !recorder_name(name) {
-                continue;
-            }
-            if !used.contains(*name) {
-                out.push(Diagnostic {
-                    file: "crates/obs/src/metrics.rs".to_owned(),
-                    line: 1,
-                    code: "A0013",
-                    message: format!(
-                        "registered recorder metric {name:?} is recorded nowhere in the \
-                         flight-recorder sources"
-                    ),
-                    path: Vec::new(),
-                });
-            }
-            if !design.is_empty() && !section.contains(name) {
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: 1,
-                    code: "A0013",
-                    message: format!("recorder metric {name:?} is not documented in DESIGN.md §10"),
-                    path: Vec::new(),
-                });
+        let registry = self.registry.names(ws.file(self.anchor));
+        let uses = self.find_uses(ws);
+        // 1. Every use is registered, as the kind it is used as.
+        for &(name, file, line, used_as) in &uses {
+            match (registry.get(name), used_as) {
+                (None, _) => {
+                    let source = self.registry.source();
+                    report(file, line, format!("{noun} {name:?} is not in {source}"));
+                }
+                (Some(&kind), Some(used_as)) if kind != used_as => {
+                    let message =
+                        format!("{name:?} is a registered {kind}, recorded here as a {used_as}");
+                    report(file, line, message);
+                }
+                _ => {}
             }
         }
-        // §10 → registry: an `obs.*`/`telemetry.*`-shaped token in the
-        // section that the registry does not know is a doc lie.
-        for prefix in ["obs.", "telemetry."] {
-            let mut pos = 0usize;
-            while let Some(found) = section[pos..].find(prefix) {
-                let start = pos + found;
-                pos = start + prefix.len();
-                // Only a standalone token starts a metric name — skip
-                // `deepeye-obs.` and similar.
-                if start > 0
-                    && section[..start]
-                        .chars()
-                        .next_back()
-                        .is_some_and(|c| c.is_ascii_alphanumeric() || "_-.".contains(c))
-                {
-                    continue;
-                }
-                let rest = &section[pos..];
-                let word_len = rest
-                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-                    .unwrap_or(rest.len());
-                if word_len == 0 {
-                    continue; // `obs.*` wildcards and sentence-final dots
-                }
-                let token = &section[start..pos + word_len];
-                if !deepeye_obs::metrics::is_counter(token)
-                    && !deepeye_obs::metrics::is_histogram(token)
-                {
-                    let offset = (section_start + start).min(design.len());
-                    out.push(Diagnostic {
-                        file: "DESIGN.md".to_owned(),
-                        line: (design[..offset].matches('\n').count() + 1) as u32,
-                        code: "A0013",
-                        message: format!(
-                            "DESIGN.md §10 names recorder metric {token:?}, which is not in \
-                             the registry"
-                        ),
-                        path: Vec::new(),
-                    });
-                }
+        if ws.file(self.anchor).is_none() {
+            return out;
+        }
+        if matches!(self.registry, Registry::Ops) {
+            op_counter_pairs(&mut report);
+        }
+        // 2. Every registered name is used in the row's files (and a
+        // sema code is emitted there once).
+        let mut used = BTreeSet::new();
+        for &(name, file, line, _) in &uses {
+            let listed = self.files.is_empty() || self.files.contains(&file);
+            if listed && !used.insert(name) && matches!(self.registry, Registry::SemaTable) {
+                let message =
+                    format!("diagnostic code {name} emitted twice — codes must be unique");
+                report(file, line, message);
             }
         }
-        // Telemetry schema fields must be documented (backticked) in §10.
-        if !design.is_empty() {
-            for field in deepeye_obs::TELEMETRY_FIELDS {
-                if !section.contains(&format!("`{field}`")) {
-                    out.push(Diagnostic {
-                        file: "DESIGN.md".to_owned(),
-                        line: 1,
-                        code: "A0013",
-                        message: format!(
-                            "telemetry schema field {field:?} is not documented in DESIGN.md §10"
-                        ),
-                        path: Vec::new(),
-                    });
-                }
-            }
+        for name in registry.keys().filter(|name| !used.contains(*name)) {
+            let name = self.registry.show(name);
+            let message = format!("{noun} {name} is registered but {}", self.unused);
+            report(self.unused_at, 1, message);
         }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A0020 — the health engine's metric and schema names stay in sync.
-//
-// The health engine adds a third self-metric namespace (`health.*`) and a
-// second versioned document schema (`deepeye-health/v1`). The same drift
-// channels A0013 closes for the recorder apply here: a typo'd `health.*`
-// literal at a record site forks the metric; a registered `health.*`
-// counter no health-engine source records is dead weight; DESIGN.md §13
-// can name a metric the registry never heard of, or omit one it has, or
-// skip a schema field `validate_health_json` enforces. Same mechanics as
-// A0013, scoped to the health-engine sources and §13.
-
-fn health_registry_sync(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    const HEALTH_FILES: &[&str] = &[
-        "crates/obs/src/health.rs",
-        "crates/obs/src/series.rs",
-        "crates/obs/src/observer.rs",
-        "crates/obs/src/telemetry.rs",
-    ];
-    let metric_shaped = |s: &str| {
-        s.contains('.')
-            && s.chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c))
-    };
-    let health_name = |s: &str| s.starts_with("health.");
-    let mut out = Vec::new();
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    for rel in HEALTH_FILES {
-        let Some(file) = ws.file(rel) else { continue };
-        for (i, t) in file.tokens.iter().enumerate() {
-            let Some(lit) = t.str_lit() else { continue };
-            if !health_name(lit) || !metric_shaped(lit) || !file.is_product(i) {
-                continue;
-            }
-            used.insert(lit.to_owned());
-            if !deepeye_obs::metrics::is_counter(lit) && !deepeye_obs::metrics::is_histogram(lit) {
-                out.push(diag(
-                    file,
-                    t.line,
-                    "A0020",
-                    format!(
-                        "health metric {lit:?} is not in the central metric registry \
-                         (deepeye_obs::metrics) — a typo forks the metric"
-                    ),
-                ));
-            }
+        if ws.design.is_empty() {
+            return out;
         }
-    }
-    // The reverse directions gate on the health-engine sources being in
-    // the scanned set (full workspace runs; unit fixtures gate themselves
-    // by including crates/obs/src/health.rs).
-    if ws.file("crates/obs/src/health.rs").is_some() {
-        let design = ws.design.as_str();
-        // The health-engine section: "## 13." to the end of the document
-        // (it is currently the last section; a "\n## 14." bound kicks in
-        // if one is ever added). If the heading moves, fall back to the
-        // whole document so the rule degrades to weaker matching instead
-        // of passing silently.
-        let (section, section_start) = match design.find("## 13.") {
-            Some(start) => {
-                let rest = &design[start..];
-                match rest.find("\n## 14.") {
-                    Some(end) => (&rest[..end], start),
-                    None => (rest, start),
-                }
-            }
-            None => (design, 0),
+        // 3. Every registered name and schema field is documented.
+        let (section, offset) = self.section(&ws.design);
+        let doc = match &self.section {
+            Some(Section(label, ..)) => format!("DESIGN.md {label}"),
+            None => "DESIGN.md".to_owned(),
         };
-        for name in deepeye_obs::metrics::COUNTERS
-            .iter()
-            .chain(deepeye_obs::metrics::HISTOGRAMS)
-        {
-            if !health_name(name) {
+        let words = prefixed_words(section, self.registry.prefixes());
+        for name in registry.keys() {
+            let documented = match self.registry {
+                // An operator has no prefix to find it by: it is documented
+                // backticked, and check 4 is left to the counter row.
+                Registry::Ops => section.contains(&format!("`{name}`")),
+                _ => words.iter().any(|(word, _)| word == name),
+            };
+            if !documented {
+                let name = self.registry.show(name);
+                let message = format!("{noun} {name} is not documented in {doc}");
+                report("DESIGN.md", 1, message);
+            }
+        }
+        for field in self.fields {
+            if !section.contains(&format!("`{field}`")) {
+                let message = format!("schema field {field:?} is not documented in {doc}");
+                report("DESIGN.md", 1, message);
+            }
+        }
+        // 4. Every family-shaped word in the section is registered.
+        for (word, at) in words {
+            if !registry.contains_key(word) {
+                let line = ws.design[..offset + at].matches('\n').count() + 1;
+                let message = format!("{doc} names {noun} {word:?}, which is not in the registry");
+                report("DESIGN.md", line as u32, message);
+            }
+        }
+        out
+    }
+
+    /// The uses of the family's names, in scan order.
+    fn find_uses<'a>(&self, ws: &'a Workspace) -> Vec<Use<'a>> {
+        let mut uses = Vec::new();
+        match self.uses {
+            Uses::Literals => {
+                let prefixes = self.registry.prefixes();
+                // A text search for an opening quote before a prefix skips
+                // the token walk of every file that quotes none.
+                let quoted: Vec<String> = prefixes.iter().map(|p| format!("\"{p}")).collect();
+                let quotes = |f: &SourceFile| quoted.iter().any(|q| f.raw.contains(q.as_str()));
+                let scanned = ws.files.iter().filter(|f| !f.in_dir("crates/analyze"));
+                for file in scanned.filter(|f| quotes(f)) {
+                    for (i, t) in file.tokens.iter().enumerate() {
+                        let Some(lit) = t.str_lit() else { continue };
+                        if family_shaped(lit, prefixes) && file.is_product(i) {
+                            uses.push((lit, file.rel.as_str(), t.line, None));
+                        }
+                    }
+                }
+            }
+            Uses::RecordCalls => record_call_metrics(ws, &mut uses),
+            Uses::Charges => {
+                for op in Op::ALL {
+                    let variant = op_variant_ident(op.name());
+                    for file in self.files.iter().filter_map(|rel| ws.file(rel)) {
+                        let mut toks = file.tokens.iter().enumerate();
+                        let charge =
+                            toks.find(|&(i, t)| t.is_ident(&variant) && file.is_product(i));
+                        if let Some((_, t)) = charge {
+                            uses.push((op.name(), file.rel.as_str(), t.line, None));
+                        }
+                    }
+                }
+            }
+        }
+        uses
+    }
+
+    /// The row's section of `design`, and its byte offset.
+    fn section<'d>(&self, design: &'d str) -> (&'d str, usize) {
+        let bounds = self.section.as_ref().map(|s| (design.find(s.1), s.2));
+        let Some((Some(start), end)) = bounds else {
+            return (design, 0);
+        };
+        let rest = &design[start..];
+        (rest.find(end).map_or(rest, |end| &rest[..end]), start)
+    }
+}
+
+impl Registry {
+    /// Every registered name, with its kind.
+    fn names<'a>(&self, anchor: Option<&'a SourceFile>) -> BTreeMap<&'a str, &'static str> {
+        let counters = (metrics::COUNTERS, "counter");
+        let histograms = (metrics::HISTOGRAMS, "histogram");
+        let lists = match self {
+            Registry::Metrics(_) => vec![counters, histograms],
+            Registry::Counters(_) => vec![counters],
+            Registry::Histograms(_) => vec![histograms],
+            Registry::Ops => return Op::ALL.iter().map(|op| (op.name(), "operator")).collect(),
+            Registry::SemaTable => {
+                let doc = anchor.map_or("", |f| f.raw.as_str()).lines();
+                return doc
+                    .filter_map(doc_table_code)
+                    .map(|c| (c, "code"))
+                    .collect();
+            }
+        };
+        let prefixes = self.prefixes();
+        lists
+            .into_iter()
+            .flat_map(|(names, kind)| names.iter().map(move |&name| (name, kind)))
+            .filter(|(name, _)| family_shaped(name, prefixes))
+            .collect()
+    }
+
+    fn prefixes(&self) -> &'static [&'static str] {
+        match self {
+            Registry::Metrics(p) | Registry::Counters(p) | Registry::Histograms(p) => p,
+            Registry::Ops => &[],
+            Registry::SemaTable => &["E00", "W01"],
+        }
+    }
+
+    /// Where messages say an unregistered name is missing from.
+    fn source(&self) -> &'static str {
+        match self {
+            Registry::Counters(_) => "the registry's counters (deepeye_obs::metrics)",
+            Registry::Histograms(_) => "the registry's histograms (deepeye_obs::metrics)",
+            Registry::SemaTable => "the sema module-doc table",
+            _ => "the central metric registry (deepeye_obs::metrics)",
+        }
+    }
+
+    /// A registered name as messages show it.
+    fn show(&self, name: &str) -> String {
+        match self {
+            Registry::Ops => format!("{name:?} (Op::{})", op_variant_ident(name)),
+            _ => format!("{name:?}"),
+        }
+    }
+}
+
+/// A character that may continue a family name after its prefix.
+fn name_char(c: char) -> bool {
+    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'
+}
+
+/// Whether `s` is one of `prefixes` followed by at least one name
+/// character or dot (`exec.query_ns`, `E0001`).
+fn family_shaped(s: &str, prefixes: &[&str]) -> bool {
+    let rest = prefixes.iter().find_map(|p| s.strip_prefix(p));
+    rest.is_some_and(|rest| !rest.is_empty() && rest.chars().all(|c| name_char(c) || c == '.'))
+}
+
+/// Metric-shaped literals in the argument lists of `Observer` record
+/// calls outside deepeye-obs (whose self-metrics are recorded without
+/// them) and this crate (whose fixtures are not the pipeline's).
+fn record_call_metrics<'a>(ws: &'a Workspace, uses: &mut Vec<Use<'a>>) {
+    for file in &ws.files {
+        if file.in_dir("crates/obs") || file.in_dir("crates/analyze") {
+            continue;
+        }
+        let toks = &file.tokens;
+        for i in 0..toks.len() {
+            if !toks[i].is_punct('.') {
                 continue;
             }
-            if !used.contains(*name) {
-                out.push(Diagnostic {
-                    file: "crates/obs/src/metrics.rs".to_owned(),
-                    line: 1,
-                    code: "A0020",
-                    message: format!(
-                        "registered health metric {name:?} is recorded nowhere in the \
-                         health-engine sources"
-                    ),
-                    path: Vec::new(),
-                });
+            let kind = match toks.get(i + 1).and_then(Token::ident) {
+                Some("incr") => "counter",
+                Some("timer" | "record_ns" | "record_many_ns") => "histogram",
+                _ => continue,
+            };
+            if !toks.get(i + 2).is_some_and(|t| t.is_punct('(')) || !file.is_product(i) {
+                continue;
             }
-            if !design.is_empty() && !section.contains(name) {
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: 1,
-                    code: "A0020",
-                    message: format!("health metric {name:?} is not documented in DESIGN.md §13"),
-                    path: Vec::new(),
-                });
-            }
-        }
-        // §13 → registry: a `health.*`-shaped token in the section that
-        // the registry does not know is a doc lie.
-        {
-            let prefix = "health.";
-            let mut pos = 0usize;
-            while let Some(found) = section[pos..].find(prefix) {
-                let start = pos + found;
-                pos = start + prefix.len();
-                // Only a standalone token starts a metric name — skip
-                // `deepeye-health.` and similar.
-                if start > 0
-                    && section[..start]
-                        .chars()
-                        .next_back()
-                        .is_some_and(|c| c.is_ascii_alphanumeric() || "_-.".contains(c))
-                {
-                    continue;
-                }
-                let rest = &section[pos..];
-                let word_len = rest
-                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-                    .unwrap_or(rest.len());
-                if word_len == 0 {
-                    continue; // `health.*` wildcards and sentence-final dots
-                }
-                let token = &section[start..pos + word_len];
-                if !deepeye_obs::metrics::is_counter(token)
-                    && !deepeye_obs::metrics::is_histogram(token)
-                {
-                    let offset = (section_start + start).min(design.len());
-                    out.push(Diagnostic {
-                        file: "DESIGN.md".to_owned(),
-                        line: (design[..offset].matches('\n').count() + 1) as u32,
-                        code: "A0020",
-                        message: format!(
-                            "DESIGN.md §13 names health metric {token:?}, which is not in \
-                             the registry"
-                        ),
-                        path: Vec::new(),
-                    });
-                }
-            }
-        }
-        // Health document schema fields must be documented (backticked)
-        // in §13.
-        if !design.is_empty() {
-            for field in deepeye_obs::HEALTH_FIELDS {
-                if !section.contains(&format!("`{field}`")) {
-                    out.push(Diagnostic {
-                        file: "DESIGN.md".to_owned(),
-                        line: 1,
-                        code: "A0020",
-                        message: format!(
-                            "health schema field {field:?} is not documented in DESIGN.md §13"
-                        ),
-                        path: Vec::new(),
-                    });
+            // Every metric-shaped literal in the arguments (covers
+            // `incr(if ok { "exec.ok" } else { "exec.err" }, 1)`).
+            for t in call_args(toks, i + 2) {
+                let Some(name) = t.str_lit() else { continue };
+                if name.contains('.') && name.chars().all(|c| name_char(c) || c == '.') {
+                    uses.push((name, file.rel.as_str(), t.line, Some(kind)));
                 }
             }
         }
     }
-    out
 }
 
-// ---------------------------------------------------------------------------
-// A0014 — the executor cost taxonomy, the registry, the instrumentation,
-// and DESIGN.md §12 agree.
-//
-// The cost profiler spans three layers that can silently drift: the
-// operator taxonomy (`deepeye_obs::cost::Op`), the `cost.*` counters the
-// worker flush writes (central registry + literal call sites in
-// crates/core/src/parallel.rs), and the executor instrumentation in
-// crates/query/src/{exec,batch}.rs that charges each operator. A0005
-// already rejects unregistered metric literals at record call sites;
-// this rule closes the cost-specific channels: a taxonomy operator whose
-// counter is missing from the registry, a registered `cost.*` counter
-// that names no operator, an operator the executor never charges, a
-// registered `cost.*` counter the flush site never writes, and a DESIGN
-// §12 section that fails to document an operator or names a `cost.*`
-// metric the registry does not know.
+/// Standalone words of `text` that start with one of `prefixes` and go on
+/// with name characters, with their byte offsets. No word character, `-`
+/// or `.` may come right before a word (so `microbench.` and
+/// `deepeye-obs.` start none); `obs.*` wildcards and sentence-final dots
+/// have nothing after the prefix and are no words either.
+fn prefixed_words<'t>(text: &'t str, prefixes: &[&str]) -> Vec<(&'t str, usize)> {
+    let mut words = Vec::new();
+    for prefix in prefixes {
+        for (start, _) in text.match_indices(prefix) {
+            let before = text[..start].chars().next_back();
+            let standalone =
+                !before.is_some_and(|c| c.is_ascii_alphanumeric() || "_-.".contains(c));
+            let rest = &text[start + prefix.len()..];
+            let len = rest.find(|c| !name_char(c)).unwrap_or(rest.len());
+            if standalone && len > 0 {
+                words.push((&text[start..start + prefix.len() + len], start));
+            }
+        }
+    }
+    words
+}
 
-/// `rows_scanned` → `RowsScanned`, the `Op` variant ident the executor
-/// instrumentation must reference.
+/// The code in a `//! | E0001 | … |` row of the sema module doc.
+fn doc_table_code(line: &str) -> Option<&str> {
+    let row = line.trim_start().strip_prefix("//!")?.trim_start();
+    let code = row.strip_prefix('|')?.split('|').next()?.trim();
+    family_shaped(code, Registry::SemaTable.prefixes()).then_some(code)
+}
+
+/// `rows_scanned` → `RowsScanned`, the `Op` variant the executor
+/// instrumentation charges.
 fn op_variant_ident(name: &str) -> String {
     let mut out = String::new();
     for word in name.split('_') {
@@ -1167,194 +929,22 @@ fn op_variant_ident(name: &str) -> String {
     out
 }
 
-fn cost_registry_sync(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    const EXECUTOR_FILES: &[&str] = &["crates/query/src/exec.rs", "crates/query/src/batch.rs"];
-    const FLUSH_FILE: &str = "crates/core/src/parallel.rs";
-    let metric_shaped = |s: &str| {
-        s.chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c))
-    };
-    let mut out = Vec::new();
-
-    // `cost.*` literals in the profiler sources must be registered
-    // counters — a typo forks the metric.
-    let mut flushed: BTreeSet<String> = BTreeSet::new();
-    for rel in EXECUTOR_FILES.iter().chain([&FLUSH_FILE]) {
-        let Some(file) = ws.file(rel) else { continue };
-        for (i, t) in file.tokens.iter().enumerate() {
-            let Some(lit) = t.str_lit() else { continue };
-            if !lit.starts_with("cost.") || !metric_shaped(lit) || !file.is_product(i) {
-                continue;
-            }
-            if *rel == FLUSH_FILE {
-                flushed.insert(lit.to_owned());
-            }
-            if !deepeye_obs::metrics::is_counter(lit) {
-                out.push(diag(
-                    file,
-                    t.line,
-                    "A0014",
-                    format!(
-                        "cost metric {lit:?} is not a registered counter \
-                         (deepeye_obs::metrics) — a typo forks the metric"
-                    ),
-                ));
-            }
-        }
-    }
-
-    // The reverse directions gate on the executor sources being in the
-    // scanned set (full workspace runs; unit fixtures gate themselves by
-    // including crates/query/src/exec.rs).
-    if ws.file("crates/query/src/exec.rs").is_none() {
-        return out;
-    }
-
-    // Taxonomy ↔ registry, both directions.
-    for op in deepeye_obs::Op::ALL {
-        if !deepeye_obs::metrics::is_counter(op.metric()) {
-            out.push(Diagnostic {
-                file: "crates/obs/src/metrics.rs".to_owned(),
-                line: 1,
-                code: "A0014",
-                message: format!(
-                    "cost operator {:?} has no registered counter {:?}",
-                    op.name(),
-                    op.metric()
-                ),
-                path: Vec::new(),
-            });
-        }
-    }
-    for name in deepeye_obs::metrics::COUNTERS {
-        let Some(op_name) = name.strip_prefix("cost.") else {
-            continue;
+/// A0014's pairing check: the operators' `cost.<op>` counters and the
+/// registered `cost.*` counters are one set.
+fn op_counter_pairs(report: &mut impl FnMut(&str, u32, String)) {
+    let ops: BTreeSet<&str> = Op::ALL.iter().map(|op| op.metric()).collect();
+    let counters = Registry::Counters(&["cost."])
+        .names(None)
+        .into_keys()
+        .collect();
+    for name in ops.symmetric_difference(&counters) {
+        let message = if ops.contains(name) {
+            format!("cost operator counter {name:?} is not registered")
+        } else {
+            format!("registered counter {name:?} names no operator in the cost taxonomy")
         };
-        if deepeye_obs::Op::from_name(op_name).is_none() {
-            out.push(Diagnostic {
-                file: "crates/obs/src/metrics.rs".to_owned(),
-                line: 1,
-                code: "A0014",
-                message: format!(
-                    "registered counter {name:?} names no operator in the cost taxonomy"
-                ),
-                path: Vec::new(),
-            });
-        }
+        report(METRICS_RS, 1, message);
     }
-
-    // Every operator must be charged somewhere in the executor: the
-    // `Op::<Variant>` ident has to appear in exec.rs or batch.rs product
-    // code, else the taxonomy promises a count that is always zero.
-    for op in deepeye_obs::Op::ALL {
-        let variant = op_variant_ident(op.name());
-        let charged = EXECUTOR_FILES.iter().any(|rel| {
-            ws.file(rel).is_some_and(|file| {
-                file.tokens
-                    .iter()
-                    .enumerate()
-                    .any(|(i, t)| t.is_ident(&variant) && file.is_product(i))
-            })
-        });
-        if !charged {
-            out.push(Diagnostic {
-                file: "crates/query/src/exec.rs".to_owned(),
-                line: 1,
-                code: "A0014",
-                message: format!(
-                    "cost operator {:?} (Op::{variant}) is never charged in the \
-                     executor instrumentation",
-                    op.name()
-                ),
-                path: Vec::new(),
-            });
-        }
-    }
-
-    // Every registered `cost.*` counter must be flushed by the worker
-    // flush site, else the exactness invariant silently loses it.
-    if ws.file(FLUSH_FILE).is_some() {
-        for name in deepeye_obs::metrics::COUNTERS {
-            if name.starts_with("cost.") && !flushed.contains(*name) {
-                out.push(Diagnostic {
-                    file: FLUSH_FILE.to_owned(),
-                    line: 1,
-                    code: "A0014",
-                    message: format!(
-                        "registered cost counter {name:?} is never flushed by the \
-                         worker flush site"
-                    ),
-                    path: Vec::new(),
-                });
-            }
-        }
-    }
-
-    // DESIGN.md §12: every operator documented backticked, and every
-    // `cost.*`-shaped token in the section known to the registry.
-    let design = ws.design.as_str();
-    if !design.is_empty() {
-        let (section, section_start) = match design.find("## 12.") {
-            Some(start) => {
-                let rest = &design[start..];
-                match rest.find("\n## 13.") {
-                    Some(end) => (&rest[..end], start),
-                    None => (rest, start),
-                }
-            }
-            None => (design, 0),
-        };
-        for op in deepeye_obs::Op::ALL {
-            if !section.contains(&format!("`{}`", op.name())) {
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: 1,
-                    code: "A0014",
-                    message: format!(
-                        "cost operator {:?} is not documented in DESIGN.md §12",
-                        op.name()
-                    ),
-                    path: Vec::new(),
-                });
-            }
-        }
-        let mut pos = 0usize;
-        while let Some(found) = section[pos..].find("cost.") {
-            let start = pos + found;
-            pos = start + "cost.".len();
-            // Only a standalone token starts a metric name — skip
-            // `deepeye-cost.` and similar.
-            if start > 0
-                && section[..start]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || "_-.".contains(c))
-            {
-                continue;
-            }
-            let rest = &section[pos..];
-            let word_len = rest
-                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-                .unwrap_or(rest.len());
-            if word_len == 0 {
-                continue; // `cost.*` wildcards and sentence-final dots
-            }
-            let token = &section[start..pos + word_len];
-            if !deepeye_obs::metrics::is_counter(token) {
-                let offset = (section_start + start).min(design.len());
-                out.push(Diagnostic {
-                    file: "DESIGN.md".to_owned(),
-                    line: (design[..offset].matches('\n').count() + 1) as u32,
-                    code: "A0014",
-                    message: format!(
-                        "DESIGN.md §12 names cost metric {token:?}, which is not in the registry"
-                    ),
-                    path: Vec::new(),
-                });
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1547,6 +1137,73 @@ impl Code {
         let src = r#"fn f(obs: &Observer) { obs.incr("exec.query_ns", 1); }"#;
         let hits = run_rule("A0005", vec![("crates/core/src/x.rs", src)], "");
         assert_eq!(hits.len(), 1, "{hits:?}");
+    }
+
+    /// A pipeline fixture recording every metric of the A0005 row, and a
+    /// DESIGN.md §6 fixture naming each of them (plus an unregistered
+    /// name after `### Exporters`, outside the section).
+    fn product_fixture() -> (String, String) {
+        let family = FAMILIES.iter().find(|f| f.code == "A0005").unwrap();
+        let names = family.registry.names(None);
+        let calls: String = names
+            .iter()
+            .map(|(name, kind)| match *kind {
+                "counter" => format!("    obs.incr({name:?}, 1);\n"),
+                _ => format!("    obs.record_ns({name:?}, 1);\n"),
+            })
+            .collect();
+        let documented: Vec<String> = names.keys().map(|name| format!("`{name}`")).collect();
+        (
+            format!("fn f(obs: &Observer) {{\n{calls}}}\n"),
+            format!(
+                "## 6. Observability\n### Metric names\n{}.\n### Exporters\nNot `exec.bogus`.\n",
+                documented.join(", ")
+            ),
+        )
+    }
+
+    #[test]
+    fn a0005_clean_when_section_6_agrees() {
+        let (src, design) = product_fixture();
+        let hits = run_rule("A0005", vec![("crates/core/src/deepeye.rs", &src)], &design);
+        assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn a0005_flags_product_metric_missing_from_section_6() {
+        let (src, design) = product_fixture();
+        let design = design.replace("`ltr.groups`, ", "");
+        let hits = run_rule("A0005", vec![("crates/core/src/deepeye.rs", &src)], &design);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].file.as_str(), hits[0].line), ("DESIGN.md", 1));
+        assert!(hits[0].message.contains("\"ltr.groups\" is not documented"));
+    }
+
+    #[test]
+    fn a0005_flags_unregistered_name_in_section_6() {
+        let (src, design) = product_fixture();
+        let design = design.replace("### Exporters", "Also `exec.bogus`.\n### Exporters");
+        let hits = run_rule("A0005", vec![("crates/core/src/deepeye.rs", &src)], &design);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].file.as_str(), hits[0].line), ("DESIGN.md", 4));
+        assert!(hits[0]
+            .message
+            .contains("\"exec.bogus\", which is not in the registry"));
+    }
+
+    #[test]
+    fn every_registered_metric_belongs_to_a_family() {
+        let metrics = deepeye_obs::metrics::COUNTERS
+            .iter()
+            .chain(deepeye_obs::metrics::HISTOGRAMS);
+        for name in metrics {
+            assert!(
+                FAMILIES
+                    .iter()
+                    .any(|f| f.registry.names(None).contains_key(name)),
+                "{name} is in no row of the name-sync table"
+            );
+        }
     }
 
     #[test]
@@ -2009,9 +1666,10 @@ fn flush(obs: &Observer, total: &OpCosts) {
             .map(|op| format!("`{}`", op.name()))
             .collect::<Vec<_>>()
             .join(", ");
+        let counters = deepeye_obs::Op::ALL.map(|op| op.metric()).join(", ");
         format!(
             "## 12. Cost profiling\n\nOperators {ops}, flushed into \
-             cost.rows_scanned and friends.\n\n## 13. Next\n"
+             cost.rows_scanned and friends.\nCounters: {counters}.\n\n## 13. Next\n"
         )
     }
 

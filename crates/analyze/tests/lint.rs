@@ -6,7 +6,7 @@
 //! same validator `trace_check --lint-report` uses.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_analyze::rules::RULES;
+use deepeye_analyze::rules::{FAMILIES, RULES};
 use deepeye_analyze::{lint::run, lint_report_json, validate_lint_report, Baseline, Workspace};
 use std::path::Path;
 
@@ -95,6 +95,29 @@ fn design_doc_rule_catalog_matches_code() {
                     "DESIGN.md §8 mentions {code}, which no linter rule emits"
                 );
             }
+        }
+    }
+}
+
+/// Every path the name-sync table names is in the real scan. A row whose
+/// anchor is renamed away would skip its reverse and doc checks and still
+/// report zero violations; a listed file that vanished would stop
+/// counting as a use site.
+#[test]
+fn name_sync_table_paths_exist() {
+    let ws = load_workspace();
+    for family in FAMILIES {
+        let named = family
+            .files
+            .iter()
+            .chain([&family.anchor, &family.unused_at]);
+        for path in named {
+            assert!(
+                ws.file(path).is_some(),
+                "{} ({}) names {path}, which the workspace scan does not contain",
+                family.code,
+                family.noun
+            );
         }
     }
 }

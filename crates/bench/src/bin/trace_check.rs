@@ -28,13 +28,12 @@
 //!   taxonomy, and the exactness invariant — per-candidate costs sum
 //!   to the worker flush totals, the rollup groups, and the grand
 //!   totals, per operator.
-//! - Health documents (`--health`, from `harness --soak --health-out`
-//!   or the CLI `--health-out`): `deepeye-health/v1` schema,
-//!   well-formed series stats and verdicts, and a status consistent
-//!   with the firing verdicts. A *firing* document still validates —
-//!   CI checks both the green and the deliberately-paging soak
-//!   documents with this flag; failing the run on a verdict is the
-//!   harness's job, not the validator's.
+//! - Health documents (`--health`, from `harness --soak --health-out`):
+//!   `deepeye-health/v1` schema, well-formed series stats and verdicts,
+//!   and a status consistent with the firing verdicts. A *firing*
+//!   document still validates — CI checks both the green and the
+//!   deliberately-paging soak documents with this flag; failing the run
+//!   on a verdict is the harness's job, not the validator's.
 //!
 //! Usage: `trace_check [<trace.json> ...] [--metrics <metrics.json>]...
 //! [--provenance <prov.json>]... [--lint-report <report.json>]...

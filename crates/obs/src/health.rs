@@ -38,9 +38,7 @@
 //! statelessly from ring contents, which makes them deterministic under
 //! tick-batching (the property tests pin this down).
 //!
-//! [`validate_health_json`] is the consuming-side mirror, and
-//! [`HealthEngine::prometheus_text`] renders current gauges in the
-//! Prometheus text exposition format for the future admin endpoint.
+//! [`validate_health_json`] is the consuming-side mirror.
 
 use crate::json::{escape, parse_json, Json};
 use crate::series::{stats_of, RingSeries};
@@ -715,33 +713,6 @@ impl HealthEngine {
             verdict_parts.join(",")
         )
     }
-
-    /// Current gauges in the Prometheus text exposition format: the
-    /// latest sample of every series, the firing-verdict count, and the
-    /// tick counter — what the future admin endpoint will serve.
-    pub fn prometheus_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# HELP deepeye_health_gauge Latest sample per health series.\n");
-        out.push_str("# TYPE deepeye_health_gauge gauge\n");
-        for (metric, ring) in &self.series {
-            if let Some(last) = ring.last() {
-                out.push_str(&format!(
-                    "deepeye_health_gauge{{metric=\"{}\"}} {}\n",
-                    escape(metric),
-                    fmt_num(last)
-                ));
-            }
-        }
-        let report = self.report();
-        let firing = report.verdicts.iter().filter(|v| v.firing).count();
-        out.push_str("# HELP deepeye_health_firing Verdicts currently firing.\n");
-        out.push_str("# TYPE deepeye_health_firing gauge\n");
-        out.push_str(&format!("deepeye_health_firing {firing}\n"));
-        out.push_str("# HELP deepeye_health_ticks Telemetry ticks ingested.\n");
-        out.push_str("# TYPE deepeye_health_ticks counter\n");
-        out.push_str(&format!("deepeye_health_ticks {}\n", self.ticks));
-        out
-    }
 }
 
 /// Format a float for JSON: finite values via the shortest round-trip
@@ -1119,16 +1090,6 @@ mod tests {
             err.contains("harness.execute") && err.contains("p95_ns"),
             "stage errors name path and field: {err}"
         );
-    }
-
-    #[test]
-    fn prometheus_text_exposes_gauges_and_firing_count() {
-        let engine = steady_engine(20);
-        let text = engine.prometheus_text();
-        assert!(text.contains("# TYPE deepeye_health_gauge gauge"));
-        assert!(text.contains("deepeye_health_gauge{metric=\"stage.harness.execute.p50_ns\"}"));
-        assert!(text.contains("deepeye_health_firing 0\n"));
-        assert!(text.contains("deepeye_health_ticks 20\n"));
     }
 
     #[test]

@@ -7,31 +7,25 @@
 //! [`Observer::record_ns`](crate::Observer::record_ns); nothing ties those
 //! literals together at the type level, so a typo silently forks a metric
 //! (`exec.ok` vs `exec.okay`) and dashboards read zeros. This module is
-//! the single source of truth: `deepeye-analyze` rule `A0005` scans the
-//! workspace for metric-name literals and fails the build when a name is
-//! used that is not registered here — or registered here and used
-//! nowhere (a dead entry is a doc lie). DESIGN.md §6 "Metric names"
-//! documents the same set; the root `observability` test suite keeps the
-//! prose in sync.
+//! the single source of truth, and every name in it belongs to a row of
+//! `deepeye-analyze`'s name-sync table, which fails the build when a
+//! literal names an unregistered metric, when a registered name is
+//! recorded nowhere (a dead entry is a doc lie), or when the name and
+//! its DESIGN.md section disagree:
+//!
+//! - `A0005`: the pipeline's and the harness's metrics, recorded through
+//!   `Observer` calls outside this crate and documented in DESIGN.md §6
+//!   "Metric names";
+//! - `A0007`: the `bench.*` histograms of the perf harness (§9);
+//! - `A0013`: the flight recorder's `obs.*` / `telemetry.*` self-metrics,
+//!   recorded inside this crate (§10);
+//! - `A0014`: the `cost.*` counters, one per operator of the
+//!   [`cost`](crate::cost) taxonomy, flushed by
+//!   `deepeye_core::parallel::flush_cost_counters` (§12);
+//! - `A0020`: the health engine's `health.*` counters (§13).
 //!
 //! Adding a metric is a three-line change: the call site, this registry,
-//! and the DESIGN.md table — and the lint wall plus the doc-sync test
-//! make sure none of the three drifts.
-//!
-//! The flight recorder's self-metrics (`obs.spans_dropped`, `obs.stall`,
-//! `telemetry.ticks`) are recorded inside `deepeye-obs` itself, so rule
-//! `A0005` (which scans the product crates) exempts the `obs.*` /
-//! `telemetry.*` / `health.*` prefixes; rule `A0013` owns the first two,
-//! keeping the registry, the recorder sources, and DESIGN.md §10 in
-//! sync, and rule `A0020` does the same for the health engine's
-//! `health.*` counters against DESIGN.md §13.
-//!
-//! The executor cost counters (`cost.*`) are flushed by
-//! `deepeye_core::parallel::flush_cost_counters`, one per operator in the
-//! [`cost`](crate::cost) taxonomy. Rule `A0005` sees those literal call
-//! sites like any other product metric; rule `A0014` additionally keeps
-//! the operator names aligned across this registry, the `exec.rs` /
-//! `batch.rs` instrumentation sites, and DESIGN.md §12.
+//! and the DESIGN.md section of its row.
 
 /// Every counter name ([`Observer::incr`](crate::Observer::incr)) the
 /// pipeline records, sorted.

@@ -476,14 +476,6 @@ impl Observer {
             .unwrap_or_default()
     }
 
-    /// Current health gauges in the Prometheus text exposition format;
-    /// `None` when disabled or without a health engine.
-    pub fn health_prometheus(&self) -> Option<String> {
-        let inner = self.inner.as_ref()?;
-        let state = inner.lock();
-        state.health.as_ref().map(HealthEngine::prometheus_text)
-    }
-
     /// Total recorded duration of all finished spans with this name.
     /// Computed from the exact path aggregates, so it is unaffected by
     /// span sampling.

@@ -810,8 +810,6 @@ mod tests {
         let summary = crate::health::validate_health_json(&doc).expect("valid document");
         assert_eq!(summary.ticks, 3);
         assert_eq!(obs.counter("health.evaluations"), 1);
-        let prom = obs.health_prometheus().expect("engine attached");
-        assert!(prom.contains("deepeye_health_ticks 3"));
         let snapshot = obs.health_snapshot().expect("engine attached");
         assert_eq!(snapshot.ticks, 3);
         // A plain recorder has no engine and records no health metrics.

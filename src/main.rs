@@ -13,11 +13,10 @@
 //! Pipeline-running commands accept `--metrics-out <file>` (JSON metrics
 //! snapshot), `--trace-out <file>` (Chrome trace-event timeline — load in
 //! Perfetto or chrome://tracing), `--flame-out <file>` (a self-contained
-//! flame SVG when the path ends in `.svg`, folded stacks otherwise), and
+//! flame SVG when the path ends in `.svg`, folded stacks otherwise),
 //! `--provenance-out <file>` (the per-candidate decision-provenance
-//! record), and `--health-out <file>` (the `deepeye-health/v1` document
-//! from one telemetry tick covering the run). The observability flags
-//! also print a per-stage timing report to stderr.
+//! record), and `--cost-out <file>` (the executor cost report). The
+//! observability flags also print a per-stage timing report to stderr.
 //!
 //! `explain` runs the full pipeline with provenance collection on and
 //! prints the "why" report: the M/Q/W factor breakdown, dominance
@@ -40,8 +39,7 @@ fn usage() -> ExitCode {
          --trace-out <file>       write a Chrome trace (Perfetto-loadable)\n  \
          --flame-out <file>       write a flame view (.svg) or folded stacks\n  \
          --provenance-out <file>  write the decision-provenance JSON\n  \
-         --cost-out <file>        write the executor cost report (deepeye-cost/v1)\n  \
-         --health-out <file>      write the health document (deepeye-health/v1)"
+         --cost-out <file>        write the executor cost report (deepeye-cost/v1)"
     );
     ExitCode::from(2)
 }
@@ -74,7 +72,6 @@ struct ObsFlags {
     flame_out: Option<String>,
     provenance_out: Option<String>,
     cost_out: Option<String>,
-    health_out: Option<String>,
 }
 
 impl ObsFlags {
@@ -88,29 +85,17 @@ impl ObsFlags {
             flame_out: strip_flag(args, "--flame-out")?,
             provenance_out: strip_flag(args, "--provenance-out")?,
             cost_out: strip_flag(args, "--cost-out")?,
-            health_out: strip_flag(args, "--health-out")?,
         })
     }
 
     fn wanted(&self) -> bool {
-        self.metrics_out.is_some()
-            || self.trace_out.is_some()
-            || self.flame_out.is_some()
-            || self.health_out.is_some()
+        self.metrics_out.is_some() || self.trace_out.is_some() || self.flame_out.is_some()
     }
 
     /// An observer matching the flags: enabled only when an output was
-    /// requested, so the default CLI path stays observation-free. A
-    /// health export attaches the health engine (default detectors, no
-    /// SLO objectives — a one-shot CLI run has no budget table of its
-    /// own) so the run's single tick lands in a verdict document.
+    /// requested, so the default CLI path stays observation-free.
     fn observer(&self) -> Observer {
-        if self.health_out.is_some() {
-            Observer::with_health(
-                deepeye::obs::RecorderConfig::default(),
-                deepeye::obs::HealthConfig::default(),
-            )
-        } else if self.wanted() {
+        if self.wanted() {
             Observer::enabled()
         } else {
             Observer::disabled()
@@ -193,20 +178,6 @@ impl ObsFlags {
                 ExitCode::FAILURE
             })?;
             eprintln!("wrote flame view to {path}");
-        }
-        if let Some(path) = &self.health_out {
-            // One tick covering the whole run feeds the health engine,
-            // then the verdict document is exported. A single interval
-            // cannot fire the windowed detectors — the point here is
-            // the series snapshot (and schema parity with soak mode).
-            let mut cursor = deepeye::obs::TelemetryCursor::default();
-            let _ = obs.telemetry_tick(&mut cursor);
-            let doc = obs.health_report().unwrap_or_default();
-            std::fs::write(path, doc).map_err(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                ExitCode::FAILURE
-            })?;
-            eprintln!("wrote health document to {path}");
         }
         eprint!("{}", obs.stage_report());
         Ok(())
