@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks for DeepEye's hot paths: search-space
-//! enumeration, candidate execution, dominance-graph construction (naive
-//! vs pruned), progressive vs exhaustive selection, correlation, and the
-//! rankers.
+//! enumeration, candidate execution, partial-order scoring (the product
+//! scorer and the dominance graph built naive or pruned), progressive vs
+//! exhaustive selection, correlation, and the rankers.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deepeye_core::{
-    compute_factors, exhaustive_top_k, rank_by_partial_order, DominanceGraph, ProgressiveSelector,
+    compute_factors, exhaustive_top_k, partial_order_log_scores, rank_by_partial_order,
+    DominanceGraph, ProgressiveSelector,
 };
 use deepeye_datagen::{candidate_nodes, flight_table, PerceptionOracle};
 use deepeye_query::{two_column_queries, UdfRegistry};
@@ -48,6 +49,9 @@ fn bench_graph(c: &mut Criterion) {
     });
     let graph = DominanceGraph::build_pruned(&factors);
     group.bench_function("scores", |b| b.iter(|| black_box(graph.log_scores())));
+    group.bench_function("partial_order_log_scores", |b| {
+        b.iter(|| black_box(partial_order_log_scores(&factors)))
+    });
     group.finish();
 }
 

@@ -2,7 +2,8 @@
 //! out.
 //!
 //! 1. Quick-sort partition pruning vs naive O(n²) dominance-graph build
-//!    (§IV-C) — comparisons saved and identical output.
+//!    (§IV-C) — comparisons saved and identical output — next to the
+//!    product's scorer, `partial_order_log_scores`, on the same factors.
 //! 2. Progressive tournament vs exhaustive scoring (§V-B) — leaves
 //!    skipped, scans shared, identical top-k.
 //! 3. Hybrid α sweep — NDCG as a function of the preference weight.
@@ -18,9 +19,10 @@
 use deepeye_bench::fmt::{f2, TextTable};
 use deepeye_bench::ranking::{node_combo_features, train_rankers, valid_nodes};
 use deepeye_bench::scale_from_env;
+use deepeye_core::graph::order_by_log_scores;
 use deepeye_core::{
-    compute_factors, exhaustive_top_k, rank_by_deviation, rank_by_partial_order, DeviationMetric,
-    DominanceGraph, HybridRanker, ProgressiveSelector,
+    compute_factors, exhaustive_top_k, partial_order_log_scores, rank_by_deviation,
+    rank_by_partial_order, DeviationMetric, DominanceGraph, HybridRanker, ProgressiveSelector,
 };
 use deepeye_datagen::{
     build_table, candidate_nodes, dense_relevance, test_specs, PerceptionOracle,
@@ -35,7 +37,9 @@ fn main() {
     println!("== Ablations (scale {scale}) ==");
 
     // ----- 1. Graph construction pruning -----
-    println!("\n-- 1. dominance-graph build: naive vs quick-sort pruning --");
+    println!(
+        "\n-- 1. dominance-graph build: naive vs quick-sort pruning, and the product scorer --"
+    );
     let mut t = TextTable::new([
         "dataset",
         "nodes",
@@ -45,6 +49,8 @@ fn main() {
         "naive",
         "pruned",
         "same edges/top-10",
+        "scorer",
+        "scorer top-10",
     ]);
     for (i, spec) in test_specs().iter().enumerate().take(6) {
         let table = build_table(&spec.scaled(scale * 0.5));
@@ -60,7 +66,13 @@ fn main() {
         // full ranking can differ at exact ties because log-sum-exp folds
         // edges in a different order, so compare edges and top-10.
         let same_edges = naive.edge_count() == pruned.edge_count();
-        let same_top10 = naive.top_k(10) == pruned.top_k(10);
+        let naive_top10 = naive.top_k(10);
+        let same_top10 = naive_top10 == pruned.top_k(10);
+        let t2 = Stopwatch::start();
+        let scores = partial_order_log_scores(&factors);
+        let scorer_time = t2.elapsed();
+        let scorer_top10 =
+            order_by_log_scores(&factors, &scores)[..naive_top10.len()] == naive_top10;
         let saved = 100.0 * (1.0 - pruned.comparisons() as f64 / naive.comparisons().max(1) as f64);
         t.row([
             format!("X{}", i + 1),
@@ -71,6 +83,8 @@ fn main() {
             format!("{}us", naive_time.as_micros()),
             format!("{}us", pruned_time.as_micros()),
             format!("{same_edges}/{same_top10}"),
+            format!("{}us", scorer_time.as_micros()),
+            scorer_top10.to_string(),
         ]);
     }
     t.print();

@@ -2,12 +2,12 @@
 //! recognizer, and a ranking method; get back the top-k visualizations of a
 //! table (the full online pipeline of Figure 4).
 
-use crate::graph::{partial_order_log_scores, DominanceGraph, STREAMING_THRESHOLD};
+use crate::graph::{order_by_log_scores, partial_order_log_scores};
 use crate::node::VisNode;
 use crate::partial_order::{compute_factor_breakdowns, FactorBreakdown, Factors};
 use crate::progressive::ProgressiveSelector;
-use crate::provenance::{HybridParts, Outcome, Provenance, RankBreakdown};
-use crate::ranking::{rank_by_partial_order_observed, HybridRanker, LtrRanker};
+use crate::provenance::{DominanceSummary, HybridParts, Outcome, Provenance, RankBreakdown};
+use crate::ranking::{order_by_score, HybridRanker, LtrRanker};
 use crate::recognition::Recognizer;
 use crate::rules;
 use deepeye_data::Table;
@@ -223,6 +223,39 @@ fn narrative_notes(node: &VisNode, f: &Factors) -> Vec<String> {
     parts
 }
 
+/// One ranking method's per-node scores and the best-first order they
+/// induce.
+struct Ranked {
+    scores: Vec<f64>,
+    order: Vec<usize>,
+}
+
+/// Node `i`'s place in the partial order, from one pass over the factors:
+/// how many nodes it strictly dominates and is dominated by, and the
+/// heaviest Eq. 9 edge each way (the lowest index among equal weights).
+fn dominance_summary(nodes: &[VisNode], factors: &[Factors], i: usize) -> DominanceSummary {
+    let fi = factors[i];
+    let mut summary = DominanceSummary::default();
+    let (mut out, mut into) = (None, None);
+    let heavier = |best: &mut Option<(usize, f64)>, j: usize, w: f64| {
+        if best.is_none_or(|(_, b)| w > b) {
+            *best = Some((j, w));
+        }
+    };
+    for (j, fj) in factors.iter().enumerate() {
+        if fi.strictly_dominates(fj) {
+            summary.dominates += 1;
+            heavier(&mut out, j, fi.edge_weight(fj));
+        } else if fj.strictly_dominates(&fi) {
+            summary.dominated_by += 1;
+            heavier(&mut into, j, fj.edge_weight(&fi));
+        }
+    }
+    summary.strongest_out = out.map(|(j, w)| (nodes[j].id(), w));
+    summary.strongest_in = into.map(|(j, w)| (nodes[j].id(), w));
+    summary
+}
+
 /// The DeepEye system.
 #[derive(Debug, Clone, Default)]
 pub struct DeepEye {
@@ -433,23 +466,38 @@ impl DeepEye {
         obs.incr("rank.nodes", nodes.len() as u64);
         let breakdowns = compute_factor_breakdowns(&nodes);
         let factors: Vec<Factors> = breakdowns.iter().map(FactorBreakdown::factors).collect();
-        // When explaining a hybrid run, the two component orders are needed
-        // per node; `rank_observed` computes them internally but does not
-        // expose them, so the explained path replicates its exact span
-        // structure and combines by hand.
-        let mut hybrid_detail: Option<(Vec<usize>, Vec<usize>)> = None;
-        let order: Vec<usize> = match &self.config.ranking {
-            RankingMethod::PartialOrder => rank_by_partial_order_observed(&nodes, obs),
-            RankingMethod::LearningToRank(ltr) => ltr.rank_observed(&nodes, obs),
-            RankingMethod::Hybrid(ltr, hybrid) if prov.is_enabled() => {
-                let _span = obs.span("rank.hybrid");
-                let ltr_order = ltr.rank_observed(&nodes, obs);
-                let po_order = rank_by_partial_order_observed(&nodes, obs);
-                let combined = hybrid.combine(&ltr_order, &po_order);
-                hybrid_detail = Some((ltr_order, po_order));
-                combined
+        // Each method the configuration runs scores the nodes once; the
+        // provenance records reuse those scores and orders.
+        let partial_order = || {
+            let _span = obs.span("rank.partial_order");
+            let scores = partial_order_log_scores(&factors);
+            Ranked {
+                order: order_by_log_scores(&factors, &scores),
+                scores,
             }
-            RankingMethod::Hybrid(ltr, hybrid) => hybrid.rank_observed(ltr, &nodes, obs),
+        };
+        let learning_to_rank = |ltr: &LtrRanker| {
+            let _span = obs.span("rank.ltr");
+            let scores: Vec<f64> = nodes.iter().map(|n| ltr.score(n)).collect();
+            Ranked {
+                order: order_by_score(&scores),
+                scores,
+            }
+        };
+        let (order, po, ltr) = match &self.config.ranking {
+            RankingMethod::PartialOrder => {
+                let po = partial_order();
+                (po.order.clone(), Some(po), None)
+            }
+            RankingMethod::LearningToRank(ltr) => {
+                let ltr = learning_to_rank(ltr);
+                (ltr.order.clone(), None, Some(ltr))
+            }
+            RankingMethod::Hybrid(ltr, hybrid) => {
+                let _span = obs.span("rank.hybrid");
+                let (ltr, po) = (learning_to_rank(ltr), partial_order());
+                (hybrid.combine(&ltr.order, &po.order), Some(po), Some(ltr))
+            }
         };
         if prov.is_enabled() {
             self.record_rank_provenance(
@@ -457,7 +505,8 @@ impl DeepEye {
                 &breakdowns,
                 &factors,
                 &order,
-                hybrid_detail.as_ref(),
+                po.as_ref(),
+                ltr.as_ref(),
             );
         }
         let variant_key = |n: &VisNode| {
@@ -507,19 +556,19 @@ impl DeepEye {
         out
     }
 
-    /// Fill the per-node ranking provenance: factor breakdowns, component
-    /// positions and scores of the active ranking method, and — for the
-    /// candidates landing in the top `ProvenanceCaps::top_n` pre-dedup
-    /// positions — a dominance-graph summary and the narrative notes.
+    /// Fill the per-node ranking provenance: factor breakdowns, the
+    /// scores and positions of each ranking method that ran, and — for
+    /// the candidates landing in the top `ProvenanceCaps::top_n` pre-dedup
+    /// positions — a dominance summary and the narrative notes.
     fn record_rank_provenance(
         &self,
         nodes: &[VisNode],
-        breakdowns: &[crate::partial_order::FactorBreakdown],
+        breakdowns: &[FactorBreakdown],
         factors: &[Factors],
         order: &[usize],
-        hybrid_detail: Option<&(Vec<usize>, Vec<usize>)>,
+        po: Option<&Ranked>,
+        ltr: Option<&Ranked>,
     ) {
-        use crate::provenance::DominanceSummary;
         let prov = &self.config.provenance;
         // Callers only reach here when provenance is on; the guard keeps
         // the invariant locally checkable (analyze rule A0002) and makes
@@ -529,101 +578,48 @@ impl DeepEye {
         }
         let caps = prov.caps();
         let n = nodes.len();
-        let mut final_pos = vec![usize::MAX; n];
-        for (pos, &i) in order.iter().enumerate() {
-            final_pos[i] = pos;
-        }
-
-        let mut po_pos: Vec<Option<usize>> = vec![None; n];
-        let mut po_log: Vec<Option<f64>> = vec![None; n];
-        let mut ltr_pos: Vec<Option<usize>> = vec![None; n];
-        let mut ltr_score: Vec<Option<f64>> = vec![None; n];
-        let mut hybrid_parts: Vec<Option<HybridParts>> = vec![None; n];
-        match &self.config.ranking {
-            RankingMethod::PartialOrder => {
-                let scores = partial_order_log_scores(factors);
-                for (pos, &i) in order.iter().enumerate() {
-                    po_pos[i] = Some(pos);
-                }
-                for (slot, score) in po_log.iter_mut().zip(scores) {
-                    *slot = Some(score);
-                }
+        // Position of each node in an order; `None` for a method that did
+        // not run.
+        let positions = |ranked: &[usize]| {
+            let mut pos = vec![None; n];
+            for (p, &i) in ranked.iter().enumerate() {
+                pos[i] = Some(p);
             }
-            RankingMethod::LearningToRank(ltr) => {
-                for (pos, &i) in order.iter().enumerate() {
-                    ltr_pos[i] = Some(pos);
-                }
-                for (slot, node) in ltr_score.iter_mut().zip(nodes) {
-                    *slot = Some(ltr.score(node));
-                }
-            }
-            RankingMethod::Hybrid(ltr, hybrid) => {
-                if let Some((ltr_order, po_order)) = hybrid_detail {
-                    let scores = partial_order_log_scores(factors);
-                    for (pos, &i) in ltr_order.iter().enumerate() {
-                        ltr_pos[i] = Some(pos);
-                    }
-                    for (pos, &i) in po_order.iter().enumerate() {
-                        po_pos[i] = Some(pos);
-                    }
-                    for i in 0..n {
-                        po_log[i] = Some(scores[i]);
-                        ltr_score[i] = Some(ltr.score(&nodes[i]));
-                        let (l, p) = (ltr_pos[i].unwrap_or(0), po_pos[i].unwrap_or(0));
-                        hybrid_parts[i] = Some(HybridParts {
-                            l_pos: l,
-                            p_pos: p,
-                            alpha: hybrid.alpha,
-                            combined: hybrid.combined_score(l, p),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Dominance summaries for the top-N: one pass over the graph's
-        // edges, touching only detail-worthy endpoints. The graph is only
-        // built at sizes where the rankers themselves would build it.
-        let mut summaries: Vec<Option<DominanceSummary>> = vec![None; n];
-        if n <= STREAMING_THRESHOLD {
-            let graph = DominanceGraph::build_pruned(factors);
-            let detail = |i: usize| final_pos[i] < caps.top_n;
-            for i in (0..n).filter(|&i| detail(i)) {
-                summaries[i] = Some(DominanceSummary::default());
-            }
-            for u in 0..n {
-                for &(v, w) in graph.out_edges(u) {
-                    if let Some(s) = summaries[u].as_mut() {
-                        s.dominates += 1;
-                        if s.strongest_out.as_ref().is_none_or(|(_, best)| w > *best) {
-                            s.strongest_out = Some((nodes[v].id(), w));
-                        }
-                    }
-                    if let Some(s) = summaries[v].as_mut() {
-                        s.dominated_by += 1;
-                        if s.strongest_in.as_ref().is_none_or(|(_, best)| w > *best) {
-                            s.strongest_in = Some((nodes[u].id(), w));
-                        }
-                    }
-                }
-            }
-        }
+            pos
+        };
+        let final_pos = positions(order);
+        let po_pos = positions(po.map_or(&[][..], |r| &r.order));
+        let ltr_pos = positions(ltr.map_or(&[][..], |r| &r.order));
+        let hybrid = match &self.config.ranking {
+            RankingMethod::Hybrid(_, hybrid) => Some(hybrid),
+            _ => None,
+        };
 
         for (i, node) in nodes.iter().enumerate() {
             let rank_bd = RankBreakdown {
-                po_log_score: po_log[i],
+                po_log_score: po.map(|r| r.scores[i]),
                 po_pos: po_pos[i],
-                ltr_score: ltr_score[i],
+                ltr_score: ltr.map(|r| r.scores[i]),
                 ltr_pos: ltr_pos[i],
-                hybrid: hybrid_parts[i],
-                final_pos: (final_pos[i] != usize::MAX).then_some(final_pos[i]),
+                hybrid: hybrid.map(|h| {
+                    let (l, p) = (ltr_pos[i].unwrap_or(0), po_pos[i].unwrap_or(0));
+                    HybridParts {
+                        l_pos: l,
+                        p_pos: p,
+                        alpha: h.alpha,
+                        combined: h.combined_score(l, p),
+                    }
+                }),
+                final_pos: final_pos[i],
             };
             let breakdown = breakdowns[i];
-            let dominance = summaries[i].take();
-            let notes = if final_pos[i] < caps.top_n {
-                narrative_notes(node, &factors[i])
+            let (dominance, notes) = if final_pos[i].is_some_and(|p| p < caps.top_n) {
+                (
+                    Some(dominance_summary(nodes, factors, i)),
+                    narrative_notes(node, &factors[i]),
+                )
             } else {
-                Vec::new()
+                (None, Vec::new())
             };
             prov.record(&node.id(), |e| {
                 if e.chart.is_empty() {

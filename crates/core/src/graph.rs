@@ -1,9 +1,15 @@
-//! The dominance graph G(V, E) of §IV-C and Algorithm 1.
+//! The partial-order scores of §IV-C and Algorithm 1.
 //!
 //! Nodes are valid visualizations; a directed edge `u → v` with the weight
 //! of Eq. 9 exists when `u ≻ v` (strictly better on the partial order).
 //! Scores propagate as `S(v) = Σ_{(v,u)∈E} (w(v,u) + S(u))` and the top-k
 //! nodes are those with the largest scores.
+//!
+//! [`partial_order_log_scores`] is the scorer the product ranks with, at
+//! every size: it folds the edges without storing them. [`DominanceGraph`]
+//! materializes the edge set, naively or with the paper's quick-sort
+//! pruning, and is Algorithm 1's reference for tests and the pruning
+//! ablation.
 
 use crate::partial_order::Factors;
 
@@ -60,17 +66,6 @@ impl DominanceGraph {
         }
     }
 
-    /// Assemble a graph from precomputed edges (used by the range-tree
-    /// builder in [`crate::range_tree`]).
-    pub(crate) fn from_edges(factors: Vec<Factors>, edges: Vec<Vec<(usize, f64)>>) -> Self {
-        debug_assert_eq!(factors.len(), edges.len());
-        DominanceGraph {
-            factors,
-            edges,
-            comparisons: 0,
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.factors.len()
     }
@@ -90,13 +85,6 @@ impl DominanceGraph {
     /// Does the edge `u → v` exist?
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.edges[u].iter().any(|&(t, _)| t == v)
-    }
-
-    /// Outgoing dominance edges of `u` as `(target, Eq. 9 weight)` pairs.
-    /// Empty for out-of-range indices, so provenance readers need no
-    /// bounds bookkeeping.
-    pub fn out_edges(&self, u: usize) -> &[(usize, f64)] {
-        self.edges.get(u).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The score S(v) of every node: 0 for sinks, otherwise the sum of
@@ -136,11 +124,10 @@ impl DominanceGraph {
                     let terms: Vec<f64> = self.edges[node]
                         .iter()
                         .map(|&(u, w)| {
-                            let lw = if w > 0.0 { w.ln() } else { f64::NEG_INFINITY };
                             // Children are resolved before their parents by
                             // the DFS above; an unresolved child contributes
                             // nothing (ln 0).
-                            log_add(lw, memo[u].unwrap_or(f64::NEG_INFINITY))
+                            log_add(ln_weight(w), memo[u].unwrap_or(f64::NEG_INFINITY))
                         })
                         .collect();
                     memo[node] = Some(log_sum(&terms));
@@ -153,22 +140,10 @@ impl DominanceGraph {
             .collect()
     }
 
-    /// Algorithm 1: the indices of the top-k nodes by score, best first.
-    /// Ties break toward the node with the larger factor sum, then by index
-    /// (deterministic output).
+    /// Algorithm 1: the indices of the top-k nodes by score, best first,
+    /// in the order of [`order_by_log_scores`].
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let scores = self.log_scores();
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .total_cmp(&scores[a])
-                .then_with(|| {
-                    let fa = self.factors[a];
-                    let fb = self.factors[b];
-                    (fb.m + fb.q + fb.w).total_cmp(&(fa.m + fa.q + fa.w))
-                })
-                .then(a.cmp(&b))
-        });
+        let mut order = order_by_log_scores(&self.factors, &self.log_scores());
         order.truncate(k);
         order
     }
@@ -179,35 +154,46 @@ impl DominanceGraph {
     }
 }
 
-/// Compute `ln S(v)` for every node **without materializing the edge
-/// set** — O(n²) time but O(n) memory, for candidate sets large enough
-/// that the explicit dominance graph (quadratically many edges on densely
-/// dominated sets) would not fit in memory.
+/// Algorithm 1's scores `ln S(v)` for every node (`-inf` for sinks), in
+/// O(n²) time and O(n) memory: the dominance edges are folded as they are
+/// found, never stored, so the scorer runs at any candidate-set size.
 ///
-/// Works by processing nodes in ascending factor-sum order, a valid
-/// topological order of strict dominance (if `u ≻ v` then
-/// `m+q+w` of `u` strictly exceeds `v`'s), and folding
-/// `logaddexp(ln w(v,u), ln S(u))` for every already-scored node `u`
-/// that `v` strictly dominates. Produces exactly the same scores as
-/// [`DominanceGraph::log_scores`].
-pub fn streaming_log_scores(factors: &[Factors]) -> Vec<f64> {
+/// Nodes are visited in lexicographic `(m, q, w)` order, which extends
+/// strict dominance exactly: if `u ≻ v`, `u` is no smaller on every factor
+/// and larger on one, so it sorts after `v`. Each node therefore finds
+/// every node it dominates already scored, and folds
+/// `logaddexp(ln w(v,u), ln S(u))` over them. The order compares the
+/// factors themselves, so no rounding can put a dominated node after its
+/// dominator (a factor sum can: two triples one ulp apart may tie on it).
+/// The result equals [`DominanceGraph::log_scores`] up to the summation
+/// order of each node's terms.
+pub fn partial_order_log_scores(factors: &[Factors]) -> Vec<f64> {
     let n = factors.len();
+    // `+ 0.0` maps −0.0 to 0.0: `>=` treats the two as equal, `total_cmp`
+    // does not.
+    let key = |i: usize| {
+        let f = factors[i];
+        [f.m + 0.0, f.q + 0.0, f.w + 0.0]
+    };
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
-        let sa = factors[a].m + factors[a].q + factors[a].w;
-        let sb = factors[b].m + factors[b].q + factors[b].w;
-        sa.total_cmp(&sb)
+        let (ka, kb) = (key(a), key(b));
+        ka[0]
+            .total_cmp(&kb[0])
+            .then(ka[1].total_cmp(&kb[1]))
+            .then(ka[2].total_cmp(&kb[2]))
     });
     let mut log_s = vec![f64::NEG_INFINITY; n];
     for (pos, &v) in order.iter().enumerate() {
         let fv = factors[v];
         let mut acc = f64::NEG_INFINITY;
-        // Only nodes earlier in sum order can be dominated by v.
+        // Only nodes earlier in the order can be dominated by v.
         for &u in &order[..pos] {
             if fv.strictly_dominates(&factors[u]) {
-                let w = fv.edge_weight(&factors[u]);
-                let lw = if w > 0.0 { w.ln() } else { f64::NEG_INFINITY };
-                acc = log_add(acc, log_add(lw, log_s[u]));
+                acc = log_add(
+                    acc,
+                    log_add(ln_weight(fv.edge_weight(&factors[u])), log_s[u]),
+                );
             }
         }
         log_s[v] = acc;
@@ -215,17 +201,33 @@ pub fn streaming_log_scores(factors: &[Factors]) -> Vec<f64> {
     log_s
 }
 
-/// Node count above which [`partial_order_log_scores`] switches from
-/// the explicit graph to the streaming scorer.
+/// Node count above which the partial-order scorer once left the explicit
+/// dominance graph for a streaming fold. Nothing in the product switches on
+/// it any more; the end-to-end benchmark still reports how many requests
+/// rank more nodes than this.
 pub const STREAMING_THRESHOLD: usize = 4_000;
 
-/// Partial-order scores for a factor set, choosing the memory-safe path
-/// automatically. Returns `ln S(v)` per node.
-pub fn partial_order_log_scores(factors: &[Factors]) -> Vec<f64> {
-    if factors.len() > STREAMING_THRESHOLD {
-        streaming_log_scores(factors)
+/// Node indices best-first by `ln S`: ties break toward the larger factor
+/// sum, then the lower index (deterministic output). The partial-order
+/// ranking of the product and of [`DominanceGraph::top_k`].
+pub fn order_by_log_scores(factors: &[Factors], log_scores: &[f64]) -> Vec<usize> {
+    let sum = |i: usize| factors[i].m + factors[i].q + factors[i].w;
+    let mut order: Vec<usize> = (0..factors.len()).collect();
+    order.sort_by(|&a, &b| {
+        log_scores[b]
+            .total_cmp(&log_scores[a])
+            .then_with(|| sum(b).total_cmp(&sum(a)))
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// `ln w` of an Eq. 9 edge weight (`-inf` for a non-positive weight).
+fn ln_weight(w: f64) -> f64 {
+    if w > 0.0 {
+        w.ln()
     } else {
-        DominanceGraph::build_pruned(factors).log_scores()
+        f64::NEG_INFINITY
     }
 }
 
@@ -390,6 +392,51 @@ mod tests {
             // Same ranking too.
             assert_eq!(naive.ranking(), pruned.ranking(), "n={n}");
         }
+    }
+
+    /// The product scorer against Algorithm 1's reference, node for node.
+    fn assert_scorer_matches_naive(factors: &[Factors]) -> Vec<f64> {
+        let scores = partial_order_log_scores(factors);
+        let naive = DominanceGraph::build_naive(factors).log_scores();
+        for (i, (s, r)) in scores.iter().zip(&naive).enumerate() {
+            assert!(
+                s == r || (s - r).abs() < 1e-12,
+                "node {i}: scorer {s} vs naive graph {r}"
+            );
+        }
+        scores
+    }
+
+    #[test]
+    fn scorer_keeps_edges_between_triples_with_equal_sums() {
+        // Two triples from a benchmark table: a ≻ b on m alone, yet their
+        // f64 factor sums are equal, so an order by sum cannot put b first.
+        let a = f(0.9978454940926381, 0.9965, 0.6497277676950999);
+        let b = f(0.9978454940926379, a.q, a.w);
+        let c = f(0.5, 0.5, 0.5);
+        assert!(a.strictly_dominates(&b));
+        assert_eq!(a.m + a.q + a.w, b.m + b.q + b.w);
+        // ln S(a) = ln(w(a,b) + S(b) + w(a,c)); dropping the a → b edge
+        // gives ln w(a,c) ≈ −0.9640 instead.
+        let scores = assert_scorer_matches_naive(&[a, b, c]);
+        assert!(
+            (scores[0] - -0.2709).abs() < 1e-4,
+            "ln S(a) = {}",
+            scores[0]
+        );
+        assert_scorer_matches_naive(&[c, b, a]);
+    }
+
+    #[test]
+    fn scorer_treats_negative_zero_as_zero() {
+        // −0.0 ≥ 0.0 holds, so x ≻ y, although `total_cmp` sorts −0.0
+        // before 0.0.
+        let x = f(-0.0, 0.5, 0.5);
+        let y = f(0.0, 0.4, 0.5);
+        let z = f(0.0, 0.1, 0.1);
+        assert!(x.strictly_dominates(&y));
+        let scores = assert_scorer_matches_naive(&[x, y, z]);
+        assert!(scores[0] > scores[1] && scores[1] > scores[2]);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! - [`recognition`] — the binary classifier (decision tree / Bayes / SVM);
 //! - [`partial_order`] — the factors **M**, **Q**, **W** (Eqs. 1–8) and
 //!   dominance (Definition 2);
-//! - [`graph`] — the dominance graph, score propagation, and Algorithm 1,
-//!   with the quick-sort partition pruning of §IV-C;
+//! - [`graph`] — Algorithm 1's scores: the O(n)-memory scorer the
+//!   rankers use, and the dominance graph with the quick-sort partition
+//!   pruning of §IV-C as its reference;
 //! - [`ranking`] — partial-order, learning-to-rank, and HybridRank (§IV-D);
 //! - [`rules`] — the transformation / sorting / visualization rules of §V-A;
 //! - [`progressive`] — the tournament-based progressive top-k of §V-B;
@@ -45,7 +46,6 @@ pub mod parallel;
 pub mod partial_order;
 pub mod progressive;
 pub mod provenance;
-pub mod range_tree;
 pub mod ranking;
 pub mod recognition;
 pub mod render;
@@ -58,9 +58,7 @@ pub use deviation::{
     deviation_between, deviation_from_uniform, rank_by_deviation, DeviationMetric,
 };
 pub use features::{pair_feature_vector, ColumnFeatures, NodeFeatures, FEATURE_DIM, FEATURE_NAMES};
-pub use graph::{
-    partial_order_log_scores, streaming_log_scores, DominanceGraph, STREAMING_THRESHOLD,
-};
+pub use graph::{partial_order_log_scores, DominanceGraph, STREAMING_THRESHOLD};
 pub use keyword::{keyword_search, Intent, KeywordQuery};
 pub use multi_select::{
     multi_y_candidates, recommend_multi, recommend_multi_y, xyz_candidates, MultiRecommendation,
@@ -77,10 +75,7 @@ pub use provenance::{
     query_id, validate_provenance_json, ClassifierEvidence, Explanation, Outcome, Provenance,
     ProvenanceCaps, ProvenanceCounts, ProvenanceLog, ProvenanceSummary,
 };
-pub use range_tree::{build_with_range_tree, RangeTree3};
-pub use ranking::{
-    rank_by_partial_order, rank_by_partial_order_observed, HybridRanker, LtrRanker, RankingExample,
-};
+pub use ranking::{rank_by_partial_order, HybridRanker, LtrRanker, RankingExample};
 pub use recognition::{ClassifierKind, LabeledExample, Recognizer};
 pub use render::vega_lite_spec;
 pub use similarity::{find_similar_to_chart, find_similar_to_shape, shape_distance, SimilarityHit};

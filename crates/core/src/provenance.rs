@@ -161,16 +161,19 @@ impl ClassifierEvidence {
     }
 }
 
-/// A candidate's place in the dominance graph (Definition 2 / Eq. 9).
+/// A candidate's place in the partial order (Definition 2 / Eq. 9) among
+/// all the nodes ranked with it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DominanceSummary {
     /// Number of nodes this candidate strictly dominates.
     pub dominates: usize,
     /// Number of nodes strictly dominating this candidate.
     pub dominated_by: usize,
-    /// Heaviest outgoing edge: `(dominated id, Eq. 9 weight)`.
+    /// Heaviest outgoing edge: `(dominated id, Eq. 9 weight)`; the
+    /// earliest ranked-set node among equal weights.
     pub strongest_out: Option<(String, f64)>,
-    /// Heaviest incoming edge: `(dominating id, Eq. 9 weight)`.
+    /// Heaviest incoming edge: `(dominating id, Eq. 9 weight)`; the
+    /// earliest ranked-set node among equal weights.
     pub strongest_in: Option<(String, f64)>,
 }
 
@@ -189,8 +192,9 @@ pub struct HybridParts {
 /// Where a candidate landed in the ranking stage(s).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankBreakdown {
-    /// `ln S(v)` from dominance-graph score propagation (None when the
-    /// partial order was not run; −∞ for sink nodes).
+    /// `ln S(v)`, Algorithm 1's score from
+    /// [`crate::graph::partial_order_log_scores`] (None when the partial
+    /// order was not run; −∞ for sink nodes).
     pub po_log_score: Option<f64>,
     /// 0-based position in the partial-order ranking.
     pub po_pos: Option<usize>,

@@ -2,39 +2,17 @@
 //! learning-to-rank (LambdaMART over the 14-feature vectors), and the
 //! hybrid combination of §IV-D.
 
-use crate::graph::partial_order_log_scores;
+use crate::graph::{order_by_log_scores, partial_order_log_scores};
 use crate::node::VisNode;
 use crate::partial_order::compute_factors;
 use deepeye_ml::{LambdaMart, LambdaMartParams, QueryGroup};
 
 /// Rank a set of valid nodes with the partial-order scores (Algorithm 1).
-/// Returns node indices best-first. Uses the explicit dominance graph for
-/// small sets and the O(n)-memory streaming scorer for large ones — the
-/// induced ranking is the same (ties break by factor sum, then index,
-/// exactly like [`crate::graph::DominanceGraph::top_k`]).
+/// Returns node indices best-first, in the order of
+/// [`order_by_log_scores`]: ties break by factor sum, then index.
 pub fn rank_by_partial_order(nodes: &[VisNode]) -> Vec<usize> {
     let factors = compute_factors(nodes);
-    let scores = partial_order_log_scores(&factors);
-    let mut order: Vec<usize> = (0..nodes.len()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b]
-            .total_cmp(&scores[a])
-            .then_with(|| {
-                let (fa, fb) = (factors[a], factors[b]);
-                (fb.m + fb.q + fb.w).total_cmp(&(fa.m + fa.q + fa.w))
-            })
-            .then(a.cmp(&b))
-    });
-    order
-}
-
-/// [`rank_by_partial_order`] under a `rank.partial_order` span.
-pub fn rank_by_partial_order_observed(
-    nodes: &[VisNode],
-    obs: &deepeye_obs::Observer,
-) -> Vec<usize> {
-    let _span = obs.span("rank.partial_order");
-    rank_by_partial_order(nodes)
+    order_by_log_scores(&factors, &partial_order_log_scores(&factors))
 }
 
 /// A trained learning-to-rank model over visualization nodes.
@@ -81,15 +59,7 @@ impl LtrRanker {
     /// Rank nodes best-first.
     pub fn rank(&self, nodes: &[VisNode]) -> Vec<usize> {
         let scores: Vec<f64> = nodes.iter().map(|n| self.score(n)).collect();
-        let mut order: Vec<usize> = (0..nodes.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-        order
-    }
-
-    /// [`LtrRanker::rank`] under a `rank.ltr` span.
-    pub fn rank_observed(&self, nodes: &[VisNode], obs: &deepeye_obs::Observer) -> Vec<usize> {
-        let _span = obs.span("rank.ltr");
-        self.rank(nodes)
+        order_by_score(&scores)
     }
 
     /// Rank arbitrary feature vectors best-first. Exact score ties (e.g.
@@ -122,6 +92,14 @@ impl LtrRanker {
             model: LambdaMart::from_text(text)?,
         })
     }
+}
+
+/// Node indices best-first by score, ties toward the lower index: the
+/// learning-to-rank order of [`LtrRanker::rank`] and of the pipeline.
+pub(crate) fn order_by_score(scores: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    order
 }
 
 /// HybridRank (§IV-D): combine the two rankings by position. A node at
@@ -173,27 +151,6 @@ impl HybridRanker {
             sa.total_cmp(&sb).then(a.cmp(&b))
         });
         order
-    }
-
-    /// Rank nodes with both methods and combine.
-    pub fn rank(&self, ltr: &LtrRanker, nodes: &[VisNode]) -> Vec<usize> {
-        let ltr_order = ltr.rank(nodes);
-        let po_order = rank_by_partial_order(nodes);
-        self.combine(&ltr_order, &po_order)
-    }
-
-    /// [`HybridRanker::rank`] under a `rank.hybrid` span, with the two
-    /// component rankings as observed child spans.
-    pub fn rank_observed(
-        &self,
-        ltr: &LtrRanker,
-        nodes: &[VisNode],
-        obs: &deepeye_obs::Observer,
-    ) -> Vec<usize> {
-        let _span = obs.span("rank.hybrid");
-        let ltr_order = ltr.rank_observed(nodes, obs);
-        let po_order = rank_by_partial_order_observed(nodes, obs);
-        self.combine(&ltr_order, &po_order)
     }
 
     /// Learn α from labeled data (§IV-D: "the preference weight … can be

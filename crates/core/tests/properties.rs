@@ -2,7 +2,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_core::{compute_factors, DominanceGraph, Factors, HybridRanker};
+use deepeye_core::{
+    compute_factors, partial_order_log_scores, DominanceGraph, Factors, HybridRanker,
+};
 use proptest::prelude::*;
 
 fn factor_strategy() -> impl Strategy<Value = Factors> {
@@ -11,6 +13,43 @@ fn factor_strategy() -> impl Strategy<Value = Factors> {
 
 fn factors_vec(max: usize) -> impl Strategy<Value = Vec<Factors>> {
     proptest::collection::vec(factor_strategy(), 0..max)
+}
+
+/// One factor on a coarse grid, so that ties are common, then moved one
+/// ulp up or down or, at zero, given either sign.
+fn near_tie_coordinate() -> impl Strategy<Value = f64> {
+    (0u32..=3, 0u32..4).prop_map(|(grid, nudge)| {
+        let x = f64::from(grid) / 3.0;
+        match nudge {
+            0 => x,
+            1 => x.next_up(),
+            _ if x == 0.0 => -0.0,
+            2 => x.next_down(),
+            _ => x,
+        }
+    })
+}
+
+/// A factor cloud with the inputs that order-sensitive scorers get wrong:
+/// triples one ulp apart (whose factor sums may round equal), −0.0 next
+/// to 0.0, and exact duplicates.
+fn near_tie_cloud(max: usize) -> impl Strategy<Value = Vec<Factors>> {
+    let triple = (
+        near_tie_coordinate(),
+        near_tie_coordinate(),
+        near_tie_coordinate(),
+    )
+        .prop_map(|(m, q, w)| Factors { m, q, w });
+    (
+        proptest::collection::vec(triple, 1..max),
+        proptest::collection::vec(0usize..1_000, 0..max / 4),
+    )
+        .prop_map(|(mut cloud, copies)| {
+            for c in copies {
+                cloud.push(cloud[c % cloud.len()]);
+            }
+            cloud
+        })
 }
 
 proptest! {
@@ -63,6 +102,24 @@ proptest! {
             }
         }
         prop_assert_eq!(naive.ranking(), pruned.ranking());
+    }
+
+    /// The product scorer computes Algorithm 1's scores: within 1e-9 of
+    /// the naive graph's `ln S` on every node, and `-inf` exactly where the
+    /// graph has a sink. Scores, not orders, are compared: exact ties may
+    /// order differently when the summation order changes.
+    #[test]
+    fn partial_order_scores_match_naive_graph(factors in near_tie_cloud(60)) {
+        let scores = partial_order_log_scores(&factors);
+        let naive = DominanceGraph::build_naive(&factors).log_scores();
+        prop_assert_eq!(scores.len(), naive.len());
+        for (i, (s, r)) in scores.iter().zip(&naive).enumerate() {
+            if *s == f64::NEG_INFINITY || *r == f64::NEG_INFINITY {
+                prop_assert_eq!(s, r, "node {}: scorer {} vs naive graph {}", i, s, r);
+            } else {
+                prop_assert!((s - r).abs() < 1e-9, "node {i}: scorer {s} vs naive graph {r}");
+            }
+        }
     }
 
     /// The strict-dominance graph is acyclic: scores terminate and every

@@ -37,8 +37,9 @@ fn figure_10_shape_dt_wins() {
     let dt = f_measure(ClassifierKind::DecisionTree, &oracle);
     let svm = f_measure(ClassifierKind::Svm, &oracle);
     let bayes = f_measure(ClassifierKind::NaiveBayes, &oracle);
+    // The paper's order: DT > SVM > Bayes.
     assert!(
-        dt > svm && dt > bayes,
+        dt > svm && svm > bayes,
         "DT {dt:.3} vs SVM {svm:.3} vs Bayes {bayes:.3}"
     );
     // The paper-scale harness asserts DT ≈ 95%; at this tiny smoke scale we

@@ -3,13 +3,17 @@
 //! with tallies that reconcile record-for-record against the observer's
 //! counters, (b) hybrid scores that recompute exactly from their recorded
 //! parts (`l_v + α·p_v`), (c) tournament leaf accounting that matches
-//! `SelectionStats` — and collection must never change what gets
-//! recommended.
+//! `SelectionStats`, (d) dominance summaries that a brute-force pass over
+//! the ranked factors reproduces — and collection must never change what
+//! gets recommended.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye::core::{query_id, validate_provenance_json, Outcome, ProgressiveSelector};
-use deepeye::datagen::{flight_table, ranking_examples, recognition_examples, PerceptionOracle};
+use deepeye::core::{query_id, validate_provenance_json, Factors, Outcome, ProgressiveSelector};
+use deepeye::data::Column;
+use deepeye::datagen::{
+    flight_table, ranking_examples, recognition_examples, year_start, PerceptionOracle, Synth,
+};
 use deepeye::prelude::*;
 use deepeye::query::UdfRegistry;
 
@@ -30,6 +34,29 @@ fn sales_table() -> Table {
         .numeric("units", units)
         .build()
         .unwrap()
+}
+
+/// 1,700 rows × 16 mixed columns: more than 4,000 candidates reach the
+/// ranker under the default configuration.
+fn wide_table() -> Table {
+    let rows = 1_700;
+    let mut synth = Synth::new(7);
+    let mut columns: Vec<Column> = vec![
+        synth.categorical_generic("region", rows, 4, 1.0),
+        synth.categorical_generic("product", rows, 12, 1.2),
+        synth.categorical_generic("channel", rows, 7, 0.8),
+        synth.temporal("day", rows, year_start(2015), 86_400, 21_600),
+    ];
+    for i in 0..12 {
+        let name = format!("metric_{i}");
+        columns.push(match i % 4 {
+            0 => synth.trending(&name, rows, 10.0, 0.1 * (i + 1) as f64, 2.0),
+            1 => synth.seasonal(&name, rows, 50.0, 10.0, 30.0 + i as f64, 1.0),
+            2 => synth.gaussian(&name, rows, 60.0, 5.0 + i as f64),
+            _ => synth.lognormal(&name, rows, 2.0, 0.6),
+        });
+    }
+    Table::new("wide", columns).unwrap()
 }
 
 fn trained_recognizer() -> Recognizer {
@@ -266,4 +293,78 @@ fn query_id_is_the_shared_id_space() {
     for node in eye.candidates(&table) {
         assert_eq!(node.id(), query_id(&node.query));
     }
+}
+
+/// The recorded heaviest edge has the largest weight among `edges`, and
+/// names a node that reaches it.
+fn check_strongest(recorded: &Option<(String, f64)>, edges: &[(&str, f64)], id: &str) {
+    let heaviest = edges.iter().map(|&(_, w)| w).reduce(f64::max);
+    match (recorded, heaviest) {
+        (None, None) => {}
+        (Some((other, w)), Some(max)) => {
+            assert_eq!(*w, max, "{id}: heaviest edge weight");
+            assert!(
+                edges.iter().any(|&(o, ew)| o == other && ew == max),
+                "{id}: {other} is not at the heaviest edge"
+            );
+        }
+        _ => panic!("{id}: recorded {recorded:?}, brute force {heaviest:?}"),
+    }
+}
+
+/// Recompute every recorded dominance summary by brute force over the
+/// factors of the ranked set (the records that carry a rank breakdown);
+/// returns the ranked-set size and the number of summaries checked.
+fn check_dominance_summaries(log: &ProvenanceLog) -> (usize, usize) {
+    let ranked: Vec<(&str, Factors)> = log
+        .records
+        .iter()
+        .filter(|e| e.rank.is_some())
+        .map(|e| (e.id.as_str(), e.factors.expect("ranked record").factors()))
+        .collect();
+    let mut checked = 0;
+    for e in &log.records {
+        let Some(d) = &e.dominance else { continue };
+        let f = e.factors.expect("summarized record has factors").factors();
+        let out: Vec<(&str, f64)> = ranked
+            .iter()
+            .filter(|(_, g)| f.strictly_dominates(g))
+            .map(|&(id, g)| (id, f.edge_weight(&g)))
+            .collect();
+        let into: Vec<(&str, f64)> = ranked
+            .iter()
+            .filter(|(_, g)| g.strictly_dominates(&f))
+            .map(|&(id, g)| (id, g.edge_weight(&f)))
+            .collect();
+        assert_eq!(d.dominates, out.len(), "{}: dominates", e.id);
+        assert_eq!(d.dominated_by, into.len(), "{}: dominated_by", e.id);
+        check_strongest(&d.strongest_out, &out, &e.id);
+        check_strongest(&d.strongest_in, &into, &e.id);
+        checked += 1;
+    }
+    (ranked.len(), checked)
+}
+
+#[test]
+fn dominance_summaries_match_brute_force() {
+    let prov = Provenance::enabled();
+    let eye = DeepEye::new(DeepEyeConfig {
+        provenance: prov.clone(),
+        ..Default::default()
+    });
+    assert!(!eye.recommend(&sales_table(), 5).is_empty());
+    let (ranked, checked) = check_dominance_summaries(&prov.snapshot());
+    assert_eq!(checked, ranked.min(ProvenanceCaps::default().top_n));
+    assert!(checked > 0);
+
+    // A ranked set above 4,000 nodes gets the same summaries.
+    let prov = Provenance::enabled();
+    let eye = DeepEye::new(DeepEyeConfig {
+        provenance: prov.clone(),
+        ..Default::default()
+    });
+    assert!(!eye.recommend(&wide_table(), 5).is_empty());
+    let (ranked, checked) = check_dominance_summaries(&prov.snapshot());
+    assert!(ranked > 4_000, "only {ranked} ranked nodes");
+    assert_eq!(checked, ProvenanceCaps::default().top_n);
 }
