@@ -6,7 +6,9 @@
 //! nodes are those with the largest scores.
 //!
 //! [`partial_order_log_scores`] is the scorer the product ranks with, at
-//! every size: it folds the edges without storing them. [`DominanceGraph`]
+//! every size: it folds the edges without storing them, once per distinct
+//! factor triple, in O(n log n + d²) for d distinct triples among n nodes
+//! (O(n²) when every triple is distinct). [`DominanceGraph`]
 //! materializes the edge set, naively or with the paper's quick-sort
 //! pruning, and is Algorithm 1's reference for tests and the pruning
 //! ablation.
@@ -155,48 +157,61 @@ impl DominanceGraph {
 }
 
 /// Algorithm 1's scores `ln S(v)` for every node (`-inf` for sinks), in
-/// O(n²) time and O(n) memory: the dominance edges are folded as they are
-/// found, never stored, so the scorer runs at any candidate-set size.
+/// O(n log n + d²) time and O(n) memory, where d is the number of distinct
+/// factor triples: the dominance edges are folded as they are found, never
+/// stored, so the scorer runs at any candidate-set size.
 ///
-/// Nodes are visited in lexicographic `(m, q, w)` order, which extends
+/// Nodes are sorted in lexicographic `(m, q, w)` order, which extends
 /// strict dominance exactly: if `u ≻ v`, `u` is no smaller on every factor
-/// and larger on one, so it sorts after `v`. Each node therefore finds
-/// every node it dominates already scored, and folds
-/// `logaddexp(ln w(v,u), ln S(u))` over them. The order compares the
+/// and larger on one, so it sorts after `v`. The order compares the
 /// factors themselves, so no rounding can put a dominated node after its
 /// dominator (a factor sum can: two triples one ulp apart may tie on it).
-/// The result equals [`DominanceGraph::log_scores`] up to the summation
-/// order of each node's terms.
+///
+/// Nodes with the same triple dominate the same nodes, so by Eq. 9 they
+/// share one score. Bit-identical triples sit in runs of the order; each
+/// run becomes one group with a count c, scored once. A group finds every
+/// group it dominates already scored, and folds
+/// `ln c_h + logaddexp(ln w(g,h), ln S(h))` over them: c_h equal terms of
+/// the per-node sum. Every node then takes its group's score. With every
+/// triple distinct (d = n) the fold is the per-node O(n²) one, and
+/// ln c = 0 leaves its arithmetic unchanged. The result equals
+/// [`DominanceGraph::log_scores`] up to the summation order of each node's
+/// terms.
 pub fn partial_order_log_scores(factors: &[Factors]) -> Vec<f64> {
-    let n = factors.len();
     // `+ 0.0` maps −0.0 to 0.0: `>=` treats the two as equal, `total_cmp`
     // does not.
     let key = |i: usize| {
         let f = factors[i];
         [f.m + 0.0, f.q + 0.0, f.w + 0.0]
     };
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
+    let cmp = |a: usize, b: usize| {
         let (ka, kb) = (key(a), key(b));
         ka[0]
             .total_cmp(&kb[0])
             .then(ka[1].total_cmp(&kb[1]))
             .then(ka[2].total_cmp(&kb[2]))
-    });
-    let mut log_s = vec![f64::NEG_INFINITY; n];
-    for (pos, &v) in order.iter().enumerate() {
-        let fv = factors[v];
+    };
+    let mut order: Vec<usize> = (0..factors.len()).collect();
+    order.sort_by(|&a, &b| cmp(a, b));
+    let mut log_s = vec![f64::NEG_INFINITY; factors.len()];
+    // (representative triple, ln c, ln S) per group, in sorted order.
+    let mut groups: Vec<(Factors, f64, f64)> = Vec::new();
+    for run in order.chunk_by(|&a, &b| cmp(a, b).is_eq()) {
+        let fg = factors[run[0]];
         let mut acc = f64::NEG_INFINITY;
-        // Only nodes earlier in the order can be dominated by v.
-        for &u in &order[..pos] {
-            if fv.strictly_dominates(&factors[u]) {
+        // Only groups earlier in the order can be dominated by g.
+        for &(fh, ln_count, log_s_h) in &groups {
+            if fg.strictly_dominates(&fh) {
                 acc = log_add(
                     acc,
-                    log_add(ln_weight(fv.edge_weight(&factors[u])), log_s[u]),
+                    ln_count + log_add(ln_weight(fg.edge_weight(&fh)), log_s_h),
                 );
             }
         }
-        log_s[v] = acc;
+        groups.push((fg, (run.len() as f64).ln(), acc));
+        for &v in run {
+            log_s[v] = acc;
+        }
     }
     log_s
 }
@@ -437,6 +452,27 @@ mod tests {
         assert!(x.strictly_dominates(&y));
         let scores = assert_scorer_matches_naive(&[x, y, z]);
         assert!(scores[0] > scores[1] && scores[1] > scores[2]);
+    }
+
+    #[test]
+    fn scorer_counts_every_copy_of_a_dominated_triple() {
+        // 50 copies of one sink form one group; each is a separate edge, so
+        // S(top) = 50 · w(top, sink).
+        let top = f(0.9, 0.8, 0.7);
+        let sink = f(0.3, 0.2, 0.1);
+        let mut factors = vec![sink; 50];
+        factors.insert(17, top);
+        let scores = assert_scorer_matches_naive(&factors);
+        let expected = 50f64.ln() + top.edge_weight(&sink).ln();
+        assert!(
+            (scores[17] - expected).abs() < 1e-12,
+            "ln S(top) = {}, expected {expected}",
+            scores[17]
+        );
+        assert!(scores
+            .iter()
+            .enumerate()
+            .all(|(i, &s)| i == 17 || s == f64::NEG_INFINITY));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! - [`partial_order`] — the factors **M**, **Q**, **W** (Eqs. 1–8) and
 //!   dominance (Definition 2);
 //! - [`graph`] — Algorithm 1's scores: the O(n)-memory scorer the
-//!   rankers use, and the dominance graph with the quick-sort partition
-//!   pruning of §IV-C as its reference;
+//!   rankers use, which scores each distinct factor triple once, and the
+//!   dominance graph with the quick-sort partition pruning of §IV-C as
+//!   its reference;
 //! - [`ranking`] — partial-order, learning-to-rank, and HybridRank (§IV-D);
 //! - [`rules`] — the transformation / sorting / visualization rules of §V-A;
 //! - [`progressive`] — the tournament-based progressive top-k of §V-B;

@@ -30,18 +30,21 @@ fn near_tie_coordinate() -> impl Strategy<Value = f64> {
     })
 }
 
-/// A factor cloud with the inputs that order-sensitive scorers get wrong:
-/// triples one ulp apart (whose factor sums may round equal), −0.0 next
-/// to 0.0, and exact duplicates.
-fn near_tie_cloud(max: usize) -> impl Strategy<Value = Vec<Factors>> {
-    let triple = (
+fn near_tie_triple() -> impl Strategy<Value = Factors> {
+    (
         near_tie_coordinate(),
         near_tie_coordinate(),
         near_tie_coordinate(),
     )
-        .prop_map(|(m, q, w)| Factors { m, q, w });
+        .prop_map(|(m, q, w)| Factors { m, q, w })
+}
+
+/// A factor cloud with the inputs that order-sensitive scorers get wrong:
+/// triples one ulp apart (whose factor sums may round equal), −0.0 next
+/// to 0.0, and exact duplicates.
+fn near_tie_cloud(max: usize) -> impl Strategy<Value = Vec<Factors>> {
     (
-        proptest::collection::vec(triple, 1..max),
+        proptest::collection::vec(near_tie_triple(), 1..max),
         proptest::collection::vec(0usize..1_000, 0..max / 4),
     )
         .prop_map(|(mut cloud, copies)| {
@@ -50,6 +53,36 @@ fn near_tie_cloud(max: usize) -> impl Strategy<Value = Vec<Factors>> {
             }
             cloud
         })
+}
+
+/// A factor cloud of 1–8 distinct near-tie triples, each repeated 1–50
+/// times, with some copies spelling a zero factor −0.0: the duplicated
+/// triples that the scorer folds into one group each. Copies of different
+/// triples interleave.
+fn duplicated_cloud() -> impl Strategy<Value = Vec<Factors>> {
+    let group = (near_tie_triple(), 1usize..=50, 0u64..=u64::MAX);
+    proptest::collection::vec(group, 1..=8).prop_map(|groups| {
+        let mut cloud = Vec::new();
+        for c in 0..50 {
+            for &(f, _, signs) in groups.iter().filter(|g| c < g.1) {
+                // Bit 3c + i of `signs` negates factor i of copy c if zero.
+                let spell = |x: f64, i: usize| {
+                    let bit = (signs >> ((3 * c + i) % 64)) & 1;
+                    if x == 0.0 && bit == 1 {
+                        -0.0
+                    } else {
+                        x + 0.0
+                    }
+                };
+                cloud.push(Factors {
+                    m: spell(f.m, 0),
+                    q: spell(f.q, 1),
+                    w: spell(f.w, 2),
+                });
+            }
+        }
+        cloud
+    })
 }
 
 proptest! {
@@ -107,9 +140,13 @@ proptest! {
     /// The product scorer computes Algorithm 1's scores: within 1e-9 of
     /// the naive graph's `ln S` on every node, and `-inf` exactly where the
     /// graph has a sink. Scores, not orders, are compared: exact ties may
-    /// order differently when the summation order changes.
+    /// order differently when the summation order changes. Nodes whose
+    /// triples are bit-identical once −0.0 reads as 0.0 get bit-identical
+    /// scores.
     #[test]
-    fn partial_order_scores_match_naive_graph(factors in near_tie_cloud(60)) {
+    fn partial_order_scores_match_naive_graph(
+        factors in prop_oneof![near_tie_cloud(60), duplicated_cloud()]
+    ) {
         let scores = partial_order_log_scores(&factors);
         let naive = DominanceGraph::build_naive(&factors).log_scores();
         prop_assert_eq!(scores.len(), naive.len());
@@ -118,6 +155,18 @@ proptest! {
                 prop_assert_eq!(s, r, "node {}: scorer {} vs naive graph {}", i, s, r);
             } else {
                 prop_assert!((s - r).abs() < 1e-9, "node {i}: scorer {s} vs naive graph {r}");
+            }
+        }
+        let key = |f: &Factors| [f.m + 0.0, f.q + 0.0, f.w + 0.0].map(f64::to_bits);
+        for (i, fi) in factors.iter().enumerate() {
+            for (j, fj) in factors.iter().enumerate().skip(i + 1) {
+                if key(fi) == key(fj) {
+                    prop_assert_eq!(
+                        scores[i].to_bits(),
+                        scores[j].to_bits(),
+                        "nodes {} and {} share a triple: {} vs {}", i, j, scores[i], scores[j]
+                    );
+                }
             }
         }
     }

@@ -124,12 +124,15 @@ pub fn table_from_csv_str(name: &str, text: &str) -> Result<Table, CsvError> {
     table_from_csv_str_delim(name, text, ',')
 }
 
-/// Like [`table_from_csv_str`] with an explicit delimiter.
+/// Like [`table_from_csv_str`] with an explicit delimiter. One leading
+/// UTF-8 byte-order mark is skipped, so it never becomes part of the first
+/// column's name.
 pub fn table_from_csv_str_delim(
     name: &str,
     text: &str,
     delimiter: char,
 ) -> Result<Table, CsvError> {
+    let text = text.strip_prefix('\u{FEFF}').unwrap_or(text);
     let records = parse_records(text, delimiter)?;
     let (header, body) = records.split_first().ok_or(CsvError::Empty)?;
     let width = header.len();
@@ -253,6 +256,16 @@ mod tests {
     fn blank_header_names_filled() {
         let t = table_from_csv_str("t", ",b\n1,2\n").unwrap();
         assert!(t.column_by_name("column_0").is_some());
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_not_part_of_the_header() {
+        let t = table_from_csv_str("t", "\u{FEFF}city,n\nOslo,1\nRome,2\n").unwrap();
+        assert_eq!(t.column(0).unwrap().name(), "city");
+        assert!(t.column_by_name("city").is_some());
+        // Only one mark is a byte-order mark; a second one is data.
+        let t = table_from_csv_str("t", "\u{FEFF}\u{FEFF}city,n\nOslo,1\n").unwrap();
+        assert_eq!(t.column(0).unwrap().name(), "\u{FEFF}city");
     }
 
     #[test]

@@ -80,6 +80,22 @@ fn recommend_prints_charts() {
 }
 
 #[test]
+fn recommend_strips_byte_order_mark_from_first_column() {
+    let dir = tmp_dir("bom");
+    let plain = std::fs::read_to_string(sample_csv(&dir)).unwrap();
+    let csv = dir.join("bom.csv");
+    std::fs::write(&csv, format!("\u{FEFF}{plain}")).unwrap();
+    let out = bin()
+        .args(["recommend", csv.to_str().unwrap(), "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(month: Tem"), "{stdout}");
+    assert!(!stdout.contains('\u{FEFF}'), "{stdout}");
+}
+
+#[test]
 fn search_honors_keywords() {
     let dir = tmp_dir("search");
     let csv = sample_csv(&dir);
