@@ -67,7 +67,7 @@ pub struct Analysis {
     /// Per file: per-token index of the innermost enclosing function.
     owner: Vec<Vec<Option<usize>>>,
     /// SCC-condensed reachability over resolved product calls, shared
-    /// by every interprocedural rule (A0009, A0011, A0015, A0017).
+    /// by every interprocedural rule (A0009, A0011, A0015).
     pub reach: Reachability,
     /// Per-function effect summaries from the abstract-interpretation
     /// pass (see [`crate::effects`]), indexed like `funcs`.

@@ -18,15 +18,14 @@
 //! the observability layer (and `full` be pure for `NoCost`
 //! monomorphizations), with a witness chain naming the first effect
 //! when the proof fails. The interval domain powers A0016 (truncating
-//! counter arithmetic) and A0018 (possibly-zero divisors); A0017 uses
-//! the same reachability relation for flight-recorder boundedness, and
-//! A0019 keeps DESIGN.md's zero-cost claims honest against the engine.
+//! counter arithmetic) and A0018 (possibly-zero divisors), and A0019
+//! keeps DESIGN.md's zero-cost claims honest against the engine.
 
 use crate::absint::{
     fixpoint, EffectSet, Interval, JoinSemiLattice, EFFECT_ALLOC, EFFECT_BITS, EFFECT_IO,
     EFFECT_LOCK, EFFECT_PANIC,
 };
-use crate::callgraph::{product_chain, Analysis};
+use crate::callgraph::Analysis;
 use crate::cfg::{find_body_open, Cfg, FuncDef};
 use crate::lexer::{matching_brace, Token};
 use crate::lint::{Diagnostic, PathStep, SourceFile, Workspace};
@@ -1228,187 +1227,6 @@ pub(crate) fn counter_arith(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// A0017: flight-recorder boundedness
-// ---------------------------------------------------------------------
-
-/// Collection-growing methods A0017 watches inside unbounded loops.
-const GROWTH_METHODS: &[&str] = &[
-    "append",
-    "extend",
-    "insert",
-    "push",
-    "push_back",
-    "push_str",
-];
-
-/// Shrink methods that count as boundedness evidence.
-const SHRINK_METHODS: &[&str] = &["clear", "drain", "pop", "remove", "truncate"];
-
-/// Long-lived entry points: processes that run until killed.
-fn is_long_lived_entry(name: &str) -> bool {
-    ["soak", "watchdog", "daemon", "run_forever", "serve"]
-        .iter()
-        .any(|m| name.contains(m))
-}
-
-/// The `ident(.ident)*` receiver path ending just before the `.` at
-/// `dot` (walking left), outermost first.
-fn receiver_path(toks: &[Token], dot: usize) -> Vec<String> {
-    let mut segs: Vec<String> = Vec::new();
-    let mut j = dot;
-    while let Some(name) = j
-        .checked_sub(1)
-        .and_then(|k| toks.get(k))
-        .and_then(Token::ident)
-    {
-        segs.push(name.to_owned());
-        if j >= 3 && toks[j - 2].is_punct('.') && toks.get(j - 3).and_then(Token::ident).is_some() {
-            j -= 2;
-        } else {
-            break;
-        }
-    }
-    segs.reverse();
-    segs
-}
-
-/// Unbounded loop regions inside a body: `loop { … }` and
-/// `while let … { … }` (a `while <comparison>` is presumed bounded).
-fn unbounded_loop_regions(toks: &[Token], range: std::ops::Range<usize>) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while i < range.end.min(toks.len()) {
-        let is_loop = toks[i].is_ident("loop");
-        let is_while_let =
-            toks[i].is_ident("while") && toks.get(i + 1).is_some_and(|t| t.is_ident("let"));
-        if is_loop || is_while_let {
-            if let Some(open) = find_body_open(toks, i + 1) {
-                let close = matching_brace(toks, open);
-                out.push((open + 1, close.saturating_sub(1)));
-                i = open + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Boundedness evidence for growth into `tail` anywhere in the body:
-/// a shrink call on the same collection, a `len()` comparison, a
-/// `with_capacity` allocation, or a ring-buffer impl.
-fn growth_evidence(f: &FuncDef, toks: &[Token], tail: &str) -> bool {
-    if f.impl_type.as_deref().is_some_and(|t| t.contains("Ring")) {
-        return true;
-    }
-    let range = f.body_range();
-    for k in range.clone() {
-        if toks[k].is_ident("with_capacity") {
-            return true;
-        }
-        if toks[k].is_punct('.') {
-            let prev_is_tail = k >= 1 && toks[k - 1].is_ident(tail);
-            let name = toks.get(k + 1).and_then(Token::ident).unwrap_or("");
-            if prev_is_tail
-                && SHRINK_METHODS.contains(&name)
-                && toks.get(k + 2).is_some_and(|t| t.is_punct('('))
-            {
-                return true;
-            }
-            if prev_is_tail
-                && name == "len"
-                && toks.get(k + 2).is_some_and(|t| t.is_punct('('))
-                && toks.get(k + 3).is_some_and(|t| t.is_punct(')'))
-                && toks
-                    .get(k + 4)
-                    .is_some_and(|t| t.is_punct('<') || t.is_punct('>') || t.is_punct('='))
-            {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// A0017: collection growth in an unbounded loop of a function
-/// reachable from a long-lived entry, with no capacity bound in sight.
-pub(crate) fn unbounded_growth(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-    let entries: Vec<usize> = a
-        .funcs
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            !f.is_test && ws.files[f.file].is_product(f.body_start) && is_long_lived_entry(&f.name)
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if entries.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (gi, g) in a.funcs.iter().enumerate() {
-        if g.is_test || !ws.files[g.file].is_product(g.body_start) {
-            continue;
-        }
-        let Some(&entry) = entries.iter().find(|&&e| a.reach.reaches(e, gi)) else {
-            continue;
-        };
-        let toks = &ws.files[g.file].tokens;
-        for (rs, re) in unbounded_loop_regions(toks, g.body_range()) {
-            for k in rs..re.min(toks.len()) {
-                if !toks[k].is_punct('.') {
-                    continue;
-                }
-                let name = toks.get(k + 1).and_then(Token::ident).unwrap_or("");
-                if !GROWTH_METHODS.contains(&name)
-                    || !toks.get(k + 2).is_some_and(|t| t.is_punct('('))
-                {
-                    continue;
-                }
-                let recv = receiver_path(toks, k);
-                if recv.len() < 2 {
-                    continue; // locals are freed when the fn returns
-                }
-                let tail = recv.last().cloned().unwrap_or_default();
-                if growth_evidence(g, toks, &tail) {
-                    continue;
-                }
-                let mut path: Vec<PathStep> = product_chain(ws, a, entry, gi)
-                    .into_iter()
-                    .filter_map(|ci| {
-                        let c = &a.calls[ci];
-                        let callee = c.callee?;
-                        Some(PathStep {
-                            file: ws.files[c.file].rel.clone(),
-                            line: c.line,
-                            note: format!("calls `{}`", a.funcs[callee].qual),
-                        })
-                    })
-                    .collect();
-                path.push(PathStep {
-                    file: g.rel.clone(),
-                    line: toks[k].line,
-                    note: format!("`{}.{name}(…)` grows without a bound", recv.join(".")),
-                });
-                out.push(Diagnostic {
-                    file: g.rel.clone(),
-                    line: toks[k].line,
-                    code: "A0017",
-                    message: format!(
-                        "`{}.{name}(…)` grows inside an unbounded loop reachable from \
-                         long-lived entry `{}` with no capacity bound, shrink, or ring",
-                        recv.join("."),
-                        a.funcs[entry].qual
-                    ),
-                    path,
-                });
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // A0018: division by a possibly-zero abstract value
 // ---------------------------------------------------------------------
 
@@ -1943,102 +1761,6 @@ fn grow(agg: &mut Agg) {
 "#;
         let (ws, a) = build(vec![("crates/query/src/exec.rs", src)], "");
         assert!(counter_arith(&ws, &a).is_empty());
-    }
-
-    // -- A0017 ------------------------------------------------------------
-
-    #[test]
-    fn a0017_fires_on_unbounded_growth_in_soak_loop() {
-        let src = r#"
-impl Soak {
-    pub fn soak_run(&mut self) {
-        loop {
-            self.events.push(1);
-        }
-    }
-}
-"#;
-        let (ws, a) = build(vec![("crates/bench/src/soak.rs", src)], "");
-        let hits = unbounded_growth(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("push"), "{hits:?}");
-    }
-
-    #[test]
-    fn a0017_clean_with_shrink_evidence() {
-        let src = r#"
-impl Soak {
-    pub fn soak_run(&mut self) {
-        loop {
-            self.events.push(1);
-            if self.events.len() > 1024 {
-                self.events.clear();
-            }
-        }
-    }
-}
-"#;
-        let (ws, a) = build(vec![("crates/bench/src/soak.rs", src)], "");
-        assert!(unbounded_growth(&ws, &a).is_empty());
-    }
-
-    #[test]
-    fn a0017_clean_on_ring_impls_and_short_entries() {
-        let ring = r#"
-impl Ring {
-    pub fn watchdog_tick(&mut self) {
-        loop {
-            self.slots.push(1);
-        }
-    }
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/ring.rs", ring)], "");
-        assert!(
-            unbounded_growth(&ws, &a).is_empty(),
-            "Ring impls are bounded by design"
-        );
-
-        let short = r#"
-impl Exec {
-    pub fn run_query(&mut self) {
-        loop {
-            self.rows.push(1);
-        }
-    }
-}
-"#;
-        let (ws, a) = build(vec![("crates/query/src/exec.rs", short)], "");
-        assert!(
-            unbounded_growth(&ws, &a).is_empty(),
-            "not a long-lived entry"
-        );
-    }
-
-    #[test]
-    fn a0017_witness_chain_crosses_calls() {
-        let src = r#"
-impl Daemon {
-    pub fn run_forever(&mut self) {
-        loop {
-            self.step();
-        }
-    }
-    fn step(&mut self) {
-        loop {
-            self.backlog.push(1);
-        }
-    }
-}
-"#;
-        let (ws, a) = build(vec![("crates/bench/src/daemon.rs", src)], "");
-        let hits = unbounded_growth(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(
-            hits[0].path.len() >= 2,
-            "chain should include the entry hop: {:?}",
-            hits[0].path
-        );
     }
 
     // -- A0018 ------------------------------------------------------------

@@ -33,9 +33,9 @@
 //!   over the Tarjan condensation. It powers `A0015` (the zero-cost
 //!   theorem: disabled-path observability is effect-free), `A0016`
 //!   (saturating counter arithmetic, interval-proven narrowing casts),
-//!   `A0017` (no unbounded growth in long-lived loops), `A0018` (no
-//!   division by a possibly-zero abstract value), and `A0019` (the
-//!   theorem statement in DESIGN.md §8 re-verified against the proof).
+//!   `A0018` (no division by a possibly-zero abstract value), and
+//!   `A0019` (the theorem statement in DESIGN.md §8 re-verified against
+//!   the proof).
 //!   The per-function summaries export as the `effects` array of the
 //!   v3 JSON report.
 //!

@@ -1,4 +1,4 @@
-//! The project-invariant rule catalog (`A0001`–`A0020`).
+//! The project-invariant rule catalog (`A0001`–`A0019`).
 //!
 //! These are the invariants clippy cannot express because they are
 //! *ours*: which crate owns the clock, what discipline the observability
@@ -11,8 +11,8 @@
 //! `vendor/*` (not loaded at all).
 //!
 //! `A0001`–`A0003` and `A0006` are single-window token matchers. The
-//! name-sync rules (`A0004`, `A0005`, `A0007`, `A0013`, `A0014`, `A0020`)
-//! are rows of one table, [`FAMILIES`], checked by one engine.
+//! name-sync rules (`A0004`, `A0005`, `A0007`, `A0014`) are rows of one
+//! table, [`FAMILIES`], checked by one engine.
 //! `A0008`–`A0012` (implemented in [`crate::dataflow`]) walk the call
 //! graph and attach `file:line` witness chains to their findings.
 //!
@@ -114,12 +114,6 @@ pub static RULES: &[Rule] = &[
         check: crate::dataflow::guard_propagation,
     },
     Rule {
-        code: "A0013",
-        summary: "telemetry metric and field names agree across the obs registry, the recorder sources, and DESIGN.md §10",
-        interprocedural: false,
-        check: |ws, _| sync(ws, "A0013"),
-    },
-    Rule {
         code: "A0014",
         summary: "executor cost operator and cost.* counter names agree across the registry, the executor instrumentation, and DESIGN.md §12",
         interprocedural: false,
@@ -138,12 +132,6 @@ pub static RULES: &[Rule] = &[
         check: crate::effects::counter_arith,
     },
     Rule {
-        code: "A0017",
-        summary: "no unbounded collection growth in loops reachable from long-lived entries without a capacity bound or ring",
-        interprocedural: true,
-        check: crate::effects::unbounded_growth,
-    },
-    Rule {
         code: "A0018",
         summary: "no division or modulo by a possibly-zero abstract value in histogram-bucket and rollup math",
         interprocedural: false,
@@ -154,12 +142,6 @@ pub static RULES: &[Rule] = &[
         summary: "DESIGN.md's zero-cost theorem names only functions the effect engine proves pure",
         interprocedural: true,
         check: crate::effects::design_sync,
-    },
-    Rule {
-        code: "A0020",
-        summary: "health.* metric and field names agree across the obs registry, the health-engine sources, and DESIGN.md §13",
-        interprocedural: false,
-        check: |ws, _| sync(ws, "A0020"),
     },
 ];
 
@@ -452,7 +434,7 @@ fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// The name-sync table: A0004, A0005, A0007, A0013, A0014 and A0020.
+// The name-sync table: A0004, A0005, A0007 and A0014.
 //
 // Each row of `FAMILIES` keeps one family of names in sync across a
 // registry, the code that uses the names, and a DESIGN.md section.
@@ -461,7 +443,7 @@ fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 // 1. every use is registered (a record call's metric as the kind the
 //    call records);
 // 2. every registered name is used in the row's files;
-// 3. every registered name and schema field is documented in the section;
+// 3. every registered name is documented in the section;
 // 4. every family-shaped word in the section is registered.
 //
 // Checks 2–4 run only when the row's anchor file is scanned, so a unit
@@ -503,7 +485,7 @@ pub enum Uses {
     Charges,
 }
 
-/// A DESIGN.md section: how messages name it (`§10`), the heading it
+/// A DESIGN.md section: how messages name it (`§12`), the heading it
 /// starts at, and the text it ends before.
 pub struct Section(pub &'static str, pub &'static str, pub &'static str);
 
@@ -527,8 +509,6 @@ pub struct Family {
     /// missing heading falls back to the whole document, so the doc
     /// checks get weaker instead of passing silently.
     pub section: Option<Section>,
-    /// Schema fields the section must name, backticked.
-    pub fields: &'static [&'static str],
 }
 
 /// The name-sync table, in rule-code order.
@@ -543,7 +523,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: SEMA_RS,
         unused: "sema never emits it",
         section: None,
-        fields: &[],
     },
     Family {
         code: "A0005",
@@ -565,7 +544,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: METRICS_RS,
         unused: "recorded nowhere",
         section: Some(Section("§6", "### Metric names", "### Exporters")),
-        fields: &[],
     },
     Family {
         code: "A0007",
@@ -581,24 +559,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: PERF_RS,
         unused: "not wired into the perf harness layer",
         section: None,
-        fields: &[],
-    },
-    Family {
-        code: "A0013",
-        noun: "recorder metric",
-        registry: Registry::Metrics(&["obs.", "telemetry."]),
-        uses: Uses::Literals,
-        files: &[
-            "crates/obs/src/observer.rs",
-            "crates/obs/src/ring.rs",
-            "crates/obs/src/telemetry.rs",
-            "crates/obs/src/watchdog.rs",
-        ],
-        anchor: "crates/obs/src/telemetry.rs",
-        unused_at: METRICS_RS,
-        unused: "recorded nowhere in the flight-recorder sources",
-        section: Some(Section("§10", "## 10.", "\n## 11.")),
-        fields: deepeye_obs::TELEMETRY_FIELDS,
     },
     Family {
         code: "A0014",
@@ -610,7 +570,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: EXEC_RS,
         unused: "never charged in the executor instrumentation",
         section: Some(Section("§12", "## 12.", "\n## 13.")),
-        fields: &[],
     },
     Family {
         code: "A0014",
@@ -622,24 +581,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: FLUSH_RS,
         unused: "never flushed by the worker flush site",
         section: Some(Section("§12", "## 12.", "\n## 13.")),
-        fields: &[],
-    },
-    Family {
-        code: "A0020",
-        noun: "health metric",
-        registry: Registry::Metrics(&["health."]),
-        uses: Uses::Literals,
-        files: &[
-            "crates/obs/src/health.rs",
-            "crates/obs/src/series.rs",
-            "crates/obs/src/observer.rs",
-            "crates/obs/src/telemetry.rs",
-        ],
-        anchor: "crates/obs/src/health.rs",
-        unused_at: METRICS_RS,
-        unused: "recorded nowhere in the health-engine sources",
-        section: Some(Section("§13", "## 13.", "\n## 14.")),
-        fields: deepeye_obs::HEALTH_FIELDS,
     },
 ];
 
@@ -702,7 +643,7 @@ impl Family {
         if ws.design.is_empty() {
             return out;
         }
-        // 3. Every registered name and schema field is documented.
+        // 3. Every registered name is documented.
         let (section, offset) = self.section(&ws.design);
         let doc = match &self.section {
             Some(Section(label, ..)) => format!("DESIGN.md {label}"),
@@ -719,12 +660,6 @@ impl Family {
             if !documented {
                 let name = self.registry.show(name);
                 let message = format!("{noun} {name} is not documented in {doc}");
-                report("DESIGN.md", 1, message);
-            }
-        }
-        for field in self.fields {
-            if !section.contains(&format!("`{field}`")) {
-                let message = format!("schema field {field:?} is not documented in {doc}");
                 report("DESIGN.md", 1, message);
             }
         }
@@ -1357,278 +1292,6 @@ pub fn metric(stage: Stage) -> &'static str {
             "A0007",
             vec![("crates/core/src/x.rs", "fn f() {}")],
             "whatever `bench.bogus_ns`",
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    /// A telemetry.rs fixture recording every registered recorder metric.
-    const TELEMETRY_FIXTURE: &str = r#"
-fn account(state: &mut State, drops: u64) {
-    *state.counters.entry("obs.spans_dropped").or_insert(0) += drops;
-    *state.counters.entry("obs.stall").or_insert(0) += 1;
-    *state.counters.entry("telemetry.ticks").or_insert(0) += 1;
-}
-"#;
-
-    /// A DESIGN.md §10 fixture documenting every recorder metric and
-    /// every telemetry schema field.
-    fn recorder_design() -> String {
-        let fields = deepeye_obs::TELEMETRY_FIELDS
-            .iter()
-            .map(|f| format!("`{f}`"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!(
-            "## 10. Flight recorder\nMetrics: obs.spans_dropped obs.stall telemetry.ticks\n\
-             Fields: {fields}\n\n## 11. Testing strategy\nno recorder names here\n"
-        )
-    }
-
-    #[test]
-    fn a0013_clean_when_all_agree() {
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE)],
-            &recorder_design(),
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0013_flags_unregistered_recorder_literal() {
-        let hits = run_rule(
-            "A0013",
-            vec![
-                ("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE),
-                (
-                    "crates/obs/src/watchdog.rs",
-                    r#"fn f(obs: &Observer) { obs.incr("obs.stal", 1); }"#,
-                ),
-            ],
-            &recorder_design(),
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "crates/obs/src/watchdog.rs");
-        assert!(hits[0].message.contains("obs.stal"));
-    }
-
-    #[test]
-    fn a0013_flags_unrecorded_registry_entry() {
-        let reduced = TELEMETRY_FIXTURE.replace("\"obs.stall\"", "\"obs.spans_dropped\"");
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", reduced.as_str())],
-            &recorder_design(),
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "crates/obs/src/metrics.rs");
-        assert!(hits[0].message.contains("obs.stall"));
-    }
-
-    #[test]
-    fn a0013_flags_design_drift_both_ways() {
-        // §10 misses a registered recorder metric.
-        let missing = recorder_design().replace("obs.stall ", "");
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE)],
-            &missing,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "DESIGN.md");
-        assert!(hits[0].message.contains("not documented"));
-        // §10 invents an unregistered recorder metric.
-        let invented =
-            recorder_design().replace("Fields:", "Also telemetry.tocks is great.\nFields:");
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE)],
-            &invented,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "DESIGN.md");
-        assert_eq!(hits[0].line, 3);
-        assert!(hits[0].message.contains("telemetry.tocks"));
-    }
-
-    #[test]
-    fn a0013_requires_schema_fields_documented() {
-        let missing = recorder_design().replace("`interval_ns` ", "");
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE)],
-            &missing,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("interval_ns"));
-    }
-
-    #[test]
-    fn a0013_ignores_wildcards_and_prefixed_tokens() {
-        let prose = recorder_design().replace(
-            "Fields:",
-            "The obs.* and telemetry.* namespaces belong to deepeye-obs. Sections end with obs.\nFields:",
-        );
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE)],
-            &prose,
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0013_skips_recorder_names_outside_section_10() {
-        // Names after the §11 heading are out of scope for the doc scan.
-        let design = format!(
-            "{}More prose naming telemetry.bogus after the section.\n",
-            recorder_design()
-        );
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/obs/src/telemetry.rs", TELEMETRY_FIXTURE)],
-            &design,
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0013_skips_partial_workspaces() {
-        let hits = run_rule(
-            "A0013",
-            vec![("crates/core/src/x.rs", "fn f() {}")],
-            "whatever telemetry.bogus",
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    /// A health.rs fixture recording every registered health metric.
-    const HEALTH_FIXTURE: &str = r#"
-fn account(state: &mut State) {
-    *state.counters.entry("health.ticks").or_insert(0) += 1;
-    *state.counters.entry("health.ingest_errors").or_insert(0) += 1;
-    *state.counters.entry("health.evaluations").or_insert(0) += 1;
-}
-"#;
-
-    /// A DESIGN.md §13 fixture documenting every health metric and every
-    /// health document schema field.
-    fn health_design() -> String {
-        let fields = deepeye_obs::HEALTH_FIELDS
-            .iter()
-            .map(|f| format!("`{f}`"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!(
-            "## 12. Cost profiler\nno health names here\n\n\
-             ## 13. Health engine\nMetrics: health.ticks health.ingest_errors \
-             health.evaluations\nFields: {fields}\n"
-        )
-    }
-
-    #[test]
-    fn a0020_clean_when_all_agree() {
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/obs/src/health.rs", HEALTH_FIXTURE)],
-            &health_design(),
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0020_flags_unregistered_health_literal() {
-        let hits = run_rule(
-            "A0020",
-            vec![
-                ("crates/obs/src/health.rs", HEALTH_FIXTURE),
-                (
-                    "crates/obs/src/observer.rs",
-                    r#"fn f(obs: &Observer) { obs.incr("health.tick", 1); }"#,
-                ),
-            ],
-            &health_design(),
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "crates/obs/src/observer.rs");
-        assert!(hits[0].message.contains("health.tick"));
-    }
-
-    #[test]
-    fn a0020_flags_unrecorded_registry_entry() {
-        let reduced = HEALTH_FIXTURE.replace("\"health.evaluations\"", "\"health.ticks\"");
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/obs/src/health.rs", reduced.as_str())],
-            &health_design(),
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "crates/obs/src/metrics.rs");
-        assert!(hits[0].message.contains("health.evaluations"));
-    }
-
-    #[test]
-    fn a0020_flags_design_drift_both_ways() {
-        // §13 misses a registered health metric.
-        let missing = health_design().replace("health.ingest_errors ", "");
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/obs/src/health.rs", HEALTH_FIXTURE)],
-            &missing,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "DESIGN.md");
-        assert!(hits[0].message.contains("not documented"));
-        // §13 invents an unregistered health metric.
-        let invented = health_design().replace("Fields:", "Also health.tocks is great.\nFields:");
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/obs/src/health.rs", HEALTH_FIXTURE)],
-            &invented,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "DESIGN.md");
-        assert!(hits[0].message.contains("health.tocks"));
-    }
-
-    #[test]
-    fn a0020_requires_schema_fields_documented() {
-        let missing = health_design().replace("`detector` ", "");
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/obs/src/health.rs", HEALTH_FIXTURE)],
-            &missing,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("detector"));
-    }
-
-    #[test]
-    fn a0020_ignores_wildcards_and_section_12_names() {
-        // `health.*` wildcards and names before the §13 heading are out
-        // of scope for the doc scan.
-        let prose = health_design().replace(
-            "no health names here",
-            "health.bogus is out of scope; the health.* namespace belongs to deepeye-obs",
-        );
-        let with_wildcard = prose.replace(
-            "Fields:",
-            "The health.* namespace ends sentences with health.\nFields:",
-        );
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/obs/src/health.rs", HEALTH_FIXTURE)],
-            &with_wildcard,
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0020_skips_partial_workspaces() {
-        let hits = run_rule(
-            "A0020",
-            vec![("crates/core/src/x.rs", "fn f() {}")],
-            "whatever health.bogus",
         );
         assert!(hits.is_empty(), "{hits:?}");
     }

@@ -6,9 +6,7 @@
 //! diffs and `trace_check --bench --budgets` validates.
 //!
 //! Usage: `harness [--smoke] [--out <path>] [--warmup N] [--reps N]
-//! [--stacks <path>] [--flame <path>] [--cost-out <path>]
-//! [--soak N [--capacity C] [--telemetry-out <path>]
-//! [--health-out <path>] [--slo metric=max]...]`
+//! [--stacks <path>] [--flame <path>] [--cost-out <path>]`
 //!
 //! `--cost-out` runs the execute stage with per-candidate cost profiling
 //! and writes the `deepeye-cost/v1` operator-attribution document (after
@@ -18,23 +16,6 @@
 //! `--smoke` keeps only the smallest scenario (CI mode). `--stacks` /
 //! `--flame` additionally export the run's span tree as a folded-stack
 //! file / self-contained flame SVG.
-//!
-//! `--soak N` switches to flight-recorder mode: the pipeline runs N
-//! times under a bounded recorder (`--capacity`, default 4096) with the
-//! stage budgets armed as stall watchdog ceilings, one telemetry tick
-//! per iteration (streamed to `--telemetry-out` when given, validated
-//! in-process always), asserting `retained ≤ capacity` throughout, and
-//! the steady-state stage medians land in the same bench document.
-//!
-//! Soak mode also drives the **health engine** on every tick: each
-//! telemetry line feeds per-metric ring timeseries scored by the drift,
-//! robust-z, and growth detectors, with the `perf::BUDGETS` ceilings
-//! armed as SLO objectives (plus any `--slo metric=max` overrides,
-//! repeatable — CI uses a deliberately tight one as a negative test).
-//! The final `deepeye-health/v1` document goes to `--health-out` when
-//! given, and a verdict firing at page severity fails the run — after
-//! the telemetry stream and health document are written, so a failed
-//! soak still leaves an inspectable pair on disk.
 
 // Experiment drivers are report scripts: aborting on a broken
 // invariant is the right behavior, so the workspace unwrap/panic
@@ -42,17 +23,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use deepeye_bench::perf::{
-    health_objectives, record_stage_samples, results_json, scenario_matrix, stall_budgets,
-    RobustTiming, ScenarioRun, Stage,
+    record_stage_samples, results_json, scenario_matrix, RobustTiming, ScenarioRun, Stage,
 };
 use deepeye_core::{
     build_nodes, rank_by_partial_order, ClassifierKind, ProgressiveSelector, Recognizer,
 };
 use deepeye_datagen::{build_table, recognition_examples, training_tables, PerceptionOracle};
-use deepeye_obs::{
-    validate_cost_json, validate_health_json, validate_telemetry_jsonl, CostCollector,
-    HealthConfig, Observer, Op, RecorderConfig, Severity, SloObjective, Stopwatch, TelemetryCursor,
-};
+use deepeye_obs::{validate_cost_json, CostCollector, Observer, Op, Stopwatch};
 use deepeye_query::UdfRegistry;
 use std::process::ExitCode;
 
@@ -63,11 +40,6 @@ struct Args {
     reps: usize,
     stacks: Option<String>,
     flame: Option<String>,
-    soak: Option<usize>,
-    capacity: usize,
-    telemetry_out: Option<String>,
-    health_out: Option<String>,
-    slo: Vec<(String, f64)>,
     cost_out: Option<String>,
 }
 
@@ -79,11 +51,6 @@ fn parse_args() -> Result<Args, String> {
         reps: 5,
         stacks: None,
         flame: None,
-        soak: None,
-        capacity: 4096,
-        telemetry_out: None,
-        health_out: None,
-        slo: Vec::new(),
         cost_out: None,
     };
     let mut args = std::env::args().skip(1);
@@ -108,37 +75,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--stacks" => parsed.stacks = Some(value("--stacks")?),
             "--flame" => parsed.flame = Some(value("--flame")?),
-            "--soak" => {
-                let iters: usize = value("--soak")?
-                    .parse()
-                    .map_err(|e| format!("--soak: {e}"))?;
-                if iters == 0 {
-                    return Err("--soak must be at least 1".into());
-                }
-                parsed.soak = Some(iters);
-            }
-            "--capacity" => {
-                let capacity: usize = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if capacity == 0 {
-                    return Err("--capacity must be at least 1 (0 would be unbounded)".into());
-                }
-                parsed.capacity = capacity;
-            }
-            "--telemetry-out" => parsed.telemetry_out = Some(value("--telemetry-out")?),
-            "--health-out" => parsed.health_out = Some(value("--health-out")?),
-            "--slo" => {
-                let spec = value("--slo")?;
-                let (metric, max) = spec
-                    .split_once('=')
-                    .ok_or(format!("--slo wants metric=max, got {spec:?}"))?;
-                let max: f64 = max.parse().map_err(|e| format!("--slo {metric}: {e}"))?;
-                if !(max.is_finite() && max > 0.0) {
-                    return Err(format!("--slo {metric}: ceiling must be positive"));
-                }
-                parsed.slo.push((metric.to_owned(), max));
-            }
             "--cost-out" => parsed.cost_out = Some(value("--cost-out")?),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -200,232 +136,6 @@ fn write_cost_report(path: &str, costs: &CostCollector, obs: &Observer) -> Resul
     Ok(())
 }
 
-/// Write the telemetry stream and health document to their `--*-out`
-/// paths (when given). Called on success *and* on early error paths —
-/// a failed soak must still leave an inspectable stream and verdict on
-/// disk.
-fn flush_soak_outputs(args: &Args, stream: &str, obs: &Observer) -> Result<(), String> {
-    if let Some(path) = &args.telemetry_out {
-        std::fs::write(path, stream).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("harness: wrote telemetry to {path}");
-    }
-    if let Some(path) = &args.health_out {
-        let doc = obs
-            .health_report()
-            .ok_or("health engine missing on soak observer")?;
-        validate_health_json(&doc).map_err(|e| format!("health document invalid: {e}"))?;
-        std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("harness: wrote health document to {path}");
-    }
-    Ok(())
-}
-
-/// Soak mode: drive the full online pipeline `iters` times under a
-/// bounded flight recorder with the stage budgets armed, emitting one
-/// telemetry tick per iteration (each also feeding the health engine)
-/// and checking the retention invariant throughout. A broken invariant
-/// stops the run but still flushes a final tick plus the telemetry and
-/// health documents before exiting nonzero. The steady-state per-stage
-/// timings land in the usual bench document so `perfgate` /
-/// `trace_check --bench` read soak runs unchanged; a health verdict
-/// firing at page severity fails the run after everything is written.
-fn soak_main(args: &Args, iters: usize) -> ExitCode {
-    eprintln!(
-        "harness: soak — {iters} iterations, recorder capacity {}",
-        args.capacity
-    );
-
-    // Offline phase (untimed), as in matrix mode.
-    let oracle = PerceptionOracle::default();
-    let train = training_tables(0.03);
-    let recognizer = Recognizer::train(
-        ClassifierKind::DecisionTree,
-        &recognition_examples(&train, &oracle),
-    );
-    let ltr = deepeye_bench::efficiency::offline_ltr(0.03, &oracle);
-
-    // Budgets become runtime SLOs; `--slo` overrides ride along (CI's
-    // negative test arms a deliberately unreachable ceiling).
-    let mut objectives = health_objectives();
-    objectives.extend(args.slo.iter().map(|(metric, max)| SloObjective {
-        metric: metric.clone(),
-        max_value: *max,
-        source: "--slo".to_owned(),
-    }));
-    let obs = Observer::with_health(
-        RecorderConfig::bounded(args.capacity).with_budgets(stall_budgets()),
-        HealthConfig::default().with_objectives(objectives),
-    );
-    let costs = if args.cost_out.is_some() {
-        CostCollector::enabled()
-    } else {
-        CostCollector::disabled()
-    };
-    let udfs = UdfRegistry::default();
-    let spec = scenario_matrix(true)
-        .into_iter()
-        .next()
-        .expect("smoke matrix is non-empty");
-    let table = build_table(&spec.corpus_spec());
-    eprintln!(
-        "  table {} — {} rows x {} columns",
-        spec.name,
-        table.row_count(),
-        table.column_count()
-    );
-
-    let mut cursor = TelemetryCursor::default();
-    let mut stream = String::new();
-    let mut samples: [Vec<u64>; 5] = Default::default();
-    let mut soak_err: Option<String> = None;
-    for iter in 0..iters {
-        let mut iter_ns = [0u64; 5];
-        let queries = {
-            let _span = obs.span(Stage::Enumerate.span_name());
-            let clock = Stopwatch::start();
-            let q = deepeye_core::rules::rule_based_queries(&table);
-            iter_ns[0] = clock.elapsed_ns();
-            q
-        };
-        let nodes = {
-            let span = obs.span(Stage::Execute.span_name());
-            let clock = Stopwatch::start();
-            let n = build_nodes(&table, queries, &udfs, true, true, &obs, span.id(), &costs);
-            iter_ns[1] = clock.elapsed_ns();
-            n
-        };
-        {
-            let _span = obs.span(Stage::Recognize.span_name());
-            let clock = Stopwatch::start();
-            std::hint::black_box(nodes.iter().filter(|n| recognizer.is_good(n)).count());
-            iter_ns[2] = clock.elapsed_ns();
-        }
-        {
-            let _span = obs.span(Stage::Rank.span_name());
-            let clock = Stopwatch::start();
-            // The two rankings `Hybrid` combines.
-            std::hint::black_box((rank_by_partial_order(&nodes), ltr.rank(&nodes)));
-            iter_ns[3] = clock.elapsed_ns();
-        }
-        {
-            let _span = obs.span(Stage::TopK.span_name());
-            let clock = Stopwatch::start();
-            std::hint::black_box(ProgressiveSelector::new(&table, &udfs).top_k_observed(10, &obs));
-            iter_ns[4] = clock.elapsed_ns();
-        }
-        for ((stage, &ns), all) in Stage::PIPELINE.iter().zip(&iter_ns).zip(&mut samples) {
-            record_stage_samples(&obs, *stage, &[ns]);
-            all.push(ns);
-        }
-
-        // One tick per iteration: interval deltas, retention, stalls —
-        // and one health-engine ingest riding the same line.
-        if let Some(line) = obs.telemetry_tick(&mut cursor) {
-            stream.push_str(&line);
-        }
-        let retention = obs.retention();
-        if retention.retained > args.capacity {
-            soak_err = Some(format!(
-                "iteration {iter}: retained {} exceeds capacity {}",
-                retention.retained, args.capacity
-            ));
-            break;
-        }
-        if retention.retained as u64 + retention.dropped != retention.finished {
-            soak_err = Some(format!("iteration {iter}: retention accounting broke"));
-            break;
-        }
-    }
-
-    // Flush one final tick regardless of how the loop ended, so the
-    // stream's tail (and the health engine) reflect the state at exit.
-    if let Some(line) = obs.telemetry_tick(&mut cursor) {
-        stream.push_str(&line);
-    }
-
-    if let Some(e) = soak_err {
-        eprintln!("harness: soak failed: {e}");
-        if let Err(e) = flush_soak_outputs(args, &stream, &obs) {
-            eprintln!("harness: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-
-    let retention = obs.retention();
-    eprintln!(
-        "  spans: finished {}, retained {}, dropped {}",
-        retention.finished, retention.retained, retention.dropped
-    );
-
-    // The tick stream must satisfy its own validator before anything is
-    // written — a soak that produces an invalid stream is a failed soak
-    // (but still an inspectable one: the outputs are flushed first).
-    let summary = match validate_telemetry_jsonl(&stream) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("harness: telemetry stream invalid: {e}");
-            if let Err(e) = flush_soak_outputs(args, &stream, &obs) {
-                eprintln!("harness: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "  telemetry: {} ticks, {} stalls, max retained {}",
-        summary.ticks, summary.stalls, summary.max_retained
-    );
-    if let Err(e) = flush_soak_outputs(args, &stream, &obs) {
-        eprintln!("harness: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let run = ScenarioRun {
-        name: format!("soak-{}x{}", table.row_count(), table.column_count()),
-        rows: table.row_count(),
-        columns: table.column_count(),
-        stages: Stage::PIPELINE
-            .into_iter()
-            .zip(&samples)
-            .map(|(stage, all)| (stage, RobustTiming::from_samples(all)))
-            .collect(),
-    };
-    let json = results_json(&[run], &obs.snapshot());
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("harness: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("harness: wrote {}", args.out);
-    if let Some(path) = &args.cost_out {
-        if let Err(e) = write_cost_report(path, &costs, &obs) {
-            eprintln!("harness: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Health rollup last: warns are reported and survivable, a firing
-    // page verdict fails the run (every document is already on disk).
-    let mut paging = false;
-    for v in obs.health_verdicts().iter().filter(|v| v.firing) {
-        eprintln!(
-            "harness: health {} [{}] {}: {}",
-            v.severity.as_str(),
-            v.detector,
-            v.metric,
-            v.detail
-        );
-        if v.severity == Severity::Page {
-            paging = true;
-        }
-    }
-    if paging {
-        eprintln!("harness: health verdict firing at page severity");
-        return ExitCode::FAILURE;
-    }
-
-    println!("{}", obs.snapshot().stage_report());
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -433,16 +143,11 @@ fn main() -> ExitCode {
             eprintln!("harness: {e}");
             eprintln!(
                 "usage: harness [--smoke] [--out <path>] [--warmup N] [--reps N] \
-                 [--stacks <path>] [--flame <path>] [--cost-out <path>] \
-                 [--soak N [--capacity C] [--telemetry-out <path>] \
-                 [--health-out <path>] [--slo metric=max]...]"
+                 [--stacks <path>] [--flame <path>] [--cost-out <path>]"
             );
             return ExitCode::FAILURE;
         }
     };
-    if let Some(iters) = args.soak {
-        return soak_main(&args, iters);
-    }
     eprintln!(
         "harness: {} matrix, warmup {}, reps {}",
         if args.smoke { "smoke" } else { "full" },

@@ -18,28 +18,16 @@
 //!   internally consistent robust timings.
 //! - Stage budgets (`--budgets`): a harness document's per-stage medians
 //!   against the declarative budget table (`deepeye_bench::perf::BUDGETS`).
-//! - Telemetry streams (`--telemetry`, from `harness --soak
-//!   --telemetry-out`): `deepeye-telemetry/v1` JSON lines — schema,
-//!   strictly increasing sequence, monotone accounting, ordered
-//!   quantiles, bounded retention. A stream with zero ticks or any
-//!   recorded stall fails.
 //! - Executor cost reports (`--cost`, from `harness --cost-out` or the
 //!   CLI `--cost-out`): `deepeye-cost/v1` schema, the operator
 //!   taxonomy, and the exactness invariant — per-candidate costs sum
 //!   to the worker flush totals, the rollup groups, and the grand
 //!   totals, per operator.
-//! - Health documents (`--health`, from `harness --soak --health-out`):
-//!   `deepeye-health/v1` schema, well-formed series stats and verdicts,
-//!   and a status consistent with the firing verdicts. A *firing*
-//!   document still validates — CI checks both the green and the
-//!   deliberately-paging soak documents with this flag; failing the run
-//!   on a verdict is the harness's job, not the validator's.
 //!
 //! Usage: `trace_check [<trace.json> ...] [--metrics <metrics.json>]...
 //! [--provenance <prov.json>]... [--lint-report <report.json>]...
 //! [--bench <bench.json>]... [--budgets <bench.json>]...
-//! [--telemetry <ticks.jsonl>]... [--cost <cost.json>]...
-//! [--health <health.json>]...`
+//! [--cost <cost.json>]...`
 //!
 //! Exits nonzero (via `ExitCode`, so the workspace `clippy::exit` lint
 //! stays intact) if any file fails validation — CI runs this against the
@@ -48,10 +36,7 @@
 use deepeye_analyze::validate_lint_report;
 use deepeye_bench::perf::{check_budgets, validate_bench_json};
 use deepeye_core::validate_provenance_json;
-use deepeye_obs::{
-    validate_chrome_trace, validate_cost_json, validate_health_json, validate_metrics_json,
-    validate_telemetry_jsonl,
-};
+use deepeye_obs::{validate_chrome_trace, validate_cost_json, validate_metrics_json};
 use std::process::ExitCode;
 
 enum Kind {
@@ -61,9 +46,7 @@ enum Kind {
     LintReport,
     Bench,
     Budgets,
-    Telemetry,
     Cost,
-    Health,
 }
 
 fn main() -> ExitCode {
@@ -91,16 +74,8 @@ fn main() -> ExitCode {
                 Some(path) => jobs.push((Kind::Budgets, path)),
                 None => return usage(),
             },
-            "--telemetry" => match args.next() {
-                Some(path) => jobs.push((Kind::Telemetry, path)),
-                None => return usage(),
-            },
             "--cost" => match args.next() {
                 Some(path) => jobs.push((Kind::Cost, path)),
-                None => return usage(),
-            },
-            "--health" => match args.next() {
-                Some(path) => jobs.push((Kind::Health, path)),
                 None => return usage(),
             },
             _ => jobs.push((Kind::Trace, arg)),
@@ -195,30 +170,6 @@ fn main() -> ExitCode {
                     failed = true;
                 }
             },
-            Kind::Telemetry => match validate_telemetry_jsonl(&text) {
-                Ok(summary) => {
-                    println!(
-                        "{path}: ok — {} tick(s), {} stall(s), max retained {}, \
-                         {} dropped (capacity {})",
-                        summary.ticks,
-                        summary.stalls,
-                        summary.max_retained,
-                        summary.dropped,
-                        summary.capacity
-                    );
-                    // An empty stream is already a validator error; a
-                    // stall in a gated run is a budget violation the
-                    // watchdog caught live.
-                    if summary.stalls > 0 {
-                        eprintln!("{path}: stream records {} stall(s)", summary.stalls);
-                        failed = true;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{path}: INVALID — {e}");
-                    failed = true;
-                }
-            },
             Kind::Cost => match validate_cost_json(&text) {
                 Ok(summary) => {
                     println!(
@@ -228,28 +179,6 @@ fn main() -> ExitCode {
                     );
                     if summary.candidates == 0 {
                         eprintln!("{path}: no candidates recorded — was cost profiling enabled?");
-                        failed = true;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{path}: INVALID — {e}");
-                    failed = true;
-                }
-            },
-            Kind::Health => match validate_health_json(&text) {
-                Ok(summary) => {
-                    println!(
-                        "{path}: ok — status {} over {} tick(s): {} series, \
-                         {} objective(s), {} verdict(s) ({} firing)",
-                        summary.status,
-                        summary.ticks,
-                        summary.series,
-                        summary.objectives,
-                        summary.verdicts,
-                        summary.firing
-                    );
-                    if summary.ticks == 0 {
-                        eprintln!("{path}: document covers zero ticks — was soak mode on?");
                         failed = true;
                     }
                 }
@@ -298,8 +227,7 @@ fn usage() -> ExitCode {
         "usage: trace_check [<trace.json> ...] [--metrics <metrics.json>]... \
          [--provenance <prov.json>]... [--lint-report <report.json>]... \
          [--bench <bench.json>]... [--budgets <bench.json>]... \
-         [--telemetry <ticks.jsonl>]... [--cost <cost.json>]... \
-         [--health <health.json>]..."
+         [--cost <cost.json>]..."
     );
     ExitCode::FAILURE
 }

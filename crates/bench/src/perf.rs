@@ -645,7 +645,9 @@ impl StageBudget {
     }
 }
 
-/// The budget table, one ceiling per stage, in pipeline order.
+/// The budget table, one ceiling per stage, in pipeline order. Its one
+/// consumer is the offline gate, [`check_budgets`] (`trace_check
+/// --budgets`).
 pub const BUDGETS: &[StageBudget] = &[
     StageBudget {
         stage: Stage::Enumerate,
@@ -675,40 +677,6 @@ pub const BUDGETS: &[StageBudget] = &[
         max_median_ns: 30_000_000_000,
     },
 ];
-
-/// The budget table recast as watchdog stall budgets for the flight
-/// recorder: a harness stage span left open past its [`BUDGETS`] median
-/// ceiling is a stall worth reporting — the same table powers the
-/// offline gate (`trace_check --budgets`) and the online watchdog
-/// (`harness --soak`).
-pub fn stall_budgets() -> Vec<deepeye_obs::StallBudget> {
-    BUDGETS
-        .iter()
-        .map(|b| deepeye_obs::StallBudget {
-            span: b.stage.span_name(),
-            max_open_ns: b.max_median_ns,
-        })
-        .collect()
-}
-
-/// The budget table recast once more, as health-engine SLO objectives:
-/// each stage's [`BUDGETS`] ceiling becomes a runtime objective on the
-/// windowed median of that stage's interval p50 series
-/// (`stage.<span>.p50_ns` in health-series naming), so the CI latency
-/// budgets and the live soak verdicts are the same numbers. The same
-/// table now powers all three consumers: the offline gate
-/// (`trace_check --budgets`), the stall watchdog, and the health
-/// engine.
-pub fn health_objectives() -> Vec<deepeye_obs::SloObjective> {
-    BUDGETS
-        .iter()
-        .map(|b| deepeye_obs::SloObjective {
-            metric: format!("stage.{}.p50_ns", b.stage.span_name()),
-            max_value: b.max_median_ns as f64,
-            source: "perf::BUDGETS".to_owned(),
-        })
-        .collect()
-}
 
 /// Check a harness document against [`BUDGETS`]. Returns the list of
 /// violations (empty = within budget); errors on malformed input.
@@ -753,20 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn health_objectives_mirror_budgets() {
-        let objectives = health_objectives();
-        assert_eq!(objectives.len(), BUDGETS.len());
-        for (obj, budget) in objectives.iter().zip(BUDGETS) {
-            assert_eq!(
-                obj.metric,
-                format!("stage.{}.p50_ns", budget.stage.span_name())
-            );
-            assert_eq!(obj.max_value, budget.max_median_ns as f64);
-            assert_eq!(obj.source, "perf::BUDGETS");
-        }
-    }
-
-    #[test]
     fn robust_timing_resists_outliers() {
         let calm = RobustTiming::from_samples(&[100, 101, 99, 100, 102]);
         assert_eq!(calm.median_ns, 100);
@@ -795,14 +749,6 @@ mod tests {
         assert!(!Stage::PIPELINE.contains(&Stage::Analyze));
         assert!(Stage::ALL.contains(&Stage::Analyze));
         assert_eq!(Stage::PIPELINE.len() + 1, Stage::ALL.len());
-        // The watchdog view of the budget table covers the same stages
-        // with the same ceilings, keyed by the harness span names.
-        let stalls = stall_budgets();
-        assert_eq!(stalls.len(), BUDGETS.len());
-        for (budget, stall) in BUDGETS.iter().zip(&stalls) {
-            assert_eq!(stall.span, budget.stage.span_name());
-            assert_eq!(stall.max_open_ns, budget.max_median_ns);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::ranking::{order_by_score, HybridRanker, LtrRanker};
 use crate::recognition::Recognizer;
 use crate::rules;
 use deepeye_data::Table;
-use deepeye_obs::{CostCollector, Observer, RecorderConfig};
+use deepeye_obs::{CostCollector, Observer};
 use deepeye_query::{queries_with_verdict, valid_queries_observed, UdfRegistry, VisQuery};
 
 /// How candidate visualizations are enumerated (the `E`/`R` split of the
@@ -83,18 +83,6 @@ impl Default for DeepEyeConfig {
             provenance: Provenance::disabled(),
             costs: CostCollector::disabled(),
         }
-    }
-}
-
-impl DeepEyeConfig {
-    /// Enable observability in flight-recorder mode: raw spans are
-    /// bounded to at most `capacity` retained records (keep-tail
-    /// sampling), while counters, histograms, and per-stage aggregates
-    /// stay exact. The right observer for a long-lived process —
-    /// [`Observer::enabled`] retains every span and grows without bound.
-    pub fn with_flight_recorder(mut self, capacity: usize) -> Self {
-        self.observer = Observer::with_recorder(RecorderConfig::bounded(capacity));
-        self
     }
 }
 
@@ -695,24 +683,6 @@ mod tests {
             assert!(r.spec().starts_with('{'));
             assert!(r.query_text("sales").contains("VISUALIZE"));
         }
-    }
-
-    #[test]
-    fn flight_recorder_config_bounds_spans_but_not_aggregates() {
-        let eye = DeepEye::new(DeepEyeConfig::default().with_flight_recorder(4));
-        let recs = eye.recommend(&table(), 5);
-        assert!(!recs.is_empty());
-        let obs = &eye.config().observer;
-        let retention = obs.retention();
-        assert!(retention.retained <= 4, "ring bounded at 4");
-        assert_eq!(
-            retention.retained as u64 + retention.dropped,
-            retention.finished
-        );
-        // Aggregates survive sampling: the stage report still covers the
-        // full pipeline even though most raw spans were dropped.
-        assert!(obs.stage_report().contains("pipeline.recommend"));
-        deepeye_obs::validate_metrics_json(&obs.snapshot().metrics_json()).unwrap();
     }
 
     #[test]

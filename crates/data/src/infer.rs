@@ -29,12 +29,15 @@ fn parse_number(s: &str) -> Option<f64> {
     }
 }
 
+/// Whether a cell is a missing-value marker. `nan` in any case is one,
+/// as in pandas' default NA markers; `inf` is not (it is a dirty cell).
 fn is_missing(s: &str) -> bool {
     let t = s.trim();
     t.is_empty()
         || t.eq_ignore_ascii_case("na")
         || t.eq_ignore_ascii_case("n/a")
         || t.eq_ignore_ascii_case("null")
+        || t.eq_ignore_ascii_case("nan")
         || t == "-"
 }
 
@@ -212,6 +215,39 @@ mod tests {
                 assert_eq!(vals[21], None);
                 assert_eq!(vals[0], Some(1.0));
             }
+            _ => panic!("expected numeric"),
+        }
+    }
+
+    #[test]
+    fn nan_cells_are_missing_values() {
+        // 5 of 40 cells (12.5%) spell NaN; a dirty-cell reading would
+        // push the column under the 95% numeric threshold.
+        let mut cells: Vec<String> = (0..35).map(|i| format!("{}.5", 10 + i)).collect();
+        cells.extend(["NaN", "nan", "NAN", " NaN ", "nAn"].map(String::from));
+        assert_eq!(detect_type(&cells), DataType::Numerical);
+        match parse_column(&cells, DataType::Numerical) {
+            ColumnData::Numeric(vals) => {
+                assert_eq!(vals.iter().filter(|x| x.is_none()).count(), 5);
+                assert_eq!(vals[0], Some(10.5));
+            }
+            _ => panic!("expected numeric"),
+        }
+        assert_eq!(detect_type(&v(&["NaN", "nan"])), DataType::Categorical);
+    }
+
+    #[test]
+    fn infinite_cells_stay_dirty() {
+        // inf is a value no chart axis can hold, not an absence: it counts
+        // against the numeric threshold and parses to null.
+        let mut cells: Vec<String> = (0..35).map(|i| i.to_string()).collect();
+        cells.extend(["inf", "-inf", "Infinity", "inf", "-inf"].map(String::from));
+        assert_eq!(detect_type(&cells), DataType::Categorical);
+        let mut few: Vec<String> = (1..=20).map(|i| i.to_string()).collect();
+        few.push("inf".to_owned());
+        assert_eq!(detect_type(&few), DataType::Numerical);
+        match parse_column(&few, DataType::Numerical) {
+            ColumnData::Numeric(vals) => assert_eq!(vals[20], None),
             _ => panic!("expected numeric"),
         }
     }

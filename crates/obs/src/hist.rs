@@ -76,10 +76,6 @@ impl Histogram {
         self.count
     }
 
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
     /// Smallest recorded sample (0 when empty).
     pub fn min(&self) -> u64 {
         if self.count == 0 {
@@ -118,48 +114,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-
-    /// The interval histogram `self − prev`, for telemetry ticks: `prev`
-    /// must be an earlier snapshot of the same histogram (bucket counts
-    /// only grow), and the result describes just the samples recorded in
-    /// between. Exact per bucket and in count/sum; the interval's min and
-    /// max are approximated by the bounds of the lowest and highest
-    /// non-empty delta bucket (the raw extremes are not kept per
-    /// interval), which still brackets the true values so quantiles and
-    /// the mean stay inside `[min, max]`.
-    pub fn delta(&self, prev: &Histogram) -> Histogram {
-        let mut out = Histogram::default();
-        for (i, (cur, old)) in self.buckets.iter().zip(prev.buckets.iter()).enumerate() {
-            let d = cur.saturating_sub(*old);
-            if d == 0 {
-                continue;
-            }
-            if let Some(slot) = out.buckets.get_mut(i) {
-                *slot = d;
-            }
-            out.count += d;
-            // Bucket b holds [2^(b-1), 2^b); bucket 0 holds exactly 0.
-            let lo = match i {
-                0 => 0,
-                b => 1u64 << (b - 1),
-            };
-            let hi = match i {
-                0 => 0,
-                64 => u64::MAX,
-                b => (1u64 << b) - 1,
-            };
-            out.min = out.min.min(lo);
-            out.max = out.max.max(hi);
-        }
-        out.sum = self.sum.saturating_sub(prev.sum);
-        // The global extremes tighten the bucket bounds when they fall
-        // inside the interval's bucket range.
-        if out.count > 0 {
-            out.min = out.min.max(self.min.min(out.max));
-            out.max = out.max.min(self.max).max(out.min);
-        }
-        out
     }
 
     /// A compact summary for exporters.
@@ -248,30 +202,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.summary(), all.summary());
-    }
-
-    #[test]
-    fn delta_describes_only_the_interval() {
-        let mut h = Histogram::default();
-        for v in [100u64, 200, 300] {
-            h.record(v);
-        }
-        let snap = h.clone();
-        for v in [1_000u64, 5_000, 9_000, 20_000] {
-            h.record(v);
-        }
-        let d = h.delta(&snap);
-        assert_eq!(d.count(), 4);
-        assert_eq!(d.sum(), 35_000);
-        let s = d.summary();
-        assert!(s.min <= 1_000, "interval min bracketed, got {}", s.min);
-        assert!(s.max >= 9_000 && s.max <= 32_767, "max = {}", s.max);
-        assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-        assert!(s.mean >= s.min as f64 && s.mean <= s.max as f64);
-        // An empty interval is an empty histogram.
-        let none = h.delta(&h);
-        assert_eq!(none.count(), 0);
-        assert_eq!(none.summary().p99, 0);
     }
 
     #[test]

@@ -23,12 +23,9 @@
 //! [`Observer::span_under`] so cross-thread children merge under the right
 //! stage (see `deepeye_core::parallel`).
 //!
-//! For long-lived processes, [`Observer::with_recorder`] turns the tracer
-//! into a **flight recorder**: raw spans live in a bounded [`ring`]
-//! buffer under a [`SamplingPolicy`], per-stage aggregates stay exact
-//! regardless of sampling, a [`watchdog`] flags spans open past their
-//! budget, and [`telemetry`] ticks stream per-interval deltas as
-//! `deepeye-telemetry/v1` JSON lines.
+//! An enabled observer keeps every finished span for the trace and
+//! flame exporters, and folds each one into exact per-path aggregates
+//! for the stage report and the metrics snapshot.
 //!
 //! ```
 //! use deepeye_obs::Observer;
@@ -51,17 +48,12 @@ pub mod alloc;
 pub mod clock;
 pub mod cost;
 pub mod flame;
-pub mod health;
 pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod report;
-pub mod ring;
-pub mod series;
-pub mod telemetry;
 pub mod trace;
-pub mod watchdog;
 
 pub use alloc::{fmt_bytes, AllocStats};
 pub use clock::Stopwatch;
@@ -69,22 +61,11 @@ pub use cost::{
     validate_cost_json, CandidateCost, CostAcc, CostCollector, CostReport, CostSummary, GroupCost,
     NoCost, Op, OpCosts, COST_FIELDS, COST_SCHEMA,
 };
-
 pub use flame::{flame_svg, folded_stacks, spans_from_chrome_trace, FlameSpan};
-pub use health::{
-    default_detectors, validate_health_json, Detector, EwmaDrift, HealthConfig, HealthEngine,
-    HealthReport, HealthSummary, MonotonicGrowth, RobustZ, Severity, SloObjective, Verdict,
-    HEALTH_FIELDS, HEALTH_SCHEMA,
-};
 pub use hist::{HistSummary, Histogram};
 pub use json::{parse_json, Json, JsonError};
-pub use observer::{HistTimer, Observer, RecorderConfig, SpanGuard, SpanId, SpanRecord};
+pub use observer::{HistTimer, Observer, SpanGuard, SpanId, SpanRecord};
 pub use report::{fmt_duration, validate_metrics_json, MetricsSummary, Snapshot, StageAgg};
-pub use ring::{RetentionStats, SamplingPolicy, SpanRing};
-pub use series::{stats_of, RingSeries, WindowStats};
-pub use telemetry::{
-    proc_stats, validate_telemetry_jsonl, ProcStats, TelemetryCursor, TelemetrySummary,
-    TELEMETRY_FIELDS, TELEMETRY_SCHEMA,
+pub use trace::{
+    chrome_trace_json_with_accounting, validate_chrome_trace, RetentionStats, TraceSummary,
 };
-pub use trace::{chrome_trace_json_with_accounting, validate_chrome_trace, TraceSummary};
-pub use watchdog::{StallBudget, StallEvent, STALL_LOG_CAP};

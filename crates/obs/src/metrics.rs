@@ -17,12 +17,9 @@
 //!   `Observer` calls outside this crate and documented in DESIGN.md §6
 //!   "Metric names";
 //! - `A0007`: the `bench.*` histograms of the perf harness (§9);
-//! - `A0013`: the flight recorder's `obs.*` / `telemetry.*` self-metrics,
-//!   recorded inside this crate (§10);
 //! - `A0014`: the `cost.*` counters, one per operator of the
 //!   [`cost`](crate::cost) taxonomy, flushed by
-//!   `deepeye_core::parallel::flush_cost_counters` (§12);
-//! - `A0020`: the health engine's `health.*` counters (§13).
+//!   `deepeye_core::parallel::flush_cost_counters` (§12).
 //!
 //! Adding a metric is a three-line change: the call site, this registry,
 //! and the DESIGN.md section of its row.
@@ -41,14 +38,9 @@ pub const COUNTERS: &[&str] = &[
     "enumerate.raw",
     "exec.err",
     "exec.ok",
-    "health.evaluations",
-    "health.ingest_errors",
-    "health.ticks",
     "ltr.docs",
     "ltr.epochs",
     "ltr.groups",
-    "obs.spans_dropped",
-    "obs.stall",
     "progressive.leaves_materialized",
     "progressive.leaves_pruned",
     "progressive.leaves_total",
@@ -58,7 +50,6 @@ pub const COUNTERS: &[&str] = &[
     "recognize.kept",
     "recognize.rejected",
     "sema.rejected",
-    "telemetry.ticks",
 ];
 
 /// Every histogram name ([`Observer::timer`](crate::Observer::timer),

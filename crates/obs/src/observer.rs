@@ -7,27 +7,17 @@
 //! observer holds nothing: every method is a branch on `None`, so
 //! carrying one through the hot path costs nothing when tracing is off.
 //!
-//! Two recorder shapes share this handle:
-//!
-//! - [`Observer::enabled`] — the run-once tracer: every finished span is
-//!   retained, snapshot at exit.
-//! - [`Observer::with_recorder`] — the flight recorder for long-lived
-//!   processes: raw spans land in a bounded [`crate::ring::SpanRing`]
-//!   under a sampling policy, while per-path aggregates (count, total,
-//!   duration histogram, self-allocation) are folded in *at span close*,
-//!   before any sampling — so counters, histograms, and stage aggregates
-//!   stay exact even when most raw spans are dropped. The
-//!   `obs.spans_dropped` counter and [`Observer::retention`] account for
-//!   the loss; [`Observer::check_stalls`] (see [`crate::watchdog`])
-//!   watches spans that stay open past their budget.
+//! An enabled observer keeps every finished span in a `Vec<SpanRecord>`
+//! for the trace and flame exporters, and folds each one into exact
+//! per-path aggregates (count, total, duration histogram,
+//! self-allocation) at span close for the stage report and the metrics
+//! snapshot.
 
 use crate::alloc::{AllocCell, AllocStats};
-use crate::health::{HealthConfig, HealthEngine, HealthReport, Verdict};
 use crate::hist::Histogram;
-use crate::ring::{RetentionStats, SpanRing};
-use crate::watchdog::{StallBudget, StallEvent};
+use crate::trace::RetentionStats;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -58,39 +48,9 @@ pub struct SpanRecord {
     pub alloc: AllocStats,
 }
 
-/// Configuration for [`Observer::with_recorder`]: how many raw spans to
-/// retain, which sampling policy governs eviction, and (optionally) the
-/// stall budgets the watchdog checks open spans against.
-#[derive(Debug, Clone, Default)]
-pub struct RecorderConfig {
-    /// Maximum retained raw spans; `0` means unbounded.
-    pub capacity: usize,
-    pub policy: crate::ring::SamplingPolicy,
-    /// Per-span-name ceilings for [`Observer::check_stalls`]; empty
-    /// disables the watchdog.
-    pub budgets: Vec<StallBudget>,
-}
-
-impl RecorderConfig {
-    /// The common flight-recorder shape: keep the last `capacity` spans.
-    pub fn bounded(capacity: usize) -> RecorderConfig {
-        RecorderConfig {
-            capacity,
-            policy: crate::ring::SamplingPolicy::KeepTail,
-            budgets: Vec::new(),
-        }
-    }
-
-    /// Attach watchdog budgets (see [`crate::watchdog`]).
-    pub fn with_budgets(mut self, budgets: Vec<StallBudget>) -> RecorderConfig {
-        self.budgets = budgets;
-        self
-    }
-}
-
 /// A span that has begun but not yet ended. Registered under the state
-/// lock at span start so the watchdog can see what is currently running
-/// and cross-thread children can resolve their parent's path.
+/// lock at span start so cross-thread children can resolve their
+/// parent's path.
 pub(crate) struct OpenSpan {
     pub name: &'static str,
     pub parent: Option<SpanId>,
@@ -100,9 +60,7 @@ pub(crate) struct OpenSpan {
     pub path: u32,
 }
 
-/// Exact per-path aggregate, updated at every span close *before* the
-/// raw record is offered to the ring — sampling can therefore never
-/// perturb these numbers.
+/// Exact per-path aggregate, updated at every span close.
 pub(crate) struct PathAgg {
     /// Slash-joined root-to-leaf name chain.
     pub path: String,
@@ -121,8 +79,7 @@ pub(crate) struct PathAgg {
 
 /// Interned span paths: one [`PathAgg`] per distinct root-to-leaf name
 /// chain, allocated on first occurrence. Append-only, so indices are
-/// stable for the lifetime of the observer (telemetry cursors rely on
-/// this).
+/// stable for the lifetime of the observer.
 #[derive(Default)]
 pub(crate) struct PathTable {
     ids: BTreeMap<(Option<u32>, &'static str), u32>,
@@ -156,8 +113,8 @@ impl PathTable {
 }
 
 pub(crate) struct State {
-    /// Raw span sink (bounded under a flight-recorder config).
-    pub ring: SpanRing,
+    /// Every finished span, in end order.
+    pub spans: Vec<SpanRecord>,
     pub counters: BTreeMap<&'static str, u64>,
     pub hists: BTreeMap<&'static str, Histogram>,
     /// Live allocation cells of *open* spans, drained into the
@@ -167,22 +124,12 @@ pub(crate) struct State {
     pub open: BTreeMap<SpanId, OpenSpan>,
     /// Exact per-path aggregates.
     pub paths: PathTable,
-    /// Stall events the watchdog has emitted (bounded; see
-    /// [`crate::watchdog`]). The `obs.stall` counter is the exact total.
-    pub stalls: Vec<StallEvent>,
-    /// Open spans already reported as stalled (one event per span).
-    pub stalled: BTreeSet<SpanId>,
-    /// Online health evaluation over telemetry ticks (see
-    /// [`crate::health`]); `None` unless built via
-    /// [`Observer::with_health`].
-    pub health: Option<HealthEngine>,
 }
 
 pub(crate) struct Inner {
     pub(crate) origin: Instant,
     next_id: AtomicU64,
     seq: AtomicU64,
-    pub(crate) budgets: Vec<StallBudget>,
     state: Mutex<State>,
 }
 
@@ -229,47 +176,24 @@ impl std::fmt::Debug for Observer {
 }
 
 impl Observer {
-    /// An observer that records and retains everything (the run-once
-    /// tracer). Clones share the same recorder.
+    /// An observer that records and retains every span. Clones share the
+    /// same recorder.
     pub fn enabled() -> Self {
-        Observer::with_recorder(RecorderConfig::default())
-    }
-
-    /// An observer with an explicit recorder shape — bounded span
-    /// retention and watchdog budgets for long-lived processes.
-    pub fn with_recorder(config: RecorderConfig) -> Self {
         Observer {
             inner: Some(Arc::new(Inner {
                 origin: Instant::now(),
                 next_id: AtomicU64::new(1),
                 seq: AtomicU64::new(1),
-                budgets: config.budgets,
                 state: Mutex::new(State {
-                    ring: SpanRing::new(config.capacity, config.policy),
+                    spans: Vec::new(),
                     counters: BTreeMap::new(),
                     hists: BTreeMap::new(),
                     open_allocs: BTreeMap::new(),
                     open: BTreeMap::new(),
                     paths: PathTable::default(),
-                    stalls: Vec::new(),
-                    stalled: BTreeSet::new(),
-                    health: None,
                 }),
             })),
         }
-    }
-
-    /// A flight recorder with the health engine attached: every
-    /// [`Observer::telemetry_tick`](crate::telemetry) line is also fed
-    /// into per-metric ring timeseries and scored by the configured
-    /// detectors (see [`crate::health`]). Read the rollup with
-    /// [`Observer::health_report`] / [`Observer::health_verdicts`].
-    pub fn with_health(config: RecorderConfig, health: HealthConfig) -> Self {
-        let obs = Observer::with_recorder(config);
-        if let Some(inner) = obs.inner.as_ref() {
-            inner.lock().health = Some(HealthEngine::new(health));
-        }
-        obs
     }
 
     /// The no-op observer (also `Default`): every method is a single
@@ -441,44 +365,8 @@ impl Observer {
             .unwrap_or(0)
     }
 
-    /// Render the current `deepeye-health/v1` document. `None` when
-    /// disabled or when no health engine is attached (see
-    /// [`Observer::with_health`]). Each call counts one
-    /// `health.evaluations`.
-    pub fn health_report(&self) -> Option<String> {
-        let inner = self.inner.as_ref()?;
-        let mut state = inner.lock();
-        let doc = state.health.as_ref().map(HealthEngine::report_json)?;
-        let slot = state.counters.entry("health.evaluations").or_insert(0);
-        *slot = slot.saturating_add(1);
-        Some(doc)
-    }
-
-    /// The current structured health rollup (ticks, status, verdicts);
-    /// `None` when disabled or without a health engine.
-    pub fn health_snapshot(&self) -> Option<HealthReport> {
-        let inner = self.inner.as_ref()?;
-        let state = inner.lock();
-        state.health.as_ref().map(HealthEngine::report)
-    }
-
-    /// All current health verdicts — latched anomaly firings plus SLO
-    /// judgements — or empty when disabled / without a health engine.
-    pub fn health_verdicts(&self) -> Vec<Verdict> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let state = inner.lock();
-        state
-            .health
-            .as_ref()
-            .map(HealthEngine::verdicts)
-            .unwrap_or_default()
-    }
-
-    /// Total recorded duration of all finished spans with this name.
-    /// Computed from the exact path aggregates, so it is unaffected by
-    /// span sampling.
+    /// Total recorded duration of all finished spans with this name,
+    /// computed from the path aggregates.
     pub fn stage_duration(&self, name: &str) -> Duration {
         let Some(inner) = &self.inner else {
             return Duration::ZERO;
@@ -495,40 +383,29 @@ impl Observer {
     }
 
     /// Duration of one finished span by id (`None` while it is open, when
-    /// the id is unknown or its raw record was sampled away, or when
-    /// disabled).
+    /// the id is unknown, or when disabled).
     pub fn span_duration(&self, id: SpanId) -> Option<Duration> {
         let inner = self.inner.as_ref()?;
         inner
             .lock()
-            .ring
+            .spans
             .iter()
             .find(|s| s.id == id)
             .map(|s| Duration::from_nanos(s.dur_ns))
     }
 
-    /// All *retained* finished spans in begin order (empty when
-    /// disabled). Under a bounded recorder this is a sample; see
-    /// [`Observer::retention`] for the accounting.
+    /// All finished spans in begin order (empty when disabled).
     pub fn finished_spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.lock().ring.to_sorted_vec())
-            .unwrap_or_default()
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let mut spans = inner.lock().spans.clone();
+        spans.sort_by_key(|s| s.begin_seq);
+        spans
     }
 
-    /// Span-retention accounting: finished/retained/dropped/capacity.
-    /// The invariant `retained + dropped == finished` always holds.
-    pub fn retention(&self) -> RetentionStats {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.lock().ring.stats())
-            .unwrap_or_default()
-    }
-
-    /// Point-in-time aggregate of everything recorded so far. Built from
-    /// the exact path aggregates — identical numbers whether or not raw
-    /// spans were sampled away.
+    /// Point-in-time aggregate of everything recorded so far, built from
+    /// the path aggregates.
     pub fn snapshot(&self) -> crate::report::Snapshot {
         let Some(inner) = &self.inner else {
             return crate::report::Snapshot::default();
@@ -548,18 +425,21 @@ impl Observer {
         self.snapshot().metrics_json()
     }
 
-    /// Chrome trace-event JSON of the retained spans, loadable in
-    /// `chrome://tracing` or Perfetto. Always carries a `span_accounting`
-    /// metadata event; when the recorder dropped spans the accounting is
-    /// marked truncated, which [`crate::trace::validate_chrome_trace`]
-    /// requires.
+    /// Chrome trace-event JSON of the finished spans, loadable in
+    /// `chrome://tracing` or Perfetto. An enabled observer's trace carries
+    /// a `span_accounting` metadata event declaring every finished span
+    /// retained, which [`crate::trace::validate_chrome_trace`] checks
+    /// against the span pairs present.
     pub fn chrome_trace_json(&self) -> String {
-        let Some(inner) = &self.inner else {
+        if !self.is_enabled() {
             return crate::trace::chrome_trace_json(&[]);
-        };
-        let (spans, stats) = {
-            let state = inner.lock();
-            (state.ring.to_sorted_vec(), state.ring.stats())
+        }
+        let spans = self.finished_spans();
+        let n = spans.len() as u64;
+        let stats = RetentionStats {
+            finished: n,
+            retained: n,
+            dropped: 0,
         };
         crate::trace::chrome_trace_json_with_accounting(&spans, &stats)
     }
@@ -609,22 +489,19 @@ impl Drop for SpanGuard {
         let Some(open) = state.open.remove(&ctx.id) else {
             return;
         };
-        state.stalled.remove(&ctx.id);
         let dur_ns = end_ns.saturating_sub(open.start_ns);
         let alloc = state
             .open_allocs
             .remove(&ctx.id)
             .map(|cell| cell.stats)
             .unwrap_or_default();
-        // Exact aggregates first — only then does the raw record face the
-        // sampling policy.
         if let Some(agg) = state.paths.aggs.get_mut(open.path as usize) {
             agg.count += 1;
             agg.total_ns += dur_ns;
             agg.hist.record(dur_ns);
             agg.alloc.merge(&alloc);
         }
-        let drops = state.ring.push(SpanRecord {
+        state.spans.push(SpanRecord {
             id: ctx.id,
             parent: open.parent,
             name: open.name,
@@ -635,10 +512,6 @@ impl Drop for SpanGuard {
             end_seq,
             alloc,
         });
-        if drops > 0 {
-            let slot = state.counters.entry("obs.spans_dropped").or_insert(0);
-            *slot = slot.saturating_add(drops);
-        }
     }
 }
 
@@ -661,7 +534,6 @@ impl Drop for HistTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::SamplingPolicy;
 
     #[test]
     fn disabled_observer_records_nothing() {
@@ -676,7 +548,6 @@ mod tests {
         }
         assert_eq!(obs.counter("c"), 0);
         assert!(obs.finished_spans().is_empty());
-        assert_eq!(obs.retention(), RetentionStats::default());
         let snap = obs.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.hists.is_empty());
@@ -701,6 +572,7 @@ mod tests {
         }
         let spans = obs.finished_spans();
         assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "outer", "spans come back in begin order");
         let inner = spans.iter().find(|s| s.name == "inner").map(|s| s.parent);
         let outer = spans.iter().find(|s| s.name == "outer").cloned();
         assert_eq!(inner.flatten(), outer.as_ref().map(|s| s.id));
@@ -911,65 +783,5 @@ mod tests {
         });
         assert_eq!(obs.counter("ops"), 800);
         assert_eq!(obs.finished_spans().len(), 800);
-        let r = obs.retention();
-        assert_eq!(r.finished, 800);
-        assert_eq!(r.dropped, 0);
-    }
-
-    #[test]
-    fn bounded_recorder_caps_retained_spans() {
-        let obs = Observer::with_recorder(RecorderConfig::bounded(16));
-        for _ in 0..100 {
-            let _s = obs.span("op");
-        }
-        let r = obs.retention();
-        assert_eq!(r.finished, 100);
-        assert_eq!(r.retained, 16);
-        assert_eq!(r.dropped, 84);
-        assert_eq!(r.capacity, 16);
-        assert_eq!(obs.finished_spans().len(), 16);
-        assert_eq!(obs.counter("obs.spans_dropped"), 84);
-    }
-
-    #[test]
-    fn aggregates_stay_exact_under_sampling() {
-        let obs = Observer::with_recorder(RecorderConfig::bounded(4));
-        for _ in 0..50 {
-            let _root = obs.span("root");
-            let _child = obs.span("child");
-            obs.alloc_many(2, 10);
-        }
-        let snap = obs.snapshot();
-        let root = snap.stage("root").expect("root aggregated");
-        assert_eq!(root.count, 50, "counts survive raw-span eviction");
-        let child = snap.stage("child").expect("child aggregated");
-        assert_eq!(child.count, 50);
-        assert_eq!(child.alloc_count, 100, "alloc aggregates exact");
-        assert_eq!(child.alloc_bytes, 500);
-        assert_eq!(root.alloc_bytes, 500, "inclusive fold still works");
-        assert!(obs.finished_spans().len() <= 4);
-        assert_eq!(
-            obs.stage_duration("child").as_nanos() as u64,
-            child.total_ns
-        );
-    }
-
-    #[test]
-    fn keep_slowest_recorder_retains_slowest_span() {
-        let obs = Observer::with_recorder(RecorderConfig {
-            capacity: 2,
-            policy: SamplingPolicy::KeepSlowest { threshold_ns: 0 },
-            budgets: Vec::new(),
-        });
-        for i in 0..8 {
-            let _s = obs.span("op");
-            if i == 3 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        let spans = obs.finished_spans();
-        assert!(spans.len() <= 2);
-        let max_kept = spans.iter().map(|s| s.dur_ns).max().unwrap_or(0);
-        assert!(max_kept >= 2_000_000, "the slow span survived eviction");
     }
 }

@@ -5,9 +5,7 @@
 //! counters and histogram summaries alongside. The same snapshot feeds
 //! both the human-readable stage report and the JSON metrics export, so
 //! every consumer reads identical numbers. Aggregates are maintained at
-//! span close, *before* the raw record meets the flight recorder's
-//! sampling policy — a snapshot is therefore exact even when most raw
-//! spans were dropped (see [`crate::ring`]).
+//! span close.
 
 use crate::alloc::{fmt_bytes, AllocStats};
 use crate::hist::HistSummary;

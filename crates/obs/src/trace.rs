@@ -15,19 +15,29 @@
 
 use crate::json::{escape, parse_json, Json};
 use crate::observer::SpanRecord;
-use crate::ring::RetentionStats;
 use std::collections::BTreeMap;
+
+/// Span accounting stamped into a trace's `span_accounting` metadata
+/// event. The invariant `retained + dropped == finished` must hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RetentionStats {
+    /// Spans that finished.
+    pub finished: u64,
+    /// Spans the trace holds.
+    pub retained: u64,
+    /// Spans left out of the trace.
+    pub dropped: u64,
+}
 
 /// Serialize spans as Chrome trace-event JSON.
 pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     chrome_trace_json_inner(spans, None)
 }
 
-/// Serialize spans with an explicit `span_accounting` metadata event, so
-/// a trace exported from a bounded flight recorder declares how many
-/// spans were sampled away. A trace whose accounting says `dropped > 0`
-/// must be marked `truncated` — [`validate_chrome_trace`] rejects
-/// drop-without-marker.
+/// Serialize spans with an explicit `span_accounting` metadata event
+/// declaring how many spans the trace holds and how many it leaves out.
+/// A trace whose accounting says `dropped > 0` must be marked
+/// `truncated` — [`validate_chrome_trace`] rejects drop-without-marker.
 pub fn chrome_trace_json_with_accounting(spans: &[SpanRecord], stats: &RetentionStats) -> String {
     chrome_trace_json_inner(spans, Some(stats))
 }
@@ -118,8 +128,8 @@ pub struct TraceSummary {
     pub max_depth: usize,
     /// Distinct thread lanes seen on duration events.
     pub threads: usize,
-    /// Spans the recorder sampled away per the `span_accounting`
-    /// metadata event (0 when absent).
+    /// Spans left out of the trace per the `span_accounting` metadata
+    /// event (0 when absent).
     pub dropped: u64,
     /// Whether the trace declares itself truncated.
     pub truncated: bool,
@@ -132,7 +142,7 @@ pub struct TraceSummary {
 /// `span_accounting` metadata event must be internally consistent:
 /// `retained + dropped == finished`, the retained count must match the
 /// span pairs actually present, and `dropped > 0` requires the
-/// `truncated` marker (a sampled trace may never pose as complete).
+/// `truncated` marker (a partial trace may never pose as complete).
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let doc = parse_json(text).map_err(|e| e.to_string())?;
     let events = match &doc {
@@ -355,11 +365,16 @@ mod tests {
 
     #[test]
     fn truncated_trace_requires_the_marker() {
-        let obs = Observer::with_recorder(crate::observer::RecorderConfig::bounded(2));
-        for _ in 0..10 {
+        let obs = Observer::enabled();
+        for _ in 0..2 {
             let _s = obs.span("op");
         }
-        let json = obs.chrome_trace_json();
+        let stats = RetentionStats {
+            finished: 10,
+            retained: 2,
+            dropped: 8,
+        };
+        let json = chrome_trace_json_with_accounting(&obs.finished_spans(), &stats);
         let summary = validate_chrome_trace(&json).expect("valid truncated trace");
         assert_eq!(summary.spans, 2);
         assert_eq!(summary.dropped, 8);

@@ -1,32 +1,14 @@
 //! Property-based tests for the observability layer: histogram merge
-//! semantics, allocation-attribution reconciliation across threads, the
-//! flight recorder's retention invariants, the executor cost
-//! collector's flush-order invariance and exactness invariant, and the
-//! health engine's ring-timeseries statistics and detector determinism.
+//! semantics, allocation-attribution reconciliation across threads, and
+//! the executor cost collector's flush-order invariance and exactness
+//! invariant.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use deepeye_obs::{
-    default_detectors, stats_of, validate_cost_json, validate_health_json, AllocStats,
-    CandidateCost, CostAcc, CostCollector, HealthConfig, HealthEngine, Histogram, Observer, Op,
-    OpCosts, RecorderConfig, RingSeries, SamplingPolicy, SpanRecord, SpanRing,
+    validate_cost_json, CandidateCost, CostAcc, CostCollector, Histogram, Observer, Op, OpCosts,
 };
 use proptest::prelude::*;
-
-/// A synthetic finished span for driving [`SpanRing`] directly.
-fn record(id: u64, dur_ns: u64) -> SpanRecord {
-    SpanRecord {
-        id,
-        parent: None,
-        name: "prop.ring",
-        tid: 1,
-        start_ns: id * 7,
-        dur_ns,
-        begin_seq: 2 * id,
-        end_seq: 2 * id + 1,
-        alloc: AllocStats::default(),
-    }
-}
 
 /// A synthetic candidate whose rollup dimensions are a pure function of
 /// its id — merging the same id across flushes must see consistent
@@ -58,38 +40,6 @@ fn shuffled<T>(mut items: Vec<T>, mut seed: u64) -> Vec<T> {
         items.swap(i, (seed >> 33) as usize % (i + 1));
     }
     items
-}
-
-/// A minimal valid `deepeye-telemetry/v1` line for driving the health
-/// engine's ingest path with controlled stage latency and RSS readings.
-fn tick_line(seq: u64, p50: u64, rss: u64) -> String {
-    format!(
-        concat!(
-            "{{\"schema\":\"deepeye-telemetry/v1\",\"seq\":{seq},\"t_ns\":{t},",
-            "\"interval_ns\":1000000,\"counters\":{{\"exec.ok\":{ok}}},\"hists\":{{}},",
-            "\"stages\":{{\"harness.execute\":{{\"count\":1,\"total_ns\":{p50},",
-            "\"p50_ns\":{p50},\"p95_ns\":{p50},\"p99_ns\":{p50}}}}},",
-            "\"alloc\":{{\"count\":1,\"bytes\":64}},",
-            "\"spans\":{{\"finished\":{seq},\"retained\":1,\"dropped\":0,\"capacity\":256}},",
-            "\"proc\":{{\"rss_bytes\":{rss},\"cpu_user_ticks\":1,\"cpu_sys_ticks\":1}},",
-            "\"stalls\":[]}}",
-        ),
-        seq = seq,
-        t = seq * 1_000_000,
-        ok = seq % 5,
-        p50 = p50,
-        rss = rss,
-    )
-}
-
-/// Map an arbitrary tag to one of the four sampling policies.
-fn policy_from(tag: u64, threshold_ns: u64, seed: u64) -> SamplingPolicy {
-    match tag % 4 {
-        0 => SamplingPolicy::KeepAll,
-        1 => SamplingPolicy::KeepTail,
-        2 => SamplingPolicy::KeepSlowest { threshold_ns },
-        _ => SamplingPolicy::Reservoir { seed },
-    }
 }
 
 proptest! {
@@ -191,106 +141,6 @@ proptest! {
             .expect("metrics validate");
     }
 
-    /// The retention accounting invariant holds for every policy,
-    /// capacity, and span sequence: `retained + dropped == finished`,
-    /// and `retained <= capacity` whenever a capacity is set.
-    #[test]
-    fn ring_accounting_holds_for_any_policy(
-        tag in 0u64..4,
-        threshold_ns in 0u64..2_000,
-        seed in 0u64..u64::MAX,
-        capacity in 1usize..32,
-        durs in proptest::collection::vec(0u64..5_000, 0..200),
-    ) {
-        let policy = policy_from(tag, threshold_ns, seed);
-        let mut ring = SpanRing::new(capacity, policy);
-        for (i, &d) in durs.iter().enumerate() {
-            let drops = ring.push(record(i as u64, d));
-            prop_assert!(drops <= 1, "one push drops at most one span");
-        }
-        let stats = ring.stats();
-        prop_assert_eq!(stats.finished, durs.len() as u64);
-        prop_assert_eq!(stats.retained as u64 + stats.dropped, stats.finished);
-        if stats.capacity > 0 {
-            prop_assert!(stats.retained <= stats.capacity);
-        } else {
-            // KeepAll normalizes to unbounded and never drops.
-            prop_assert_eq!(stats.dropped, 0);
-        }
-        // The sorted export is a begin-ordered permutation of the
-        // retained set.
-        let sorted = ring.to_sorted_vec();
-        prop_assert_eq!(sorted.len(), stats.retained);
-        prop_assert!(sorted.windows(2).all(|w| w[0].begin_seq < w[1].begin_seq));
-    }
-
-    /// KeepSlowest with a zero threshold always retains the
-    /// maximum-duration span, whatever the arrival order.
-    #[test]
-    fn keep_slowest_retains_the_maximum_duration(
-        capacity in 1usize..16,
-        durs in proptest::collection::vec(0u64..1_000_000, 1..100),
-    ) {
-        let mut ring = SpanRing::new(capacity, SamplingPolicy::KeepSlowest { threshold_ns: 0 });
-        for (i, &d) in durs.iter().enumerate() {
-            ring.push(record(i as u64, d));
-        }
-        let max_dur = durs.iter().copied().max().unwrap_or(0);
-        prop_assert!(
-            ring.iter().any(|s| s.dur_ns == max_dur),
-            "slowest span ({} ns) must survive sampling",
-            max_dur
-        );
-        let stats = ring.stats();
-        prop_assert_eq!(stats.retained as u64 + stats.dropped, stats.finished);
-    }
-
-    /// Sampling never touches aggregates: a tightly bounded observer and
-    /// a record-all observer driven through the same operation sequence
-    /// agree exactly on counters, histograms, per-stage counts, and
-    /// allocation totals — only the raw span retention differs.
-    #[test]
-    fn aggregates_equal_record_all_reference(
-        ops in proptest::collection::vec(
-            (1u64..20, 0u64..1_000_000, (1u64..4, 0u64..10_000)),
-            1..80,
-        ),
-    ) {
-        let bounded = Observer::with_recorder(RecorderConfig::bounded(2));
-        let reference = Observer::enabled();
-        for &(delta, sample_ns, (alloc_count, alloc_bytes)) in &ops {
-            for obs in [&bounded, &reference] {
-                let _span = obs.span("prop.op");
-                obs.incr("exec.ok", delta);
-                obs.record_ns("exec.query_ns", sample_ns);
-                obs.alloc_many(alloc_count, alloc_bytes);
-            }
-        }
-
-        // Raw retention differs...
-        let retention = bounded.retention();
-        prop_assert!(retention.retained <= 2);
-        prop_assert_eq!(retention.finished, ops.len() as u64);
-        prop_assert_eq!(
-            retention.retained as u64 + retention.dropped,
-            retention.finished
-        );
-        prop_assert_eq!(reference.retention().dropped, 0);
-
-        // ...while every aggregate surface matches the reference exactly.
-        let b = bounded.snapshot();
-        let r = reference.snapshot();
-        prop_assert_eq!(b.counter("exec.ok"), r.counter("exec.ok"));
-        prop_assert_eq!(b.hist("exec.query_ns"), r.hist("exec.query_ns"));
-        let b_stage = b.stage("prop.op").expect("bounded stage agg");
-        let r_stage = r.stage("prop.op").expect("reference stage agg");
-        prop_assert_eq!(b_stage.count, r_stage.count);
-        prop_assert_eq!(b_stage.alloc_count, r_stage.alloc_count);
-        prop_assert_eq!(b_stage.alloc_bytes, r_stage.alloc_bytes);
-        prop_assert_eq!(b_stage.alloc_peak, r_stage.alloc_peak);
-        deepeye_obs::validate_metrics_json(&b.metrics_json()).expect("bounded metrics validate");
-    }
-
     /// Worker flush order never changes what the cost collector reports:
     /// candidates, rollup groups, and grand totals are identical under
     /// any permutation and chunking of the same candidate stream, and
@@ -377,148 +227,5 @@ proptest! {
             }
         }
         prop_assert_eq!(std::mem::size_of_val(&sink), 0);
-    }
-
-    /// The ring's windowed view and statistics equal a brute-force
-    /// recompute over the logical suffix of the input stream, for any
-    /// capacity and window — the wrap-index math can never change what
-    /// the detectors see.
-    #[test]
-    fn ring_window_stats_equal_brute_force(
-        samples in proptest::collection::vec(-1.0e12f64..1.0e12, 0..200),
-        capacity in 1usize..48,
-        window in 0usize..64,
-    ) {
-        let mut ring = RingSeries::new(capacity);
-        ring.extend(&samples);
-        let retained: Vec<f64> = samples
-            .iter()
-            .copied()
-            .skip(samples.len().saturating_sub(capacity))
-            .collect();
-        let expect: Vec<f64> = if window == 0 {
-            retained.clone()
-        } else {
-            retained
-                .iter()
-                .copied()
-                .skip(retained.len().saturating_sub(window))
-                .collect()
-        };
-        prop_assert_eq!(ring.window(window), expect.clone());
-        match ring.window_stats(window) {
-            None => prop_assert!(expect.is_empty()),
-            Some(stats) => {
-                let count = expect.len();
-                let min = expect.iter().copied().fold(f64::INFINITY, f64::min);
-                let max = expect.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let mean = expect.iter().sum::<f64>() / count as f64;
-                let middle = |mut v: Vec<f64>| {
-                    v.sort_by(f64::total_cmp);
-                    if v.len() % 2 == 1 {
-                        v[v.len() / 2]
-                    } else {
-                        (v[v.len() / 2 - 1] + v[v.len() / 2]) / 2.0
-                    }
-                };
-                let median = middle(expect.clone());
-                let mad = middle(expect.iter().map(|v| (v - median).abs()).collect());
-                prop_assert_eq!(stats.count, count);
-                prop_assert_eq!(stats.min, min);
-                prop_assert_eq!(stats.max, max);
-                prop_assert_eq!(stats.mean, mean);
-                prop_assert_eq!(stats.median, median);
-                prop_assert_eq!(stats.mad, mad);
-                prop_assert!(stats.min <= stats.median && stats.median <= stats.max);
-                prop_assert!(stats.mad >= 0.0);
-                // The free function and the ring agree by construction.
-                prop_assert_eq!(stats_of(&expect), Some(stats));
-            }
-        }
-    }
-
-    /// Batching samples into one `extend` call is indistinguishable from
-    /// single pushes — ring contents, windowed views, and every default
-    /// detector's verdict are identical. This is the determinism
-    /// guarantee the engine leans on when a tick carries several
-    /// samples for the same metric.
-    #[test]
-    fn batched_extend_matches_single_pushes(
-        samples in proptest::collection::vec(0.0f64..1.0e9, 0..120),
-        capacity in 1usize..40,
-        chunk in 1usize..10,
-    ) {
-        let mut one = RingSeries::new(capacity);
-        for &v in &samples {
-            one.push(v);
-        }
-        let mut batched = RingSeries::new(capacity);
-        for c in samples.chunks(chunk) {
-            batched.extend(c);
-        }
-        prop_assert_eq!(one.window(0), batched.window(0));
-        prop_assert_eq!(one.last(), batched.last());
-        prop_assert_eq!(one.total_appended(), batched.total_appended());
-        for det in default_detectors() {
-            prop_assert_eq!(
-                det.evaluate("stage.prop.p50_ns", &one),
-                det.evaluate("stage.prop.p50_ns", &batched),
-                "{} must not distinguish batched appends", det.name()
-            );
-            prop_assert_eq!(
-                det.evaluate("proc.rss_bytes", &one),
-                det.evaluate("proc.rss_bytes", &batched),
-                "{} must not distinguish batched appends", det.name()
-            );
-        }
-    }
-
-    /// Detectors never fire on windows below their minimum sample count,
-    /// and never on flat series of any length (no drift over a constant
-    /// baseline, no scale for a z-score, no strict growth).
-    #[test]
-    fn detectors_stay_quiet_on_short_and_flat_windows(
-        level in 0.0f64..1.0e9,
-        short in proptest::collection::vec(0.0f64..1.0e9, 0..15),
-        flat_len in 16usize..64,
-    ) {
-        let mut ring = RingSeries::new(64);
-        ring.extend(&short);
-        for det in default_detectors() {
-            prop_assert_eq!(det.evaluate("stage.prop.p50_ns", &ring), None);
-            prop_assert_eq!(det.evaluate("proc.rss_bytes", &ring), None);
-        }
-        let mut flat = RingSeries::new(64);
-        flat.extend(&vec![level; flat_len]);
-        for det in default_detectors() {
-            prop_assert_eq!(det.evaluate("stage.prop.p50_ns", &flat), None);
-            prop_assert_eq!(det.evaluate("proc.rss_bytes", &flat), None);
-        }
-    }
-
-    /// The engine is a pure function of the tick stream: replaying the
-    /// same lines yields byte-identical documents, and every document
-    /// passes the `deepeye-health/v1` validator with the right tick
-    /// count.
-    #[test]
-    fn health_engine_is_deterministic_and_validates(
-        p50s in proptest::collection::vec(1_000u64..1_000_000, 1..40),
-        rss0 in 1_000u64..1_000_000,
-    ) {
-        let run = || {
-            let mut engine = HealthEngine::new(HealthConfig::default());
-            for (i, &p) in p50s.iter().enumerate() {
-                engine
-                    .ingest_line(&tick_line(i as u64 + 1, p, rss0 + i as u64))
-                    .expect("synthetic tick line is valid");
-            }
-            engine.report_json()
-        };
-        let a = run();
-        let b = run();
-        prop_assert_eq!(&a, &b, "same stream must produce identical bytes");
-        let summary = validate_health_json(&a).expect("document validates");
-        prop_assert_eq!(summary.ticks, p50s.len() as u64);
-        prop_assert!(summary.series > 0);
     }
 }

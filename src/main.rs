@@ -26,6 +26,7 @@
 
 use deepeye::core::{keyword_search, render_svg, SvgOptions};
 use deepeye::prelude::*;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -185,13 +186,29 @@ impl ObsFlags {
 }
 
 fn main() -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match run(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        // A reader that stops early (`deepeye recommend t.csv | head -1`)
+        // closes the pipe; end quietly, as other Unix filters do.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Run the command named on the command line, printing its output to
+/// `stdout`. `Err` is a failed write to `stdout`.
+fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let Ok(flags) = ObsFlags::strip(&mut args) else {
-        return usage();
+        return Ok(usage());
     };
     let obs = flags.observer();
     let Some(command) = args.first().cloned() else {
-        return usage();
+        return Ok(usage());
     };
     let prov = flags.provenance(command == "explain");
     let costs = flags.costs();
@@ -204,77 +221,78 @@ fn main() -> ExitCode {
     match command.as_str() {
         "recommend" => {
             let Some(path) = args.get(1) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let k = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(5);
-            println!("{}\n", table.schema_string());
+            writeln!(stdout, "{}\n", table.schema_string())?;
             let recs = eye.recommend(&table, k);
             if recs.is_empty() {
-                println!("no meaningful visualizations found");
+                writeln!(stdout, "no meaningful visualizations found")?;
             }
             for rec in recs {
-                println!(
+                writeln!(
+                    stdout,
                     "#{} (M={:.2} Q={:.2} W={:.2})\n{}",
                     rec.rank,
                     rec.factors.m,
                     rec.factors.q,
                     rec.factors.w,
                     rec.node.data.ascii_sketch(10)
-                );
+                )?;
             }
             if let Err(code) = flags.finish(&obs, &prov, &costs) {
-                return code;
+                return Ok(code);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "search" => {
             let (Some(path), Some(keywords)) = (args.get(1), args.get(2)) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let k = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(3);
             for rec in keyword_search(&eye, &table, keywords, k) {
-                println!("#{}\n{}", rec.rank, rec.node.data.ascii_sketch(10));
+                writeln!(stdout, "#{}\n{}", rec.rank, rec.node.data.ascii_sketch(10))?;
             }
             if let Err(code) = flags.finish(&obs, &prov, &costs) {
-                return code;
+                return Ok(code);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "query" => {
             let (Some(path), Some(query_path)) = (args.get(1), args.get(2)) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let text = match std::fs::read_to_string(query_path) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("error: cannot read {query_path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             match parse_query(&text).map(|p| execute(&table, &p.query)) {
                 Ok(Ok(chart)) => {
-                    println!("{chart}");
-                    ExitCode::SUCCESS
+                    writeln!(stdout, "{chart}")?;
+                    Ok(ExitCode::SUCCESS)
                 }
                 Ok(Err(e)) => {
                     eprintln!("execution error: {e}");
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
                 Err(e) => {
                     eprintln!("{e}");
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
             }
         }
@@ -283,24 +301,24 @@ fn main() -> ExitCode {
                 strip_flag(&mut args, "--top"),
                 strip_flag(&mut args, "--query"),
             ) else {
-                return usage();
+                return Ok(usage());
             };
             let top: usize = match top {
                 Some(t) => match t.parse() {
                     Ok(n) => n,
                     Err(_) => {
                         eprintln!("error: --top wants a number, got `{t}`");
-                        return usage();
+                        return Ok(usage());
                     }
                 },
                 None => 5,
             };
             let Some(path) = args.get(1) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let _ = eye.recommend(&table, top.max(1));
             let log = prov.snapshot();
@@ -310,63 +328,63 @@ fn main() -> ExitCode {
                         Ok(p) => p,
                         Err(e) => {
                             eprintln!("{e}");
-                            return ExitCode::FAILURE;
+                            return Ok(ExitCode::FAILURE);
                         }
                     };
                     let id = deepeye::core::query_id(&parsed.query);
                     match log.find(&id) {
-                        Some(e) => print!("{}", e.render()),
+                        Some(e) => write!(stdout, "{}", e.render())?,
                         None => {
                             eprintln!(
                                 "no provenance record for `{}` — the candidate was never \
                                  enumerated (try a GROUP/BIN transform the rules propose)",
                                 parsed.query.to_language(table.name())
                             );
-                            return ExitCode::FAILURE;
+                            return Ok(ExitCode::FAILURE);
                         }
                     }
                 }
-                None => print!("{}", log.report(top)),
+                None => write!(stdout, "{}", log.report(top))?,
             }
             if let Err(code) = flags.finish(&obs, &prov, &costs) {
-                return code;
+                return Ok(code);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "svg" => {
             let (Some(path), Some(out_dir)) = (args.get(1), args.get(2)) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let k = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(6);
             if let Err(e) = std::fs::create_dir_all(out_dir) {
                 eprintln!("error: cannot create {out_dir}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             let opts = SvgOptions::default();
             for rec in eye.recommend(&table, k) {
                 let file = format!("{out_dir}/chart{}.svg", rec.rank);
                 if let Err(e) = std::fs::write(&file, render_svg(&rec.node, &opts)) {
                     eprintln!("error: cannot write {file}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
-                println!("wrote {file}");
+                writeln!(stdout, "wrote {file}")?;
             }
             if let Err(code) = flags.finish(&obs, &prov, &costs) {
-                return code;
+                return Ok(code);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "dashboard" => {
             let Some(path) = args.get(1) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let out = args
                 .get(2)
@@ -387,34 +405,35 @@ fn main() -> ExitCode {
             html.push_str("</body></html>\n");
             if let Err(e) = std::fs::write(&out, html) {
                 eprintln!("error: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
-            println!("wrote {out} (fully offline, inline SVG)");
+            writeln!(stdout, "wrote {out} (fully offline, inline SVG)")?;
             if let Err(code) = flags.finish(&obs, &prov, &costs) {
-                return code;
+                return Ok(code);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "inspect" => {
             let Some(path) = args.get(1) else {
-                return usage();
+                return Ok(usage());
             };
             let table = match load(path) {
                 Ok(t) => t,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
-            println!("{}", table.schema_string());
+            writeln!(stdout, "{}", table.schema_string())?;
             for col in table.columns() {
                 let profile = deepeye::data::profile_column(col);
-                println!(
+                writeln!(
+                    stdout,
                     "  {:<24} nulls={:<5} {}",
                     col.name(),
                     col.null_count(),
                     profile.summary_line(col.data_type()),
-                );
+                )?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        _ => usage(),
+        _ => Ok(usage()),
     }
 }

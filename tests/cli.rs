@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_deepeye"))
@@ -63,6 +63,53 @@ fn inspect_reports_types() {
     assert!(stdout.contains("Tem"), "month detected temporal: {stdout}");
     assert!(stdout.contains("Cat"), "region detected categorical");
     assert!(stdout.contains("Num"), "revenue detected numerical");
+}
+
+#[test]
+fn inspect_reads_nan_cells_as_missing_values() {
+    let dir = tmp_dir("nan");
+    let csv = dir.join("temps.csv");
+    let mut text = String::from("day,temp\n");
+    for i in 0..40 {
+        let temp = if i % 8 == 3 {
+            "NaN".to_owned()
+        } else {
+            format!("{}.5", 10 + i)
+        };
+        text.push_str(&format!("d{i},{temp}\n"));
+    }
+    std::fs::write(&csv, text).unwrap();
+    let out = bin()
+        .args(["inspect", csv.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("temp: Num"), "{stdout}");
+    let temp = stdout.lines().find(|l| l.trim_start().starts_with("temp "));
+    assert!(temp.is_some_and(|l| l.contains("nulls=5 ")), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `deepeye recommend t.csv | head -1`: the reader goes away before the
+    // output is written.
+    let dir = tmp_dir("pipe");
+    let csv = sample_csv(&dir);
+    let csv = csv.to_str().unwrap();
+    for args in [vec!["recommend", csv, "5"], vec!["inspect", csv]] {
+        let mut child = bin()
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {} {stderr}", out.status);
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

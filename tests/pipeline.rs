@@ -5,6 +5,7 @@
 
 use deepeye::datagen::{flight_table, recognition_examples, PerceptionOracle};
 use deepeye::prelude::*;
+use proptest::prelude::*;
 
 const CSV: &str = "\
 when,store,sales,footfall
@@ -163,4 +164,97 @@ fn multi_column_extension_runs() {
         chart.series.iter().all(|(_, pts)| pts.len() <= 12),
         "month-of-year bins"
     );
+}
+
+/// One generated cell: a kind (0 number, 1 ISO date, 2 short category,
+/// 3 any of the three), an empty-cell draw, and a value seed.
+fn cell(kind: u8, empty: u8, v: u32) -> String {
+    const CATEGORIES: [&str; 6] = ["a", "b", "c", "dd", "east", "west"];
+    let kind = if kind == 3 { (v % 3) as u8 } else { kind };
+    match (empty, kind) {
+        (0, _) => String::new(),
+        (_, 0) => format!("{}.{}", v as i64 / 10 - 40, v % 10),
+        (_, 1) => format!("2015-{:02}-{:02}", v % 12 + 1, v % 28 + 1),
+        _ => CATEGORIES[v as usize % CATEGORIES.len()].to_owned(),
+    }
+}
+
+/// CSV text of 1–60 rows and 4–6 columns of numbers, ISO dates, short
+/// categories and empty cells.
+fn csv_text() -> impl Strategy<Value = String> {
+    (1usize..61, 4usize..7).prop_flat_map(|(rows, cols)| {
+        let kinds = proptest::collection::vec(0u8..4, cols);
+        let cells = proptest::collection::vec((0u8..10, 0u32..1000), rows * cols);
+        (kinds, cells).prop_map(move |(kinds, cells)| {
+            let header: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
+            let mut text = header.join(",") + "\n";
+            for row in cells.chunks(cols) {
+                let line: Vec<String> = row
+                    .iter()
+                    .zip(&kinds)
+                    .map(|(&(empty, v), &kind)| cell(kind, empty, v))
+                    .collect();
+                text.push_str(&line.join(","));
+                text.push('\n');
+            }
+            text
+        })
+    })
+}
+
+/// The top-10 as query texts and factor bits, with the given worker mode.
+fn top_10(table: &Table, parallel: bool) -> Vec<(String, [u64; 3])> {
+    let eye = DeepEye::new(DeepEyeConfig {
+        parallel,
+        ..Default::default()
+    });
+    eye.recommend(table, 10)
+        .iter()
+        .map(|r| {
+            let f = &r.factors;
+            let bits = [f.m.to_bits(), f.q.to_bits(), f.w.to_bits()];
+            (r.query_text(table.name()), bits)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `recommend` never panics on a table the CSV reader accepts, and
+    /// serial and parallel execution return the same charts with
+    /// bit-identical factors, in the same order.
+    #[test]
+    fn recommend_is_total_and_independent_of_worker_count(text in csv_text()) {
+        if let Ok(table) = table_from_csv_str("generated", &text) {
+            prop_assert_eq!(top_10(&table, false), top_10(&table, true));
+        }
+    }
+}
+
+/// `build_nodes` splits work across workers only at 32 or more
+/// candidates; this table is sure to reach that.
+#[test]
+fn parallel_recommend_equals_serial_on_a_split_workload() {
+    let mut text = String::from("day,region,product,sales,units,price\n");
+    for i in 0..60u32 {
+        let region = ["north", "south", "east", "west"][i as usize % 4];
+        let product = ["tea", "coffee", "cocoa"][i as usize % 3];
+        text.push_str(&format!(
+            "2015-{:02}-{:02},{region},{product},{},{},{}.{}\n",
+            i / 28 + 1,
+            i % 28 + 1,
+            100 + (i * 37) % 250,
+            1 + (i * 7) % 40,
+            2 + i % 9,
+            (i * 3) % 10
+        ));
+    }
+    let table = table_from_csv_str("split", &text).unwrap();
+    assert_eq!((table.row_count(), table.column_count()), (60, 6));
+    let candidates = DeepEye::with_defaults().candidates(&table).len();
+    assert!(candidates >= 32, "only {candidates} candidates");
+    let serial = top_10(&table, false);
+    assert_eq!(serial.len(), 10);
+    assert_eq!(serial, top_10(&table, true));
 }
