@@ -1122,16 +1122,12 @@ fn stmt_window(toks: &[Token], i: usize) -> (usize, usize) {
 }
 
 /// Whether a statement window touches a counter flow: a metric-name
-/// string literal (`cost.*` / `obs.*` / `telemetry.*` / `health.*`) or
-/// the `counters` map itself.
+/// string literal (`cost.*` / `obs.*`) or the `counters` map itself.
 fn counter_window(toks: &[Token], s: usize, e: usize) -> bool {
     toks[s..e.min(toks.len())].iter().any(|t| {
-        t.str_lit().is_some_and(|lit| {
-            lit.starts_with("cost.")
-                || lit.starts_with("obs.")
-                || lit.starts_with("telemetry.")
-                || lit.starts_with("health.")
-        }) || t.is_ident("counters")
+        t.str_lit()
+            .is_some_and(|lit| lit.starts_with("cost.") || lit.starts_with("obs."))
+            || t.is_ident("counters")
     })
 }
 
@@ -1710,7 +1706,7 @@ fn account(state: &mut State, drops: u64) {
     *state.counters.entry("obs.dropped").or_insert(0) += drops;
 }
 "#;
-        let (ws, a) = build(vec![("crates/obs/src/telemetry.rs", src)], "");
+        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
         let hits = counter_arith(&ws, &a);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].message.contains("saturating_add"), "{hits:?}");
@@ -1724,7 +1720,7 @@ fn account(state: &mut State, drops: u64) {
     *slot = slot.saturating_add(drops);
 }
 "#;
-        let (ws, a) = build(vec![("crates/obs/src/telemetry.rs", src)], "");
+        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
         assert!(counter_arith(&ws, &a).is_empty());
     }
 

@@ -1,9 +1,9 @@
 //! Checked-in models of this repo's concurrency patterns.
 //!
 //! Each function is a model the checker explores. The positive models
-//! mirror real synchronization in `deepeye-obs` / `deepeye-core` and
-//! must stay race-, deadlock-, and failure-free under every explored
-//! interleaving; the negative models seed the exact bug class the
+//! mirror merges in `deepeye-obs` / `deepeye-core` (each says which
+//! synchronization the real code uses) and must stay race-, deadlock-,
+//! and failure-free under every explored interleaving; the negative models seed the exact bug class the
 //! positives rule out and exist so the tests can prove the checker
 //! *would* catch a regression (a detector nobody has seen fire is
 //! untested).
@@ -13,9 +13,11 @@ use super::{explore_at_least, MemOrd, Report, Sim};
 /// Floor on interleavings per checked-in model (acceptance criterion).
 pub const INTERLEAVING_TARGET: usize = 1000;
 
-/// Mirrors `Observer::incr` + span-sink push from three threads: an
-/// atomic total bumped with `SeqCst` and a log vector guarded by a
-/// mutex. Merge must lose nothing under any schedule.
+/// Three threads merge into shared counters: a total bumped with a
+/// `SeqCst` atomic and a log vector guarded by a mutex. The log half
+/// mirrors `Observer::incr` and the span-sink push, which both take the
+/// observer's state mutex; the atomic half is the lock-free variant of
+/// the same merge. Neither may lose an update under any schedule.
 pub fn counter_merge(sim: &mut Sim) {
     let total = sim.atomic_u64("counters.total", 0);
     let log = sim.cell("counters.log", Vec::<u64>::new());
@@ -82,9 +84,11 @@ pub fn span_parenting(sim: &mut Sim) {
     }
 }
 
-/// Mirrors the work partition in `exhaustive_top_k_parallel`: workers
-/// fold disjoint chunks and merge partials through a `SeqCst` atomic.
-/// The merged total must equal the sequential fold.
+/// The work partition of `exhaustive_top_k_parallel`: workers fold
+/// disjoint chunks. There each worker returns its partial and the caller
+/// merges them as it joins the workers; this model merges them through a
+/// `SeqCst` atomic instead, in whatever order the workers finish. The
+/// merged total must equal the sequential fold.
 pub fn partition_merge(sim: &mut Sim) {
     let data: Vec<u64> = (1..=9).collect();
     let expected: u64 = data.iter().sum();

@@ -11,8 +11,8 @@
 //! `vendor/*` (not loaded at all).
 //!
 //! `A0001`–`A0003` and `A0006` are single-window token matchers. The
-//! name-sync rules (`A0004`, `A0005`, `A0007`, `A0014`) are rows of one
-//! table, [`FAMILIES`], checked by one engine.
+//! name-sync rules (`A0004`, `A0005`, `A0014`) are rows of one table,
+//! [`FAMILIES`], checked by one engine.
 //! `A0008`–`A0012` (implemented in [`crate::dataflow`]) walk the call
 //! graph and attach `file:line` witness chains to their findings.
 //!
@@ -78,12 +78,6 @@ pub static RULES: &[Rule] = &[
         check: free_thread_spawn,
     },
     Rule {
-        code: "A0007",
-        summary: "bench.* metric names agree across the perf harness, the registry, and DESIGN.md",
-        interprocedural: false,
-        check: |ws, _| sync(ws, "A0007"),
-    },
-    Rule {
         code: "A0008",
         summary: "no lock-order cycles across the workspace call graph (static ABBA deadlock detection)",
         interprocedural: true,
@@ -127,7 +121,7 @@ pub static RULES: &[Rule] = &[
     },
     Rule {
         code: "A0016",
-        summary: "counter flows (cost.*/obs.*/telemetry.*/health.*) use saturating arithmetic and interval-proven narrowing casts",
+        summary: "counter flows (cost.*/obs.*) use saturating arithmetic and interval-proven narrowing casts",
         interprocedural: false,
         check: crate::effects::counter_arith,
     },
@@ -434,7 +428,7 @@ fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// The name-sync table: A0004, A0005, A0007 and A0014.
+// The name-sync table: A0004, A0005 and A0014.
 //
 // Each row of `FAMILIES` keeps one family of names in sync across a
 // registry, the code that uses the names, and a DESIGN.md section.
@@ -453,7 +447,6 @@ fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 
 const METRICS_RS: &str = "crates/obs/src/metrics.rs";
 const SEMA_RS: &str = "crates/query/src/sema.rs";
-const PERF_RS: &str = "crates/bench/src/perf.rs";
 const EXEC_RS: &str = "crates/query/src/exec.rs";
 const FLUSH_RS: &str = "crates/core/src/parallel.rs";
 
@@ -464,8 +457,6 @@ pub enum Registry {
     Metrics(&'static [&'static str]),
     /// Only the counters under these prefixes.
     Counters(&'static [&'static str]),
-    /// Only the histograms under these prefixes.
-    Histograms(&'static [&'static str]),
     /// The executor cost operators, `deepeye_obs::Op::ALL`.
     Ops,
     /// The `//! | E0001 | … |` table in the anchor file's module doc.
@@ -528,7 +519,6 @@ pub static FAMILIES: &[Family] = &[
         code: "A0005",
         noun: "metric",
         registry: Registry::Metrics(&[
-            "bench.",
             "cost.",
             "enumerate.",
             "exec.",
@@ -544,21 +534,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: METRICS_RS,
         unused: "recorded nowhere",
         section: Some(Section("§6", "### Metric names", "### Exporters")),
-    },
-    Family {
-        code: "A0007",
-        noun: "bench metric",
-        registry: Registry::Histograms(&["bench."]),
-        uses: Uses::Literals,
-        files: &[
-            PERF_RS,
-            "crates/bench/src/bin/harness.rs",
-            "crates/bench/src/bin/perfgate.rs",
-        ],
-        anchor: PERF_RS,
-        unused_at: PERF_RS,
-        unused: "not wired into the perf harness layer",
-        section: None,
     },
     Family {
         code: "A0014",
@@ -731,7 +706,6 @@ impl Registry {
         let lists = match self {
             Registry::Metrics(_) => vec![counters, histograms],
             Registry::Counters(_) => vec![counters],
-            Registry::Histograms(_) => vec![histograms],
             Registry::Ops => return Op::ALL.iter().map(|op| (op.name(), "operator")).collect(),
             Registry::SemaTable => {
                 let doc = anchor.map_or("", |f| f.raw.as_str()).lines();
@@ -751,7 +725,7 @@ impl Registry {
 
     fn prefixes(&self) -> &'static [&'static str] {
         match self {
-            Registry::Metrics(p) | Registry::Counters(p) | Registry::Histograms(p) => p,
+            Registry::Metrics(p) | Registry::Counters(p) => p,
             Registry::Ops => &[],
             Registry::SemaTable => &["E00", "W01"],
         }
@@ -761,7 +735,6 @@ impl Registry {
     fn source(&self) -> &'static str {
         match self {
             Registry::Counters(_) => "the registry's counters (deepeye_obs::metrics)",
-            Registry::Histograms(_) => "the registry's histograms (deepeye_obs::metrics)",
             Registry::SemaTable => "the sema module-doc table",
             _ => "the central metric registry (deepeye_obs::metrics)",
         }
@@ -1185,115 +1158,6 @@ fn f(obs: &Observer, prov: &Provenance) {
         assert!(outcome.violations.is_empty());
         assert_eq!(outcome.suppressed.len(), 1);
         assert_eq!(outcome.stale, vec!["A0006 crates/core/src/gone.rs"]);
-    }
-
-    /// A perf-layer fixture wiring every registered `bench.*` histogram.
-    const PERF_FIXTURE: &str = r#"
-pub fn metric(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Enumerate => "bench.enumerate_ns",
-        Stage::Execute => "bench.execute_ns",
-        Stage::Recognize => "bench.recognize_ns",
-        Stage::Rank => "bench.rank_ns",
-        Stage::TopK => "bench.topk_ns",
-        Stage::Analyze => "bench.analyze_ns",
-    }
-}
-"#;
-
-    /// A DESIGN.md fixture documenting every registered `bench.*` histogram.
-    const DESIGN_FIXTURE: &str = "## 9. Performance observability\n\
-        `bench.enumerate_ns` `bench.execute_ns` `bench.recognize_ns` \
-        `bench.rank_ns` `bench.topk_ns` `bench.analyze_ns`\n";
-
-    #[test]
-    fn a0007_clean_when_all_three_agree() {
-        let hits = run_rule(
-            "A0007",
-            vec![("crates/bench/src/perf.rs", PERF_FIXTURE)],
-            DESIGN_FIXTURE,
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0007_flags_unregistered_literal_in_harness() {
-        let hits = run_rule(
-            "A0007",
-            vec![
-                ("crates/bench/src/perf.rs", PERF_FIXTURE),
-                (
-                    "crates/bench/src/bin/harness.rs",
-                    r#"fn f(obs: &Observer) { obs.record_many_ns("bench.enumarate_ns", &[1]); }"#,
-                ),
-            ],
-            DESIGN_FIXTURE,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "crates/bench/src/bin/harness.rs");
-        assert!(hits[0].message.contains("bench.enumarate_ns"));
-    }
-
-    #[test]
-    fn a0007_flags_unwired_registry_entry() {
-        let reduced = PERF_FIXTURE.replace("\"bench.topk_ns\"", "\"bench.rank_ns\"");
-        let hits = run_rule(
-            "A0007",
-            vec![("crates/bench/src/perf.rs", reduced.as_str())],
-            DESIGN_FIXTURE,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "crates/bench/src/perf.rs");
-        assert!(hits[0].message.contains("bench.topk_ns"));
-    }
-
-    #[test]
-    fn a0007_flags_design_doc_drift_both_ways() {
-        // Docs miss a registered metric.
-        let missing = DESIGN_FIXTURE.replace("`bench.rank_ns` ", "");
-        let hits = run_rule(
-            "A0007",
-            vec![("crates/bench/src/perf.rs", PERF_FIXTURE)],
-            &missing,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "DESIGN.md");
-        assert!(hits[0].message.contains("not documented"));
-        // Docs invent an unregistered metric.
-        let invented = format!("{DESIGN_FIXTURE}\nAlso `bench.bogus_ns` is great.\n");
-        let hits = run_rule(
-            "A0007",
-            vec![("crates/bench/src/perf.rs", PERF_FIXTURE)],
-            &invented,
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "DESIGN.md");
-        assert_eq!(hits[0].line, 4);
-        assert!(hits[0].message.contains("bench.bogus_ns"));
-    }
-
-    #[test]
-    fn a0007_ignores_prefixed_and_non_metric_tokens() {
-        let prose = format!(
-            "{DESIGN_FIXTURE}\nThe microbench.speed_ns suite and the bench. \
-             directory are unrelated; deepeye-bench.total_ns too.\n"
-        );
-        let hits = run_rule(
-            "A0007",
-            vec![("crates/bench/src/perf.rs", PERF_FIXTURE)],
-            &prose,
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0007_skips_partial_workspaces() {
-        let hits = run_rule(
-            "A0007",
-            vec![("crates/core/src/x.rs", "fn f() {}")],
-            "whatever `bench.bogus_ns`",
-        );
-        assert!(hits.is_empty(), "{hits:?}");
     }
 
     const EXEC_FIXTURE: &str = r#"

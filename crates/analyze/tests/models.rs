@@ -68,9 +68,11 @@ fn top_k_partition_merge_is_race_free() {
     ));
 }
 
-/// `exhaustive_top_k_parallel`'s merge discipline: worker-local
-/// `SelectionStats` folded into the shared block under a lock must
-/// equal the sequential fold under **every** interleaving.
+/// `SelectionStats::merge` is order-independent. `exhaustive_top_k_parallel`
+/// merges worker-local stats as it joins the workers, in spawn order;
+/// folding them into a shared block under a lock, in whatever order the
+/// workers arrive, must equal the sequential fold under **every**
+/// interleaving.
 #[test]
 fn selection_stats_merge_matches_sequential_under_all_interleavings() {
     let mut expected = SelectionStats::default();

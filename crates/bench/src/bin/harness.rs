@@ -1,15 +1,17 @@
 //! The continuous-performance harness: runs the fixed scenario matrix
-//! (table shapes × the five pipeline stages) plus an `analyze-workspace`
-//! scenario timing the static-analysis pass over the repository source,
-//! times each stage over warmup + repeated runs on the span clock, and
-//! writes the versioned `BENCH_results.json` document that `perfgate`
-//! diffs and `trace_check --bench --budgets` validates.
+//! through the shipping pipeline — each repetition ingests the scenario
+//! table's CSV bytes, then runs `recommend` and `recommend_progressive` —
+//! plus an `analyze-workspace` scenario timing the static-analysis pass
+//! over the repository source. Every stage sample is read from the span
+//! that stage opens (`deepeye_bench::perf::STAGES`), and the run writes
+//! the versioned `BENCH_results.json` document that `perfgate` diffs and
+//! `trace_check --bench --budgets` validates.
 //!
 //! Usage: `harness [--smoke] [--out <path>] [--warmup N] [--reps N]
 //! [--stacks <path>] [--flame <path>] [--cost-out <path>]`
 //!
-//! `--cost-out` runs the execute stage with per-candidate cost profiling
-//! and writes the `deepeye-cost/v1` operator-attribution document (after
+//! `--cost-out` runs the pipeline with per-candidate cost profiling and
+//! writes the `deepeye-cost/v1` operator-attribution document (after
 //! asserting the per-candidate totals equal the `cost.*` counters the
 //! workers flushed, and running it through the validator).
 //!
@@ -17,20 +19,10 @@
 //! `--flame` additionally export the run's span tree as a folded-stack
 //! file / self-contained flame SVG.
 
-// Experiment drivers are report scripts: aborting on a broken
-// invariant is the right behavior, so the workspace unwrap/panic
-// lints are relaxed here.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use deepeye_bench::perf::{
-    record_stage_samples, results_json, scenario_matrix, RobustTiming, ScenarioRun, Stage,
+    results_json, run_analyze, run_scenario, scenario_matrix, Models, PIPELINE,
 };
-use deepeye_core::{
-    build_nodes, rank_by_partial_order, ClassifierKind, ProgressiveSelector, Recognizer,
-};
-use deepeye_datagen::{build_table, recognition_examples, training_tables, PerceptionOracle};
-use deepeye_obs::{validate_cost_json, CostCollector, Observer, Op, Stopwatch};
-use deepeye_query::UdfRegistry;
+use deepeye_obs::{validate_cost_json, CostCollector, Observer, Op};
 use std::process::ExitCode;
 
 struct Args {
@@ -82,33 +74,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-/// Time one stage: warmup runs (discarded), then `reps` timed runs on the
-/// span clock, each under the stage's span so the trace, flame view, and
-/// `alloc.*` aggregates attribute the work. The closure receives the
-/// stage span's id so cross-thread work (the parallel executor's worker
-/// spans) parents under the stage being measured. Returns the raw
-/// samples.
-fn time_stage<T>(
-    obs: &Observer,
-    stage: Stage,
-    warmup: usize,
-    reps: usize,
-    mut run: impl FnMut(Option<deepeye_obs::SpanId>) -> T,
-) -> Vec<u64> {
-    for _ in 0..warmup {
-        let span = obs.span(stage.span_name());
-        std::hint::black_box(run(span.id()));
-    }
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let span = obs.span(stage.span_name());
-        let clock = Stopwatch::start();
-        std::hint::black_box(run(span.id()));
-        samples.push(clock.elapsed_ns());
-    }
-    samples
-}
-
 /// Write the executor cost report, first checking the exactness
 /// invariant — the collector's per-candidate totals must equal the
 /// registry's `cost.*` counters, which are flushed inside the
@@ -130,9 +95,60 @@ fn write_cost_report(path: &str, costs: &CostCollector, obs: &Observer) -> Resul
     }
     let doc = report.to_json();
     validate_cost_json(&doc).map_err(|e| format!("cost document invalid: {e}"))?;
-    std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("harness: wrote executor cost report to {path}");
+    write(path, &doc, "executor cost report")?;
     eprint!("{}", report.cost_table());
+    Ok(())
+}
+
+fn write(path: &str, text: &str, what: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("harness: wrote {what} to {path}");
+    Ok(())
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    eprintln!(
+        "harness: {} matrix, warmup {}, reps {}",
+        if args.smoke { "smoke" } else { "full" },
+        args.warmup,
+        args.reps
+    );
+    // Offline phase (untimed): train the recognizer and the LTR ranker
+    // once; the matrix measures the online pipeline only.
+    let models = Models::train(0.03);
+    let obs = Observer::enabled();
+    let costs = if args.cost_out.is_some() {
+        CostCollector::enabled()
+    } else {
+        CostCollector::disabled()
+    };
+    let eye = models.pipeline(&obs, &costs);
+    let mut runs = Vec::new();
+    for spec in scenario_matrix(args.smoke) {
+        eprintln!(
+            "  scenario {} — {} rows x {} columns",
+            spec.name, spec.rows, spec.columns
+        );
+        runs.push(run_scenario(&spec, &eye, PIPELINE, args.warmup, args.reps)?);
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(std::path::Path::parent)
+        .ok_or("no workspace root above the bench crate")?;
+    eprintln!("  scenario analyze-workspace");
+    runs.push(run_analyze(root, &obs, args.warmup, args.reps)?);
+
+    write(&args.out, &results_json(&runs, &obs.snapshot()), "results")?;
+    if let Some(path) = &args.stacks {
+        write(path, &obs.folded_stacks(), "folded stacks")?;
+    }
+    if let Some(path) = &args.flame {
+        write(path, &obs.flame_svg(), "flame SVG")?;
+    }
+    if let Some(path) = &args.cost_out {
+        write_cost_report(path, &costs, &obs)?;
+    }
+    println!("{}", obs.snapshot().stage_report());
     Ok(())
 }
 
@@ -148,146 +164,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
-        "harness: {} matrix, warmup {}, reps {}",
-        if args.smoke { "smoke" } else { "full" },
-        args.warmup,
-        args.reps
-    );
-
-    // Offline phase (untimed): train the recognizer and the LTR ranker
-    // once; the matrix measures the online pipeline only.
-    let oracle = PerceptionOracle::default();
-    let train = training_tables(0.03);
-    let recognizer = Recognizer::train(
-        ClassifierKind::DecisionTree,
-        &recognition_examples(&train, &oracle),
-    );
-    let ltr = deepeye_bench::efficiency::offline_ltr(0.03, &oracle);
-
-    let obs = Observer::enabled();
-    let costs = if args.cost_out.is_some() {
-        CostCollector::enabled()
-    } else {
-        CostCollector::disabled()
-    };
-    let udfs = UdfRegistry::default();
-    let mut runs: Vec<ScenarioRun> = Vec::new();
-    for spec in scenario_matrix(args.smoke) {
-        let table = build_table(&spec.corpus_spec());
-        eprintln!(
-            "  scenario {} — {} rows x {} columns",
-            spec.name,
-            table.row_count(),
-            table.column_count()
-        );
-        let mut stages: Vec<(Stage, RobustTiming)> = Vec::new();
-        let queries = deepeye_core::rules::rule_based_queries(&table);
-        let nodes = build_nodes(
-            &table,
-            queries.clone(),
-            &udfs,
-            false,
-            true,
-            &obs,
-            None,
-            &CostCollector::disabled(),
-        );
-        for stage in Stage::PIPELINE {
-            let samples = match stage {
-                Stage::Enumerate => time_stage(&obs, stage, args.warmup, args.reps, |_| {
-                    deepeye_core::rules::rule_based_queries(&table)
-                }),
-                Stage::Execute => time_stage(&obs, stage, args.warmup, args.reps, |parent| {
-                    build_nodes(
-                        &table,
-                        queries.clone(),
-                        &udfs,
-                        true,
-                        true,
-                        &obs,
-                        parent,
-                        &costs,
-                    )
-                }),
-                Stage::Recognize => time_stage(&obs, stage, args.warmup, args.reps, |_| {
-                    nodes.iter().filter(|n| recognizer.is_good(n)).count()
-                }),
-                // The two rankings `Hybrid` combines.
-                Stage::Rank => time_stage(&obs, stage, args.warmup, args.reps, |_| {
-                    (rank_by_partial_order(&nodes), ltr.rank(&nodes))
-                }),
-                Stage::TopK => time_stage(&obs, stage, args.warmup, args.reps, |_| {
-                    ProgressiveSelector::new(&table, &udfs).top_k_observed(10, &obs)
-                }),
-                Stage::Analyze => unreachable!("analyze runs in its own scenario"),
-            };
-            record_stage_samples(&obs, stage, &samples);
-            stages.push((stage, RobustTiming::from_samples(&samples)));
-        }
-        runs.push(ScenarioRun {
-            name: spec.name.to_owned(),
-            rows: table.row_count(),
-            columns: table.column_count(),
-            stages,
-        });
-    }
-
-    // The static-analysis pass gets its own scenario: it measures the
-    // workspace source (lex + call graph + interprocedural rules), not a
-    // scenario table, so `rows`/`columns` report files scanned and rule
-    // count instead of a table shape.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("workspace root exists");
-    let files_scanned = deepeye_analyze::Workspace::load(root)
-        .expect("workspace loads")
-        .files
-        .len();
-    eprintln!(
-        "  scenario analyze-workspace — {} files x {} rules",
-        files_scanned,
-        deepeye_analyze::rules::RULES.len()
-    );
-    let samples = time_stage(&obs, Stage::Analyze, args.warmup, args.reps, |_| {
-        let ws = deepeye_analyze::Workspace::load(root).expect("workspace loads");
-        deepeye_analyze::lint::run(&ws, &deepeye_analyze::Baseline::default())
-    });
-    record_stage_samples(&obs, Stage::Analyze, &samples);
-    runs.push(ScenarioRun {
-        name: "analyze-workspace".to_owned(),
-        rows: files_scanned,
-        columns: deepeye_analyze::rules::RULES.len(),
-        stages: vec![(Stage::Analyze, RobustTiming::from_samples(&samples))],
-    });
-
-    let json = results_json(&runs, &obs.snapshot());
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("harness: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("harness: wrote {}", args.out);
-    if let Some(path) = &args.stacks {
-        if let Err(e) = std::fs::write(path, obs.folded_stacks()) {
-            eprintln!("harness: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("harness: wrote folded stacks to {path}");
-    }
-    if let Some(path) = &args.flame {
-        if let Err(e) = std::fs::write(path, obs.flame_svg()) {
-            eprintln!("harness: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("harness: wrote flame SVG to {path}");
-    }
-    if let Some(path) = &args.cost_out {
-        if let Err(e) = write_cost_report(path, &costs, &obs) {
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
             eprintln!("harness: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    println!("{}", obs.snapshot().stage_report());
-    ExitCode::SUCCESS
 }

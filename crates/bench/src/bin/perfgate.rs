@@ -1,7 +1,8 @@
 //! The perf-regression gate: compare two `harness` result documents
 //! (baseline vs current) with noise-aware thresholds and exit nonzero
 //! when any (scenario, stage) median regressed past its allowance —
-//! naming the scenario, stage, and registry metric in the verdict.
+//! naming the scenario, stage, and span in the verdict. Documents of
+//! different schema versions are refused, not compared.
 //!
 //! Usage: `perfgate <baseline.json> <current.json>
 //! [--scenarios a,b] [--cost-base F --cost-cur F]

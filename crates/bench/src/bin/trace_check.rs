@@ -14,10 +14,10 @@
 //!   schema, codes drawn from the rule catalog, and the stable
 //!   (file, line, code) diagnostic ordering.
 //! - Bench results (`--bench`, from `harness` or `fig12_efficiency`'s
-//!   `DEEPEYE_BENCH_OUT`): versioned schema, registered metric names,
-//!   internally consistent robust timings.
+//!   `DEEPEYE_BENCH_OUT`): versioned schema, stage rows naming their
+//!   spans, internally consistent robust timings.
 //! - Stage budgets (`--budgets`): a harness document's per-stage medians
-//!   against the declarative budget table (`deepeye_bench::perf::BUDGETS`).
+//!   against the ceilings of the stage table (`deepeye_bench::perf::STAGES`).
 //! - Executor cost reports (`--cost`, from `harness --cost-out` or the
 //!   CLI `--cost-out`): `deepeye-cost/v1` schema, the operator
 //!   taxonomy, and the exactness invariant — per-candidate costs sum

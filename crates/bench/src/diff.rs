@@ -1,6 +1,6 @@
 //! Cross-run performance diffing: compare two harness runs and say not
 //! just *that* a stage moved but *why*. [`diff_runs`] takes two
-//! `deepeye-bench/v1` documents and, optionally, two folded-stack files
+//! `deepeye-bench/v2` documents and, optionally, two folded-stack files
 //! and two `deepeye-cost/v1` documents, and produces a [`DiffReport`]
 //! with three delta layers ranked by absolute contribution:
 //!
@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 pub struct StageDelta {
     pub scenario: String,
     pub stage: String,
-    /// Registry metric name (`bench.execute_ns`, …).
-    pub metric: String,
+    /// The span the stage is read from (`pipeline.execute`, …).
+    pub span: String,
     pub baseline_ns: u64,
     pub current_ns: u64,
     /// `current - baseline`; positive means slower.
@@ -111,7 +111,7 @@ pub fn diff_stages(baseline: &str, current: &str, cfg: &GateConfig) -> Result<St
     let cur_rows = stage_medians(current, "current")?;
     let mut stages = Vec::new();
     let mut lost = Vec::new();
-    for (scenario, stage, metric, base_median, base_iqr) in &base_rows {
+    for (scenario, stage, span, base_median, base_iqr) in &base_rows {
         let Some((_, _, _, cur_median, cur_iqr)) = cur_rows
             .iter()
             .find(|(s, st, ..)| s == scenario && st == stage)
@@ -126,7 +126,7 @@ pub fn diff_stages(baseline: &str, current: &str, cfg: &GateConfig) -> Result<St
         stages.push(StageDelta {
             scenario: scenario.clone(),
             stage: stage.clone(),
-            metric: metric.clone(),
+            span: span.clone(),
             baseline_ns: *base_median,
             current_ns: *cur_median,
             delta_ns,
@@ -386,7 +386,7 @@ impl DiffReport {
                 d.delta_str(),
                 fmt_duration(d.baseline_ns),
                 fmt_duration(d.current_ns),
-                d.metric
+                d.span
             ));
         }
         if !self.paths.is_empty() {
@@ -437,7 +437,7 @@ impl DiffReport {
                 "{} / {} ({}): median {} -> {} ({})",
                 d.scenario,
                 d.stage,
-                d.metric,
+                d.span,
                 d.baseline_ns,
                 d.current_ns,
                 d.delta_str()
@@ -462,7 +462,7 @@ impl DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{results_json, RobustTiming, ScenarioRun, Stage};
+    use crate::perf::{results_json, RobustTiming, ScenarioRun, PIPELINE};
     use deepeye_obs::{CandidateCost, CostAcc, CostCollector, Observer, Op as CostOp, OpCosts};
 
     fn doc_with(execute_ns: u64) -> String {
@@ -470,10 +470,10 @@ mod tests {
             name: "s-300x5".into(),
             rows: 300,
             columns: 5,
-            stages: Stage::PIPELINE
-                .into_iter()
-                .map(|st| {
-                    let ns = if st == Stage::Execute {
+            stages: PIPELINE
+                .iter()
+                .map(|&st| {
+                    let ns = if st.name == "execute" {
                         execute_ns
                     } else {
                         1_000_000
@@ -508,7 +508,7 @@ mod tests {
         let report = diff_runs(&doc, &doc, None, None, &GateConfig::default()).unwrap();
         assert!(report.top_regression().is_none());
         assert!(report.attribution().is_none());
-        assert_eq!(report.stages.len(), Stage::PIPELINE.len());
+        assert_eq!(report.stages.len(), PIPELINE.len());
         assert!(report.stages.iter().all(|d| !d.significant));
         assert!(report.lost.is_empty() && report.gained.is_empty());
         assert!(report.render(5).contains("no significant stage regression"));
@@ -600,8 +600,8 @@ mod tests {
         let cur = base.replace("s-300x5", "s-600x5");
         let report = diff_runs(&base, &cur, None, None, &GateConfig::default()).unwrap();
         assert_eq!(report.stages.len(), 0);
-        assert_eq!(report.lost.len(), Stage::PIPELINE.len());
-        assert_eq!(report.gained.len(), Stage::PIPELINE.len());
+        assert_eq!(report.lost.len(), PIPELINE.len());
+        assert_eq!(report.gained.len(), PIPELINE.len());
         assert!(report.render(5).contains("coverage lost"));
     }
 

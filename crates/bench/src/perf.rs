@@ -1,26 +1,34 @@
-//! Continuous performance observability: the scenario matrix behind the
-//! `harness` binary, robust (median/IQR) timing summaries, the versioned
-//! `BENCH_results.json` schema shared with `fig12_efficiency`'s
-//! `DEEPEYE_BENCH_OUT` export, the noise-aware regression gate behind
-//! `perfgate`, and the declarative per-stage latency budgets checked by
-//! `trace_check --budgets`.
+//! Continuous performance observability: the scenario runner behind the
+//! `harness` binary and the perf acceptance tests, robust (median/IQR)
+//! timing summaries, the versioned `BENCH_results.json` schema shared with
+//! `fig12_efficiency`'s `DEEPEYE_BENCH_OUT` export, the noise-aware
+//! regression gate behind `perfgate`, and the per-stage latency budgets
+//! checked by `trace_check --budgets`.
 //!
-//! One schema, three consumers: `harness` writes it, `perfgate` diffs two
-//! of them, `trace_check --bench` validates any of them. Every stage row
-//! names the registry histogram (`bench.*_ns`) its samples were recorded
-//! into, so the JSON artifact, the metrics export, and the central metric
-//! registry ([`deepeye_obs::metrics`]) stay three views of one
-//! measurement — `deepeye-analyze` rule `A0007` fails the build when the
-//! three drift.
+//! One ruler: a scenario runs the shipping pipeline from CSV bytes, and
+//! each stage's sample is read from the span the product opens for it
+//! ([`STAGES`]), so the bench document, the trace and the stage report
+//! are three views of one measurement. One schema, three consumers:
+//! `harness` writes it, `perfgate` diffs two of them, `trace_check
+//! --bench` validates any of them.
 
-use deepeye_datagen::CorpusSpec;
+use deepeye_core::{
+    ClassifierKind, DeepEye, DeepEyeConfig, EnumerationMode, HybridRanker, LtrRanker,
+    RankingMethod, Recognizer,
+};
+use deepeye_data::{table_from_csv_str, DataType, Table};
+use deepeye_datagen::{
+    build_table, ranking_examples, recognition_examples, training_tables, CorpusSpec,
+    PerceptionOracle,
+};
 use deepeye_obs::json::escape;
-use deepeye_obs::{Json, Observer, Snapshot};
+use deepeye_obs::{CostCollector, Json, Observer, Snapshot};
+use std::path::Path;
 
 /// Version tag every bench JSON document carries. Bump when a field is
 /// added, removed, or changes meaning; `perfgate` refuses to compare
 /// documents whose schemas differ.
-pub const BENCH_SCHEMA: &str = "deepeye-bench/v1";
+pub const BENCH_SCHEMA: &str = "deepeye-bench/v2";
 
 /// The JSON field names of the `harness` document, in document order.
 /// DESIGN.md §9 documents each one; a doc-sync test walks this list
@@ -35,7 +43,7 @@ pub const SCHEMA_FIELDS: &[&str] = &[
     "columns",
     "stages",
     "stage",
-    "metric",
+    "span",
     "reps",
     "median_ns",
     "iqr_ns",
@@ -47,98 +55,55 @@ pub const SCHEMA_FIELDS: &[&str] = &[
     "p99_ns",
 ];
 
-/// The stages the harness times: the five online pipeline stages
-/// ([`Stage::PIPELINE`], run per data scenario) plus the static-analysis
-/// pass (`Analyze`, run once over the workspace source in its own
-/// scenario).
+/// One timed stage: its name in the document, the span whose closing is
+/// its sample, and its latency ceiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    Enumerate,
-    Execute,
-    Recognize,
-    Rank,
-    TopK,
-    Analyze,
+pub struct Stage {
+    pub name: &'static str,
+    pub span: &'static str,
+    /// The budget: the stage's median in any scenario must stay under
+    /// this (`trace_check --budgets`). Ceilings are deliberately generous
+    /// — they catch order-of-magnitude pathologies (accidental quadratic
+    /// loops, lost parallelism), not percent-level drift; `perfgate` owns
+    /// the fine-grained comparison.
+    pub max_median_ns: u64,
 }
+
+const fn stage(name: &'static str, span: &'static str, max_median_ns: u64) -> Stage {
+    Stage {
+        name,
+        span,
+        max_median_ns,
+    }
+}
+
+/// Every stage the harness times: a data scenario's stages in pipeline
+/// order ([`PIPELINE`]), then the static-analysis pass, which runs once
+/// over the workspace source in its own scenario. `harness.ingest` and
+/// `harness.analyze` are opened by the runner; every other span is the
+/// product's own.
+pub const STAGES: [Stage; 9] = [
+    stage("ingest", "harness.ingest", 10_000_000_000),
+    stage("recommend", "pipeline.recommend", 120_000_000_000),
+    stage("enumerate", "pipeline.enumerate", 2_000_000_000),
+    stage("execute", "pipeline.execute", 60_000_000_000),
+    stage("recognize", "pipeline.recognize", 10_000_000_000),
+    stage("rank", "pipeline.rank", 20_000_000_000),
+    stage("partial_order", "rank.partial_order", 20_000_000_000),
+    stage("progressive", "pipeline.progressive", 60_000_000_000),
+    // Lexes every workspace file and runs the interprocedural rules; the
+    // ceiling catches an accidental quadratic fixpoint.
+    stage("analyze", "harness.analyze", 30_000_000_000),
+];
+
+/// The stages of a data scenario: every row of [`STAGES`] but the
+/// analyze pass.
+pub const PIPELINE: &[Stage] = STAGES.split_at(STAGES.len() - 1).0;
 
 impl Stage {
-    /// All stages, pipeline order first, then the analyze pass.
-    pub const ALL: [Stage; 6] = [
-        Stage::Enumerate,
-        Stage::Execute,
-        Stage::Recognize,
-        Stage::Rank,
-        Stage::TopK,
-        Stage::Analyze,
-    ];
-
-    /// The five online pipeline stages, in pipeline order — what each
-    /// data scenario times. `Analyze` is deliberately excluded: it runs
-    /// over the workspace source, not over a scenario's table.
-    pub const PIPELINE: [Stage; 5] = [
-        Stage::Enumerate,
-        Stage::Execute,
-        Stage::Recognize,
-        Stage::Rank,
-        Stage::TopK,
-    ];
-
-    /// Stable lowercase name used in the JSON artifact and gate output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Enumerate => "enumerate",
-            Stage::Execute => "execute",
-            Stage::Recognize => "recognize",
-            Stage::Rank => "rank",
-            Stage::TopK => "topk",
-            Stage::Analyze => "analyze",
-        }
-    }
-
-    /// The registry histogram this stage's samples land in.
-    pub fn metric(self) -> &'static str {
-        match self {
-            Stage::Enumerate => "bench.enumerate_ns",
-            Stage::Execute => "bench.execute_ns",
-            Stage::Recognize => "bench.recognize_ns",
-            Stage::Rank => "bench.rank_ns",
-            Stage::TopK => "bench.topk_ns",
-            Stage::Analyze => "bench.analyze_ns",
-        }
-    }
-
-    /// Span name the harness opens around each timed repetition, so the
-    /// trace, the flame view, and the per-stage `alloc.*` aggregates
-    /// attribute to the stage being measured.
-    pub fn span_name(self) -> &'static str {
-        match self {
-            Stage::Enumerate => "harness.enumerate",
-            Stage::Execute => "harness.execute",
-            Stage::Recognize => "harness.recognize",
-            Stage::Rank => "harness.rank",
-            Stage::TopK => "harness.topk",
-            Stage::Analyze => "harness.analyze",
-        }
-    }
-
-    /// Parse the stable name back (gate input validation).
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
-
-/// Record one stage's raw samples into its registry histogram. Spelled as
-/// one literal call per arm — not `record_many_ns(stage.metric(), ..)` —
-/// so the metric-registry lint (A0005/A0007) sees each `bench.*_ns` name
-/// used at a real call site.
-pub fn record_stage_samples(obs: &Observer, stage: Stage, samples: &[u64]) {
-    match stage {
-        Stage::Enumerate => obs.record_many_ns("bench.enumerate_ns", samples),
-        Stage::Execute => obs.record_many_ns("bench.execute_ns", samples),
-        Stage::Recognize => obs.record_many_ns("bench.recognize_ns", samples),
-        Stage::Rank => obs.record_many_ns("bench.rank_ns", samples),
-        Stage::TopK => obs.record_many_ns("bench.topk_ns", samples),
-        Stage::Analyze => obs.record_many_ns("bench.analyze_ns", samples),
+    /// The row of [`STAGES`] named `name`.
+    pub fn named(name: &str) -> Option<&'static Stage> {
+        STAGES.iter().find(|s| s.name == name)
     }
 }
 
@@ -252,6 +217,177 @@ pub struct ScenarioRun {
     pub stages: Vec<(Stage, RobustTiming)>,
 }
 
+/// The `k` every scenario asks `recommend` and `recommend_progressive`
+/// for.
+const TOP_K: usize = 10;
+
+/// The trained models of the shipping configuration. They train once,
+/// untimed, so a scenario measures the online pipeline only.
+pub struct Models {
+    recognizer: Recognizer,
+    ltr: LtrRanker,
+}
+
+impl Models {
+    /// Train the DecisionTree recognizer and the LambdaMART ranker on
+    /// `training_tables(scale)`, labelled by the default perception oracle.
+    pub fn train(scale: f64) -> Models {
+        let oracle = PerceptionOracle::default();
+        let train = training_tables(scale);
+        let examples = recognition_examples(&train, &oracle);
+        Models {
+            recognizer: Recognizer::train(ClassifierKind::DecisionTree, &examples),
+            ltr: LtrRanker::fit(&ranking_examples(&train, &oracle)),
+        }
+    }
+
+    /// The shipping pipeline around these models — rule-based
+    /// enumeration, the recognizer, `Hybrid` ranking, parallel execution
+    /// — recording into `obs` and `costs`.
+    pub fn pipeline(&self, obs: &Observer, costs: &CostCollector) -> DeepEye {
+        DeepEye::new(DeepEyeConfig {
+            enumeration: EnumerationMode::RuleBased,
+            recognizer: Some(self.recognizer.clone()),
+            ranking: RankingMethod::Hybrid(self.ltr.clone(), HybridRanker::default()),
+            parallel: true,
+            observer: obs.clone(),
+            costs: costs.clone(),
+            ..DeepEyeConfig::default()
+        })
+    }
+}
+
+/// A table as CSV text with a header row, quoting the fields that need it.
+fn csv_text(table: &Table) -> String {
+    let field = |s: &str| {
+        if s.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_owned()
+        }
+    };
+    let header: Vec<String> = table.columns().iter().map(|c| field(c.name())).collect();
+    let mut out = header.join(",") + "\n";
+    for row in 0..table.row_count() {
+        let cells: Vec<String> = (0..table.column_count())
+            .map(|col| field(&table.value(row, col).to_string()))
+            .collect();
+        out.push_str(&cells.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// Run one data scenario through `eye`. The scenario's table is written
+/// as CSV once; the bytes must re-ingest with the table's column names and
+/// types. Each of `warmup` + `reps` repetitions then ingests the bytes
+/// under a `harness.ingest` span and runs `recommend` and
+/// `recommend_progressive` at [`TOP_K`]; `stages` are read from the spans
+/// of the observer `eye` records into.
+pub fn run_scenario(
+    spec: &ScenarioSpec,
+    eye: &DeepEye,
+    stages: &[Stage],
+    warmup: usize,
+    reps: usize,
+) -> Result<ScenarioRun, String> {
+    let table = build_table(&spec.corpus_spec());
+    let csv = csv_text(&table);
+    let ingest = || table_from_csv_str(spec.name, &csv).map_err(|e| format!("{}: {e}", spec.name));
+    let schema = |t: &Table| -> Vec<(String, DataType)> {
+        t.columns()
+            .iter()
+            .map(|c| (c.name().to_owned(), c.data_type()))
+            .collect()
+    };
+    let (generated, ingested) = (schema(&table), schema(&ingest()?));
+    if generated != ingested {
+        return Err(format!(
+            "scenario {}: its CSV re-ingests as {ingested:?}, not {generated:?}",
+            spec.name
+        ));
+    }
+    let obs = &eye.config().observer;
+    let stages = time_stages(obs, spec.name, stages, warmup, reps, || {
+        let table = {
+            let _ingest = obs.span("harness.ingest");
+            ingest()?
+        };
+        std::hint::black_box(eye.recommend(&table, TOP_K));
+        std::hint::black_box(eye.recommend_progressive(&table, TOP_K));
+        Ok(())
+    })?;
+    Ok(ScenarioRun {
+        name: spec.name.to_owned(),
+        rows: table.row_count(),
+        columns: table.column_count(),
+        stages,
+    })
+}
+
+/// Run the `analyze-workspace` scenario: the static-analysis pass (lex +
+/// call graph + interprocedural rules) over the workspace at `root`,
+/// timed under a `harness.analyze` span. It measures source, not a table,
+/// so `rows` / `columns` report files scanned and rule count.
+pub fn run_analyze(
+    root: &Path,
+    obs: &Observer,
+    warmup: usize,
+    reps: usize,
+) -> Result<ScenarioRun, String> {
+    let name = "analyze-workspace";
+    let files = deepeye_analyze::Workspace::load(root)?.files.len();
+    let stages = time_stages(obs, name, &STAGES[PIPELINE.len()..], warmup, reps, || {
+        let _analyze = obs.span("harness.analyze");
+        let ws = deepeye_analyze::Workspace::load(root)?;
+        let baseline = deepeye_analyze::Baseline::default();
+        std::hint::black_box(deepeye_analyze::lint::run(&ws, &baseline));
+        Ok(())
+    })?;
+    Ok(ScenarioRun {
+        name: name.to_owned(),
+        rows: files,
+        columns: deepeye_analyze::rules::RULES.len(),
+        stages,
+    })
+}
+
+/// Run `rep` `warmup` + `reps` times. Each stage's sample is the growth of
+/// its span's total duration ([`Observer::stage_duration`]) over one run;
+/// warmup samples are discarded. A stage whose span does not close exactly
+/// once in a run fails the scenario.
+fn time_stages(
+    obs: &Observer,
+    scenario: &str,
+    stages: &[Stage],
+    warmup: usize,
+    reps: usize,
+    mut rep: impl FnMut() -> Result<(), String>,
+) -> Result<Vec<(Stage, RobustTiming)>, String> {
+    let mut samples = vec![Vec::with_capacity(reps); stages.len()];
+    for run in 0..warmup + reps {
+        let totals = |s: &Stage| (obs.stage_count(s.span), obs.stage_duration(s.span));
+        let before: Vec<_> = stages.iter().map(totals).collect();
+        rep()?;
+        for ((stage, (count, duration)), samples) in stages.iter().zip(before).zip(&mut samples) {
+            let (count_after, duration_after) = totals(stage);
+            let closed = count_after - count;
+            if closed != 1 {
+                return Err(format!(
+                    "scenario {scenario}: stage {:?} span {:?} closed {closed} times in one \
+                     repetition, not once",
+                    stage.name, stage.span
+                ));
+            }
+            if run >= warmup {
+                samples.push((duration_after - duration).as_nanos() as u64);
+            }
+        }
+    }
+    let timings = samples.iter().map(|s| RobustTiming::from_samples(s));
+    Ok(stages.iter().copied().zip(timings).collect())
+}
+
 /// Render the `harness` results document (schema [`BENCH_SCHEMA`],
 /// experiment `harness`): per-scenario robust stage timings plus the
 /// observer's counters and per-path stage aggregates from the same run.
@@ -275,15 +411,9 @@ pub fn results_json(scenarios: &[ScenarioRun], snapshot: &Snapshot) -> String {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "\n      {{\"stage\": \"{}\", \"metric\": \"{}\", \"reps\": {}, \
+                "\n      {{\"stage\": \"{}\", \"span\": \"{}\", \"reps\": {}, \
                  \"median_ns\": {}, \"iqr_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                stage.name(),
-                stage.metric(),
-                t.reps,
-                t.median_ns,
-                t.iqr_ns,
-                t.min_ns,
-                t.max_ns
+                stage.name, stage.span, t.reps, t.median_ns, t.iqr_ns, t.min_ns, t.max_ns
             ));
         }
         out.push_str("\n    ]}");
@@ -363,7 +493,7 @@ fn str_field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String
 }
 
 /// Validate a versioned bench document: schema tag, experiment kind,
-/// per-scenario stage rows whose metric names are registered histograms
+/// per-scenario stage rows that name a stage of [`STAGES`] and its span
 /// and whose summaries are internally consistent (`min ≤ median ≤ max`),
 /// and non-negative counters.
 pub fn validate_bench_json(text: &str) -> Result<BenchSummary, String> {
@@ -399,19 +529,14 @@ pub fn validate_bench_json(text: &str) -> Result<BenchSummary, String> {
                 for row in stages {
                     stage_rows += 1;
                     let stage_name = str_field(row, "stage", "stage row")?;
-                    let stage = Stage::from_name(stage_name).ok_or_else(|| {
+                    let stage = Stage::named(stage_name).ok_or_else(|| {
                         format!("scenario {name:?}: unknown stage {stage_name:?}")
                     })?;
-                    let metric = str_field(row, "metric", "stage row")?;
-                    if !deepeye_obs::metrics::is_histogram(metric) {
+                    let span = str_field(row, "span", "stage row")?;
+                    if span != stage.span {
                         return Err(format!(
-                            "stage {stage_name:?} metric {metric:?} is not a registered histogram"
-                        ));
-                    }
-                    if metric != stage.metric() {
-                        return Err(format!(
-                            "stage {stage_name:?} metric {metric:?} should be {:?}",
-                            stage.metric()
+                            "stage {stage_name:?} span {span:?} should be {:?}",
+                            stage.span
                         ));
                     }
                     let what = format!("scenario {name:?} stage {stage_name:?}");
@@ -504,7 +629,7 @@ impl Default for GateConfig {
 pub struct Regression {
     pub scenario: String,
     pub stage: String,
-    pub metric: String,
+    pub span: String,
     pub baseline_ns: u64,
     pub current_ns: u64,
     pub allowed_ns: u64,
@@ -517,7 +642,7 @@ impl Regression {
             "REGRESSION {} / {} ({}): median {} -> {} (allowed <= {})",
             self.scenario,
             self.stage,
-            self.metric,
+            self.span,
             self.baseline_ns,
             self.current_ns,
             self.allowed_ns
@@ -533,7 +658,7 @@ pub struct GateReport {
     pub regressions: Vec<Regression>,
 }
 
-/// One comparable gate row: (scenario, stage, metric, median_ns, iqr_ns).
+/// One comparable gate row: (scenario, stage, span, median_ns, iqr_ns).
 pub(crate) type StageMedianRow = (String, String, String, u64, u64);
 
 /// Parse a harness document's per-scenario stage rows — shared between
@@ -561,10 +686,10 @@ pub(crate) fn stage_medians(text: &str, which: &str) -> Result<Vec<StageMedianRo
             .ok_or_else(|| format!("{which}: scenario {name:?} missing stages"))?;
         for row in stages {
             let stage = str_field(row, "stage", "stage row")?.to_owned();
-            let metric = str_field(row, "metric", "stage row")?.to_owned();
+            let span = str_field(row, "span", "stage row")?.to_owned();
             let median = non_negative(row.get("median_ns"), "median_ns")? as u64;
             let iqr = non_negative(row.get("iqr_ns"), "iqr_ns")? as u64;
-            rows.push((name.clone(), stage, metric, median, iqr));
+            rows.push((name.clone(), stage, span, median, iqr));
         }
     }
     Ok(rows)
@@ -603,7 +728,7 @@ pub fn perf_gate_scoped(
         compared: 0,
         regressions: Vec::new(),
     };
-    for (scenario, stage, metric, base_median, base_iqr) in &base_rows {
+    for (scenario, stage, span, base_median, base_iqr) in &base_rows {
         let cur = cur_rows
             .iter()
             .find(|(s, st, ..)| s == scenario && st == stage)
@@ -617,7 +742,7 @@ pub fn perf_gate_scoped(
             report.regressions.push(Regression {
                 scenario: scenario.clone(),
                 stage: stage.clone(),
-                metric: metric.clone(),
+                span: span.clone(),
                 baseline_ns: *base_median,
                 current_ns: *cur_median,
                 allowed_ns: allowed,
@@ -627,71 +752,20 @@ pub fn perf_gate_scoped(
     Ok(report)
 }
 
-/// A per-stage latency ceiling: the median of any harness scenario must
-/// stay under `max_median_ns`. Ceilings are deliberately generous — they
-/// catch order-of-magnitude pathologies (accidental quadratic loops,
-/// lost parallelism), not percent-level drift; `perfgate` owns the
-/// fine-grained comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageBudget {
-    pub stage: Stage,
-    pub max_median_ns: u64,
-}
-
-impl StageBudget {
-    /// The registry histogram this budget constrains.
-    pub fn metric(&self) -> &'static str {
-        self.stage.metric()
-    }
-}
-
-/// The budget table, one ceiling per stage, in pipeline order. Its one
-/// consumer is the offline gate, [`check_budgets`] (`trace_check
-/// --budgets`).
-pub const BUDGETS: &[StageBudget] = &[
-    StageBudget {
-        stage: Stage::Enumerate,
-        max_median_ns: 2_000_000_000,
-    },
-    StageBudget {
-        stage: Stage::Execute,
-        max_median_ns: 60_000_000_000,
-    },
-    StageBudget {
-        stage: Stage::Recognize,
-        max_median_ns: 10_000_000_000,
-    },
-    StageBudget {
-        stage: Stage::Rank,
-        max_median_ns: 20_000_000_000,
-    },
-    StageBudget {
-        stage: Stage::TopK,
-        max_median_ns: 60_000_000_000,
-    },
-    // The analyze pass lexes every workspace file and runs the
-    // interprocedural rules; generous like the rest — the ceiling exists
-    // to catch an accidental quadratic fixpoint, not second-level drift.
-    StageBudget {
-        stage: Stage::Analyze,
-        max_median_ns: 30_000_000_000,
-    },
-];
-
-/// Check a harness document against [`BUDGETS`]. Returns the list of
-/// violations (empty = within budget); errors on malformed input.
+/// Check a harness document against each stage's `max_median_ns`.
+/// Returns the list of violations (empty = within budget); errors on
+/// malformed input.
 pub fn check_budgets(text: &str) -> Result<Vec<String>, String> {
     let rows = stage_medians(text, "budgets")?;
     let mut violations = Vec::new();
-    for (scenario, stage, metric, median, _) in rows {
-        let budget = BUDGETS
-            .iter()
-            .find(|b| b.stage.name() == stage)
-            .ok_or_else(|| format!("no budget declared for stage {stage:?}"))?;
-        if median > budget.max_median_ns {
+    for (scenario, stage, span, median, _) in rows {
+        // `stage_medians` validated the document, so every row names a
+        // stage of the table.
+        let ceiling = Stage::named(&stage).map_or(0, |s| s.max_median_ns);
+        if median > ceiling {
             violations.push(format!(
-                "BUDGET {scenario} / {stage} ({metric}): median {median} ns exceeds ceiling {} ns",
-                budget.max_median_ns
+                "BUDGET {scenario} / {stage} ({span}): median {median} ns exceeds ceiling \
+                 {ceiling} ns"
             ));
         }
     }
@@ -705,16 +779,15 @@ mod tests {
     fn sample_doc() -> String {
         let obs = Observer::enabled();
         {
-            let _s = obs.span("harness.enumerate");
-            record_stage_samples(&obs, Stage::Enumerate, &[100, 200, 300]);
+            let _s = obs.span("harness.ingest");
         }
         let runs = vec![ScenarioRun {
             name: "s-300x5".into(),
             rows: 300,
             columns: 5,
-            stages: Stage::PIPELINE
-                .into_iter()
-                .map(|st| (st, RobustTiming::from_samples(&[900, 1_000, 1_100, 5_000])))
+            stages: PIPELINE
+                .iter()
+                .map(|&st| (st, RobustTiming::from_samples(&[900, 1_000, 1_100, 5_000])))
                 .collect(),
         }];
         results_json(&runs, &obs.snapshot())
@@ -736,38 +809,40 @@ mod tests {
     }
 
     #[test]
-    fn stage_names_metrics_and_budgets_line_up() {
-        assert_eq!(Stage::ALL.len(), BUDGETS.len());
-        for (stage, budget) in Stage::ALL.into_iter().zip(BUDGETS) {
-            assert_eq!(stage, budget.stage, "budget table is in pipeline order");
-            assert!(deepeye_obs::metrics::is_histogram(stage.metric()));
-            assert_eq!(Stage::from_name(stage.name()), Some(stage));
-            assert!(stage.span_name().starts_with("harness."));
+    fn stage_table_rows_are_distinct_and_budgeted() {
+        for (i, stage) in STAGES.iter().enumerate() {
+            assert_eq!(Stage::named(stage.name), Some(stage));
+            assert!(stage.max_median_ns > 0, "{} has a ceiling", stage.name);
+            let later = &STAGES[i + 1..];
+            assert!(later
+                .iter()
+                .all(|s| s.name != stage.name && s.span != stage.span));
         }
-        assert_eq!(Stage::from_name("compile"), None);
-        // PIPELINE is ALL minus the workspace-level analyze pass.
-        assert!(!Stage::PIPELINE.contains(&Stage::Analyze));
-        assert!(Stage::ALL.contains(&Stage::Analyze));
-        assert_eq!(Stage::PIPELINE.len() + 1, Stage::ALL.len());
+        assert_eq!(Stage::named("compile"), None);
+        // A data scenario times every stage but the workspace-level
+        // analyze pass, ingest and partial-order scoring included.
+        assert_eq!(PIPELINE.len() + 1, STAGES.len());
+        assert!(PIPELINE.iter().all(|s| s.name != "analyze"));
+        for name in ["ingest", "partial_order"] {
+            assert!(PIPELINE.iter().any(|s| s.name == name), "{name}");
+        }
     }
 
     #[test]
     fn analyze_scenario_rows_validate() {
-        let obs = Observer::enabled();
-        record_stage_samples(&obs, Stage::Analyze, &[1_000, 2_000, 3_000]);
         let runs = vec![ScenarioRun {
             name: "analyze-workspace".into(),
             rows: 0,
             columns: 0,
             stages: vec![(
-                Stage::Analyze,
+                STAGES[PIPELINE.len()],
                 RobustTiming::from_samples(&[1_000, 2_000, 3_000]),
             )],
         }];
-        let text = results_json(&runs, &obs.snapshot());
+        let text = results_json(&runs, &Observer::enabled().snapshot());
         let summary = validate_bench_json(&text).expect("valid");
         assert_eq!(summary.stage_rows, 1);
-        assert!(text.contains("bench.analyze_ns"));
+        assert!(text.contains("harness.analyze"));
     }
 
     #[test]
@@ -776,7 +851,7 @@ mod tests {
         let summary = validate_bench_json(&text).expect("valid");
         assert_eq!(summary.experiment, "harness");
         assert_eq!(summary.scenarios, 1);
-        assert_eq!(summary.stage_rows, 5);
+        assert_eq!(summary.stage_rows, PIPELINE.len());
         // Every documented schema field appears in the document.
         for field in SCHEMA_FIELDS {
             assert!(
@@ -791,13 +866,13 @@ mod tests {
         let good = sample_doc();
         for (broken, why) in [
             (
-                good.replace("deepeye-bench/v1", "deepeye-bench/v0"),
+                good.replace("deepeye-bench/v2", "deepeye-bench/v0"),
                 "schema",
             ),
             (good.replace("\"harness\"", "\"mystery\""), "experiment"),
             (
-                good.replace("bench.enumerate_ns", "bench.enumarate_ns"),
-                "metric",
+                good.replace("\"pipeline.enumerate\"", "\"pipeline.enumarate\""),
+                "span",
             ),
             (
                 good.replace("\"stage\": \"rank\"", "\"stage\": \"sort\""),
@@ -820,7 +895,7 @@ mod tests {
         let doc = sample_doc();
         let cfg = GateConfig::default();
         let clean = perf_gate(&doc, &doc, &cfg).expect("gate runs");
-        assert_eq!(clean.compared, 5);
+        assert_eq!(clean.compared, PIPELINE.len());
         assert!(clean.regressions.is_empty(), "run vs itself is clean");
 
         // A synthetic 2000x slowdown in one stage (well past floor_ns).
@@ -829,10 +904,20 @@ mod tests {
         let report = perf_gate(&doc, &slow, &cfg).expect("gate runs");
         assert_eq!(report.regressions.len(), 1);
         let r = &report.regressions[0];
-        assert_eq!(r.stage, "enumerate", "first stage row is the slowed one");
-        assert_eq!(r.metric, "bench.enumerate_ns");
+        assert_eq!(r.stage, "ingest", "first stage row is the slowed one");
+        assert_eq!(r.span, "harness.ingest");
         assert!(r.describe().contains("REGRESSION"));
-        assert!(r.describe().contains("bench.enumerate_ns"));
+        assert!(r.describe().contains("harness.ingest"));
+    }
+
+    #[test]
+    fn gate_refuses_to_compare_schema_versions() {
+        let v2 = sample_doc();
+        let v1 = v2.replace(BENCH_SCHEMA, "deepeye-bench/v1");
+        for (base, cur) in [(&v1, &v2), (&v2, &v1)] {
+            let err = perf_gate(base, cur, &GateConfig::default()).unwrap_err();
+            assert!(err.contains("deepeye-bench/v1"), "{err}");
+        }
     }
 
     #[test]
@@ -859,7 +944,7 @@ mod tests {
             name: "s-300x5".into(),
             rows: 300,
             columns: 5,
-            stages: vec![(Stage::Enumerate, RobustTiming::from_samples(&[100]))],
+            stages: vec![(PIPELINE[0], RobustTiming::from_samples(&[100]))],
         }];
         let reduced = results_json(&runs, &obs.snapshot());
         let err = perf_gate(&doc, &reduced, &GateConfig::default()).unwrap_err();
@@ -873,12 +958,12 @@ mod tests {
             check_budgets(&doc).expect("valid doc"),
             Vec::<String>::new()
         );
-        let slow = doc.replacen("\"median_ns\": 1050", "\"median_ns\": 3000000000", 1);
-        let slow = slow.replacen("\"max_ns\": 5000", "\"max_ns\": 3000000000", 1);
+        let slow = doc.replacen("\"median_ns\": 1050", "\"median_ns\": 11000000000", 1);
+        let slow = slow.replacen("\"max_ns\": 5000", "\"max_ns\": 11000000000", 1);
         let violations = check_budgets(&slow).expect("valid doc");
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("enumerate"));
-        assert!(violations[0].contains("bench.enumerate_ns"));
+        assert!(violations[0].contains("ingest"));
+        assert!(violations[0].contains("harness.ingest"));
     }
 
     #[test]

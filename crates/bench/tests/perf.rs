@@ -1,92 +1,47 @@
 //! Acceptance tests for the continuous-performance layer: a miniature
-//! in-process harness run drives the real pipeline stages, and the
-//! resulting artifacts must satisfy the layer's contract — gate
-//! self-consistency, regression naming, folded-stack coverage, alloc
-//! columns in the metrics document, and schema/doc sync.
+//! harness run drives the shipping pipeline through the same scenario
+//! runner as the `harness` binary, and the resulting artifacts must
+//! satisfy the layer's contract — gate self-consistency, regression
+//! naming, span accounting, folded-stack coverage, alloc columns in the
+//! metrics document, and schema/doc sync.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use deepeye_bench::diff::diff_runs;
 use deepeye_bench::perf::{
-    check_budgets, perf_gate, record_stage_samples, results_json, validate_bench_json, GateConfig,
-    RobustTiming, ScenarioRun, Stage, BUDGETS, SCHEMA_FIELDS,
+    check_budgets, perf_gate, results_json, run_scenario, validate_bench_json, GateConfig, Models,
+    ScenarioSpec, Stage, PIPELINE, SCHEMA_FIELDS,
 };
-use deepeye_core::{build_nodes, ProgressiveSelector};
-use deepeye_datagen::flight_table;
-use deepeye_obs::{validate_cost_json, CostAcc, CostCollector, Observer, Op, Stopwatch};
-use deepeye_query::UdfRegistry;
+use deepeye_obs::{validate_cost_json, CostAcc, CostCollector, Observer, Op};
+use std::sync::OnceLock;
 
-/// A scaled-down harness pass over one small table: every stage timed
-/// under its span for `reps` repetitions, samples recorded into the
-/// `bench.*` histograms, robust summaries into the document.
+/// The scenario every test runs: a small generated table.
+const MINI: ScenarioSpec = ScenarioSpec {
+    name: "mini-250x5",
+    rows: 250,
+    columns: 5,
+    seed: 7,
+};
+
+/// The shipping models, trained once for the whole test binary.
+fn models() -> &'static Models {
+    static MODELS: OnceLock<Models> = OnceLock::new();
+    MODELS.get_or_init(|| Models::train(0.03))
+}
+
+/// A scaled-down harness pass: the mini scenario through the shipping
+/// pipeline for `reps` repetitions, recorded into `obs`.
 fn mini_harness(obs: &Observer, reps: usize) -> String {
     mini_harness_with(obs, reps, &CostCollector::disabled())
 }
 
-/// [`mini_harness`] with cost profiling: the execute stage runs through
-/// the costed parallel builder, so `costs` (when enabled) collects
-/// per-candidate operator counts and flushes the `cost.*` counters.
+/// [`mini_harness`] with cost profiling: when `costs` is enabled the
+/// executor collects per-candidate operator counts and flushes the
+/// `cost.*` counters.
 fn mini_harness_with(obs: &Observer, reps: usize, costs: &CostCollector) -> String {
-    let table = flight_table(7, 250);
-    let udfs = UdfRegistry::default();
-    let queries = deepeye_core::rules::rule_based_queries(&table);
-    let nodes = build_nodes(
-        &table,
-        queries.clone(),
-        &udfs,
-        false,
-        true,
-        obs,
-        None,
-        &CostCollector::disabled(),
-    );
-    let mut stages: Vec<(Stage, RobustTiming)> = Vec::new();
-    for stage in Stage::PIPELINE {
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let span = obs.span(stage.span_name());
-            let clock = Stopwatch::start();
-            match stage {
-                Stage::Enumerate => {
-                    std::hint::black_box(deepeye_core::rules::rule_based_queries(&table));
-                }
-                Stage::Execute => {
-                    std::hint::black_box(build_nodes(
-                        &table,
-                        queries.clone(),
-                        &udfs,
-                        true,
-                        true,
-                        obs,
-                        span.id(),
-                        costs,
-                    ));
-                }
-                Stage::Recognize => {
-                    std::hint::black_box(nodes.iter().filter(|n| n.source_rows() > 0).count());
-                }
-                Stage::Rank => {
-                    std::hint::black_box(deepeye_core::compute_factors(&nodes));
-                }
-                Stage::TopK => {
-                    std::hint::black_box(
-                        ProgressiveSelector::new(&table, &udfs).top_k_observed(5, obs),
-                    );
-                }
-                Stage::Analyze => unreachable!("analyze is not a per-table pipeline stage"),
-            }
-            samples.push(clock.elapsed_ns());
-        }
-        record_stage_samples(obs, stage, &samples);
-        stages.push((stage, RobustTiming::from_samples(&samples)));
-    }
-    let runs = vec![ScenarioRun {
-        name: "mini-250x5".into(),
-        rows: table.row_count(),
-        columns: table.column_count(),
-        stages,
-    }];
-    results_json(&runs, &obs.snapshot())
+    let eye = models().pipeline(obs, costs);
+    let run = run_scenario(&MINI, &eye, PIPELINE, 0, reps).expect("scenario runs");
+    results_json(&[run], &obs.snapshot())
 }
 
 #[test]
@@ -96,7 +51,10 @@ fn two_harness_runs_pass_the_gate() {
     for doc in [&doc_a, &doc_b] {
         let summary = validate_bench_json(doc).expect("document validates");
         assert_eq!(summary.experiment, "harness");
-        assert_eq!(summary.stage_rows, 5);
+        assert_eq!(summary.stage_rows, PIPELINE.len());
+        for stage in ["ingest", "partial_order", "progressive"] {
+            assert!(doc.contains(&format!("\"stage\": \"{stage}\"")), "{stage}");
+        }
     }
     // Debug-build timings are noisy; the CI gate's generous smoke
     // thresholds are what we model here.
@@ -106,7 +64,7 @@ fn two_harness_runs_pass_the_gate() {
         floor_ns: 200_000_000,
     };
     let report = perf_gate(&doc_a, &doc_b, &cfg).expect("gate runs");
-    assert_eq!(report.compared, 5);
+    assert_eq!(report.compared, PIPELINE.len());
     assert!(
         report.regressions.is_empty(),
         "two back-to-back runs pass: {:?}",
@@ -116,7 +74,7 @@ fn two_harness_runs_pass_the_gate() {
 }
 
 #[test]
-fn synthetic_slowdown_names_stage_and_metric() {
+fn synthetic_slowdown_names_stage_and_span() {
     let obs = Observer::enabled();
     let baseline = mini_harness(&obs, 3);
     // Rebuild the same document with one stage's median doubled — the
@@ -157,8 +115,31 @@ fn synthetic_slowdown_names_stage_and_metric() {
     assert_eq!(report.regressions.len(), 1, "exactly the slowed stage");
     let r = &report.regressions[0];
     assert_eq!(r.stage, "recognize");
-    assert_eq!(r.metric, "bench.recognize_ns");
+    assert_eq!(r.span, "pipeline.recognize");
     assert_eq!(r.scenario, "mini-250x5");
+}
+
+#[test]
+fn a_span_that_does_not_close_once_fails_the_run() {
+    let ghost = Stage {
+        name: "ghost",
+        span: "pipeline.ghost",
+        max_median_ns: 1,
+    };
+    let eye = models().pipeline(&Observer::enabled(), &CostCollector::disabled());
+    let err = run_scenario(&MINI, &eye, &[PIPELINE[0], ghost], 0, 1).unwrap_err();
+    assert!(err.contains("mini-250x5"), "{err}");
+    assert!(
+        err.contains("\"ghost\"") && err.contains("closed 0 times"),
+        "{err}"
+    );
+    // A disabled observer closes no span at all.
+    let blind = models().pipeline(&Observer::disabled(), &CostCollector::disabled());
+    let err = run_scenario(&MINI, &blind, PIPELINE, 0, 1).unwrap_err();
+    assert!(
+        err.contains("\"ingest\"") && err.contains("closed 0 times"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -201,7 +182,7 @@ fn metrics_document_carries_alloc_columns_per_stage() {
     }
     // The execute stage materializes nodes, so its inclusive aggregate
     // must carry attributed bytes.
-    let execute = snapshot.stage("harness.execute").expect("execute stage");
+    let execute = snapshot.stage("pipeline.execute").expect("execute stage");
     assert!(execute.alloc_bytes > 0, "execute attributed bytes");
     assert!(execute.alloc_count > 0, "execute attributed count");
     assert!(execute.alloc_peak <= execute.alloc_bytes);
@@ -370,17 +351,5 @@ fn perfdiff_attributes_synthetic_execute_slowdown() {
     for notice in report.github_notices(3) {
         assert!(notice.starts_with("::notice title=perfdiff"), "{notice}");
         assert!(!notice.contains('\n'), "{notice}");
-    }
-}
-
-#[test]
-fn budget_table_covers_every_stage() {
-    for stage in Stage::ALL {
-        let budget = BUDGETS
-            .iter()
-            .find(|b| b.stage == stage)
-            .expect("every stage has a budget");
-        assert!(budget.max_median_ns > 0);
-        assert!(deepeye_obs::metrics::is_histogram(budget.metric()));
     }
 }

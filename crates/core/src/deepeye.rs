@@ -512,6 +512,9 @@ impl DeepEye {
         let mut out = Vec::with_capacity(k.min(nodes.len()));
         let mut ranked = 0u64;
         for idx in order {
+            if out.len() >= k {
+                break;
+            }
             // Rankers emit each index at most once; a repeat is a ranker bug,
             // surfaced in debug builds and skipped in release.
             let Some(key) = nodes[idx].as_ref().map(&variant_key) else {
@@ -534,9 +537,6 @@ impl DeepEye {
                 node,
                 factors: factors[idx],
             });
-            if out.len() >= k {
-                break;
-            }
         }
         if prov.is_enabled() && ranked > 0 {
             prov.bump(|c| c.ranked += ranked);
@@ -751,6 +751,14 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(before, keys.len(), "order variants deduplicated");
+    }
+
+    #[test]
+    fn zero_k_returns_nothing() {
+        let (eye, t) = (DeepEye::with_defaults(), table());
+        assert!(eye.recommend(&t, 0).is_empty());
+        assert!(eye.rank_nodes(eye.candidates(&t), 0).is_empty());
+        assert!(eye.recommend_progressive(&t, 0).is_empty());
     }
 
     #[test]

@@ -570,26 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn progressive_matches_exhaustive() {
-        let t = mixed_table();
-        let udfs = UdfRegistry::default();
-        let selector = ProgressiveSelector::new(&t, &udfs);
-        for k in [1usize, 3, 5, 10, 25] {
-            let (prog, _) = selector.top_k(k);
-            let (exh, _) = exhaustive_top_k(&t, &udfs, k);
-            let prog_scores: Vec<f64> = prog.iter().map(|s| s.score).collect();
-            let exh_scores: Vec<f64> = exh.iter().map(|s| s.score).collect();
-            for (a, b) in prog_scores.iter().zip(&exh_scores) {
-                assert!(
-                    (a - b).abs() < 1e-12,
-                    "k={k}: {prog_scores:?} vs {exh_scores:?}"
-                );
-            }
-            assert_eq!(prog.len(), exh.len());
-        }
-    }
-
-    #[test]
     fn small_k_skips_leaves() {
         let t = mixed_table();
         let udfs = UdfRegistry::default();

@@ -1,7 +1,7 @@
 //! Executor cost profiling: per-operator work counters, per-candidate
 //! attribution, and the versioned `deepeye-cost/v1` document.
 //!
-//! The stage-level view (`bench.execute_ns`, the `execute.worker` span)
+//! The stage-level view (the `pipeline.execute` and `execute.worker` spans)
 //! says *that* execution is the hotspot; this module says *why*. The
 //! executor threads a [`CostAcc`] through its inner loops and counts the
 //! seven operators of [`Op`] — rows scanned, group-hash probes and

@@ -13,10 +13,8 @@
 //! recorded nowhere (a dead entry is a doc lie), or when the name and
 //! its DESIGN.md section disagree:
 //!
-//! - `A0005`: the pipeline's and the harness's metrics, recorded through
-//!   `Observer` calls outside this crate and documented in DESIGN.md §6
-//!   "Metric names";
-//! - `A0007`: the `bench.*` histograms of the perf harness (§9);
+//! - `A0005`: the pipeline's metrics, recorded through `Observer` calls
+//!   outside this crate and documented in DESIGN.md §6 "Metric names";
 //! - `A0014`: the `cost.*` counters, one per operator of the
 //!   [`cost`](crate::cost) taxonomy, flushed by
 //!   `deepeye_core::parallel::flush_cost_counters` (§12).
@@ -56,17 +54,7 @@ pub const COUNTERS: &[&str] = &[
 /// [`Observer::record_ns`](crate::Observer::record_ns),
 /// [`Observer::record_many_ns`](crate::Observer::record_many_ns)) the
 /// pipeline records, sorted.
-pub const HISTOGRAMS: &[&str] = &[
-    "bench.analyze_ns",
-    "bench.enumerate_ns",
-    "bench.execute_ns",
-    "bench.rank_ns",
-    "bench.recognize_ns",
-    "bench.topk_ns",
-    "exec.query_ns",
-    "ltr.epoch_ns",
-    "progressive.leaf_ns",
-];
+pub const HISTOGRAMS: &[&str] = &["exec.query_ns", "ltr.epoch_ns", "progressive.leaf_ns"];
 
 /// Whether `name` is a registered counter.
 pub fn is_counter(name: &str) -> bool {

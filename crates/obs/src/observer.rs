@@ -368,18 +368,27 @@ impl Observer {
     /// Total recorded duration of all finished spans with this name,
     /// computed from the path aggregates.
     pub fn stage_duration(&self, name: &str) -> Duration {
+        Duration::from_nanos(self.stage_sum(name, |a| a.total_ns))
+    }
+
+    /// How many spans with this name have finished (0 when disabled).
+    pub fn stage_count(&self, name: &str) -> u64 {
+        self.stage_sum(name, |a| a.count)
+    }
+
+    /// Sum of one path-aggregate field over every path ending in `name`.
+    fn stage_sum(&self, name: &str, field: impl Fn(&PathAgg) -> u64) -> u64 {
         let Some(inner) = &self.inner else {
-            return Duration::ZERO;
+            return 0;
         };
-        let ns: u64 = inner
-            .lock()
+        let state = inner.lock();
+        state
             .paths
             .aggs
             .iter()
             .filter(|a| a.name == name)
-            .map(|a| a.total_ns)
-            .sum();
-        Duration::from_nanos(ns)
+            .map(field)
+            .sum()
     }
 
     /// Duration of one finished span by id (`None` while it is open, when
@@ -678,6 +687,10 @@ mod tests {
         };
         assert!(obs.stage_duration("stage") >= Duration::from_millis(1));
         assert_eq!(obs.stage_duration("missing"), Duration::ZERO);
+        assert_eq!(
+            (obs.stage_count("stage"), obs.stage_count("missing")),
+            (1, 0)
+        );
         let id = id.expect("enabled span has an id");
         assert!(obs.span_duration(id).expect("finished") >= Duration::from_millis(1));
         assert_eq!(obs.span_duration(9999), None);

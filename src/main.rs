@@ -52,6 +52,18 @@ fn load(path: &str) -> Result<Table, ExitCode> {
     })
 }
 
+/// The count `arg` names (`default` when absent). A value that does not
+/// parse is a usage error naming `what` and the value.
+fn count(what: &str, arg: Option<&String>, default: usize) -> Result<usize, ExitCode> {
+    let Some(arg) = arg else {
+        return Ok(default);
+    };
+    arg.parse().map_err(|_| {
+        eprintln!("error: {what} wants a number, got `{arg}`");
+        usage()
+    })
+}
+
 /// Strip one `--name <value>` flag from `args` (any position). `Err`
 /// means the flag was given without a value.
 fn strip_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, ()> {
@@ -227,7 +239,10 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
-            let k = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(5);
+            let k = match count("k", args.get(2), 5) {
+                Ok(k) => k,
+                Err(code) => return Ok(code),
+            };
             writeln!(stdout, "{}\n", table.schema_string())?;
             let recs = eye.recommend(&table, k);
             if recs.is_empty() {
@@ -257,7 +272,10 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
-            let k = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(3);
+            let k = match count("k", args.get(3), 3) {
+                Ok(k) => k,
+                Err(code) => return Ok(code),
+            };
             for rec in keyword_search(&eye, &table, keywords, k) {
                 writeln!(stdout, "#{}\n{}", rec.rank, rec.node.data.ascii_sketch(10))?;
             }
@@ -303,15 +321,9 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             ) else {
                 return Ok(usage());
             };
-            let top: usize = match top {
-                Some(t) => match t.parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("error: --top wants a number, got `{t}`");
-                        return Ok(usage());
-                    }
-                },
-                None => 5,
+            let top = match count("--top", top.as_ref(), 5) {
+                Ok(top) => top,
+                Err(code) => return Ok(code),
             };
             let Some(path) = args.get(1) else {
                 return Ok(usage());
@@ -320,7 +332,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
-            let _ = eye.recommend(&table, top.max(1));
+            let _ = eye.recommend(&table, top);
             let log = prov.snapshot();
             match query_text {
                 Some(text) => {
@@ -359,7 +371,10 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
-            let k = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(6);
+            let k = match count("k", args.get(3), 6) {
+                Ok(k) => k,
+                Err(code) => return Ok(code),
+            };
             if let Err(e) = std::fs::create_dir_all(out_dir) {
                 eprintln!("error: cannot create {out_dir}: {e}");
                 return Ok(ExitCode::FAILURE);

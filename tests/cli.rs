@@ -127,6 +127,30 @@ fn recommend_prints_charts() {
 }
 
 #[test]
+fn malformed_k_is_a_usage_error() {
+    let dir = tmp_dir("bad-k");
+    let csv = sample_csv(&dir);
+    let (csv, out_dir) = (csv.to_str().unwrap(), dir.join("svg"));
+    for args in [
+        vec!["recommend", csv, "abc"],
+        vec!["recommend", csv, "-1"],
+        vec!["search", csv, "revenue", "abc"],
+        vec!["svg", csv, out_dir.to_str().unwrap(), "abc"],
+        vec!["explain", csv, "--top", "abc"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let bad = args[args.len() - 1];
+        assert!(
+            stderr.contains(&format!("got `{bad}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn recommend_strips_byte_order_mark_from_first_column() {
     let dir = tmp_dir("bom");
     let plain = std::fs::read_to_string(sample_csv(&dir)).unwrap();

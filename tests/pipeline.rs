@@ -3,8 +3,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use deepeye::core::{exhaustive_top_k, ProgressiveSelector};
 use deepeye::datagen::{flight_table, recognition_examples, PerceptionOracle};
 use deepeye::prelude::*;
+use deepeye::query::UdfRegistry;
 use proptest::prelude::*;
 
 const CSV: &str = "\
@@ -148,7 +150,7 @@ fn progressive_and_graph_agree_on_quality() {
 
 #[test]
 fn multi_column_extension_runs() {
-    use deepeye::query::{execute_xyz, UdfRegistry, XyzQuery};
+    use deepeye::query::{execute_xyz, XyzQuery};
     let table = flight_table(4, 800);
     let q = XyzQuery {
         chart: ChartType::Bar,
@@ -228,6 +230,26 @@ proptest! {
     fn recommend_is_total_and_independent_of_worker_count(text in csv_text()) {
         if let Ok(table) = table_from_csv_str("generated", &text) {
             prop_assert_eq!(top_10(&table, false), top_10(&table, true));
+        }
+    }
+
+    /// The progressive tournament returns the exhaustive top-k: as many
+    /// nodes, with scores within 1e-12, at every k; and `recommend`
+    /// returns nothing at k = 0.
+    #[test]
+    fn progressive_top_k_equals_exhaustive(text in csv_text()) {
+        if let Ok(table) = table_from_csv_str("generated", &text) {
+            let udfs = UdfRegistry::default();
+            let selector = ProgressiveSelector::new(&table, &udfs);
+            for k in [0usize, 1, 3, 10] {
+                let (progressive, _) = selector.top_k(k);
+                let (exhaustive, _) = exhaustive_top_k(&table, &udfs, k);
+                prop_assert_eq!(progressive.len(), exhaustive.len(), "k = {}", k);
+                for (p, e) in progressive.iter().zip(&exhaustive) {
+                    prop_assert!((p.score - e.score).abs() < 1e-12, "k = {}: {} vs {}", k, p.score, e.score);
+                }
+            }
+            prop_assert!(DeepEye::with_defaults().recommend(&table, 0).is_empty());
         }
     }
 }
