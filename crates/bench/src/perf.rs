@@ -79,11 +79,11 @@ const fn stage(name: &'static str, span: &'static str, max_median_ns: u64) -> St
 
 /// Every stage the harness times: a data scenario's stages in pipeline
 /// order ([`PIPELINE`]), then the static-analysis pass, which runs once
-/// over the workspace source in its own scenario. `harness.ingest` and
-/// `harness.analyze` are opened by the runner; every other span is the
-/// product's own.
+/// over the workspace source in its own scenario. The runner opens
+/// `pipeline.ingest` around its CSV ingest, as the CLI does around its
+/// load, and `harness.analyze`; every other span is the product's own.
 pub const STAGES: [Stage; 9] = [
-    stage("ingest", "harness.ingest", 10_000_000_000),
+    stage("ingest", "pipeline.ingest", 10_000_000_000),
     stage("recommend", "pipeline.recommend", 120_000_000_000),
     stage("enumerate", "pipeline.enumerate", 2_000_000_000),
     stage("execute", "pipeline.execute", 60_000_000_000),
@@ -281,8 +281,8 @@ fn csv_text(table: &Table) -> String {
 /// Run one data scenario through `eye`. The scenario's table is written
 /// as CSV once; the bytes must re-ingest with the table's column names and
 /// types. Each of `warmup` + `reps` repetitions then ingests the bytes
-/// under a `harness.ingest` span and runs `recommend` and
-/// `recommend_progressive` at [`TOP_K`]; `stages` are read from the spans
+/// under a `pipeline.ingest` span and runs `recommend` and
+/// `recommend_progressive` at k = `TOP_K`; `stages` are read from the spans
 /// of the observer `eye` records into.
 pub fn run_scenario(
     spec: &ScenarioSpec,
@@ -310,7 +310,7 @@ pub fn run_scenario(
     let obs = &eye.config().observer;
     let stages = time_stages(obs, spec.name, stages, warmup, reps, || {
         let table = {
-            let _ingest = obs.span("harness.ingest");
+            let _ingest = obs.span("pipeline.ingest");
             ingest()?
         };
         std::hint::black_box(eye.recommend(&table, TOP_K));
@@ -779,7 +779,7 @@ mod tests {
     fn sample_doc() -> String {
         let obs = Observer::enabled();
         {
-            let _s = obs.span("harness.ingest");
+            let _s = obs.span("pipeline.ingest");
         }
         let runs = vec![ScenarioRun {
             name: "s-300x5".into(),
@@ -905,9 +905,9 @@ mod tests {
         assert_eq!(report.regressions.len(), 1);
         let r = &report.regressions[0];
         assert_eq!(r.stage, "ingest", "first stage row is the slowed one");
-        assert_eq!(r.span, "harness.ingest");
+        assert_eq!(r.span, "pipeline.ingest");
         assert!(r.describe().contains("REGRESSION"));
-        assert!(r.describe().contains("harness.ingest"));
+        assert!(r.describe().contains("pipeline.ingest"));
     }
 
     #[test]
@@ -963,7 +963,7 @@ mod tests {
         let violations = check_budgets(&slow).expect("valid doc");
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("ingest"));
-        assert!(violations[0].contains("harness.ingest"));
+        assert!(violations[0].contains("pipeline.ingest"));
     }
 
     #[test]

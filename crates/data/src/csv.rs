@@ -1,12 +1,21 @@
-//! Minimal RFC-4180-style CSV reader.
+//! CSV reader: one byte-level pass over the text.
 //!
-//! Supports quoted fields (with embedded commas, quotes, and newlines),
-//! CRLF/LF line endings, and a configurable delimiter. Paired with type
-//! detection ([`crate::infer`]) it turns a CSV text into a typed [`Table`].
+//! Records end at LF, and a CR outside quotes is dropped, so CRLF input
+//! reads like LF input. Fields end at a configurable delimiter. Each field
+//! is a slice of the input: only a field with `""` to unescape or a CR to
+//! drop is copied. A `"` opens a quoted section only as the first byte of
+//! a field, as in RFC 4180 and Python's `csv`; anywhere else it is a
+//! literal character, so `55" wide` stays one field. A quoted section may
+//! hold delimiters, newlines and `""` (one literal quote); text after its
+//! closing quote joins the field. Blank lines are skipped, and a record
+//! with the wrong number of fields is reported by the physical line it
+//! starts on. Each column's cells then go through one type-inference pass
+//! ([`crate::infer`]) into a typed [`Table`].
 
 use crate::column::Column;
-use crate::infer::detect_and_parse;
+use crate::infer::infer;
 use crate::table::{Table, TableError};
+use std::borrow::Cow;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -64,54 +73,145 @@ impl From<TableError> for CsvError {
     }
 }
 
-/// Parse CSV text into records of string fields.
-pub fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>, CsvError> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
+/// What ended a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    Delimiter,
+    Newline,
+    Input,
+}
 
-    while let Some(c) = chars.next() {
-        any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                '\r' => {} // swallow; LF terminates
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                c if c == delimiter => record.push(std::mem::take(&mut field)),
-                _ => field.push(c),
-            }
+/// Splits CSV text into records of fields borrowed from it.
+struct Reader<'a> {
+    text: &'a str,
+    /// The byte the next field starts at.
+    pos: usize,
+    /// The delimiter's UTF-8 bytes: `delimiter[..delimiter_len]`.
+    delimiter: [u8; 4],
+    delimiter_len: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str, delimiter: char) -> Self {
+        let mut bytes = [0; 4];
+        let delimiter_len = delimiter.encode_utf8(&mut bytes).len();
+        Reader {
+            text,
+            pos: 0,
+            delimiter: bytes,
+            delimiter_len,
         }
     }
-    if in_quotes {
-        return Err(CsvError::UnterminatedQuote);
+
+    /// Read the next record that is not blank (one empty field) into
+    /// `fields`. Returns the byte offset it starts at, or `None` at the end
+    /// of the input.
+    fn next_record(&mut self, fields: &mut Vec<Cow<'a, str>>) -> Result<Option<usize>, CsvError> {
+        while self.pos < self.text.len() {
+            let start = self.pos;
+            fields.clear();
+            loop {
+                let (field, end) = self.field()?;
+                fields.push(field);
+                if end != End::Delimiter {
+                    break;
+                }
+            }
+            if !(fields.len() == 1 && fields[0].is_empty()) {
+                return Ok(Some(start));
+            }
+        }
+        Ok(None)
     }
-    if !field.is_empty() || !record.is_empty() {
-        record.push(field);
-        records.push(record);
+
+    /// Read the field at `pos`: a quoted section if it opens with `"`,
+    /// then an unquoted run up to the delimiter, a newline or the end.
+    fn field(&mut self) -> Result<(Cow<'a, str>, End), CsvError> {
+        let bytes = self.text.as_bytes();
+        let (quoted, run_start) = if bytes.get(self.pos) == Some(&b'"') {
+            let (content, after) = self.quoted(self.pos + 1)?;
+            (Some(content), after)
+        } else {
+            (None, self.pos)
+        };
+        let (mut i, mut has_cr) = (run_start, false);
+        let end = loop {
+            match bytes.get(i) {
+                None => break End::Input,
+                Some(b'\n') => break End::Newline,
+                Some(b'\r') => has_cr = true,
+                Some(&b) if b == self.delimiter[0] && self.at_delimiter(i) => break End::Delimiter,
+                Some(_) => {}
+            }
+            i += 1;
+        };
+        self.pos = i + match end {
+            End::Delimiter => self.delimiter_len,
+            End::Newline => 1,
+            End::Input => 0,
+        };
+        let run = &self.text[run_start..i];
+        let run = if has_cr {
+            Cow::Owned(run.replace('\r', ""))
+        } else {
+            Cow::Borrowed(run)
+        };
+        let field = match quoted {
+            None => run,
+            Some(content) if run.is_empty() => content,
+            Some(content) => Cow::Owned(content.into_owned() + &run),
+        };
+        Ok((field, end))
     }
-    if !any {
-        return Err(CsvError::Empty);
+
+    fn at_delimiter(&self, i: usize) -> bool {
+        self.text.as_bytes()[i..].starts_with(&self.delimiter[..self.delimiter_len])
     }
-    // Drop fully empty trailing records (e.g. file ends with a blank line).
-    records.retain(|r| !(r.len() == 1 && r[0].is_empty()));
+
+    /// The content of the quoted section starting at byte `i` (just past
+    /// its opening quote), with each `""` read as one `"`, and the byte
+    /// after its closing quote.
+    fn quoted(&self, mut i: usize) -> Result<(Cow<'a, str>, usize), CsvError> {
+        let (text, open) = (self.text, i);
+        let mut unescaped: Option<String> = None;
+        loop {
+            let close = text.as_bytes()[i..]
+                .iter()
+                .position(|&b| b == b'"')
+                .map(|q| i + q)
+                .ok_or(CsvError::UnterminatedQuote)?;
+            if text.as_bytes().get(close + 1) != Some(&b'"') {
+                let content = match unescaped {
+                    None => Cow::Borrowed(&text[open..close]),
+                    Some(s) => Cow::Owned(s + &text[i..close]),
+                };
+                return Ok((content, close + 1));
+            }
+            // `""`: keep one quote, skip the other.
+            unescaped
+                .get_or_insert_with(String::new)
+                .push_str(&text[i..=close]);
+            i = close + 2;
+        }
+    }
+}
+
+/// The physical (1-based) line of byte `offset` of `text`.
+fn line_at(text: &str, offset: usize) -> usize {
+    1 + text.as_bytes()[..offset]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
+}
+
+/// Parse CSV text into records of string fields. Blank lines are skipped.
+pub fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>, CsvError> {
+    let mut reader = Reader::new(text, delimiter);
+    let mut fields = Vec::new();
+    let mut records = Vec::new();
+    while reader.next_record(&mut fields)?.is_some() {
+        records.push(fields.drain(..).map(Cow::into_owned).collect());
+    }
     if records.is_empty() {
         return Err(CsvError::Empty);
     }
@@ -133,30 +233,45 @@ pub fn table_from_csv_str_delim(
     delimiter: char,
 ) -> Result<Table, CsvError> {
     let text = text.strip_prefix('\u{FEFF}').unwrap_or(text);
-    let records = parse_records(text, delimiter)?;
-    let (header, body) = records.split_first().ok_or(CsvError::Empty)?;
-    let width = header.len();
-    for (i, rec) in body.iter().enumerate() {
-        if rec.len() != width {
-            return Err(CsvError::FieldCount {
-                line: i + 2,
+    let mut reader = Reader::new(text, delimiter);
+    let mut fields = Vec::new();
+    if reader.next_record(&mut fields)?.is_none() {
+        return Err(CsvError::Empty);
+    }
+    let names: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(ci, name)| match name.trim() {
+            "" => format!("column_{ci}"),
+            trimmed => trimmed.to_owned(),
+        })
+        .collect();
+    let width = names.len();
+    let mut cells: Vec<Vec<Cow<str>>> = vec![Vec::new(); width];
+    let mut ragged = None;
+    while let Some(start) = reader.next_record(&mut fields)? {
+        if fields.len() != width {
+            // The first ragged record is the error, unless a quote left
+            // open further on makes the whole text unreadable.
+            ragged.get_or_insert_with(|| CsvError::FieldCount {
+                line: line_at(text, start),
                 expected: width,
-                got: rec.len(),
+                got: fields.len(),
             });
+        } else if ragged.is_none() {
+            for (column, field) in cells.iter_mut().zip(fields.drain(..)) {
+                column.push(field);
+            }
         }
     }
-    let mut columns = Vec::with_capacity(width);
-    for (ci, col_name) in header.iter().enumerate() {
-        let raw: Vec<String> = body.iter().map(|rec| rec[ci].clone()).collect();
-        let (_, data) = detect_and_parse(&raw);
-        let trimmed = col_name.trim();
-        let final_name = if trimmed.is_empty() {
-            format!("column_{ci}")
-        } else {
-            trimmed.to_owned()
-        };
-        columns.push(Column::new(final_name, data));
+    if let Some(e) = ragged {
+        return Err(e);
     }
+    let columns = names
+        .into_iter()
+        .zip(&cells)
+        .map(|(name, cells)| Column::new(name, infer(cells)))
+        .collect();
     Ok(Table::new(name, columns)?)
 }
 
@@ -226,11 +341,64 @@ mod tests {
     }
 
     #[test]
+    fn ragged_records_name_their_physical_line() {
+        for (text, line) in [("a,b\n\n1\n", 3), ("a,b\n\"x\ny\",1\n2\n", 4)] {
+            match table_from_csv_str("t", text) {
+                Err(CsvError::FieldCount { line: got, .. }) => assert_eq!(got, line, "{text:?}"),
+                other => panic!("{text:?}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn unterminated_quote_reported() {
         assert!(matches!(
             parse_records("a,\"b\n", ','),
             Err(CsvError::UnterminatedQuote)
         ));
+        // An open quote anywhere makes the text unreadable, even after a
+        // ragged record.
+        assert!(matches!(
+            table_from_csv_str("t", "a,b\n1\n\"x,2\n"),
+            Err(CsvError::UnterminatedQuote)
+        ));
+    }
+
+    #[test]
+    fn quote_opens_only_at_the_first_byte_of_a_field() {
+        let t = table_from_csv_str(
+            "t",
+            "item,size,n\nTV,55\" wide,1\nRadio,7\" x,2\nPhone,6,3\n",
+        )
+        .unwrap();
+        assert_eq!(t.row_count(), 3);
+        let size = t.column_by_name("size").unwrap();
+        assert_eq!(size.data().get(0).as_text(), Some("55\" wide"));
+        assert_eq!(size.data().get(1).as_text(), Some("7\" x"));
+        // Text after a closing quote joins the field, its quotes literal.
+        let recs = parse_records("\"ab\"c\"d\",e\n", ',').unwrap();
+        assert_eq!(recs[0], vec!["abc\"d\"", "e"]);
+    }
+
+    #[test]
+    fn only_fields_with_escapes_or_carriage_returns_are_copied() {
+        let mut reader = Reader::new("a,\"b,c\",d\r\n\"x\"\"y\",\"z\"\r\n", ',');
+        let mut fields = Vec::new();
+        let mut borrowed = Vec::new();
+        while reader.next_record(&mut fields).unwrap().is_some() {
+            for f in &fields {
+                borrowed.push((f.to_string(), matches!(f, Cow::Borrowed(_))));
+            }
+        }
+        let want = [
+            ("a", true),
+            ("b,c", true),
+            ("d", false),
+            ("x\"y", false),
+            ("z", true),
+        ];
+        let want: Vec<(String, bool)> = want.iter().map(|&(f, b)| (f.to_owned(), b)).collect();
+        assert_eq!(borrowed, want);
     }
 
     #[test]

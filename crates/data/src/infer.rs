@@ -2,21 +2,34 @@
 //!
 //! The paper states that a column's type (categorical / numerical /
 //! temporal) "can be automatically detected based on the attribute values"
-//! (§II-A). This module implements that detection for raw string cells, as
-//! produced by the CSV reader.
+//! (§II-A). This module detects it from every cell of a column, in one
+//! pass that also parses the cells: each cell is parsed at most once as a
+//! timestamp and once as a number, and only categorical text is copied.
 
 use crate::column::ColumnData;
-use crate::temporal::{parse_timestamp, parse_timestamp_loose, Timestamp};
+use crate::temporal::{parse_bare_year, parse_timestamp};
 use crate::value::DataType;
 
 /// Fraction of non-empty cells that must parse as a type for the column to
 /// be detected as that type. Tolerates a small amount of dirty data.
 const DETECT_THRESHOLD: f64 = 0.95;
 
-fn parse_number(s: &str) -> Option<f64> {
-    let t = s.trim().replace(',', "");
-    // Strip a leading currency symbol or trailing percent sign.
-    let t = t.strip_prefix('$').unwrap_or(&t);
+/// Whether `parsed` of `cells` non-missing cells meet [`DETECT_THRESHOLD`].
+fn meets_threshold(parsed: usize, cells: usize) -> bool {
+    parsed as f64 / cells as f64 >= DETECT_THRESHOLD
+}
+
+/// A number, after dropping thousands separators and one leading `$` or
+/// trailing `%` (which divides by 100). `scratch` holds a cell stripped of
+/// its commas, so a column allocates for them once, not once per cell.
+fn parse_number(s: &str, scratch: &mut String) -> Option<f64> {
+    let mut t = s.trim();
+    if t.contains(',') {
+        scratch.clear();
+        scratch.extend(t.split(','));
+        t = scratch;
+    }
+    let t = t.strip_prefix('$').unwrap_or(t);
     let (t, pct) = match t.strip_suffix('%') {
         Some(u) => (u, true),
         None => (t, false),
@@ -41,111 +54,141 @@ fn is_missing(s: &str) -> bool {
         || t == "-"
 }
 
-/// Detect the semantic type of a column of raw string cells.
-///
-/// Priority is temporal, then numerical, then categorical: temporal formats
-/// like `2015-07-04` would otherwise partially parse as numbers, and bare
-/// years are only treated as temporal when *every* value looks like a year
-/// (via [`parse_timestamp_loose`]) and not all values parse as plain
-/// numbers in a wider range.
-pub fn detect_type(raw: &[String]) -> DataType {
-    let non_missing: Vec<&str> = raw
-        .iter()
-        .map(String::as_str)
-        .filter(|s| !is_missing(s))
-        .collect();
-    if non_missing.is_empty() {
-        return DataType::Categorical;
-    }
-    let n = non_missing.len() as f64;
-    let temporal_strict = non_missing
-        .iter()
-        .filter(|s| parse_timestamp(s).is_some())
-        .count();
-    if temporal_strict as f64 / n >= DETECT_THRESHOLD {
-        return DataType::Temporal;
-    }
-    // All-bare-year columns (e.g. "1990", "1991", …) read better as
-    // temporal, so check loose-temporal before falling back to numeric.
-    let temporal_loose = non_missing
-        .iter()
-        .filter(|s| parse_timestamp_loose(s).is_some())
-        .count();
-    if temporal_loose == non_missing.len() {
-        return DataType::Temporal;
-    }
-    let numeric = non_missing
-        .iter()
-        .filter(|s| parse_number(s).is_some())
-        .count();
-    if numeric as f64 / n >= DETECT_THRESHOLD {
-        return DataType::Numerical;
-    }
-    DataType::Categorical
+/// One reading of a column still in the running: the values parsed so far
+/// (`None` for a missing or unparsable cell) and how many non-missing
+/// cells failed to parse.
+struct Candidate<T> {
+    values: Vec<Option<T>>,
+    failures: usize,
 }
 
-/// Convert raw string cells into typed storage for the detected type.
-/// Cells that fail to parse become nulls.
-pub fn parse_column(raw: &[String], ty: DataType) -> ColumnData {
-    match ty {
-        DataType::Numerical => ColumnData::Numeric(
-            raw.iter()
-                .map(|s| if is_missing(s) { None } else { parse_number(s) })
-                .collect(),
-        ),
-        DataType::Temporal => {
-            let strict: Vec<Option<Timestamp>> = raw
-                .iter()
-                .map(|s| {
-                    if is_missing(s) {
-                        None
-                    } else {
-                        parse_timestamp(s)
-                    }
-                })
-                .collect();
-            if strict.iter().any(Option::is_some) {
-                ColumnData::Temporal(strict)
-            } else {
-                ColumnData::Temporal(
-                    raw.iter()
-                        .map(|s| {
-                            if is_missing(s) {
-                                None
-                            } else {
-                                parse_timestamp_loose(s)
-                            }
-                        })
-                        .collect(),
-                )
+impl<T> Candidate<T> {
+    fn with_capacity(rows: usize) -> Self {
+        Candidate {
+            values: Vec::with_capacity(rows),
+            failures: 0,
+        }
+    }
+}
+
+/// Record a missing cell in `slot`'s candidate: a null, not a failure.
+fn skip<T>(slot: &mut Option<Candidate<T>>) {
+    if let Some(candidate) = slot {
+        candidate.values.push(None);
+    }
+}
+
+/// Record a non-missing cell's parse in `slot`'s candidate. A failure that
+/// leaves the candidate unable to win (`viable(failures)` is false) drops
+/// it.
+fn offer<T>(slot: &mut Option<Candidate<T>>, value: Option<T>, viable: impl Fn(usize) -> bool) {
+    if let Some(candidate) = slot {
+        if value.is_none() {
+            candidate.failures += 1;
+            if !viable(candidate.failures) {
+                *slot = None;
+                return;
             }
         }
-        DataType::Categorical => ColumnData::Text(
-            raw.iter()
-                .map(|s| {
-                    if is_missing(s) {
-                        None
-                    } else {
-                        Some(s.trim().to_owned())
-                    }
-                })
-                .collect(),
-        ),
+        candidate.values.push(value);
     }
 }
 
-/// Detect and parse in one step.
+/// Detect the semantic type of a column of raw cells and parse them into
+/// storage of that type; a cell that does not parse becomes a null.
+///
+/// Priority is temporal, then numerical, then categorical: temporal formats
+/// like `2015-07-04` would otherwise partially parse as numbers. A column
+/// is temporal when [`DETECT_THRESHOLD`] of its non-missing cells parse
+/// strictly ([`parse_timestamp`]), and then keeps the strict values. It is
+/// also temporal when *every* non-missing cell parses loosely (bare years
+/// such as `1990` included), and then keeps the loose values, so a column
+/// of years beside one full date loses none of them.
+///
+/// One pass keeps the three readings as [`Candidate`]s. A threshold
+/// candidate drops out once its failures make the threshold unreachable
+/// even if every remaining cell parses and counts; the loose candidate
+/// drops out at its first failure. Dropping never changes the outcome:
+/// the final ratio can only be lower than the bound that dropped it.
+pub(crate) fn infer<S: AsRef<str>>(cells: &[S]) -> ColumnData {
+    let rows = cells.len();
+    let mut strict = Some(Candidate::with_capacity(rows));
+    let mut loose = Some(Candidate::with_capacity(rows));
+    let mut numeric = Some(Candidate::with_capacity(rows));
+    let mut scratch = String::new();
+    // Non-missing cells so far.
+    let mut present = 0;
+    for (i, cell) in cells.iter().enumerate() {
+        let s = cell.as_ref();
+        if is_missing(s) {
+            skip(&mut strict);
+            skip(&mut loose);
+            skip(&mut numeric);
+            continue;
+        }
+        present += 1;
+        // The most non-missing cells the column can end with.
+        let reachable = present + (rows - i - 1);
+        let within_threshold = |failures: usize| meets_threshold(reachable - failures, reachable);
+        if strict.is_some() || loose.is_some() {
+            let t = parse_timestamp(s);
+            offer(&mut strict, t, within_threshold);
+            offer(&mut loose, t.or_else(|| parse_bare_year(s)), |failures| {
+                failures == 0
+            });
+        }
+        if numeric.is_some() {
+            offer(
+                &mut numeric,
+                parse_number(s, &mut scratch),
+                within_threshold,
+            );
+        }
+    }
+    if present > 0 {
+        if let Some(c) = strict.filter(|c| meets_threshold(present - c.failures, present)) {
+            return ColumnData::Temporal(c.values);
+        }
+        if let Some(c) = loose {
+            return ColumnData::Temporal(c.values);
+        }
+        if let Some(c) = numeric.filter(|c| meets_threshold(present - c.failures, present)) {
+            return ColumnData::Numeric(c.values);
+        }
+    }
+    ColumnData::Text(
+        cells
+            .iter()
+            .map(|cell| {
+                let s = cell.as_ref();
+                (!is_missing(s)).then(|| s.trim().to_owned())
+            })
+            .collect(),
+    )
+}
+
+/// Detect a column's type from its raw cells and parse them into storage
+/// of that type, in one pass; a cell that does not parse becomes a null.
 pub fn detect_and_parse(raw: &[String]) -> (DataType, ColumnData) {
-    let ty = detect_type(raw);
-    (ty, parse_column(raw, ty))
+    let data = infer(raw);
+    (data.data_type(), data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temporal::{Civil, Timestamp};
 
     fn v(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn detect_type(raw: &[String]) -> DataType {
+        detect_and_parse(raw).0
+    }
+
+    fn number(s: &str) -> Option<f64> {
+        parse_number(s, &mut String::new())
     }
 
     #[test]
@@ -186,6 +229,33 @@ mod tests {
     }
 
     #[test]
+    fn bare_years_beside_one_full_date_keep_their_values() {
+        // 1 of 11 cells parses strictly, so only the all-loose rule makes
+        // the column temporal; its values are the loose ones.
+        let mut cells: Vec<String> = (2000..2010).map(|y| y.to_string()).collect();
+        cells.push("2015-06-01".to_owned());
+        let year = |y| Some(Timestamp::from_civil(Civil::date(y, 1, 1).unwrap()));
+        match detect_and_parse(&cells) {
+            (DataType::Temporal, ColumnData::Temporal(vals)) => {
+                assert_eq!(vals.iter().filter(|t| t.is_some()).count(), 11);
+                assert_eq!(vals[0], year(2000));
+                assert_eq!(vals[9], year(2009));
+                let june = Timestamp::from_civil(Civil::date(2015, 6, 1).unwrap());
+                assert_eq!(vals[10], Some(june));
+            }
+            other => panic!("expected temporal, got {other:?}"),
+        }
+        // A strictly detected column still keeps its strict values: the
+        // bare year among 20 full dates is a dirty cell.
+        let mut cells: Vec<String> = (1..=20).map(|d| format!("2015-01-{d:02}")).collect();
+        cells.push("1999".to_owned());
+        match detect_and_parse(&cells) {
+            (DataType::Temporal, ColumnData::Temporal(vals)) => assert_eq!(vals[20], None),
+            other => panic!("expected temporal, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn detects_categorical() {
         assert_eq!(detect_type(&v(&["UA", "AA", "MQ"])), DataType::Categorical);
         assert_eq!(
@@ -206,16 +276,30 @@ mod tests {
             "15", "16", "17", "18", "19", "oops",
         ]);
         // 20/21 non-missing parse as numbers (>95%).
-        assert_eq!(detect_type(&raw), DataType::Numerical);
-        let parsed = parse_column(&raw, DataType::Numerical);
-        match parsed {
-            ColumnData::Numeric(vals) => {
+        match detect_and_parse(&raw) {
+            (DataType::Numerical, ColumnData::Numeric(vals)) => {
                 assert_eq!(vals[2], None);
                 assert_eq!(vals[3], None);
                 assert_eq!(vals[21], None);
                 assert_eq!(vals[0], Some(1.0));
             }
-            _ => panic!("expected numeric"),
+            other => panic!("expected numeric, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dropping_a_candidate_early_keeps_the_threshold_exact() {
+        // 19 numbers and 1 word: exactly 95%. The word first drops no
+        // candidate early, since every remaining cell could still parse.
+        let mut cells = vec!["oops".to_owned()];
+        cells.extend((1..20).map(|i| i.to_string()));
+        assert_eq!(detect_type(&cells), DataType::Numerical);
+        // Two words among 20 cells miss 95%, wherever the words sit.
+        for at in [0, 10, 19] {
+            let mut cells: Vec<String> = (0..19).map(|i| i.to_string()).collect();
+            cells.insert(at, "oops".to_owned());
+            cells[(at + 5) % 20] = "oops".to_owned();
+            assert_eq!(detect_type(&cells), DataType::Categorical, "{at}");
         }
     }
 
@@ -225,13 +309,12 @@ mod tests {
         // push the column under the 95% numeric threshold.
         let mut cells: Vec<String> = (0..35).map(|i| format!("{}.5", 10 + i)).collect();
         cells.extend(["NaN", "nan", "NAN", " NaN ", "nAn"].map(String::from));
-        assert_eq!(detect_type(&cells), DataType::Numerical);
-        match parse_column(&cells, DataType::Numerical) {
-            ColumnData::Numeric(vals) => {
+        match detect_and_parse(&cells) {
+            (DataType::Numerical, ColumnData::Numeric(vals)) => {
                 assert_eq!(vals.iter().filter(|x| x.is_none()).count(), 5);
                 assert_eq!(vals[0], Some(10.5));
             }
-            _ => panic!("expected numeric"),
+            other => panic!("expected numeric, got {other:?}"),
         }
         assert_eq!(detect_type(&v(&["NaN", "nan"])), DataType::Categorical);
     }
@@ -245,17 +328,19 @@ mod tests {
         assert_eq!(detect_type(&cells), DataType::Categorical);
         let mut few: Vec<String> = (1..=20).map(|i| i.to_string()).collect();
         few.push("inf".to_owned());
-        assert_eq!(detect_type(&few), DataType::Numerical);
-        match parse_column(&few, DataType::Numerical) {
-            ColumnData::Numeric(vals) => assert_eq!(vals[20], None),
-            _ => panic!("expected numeric"),
+        match detect_and_parse(&few) {
+            (DataType::Numerical, ColumnData::Numeric(vals)) => assert_eq!(vals[20], None),
+            other => panic!("expected numeric, got {other:?}"),
         }
     }
 
     #[test]
     fn empty_column_is_categorical() {
         assert_eq!(detect_type(&v(&[])), DataType::Categorical);
-        assert_eq!(detect_type(&v(&["", "NA"])), DataType::Categorical);
+        assert_eq!(
+            detect_and_parse(&v(&["", "NA"])),
+            (DataType::Categorical, ColumnData::Text(vec![None, None]))
+        );
     }
 
     #[test]
@@ -269,9 +354,10 @@ mod tests {
 
     #[test]
     fn percent_and_currency_values() {
-        assert_eq!(parse_number("15%"), Some(0.15));
-        assert_eq!(parse_number("$1,234.5"), Some(1234.5));
-        assert_eq!(parse_number("abc"), None);
-        assert_eq!(parse_number("inf"), None);
+        assert_eq!(number("15%"), Some(0.15));
+        assert_eq!(number("$1,234.5"), Some(1234.5));
+        assert_eq!(number(" 1,000,000 "), Some(1e6));
+        assert_eq!(number("abc"), None);
+        assert_eq!(number("inf"), None);
     }
 }

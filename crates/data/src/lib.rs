@@ -39,7 +39,7 @@ pub mod value;
 pub use column::{Column, ColumnData};
 pub use correlate::{correlation, trend, trend_of_series, Correlation, CorrelationModel, Trend};
 pub use csv::{table_from_csv_path, table_from_csv_str, table_from_csv_str_delim, CsvError};
-pub use infer::{detect_and_parse, detect_type, parse_column};
+pub use infer::detect_and_parse;
 pub use profile::{
     profile_column, quantile_sorted, CategoricalProfile, ColumnProfile, NumericProfile,
 };

@@ -336,11 +336,10 @@ const MONTH_NAMES: [&str; 12] = [
 ];
 
 fn month_from_name(s: &str) -> Option<u8> {
-    let lower = s.to_ascii_lowercase();
-    let key = lower.get(..3)?;
+    let key = s.get(..3)?;
     MONTH_NAMES
         .iter()
-        .position(|m| *m == key)
+        .position(|m| m.eq_ignore_ascii_case(key))
         .map(|i| i as u8 + 1)
 }
 
@@ -369,44 +368,55 @@ fn parse_hms(s: &str) -> Option<(u8, u8, u8)> {
     Some((h as u8, m as u8, sec as u8))
 }
 
+/// `Civil::date` over parsed fields. A field too large for its `Civil`
+/// type makes an impossible date, not one that wraps around.
+fn checked_date(year: u32, month: u32, day: u32) -> Option<Civil> {
+    Civil::date(
+        year.try_into().ok()?,
+        month.try_into().ok()?,
+        day.try_into().ok()?,
+    )
+}
+
 /// Parse a date-only token. Accepted shapes:
 /// `YYYY-MM-DD`, `YYYY/MM/DD`, `MM/DD/YYYY`, `YYYY-MM`, `DD-Mon[-YYYY]`,
 /// `Mon-YYYY`, `Mon DD[,] YYYY` handled at the caller via whitespace split.
 fn parse_date_token(s: &str) -> Option<Civil> {
     let seps: &[char] = &['-', '/'];
-    let parts: Vec<&str> = s.split(seps).collect();
-    match parts.as_slice() {
-        [a, b, c] => {
+    let mut parts = s.split(seps);
+    let (a, b) = (parts.next()?, parts.next()?);
+    match (parts.next(), parts.next()) {
+        (Some(c), None) => {
             if let (Some(y), Some(m), Some(d)) = (parse_u32(a), parse_u32(b), parse_u32(c)) {
                 if a.len() == 4 {
-                    return Civil::date(y as i32, m as u8, d as u8);
+                    return checked_date(y, m, d);
                 }
                 // MM/DD/YYYY
                 if c.len() == 4 {
-                    return Civil::date(d as i32, y as u8, m as u8);
+                    return checked_date(d, y, m);
                 }
                 return None;
             }
             // DD-Mon-YYYY
             if let (Some(d), Some(m), Some(y)) = (parse_u32(a), month_from_name(b), parse_u32(c)) {
-                return Civil::date(y as i32, m, d as u8);
+                return checked_date(y, m.into(), d);
             }
             None
         }
-        [a, b] => {
+        (None, _) => {
             if let (Some(y), Some(m)) = (parse_u32(a), parse_u32(b)) {
                 if a.len() == 4 {
-                    return Civil::date(y as i32, m as u8, 1);
+                    return checked_date(y, m, 1);
                 }
                 return None;
             }
             // DD-Mon (default year) or Mon-YYYY
             if let (Some(d), Some(m)) = (parse_u32(a), month_from_name(b)) {
-                return Civil::date(DEFAULT_YEAR, m, d as u8);
+                return Civil::date(DEFAULT_YEAR, m, d.try_into().ok()?);
             }
             if let (Some(m), Some(y)) = (month_from_name(a), parse_u32(b)) {
                 if b.len() == 4 {
-                    return Civil::date(y as i32, m, 1);
+                    return checked_date(y, m.into(), 1);
                 }
             }
             None
@@ -456,22 +466,17 @@ pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
     }
     // "Mon DD, YYYY" / "DD Mon YYYY" on the whole string (the date/time
     // split above would have torn these apart at the first space).
-    let cleaned = s.replace(',', " ");
-    let words: Vec<&str> = cleaned.split_whitespace().collect();
-    if words.len() == 3 {
-        if let (Some(m), Some(d), Some(y)) = (
-            month_from_name(words[0]),
-            parse_u32(words[1]),
-            parse_u32(words[2]),
-        ) {
-            return Civil::date(y as i32, m, d as u8).map(Timestamp::from_civil);
+    let mut words = s
+        .split(|c: char| c == ',' || c.is_whitespace())
+        .filter(|w| !w.is_empty());
+    if let (Some(w0), Some(w1), Some(w2), None) =
+        (words.next(), words.next(), words.next(), words.next())
+    {
+        if let (Some(m), Some(d), Some(y)) = (month_from_name(w0), parse_u32(w1), parse_u32(w2)) {
+            return checked_date(y, m.into(), d).map(Timestamp::from_civil);
         }
-        if let (Some(d), Some(m), Some(y)) = (
-            parse_u32(words[0]),
-            month_from_name(words[1]),
-            parse_u32(words[2]),
-        ) {
-            return Civil::date(y as i32, m, d as u8).map(Timestamp::from_civil);
+        if let (Some(d), Some(m), Some(y)) = (parse_u32(w0), month_from_name(w1), parse_u32(w2)) {
+            return checked_date(y, m.into(), d).map(Timestamp::from_civil);
         }
     }
     None
@@ -479,18 +484,18 @@ pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
 
 /// Like [`parse_timestamp`] but also accepts bare years (`1999`).
 pub fn parse_timestamp_loose(s: &str) -> Option<Timestamp> {
-    if let Some(t) = parse_timestamp(s) {
-        return Some(t);
-    }
+    parse_timestamp(s).or_else(|| parse_bare_year(s))
+}
+
+/// A bare four-digit year in `[1500, 2100]`, as January 1 of that year:
+/// what [`parse_timestamp_loose`] adds to [`parse_timestamp`].
+pub(crate) fn parse_bare_year(s: &str) -> Option<Timestamp> {
     let s = s.trim();
-    if s.len() == 4 {
-        if let Some(y) = parse_u32(s) {
-            if (1500..=2100).contains(&y) {
-                return Civil::date(y as i32, 1, 1).map(Timestamp::from_civil);
-            }
-        }
+    if s.len() != 4 {
+        return None;
     }
-    None
+    let year = parse_u32(s).filter(|y| (1500..=2100).contains(y))?;
+    checked_date(year, 1, 1).map(Timestamp::from_civil)
 }
 
 #[cfg(test)]
@@ -615,6 +620,23 @@ mod tests {
             "Foo-2015",
         ] {
             assert!(parse_timestamp(s).is_none(), "should reject {s:?}");
+        }
+    }
+
+    #[test]
+    fn impossible_dates_do_not_wrap_around() {
+        // Each has a field that parses as a u32 too large for its Civil
+        // field; narrowing it with `as` would wrap it into a real date
+        // (258 → February, 257 → the 1st, 3e9 → a negative year).
+        for s in [
+            "2015-258-01",
+            "258/01/2015",
+            "2015-02-257",
+            "257-Jan-2015",
+            "Jan 257, 2015",
+            "01-Jan-3000000000",
+        ] {
+            assert_eq!(parse_timestamp(s), None, "{s:?}");
         }
     }
 

@@ -45,7 +45,10 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load(path: &str) -> Result<Table, ExitCode> {
+/// Read the CSV at `path` into a typed table, under a `pipeline.ingest`
+/// span so traces and the stage report include ingest.
+fn load(path: &str, obs: &Observer) -> Result<Table, ExitCode> {
+    let _ingest = obs.span("pipeline.ingest");
     table_from_csv_path(path).map_err(|e| {
         eprintln!("error: cannot read {path}: {e}");
         ExitCode::FAILURE
@@ -235,7 +238,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let Some(path) = args.get(1) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
@@ -268,7 +271,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let (Some(path), Some(keywords)) = (args.get(1), args.get(2)) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
@@ -288,7 +291,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let (Some(path), Some(query_path)) = (args.get(1), args.get(2)) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
@@ -328,7 +331,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let Some(path) = args.get(1) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
@@ -367,7 +370,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let (Some(path), Some(out_dir)) = (args.get(1), args.get(2)) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
@@ -397,7 +400,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let Some(path) = args.get(1) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };
@@ -432,7 +435,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             let Some(path) = args.get(1) else {
                 return Ok(usage());
             };
-            let table = match load(path) {
+            let table = match load(path, &obs) {
                 Ok(t) => t,
                 Err(code) => return Ok(code),
             };

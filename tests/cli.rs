@@ -167,6 +167,211 @@ fn recommend_strips_byte_order_mark_from_first_column() {
 }
 
 #[test]
+fn recommend_trace_names_pipeline_ingest() {
+    let dir = tmp_dir("trace");
+    let csv = sample_csv(&dir);
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args([
+            "recommend",
+            csv.to_str().unwrap(),
+            "3",
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&trace).unwrap();
+    deepeye::obs::validate_chrome_trace(&text).expect("trace validates");
+    assert!(text.contains("\"pipeline.ingest\""), "{text}");
+    let report = String::from_utf8_lossy(&out.stderr);
+    assert!(report.contains("pipeline.ingest"), "{report}");
+}
+
+/// What `deepeye` must do with one file of the CSV corpus.
+enum Expect {
+    /// `recommend` exits 0 with ranked charts, and `inspect` reads this
+    /// many rows and these (column, type, nulls).
+    Charts(usize, &'static [(&'static str, &'static str, usize)]),
+    /// Both exit 0 and `recommend` says it found nothing to chart: the
+    /// table has no rows to group, or one.
+    NothingToChart,
+    /// Both exit 1 with this message on stderr and nothing on stdout.
+    Fails(&'static str),
+}
+
+/// Every file under `tests/data/`, with what it must do.
+const CORPUS: &[(&str, Expect)] = &[
+    (
+        "all_null_column.csv",
+        Expect::Charts(6, &[("notes", "Cat", 6), ("revenue", "Num", 0)]),
+    ),
+    // 10 bare years and one full date: every value survives.
+    (
+        "bare_years_with_one_date.csv",
+        Expect::Charts(11, &[("year", "Tem", 0)]),
+    ),
+    (
+        "big_integers.csv",
+        Expect::Charts(6, &[("balance", "Num", 0)]),
+    ),
+    ("bom.csv", Expect::Charts(6, &[("city", "Cat", 0)])),
+    ("crlf.csv", Expect::Charts(6, &[("revenue", "Num", 0)])),
+    (
+        "duplicate_headers.csv",
+        Expect::Fails("duplicate column name"),
+    ),
+    ("empty.csv", Expect::Fails("CSV input is empty")),
+    (
+        "empty_header_names.csv",
+        Expect::Charts(6, &[("column_0", "Cat", 0)]),
+    ),
+    ("header_only.csv", Expect::NothingToChart),
+    // 2015-258-01 is no date (its month does not wrap to February).
+    (
+        "impossible_dates.csv",
+        Expect::Charts(21, &[("when", "Tem", 1)]),
+    ),
+    // `55" wide`: a quote after a field's first byte is a literal.
+    ("inch_marks.csv", Expect::Charts(3, &[("size", "Cat", 0)])),
+    // Latin-1 bytes, not UTF-8.
+    (
+        "latin1.csv",
+        Expect::Fails("stream did not contain valid UTF-8"),
+    ),
+    (
+        "mixed_date_formats.csv",
+        Expect::Charts(10, &[("when", "Tem", 0)]),
+    ),
+    // NaN is a missing value; the one inf is a dirty cell.
+    ("nan_and_inf.csv", Expect::Charts(24, &[("temp", "Num", 4)])),
+    ("one_column.csv", Expect::Charts(8, &[("region", "Cat", 0)])),
+    ("one_row.csv", Expect::NothingToChart),
+    (
+        "quoted_newlines.csv",
+        Expect::Charts(6, &[("note", "Cat", 0)]),
+    ),
+    (
+        "ragged.csv",
+        Expect::Fails("record on line 3 has 1 fields, expected 2"),
+    ),
+    (
+        "ragged_after_blank_line.csv",
+        Expect::Fails("record on line 3 has 1 fields"),
+    ),
+    (
+        "ragged_after_quoted_newline.csv",
+        Expect::Fails("record on line 4 has 1 fields"),
+    ),
+    (
+        "thousands_percent_currency.csv",
+        Expect::Charts(
+            6,
+            &[
+                ("price", "Num", 0),
+                ("share", "Num", 0),
+                ("units", "Num", 0),
+            ],
+        ),
+    ),
+    (
+        "unterminated_quote.csv",
+        Expect::Fails("unterminated quoted field"),
+    ),
+];
+
+/// `deepeye <command> <csv> [3]`: exit code, stdout, stderr.
+fn run_on(command: &str, csv: &Path) -> (Option<i32>, String, String) {
+    let mut cmd = bin();
+    cmd.args([command, csv.to_str().unwrap()]);
+    if command == "recommend" {
+        cmd.arg("3");
+    }
+    let out = cmd.output().unwrap();
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+#[test]
+fn corpus_files_chart_or_fail_with_a_typed_message() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let mut files: Vec<String> = std::fs::read_dir(&data)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let listed: Vec<&str> = CORPUS.iter().map(|(file, _)| *file).collect();
+    assert_eq!(
+        files, listed,
+        "every corpus file has one expectation, in order"
+    );
+
+    // 10^4 distinct categories: written here rather than committed.
+    let dir = tmp_dir("corpus");
+    let distinct = dir.join("distinct_10000.csv");
+    let mut text = String::from("customer,segment,spend\n");
+    for i in 0..10_000 {
+        text.push_str(&format!(
+            "c{i:05},{},{}.5\n",
+            ["A", "B", "C", "D"][i % 4],
+            i * 37 % 1000
+        ));
+    }
+    std::fs::write(&distinct, text).unwrap();
+    let generated = Expect::Charts(10_000, &[("customer", "Cat", 0), ("spend", "Num", 0)]);
+
+    let cases = CORPUS
+        .iter()
+        .map(|(file, expect)| (data.join(file), expect))
+        .chain([(distinct, &generated)]);
+    for (csv, expect) in cases {
+        let name = csv.file_name().unwrap().to_string_lossy().into_owned();
+        let (code, stdout, stderr) = run_on("recommend", &csv);
+        let (inspect_code, schema, inspect_err) = run_on("inspect", &csv);
+        for err in [&stderr, &inspect_err] {
+            assert!(!err.contains("panicked"), "{name}: {err}");
+        }
+        match expect {
+            Expect::Charts(rows, columns) => {
+                assert_eq!((code, inspect_code), (Some(0), Some(0)), "{name}: {stderr}");
+                assert!(stdout.contains("#1 ("), "{name}: {stdout}");
+                assert!(
+                    schema.contains(&format!("[{rows} rows]")),
+                    "{name}: {schema}"
+                );
+                for (column, ty, nulls) in *columns {
+                    assert!(
+                        schema.contains(&format!("{column}: {ty}")),
+                        "{name}: {schema}"
+                    );
+                    let line = schema
+                        .lines()
+                        .find(|l| l.split_whitespace().next() == Some(column))
+                        .unwrap_or_else(|| panic!("{name}: no {column} in {schema}"));
+                    assert!(line.contains(&format!("nulls={nulls} ")), "{name}: {line}");
+                }
+            }
+            Expect::NothingToChart => {
+                assert_eq!((code, inspect_code), (Some(0), Some(0)), "{name}: {stderr}");
+                assert!(
+                    stdout.contains("no meaningful visualizations found"),
+                    "{name}: {stdout}"
+                );
+            }
+            Expect::Fails(message) => {
+                assert_eq!((code, inspect_code), (Some(1), Some(1)), "{name}");
+                for err in [&stderr, &inspect_err] {
+                    assert!(err.contains("cannot read"), "{name}: {err}");
+                    assert!(err.contains(message), "{name}: {err}");
+                }
+                assert!(stdout.is_empty() && schema.is_empty(), "{name}: {stdout}");
+            }
+        }
+    }
+}
+
+#[test]
 fn search_honors_keywords() {
     let dir = tmp_dir("search");
     let csv = sample_csv(&dir);
