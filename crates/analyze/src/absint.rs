@@ -258,11 +258,6 @@ impl Interval {
         self.contains(0)
     }
 
-    /// `self ⊆ [lo, hi]` (empty is inside everything).
-    pub fn within(&self, lo: i128, hi: i128) -> bool {
-        self.is_empty() || (self.lo >= lo && self.hi <= hi)
-    }
-
     fn sat_add(a: i128, b: i128) -> i128 {
         if a == NEG_INF || b == NEG_INF {
             NEG_INF

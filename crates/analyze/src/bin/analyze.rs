@@ -1,11 +1,9 @@
-//! The `analyze` CLI: lint the workspace, explore the checked-in
-//! concurrency models.
+//! The `analyze` CLI: lint the workspace against its baseline.
 //!
 //! ```text
-//! analyze --workspace [--root DIR] [--baseline FILE] [--json FILE] [--github]
-//!                     [--rules A0001,A0002] [--effects]
+//! analyze --workspace [--root DIR] [--baseline FILE] [--github]
+//!                     [--rules A0002,A0003] [--effects]
 //! analyze --list-rules
-//! analyze --models
 //! ```
 //!
 //! `--github` additionally emits one GitHub Actions workflow command
@@ -15,15 +13,14 @@
 //!
 //! `--rules` is an include filter: only the named rules run (unknown
 //! codes are a usage error). `--effects` prints the per-function
-//! zero-cost effect summary the v3 report exports — one line per
-//! theorem-scoped function with its any-path and disabled-world effect
-//! sets. `--list-rules` prints the rule catalog and exits.
+//! zero-cost effect summary — one line per theorem-scoped function with
+//! its any-path and disabled-world effect sets. `--list-rules` prints the
+//! rule catalog and exits.
 //!
-//! Exit status: 0 when clean, 1 on violations / stale baseline entries /
-//! model-checker findings, 2 on usage or I/O errors.
+//! Exit status: 0 when clean, 1 on violations / stale baseline entries,
+//! 2 on usage or I/O errors.
 
-use deepeye_analyze::model::demo;
-use deepeye_analyze::{lint_report_json, Baseline, Workspace};
+use deepeye_analyze::{Baseline, Workspace};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,7 +30,6 @@ fn main() -> ExitCode {
     let mut mode: Option<&str> = None;
     let mut root: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
     let mut github = false;
     let mut effects = false;
     let mut only: Option<BTreeSet<String>> = None;
@@ -41,7 +37,6 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => mode = Some("workspace"),
-            "--models" => mode = Some("models"),
             "--list-rules" => mode = Some("list-rules"),
             "--github" => github = true,
             "--effects" => effects = true,
@@ -65,27 +60,21 @@ fn main() -> ExitCode {
                 Some(v) => baseline_path = Some(PathBuf::from(v)),
                 None => return usage("--baseline needs a value"),
             },
-            "--json" => match it.next() {
-                Some(v) => json_out = Some(PathBuf::from(v)),
-                None => return usage("--json needs a value"),
-            },
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
     match mode {
-        Some("workspace") => run_lint(root, baseline_path, json_out, github, effects, only),
-        Some("models") => run_models(),
+        Some("workspace") => run_lint(root, baseline_path, github, effects, only),
         Some("list-rules") => run_list_rules(),
-        _ => usage("pass --workspace, --models, or --list-rules"),
+        _ => usage("pass --workspace or --list-rules"),
     }
 }
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("analyze: {err}");
-    eprintln!("usage: analyze --workspace [--root DIR] [--baseline FILE] [--json FILE] [--github]");
-    eprintln!("                           [--rules A0001,A0002] [--effects]");
+    eprintln!("usage: analyze --workspace [--root DIR] [--baseline FILE] [--github]");
+    eprintln!("                           [--rules A0002,A0003] [--effects]");
     eprintln!("       analyze --list-rules");
-    eprintln!("       analyze --models");
     ExitCode::from(2)
 }
 
@@ -131,7 +120,6 @@ fn default_root() -> PathBuf {
 fn run_lint(
     root: Option<PathBuf>,
     baseline_path: Option<PathBuf>,
-    json_out: Option<PathBuf>,
     github: bool,
     effects: bool,
     only: Option<BTreeSet<String>>,
@@ -186,12 +174,6 @@ fn run_lint(
             pure
         );
     }
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, lint_report_json(&outcome)) {
-            eprintln!("analyze: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     for d in &outcome.violations {
         println!("{d}");
         if github {
@@ -217,25 +199,6 @@ fn run_lint(
         if outcome.stale.len() == 1 { "y" } else { "ies" },
     );
     if outcome.violations.is_empty() && outcome.stale.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_models() -> ExitCode {
-    let mut ok = true;
-    for report in demo::demo_reports() {
-        println!("{report}");
-        for race in &report.races {
-            println!("  race: {race}");
-        }
-        for f in &report.failures {
-            println!("  failure: {} (schedule {:?})", f.message, f.schedule);
-        }
-        ok &= report.ok() && report.executions >= demo::INTERLEAVING_TARGET;
-    }
-    if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

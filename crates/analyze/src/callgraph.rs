@@ -2,9 +2,9 @@
 //!
 //! [`Analysis::build`] runs once per lint invocation: it extracts every
 //! function definition (via [`crate::cfg`]), precomputes the per-file
-//! guard and loop-depth masks, and then resolves call sites to their
-//! callees so the interprocedural rules (A0008–A0012) can walk chains
-//! instead of single token windows.
+//! guard masks, and then resolves call sites to their callees so the
+//! interprocedural rules (A0008–A0012) can walk chains instead of single
+//! token windows.
 //!
 //! Resolution is heuristic — this is a lexer-level analysis, not rustc —
 //! and it degrades *safely*: an unresolved call simply contributes no
@@ -48,8 +48,6 @@ pub struct CallSite {
     pub tok: usize,
     /// The site sits behind an `is_enabled()` guard.
     pub guarded: bool,
-    /// Loop-nesting depth at the site (0 = not in a loop).
-    pub loop_depth: u32,
 }
 
 /// Everything the interprocedural rules need, built once per run.
@@ -62,12 +60,10 @@ pub struct Analysis {
     pub callers_of: Vec<Vec<usize>>,
     /// Per file: per-token `is_enabled()` guard mask.
     pub guard_masks: Vec<Vec<bool>>,
-    /// Per file: per-token loop-nesting depth.
-    pub loop_depths: Vec<Vec<u32>>,
     /// Per file: per-token index of the innermost enclosing function.
     owner: Vec<Vec<Option<usize>>>,
     /// SCC-condensed reachability over resolved product calls, shared
-    /// by every interprocedural rule (A0009, A0011, A0015).
+    /// by every interprocedural rule (A0009, A0015).
     pub reach: Reachability,
     /// Per-function effect summaries from the abstract-interpretation
     /// pass (see [`crate::effects`]), indexed like `funcs`.
@@ -129,11 +125,6 @@ impl Reachability {
             (Some(&a), Some(&b)) => self.reach.get(a).is_some_and(|set| set.contains(b)),
             _ => false,
         }
-    }
-
-    /// `a` and `b` sit in the same strongly-connected component.
-    pub fn same_component(&self, a: usize, b: usize) -> bool {
-        self.scc.comp_of.get(a).is_some() && self.component(a) == self.component(b)
     }
 }
 
@@ -242,13 +233,11 @@ impl Analysis {
     pub fn build(ws: &Workspace) -> Analysis {
         let mut funcs: Vec<FuncDef> = Vec::new();
         let mut guard_masks: Vec<Vec<bool>> = Vec::new();
-        let mut loop_depths: Vec<Vec<u32>> = Vec::new();
         let mut owner: Vec<Vec<Option<usize>>> = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
             let start = funcs.len();
             funcs.extend(cfg::functions_in_file(file, fi));
             guard_masks.push(cfg::guard_mask(file));
-            loop_depths.push(cfg::loop_depths(&file.tokens));
             // Innermost-function ownership: outer functions are emitted
             // before the nested ones they contain, so assigning in order
             // lets inner ranges overwrite outer ones.
@@ -284,7 +273,6 @@ impl Analysis {
             funcs,
             calls: Vec::new(),
             guard_masks,
-            loop_depths,
             owner,
             reach: Reachability::empty(),
             effects: Vec::new(),
@@ -306,35 +294,6 @@ impl Analysis {
     /// The innermost function containing token `tok` of file `file`.
     pub fn func_at(&self, file: usize, tok: usize) -> Option<usize> {
         self.owner.get(file)?.get(tok).copied().flatten()
-    }
-
-    /// The function with the given qualified name, if unique.
-    pub fn by_qual(&self, qual: &str) -> Option<usize> {
-        let mut hit = None;
-        for (i, f) in self.funcs.iter().enumerate() {
-            if f.qual == qual {
-                if hit.is_some() {
-                    return None;
-                }
-                hit = Some(i);
-            }
-        }
-        hit
-    }
-
-    /// Call sites resolved to a workspace function.
-    pub fn resolved_calls(&self) -> usize {
-        self.calls.iter().filter(|c| c.callee.is_some()).count()
-    }
-
-    /// Total CFG blocks across all functions.
-    pub fn block_count(&self) -> usize {
-        self.funcs.iter().map(|f| f.cfg.blocks.len()).sum()
-    }
-
-    /// Total CFG successor edges across all functions.
-    pub fn edge_count(&self) -> usize {
-        self.funcs.iter().map(|f| f.cfg.edge_count()).sum()
     }
 
     fn extract_calls(
@@ -570,8 +529,7 @@ impl Analysis {
     /// Unique-name fallback for method calls with an unknown receiver,
     /// restricted to the caller's own crate: cross-crate calls are
     /// written with paths or typed receivers, so a lone same-name
-    /// function in some *other* crate (e.g. the loom-lite model's
-    /// std-mirroring methods) proves nothing.
+    /// function in some *other* crate proves nothing.
     fn unique_fallback(
         &self,
         name: &str,
@@ -608,7 +566,6 @@ impl Analysis {
             line,
             tok: name_tok,
             guarded: self.guard_masks[fi].get(name_tok).copied().unwrap_or(false),
-            loop_depth: self.loop_depths[fi].get(name_tok).copied().unwrap_or(0),
         }
     }
 }
@@ -770,18 +727,16 @@ pub fn count(items: &[u32]) -> usize { items.len() }
     }
 
     #[test]
-    fn guard_and_loop_context_attach_to_sites() {
+    fn guard_context_attaches_to_sites() {
         let src = r#"
 pub fn caller(prov: &Provenance) {
     if prov.is_enabled() {
         guarded_callee();
     }
-    for i in 0..3 {
-        looped_callee();
-    }
+    unguarded_callee();
 }
 fn guarded_callee() {}
-fn looped_callee() {}
+fn unguarded_callee() {}
 "#;
         let a = build(vec![("crates/core/src/g.rs", src)]);
         let g = a
@@ -789,12 +744,12 @@ fn looped_callee() {}
             .iter()
             .find(|c| c.callee_name == "guarded_callee")
             .expect("site found");
-        assert!(g.guarded && g.loop_depth == 0);
-        let l = a
+        assert!(g.guarded);
+        let u = a
             .calls
             .iter()
-            .find(|c| c.callee_name == "looped_callee")
+            .find(|c| c.callee_name == "unguarded_callee")
             .expect("site found");
-        assert!(!l.guarded && l.loop_depth == 1);
+        assert!(!u.guarded);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The interprocedural rules (A0008–A0012) need more than a flat token
 //! stream: they need to know *which function* a token belongs to, the
-//! function's module-qualified name, whether a site sits inside a loop,
-//! and whether it sits behind an `is_enabled()` guard. This module
+//! function's module-qualified name, and whether a site sits behind an
+//! `is_enabled()` guard. This module
 //! derives all of that from the lexer's token stream — no AST, no
 //! rustc — by tracking `mod` / `impl` / `trait` / `fn` scopes through
 //! the brace structure and splitting each function body into basic
@@ -13,8 +13,8 @@
 //! The CFG is deliberately "lite": blocks are maximal straight-line
 //! token runs, successor edges cover fallthrough, branch joins, and
 //! loop back/exit edges. That is enough for the dataflow layer's
-//! reachability questions (a panic site inside a function, an
-//! allocation inside a loop, a lock acquired before a call) without
+//! reachability questions (a panic site inside a function, an effect on
+//! some path, a lock acquired before a call) without
 //! pretending to be a real control-flow analysis.
 
 use crate::lexer::{matching_brace, Token};
@@ -93,13 +93,6 @@ pub struct Cfg {
     pub blocks: Vec<Block>,
 }
 
-impl Cfg {
-    /// Total successor edges.
-    pub fn edge_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.succs.len()).sum()
-    }
-}
-
 /// Keywords that never start a call and never name a callee.
 pub const KEYWORDS: &[&str] = &[
     "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false", "fn",
@@ -128,34 +121,6 @@ pub fn find_body_open(tokens: &[Token], from: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Per-token loop-nesting depth for a whole file: 0 outside any loop,
-/// +1 for each enclosing `loop` / `while` / `for` body.
-pub fn loop_depths(tokens: &[Token]) -> Vec<u32> {
-    let mut depth = vec![0u32; tokens.len()];
-    for i in 0..tokens.len() {
-        let is_loop_kw = tokens[i].is_ident("loop")
-            || tokens[i].is_ident("while")
-            || (tokens[i].is_ident("for")
-                // `impl Trait for Type` also contains `for`; a loop `for`
-                // is followed by a pattern and an `in` before its body.
-                && tokens[i..]
-                    .iter()
-                    .take(24)
-                    .any(|t| t.is_ident("in")));
-        if !is_loop_kw {
-            continue;
-        }
-        let Some(open) = find_body_open(tokens, i + 1) else {
-            continue;
-        };
-        let close = matching_brace(tokens, open);
-        for slot in depth.iter_mut().take(close).skip(open) {
-            *slot += 1;
-        }
-    }
-    depth
 }
 
 // ---------------------------------------------------------------------------
@@ -786,37 +751,6 @@ fn f(n: u32) -> u32 {
             .enumerate()
             .any(|(bi, b)| b.succs.iter().any(|&s| s <= bi));
         assert!(back_edge, "loop back edge missing: {:?}", cfg.blocks);
-    }
-
-    #[test]
-    fn loop_depths_cover_bodies_not_headers() {
-        let file = SourceFile::new(
-            "crates/core/src/x.rs",
-            "fn f() { step(); for i in 0..3 { inner(); while go() { deep(); } } tail(); }",
-        );
-        let depths = loop_depths(&file.tokens);
-        for (t, d) in file.tokens.iter().zip(&depths) {
-            match t.ident() {
-                Some("step") | Some("tail") => assert_eq!(*d, 0, "{t:?}"),
-                Some("inner") => assert_eq!(*d, 1),
-                Some("deep") => assert_eq!(*d, 2),
-                _ => {}
-            }
-        }
-    }
-
-    #[test]
-    fn impl_for_is_not_a_loop() {
-        let file = SourceFile::new(
-            "crates/core/src/x.rs",
-            "impl Display for Widget { fn fmt(&self) { body(); } }",
-        );
-        let depths = loop_depths(&file.tokens);
-        for (t, d) in file.tokens.iter().zip(&depths) {
-            if t.ident() == Some("body") {
-                assert_eq!(*d, 0, "impl-for body is not a loop");
-            }
-        }
     }
 
     #[test]

@@ -13,11 +13,6 @@
 //! * **A0010** — dropped results: `let _ = f(…)` and an unconsumed
 //!   `.ok()` on a workspace call that returns `Result` swallow errors
 //!   the pipeline is supposed to surface.
-//! * **A0011** — allocation in a hot loop: `Vec::new` / `.push` /
-//!   `.clone` / `.to_vec` / `format!` inside a loop of a function
-//!   reachable from an `execute`/`top_k` entry point, unless the
-//!   function participates in alloc attribution (calls the observer's
-//!   `alloc` family, so the cost is measured rather than invisible).
 //! * **A0012** — the interprocedural face of A0002: a helper whose
 //!   record calls are lexically unguarded is clean if *every* product
 //!   call site is behind an `is_enabled()` guard (directly or through a
@@ -627,152 +622,6 @@ fn matching_open_paren(toks: &[crate::lexer::Token], dot: usize) -> Option<usize
 }
 
 // ---------------------------------------------------------------------------
-// A0011 — allocation inside hot loops, uncovered by alloc attribution.
-
-const OBS_ALLOC_METHODS: &[&str] = &["alloc", "alloc_many", "alloc_release"];
-
-pub fn hot_loop_allocations(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-    // A function participates in alloc attribution when it records into
-    // the observer's alloc channel itself.
-    let attributed: Vec<bool> = a
-        .funcs
-        .iter()
-        .map(|f| {
-            let toks = &ws.files[f.file].tokens;
-            f.body_range().any(|i| {
-                toks[i].is_punct('.')
-                    && toks
-                        .get(i + 1)
-                        .and_then(crate::lexer::Token::ident)
-                        .is_some_and(|m| OBS_ALLOC_METHODS.contains(&m))
-                    && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-            })
-        })
-        .collect();
-
-    // BFS the uncovered region from *observed* execute/top_k entry
-    // points — the ones handed an `Observer`, where attribution is
-    // possible. The region is barrier-aware (it stops at attributed
-    // functions), which the global `a.reach` relation cannot express, so
-    // the walk stays; but it stores only the BFS tree (`prev`), and the
-    // witness chain is reconstructed lazily — and only — for functions
-    // that actually diagnose, instead of cloning a growing step vector
-    // into every reached node. Unobserved variants are thin
-    // conveniences; their cost is measured when the harness drives the
-    // observed wrappers.
-    let mut prev: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut reached: BTreeSet<usize> = BTreeSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (fi, f) in a.funcs.iter().enumerate() {
-        let is_entry = !f.is_test
-            && (f.name.starts_with("execute") || f.name.starts_with("top_k") || f.name == "topk")
-            && f.params.iter().any(|(_, ty)| ty == "Observer");
-        if is_entry && !attributed[fi] && reached.insert(fi) {
-            queue.push_back(fi);
-        }
-    }
-    while let Some(fi) = queue.pop_front() {
-        for &ci in &a.calls_from[fi] {
-            let Some(callee) = a.calls[ci].callee else {
-                continue;
-            };
-            if !product_call(ws, a, ci)
-                || a.funcs[callee].is_test
-                || attributed[callee]
-                || !reached.insert(callee)
-            {
-                continue;
-            }
-            prev.insert(callee, ci);
-            queue.push_back(callee);
-        }
-    }
-    // The shortest entry chain for `fi`, rebuilt from the BFS tree. The
-    // tree is acyclic by construction, so this is also naturally capped
-    // at the first cycle of the underlying graph.
-    let entry_chain = |fi: usize| -> Vec<PathStep> {
-        let mut calls_rev = Vec::new();
-        let mut cur = fi;
-        while let Some(&ci) = prev.get(&cur) {
-            calls_rev.push(ci);
-            cur = a.calls[ci].caller;
-        }
-        let entry = &a.funcs[cur];
-        let mut steps = vec![step(
-            &entry.rel,
-            entry.line,
-            format!("hot entry point `{}`", entry.qual),
-        )];
-        for &ci in calls_rev.iter().rev() {
-            let c = &a.calls[ci];
-            let callee = c.callee.unwrap_or(c.caller);
-            steps.push(step(
-                &a.funcs[c.caller].rel,
-                c.line,
-                format!("calls `{}`", a.funcs[callee].qual),
-            ));
-        }
-        steps
-    };
-
-    let mut out = Vec::new();
-    for fi in &reached {
-        let f = &a.funcs[*fi];
-        let file = &ws.files[f.file];
-        let toks = &file.tokens;
-        let depths = &a.loop_depths[f.file];
-        for i in f.body_range() {
-            if depths.get(i).copied().unwrap_or(0) == 0 || !file.is_product(i) {
-                continue;
-            }
-            let t = &toks[i];
-            let marker: Option<&str> = if t.is_ident("Vec")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|t| t.is_ident("new"))
-            {
-                Some("Vec::new")
-            } else if t.is_punct('.')
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("push"))
-            {
-                Some(".push(…)")
-            } else if t.is_punct('.')
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("clone"))
-            {
-                Some(".clone()")
-            } else if t.is_punct('.')
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("to_vec"))
-            {
-                Some(".to_vec()")
-            } else if t.is_ident("format") && toks.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-                Some("format!")
-            } else {
-                None
-            };
-            let Some(marker) = marker else { continue };
-            let mut steps = entry_chain(*fi);
-            steps.push(step(&f.rel, t.line, format!("{marker} inside a loop")));
-            out.push(Diagnostic {
-                file: f.rel.clone(),
-                line: t.line,
-                code: "A0011",
-                message: format!(
-                    "{marker} in a loop of `{}`, reachable from a hot entry point, with no \
-                     alloc attribution in scope — hoist it or record it via the observer's \
-                     alloc channel",
-                    f.qual,
-                ),
-                path: steps,
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // A0012 — interprocedural is_enabled() guard propagation.
 
 /// Record-call sites A0002 defers to this rule: lexically unguarded, in
@@ -1031,61 +880,6 @@ pub fn caller() {
         assert!(hits
             .iter()
             .any(|d| d.message.contains("`.ok()`") && d.message.contains("core::r::fallible")));
-    }
-
-    #[test]
-    fn a0011_flags_loop_allocs_reachable_from_hot_entries() {
-        let src = r#"
-pub fn execute_plan(obs: &Observer, n: u32) -> u32 {
-    let mut total = 0;
-    for i in 0..n {
-        total += helper_sum(i);
-    }
-    total
-}
-fn helper_sum(i: u32) -> u32 {
-    let mut buf = Vec::new();
-    for j in 0..i {
-        buf.push(j);
-    }
-    buf.len() as u32
-}
-pub fn execute_attr(obs: &Observer, n: u32) -> u32 {
-    let mut buf = Vec::new();
-    for i in 0..n {
-        obs.alloc(8);
-        buf.push(i);
-    }
-    buf.len() as u32
-}
-pub fn execute_unobserved(n: u32) -> u32 {
-    let mut v = Vec::new();
-    for i in 0..n {
-        v.push(i);
-    }
-    v.len() as u32
-}
-pub fn unrelated(obs: &Observer, n: u32) {
-    let mut v = Vec::new();
-    for i in 0..n {
-        v.push(i);
-    }
-    drop(v);
-}
-"#;
-        let hits = run(vec![("crates/core/src/exec.rs", src)], hot_loop_allocations);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].code, "A0011");
-        assert!(
-            hits[0].message.contains(".push(…)")
-                && hits[0].message.contains("core::exec::helper_sum"),
-            "{}",
-            hits[0].message
-        );
-        // entry → calls helper_sum → marker: the witness walks the chain.
-        assert_eq!(hits[0].path.len(), 3, "{:?}", hits[0].path);
-        assert!(hits[0].path[0].note.contains("hot entry point"));
-        assert!(hits[0].path[2].note.contains("inside a loop"));
     }
 
     fn a0002(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {

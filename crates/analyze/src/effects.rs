@@ -17,9 +17,9 @@
 //! rule A0015 demands `off` be pure for every gate-bearing function of
 //! the observability layer (and `full` be pure for `NoCost`
 //! monomorphizations), with a witness chain naming the first effect
-//! when the proof fails. The interval domain powers A0016 (truncating
-//! counter arithmetic) and A0018 (possibly-zero divisors), and A0019
-//! keeps DESIGN.md's zero-cost claims honest against the engine.
+//! when the proof fails. The interval domain powers A0018 (possibly-zero
+//! divisors), and A0019 keeps DESIGN.md's zero-cost claims honest
+//! against the engine.
 
 use crate::absint::{
     fixpoint, EffectSet, Interval, JoinSemiLattice, EFFECT_ALLOC, EFFECT_BITS, EFFECT_IO,
@@ -58,9 +58,9 @@ pub struct EffectSummary {
     pub off_witness: [Option<Witness>; 4],
 }
 
-/// One per-function row of the v3 report's `effects` array: the
-/// machine-readable form of the zero-cost proof for the functions the
-/// theorem covers (obs/provenance sources plus `NoCost` impls).
+/// One per-function row of `analyze --effects`: the zero-cost proof for
+/// the functions the theorem covers (obs/provenance sources plus
+/// `NoCost` impls).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectRow {
     /// Module-qualified function name.
@@ -84,8 +84,8 @@ impl EffectRow {
     }
 }
 
-/// Collect the report rows for every theorem-covered function, sorted
-/// by (qual, file, line) so the export is deterministic.
+/// Collect the rows for every theorem-covered function, sorted by
+/// (qual, file, line) so the output is deterministic.
 pub fn effect_rows(ws: &Workspace, a: &Analysis) -> Vec<EffectRow> {
     let mut rows: Vec<EffectRow> = a
         .funcs
@@ -965,10 +965,7 @@ fn eval_expr(
             k = close;
             continue;
         }
-        if toks[k].is_ident("as") {
-            break; // cast: keep the pre-cast value (A0016 judges it).
-        }
-        break;
+        break; // a cast or any other suffix: keep the value so far.
     }
     v
 }
@@ -1100,7 +1097,7 @@ fn env_at(ws: &Workspace, a: &Analysis, fi: usize, site: usize) -> Env {
 }
 
 // ---------------------------------------------------------------------
-// A0016: counter arithmetic must saturate, casts must not truncate
+// A0018: division by a possibly-zero abstract value
 // ---------------------------------------------------------------------
 
 /// Statement window around token `i`: from just after the previous
@@ -1120,111 +1117,6 @@ fn stmt_window(toks: &[Token], i: usize) -> (usize, usize) {
     }
     (s, e)
 }
-
-/// Whether a statement window touches a counter flow: a metric-name
-/// string literal (`cost.*` / `obs.*`) or the `counters` map itself.
-fn counter_window(toks: &[Token], s: usize, e: usize) -> bool {
-    toks[s..e.min(toks.len())].iter().any(|t| {
-        t.str_lit()
-            .is_some_and(|lit| lit.starts_with("cost.") || lit.starts_with("obs."))
-            || t.is_ident("counters")
-    })
-}
-
-/// Integer types an `as` cast can truncate a counter into.
-const NARROW_TYPES: &[(&str, i128, i128)] = &[
-    ("u8", 0, u8::MAX as i128),
-    ("u16", 0, u16::MAX as i128),
-    ("u32", 0, u32::MAX as i128),
-    ("i8", i8::MIN as i128, i8::MAX as i128),
-    ("i16", i16::MIN as i128, i16::MAX as i128),
-    ("i32", i32::MIN as i128, i32::MAX as i128),
-];
-
-/// A0016: non-saturating compound assignment, or a truncating `as`
-/// cast, on a `cost.*`/`obs.*` counter flow. The interval domain grants
-/// exemptions for casts it can prove in range.
-pub(crate) fn counter_arith(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (fi, file) in ws.files.iter().enumerate() {
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !file.is_product(i) {
-                continue;
-            }
-            // Compound `+= -= *=` (adjacent punct pair).
-            if let crate::lexer::Tok::Punct(op @ ('+' | '-' | '*')) = toks[i].tok {
-                let adjacent = toks
-                    .get(i + 1)
-                    .is_some_and(|n| n.is_punct('=') && n.span.0 == toks[i].span.1);
-                if adjacent {
-                    let (s, e) = stmt_window(toks, i);
-                    let dotted_lhs = toks[s..i].iter().any(|t| t.is_punct('.'));
-                    if dotted_lhs && counter_window(toks, s, e) {
-                        out.push(Diagnostic {
-                            file: file.rel.clone(),
-                            line: toks[i].line,
-                            code: "A0016",
-                            message: format!(
-                                "non-saturating `{op}=` on a counter flow; \
-                                 counters must use `saturating_{}`",
-                                match op {
-                                    '+' => "add",
-                                    '-' => "sub",
-                                    _ => "mul",
-                                }
-                            ),
-                            path: Vec::new(),
-                        });
-                    }
-                }
-            }
-            // Truncating `as` casts in counter windows.
-            if toks[i].is_ident("as") {
-                let Some(ty) = toks.get(i + 1).and_then(Token::ident) else {
-                    continue;
-                };
-                let Some(&(_, lo, hi)) = NARROW_TYPES.iter().find(|(n, _, _)| *n == ty) else {
-                    continue;
-                };
-                let (s, e) = stmt_window(toks, i);
-                if !counter_window(toks, s, e) {
-                    continue;
-                }
-                // Interval exemption: evaluate the single operand token
-                // before the cast (a name, literal, or `self.field`).
-                let proven = a.func_at(fi, i).is_some_and(|owner| {
-                    let env = env_at(ws, a, owner, i);
-                    let v = if i >= 3 && self_field_at(toks, i - 3) {
-                        eval_expr(file, toks, i - 3, i, &env, 0)
-                    } else if i >= 1 {
-                        eval_expr(file, toks, i - 1, i, &env, 0)
-                    } else {
-                        Interval::unsigned_top()
-                    };
-                    !v.is_empty() && v.within(lo, hi)
-                });
-                if !proven {
-                    out.push(Diagnostic {
-                        file: file.rel.clone(),
-                        line: toks[i].line,
-                        code: "A0016",
-                        message: format!(
-                            "truncating `as {ty}` on a counter flow \
-                             (value not proven within [{lo}, {hi}])"
-                        ),
-                        path: Vec::new(),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// A0018: division by a possibly-zero abstract value
-// ---------------------------------------------------------------------
 
 /// The primary tokens of the divisor starting at `s` (`total`,
 /// `self.capacity`, `x` of `x.len()`): returns (token indices, one past
@@ -1695,68 +1587,6 @@ impl Prov {
         assert!(s.off.is_pure(), "off: {:?}", s.off.names());
         assert!(s.full.has(EFFECT_ALLOC));
         assert!(zero_cost(&ws, &a).is_empty());
-    }
-
-    // -- A0016 ------------------------------------------------------------
-
-    #[test]
-    fn a0016_fires_on_compound_add_to_counter() {
-        let src = r#"
-fn account(state: &mut State, drops: u64) {
-    *state.counters.entry("obs.dropped").or_insert(0) += drops;
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
-        let hits = counter_arith(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("saturating_add"), "{hits:?}");
-    }
-
-    #[test]
-    fn a0016_clean_on_saturating_update() {
-        let src = r#"
-fn account(state: &mut State, drops: u64) {
-    let slot = state.counters.entry("obs.dropped").or_insert(0);
-    *slot = slot.saturating_add(drops);
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
-        assert!(counter_arith(&ws, &a).is_empty());
-    }
-
-    #[test]
-    fn a0016_narrowing_cast_needs_interval_proof() {
-        let bad = r#"
-fn pack(n: u64) -> (&'static str, u32) {
-    let pair = ("cost.rows", n as u32);
-    pair
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/cost.rs", bad)], "");
-        let hits = counter_arith(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("truncating"), "{hits:?}");
-
-        let good = r#"
-fn pack() -> (&'static str, u32) {
-    let small = 7;
-    let pair = ("cost.rows", small as u32);
-    pair
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/cost.rs", good)], "");
-        assert!(counter_arith(&ws, &a).is_empty());
-    }
-
-    #[test]
-    fn a0016_ignores_plain_arithmetic_outside_counter_windows() {
-        let src = r#"
-fn grow(agg: &mut Agg) {
-    agg.count += 1;
-}
-"#;
-        let (ws, a) = build(vec![("crates/query/src/exec.rs", src)], "");
-        assert!(counter_arith(&ws, &a).is_empty());
     }
 
     // -- A0018 ------------------------------------------------------------

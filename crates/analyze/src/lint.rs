@@ -35,7 +35,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Stable rule code, e.g. `A0001`.
+    /// Stable rule code, e.g. `A0002`.
     pub code: &'static str,
     pub message: String,
     /// Interprocedural witness: the `file:line` chain establishing the
@@ -243,22 +243,6 @@ impl Baseline {
     }
 }
 
-/// Call-graph / CFG totals from the analysis pass, surfaced in the JSON
-/// report so report diffs show coverage drift.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CallGraphSummary {
-    /// Function definitions extracted.
-    pub functions: usize,
-    /// Call sites found.
-    pub calls: usize,
-    /// Call sites resolved to a workspace function.
-    pub resolved: usize,
-    /// CFG-lite basic blocks across all functions.
-    pub blocks: usize,
-    /// CFG-lite successor edges across all functions.
-    pub edges: usize,
-}
-
 /// Result of a lint run against a baseline.
 pub struct LintOutcome {
     /// New violations (not suppressed) — nonzero means fail.
@@ -269,22 +253,19 @@ pub struct LintOutcome {
     pub stale: Vec<String>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Totals from the interprocedural analysis pass.
-    pub callgraph: CallGraphSummary,
     /// Per-function effect summaries for the zero-cost theorem's scope
-    /// (exported as the v3 report's `effects` array).
+    /// (printed by `analyze --effects`).
     pub effects: Vec<crate::effects::EffectRow>,
 }
 
 /// Run every rule over the workspace and split the findings against the
-/// baseline. Diagnostics come back sorted by (file, line, code) — the
-/// stable order the JSON export and its validator rely on.
+/// baseline. Diagnostics come back sorted by (file, line, code).
 pub fn run(ws: &Workspace, baseline: &Baseline) -> LintOutcome {
     run_filtered(ws, baseline, None)
 }
 
 /// Like [`run`], restricted to the rule codes in `only` (all rules when
-/// `None`) — the `--rules A0015,A0016` CLI scope. The analysis pass and
+/// `None`) — the `--rules A0015,A0018` CLI scope. The analysis pass and
 /// effect summaries are computed either way; only rule checks are
 /// skipped.
 pub fn run_filtered(
@@ -327,13 +308,6 @@ pub fn run_filtered(
         suppressed,
         stale,
         files_scanned: ws.files.len(),
-        callgraph: CallGraphSummary {
-            functions: analysis.funcs.len(),
-            calls: analysis.calls.len(),
-            resolved: analysis.resolved_calls(),
-            blocks: analysis.block_count(),
-            edges: analysis.edge_count(),
-        },
         effects: crate::effects::effect_rows(ws, &analysis),
     }
 }
@@ -344,12 +318,12 @@ mod tests {
 
     #[test]
     fn baseline_parses_and_matches() {
-        let b = Baseline::parse("# comment\n\nA0001 crates/x/src/lib.rs\nA0002 a.rs:7\n")
+        let b = Baseline::parse("# comment\n\nA0003 crates/x/src/lib.rs\nA0002 a.rs:7\n")
             .expect("parses");
         let hit = Diagnostic {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
-            code: "A0001",
+            code: "A0003",
             message: String::new(),
             path: Vec::new(),
         };
@@ -369,9 +343,9 @@ mod tests {
 
     #[test]
     fn baseline_rejects_malformed() {
-        assert!(Baseline::parse("A0001").is_err());
+        assert!(Baseline::parse("A0002").is_err());
         assert!(Baseline::parse("B9999 x.rs").is_err());
-        assert!(Baseline::parse("A0001 x.rs extra").is_err());
+        assert!(Baseline::parse("A0002 x.rs extra").is_err());
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! The project-invariant rule catalog (`A0001`–`A0019`).
+//! The project-invariant rule catalog (`A0002`–`A0019`).
 //!
 //! These are the invariants clippy cannot express because they are
-//! *ours*: which crate owns the clock, what discipline the observability
-//! layer's call sites follow, which documents must agree with which
-//! constants. Each rule is a pure function over the lexed [`Workspace`]
+//! *ours*: what discipline the observability layer's call sites follow,
+//! which documents must agree with which constants. (The clock and
+//! thread disciplines, which clippy can express, live in `clippy.toml`.) Each rule is a pure function over the lexed [`Workspace`]
 //! plus the once-per-run interprocedural
 //! [`Analysis`]; all rules skip
 //! `#[cfg(test)]` regions and `tests/`/`benches/` files (panicking and
 //! unguarded shortcuts are the failure channel there) and never scan
 //! `vendor/*` (not loaded at all).
 //!
-//! `A0001`–`A0003` and `A0006` are single-window token matchers. The
+//! `A0002` and `A0003` are single-window token matchers. The
 //! name-sync rules (`A0004`, `A0005`, `A0014`) are rows of one table,
 //! [`FAMILIES`], checked by one engine.
 //! `A0008`–`A0012` (implemented in [`crate::dataflow`]) walk the call
@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One registered rule.
 pub struct Rule {
-    /// Stable code, `A0001`-style.
+    /// Stable code, `A0002`-style.
     pub code: &'static str,
     /// One-line summary (matches the DESIGN.md §8 catalog row).
     pub summary: &'static str,
@@ -39,12 +39,6 @@ pub struct Rule {
 
 /// Every rule the linter runs, in code order.
 pub static RULES: &[Rule] = &[
-    Rule {
-        code: "A0001",
-        summary: "no raw std::time::Instant outside deepeye-obs (use the span clock)",
-        interprocedural: false,
-        check: instant_outside_obs,
-    },
     Rule {
         code: "A0002",
         summary:
@@ -72,12 +66,6 @@ pub static RULES: &[Rule] = &[
         check: |ws, _| sync(ws, "A0005"),
     },
     Rule {
-        code: "A0006",
-        summary: "no thread::spawn — threads come from thread::scope",
-        interprocedural: false,
-        check: free_thread_spawn,
-    },
-    Rule {
         code: "A0008",
         summary: "no lock-order cycles across the workspace call graph (static ABBA deadlock detection)",
         interprocedural: true,
@@ -96,12 +84,6 @@ pub static RULES: &[Rule] = &[
         check: crate::dataflow::dropped_results,
     },
     Rule {
-        code: "A0011",
-        summary: "no raw allocation in hot loops reachable from execute/top_k without alloc attribution in scope",
-        interprocedural: true,
-        check: crate::dataflow::hot_loop_allocations,
-    },
-    Rule {
         code: "A0012",
         summary: "is_enabled() guard facts propagate through calls — helpers reached only under guards need no local re-check",
         interprocedural: true,
@@ -118,12 +100,6 @@ pub static RULES: &[Rule] = &[
         summary: "disabled-path and NoCost-monomorphized functions are effect-free — the zero-cost theorem, proven by fixpoint effect inference",
         interprocedural: true,
         check: crate::effects::zero_cost,
-    },
-    Rule {
-        code: "A0016",
-        summary: "counter flows (cost.*/obs.*) use saturating arithmetic and interval-proven narrowing casts",
-        interprocedural: false,
-        check: crate::effects::counter_arith,
     },
     Rule {
         code: "A0018",
@@ -147,32 +123,6 @@ fn diag(file: &str, line: u32, code: &'static str, message: String) -> Diagnosti
         message,
         path: Vec::new(),
     }
-}
-
-// ---------------------------------------------------------------------------
-// A0001 — the clock discipline.
-
-fn instant_outside_obs(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.in_dir("crates/obs") {
-            continue; // the span clock's home owns the raw clock
-        }
-        for (i, t) in file.tokens.iter().enumerate() {
-            if t.is_ident("Instant") && file.is_product(i) {
-                out.push(diag(
-                    &file.rel,
-                    t.line,
-                    "A0001",
-                    "raw `std::time::Instant`; time through deepeye-obs \
-                     (`Observer::timer`/`span` or `Stopwatch`) so every measurement \
-                     shares the span clock"
-                        .to_owned(),
-                ));
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -392,34 +342,6 @@ fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
                         "`.{method}(…)` called while a Mutex guard taken on line \
                          {lock_line} is still held — drop the guard before recording"
                     ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A0006 — structured concurrency only.
-
-fn free_thread_spawn(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if toks[i].is_ident("thread")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|t| t.is_ident("spawn"))
-                && file.is_product(i)
-            {
-                out.push(diag(
-                    &file.rel,
-                    toks[i].line,
-                    "A0006",
-                    "free `thread::spawn` — use `thread::scope` so every worker joins \
-                     before its borrowed data dies and panics surface at the join"
-                        .to_owned(),
                 ));
             }
         }
@@ -871,40 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn a0001_flags_instant_outside_obs() {
-        let hits = run_rule(
-            "A0001",
-            vec![
-                (
-                    "crates/core/src/x.rs",
-                    "use std::time::Instant;\nfn f() { let t = Instant::now(); }",
-                ),
-                ("crates/obs/src/clock.rs", "use std::time::Instant;"),
-                (
-                    "crates/core/src/y.rs",
-                    "// Instant only in a comment\nfn g() {}",
-                ),
-            ],
-            "",
-        );
-        assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|d| d.file == "crates/core/src/x.rs"));
-    }
-
-    #[test]
-    fn a0001_allows_tests() {
-        let hits = run_rule(
-            "A0001",
-            vec![(
-                "crates/core/src/x.rs",
-                "#[cfg(test)]\nmod tests { use std::time::Instant; }",
-            )],
-            "",
-        );
-        assert!(hits.is_empty());
-    }
-
-    #[test]
     fn a0002_flags_unguarded_and_accepts_guarded() {
         let src = r#"
 fn bad(prov: &Provenance) {
@@ -1115,14 +1003,6 @@ impl Code {
     }
 
     #[test]
-    fn a0006_flags_free_spawn() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\nfn g() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
-        let hits = run_rule("A0006", vec![("crates/core/src/x.rs", src)], "");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 1);
-    }
-
-    #[test]
     fn clean_sources_produce_no_findings() {
         let ws = Workspace::from_sources(
             vec![(
@@ -1148,16 +1028,20 @@ fn f(obs: &Observer, prov: &Provenance) {
     #[test]
     fn baseline_suppresses_and_reports_stale() {
         let ws = Workspace::from_sources(
-            vec![("crates/core/src/x.rs", "use std::time::Instant;")],
+            vec![(
+                "crates/core/src/x.rs",
+                "fn bad(prov: &Provenance) { prov.record(\"id\", |e| e.x = 1); }",
+            )],
             "",
         );
         let baseline =
-            Baseline::parse("A0001 crates/core/src/x.rs\nA0006 crates/core/src/gone.rs\n")
+            Baseline::parse("A0002 crates/core/src/x.rs\nA0003 crates/core/src/gone.rs\n")
                 .expect("parses");
         let outcome = crate::lint::run(&ws, &baseline);
-        assert!(outcome.violations.is_empty());
+        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
         assert_eq!(outcome.suppressed.len(), 1);
-        assert_eq!(outcome.stale, vec!["A0006 crates/core/src/gone.rs"]);
+        assert_eq!(outcome.suppressed[0].code, "A0002");
+        assert_eq!(outcome.stale, vec!["A0003 crates/core/src/gone.rs"]);
     }
 
     const EXEC_FIXTURE: &str = r#"

@@ -113,8 +113,8 @@ fn corpus_round_trips_through_render_and_relex() {
 
 /// Raw identifiers (`r#fn`, `r#loop`) are one token each: the escape
 /// must not leak a bare keyword into downstream matchers (a `loop`
-/// keyword token where none exists would, e.g., invent loop-depth
-/// windows for A0011), and must survive the render/re-lex round trip.
+/// keyword token where none exists would, e.g., invent a loop block in
+/// the CFG-lite), and must survive the render/re-lex round trip.
 #[test]
 fn raw_identifiers_lex_as_single_tokens_and_round_trip() {
     let src = r##"fn r#fn(r#loop: u32) -> u32 { let r#match = r#loop + 1; r#match }

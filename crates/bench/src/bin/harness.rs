@@ -1,11 +1,10 @@
 //! The continuous-performance harness: runs the fixed scenario matrix
 //! through the shipping pipeline — each repetition ingests the scenario
-//! table's CSV bytes, then runs `recommend` and `recommend_progressive` —
-//! plus an `analyze-workspace` scenario timing the static-analysis pass
-//! over the repository source. Every stage sample is read from the span
-//! that stage opens (`deepeye_bench::perf::STAGES`), and the run writes
-//! the versioned `BENCH_results.json` document that `perfgate` diffs and
-//! `trace_check --bench --budgets` validates.
+//! table's CSV bytes, then runs `recommend` and `recommend_progressive`.
+//! Every stage sample is read from the span that stage opens
+//! (`deepeye_bench::perf::STAGES`), and the run writes the versioned
+//! `BENCH_results.json` document that `perfgate` diffs and `trace_check
+//! --bench --budgets` validates.
 //!
 //! Usage: `harness [--smoke] [--out <path>] [--warmup N] [--reps N]
 //! [--stacks <path>] [--flame <path>] [--cost-out <path>]`
@@ -19,9 +18,7 @@
 //! `--flame` additionally export the run's span tree as a folded-stack
 //! file / self-contained flame SVG.
 
-use deepeye_bench::perf::{
-    results_json, run_analyze, run_scenario, scenario_matrix, Models, PIPELINE,
-};
+use deepeye_bench::perf::{results_json, run_scenario, scenario_matrix, Models, STAGES};
 use deepeye_obs::{validate_cost_json, CostCollector, Observer, Op};
 use std::process::ExitCode;
 
@@ -129,14 +126,8 @@ fn run(args: &Args) -> Result<(), String> {
             "  scenario {} — {} rows x {} columns",
             spec.name, spec.rows, spec.columns
         );
-        runs.push(run_scenario(&spec, &eye, PIPELINE, args.warmup, args.reps)?);
+        runs.push(run_scenario(&spec, &eye, &STAGES, args.warmup, args.reps)?);
     }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .ok_or("no workspace root above the bench crate")?;
-    eprintln!("  scenario analyze-workspace");
-    runs.push(run_analyze(root, &obs, args.warmup, args.reps)?);
 
     write(&args.out, &results_json(&runs, &obs.snapshot()), "results")?;
     if let Some(path) = &args.stacks {

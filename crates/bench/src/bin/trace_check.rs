@@ -10,9 +10,6 @@
 //! - Provenance files (`--provenance-out`): schema, known outcomes, the
 //!   tournament leaf invariant, and hybrid scores that recompute from
 //!   their recorded parts.
-//! - Lint reports (`--lint-report`, from `analyze --workspace --json`):
-//!   schema, codes drawn from the rule catalog, and the stable
-//!   (file, line, code) diagnostic ordering.
 //! - Bench results (`--bench`, from `harness` or `fig12_efficiency`'s
 //!   `DEEPEYE_BENCH_OUT`): versioned schema, stage rows naming their
 //!   spans, internally consistent robust timings.
@@ -25,15 +22,13 @@
 //!   totals, per operator.
 //!
 //! Usage: `trace_check [<trace.json> ...] [--metrics <metrics.json>]...
-//! [--provenance <prov.json>]... [--lint-report <report.json>]...
-//! [--bench <bench.json>]... [--budgets <bench.json>]...
-//! [--cost <cost.json>]...`
+//! [--provenance <prov.json>]... [--bench <bench.json>]...
+//! [--budgets <bench.json>]... [--cost <cost.json>]...`
 //!
 //! Exits nonzero (via `ExitCode`, so the workspace `clippy::exit` lint
 //! stays intact) if any file fails validation — CI runs this against the
 //! quickstart example's exports.
 
-use deepeye_analyze::validate_lint_report;
 use deepeye_bench::perf::{check_budgets, validate_bench_json};
 use deepeye_core::validate_provenance_json;
 use deepeye_obs::{validate_chrome_trace, validate_cost_json, validate_metrics_json};
@@ -43,7 +38,6 @@ enum Kind {
     Trace,
     Metrics,
     Provenance,
-    LintReport,
     Bench,
     Budgets,
     Cost,
@@ -60,10 +54,6 @@ fn main() -> ExitCode {
             },
             "--provenance" => match args.next() {
                 Some(path) => jobs.push((Kind::Provenance, path)),
-                None => return usage(),
-            },
-            "--lint-report" => match args.next() {
-                Some(path) => jobs.push((Kind::LintReport, path)),
                 None => return usage(),
             },
             "--bench" => match args.next() {
@@ -187,32 +177,6 @@ fn main() -> ExitCode {
                     failed = true;
                 }
             },
-            Kind::LintReport => match validate_lint_report(&text) {
-                Ok(summary) => {
-                    println!(
-                        "{path}: ok — {} rules over {} files: {} violation(s), {} suppressed; \
-                         call graph: {}/{} calls resolved across {} functions; \
-                         effects: {}/{} theorem-scoped functions pure when disabled",
-                        summary.rules,
-                        summary.files_scanned,
-                        summary.diagnostics,
-                        summary.suppressed,
-                        summary.resolved,
-                        summary.calls,
-                        summary.functions,
-                        summary.pure_when_disabled,
-                        summary.effect_rows
-                    );
-                    if summary.diagnostics > 0 {
-                        eprintln!("{path}: report records unsuppressed violations");
-                        failed = true;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{path}: INVALID — {e}");
-                    failed = true;
-                }
-            },
         }
     }
     if failed {
@@ -225,9 +189,8 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: trace_check [<trace.json> ...] [--metrics <metrics.json>]... \
-         [--provenance <prov.json>]... [--lint-report <report.json>]... \
-         [--bench <bench.json>]... [--budgets <bench.json>]... \
-         [--cost <cost.json>]..."
+         [--provenance <prov.json>]... [--bench <bench.json>]... \
+         [--budgets <bench.json>]... [--cost <cost.json>]..."
     );
     ExitCode::FAILURE
 }

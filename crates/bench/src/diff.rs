@@ -462,7 +462,7 @@ impl DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{results_json, RobustTiming, ScenarioRun, PIPELINE};
+    use crate::perf::{results_json, RobustTiming, ScenarioRun, STAGES};
     use deepeye_obs::{CandidateCost, CostAcc, CostCollector, Observer, Op as CostOp, OpCosts};
 
     fn doc_with(execute_ns: u64) -> String {
@@ -470,7 +470,7 @@ mod tests {
             name: "s-300x5".into(),
             rows: 300,
             columns: 5,
-            stages: PIPELINE
+            stages: STAGES
                 .iter()
                 .map(|&st| {
                     let ns = if st.name == "execute" {
@@ -508,7 +508,7 @@ mod tests {
         let report = diff_runs(&doc, &doc, None, None, &GateConfig::default()).unwrap();
         assert!(report.top_regression().is_none());
         assert!(report.attribution().is_none());
-        assert_eq!(report.stages.len(), PIPELINE.len());
+        assert_eq!(report.stages.len(), STAGES.len());
         assert!(report.stages.iter().all(|d| !d.significant));
         assert!(report.lost.is_empty() && report.gained.is_empty());
         assert!(report.render(5).contains("no significant stage regression"));
@@ -600,8 +600,8 @@ mod tests {
         let cur = base.replace("s-300x5", "s-600x5");
         let report = diff_runs(&base, &cur, None, None, &GateConfig::default()).unwrap();
         assert_eq!(report.stages.len(), 0);
-        assert_eq!(report.lost.len(), PIPELINE.len());
-        assert_eq!(report.gained.len(), PIPELINE.len());
+        assert_eq!(report.lost.len(), STAGES.len());
+        assert_eq!(report.gained.len(), STAGES.len());
         assert!(report.render(5).contains("coverage lost"));
     }
 

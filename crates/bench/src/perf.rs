@@ -23,7 +23,6 @@ use deepeye_datagen::{
 };
 use deepeye_obs::json::escape;
 use deepeye_obs::{CostCollector, Json, Observer, Snapshot};
-use std::path::Path;
 
 /// Version tag every bench JSON document carries. Bump when a field is
 /// added, removed, or changes meaning; `perfgate` refuses to compare
@@ -77,12 +76,10 @@ const fn stage(name: &'static str, span: &'static str, max_median_ns: u64) -> St
     }
 }
 
-/// Every stage the harness times: a data scenario's stages in pipeline
-/// order ([`PIPELINE`]), then the static-analysis pass, which runs once
-/// over the workspace source in its own scenario. The runner opens
+/// Every stage the harness times, in pipeline order. The runner opens
 /// `pipeline.ingest` around its CSV ingest, as the CLI does around its
-/// load, and `harness.analyze`; every other span is the product's own.
-pub const STAGES: [Stage; 9] = [
+/// load; every other span is the product's own.
+pub const STAGES: [Stage; 8] = [
     stage("ingest", "pipeline.ingest", 10_000_000_000),
     stage("recommend", "pipeline.recommend", 120_000_000_000),
     stage("enumerate", "pipeline.enumerate", 2_000_000_000),
@@ -91,14 +88,7 @@ pub const STAGES: [Stage; 9] = [
     stage("rank", "pipeline.rank", 20_000_000_000),
     stage("partial_order", "rank.partial_order", 20_000_000_000),
     stage("progressive", "pipeline.progressive", 60_000_000_000),
-    // Lexes every workspace file and runs the interprocedural rules; the
-    // ceiling catches an accidental quadratic fixpoint.
-    stage("analyze", "harness.analyze", 30_000_000_000),
 ];
-
-/// The stages of a data scenario: every row of [`STAGES`] but the
-/// analyze pass.
-pub const PIPELINE: &[Stage] = STAGES.split_at(STAGES.len() - 1).0;
 
 impl Stage {
     /// The row of [`STAGES`] named `name`.
@@ -321,33 +311,6 @@ pub fn run_scenario(
         name: spec.name.to_owned(),
         rows: table.row_count(),
         columns: table.column_count(),
-        stages,
-    })
-}
-
-/// Run the `analyze-workspace` scenario: the static-analysis pass (lex +
-/// call graph + interprocedural rules) over the workspace at `root`,
-/// timed under a `harness.analyze` span. It measures source, not a table,
-/// so `rows` / `columns` report files scanned and rule count.
-pub fn run_analyze(
-    root: &Path,
-    obs: &Observer,
-    warmup: usize,
-    reps: usize,
-) -> Result<ScenarioRun, String> {
-    let name = "analyze-workspace";
-    let files = deepeye_analyze::Workspace::load(root)?.files.len();
-    let stages = time_stages(obs, name, &STAGES[PIPELINE.len()..], warmup, reps, || {
-        let _analyze = obs.span("harness.analyze");
-        let ws = deepeye_analyze::Workspace::load(root)?;
-        let baseline = deepeye_analyze::Baseline::default();
-        std::hint::black_box(deepeye_analyze::lint::run(&ws, &baseline));
-        Ok(())
-    })?;
-    Ok(ScenarioRun {
-        name: name.to_owned(),
-        rows: files,
-        columns: deepeye_analyze::rules::RULES.len(),
         stages,
     })
 }
@@ -785,7 +748,7 @@ mod tests {
             name: "s-300x5".into(),
             rows: 300,
             columns: 5,
-            stages: PIPELINE
+            stages: STAGES
                 .iter()
                 .map(|&st| (st, RobustTiming::from_samples(&[900, 1_000, 1_100, 5_000])))
                 .collect(),
@@ -819,30 +782,12 @@ mod tests {
                 .all(|s| s.name != stage.name && s.span != stage.span));
         }
         assert_eq!(Stage::named("compile"), None);
-        // A data scenario times every stage but the workspace-level
-        // analyze pass, ingest and partial-order scoring included.
-        assert_eq!(PIPELINE.len() + 1, STAGES.len());
-        assert!(PIPELINE.iter().all(|s| s.name != "analyze"));
+        // Every stage is the product's: ingest and partial-order scoring
+        // included, nothing the harness runs beside the pipeline.
         for name in ["ingest", "partial_order"] {
-            assert!(PIPELINE.iter().any(|s| s.name == name), "{name}");
+            assert!(STAGES.iter().any(|s| s.name == name), "{name}");
         }
-    }
-
-    #[test]
-    fn analyze_scenario_rows_validate() {
-        let runs = vec![ScenarioRun {
-            name: "analyze-workspace".into(),
-            rows: 0,
-            columns: 0,
-            stages: vec![(
-                STAGES[PIPELINE.len()],
-                RobustTiming::from_samples(&[1_000, 2_000, 3_000]),
-            )],
-        }];
-        let text = results_json(&runs, &Observer::enabled().snapshot());
-        let summary = validate_bench_json(&text).expect("valid");
-        assert_eq!(summary.stage_rows, 1);
-        assert!(text.contains("harness.analyze"));
+        assert!(STAGES.iter().all(|s| !s.span.starts_with("harness.")));
     }
 
     #[test]
@@ -851,7 +796,7 @@ mod tests {
         let summary = validate_bench_json(&text).expect("valid");
         assert_eq!(summary.experiment, "harness");
         assert_eq!(summary.scenarios, 1);
-        assert_eq!(summary.stage_rows, PIPELINE.len());
+        assert_eq!(summary.stage_rows, STAGES.len());
         // Every documented schema field appears in the document.
         for field in SCHEMA_FIELDS {
             assert!(
@@ -895,7 +840,7 @@ mod tests {
         let doc = sample_doc();
         let cfg = GateConfig::default();
         let clean = perf_gate(&doc, &doc, &cfg).expect("gate runs");
-        assert_eq!(clean.compared, PIPELINE.len());
+        assert_eq!(clean.compared, STAGES.len());
         assert!(clean.regressions.is_empty(), "run vs itself is clean");
 
         // A synthetic 2000x slowdown in one stage (well past floor_ns).
@@ -944,7 +889,7 @@ mod tests {
             name: "s-300x5".into(),
             rows: 300,
             columns: 5,
-            stages: vec![(PIPELINE[0], RobustTiming::from_samples(&[100]))],
+            stages: vec![(STAGES[0], RobustTiming::from_samples(&[100]))],
         }];
         let reduced = results_json(&runs, &obs.snapshot());
         let err = perf_gate(&doc, &reduced, &GateConfig::default()).unwrap_err();

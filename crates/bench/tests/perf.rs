@@ -10,7 +10,7 @@
 use deepeye_bench::diff::diff_runs;
 use deepeye_bench::perf::{
     check_budgets, perf_gate, results_json, run_scenario, validate_bench_json, GateConfig, Models,
-    ScenarioSpec, Stage, PIPELINE, SCHEMA_FIELDS,
+    ScenarioSpec, Stage, SCHEMA_FIELDS, STAGES,
 };
 use deepeye_obs::{validate_cost_json, CostAcc, CostCollector, Observer, Op};
 use std::sync::OnceLock;
@@ -40,7 +40,7 @@ fn mini_harness(obs: &Observer, reps: usize) -> String {
 /// `cost.*` counters.
 fn mini_harness_with(obs: &Observer, reps: usize, costs: &CostCollector) -> String {
     let eye = models().pipeline(obs, costs);
-    let run = run_scenario(&MINI, &eye, PIPELINE, 0, reps).expect("scenario runs");
+    let run = run_scenario(&MINI, &eye, &STAGES, 0, reps).expect("scenario runs");
     results_json(&[run], &obs.snapshot())
 }
 
@@ -51,7 +51,7 @@ fn two_harness_runs_pass_the_gate() {
     for doc in [&doc_a, &doc_b] {
         let summary = validate_bench_json(doc).expect("document validates");
         assert_eq!(summary.experiment, "harness");
-        assert_eq!(summary.stage_rows, PIPELINE.len());
+        assert_eq!(summary.stage_rows, STAGES.len());
         for stage in ["ingest", "partial_order", "progressive"] {
             assert!(doc.contains(&format!("\"stage\": \"{stage}\"")), "{stage}");
         }
@@ -64,7 +64,7 @@ fn two_harness_runs_pass_the_gate() {
         floor_ns: 200_000_000,
     };
     let report = perf_gate(&doc_a, &doc_b, &cfg).expect("gate runs");
-    assert_eq!(report.compared, PIPELINE.len());
+    assert_eq!(report.compared, STAGES.len());
     assert!(
         report.regressions.is_empty(),
         "two back-to-back runs pass: {:?}",
@@ -127,7 +127,7 @@ fn a_span_that_does_not_close_once_fails_the_run() {
         max_median_ns: 1,
     };
     let eye = models().pipeline(&Observer::enabled(), &CostCollector::disabled());
-    let err = run_scenario(&MINI, &eye, &[PIPELINE[0], ghost], 0, 1).unwrap_err();
+    let err = run_scenario(&MINI, &eye, &[STAGES[0], ghost], 0, 1).unwrap_err();
     assert!(err.contains("mini-250x5"), "{err}");
     assert!(
         err.contains("\"ghost\"") && err.contains("closed 0 times"),
@@ -135,7 +135,7 @@ fn a_span_that_does_not_close_once_fails_the_run() {
     );
     // A disabled observer closes no span at all.
     let blind = models().pipeline(&Observer::disabled(), &CostCollector::disabled());
-    let err = run_scenario(&MINI, &blind, PIPELINE, 0, 1).unwrap_err();
+    let err = run_scenario(&MINI, &blind, &STAGES, 0, 1).unwrap_err();
     assert!(
         err.contains("\"ingest\"") && err.contains("closed 0 times"),
         "{err}"

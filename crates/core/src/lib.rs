@@ -69,8 +69,7 @@ pub use node::VisNode;
 pub use parallel::{build_nodes, build_nodes_parallel, build_nodes_serial_observed};
 pub use partial_order::{compute_factor_breakdowns, compute_factors, FactorBreakdown, Factors};
 pub use progressive::{
-    canonical_candidates, exhaustive_top_k, exhaustive_top_k_parallel, ProgressiveSelector,
-    ScoredNode, SelectionStats,
+    canonical_candidates, exhaustive_top_k, ProgressiveSelector, ScoredNode, SelectionStats,
 };
 pub use provenance::{
     query_id, validate_provenance_json, ClassifierEvidence, Explanation, Outcome, Provenance,

@@ -48,25 +48,6 @@ pub struct SelectionStats {
     pub shared_scans: usize,
 }
 
-impl SelectionStats {
-    /// Fold another stats block into this one, field by field. Worker
-    /// threads keep local counters and merge on join; the merged totals
-    /// must equal a sequential run's (see the `parallel_stats_merge` test).
-    pub fn merge(&mut self, other: &SelectionStats) {
-        self.leaves_materialized += other.leaves_materialized;
-        self.leaves_pruned += other.leaves_pruned;
-        self.leaves_total += other.leaves_total;
-        self.nodes_generated += other.nodes_generated;
-        self.shared_scans += other.shared_scans;
-    }
-}
-
-impl std::ops::AddAssign for SelectionStats {
-    fn add_assign(&mut self, rhs: SelectionStats) {
-        self.merge(&rhs);
-    }
-}
-
 /// The canonical ORDER BY for a chart in progressive mode: sortable
 /// x-scales read left-to-right, categorical scales show largest first.
 /// Order does not change the factor scores, so ranking one canonical
@@ -474,62 +455,6 @@ pub fn exhaustive_top_k(
     (all, stats)
 }
 
-/// [`exhaustive_top_k`] with columns materialized across worker threads.
-/// Each worker keeps a local [`SelectionStats`] merged on join with
-/// [`SelectionStats::merge`]; the merged totals and the returned top-k are
-/// identical to the sequential run's.
-pub fn exhaustive_top_k_parallel(
-    table: &Table,
-    udfs: &UdfRegistry,
-    k: usize,
-) -> (Vec<ScoredNode>, SelectionStats) {
-    let selector = ProgressiveSelector::new(table, udfs);
-    let (by_column, max_w) = selector.candidates_by_column();
-    let occupied: Vec<&Vec<Candidate>> = by_column.iter().filter(|c| !c.is_empty()).collect();
-    let workers = crate::parallel::worker_count(occupied.len());
-    let chunk = occupied.len().div_ceil(workers.max(1)).max(1);
-    let mut stats = SelectionStats::default();
-    let mut all: Vec<ScoredNode> = Vec::new();
-    std::thread::scope(|scope| {
-        let selector = &selector;
-        let handles: Vec<_> = occupied
-            .chunks(chunk)
-            .map(|cols| {
-                scope.spawn(move || {
-                    let mut local_stats = SelectionStats::default();
-                    let mut local_nodes = Vec::new();
-                    for cands in cols {
-                        local_stats.leaves_total += 1;
-                        local_stats.leaves_materialized += 1;
-                        local_nodes.extend(selector.materialize_column(
-                            cands,
-                            max_w,
-                            &mut local_stats,
-                        ));
-                    }
-                    (local_nodes, local_stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Ok((nodes, local)) = h.join() {
-                all.extend(nodes);
-                stats += local;
-            }
-        }
-    });
-    all.sort_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then_with(|| a.node.id().cmp(&b.node.id()))
-    });
-    all.truncate(k);
-    for scored in &mut all {
-        apply_order(&mut scored.node);
-    }
-    (all, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,56 +574,6 @@ mod tests {
         assert_eq!(top.len(), stats.nodes_generated);
         assert_eq!(stats.leaves_materialized, stats.leaves_total);
         assert_eq!(stats.leaves_pruned, 0);
-    }
-
-    #[test]
-    fn parallel_stats_merge_equals_sequential() {
-        // Satellite: per-worker SelectionStats merged with += must report
-        // exactly the totals of a sequential exhaustive run, and the ranked
-        // output must be identical.
-        let t = mixed_table();
-        let udfs = UdfRegistry::default();
-        let (seq, seq_stats) = exhaustive_top_k(&t, &udfs, 50);
-        let (par, par_stats) = exhaustive_top_k_parallel(&t, &udfs, 50);
-        assert_eq!(seq_stats, par_stats);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.node.id(), b.node.id());
-            assert!((a.score - b.score).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn stats_merge_is_fieldwise_sum() {
-        let a = SelectionStats {
-            leaves_materialized: 1,
-            leaves_pruned: 2,
-            leaves_total: 3,
-            nodes_generated: 4,
-            shared_scans: 5,
-        };
-        let b = SelectionStats {
-            leaves_materialized: 10,
-            leaves_pruned: 20,
-            leaves_total: 30,
-            nodes_generated: 40,
-            shared_scans: 50,
-        };
-        let mut sum = a;
-        sum += b;
-        assert_eq!(
-            sum,
-            SelectionStats {
-                leaves_materialized: 11,
-                leaves_pruned: 22,
-                leaves_total: 33,
-                nodes_generated: 44,
-                shared_scans: 55,
-            }
-        );
-        let mut via_merge = a;
-        via_merge.merge(&b);
-        assert_eq!(sum, via_merge);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! cases, and [`Stopwatch`] covers the rest — per-item latencies buffered
 //! for a batched [`record_many_ns`](crate::Observer::record_many_ns)
 //! flush, or report scripts printing elapsed times. Code outside this
-//! crate never touches `std::time::Instant` directly; `deepeye-analyze`
-//! rule `A0001` enforces that, which keeps every timing source on one
-//! clock discipline (monotonic, nanosecond-resolution, saturating) and
-//! keeps future clock swaps (virtual time in tests, coarse clocks on hot
-//! paths) a one-crate change.
+//! crate never touches `std::time::Instant` directly; clippy's
+//! `disallowed-types` (`clippy.toml`) enforces that, which keeps every
+//! timing source on one clock discipline (monotonic, nanosecond-resolution,
+//! saturating) and keeps future clock swaps (virtual time in tests, coarse
+//! clocks on hot paths) a one-crate change.
 
 use std::time::{Duration, Instant};
 

@@ -47,30 +47,6 @@ pub fn execute(table: &Table, query: &VisQuery) -> Result<ChartData, QueryError>
     execute_with(table, query, &UdfRegistry::default())
 }
 
-/// [`execute_with`], recording observability signals: the per-query wall
-/// latency into the `exec.query_ns` histogram, the `exec.ok` / `exec.err`
-/// outcome counters, and the produced chart's approximate heap footprint
-/// into the allocation channel. Free when the observer is disabled.
-pub fn execute_observed(
-    table: &Table,
-    query: &VisQuery,
-    udfs: &UdfRegistry,
-    obs: &deepeye_obs::Observer,
-) -> Result<ChartData, QueryError> {
-    let timer = obs.timer("exec.query_ns");
-    let out = execute_with(table, query, udfs);
-    drop(timer);
-    obs.incr(if out.is_ok() { "exec.ok" } else { "exec.err" }, 1);
-    if obs.is_enabled() {
-        if let Ok(chart) = &out {
-            // Arena point: the chart is the executor's output allocation;
-            // charge its footprint to this query.
-            obs.alloc_many(1, chart.approx_heap_bytes());
-        }
-    }
-    out
-}
-
 /// Execute `query` against `table`, resolving UDF bins in `udfs`.
 ///
 /// Runs [`crate::sema::check_executable`] first: every statically-detectable

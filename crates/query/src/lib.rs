@@ -48,7 +48,7 @@ pub use enumerate::{
     all_queries, one_column_queries, one_column_space_size, queries_with_verdict,
     two_column_queries, two_column_space_size, valid_queries, valid_queries_observed,
 };
-pub use exec::{execute, execute_costed, execute_observed, execute_with, QueryError};
+pub use exec::{execute, execute_costed, execute_with, QueryError};
 pub use multi::{
     analyze_multi_y, analyze_xyz, execute_multi_y, execute_xyz, MultiSeriesChart, MultiYQuery,
     XyzQuery,

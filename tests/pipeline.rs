@@ -6,7 +6,7 @@
 use deepeye::core::{exhaustive_top_k, ProgressiveSelector};
 use deepeye::datagen::{flight_table, recognition_examples, PerceptionOracle};
 use deepeye::prelude::*;
-use deepeye::query::UdfRegistry;
+use deepeye::query::{execute_with, UdfRegistry};
 use proptest::prelude::*;
 
 const CSV: &str = "\
@@ -220,22 +220,45 @@ fn top_10(table: &Table, parallel: bool) -> Vec<(String, [u64; 3])> {
         .collect()
 }
 
+/// Every chart's series equals executing its query on the table, one
+/// candidate at a time.
+fn charts_equal_direct_execution(
+    table: &Table,
+    recs: &[Recommendation],
+) -> Result<(), TestCaseError> {
+    let udfs = UdfRegistry::default();
+    for r in recs {
+        let direct = execute_with(table, &r.node.query, &udfs);
+        prop_assert!(
+            direct.is_ok_and(|chart| chart.series == r.node.data.series),
+            "rank {}: {} differs from direct execution",
+            r.rank,
+            r.query_text(table.name())
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `recommend` never panics on a table the CSV reader accepts, and
+    /// `recommend` never panics on a table the CSV reader accepts,
     /// serial and parallel execution return the same charts with
-    /// bit-identical factors, in the same order.
+    /// bit-identical factors, in the same order, and every chart equals
+    /// the direct execution of its query.
     #[test]
     fn recommend_is_total_and_independent_of_worker_count(text in csv_text()) {
         if let Ok(table) = table_from_csv_str("generated", &text) {
             prop_assert_eq!(top_10(&table, false), top_10(&table, true));
+            let recs = DeepEye::with_defaults().recommend(&table, 10);
+            charts_equal_direct_execution(&table, &recs)?;
         }
     }
 
     /// The progressive tournament returns the exhaustive top-k: as many
-    /// nodes, with scores within 1e-12, at every k; and `recommend`
-    /// returns nothing at k = 0.
+    /// nodes, with scores within 1e-12, at every k; every chart
+    /// `recommend_progressive` returns equals the direct execution of its
+    /// query; and `recommend` returns nothing at k = 0.
     #[test]
     fn progressive_top_k_equals_exhaustive(text in csv_text()) {
         if let Ok(table) = table_from_csv_str("generated", &text) {
@@ -249,7 +272,9 @@ proptest! {
                     prop_assert!((p.score - e.score).abs() < 1e-12, "k = {}: {} vs {}", k, p.score, e.score);
                 }
             }
-            prop_assert!(DeepEye::with_defaults().recommend(&table, 0).is_empty());
+            let eye = DeepEye::with_defaults();
+            charts_equal_direct_execution(&table, &eye.recommend_progressive(&table, 10))?;
+            prop_assert!(eye.recommend(&table, 0).is_empty());
         }
     }
 }
