@@ -38,8 +38,6 @@ pub struct CallSite {
     /// Resolved callee (index into [`Analysis::funcs`]), when a
     /// heuristic matched.
     pub callee: Option<usize>,
-    /// The callee name as written at the site.
-    pub callee_name: String,
     /// File index of the site (same as the caller's file).
     pub file: usize,
     /// 1-based line of the callee-name token.
@@ -366,7 +364,7 @@ impl Analysis {
                 .map(|c| c[0]),
             None => self.unique_fallback(name, caller, by_name),
         };
-        Some(self.site(fi, i + 1, toks[i + 1].line, caller, name, callee))
+        Some(self.site(fi, i + 1, toks[i + 1].line, caller, callee))
     }
 
     /// `f(…)`, `path::f(…)`, `Type::m(…)`, `Self::m(…)` at the
@@ -429,7 +427,7 @@ impl Analysis {
         } else {
             self.resolve_free(name, caller, by_name)
         };
-        Some(self.site(fi, i, toks[i].line, caller, name, callee))
+        Some(self.site(fi, i, toks[i].line, caller, callee))
     }
 
     /// Resolve `path::to::f` by qualified-name suffix match, after
@@ -555,13 +553,11 @@ impl Analysis {
         name_tok: usize,
         line: u32,
         caller: usize,
-        name: &str,
         callee: Option<usize>,
     ) -> CallSite {
         CallSite {
             caller,
             callee,
-            callee_name: name.to_owned(),
             file: fi,
             line,
             tok: name_tok,
@@ -687,7 +683,7 @@ pub fn drive(sink: &Sink) { sink.emit(); }
             "calls: {:?}",
             a.calls
                 .iter()
-                .map(|c| (&a.funcs[c.caller].qual, &c.callee_name, c.callee))
+                .map(|c| (&a.funcs[c.caller].qual, c.line, c.callee))
                 .collect::<Vec<_>>()
         );
     }
@@ -739,17 +735,13 @@ fn guarded_callee() {}
 fn unguarded_callee() {}
 "#;
         let a = build(vec![("crates/core/src/g.rs", src)]);
-        let g = a
-            .calls
-            .iter()
-            .find(|c| c.callee_name == "guarded_callee")
-            .expect("site found");
-        assert!(g.guarded);
-        let u = a
-            .calls
-            .iter()
-            .find(|c| c.callee_name == "unguarded_callee")
-            .expect("site found");
-        assert!(!u.guarded);
+        let site = |callee: &str| {
+            a.calls
+                .iter()
+                .find(|c| c.callee.is_some_and(|i| a.funcs[i].qual == callee))
+                .expect("site found")
+        };
+        assert!(site("core::g::guarded_callee").guarded);
+        assert!(!site("core::g::unguarded_callee").guarded);
     }
 }

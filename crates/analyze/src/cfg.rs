@@ -38,8 +38,6 @@ pub struct FuncDef {
     pub is_pub: bool,
     /// Enclosing `impl`/`trait` type, if a method.
     pub impl_type: Option<String>,
-    /// Trait name for `impl Trait for Type` methods.
-    pub trait_name: Option<String>,
     /// Parameter (name, best-effort type ident) pairs; `self` omitted.
     pub params: Vec<(String, String)>,
     /// Whether the return type mentions `Result`.
@@ -289,20 +287,19 @@ fn module_segments(rel: &str) -> Vec<String> {
 #[derive(Debug, Clone)]
 enum Scope {
     Mod(String),
-    Type { ty: String, tr: Option<String> },
+    Type(String),
     Other,
 }
 
-/// Parse the `impl`/`trait` header in `window`, returning
-/// `(type, trait)` — for `impl Trait for Type` the type is `Type` and
-/// the trait `Some(Trait)`.
-fn parse_type_header(window: &[Token]) -> Option<(String, Option<String>)> {
+/// Parse the `impl`/`trait` header in `window`, returning the type —
+/// for `impl Trait for Type` that is `Type`.
+fn parse_type_header(window: &[Token]) -> Option<String> {
     let kw = window
         .iter()
         .position(|t| t.is_ident("impl") || t.is_ident("trait"))?;
     if window[kw].is_ident("trait") {
         let name = window.get(kw + 1).and_then(Token::ident)?;
-        return Some((name.to_owned(), None));
+        return Some(name.to_owned());
     }
     // `impl [<…>] Path [for Path] [where …]` — collect angle-depth-0
     // path idents, split at `for`.
@@ -328,13 +325,8 @@ fn parse_type_header(window: &[Token]) -> Option<(String, Option<String>)> {
             _ => {}
         }
     }
-    if seen_for {
-        let ty = (*after_for.last()?).to_owned();
-        let tr = before_for.last().map(|s| (*s).to_owned());
-        Some((ty, tr))
-    } else {
-        Some(((*before_for.last()?).to_owned(), None))
-    }
+    let ty = if seen_for { after_for } else { before_for };
+    Some((*ty.last()?).to_owned())
 }
 
 /// Parse a `fn` header starting at the `fn` keyword index; returns the
@@ -347,7 +339,7 @@ fn parse_fn_header(
     window_start: usize,
     fn_kw: usize,
     mods: &[String],
-    scope_ty: Option<&(String, Option<String>)>,
+    scope_ty: Option<&String>,
     is_test: bool,
 ) -> Option<(FuncDef, usize)> {
     let name = toks.get(fn_kw + 1).and_then(Token::ident)?.to_owned();
@@ -415,7 +407,7 @@ fn parse_fn_header(
     let body_open = body_open?;
     let qual = {
         let mut parts: Vec<&str> = mods.iter().map(String::as_str).collect();
-        if let Some((ty, _)) = scope_ty {
+        if let Some(ty) = scope_ty {
             parts.push(ty);
         }
         parts.push(&name);
@@ -429,8 +421,7 @@ fn parse_fn_header(
             rel: file.rel.clone(),
             line: toks[fn_kw].line,
             is_pub,
-            impl_type: scope_ty.map(|(ty, _)| ty.clone()),
-            trait_name: scope_ty.and_then(|(_, tr)| tr.clone()),
+            impl_type: scope_ty.cloned(),
             params,
             returns_result,
             body_start: body_open,
@@ -507,7 +498,7 @@ pub fn functions_in_file(file: &SourceFile, file_idx: usize) -> Vec<FuncDef> {
             let scope = classify_window(window);
             match &scope {
                 Scope::Mod(name) => mod_stack.push(name.clone()),
-                Scope::Type { .. } | Scope::Other => {}
+                Scope::Type(_) | Scope::Other => {}
             }
             scopes.push(scope);
             window_start = i + 1;
@@ -517,7 +508,7 @@ pub fn functions_in_file(file: &SourceFile, file_idx: usize) -> Vec<FuncDef> {
         // A `fn` item: `fn` followed by a name (a bare `fn(` is a type).
         if t.is_ident("fn") && toks.get(i + 1).and_then(Token::ident).is_some() {
             let scope_ty = scopes.iter().rev().find_map(|s| match s {
-                Scope::Type { ty, tr } => Some((ty.clone(), tr.clone())),
+                Scope::Type(ty) => Some(ty.clone()),
                 _ => None,
             });
             let is_test = file.is_test_file || file.test_tokens.get(i).copied().unwrap_or(false);
@@ -553,8 +544,8 @@ pub fn functions_in_file(file: &SourceFile, file_idx: usize) -> Vec<FuncDef> {
 fn classify_window(window: &[Token]) -> Scope {
     let has = |kw: &str| window.iter().any(|t| t.is_ident(kw));
     if has("impl") || has("trait") {
-        if let Some((ty, tr)) = parse_type_header(window) {
-            return Scope::Type { ty, tr };
+        if let Some(ty) = parse_type_header(window) {
+            return Scope::Type(ty);
         }
     }
     if has("mod") && !has("fn") {
@@ -717,7 +708,6 @@ mod inner {
             ]
         );
         let fmt = &fs[3];
-        assert_eq!(fmt.trait_name.as_deref(), Some("Display"));
         assert_eq!(fmt.impl_type.as_deref(), Some("Widget"));
         assert!(fmt.returns_result);
         assert!(!fs[2].is_pub);

@@ -15,8 +15,7 @@
 //!
 //! The disabled world is what the zero-cost claim quantifies over:
 //! rule A0015 demands `off` be pure for every gate-bearing function of
-//! the observability layer (and `full` be pure for `NoCost`
-//! monomorphizations), with a witness chain naming the first effect
+//! the observability layer, with a witness chain naming the first effect
 //! when the proof fails. The interval domain powers A0018 (possibly-zero
 //! divisors), and A0019 keeps DESIGN.md's zero-cost claims honest
 //! against the engine.
@@ -51,16 +50,13 @@ pub struct EffectSummary {
     /// `is_enabled()` guard, an `Option`-field gate, or a closure passed
     /// to a gated callee.
     pub has_gate: bool,
-    /// Per effect bit (in [`EFFECT_BITS`] order): first witness on the
-    /// any-path summary.
-    pub full_witness: [Option<Witness>; 4],
-    /// Per effect bit: first witness in the disabled world.
+    /// Per effect bit (in [`EFFECT_BITS`] order): first witness in the
+    /// disabled world.
     pub off_witness: [Option<Witness>; 4],
 }
 
 /// One per-function row of `analyze --effects`: the zero-cost proof for
-/// the functions the theorem covers (obs/provenance sources plus
-/// `NoCost` impls).
+/// the functions the theorem covers (the obs and provenance sources).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectRow {
     /// Module-qualified function name.
@@ -92,9 +88,7 @@ pub fn effect_rows(ws: &Workspace, a: &Analysis) -> Vec<EffectRow> {
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            !f.is_test
-                && ws.files[f.file].is_product(f.body_start)
-                && (zero_cost_scope(&f.rel) || f.impl_type.as_deref() == Some("NoCost"))
+            !f.is_test && ws.files[f.file].is_product(f.body_start) && zero_cost_scope(&f.rel)
         })
         .map(|(fi, f)| {
             let s = &a.effects[fi];
@@ -458,14 +452,13 @@ pub fn summarize(ws: &Workspace, a: &Analysis) -> Vec<EffectSummary> {
         loop {
             let mut changed = false;
             for &fi in comp {
-                let (full, fw) = eval_effects(ws, a, fi, Mode::Full, &masks, &site_at, &summaries);
+                let (full, _) = eval_effects(ws, a, fi, Mode::Full, &masks, &site_at, &summaries);
                 let (off, ow) = eval_effects(ws, a, fi, Mode::Off, &masks, &site_at, &summaries);
                 if full != summaries[fi].full || off != summaries[fi].off {
                     changed = true;
                 }
                 summaries[fi].full = full;
                 summaries[fi].off = off;
-                summaries[fi].full_witness = fw;
                 summaries[fi].off_witness = ow;
             }
             if !changed {
@@ -614,21 +607,16 @@ fn first_bit(set: EffectSet) -> Option<u8> {
         .find(|&bit| set.has(bit))
 }
 
-/// Witness chain for `bit` starting at function `start`, following
-/// call-site witnesses into callees and capped at the first revisited
-/// function (so recursive components contribute one pass, not a spiral).
-fn effect_chain(ws: &Workspace, a: &Analysis, start: usize, bit: u8, off: bool) -> Vec<PathStep> {
+/// Disabled-world witness chain for `bit` starting at function `start`,
+/// following call-site witnesses into callees and capped at the first
+/// revisited function (so recursive components contribute one pass, not
+/// a spiral).
+fn effect_chain(ws: &Workspace, a: &Analysis, start: usize, bit: u8) -> Vec<PathStep> {
     let mut steps = Vec::new();
     let mut seen: BTreeSet<usize> = BTreeSet::new();
     let mut cur = start;
     while seen.insert(cur) {
-        let s = &a.effects[cur];
-        let w = if off {
-            &s.off_witness[bit_index(bit)]
-        } else {
-            &s.full_witness[bit_index(bit)]
-        };
-        match w {
+        match &a.effects[cur].off_witness[bit_index(bit)] {
             Some(Witness::Direct { line, what }) => {
                 steps.push(PathStep {
                     file: a.funcs[cur].rel.clone(),
@@ -690,8 +678,7 @@ fn returns_owned(ws: &Workspace, f: &FuncDef) -> bool {
     })
 }
 
-/// A0015: the zero-cost proof. `NoCost`-monomorphized functions must be
-/// effect-free on every path; gate-bearing functions of the
+/// A0015: the zero-cost proof. Gate-bearing functions of the
 /// observability layer must be effect-free in the disabled world.
 pub(crate) fn zero_cost(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -700,23 +687,6 @@ pub(crate) fn zero_cost(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
             continue;
         }
         let s = &a.effects[fi];
-        if f.impl_type.as_deref() == Some("NoCost") {
-            if let Some(bit) = first_bit(s.full) {
-                out.push(Diagnostic {
-                    file: f.rel.clone(),
-                    line: f.line,
-                    code: "A0015",
-                    message: format!(
-                        "`{}` is a NoCost monomorphization but may {}; \
-                         the zero-cost path must be effect-free",
-                        f.qual,
-                        effect_verb(bit)
-                    ),
-                    path: effect_chain(ws, a, fi, bit, false),
-                });
-            }
-            continue;
-        }
         if zero_cost_scope(&f.rel) && s.has_gate && !returns_owned(ws, f) {
             if let Some(bit) = first_bit(s.off) {
                 out.push(Diagnostic {
@@ -729,7 +699,7 @@ pub(crate) fn zero_cost(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
                         f.qual,
                         effect_verb(bit)
                     ),
-                    path: effect_chain(ws, a, fi, bit, true),
+                    path: effect_chain(ws, a, fi, bit),
                 });
             }
         }
@@ -1495,23 +1465,6 @@ impl Prov {
     // -- A0015 ------------------------------------------------------------
 
     #[test]
-    fn a0015_fires_on_allocating_nocost_impl() {
-        let src = r#"
-impl CostAcc for NoCost {
-    fn add(&mut self, n: u64) {
-        let mut v = Vec::new();
-        v.push(n);
-    }
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/cost.rs", src)], "");
-        let hits = zero_cost(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("NoCost"), "{hits:?}");
-        assert!(hits[0].message.contains("allocate"), "{hits:?}");
-    }
-
-    #[test]
     fn a0015_fires_on_impure_disabled_path() {
         let src = r#"
 impl Observer {
@@ -1547,16 +1500,19 @@ impl Observer {
     #[test]
     fn a0015_witness_chain_names_the_callee() {
         let src = r#"
-impl CostAcc for NoCost {
-    fn add(&mut self, n: u64) {
+impl Observer {
+    pub fn incr(&mut self, n: u64) {
         helper(n);
+        if let Some(inner) = &self.inner {
+            inner.count(n);
+        }
     }
 }
 fn helper(n: u64) {
     let s = n.to_string();
 }
 "#;
-        let (ws, a) = build(vec![("crates/obs/src/cost.rs", src)], "");
+        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
         let hits = zero_cost(&ws, &a);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(
@@ -1681,6 +1637,17 @@ impl Observer {
         let hits = design_sync(&ws, &a);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].message.contains("cannot prove"), "{hits:?}");
+    }
+
+    #[test]
+    fn a0019_stops_at_the_next_heading() {
+        // A `::` word under the heading after the theorem is no claim.
+        let design = format!(
+            "# doc\n\n{ZERO_COST_HEADING}\n\n`Observer::incr` is pure.\n\n\
+             ### Diagnostics\n\n`--github` prints `::warning` commands.\n"
+        );
+        let (ws, a) = build(vec![("crates/obs/src/observer.rs", GATED_OBS)], &design);
+        assert!(design_sync(&ws, &a).is_empty());
     }
 
     #[test]

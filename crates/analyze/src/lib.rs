@@ -6,8 +6,8 @@
 //!   framework enforcing the project invariants rustc and clippy cannot
 //!   see: observability call-site guards (`A0002`), no lock held across a
 //!   recording callback (`A0003`), and one table of name families (sema
-//!   codes, metric namespaces, cost operators) kept in sync with their
-//!   registries, use sites and DESIGN.md sections ([`rules::FAMILIES`]).
+//!   codes and metric namespaces) kept in sync with their registries, use
+//!   sites and DESIGN.md sections ([`rules::FAMILIES`]).
 //!   Rules produce `file:line` diagnostics and honour a checked-in
 //!   `analyze.allow` baseline (expected to stay empty). The clock and
 //!   thread disciplines are clippy's (`disallowed-types` /

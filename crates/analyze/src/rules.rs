@@ -11,7 +11,7 @@
 //! `vendor/*` (not loaded at all).
 //!
 //! `A0002` and `A0003` are single-window token matchers. The
-//! name-sync rules (`A0004`, `A0005`, `A0014`) are rows of one table,
+//! name-sync rules (`A0004`, `A0005`) are rows of one table,
 //! [`FAMILIES`], checked by one engine.
 //! `A0008`–`A0012` (implemented in [`crate::dataflow`]) walk the call
 //! graph and attach `file:line` witness chains to their findings.
@@ -22,7 +22,7 @@
 use crate::callgraph::Analysis;
 use crate::lexer::Token;
 use crate::lint::{Diagnostic, SourceFile, Workspace};
-use deepeye_obs::{metrics, Op};
+use deepeye_obs::metrics;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One registered rule.
@@ -90,14 +90,8 @@ pub static RULES: &[Rule] = &[
         check: crate::dataflow::guard_propagation,
     },
     Rule {
-        code: "A0014",
-        summary: "executor cost operator and cost.* counter names agree across the registry, the executor instrumentation, and DESIGN.md §12",
-        interprocedural: false,
-        check: |ws, _| sync(ws, "A0014"),
-    },
-    Rule {
         code: "A0015",
-        summary: "disabled-path and NoCost-monomorphized functions are effect-free — the zero-cost theorem, proven by fixpoint effect inference",
+        summary: "disabled-path functions of the observability layer are effect-free — the zero-cost theorem, proven by fixpoint effect inference",
         interprocedural: true,
         check: crate::effects::zero_cost,
     },
@@ -350,7 +344,7 @@ fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// The name-sync table: A0004, A0005 and A0014.
+// The name-sync table: A0004 and A0005.
 //
 // Each row of `FAMILIES` keeps one family of names in sync across a
 // registry, the code that uses the names, and a DESIGN.md section.
@@ -363,24 +357,17 @@ fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
 // 4. every family-shaped word in the section is registered.
 //
 // Checks 2–4 run only when the row's anchor file is scanned, so a unit
-// fixture picks the directions it exercises. Two rows add one check
-// each: A0004 reports a code emitted twice, and the A0014 operator row
-// pairs the operators with the `cost.*` counters.
+// fixture picks the directions it exercises. A0004 adds one check: a
+// code emitted twice.
 
 const METRICS_RS: &str = "crates/obs/src/metrics.rs";
 const SEMA_RS: &str = "crates/query/src/sema.rs";
-const EXEC_RS: &str = "crates/query/src/exec.rs";
-const FLUSH_RS: &str = "crates/core/src/parallel.rs";
 
 /// Where a family's registered names come from.
 pub enum Registry {
     /// The `deepeye_obs::metrics` counters and histograms under these
     /// prefixes.
     Metrics(&'static [&'static str]),
-    /// Only the counters under these prefixes.
-    Counters(&'static [&'static str]),
-    /// The executor cost operators, `deepeye_obs::Op::ALL`.
-    Ops,
     /// The `//! | E0001 | … |` table in the anchor file's module doc.
     SemaTable,
 }
@@ -394,8 +381,6 @@ pub enum Uses {
     /// counter; `timer`, `record_ns` and `record_many_ns` a histogram)
     /// outside deepeye-obs and this crate.
     RecordCalls,
-    /// `Op::<Variant>` charge sites in the row's files.
-    Charges,
 }
 
 /// A DESIGN.md section: how messages name it (`§12`), the heading it
@@ -441,7 +426,6 @@ pub static FAMILIES: &[Family] = &[
         code: "A0005",
         noun: "metric",
         registry: Registry::Metrics(&[
-            "cost.",
             "enumerate.",
             "exec.",
             "ltr.",
@@ -456,28 +440,6 @@ pub static FAMILIES: &[Family] = &[
         unused_at: METRICS_RS,
         unused: "recorded nowhere",
         section: Some(Section("§6", "### Metric names", "### Exporters")),
-    },
-    Family {
-        code: "A0014",
-        noun: "cost operator",
-        registry: Registry::Ops,
-        uses: Uses::Charges,
-        files: &[EXEC_RS, "crates/query/src/batch.rs"],
-        anchor: EXEC_RS,
-        unused_at: EXEC_RS,
-        unused: "never charged in the executor instrumentation",
-        section: Some(Section("§12", "## 12.", "\n## 13.")),
-    },
-    Family {
-        code: "A0014",
-        noun: "cost counter",
-        registry: Registry::Counters(&["cost."]),
-        uses: Uses::Literals,
-        files: &[FLUSH_RS],
-        anchor: FLUSH_RS,
-        unused_at: FLUSH_RS,
-        unused: "never flushed by the worker flush site",
-        section: Some(Section("§12", "## 12.", "\n## 13.")),
     },
 ];
 
@@ -518,9 +480,6 @@ impl Family {
         if ws.file(self.anchor).is_none() {
             return out;
         }
-        if matches!(self.registry, Registry::Ops) {
-            op_counter_pairs(&mut report);
-        }
         // 2. Every registered name is used in the row's files (and a
         // sema code is emitted there once).
         let mut used = BTreeSet::new();
@@ -533,8 +492,7 @@ impl Family {
             }
         }
         for name in registry.keys().filter(|name| !used.contains(*name)) {
-            let name = self.registry.show(name);
-            let message = format!("{noun} {name} is registered but {}", self.unused);
+            let message = format!("{noun} {name:?} is registered but {}", self.unused);
             report(self.unused_at, 1, message);
         }
         if ws.design.is_empty() {
@@ -548,15 +506,8 @@ impl Family {
         };
         let words = prefixed_words(section, self.registry.prefixes());
         for name in registry.keys() {
-            let documented = match self.registry {
-                // An operator has no prefix to find it by: it is documented
-                // backticked, and check 4 is left to the counter row.
-                Registry::Ops => section.contains(&format!("`{name}`")),
-                _ => words.iter().any(|(word, _)| word == name),
-            };
-            if !documented {
-                let name = self.registry.show(name);
-                let message = format!("{noun} {name} is not documented in {doc}");
+            if !words.iter().any(|(word, _)| word == name) {
+                let message = format!("{noun} {name:?} is not documented in {doc}");
                 report("DESIGN.md", 1, message);
             }
         }
@@ -592,19 +543,6 @@ impl Family {
                 }
             }
             Uses::RecordCalls => record_call_metrics(ws, &mut uses),
-            Uses::Charges => {
-                for op in Op::ALL {
-                    let variant = op_variant_ident(op.name());
-                    for file in self.files.iter().filter_map(|rel| ws.file(rel)) {
-                        let mut toks = file.tokens.iter().enumerate();
-                        let charge =
-                            toks.find(|&(i, t)| t.is_ident(&variant) && file.is_product(i));
-                        if let Some((_, t)) = charge {
-                            uses.push((op.name(), file.rel.as_str(), t.line, None));
-                        }
-                    }
-                }
-            }
         }
         uses
     }
@@ -623,12 +561,11 @@ impl Family {
 impl Registry {
     /// Every registered name, with its kind.
     fn names<'a>(&self, anchor: Option<&'a SourceFile>) -> BTreeMap<&'a str, &'static str> {
-        let counters = (metrics::COUNTERS, "counter");
-        let histograms = (metrics::HISTOGRAMS, "histogram");
         let lists = match self {
-            Registry::Metrics(_) => vec![counters, histograms],
-            Registry::Counters(_) => vec![counters],
-            Registry::Ops => return Op::ALL.iter().map(|op| (op.name(), "operator")).collect(),
+            Registry::Metrics(_) => [
+                (metrics::COUNTERS, "counter"),
+                (metrics::HISTOGRAMS, "histogram"),
+            ],
             Registry::SemaTable => {
                 let doc = anchor.map_or("", |f| f.raw.as_str()).lines();
                 return doc
@@ -647,8 +584,7 @@ impl Registry {
 
     fn prefixes(&self) -> &'static [&'static str] {
         match self {
-            Registry::Metrics(p) | Registry::Counters(p) => p,
-            Registry::Ops => &[],
+            Registry::Metrics(p) => p,
             Registry::SemaTable => &["E00", "W01"],
         }
     }
@@ -656,17 +592,8 @@ impl Registry {
     /// Where messages say an unregistered name is missing from.
     fn source(&self) -> &'static str {
         match self {
-            Registry::Counters(_) => "the registry's counters (deepeye_obs::metrics)",
+            Registry::Metrics(_) => "the central metric registry (deepeye_obs::metrics)",
             Registry::SemaTable => "the sema module-doc table",
-            _ => "the central metric registry (deepeye_obs::metrics)",
-        }
-    }
-
-    /// A registered name as messages show it.
-    fn show(&self, name: &str) -> String {
-        match self {
-            Registry::Ops => format!("{name:?} (Op::{})", op_variant_ident(name)),
-            _ => format!("{name:?}"),
         }
     }
 }
@@ -677,7 +604,7 @@ fn name_char(c: char) -> bool {
 }
 
 /// Whether `s` is one of `prefixes` followed by at least one name
-/// character or dot (`exec.query_ns`, `E0001`).
+/// character or dot (`exec.ok`, `E0001`).
 fn family_shaped(s: &str, prefixes: &[&str]) -> bool {
     let rest = prefixes.iter().find_map(|p| s.strip_prefix(p));
     rest.is_some_and(|rest| !rest.is_empty() && rest.chars().all(|c| name_char(c) || c == '.'))
@@ -743,38 +670,6 @@ fn doc_table_code(line: &str) -> Option<&str> {
     let row = line.trim_start().strip_prefix("//!")?.trim_start();
     let code = row.strip_prefix('|')?.split('|').next()?.trim();
     family_shaped(code, Registry::SemaTable.prefixes()).then_some(code)
-}
-
-/// `rows_scanned` → `RowsScanned`, the `Op` variant the executor
-/// instrumentation charges.
-fn op_variant_ident(name: &str) -> String {
-    let mut out = String::new();
-    for word in name.split('_') {
-        let mut chars = word.chars();
-        if let Some(first) = chars.next() {
-            out.push(first.to_ascii_uppercase());
-            out.extend(chars);
-        }
-    }
-    out
-}
-
-/// A0014's pairing check: the operators' `cost.<op>` counters and the
-/// registered `cost.*` counters are one set.
-fn op_counter_pairs(report: &mut impl FnMut(&str, u32, String)) {
-    let ops: BTreeSet<&str> = Op::ALL.iter().map(|op| op.metric()).collect();
-    let counters = Registry::Counters(&["cost."])
-        .names(None)
-        .into_keys()
-        .collect();
-    for name in ops.symmetric_difference(&counters) {
-        let message = if ops.contains(name) {
-            format!("cost operator counter {name:?} is not registered")
-        } else {
-            format!("registered counter {name:?} names no operator in the cost taxonomy")
-        };
-        report(METRICS_RS, 1, message);
-    }
 }
 
 #[cfg(test)]
@@ -930,7 +825,7 @@ impl Code {
     #[test]
     fn a0005_checks_kind_not_just_name() {
         // A histogram name passed to a counter call is a category error.
-        let src = r#"fn f(obs: &Observer) { obs.incr("exec.query_ns", 1); }"#;
+        let src = r#"fn f(obs: &Observer) { obs.incr("progressive.leaf_ns", 1); }"#;
         let hits = run_rule("A0005", vec![("crates/core/src/x.rs", src)], "");
         assert_eq!(hits.len(), 1, "{hits:?}");
     }
@@ -1044,152 +939,26 @@ fn f(obs: &Observer, prov: &Provenance) {
         assert_eq!(outcome.stale, vec!["A0003 crates/core/src/gone.rs"]);
     }
 
-    const EXEC_FIXTURE: &str = r#"
-fn run<C: CostAcc>(cost: &mut C) {
-    cost.add(Op::RowsScanned, 1);
-    cost.add(Op::BinComputations, 1);
-    cost.add(Op::GroupProbes, 1);
-    cost.add(Op::GroupInserts, 1);
-    cost.add(Op::AggUpdates, 1);
-    cost.add(Op::SortComparisons, 1);
-    cost.add(Op::OutputRows, 1);
-}
-"#;
-
-    const FLUSH_FIXTURE: &str = r#"
-fn flush(obs: &Observer, total: &OpCosts) {
-    if !obs.is_enabled() {
-        return;
-    }
-    obs.incr("cost.rows_scanned", 1);
-    obs.incr("cost.bin_computations", 1);
-    obs.incr("cost.group_probes", 1);
-    obs.incr("cost.group_inserts", 1);
-    obs.incr("cost.agg_updates", 1);
-    obs.incr("cost.sort_comparisons", 1);
-    obs.incr("cost.output_rows", 1);
-}
-"#;
-
-    fn cost_design() -> String {
-        let ops = deepeye_obs::Op::ALL
-            .into_iter()
-            .map(|op| format!("`{}`", op.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let counters = deepeye_obs::Op::ALL.map(|op| op.metric()).join(", ");
-        format!(
-            "## 12. Cost profiling\n\nOperators {ops}, flushed into \
-             cost.rows_scanned and friends.\nCounters: {counters}.\n\n## 13. Next\n"
-        )
-    }
-
     #[test]
-    fn a0014_clean_when_all_layers_agree() {
-        let hits = run_rule(
-            "A0014",
-            vec![
-                ("crates/query/src/exec.rs", EXEC_FIXTURE),
-                ("crates/query/src/batch.rs", "fn b() {}"),
-                ("crates/core/src/parallel.rs", FLUSH_FIXTURE),
-            ],
-            &cost_design(),
+    fn a0005_ignores_prefixed_tokens_and_wildcards() {
+        // The prefixed token and the wildcard sit inside §6 itself.
+        let (src, design) = product_fixture();
+        let design = design.replace(
+            "### Exporters",
+            "Prose naming deepeye-exec.bogus and a bare exec.* wildcard.\n### Exporters",
         );
+        let hits = run_rule("A0005", vec![("crates/core/src/deepeye.rs", &src)], &design);
         assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]
-    fn a0014_flags_unregistered_cost_literal() {
-        let flush = FLUSH_FIXTURE.replace("cost.group_probes", "cost.group_probez");
+    fn a0005_skips_partial_workspaces() {
+        // No anchor file: checks 2–4 stay off, so neither the unrecorded
+        // registry nor the unregistered doc word is reported.
         let hits = run_rule(
-            "A0014",
-            vec![
-                ("crates/query/src/exec.rs", EXEC_FIXTURE),
-                ("crates/core/src/parallel.rs", flush.as_str()),
-            ],
-            &cost_design(),
-        );
-        // The typo literal is unregistered AND the real counter is now
-        // never flushed — both directions fire.
-        assert!(
-            hits.iter().any(|d| d.message.contains("cost.group_probez")
-                && d.file == "crates/core/src/parallel.rs"),
-            "{hits:?}"
-        );
-        assert!(
-            hits.iter()
-                .any(|d| d.message.contains("never flushed")
-                    && d.message.contains("cost.group_probes")),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn a0014_flags_uncharged_operator() {
-        let exec = EXEC_FIXTURE.replace("cost.add(Op::SortComparisons, 1);", "");
-        let hits = run_rule(
-            "A0014",
-            vec![
-                ("crates/query/src/exec.rs", exec.as_str()),
-                ("crates/core/src/parallel.rs", FLUSH_FIXTURE),
-            ],
-            &cost_design(),
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("Op::SortComparisons"), "{hits:?}");
-        assert!(hits[0].message.contains("never charged"), "{hits:?}");
-    }
-
-    #[test]
-    fn a0014_flags_design_drift_both_ways() {
-        let design = cost_design()
-            .replace("`sort_comparisons`", "`sort_compares`")
-            .replace("and friends", "and the phantom cost.hash_joins");
-        let hits = run_rule(
-            "A0014",
-            vec![
-                ("crates/query/src/exec.rs", EXEC_FIXTURE),
-                ("crates/core/src/parallel.rs", FLUSH_FIXTURE),
-            ],
-            &design,
-        );
-        assert!(
-            hits.iter()
-                .any(|d| d.message.contains("sort_comparisons")
-                    && d.message.contains("not documented")),
-            "{hits:?}"
-        );
-        assert!(
-            hits.iter().any(|d| d.message.contains("cost.hash_joins")
-                && d.message.contains("not in the registry")),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn a0014_ignores_prefixed_tokens_and_wildcards() {
-        // The prefixed token and wildcard sit inside §12 itself.
-        let design = cost_design().replace(
-            "\n\n## 13. Next\n",
-            "\nProse naming deepeye-cost.bogus and a bare cost.* wildcard.\n\n## 13. Next\n",
-        );
-        let hits = run_rule(
-            "A0014",
-            vec![
-                ("crates/query/src/exec.rs", EXEC_FIXTURE),
-                ("crates/core/src/parallel.rs", FLUSH_FIXTURE),
-            ],
-            &design,
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0014_skips_partial_workspaces() {
-        let hits = run_rule(
-            "A0014",
+            "A0005",
             vec![("crates/core/src/x.rs", "fn f() {}")],
-            "whatever cost.bogus",
+            "## 6. Observability\n### Metric names\nwhatever exec.bogus\n### Exporters\n",
         );
         assert!(hits.is_empty(), "{hits:?}");
     }

@@ -7,19 +7,14 @@
 //! --bench --budgets` validates.
 //!
 //! Usage: `harness [--smoke] [--out <path>] [--warmup N] [--reps N]
-//! [--stacks <path>] [--flame <path>] [--cost-out <path>]`
-//!
-//! `--cost-out` runs the pipeline with per-candidate cost profiling and
-//! writes the `deepeye-cost/v1` operator-attribution document (after
-//! asserting the per-candidate totals equal the `cost.*` counters the
-//! workers flushed, and running it through the validator).
+//! [--stacks <path>] [--flame <path>]`
 //!
 //! `--smoke` keeps only the smallest scenario (CI mode). `--stacks` /
 //! `--flame` additionally export the run's span tree as a folded-stack
 //! file / self-contained flame SVG.
 
 use deepeye_bench::perf::{results_json, run_scenario, scenario_matrix, Models, STAGES};
-use deepeye_obs::{validate_cost_json, CostCollector, Observer, Op};
+use deepeye_obs::Observer;
 use std::process::ExitCode;
 
 struct Args {
@@ -29,7 +24,6 @@ struct Args {
     reps: usize,
     stacks: Option<String>,
     flame: Option<String>,
-    cost_out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -40,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         reps: 5,
         stacks: None,
         flame: None,
-        cost_out: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,37 +57,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--stacks" => parsed.stacks = Some(value("--stacks")?),
             "--flame" => parsed.flame = Some(value("--flame")?),
-            "--cost-out" => parsed.cost_out = Some(value("--cost-out")?),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(parsed)
-}
-
-/// Write the executor cost report, first checking the exactness
-/// invariant — the collector's per-candidate totals must equal the
-/// registry's `cost.*` counters, which are flushed inside the
-/// `execute.worker` spans (so a mismatch means a worker's work escaped
-/// attribution) — then the document's own validator. Also prints the
-/// per-group rollup table to stderr.
-fn write_cost_report(path: &str, costs: &CostCollector, obs: &Observer) -> Result<(), String> {
-    let report = costs.report();
-    let snap = obs.snapshot();
-    for op in Op::ALL {
-        let counter = snap.counter(op.metric());
-        let total = report.totals.get(op);
-        if total != counter {
-            return Err(format!(
-                "cost invariant broke: collector total {total} for {} != worker counter {counter}",
-                op.metric()
-            ));
-        }
-    }
-    let doc = report.to_json();
-    validate_cost_json(&doc).map_err(|e| format!("cost document invalid: {e}"))?;
-    write(path, &doc, "executor cost report")?;
-    eprint!("{}", report.cost_table());
-    Ok(())
 }
 
 fn write(path: &str, text: &str, what: &str) -> Result<(), String> {
@@ -114,12 +80,7 @@ fn run(args: &Args) -> Result<(), String> {
     // once; the matrix measures the online pipeline only.
     let models = Models::train(0.03);
     let obs = Observer::enabled();
-    let costs = if args.cost_out.is_some() {
-        CostCollector::enabled()
-    } else {
-        CostCollector::disabled()
-    };
-    let eye = models.pipeline(&obs, &costs);
+    let eye = models.pipeline(&obs);
     let mut runs = Vec::new();
     for spec in scenario_matrix(args.smoke) {
         eprintln!(
@@ -136,9 +97,6 @@ fn run(args: &Args) -> Result<(), String> {
     if let Some(path) = &args.flame {
         write(path, &obs.flame_svg(), "flame SVG")?;
     }
-    if let Some(path) = &args.cost_out {
-        write_cost_report(path, &costs, &obs)?;
-    }
     println!("{}", obs.snapshot().stage_report());
     Ok(())
 }
@@ -150,7 +108,7 @@ fn main() -> ExitCode {
             eprintln!("harness: {e}");
             eprintln!(
                 "usage: harness [--smoke] [--out <path>] [--warmup N] [--reps N] \
-                 [--stacks <path>] [--flame <path>] [--cost-out <path>]"
+                 [--stacks <path>] [--flame <path>]"
             );
             return ExitCode::FAILURE;
         }

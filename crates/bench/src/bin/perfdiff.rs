@@ -1,16 +1,15 @@
 //! Cross-run performance differ: compare two `harness` result documents
 //! and explain *why* the numbers moved, not just that they did. Stage
 //! medians are diffed with the same noise-aware allowance `perfgate`
-//! enforces (so the two tools never disagree about significance), span
-//! paths from folded-stack files (or the documents' `"stages"` tails)
-//! rank where the wall time went, and two `deepeye-cost/v1` documents
-//! attribute the delta to executor operator buckets — e.g. "execute
-//! regressed 1.9 ms; 87% attributed to group_probes on
-//! categorical*temporal pairs".
+//! enforces (so the two tools never disagree about significance), and
+//! span-path self times from folded-stack files (or the documents'
+//! `"stages"` tails) rank where the wall time went — e.g. "execute
+//! regressed 1.9 ms; most growth in
+//! …/pipeline.execute/execute.worker/execute.features (+1.8 ms)".
 //!
 //! Usage: `perfdiff <baseline.json> <current.json>
-//! [--stacks-base F --stacks-cur F] [--cost-base F --cost-cur F]
-//! [--rel FRAC] [--iqr-mult X] [--floor-ns N] [--top N] [--github]`
+//! [--stacks-base F --stacks-cur F] [--rel FRAC] [--iqr-mult X]
+//! [--floor-ns N] [--top N] [--github]`
 //!
 //! Exit status: 0 on a successful diff (even one full of regressions —
 //! `perfdiff` diagnoses, `perfgate` gates), nonzero on unreadable or
@@ -31,8 +30,6 @@ struct Args {
     current: Option<String>,
     stacks_base: Option<String>,
     stacks_cur: Option<String>,
-    cost_base: Option<String>,
-    cost_cur: Option<String>,
     top: usize,
     github: bool,
 }
@@ -52,8 +49,6 @@ fn main() -> ExitCode {
         let result = match arg.as_str() {
             "--stacks-base" => value("--stacks-base").map(|v| parsed.stacks_base = Some(v)),
             "--stacks-cur" => value("--stacks-cur").map(|v| parsed.stacks_cur = Some(v)),
-            "--cost-base" => value("--cost-base").map(|v| parsed.cost_base = Some(v)),
-            "--cost-cur" => value("--cost-cur").map(|v| parsed.cost_cur = Some(v)),
             "--top" => value("--top").and_then(|v| {
                 v.parse()
                     .map(|n| parsed.top = n)
@@ -96,24 +91,11 @@ fn main() -> ExitCode {
     let (Some(baseline_path), Some(current_path)) = (&parsed.baseline, &parsed.current) else {
         return usage();
     };
-    // Both sides of each optional pair or neither — a one-sided diff
-    // would silently compare against nothing.
-    for (a, b, what) in [
-        (
-            &parsed.stacks_base,
-            &parsed.stacks_cur,
-            "--stacks-base/--stacks-cur",
-        ),
-        (
-            &parsed.cost_base,
-            &parsed.cost_cur,
-            "--cost-base/--cost-cur",
-        ),
-    ] {
-        if a.is_some() != b.is_some() {
-            eprintln!("perfdiff: {what} must be given together");
-            return usage();
-        }
+    // Both stack files or neither — a one-sided diff would silently
+    // compare against nothing.
+    if parsed.stacks_base.is_some() != parsed.stacks_cur.is_some() {
+        eprintln!("perfdiff: --stacks-base/--stacks-cur must be given together");
+        return usage();
     }
     match run(&parsed, baseline_path, current_path, &cfg) {
         Ok(()) => ExitCode::SUCCESS,
@@ -138,15 +120,10 @@ fn run(
         (Some(b), Some(c)) => Some((read(b)?, read(c)?)),
         _ => None,
     };
-    let costs = match (&parsed.cost_base, &parsed.cost_cur) {
-        (Some(b), Some(c)) => Some((read(b)?, read(c)?)),
-        _ => None,
-    };
     let report = diff_runs(
         &baseline,
         &current,
         stacks.as_ref().map(|(b, c)| (b.as_str(), c.as_str())),
-        costs.as_ref().map(|(b, c)| (b.as_str(), c.as_str())),
         cfg,
     )?;
     print!("{}", report.render(parsed.top));
@@ -161,7 +138,7 @@ fn run(
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfdiff <baseline.json> <current.json> \
-         [--stacks-base F --stacks-cur F] [--cost-base F --cost-cur F] \
+         [--stacks-base F --stacks-cur F] \
          [--rel FRAC] [--iqr-mult X] [--floor-ns N] [--top N] [--github]"
     );
     ExitCode::FAILURE

@@ -5,8 +5,7 @@
 //! different schema versions are refused, not compared.
 //!
 //! Usage: `perfgate <baseline.json> <current.json>
-//! [--scenarios a,b] [--cost-base F --cost-cur F]
-//! [--rel FRAC] [--iqr-mult X] [--floor-ns N]`
+//! [--scenarios a,b] [--rel FRAC] [--iqr-mult X] [--floor-ns N]`
 //!
 //! A stage regresses when `current_median > baseline_median +
 //! max(rel × baseline_median, iqr_mult × max(IQRs), floor_ns)` — see
@@ -14,16 +13,14 @@
 //!
 //! `--scenarios` restricts the gate to a baseline subset, so a smoke
 //! run can gate against a full-matrix baseline without tripping the
-//! lost-coverage error. `--cost-base`/`--cost-cur` hand the gate two
-//! `deepeye-cost/v1` documents; every failure then names a cause — the
-//! executor operator bucket whose work count grew the most.
+//! lost-coverage error. `perfdiff` attributes a failure to the span
+//! paths that grew.
 
 // Experiment drivers are report scripts: aborting on a broken
 // invariant is the right behavior, so the workspace unwrap/panic
 // lints are relaxed here.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_bench::diff::diff_cost;
 use deepeye_bench::perf::{perf_gate_scoped, GateConfig};
 use std::process::ExitCode;
 
@@ -31,8 +28,6 @@ fn main() -> ExitCode {
     let mut cfg = GateConfig::default();
     let mut paths: Vec<String> = Vec::new();
     let mut scenarios: Option<Vec<String>> = None;
-    let mut cost_base: Option<String> = None;
-    let mut cost_cur: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| match args.next() {
@@ -49,8 +44,6 @@ fn main() -> ExitCode {
                         .collect(),
                 );
             }),
-            "--cost-base" => value("--cost-base").map(|v| cost_base = Some(v)),
-            "--cost-cur" => value("--cost-cur").map(|v| cost_cur = Some(v)),
             "--rel" => value("--rel").and_then(|v| {
                 v.parse()
                     .map(|r| cfg.rel = r)
@@ -79,10 +72,6 @@ fn main() -> ExitCode {
     let [baseline_path, current_path] = paths.as_slice() else {
         return usage();
     };
-    if cost_base.is_some() != cost_cur.is_some() {
-        eprintln!("perfgate: --cost-base/--cost-cur must be given together");
-        return usage();
-    }
     let read =
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     let report = read(baseline_path)
@@ -90,28 +79,6 @@ fn main() -> ExitCode {
         .and_then(|(baseline, current)| {
             perf_gate_scoped(&baseline, &current, &cfg, scenarios.as_deref())
         });
-    // The causal lens: with cost documents, name the operator bucket
-    // whose work count grew the most alongside every regression.
-    let cause = match (&cost_base, &cost_cur) {
-        (Some(b), Some(c)) => {
-            let buckets = read(b)
-                .and_then(|base| read(c).map(|cur| (base, cur)))
-                .and_then(|(base, cur)| diff_cost(&base, &cur));
-            match buckets {
-                Ok(buckets) => buckets.into_iter().find(|b| b.delta > 0).map(|b| {
-                    format!(
-                        "top operator bucket: {} on {} ({:+}, {}% of growth)",
-                        b.op, b.group, b.delta, b.share_pct
-                    )
-                }),
-                Err(e) => {
-                    eprintln!("perfgate: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        _ => None,
-    };
     match report {
         Ok(report) => {
             println!(
@@ -124,9 +91,6 @@ fn main() -> ExitCode {
             } else {
                 for r in &report.regressions {
                     eprintln!("perfgate: {}", r.describe());
-                    if let Some(cause) = &cause {
-                        eprintln!("perfgate:   {cause}");
-                    }
                 }
                 eprintln!("perfgate: {} regression(s)", report.regressions.len());
                 ExitCode::FAILURE
@@ -142,7 +106,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfgate <baseline.json> <current.json> \
-         [--scenarios a,b] [--cost-base F --cost-cur F] \
+         [--scenarios a,b] \
          [--rel FRAC] [--iqr-mult X] [--floor-ns N]"
     );
     ExitCode::FAILURE

@@ -15,15 +15,10 @@
 //!   spans, internally consistent robust timings.
 //! - Stage budgets (`--budgets`): a harness document's per-stage medians
 //!   against the ceilings of the stage table (`deepeye_bench::perf::STAGES`).
-//! - Executor cost reports (`--cost`, from `harness --cost-out` or the
-//!   CLI `--cost-out`): `deepeye-cost/v1` schema, the operator
-//!   taxonomy, and the exactness invariant — per-candidate costs sum
-//!   to the worker flush totals, the rollup groups, and the grand
-//!   totals, per operator.
 //!
 //! Usage: `trace_check [<trace.json> ...] [--metrics <metrics.json>]...
 //! [--provenance <prov.json>]... [--bench <bench.json>]...
-//! [--budgets <bench.json>]... [--cost <cost.json>]...`
+//! [--budgets <bench.json>]...`
 //!
 //! Exits nonzero (via `ExitCode`, so the workspace `clippy::exit` lint
 //! stays intact) if any file fails validation — CI runs this against the
@@ -31,7 +26,7 @@
 
 use deepeye_bench::perf::{check_budgets, validate_bench_json};
 use deepeye_core::validate_provenance_json;
-use deepeye_obs::{validate_chrome_trace, validate_cost_json, validate_metrics_json};
+use deepeye_obs::{validate_chrome_trace, validate_metrics_json};
 use std::process::ExitCode;
 
 enum Kind {
@@ -40,7 +35,6 @@ enum Kind {
     Provenance,
     Bench,
     Budgets,
-    Cost,
 }
 
 fn main() -> ExitCode {
@@ -62,10 +56,6 @@ fn main() -> ExitCode {
             },
             "--budgets" => match args.next() {
                 Some(path) => jobs.push((Kind::Budgets, path)),
-                None => return usage(),
-            },
-            "--cost" => match args.next() {
-                Some(path) => jobs.push((Kind::Cost, path)),
                 None => return usage(),
             },
             _ => jobs.push((Kind::Trace, arg)),
@@ -160,23 +150,6 @@ fn main() -> ExitCode {
                     failed = true;
                 }
             },
-            Kind::Cost => match validate_cost_json(&text) {
-                Ok(summary) => {
-                    println!(
-                        "{path}: ok — {} candidate(s), {} worker flush(es), {} group(s), \
-                         {} total op(s)",
-                        summary.candidates, summary.workers, summary.groups, summary.total_ops
-                    );
-                    if summary.candidates == 0 {
-                        eprintln!("{path}: no candidates recorded — was cost profiling enabled?");
-                        failed = true;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{path}: INVALID — {e}");
-                    failed = true;
-                }
-            },
         }
     }
     if failed {
@@ -190,7 +163,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: trace_check [<trace.json> ...] [--metrics <metrics.json>]... \
          [--provenance <prov.json>]... [--bench <bench.json>]... \
-         [--budgets <bench.json>]... [--cost <cost.json>]..."
+         [--budgets <bench.json>]..."
     );
     ExitCode::FAILURE
 }

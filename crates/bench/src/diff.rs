@@ -1,24 +1,23 @@
 //! Cross-run performance diffing: compare two harness runs and say not
-//! just *that* a stage moved but *why*. [`diff_runs`] takes two
-//! `deepeye-bench/v2` documents and, optionally, two folded-stack files
-//! and two `deepeye-cost/v1` documents, and produces a [`DiffReport`]
-//! with three delta layers ranked by absolute contribution:
+//! just *that* a stage moved but *where*. [`diff_runs`] takes two
+//! `deepeye-bench/v2` documents and, optionally, two folded-stack files,
+//! and produces a [`DiffReport`] with two delta layers ranked by
+//! absolute contribution:
 //!
 //! - **stages** — per (scenario, stage) median deltas, flagged
 //!   significant with the same [`GateConfig`] allowance `perfgate` uses,
 //!   so the differ and the gate never disagree about what counts;
-//! - **paths** — per span-path wall-time deltas, from folded-stack files
-//!   when given, else from the documents' `"stages"` aggregate tails;
-//! - **buckets** — per (chart/transform/signature × operator) executor
-//!   work-count deltas from the cost documents, each carrying its share
-//!   of the total count growth.
+//! - **paths** — per span-path self-time deltas, from folded-stack files
+//!   when given, else from the documents' `"stages"` aggregate tails
+//!   (each path's total less its direct children's).
 //!
-//! The headline ties the layers together: *"execute regressed 1.9 ms;
-//! 87% attributed to group_probes on categorical*temporal pairs"*.
+//! The headline ties the layers together: the regressed stage and the
+//! span path below its span that grew the most — *"execute regressed
+//! 1.9 ms; most growth in …/execute.worker/execute.features (+1.8 ms)"*.
 
 use crate::perf::{stage_medians, GateConfig};
 use deepeye_obs::json::Json;
-use deepeye_obs::{fmt_duration, parse_json, validate_cost_json, Op};
+use deepeye_obs::{fmt_duration, parse_json};
 use std::collections::BTreeMap;
 
 /// One (scenario, stage) median delta between two harness runs.
@@ -44,7 +43,7 @@ impl StageDelta {
     }
 }
 
-/// One span-path wall-time delta (from folded stacks or the documents'
+/// One span-path self-time delta (from folded stacks or the documents'
 /// `"stages"` tails).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathDelta {
@@ -54,32 +53,12 @@ pub struct PathDelta {
     pub delta_ns: i64,
 }
 
-/// One (rollup group × operator) executor work-count delta between two
-/// cost documents.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BucketDelta {
-    /// `chart/transform/signature` rollup label.
-    pub group: String,
-    /// The column-pair type signature alone (`categorical*temporal`).
-    pub signature: String,
-    /// Stable operator name (`group_probes`, …).
-    pub op: &'static str,
-    pub baseline: u64,
-    pub current: u64,
-    /// `current - baseline` operator count; positive means more work.
-    pub delta: i64,
-    /// This bucket's percentage of the total op-count *growth* across
-    /// all buckets (0 when the bucket shrank or nothing grew).
-    pub share_pct: u64,
-}
-
 /// The assembled cross-run diff. Every vector is sorted by descending
 /// absolute delta — index 0 is the biggest mover.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiffReport {
     pub stages: Vec<StageDelta>,
     pub paths: Vec<PathDelta>,
-    pub buckets: Vec<BucketDelta>,
     /// (scenario, stage) pairs the baseline covers but the current run
     /// dropped — lost coverage must not read as "no delta".
     pub lost: Vec<String>,
@@ -163,22 +142,31 @@ fn folded_map(text: &str, which: &str) -> Result<BTreeMap<String, u64>, String> 
 }
 
 /// Parse the `"stages"` aggregate tail of a bench document into a span
-/// path → `total_ns` map. Documents written before the tail existed
-/// yield an empty map.
+/// path → self-time map: each path's `total_ns` less its direct
+/// children's (at least 0; parallel children can outlast their parent),
+/// the measure folded stacks carry. Documents written before the tail
+/// existed yield an empty map.
 fn doc_path_map(text: &str, which: &str) -> Result<BTreeMap<String, u64>, String> {
     let doc = parse_json(text).map_err(|e| format!("{which}: {e}"))?;
-    let mut out = BTreeMap::new();
+    let mut totals = BTreeMap::new();
     let Some(stages) = doc.get("stages").and_then(Json::as_object) else {
-        return Ok(out);
+        return Ok(totals);
     };
     for (path, agg) in stages {
         let total = agg
             .get("total_ns")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{which}: stage path {path:?} missing total_ns"))?;
-        out.insert(path.clone(), total.max(0.0) as u64);
+        totals.insert(path.clone(), total.max(0.0) as u64);
     }
-    Ok(out)
+    let mut own = totals.clone();
+    for (path, total) in &totals {
+        let parent = path.rsplit_once('/').and_then(|(p, _)| own.get_mut(p));
+        if let Some(parent) = parent {
+            *parent = parent.saturating_sub(*total);
+        }
+    }
+    Ok(own)
 }
 
 /// Diff two path → ns maps, dropping sub-`floor_ns` deltas (scheduler
@@ -209,103 +197,13 @@ fn diff_path_maps(
     out
 }
 
-/// Parse a validated cost document's rollup groups into
-/// (label, signature) → per-operator counts.
-type GroupCounts = BTreeMap<(String, String), BTreeMap<&'static str, u64>>;
-
-fn cost_group_map(text: &str, which: &str) -> Result<GroupCounts, String> {
-    validate_cost_json(text).map_err(|e| format!("{which}: {e}"))?;
-    let doc = parse_json(text).map_err(|e| format!("{which}: {e}"))?;
-    let mut out: GroupCounts = BTreeMap::new();
-    let groups = doc
-        .get("groups")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{which}: missing groups"))?;
-    for g in groups {
-        let field = |key: &str| {
-            g.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{which}: group missing {key:?}"))
-        };
-        let label = format!(
-            "{}/{}/{}",
-            field("chart")?,
-            field("transform")?,
-            field("signature")?
-        );
-        let signature = field("signature")?;
-        let costs = g
-            .get("costs")
-            .ok_or_else(|| format!("{which}: group {label} missing costs"))?;
-        let mut counts = BTreeMap::new();
-        for op in Op::ALL {
-            let n = costs
-                .get(op.name())
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as u64;
-            counts.insert(op.name(), n);
-        }
-        out.insert((label, signature), counts);
-    }
-    Ok(out)
-}
-
-/// Diff two cost documents per (rollup group × operator), attributing
-/// to each growing bucket its share of the total op-count growth.
-pub fn diff_cost(baseline: &str, current: &str) -> Result<Vec<BucketDelta>, String> {
-    let base = cost_group_map(baseline, "baseline cost doc")?;
-    let cur = cost_group_map(current, "current cost doc")?;
-    let mut keys: Vec<&(String, String)> = base.keys().chain(cur.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    let empty = BTreeMap::new();
-    let mut buckets = Vec::new();
-    for key in keys {
-        let b = base.get(key).unwrap_or(&empty);
-        let c = cur.get(key).unwrap_or(&empty);
-        for op in Op::ALL {
-            let bn = b.get(op.name()).copied().unwrap_or(0);
-            let cn = c.get(op.name()).copied().unwrap_or(0);
-            if bn == cn {
-                continue;
-            }
-            buckets.push(BucketDelta {
-                group: key.0.clone(),
-                signature: key.1.clone(),
-                op: op.name(),
-                baseline: bn,
-                current: cn,
-                delta: cn as i64 - bn as i64,
-                share_pct: 0,
-            });
-        }
-    }
-    let grown: u64 = buckets
-        .iter()
-        .filter(|b| b.delta > 0)
-        .map(|b| b.delta.unsigned_abs())
-        .sum();
-    for b in &mut buckets {
-        if b.delta > 0 {
-            if let Some(share) = (100 * b.delta.unsigned_abs()).checked_div(grown) {
-                b.share_pct = share;
-            }
-        }
-    }
-    buckets.sort_by_key(|b| std::cmp::Reverse(b.delta.unsigned_abs()));
-    Ok(buckets)
-}
-
-/// Assemble the full cross-run diff. `stacks` and `costs` are optional
-/// `(baseline, current)` text pairs; when `stacks` is absent the span
-/// paths come from the documents' `"stages"` tails.
+/// Assemble the full cross-run diff. `stacks` is an optional
+/// `(baseline, current)` pair of folded-stack texts; when absent the
+/// span paths come from the documents' `"stages"` tails.
 pub fn diff_runs(
     baseline: &str,
     current: &str,
     stacks: Option<(&str, &str)>,
-    costs: Option<(&str, &str)>,
     cfg: &GateConfig,
 ) -> Result<DiffReport, String> {
     let (stages, lost, gained) = diff_stages(baseline, current, cfg)?;
@@ -321,14 +219,9 @@ pub fn diff_runs(
             cfg.floor_ns,
         ),
     };
-    let buckets = match costs {
-        Some((b, c)) => diff_cost(b, c)?,
-        None => Vec::new(),
-    };
     Ok(DiffReport {
         stages,
         paths,
-        buckets,
         lost,
         gained,
     })
@@ -341,11 +234,22 @@ impl DiffReport {
         self.stages.iter().find(|d| d.significant && d.delta_ns > 0)
     }
 
+    /// The span path below `span` whose self time grew the most, if
+    /// any grew past the floor.
+    pub fn top_path_below(&self, span: &str) -> Option<&PathDelta> {
+        // `paths` is sorted by |delta|, so the first growing path below
+        // `span` grew the most.
+        self.paths.iter().find(|p| {
+            let mut frames = p.path.split(['/', ';']);
+            p.delta_ns > 0 && frames.any(|f| f == span) && frames.next().is_some()
+        })
+    }
+
     /// The one-line causal headline: the top significant stage
-    /// regression, attributed to the top growing operator bucket when
-    /// cost documents were supplied — e.g. *"execute regressed 1.90 ms;
-    /// 87% attributed to group_probes on categorical*temporal pairs"*.
-    /// `None` when nothing significant regressed.
+    /// regression, attributed to the span path below the stage's span
+    /// that grew the most — e.g. *"execute regressed 1.90 ms (…); most
+    /// growth in …/execute.worker/execute.features (+1.80 ms)"*. `None`
+    /// when nothing significant regressed.
     pub fn attribution(&self) -> Option<String> {
         let top = self.top_regression()?;
         let mut line = format!(
@@ -355,10 +259,11 @@ impl DiffReport {
             fmt_duration(top.baseline_ns),
             fmt_duration(top.current_ns)
         );
-        if let Some(bucket) = self.buckets.iter().find(|b| b.delta > 0) {
+        if let Some(path) = self.top_path_below(&top.span) {
             line.push_str(&format!(
-                "; {}% attributed to {} on {} pairs",
-                bucket.share_pct, bucket.op, bucket.signature
+                "; most growth in {} ({})",
+                path.path,
+                signed_duration(path.delta_ns)
             ));
         }
         Some(line)
@@ -390,7 +295,9 @@ impl DiffReport {
             ));
         }
         if !self.paths.is_empty() {
-            out.push_str(&format!("\nspan paths (top {top} by |delta|):\n"));
+            out.push_str(&format!(
+                "\nspan paths (self time, top {top} by |delta|):\n"
+            ));
             for p in self.paths.iter().take(top) {
                 out.push_str(&format!(
                     "  {:<10} {:<52} {:>12} -> {}\n",
@@ -398,15 +305,6 @@ impl DiffReport {
                     p.path,
                     fmt_duration(p.baseline_ns),
                     fmt_duration(p.current_ns)
-                ));
-            }
-        }
-        if !self.buckets.is_empty() {
-            out.push_str(&format!("\noperator buckets (top {top} by |delta|):\n"));
-            for b in self.buckets.iter().take(top) {
-                out.push_str(&format!(
-                    "  {:>+14} {:<18} {:<44} {:>3}% of growth\n",
-                    b.delta, b.op, b.group, b.share_pct
                 ));
             }
         }
@@ -419,7 +317,8 @@ impl DiffReport {
     }
 
     /// GitHub Actions `::notice` workflow commands for the top movers —
-    /// the headline first, then one notice per significant stage delta.
+    /// the headline first, then one notice per significant stage delta,
+    /// each naming the path below its span that grew the most.
     /// Newlines are `%0A`-escaped per the workflow-command quoting
     /// rules (and `%` itself first), matching `analyze --github`.
     pub fn github_notices(&self, top: usize) -> Vec<String> {
@@ -442,10 +341,11 @@ impl DiffReport {
                 d.current_ns,
                 d.delta_str()
             );
-            if let Some(bucket) = self.buckets.iter().find(|b| b.delta > 0) {
+            if let Some(path) = self.top_path_below(&d.span) {
                 message.push_str(&format!(
-                    "\ntop operator bucket: {} on {} ({:+}, {}% of growth)",
-                    bucket.op, bucket.group, bucket.delta, bucket.share_pct
+                    "\ntop span path: {} ({})",
+                    path.path,
+                    signed_duration(path.delta_ns)
                 ));
             }
             out.push(format!(
@@ -463,9 +363,15 @@ impl DiffReport {
 mod tests {
     use super::*;
     use crate::perf::{results_json, RobustTiming, ScenarioRun, STAGES};
-    use deepeye_obs::{CandidateCost, CostAcc, CostCollector, Observer, Op as CostOp, OpCosts};
+    use deepeye_obs::Observer;
 
-    fn doc_with(execute_ns: u64) -> String {
+    const FEATURES: &str = "pipeline.recommend/pipeline.execute/execute.worker/execute.features";
+
+    /// A one-scenario document whose `execute` median is `execute_ns`
+    /// (every other stage 1 ms), with a `"stages"` tail in which
+    /// `execute.features` takes `features_ns` and everything else in
+    /// execute stays fixed.
+    fn doc_with(execute_ns: u64, features_ns: u64) -> String {
         let runs = vec![ScenarioRun {
             name: "s-300x5".into(),
             rows: 300,
@@ -482,74 +388,62 @@ mod tests {
                 })
                 .collect(),
         }];
-        results_json(&runs, &Observer::enabled().snapshot())
-    }
-
-    fn cost_doc(probes: u64) -> String {
-        let costs = CostCollector::enabled();
-        let mut oc = OpCosts::default();
-        oc.add(CostOp::RowsScanned, 300);
-        oc.add(CostOp::GroupProbes, probes);
-        oc.add(CostOp::OutputRows, 5);
-        costs.record_worker(vec![CandidateCost {
-            id: "q1".into(),
-            chart: "bar".into(),
-            transform: "group".into(),
-            signature: "categorical*temporal".into(),
-            builds: 1,
-            costs: oc,
-        }]);
-        costs.report().to_json()
+        let worker = 2_000_000 + features_ns + 500_000;
+        let tail = [
+            ("pipeline.recommend/pipeline.execute", worker + 500_000),
+            ("pipeline.recommend/pipeline.execute/execute.worker", worker),
+            (
+                "pipeline.recommend/pipeline.execute/execute.worker/execute.charts",
+                2_000_000,
+            ),
+            (FEATURES, features_ns),
+        ]
+        .map(|(path, ns)| format!("\"{path}\": {{\"count\": 1, \"total_ns\": {ns}}}"))
+        .join(", ");
+        let doc = results_json(&runs, &Observer::enabled().snapshot());
+        doc.replace("\"stages\": {}", &format!("\"stages\": {{{tail}}}"))
     }
 
     #[test]
     fn identical_runs_diff_clean() {
-        let doc = doc_with(10_000_000);
-        let report = diff_runs(&doc, &doc, None, None, &GateConfig::default()).unwrap();
+        let doc = doc_with(10_000_000, 7_000_000);
+        let report = diff_runs(&doc, &doc, None, &GateConfig::default()).unwrap();
         assert!(report.top_regression().is_none());
         assert!(report.attribution().is_none());
         assert_eq!(report.stages.len(), STAGES.len());
         assert!(report.stages.iter().all(|d| !d.significant));
+        assert!(report.paths.is_empty());
         assert!(report.lost.is_empty() && report.gained.is_empty());
         assert!(report.render(5).contains("no significant stage regression"));
     }
 
     #[test]
-    fn doubled_execute_names_stage_and_bucket() {
-        let base = doc_with(10_000_000);
-        let cur = doc_with(20_000_000);
-        let report = diff_runs(
-            &base,
-            &cur,
-            None,
-            Some((&cost_doc(1_000), &cost_doc(9_000))),
-            &GateConfig::default(),
-        )
-        .unwrap();
+    fn doubled_execute_names_stage_and_span_path() {
+        let base = doc_with(10_000_000, 7_000_000);
+        let cur = doc_with(20_000_000, 17_000_000);
+        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
         let top = report.top_regression().expect("execute regressed");
         assert_eq!(top.stage, "execute");
         assert_eq!(top.delta_ns, 10_000_000);
         let headline = report.attribution().expect("headline");
         assert!(headline.starts_with("execute regressed"), "{headline}");
         assert!(
-            headline.contains("attributed to group_probes on categorical*temporal pairs"),
+            headline.ends_with(&format!("most growth in {FEATURES} (+10.0ms)")),
             "{headline}"
         );
-        // The probe bucket explains 100% of the growth.
-        let bucket = &report.buckets[0];
-        assert_eq!(bucket.op, "group_probes");
-        assert_eq!(bucket.delta, 8_000);
-        assert_eq!(bucket.share_pct, 100);
+        // Self time: the worker and execute spans grew only through their
+        // child, so the features path is the one mover.
+        assert_eq!(report.paths.len(), 1, "{:?}", report.paths);
         let rendered = report.render(5);
         assert!(rendered.contains("SIG"), "{rendered}");
-        assert!(rendered.contains("operator buckets"), "{rendered}");
+        assert!(rendered.contains("span paths (self time"), "{rendered}");
     }
 
     #[test]
     fn improvements_are_significant_but_not_regressions() {
-        let base = doc_with(20_000_000);
-        let cur = doc_with(10_000_000);
-        let report = diff_runs(&base, &cur, None, None, &GateConfig::default()).unwrap();
+        let base = doc_with(20_000_000, 7_000_000);
+        let cur = doc_with(10_000_000, 7_000_000);
+        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
         let exec = report.stages.iter().find(|d| d.stage == "execute").unwrap();
         assert!(exec.significant);
         assert!(exec.delta_ns < 0);
@@ -560,27 +454,23 @@ mod tests {
     fn folded_stacks_rank_span_paths() {
         let base = "pipeline.recommend;pipeline.execute 10000000\npipeline.recommend 500\n";
         let cur = "pipeline.recommend;pipeline.execute 25000000\npipeline.recommend 600\n";
-        let doc = doc_with(10_000_000);
-        let report =
-            diff_runs(&doc, &doc, Some((base, cur)), None, &GateConfig::default()).unwrap();
+        let doc = doc_with(10_000_000, 7_000_000);
+        let report = diff_runs(&doc, &doc, Some((base, cur)), &GateConfig::default()).unwrap();
         // The 100-ns path is under the floor; only the execute path stays.
         assert_eq!(report.paths.len(), 1);
         assert_eq!(report.paths[0].path, "pipeline.recommend;pipeline.execute");
         assert_eq!(report.paths[0].delta_ns, 15_000_000);
+        // Folded frames count as span paths below a stage too.
+        let below = report.top_path_below("pipeline.recommend");
+        assert_eq!(below.map(|p| p.delta_ns), Some(15_000_000));
+        assert!(report.top_path_below("pipeline.execute").is_none());
     }
 
     #[test]
     fn github_notices_escape_newlines() {
-        let base = doc_with(10_000_000);
-        let cur = doc_with(20_000_000);
-        let report = diff_runs(
-            &base,
-            &cur,
-            None,
-            Some((&cost_doc(1_000), &cost_doc(9_000))),
-            &GateConfig::default(),
-        )
-        .unwrap();
+        let base = doc_with(10_000_000, 7_000_000);
+        let cur = doc_with(20_000_000, 17_000_000);
+        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
         let notices = report.github_notices(3);
         assert!(notices.len() >= 2, "{notices:?}");
         assert!(notices[0].starts_with("::notice title=perfdiff::"));
@@ -588,7 +478,7 @@ mod tests {
             assert!(!n.contains('\n'), "one line per workflow command: {n}");
         }
         assert!(
-            notices[1].contains("%0Atop operator bucket: group_probes"),
+            notices[1].contains(&format!("%0Atop span path: {FEATURES}")),
             "{:?}",
             notices[1]
         );
@@ -596,19 +486,12 @@ mod tests {
 
     #[test]
     fn lost_and_gained_coverage_is_reported() {
-        let base = doc_with(10_000_000);
+        let base = doc_with(10_000_000, 7_000_000);
         let cur = base.replace("s-300x5", "s-600x5");
-        let report = diff_runs(&base, &cur, None, None, &GateConfig::default()).unwrap();
+        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
         assert_eq!(report.stages.len(), 0);
         assert_eq!(report.lost.len(), STAGES.len());
         assert_eq!(report.gained.len(), STAGES.len());
         assert!(report.render(5).contains("coverage lost"));
-    }
-
-    #[test]
-    fn cost_diff_rejects_invalid_documents() {
-        let bad = cost_doc(10).replace("deepeye-cost/v1", "deepeye-cost/v0");
-        let err = diff_cost(&bad, &cost_doc(10)).unwrap_err();
-        assert!(err.contains("baseline cost doc"), "{err}");
     }
 }

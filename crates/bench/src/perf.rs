@@ -22,7 +22,7 @@ use deepeye_datagen::{
     PerceptionOracle,
 };
 use deepeye_obs::json::escape;
-use deepeye_obs::{CostCollector, Json, Observer, Snapshot};
+use deepeye_obs::{Json, Observer, Snapshot};
 
 /// Version tag every bench JSON document carries. Bump when a field is
 /// added, removed, or changes meaning; `perfgate` refuses to compare
@@ -233,15 +233,14 @@ impl Models {
 
     /// The shipping pipeline around these models — rule-based
     /// enumeration, the recognizer, `Hybrid` ranking, parallel execution
-    /// — recording into `obs` and `costs`.
-    pub fn pipeline(&self, obs: &Observer, costs: &CostCollector) -> DeepEye {
+    /// — recording into `obs`.
+    pub fn pipeline(&self, obs: &Observer) -> DeepEye {
         DeepEye::new(DeepEyeConfig {
             enumeration: EnumerationMode::RuleBased,
             recognizer: Some(self.recognizer.clone()),
             ranking: RankingMethod::Hybrid(self.ltr.clone(), HybridRanker::default()),
             parallel: true,
             observer: obs.clone(),
-            costs: costs.clone(),
             ..DeepEyeConfig::default()
         })
     }

@@ -2,8 +2,9 @@
 //! harness run drives the shipping pipeline through the same scenario
 //! runner as the `harness` binary, and the resulting artifacts must
 //! satisfy the layer's contract — gate self-consistency, regression
-//! naming, span accounting, folded-stack coverage, alloc columns in the
-//! metrics document, and schema/doc sync.
+//! naming, span accounting, execute's split into its two child spans,
+//! folded-stack coverage, alloc columns in the metrics document,
+//! perfdiff's span-path attribution, and schema/doc sync.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -12,7 +13,7 @@ use deepeye_bench::perf::{
     check_budgets, perf_gate, results_json, run_scenario, validate_bench_json, GateConfig, Models,
     ScenarioSpec, Stage, SCHEMA_FIELDS, STAGES,
 };
-use deepeye_obs::{validate_cost_json, CostAcc, CostCollector, Observer, Op};
+use deepeye_obs::{Json, Observer};
 use std::sync::OnceLock;
 
 /// The scenario every test runs: a small generated table.
@@ -32,14 +33,7 @@ fn models() -> &'static Models {
 /// A scaled-down harness pass: the mini scenario through the shipping
 /// pipeline for `reps` repetitions, recorded into `obs`.
 fn mini_harness(obs: &Observer, reps: usize) -> String {
-    mini_harness_with(obs, reps, &CostCollector::disabled())
-}
-
-/// [`mini_harness`] with cost profiling: when `costs` is enabled the
-/// executor collects per-candidate operator counts and flushes the
-/// `cost.*` counters.
-fn mini_harness_with(obs: &Observer, reps: usize, costs: &CostCollector) -> String {
-    let eye = models().pipeline(obs, costs);
+    let eye = models().pipeline(obs);
     let run = run_scenario(&MINI, &eye, &STAGES, 0, reps).expect("scenario runs");
     results_json(&[run], &obs.snapshot())
 }
@@ -80,24 +74,15 @@ fn synthetic_slowdown_names_stage_and_span() {
     // Rebuild the same document with one stage's median doubled — the
     // shape of a real 2x regression in `recognize`.
     let doc = deepeye_obs::parse_json(&baseline).expect("valid");
-    let row = doc
-        .get("scenarios")
-        .and_then(deepeye_obs::Json::as_array)
-        .unwrap()[0]
+    let row = doc.get("scenarios").and_then(Json::as_array).unwrap()[0]
         .get("stages")
-        .and_then(deepeye_obs::Json::as_array)
+        .and_then(Json::as_array)
         .unwrap()
         .iter()
-        .find(|r| r.get("stage").and_then(deepeye_obs::Json::as_str) == Some("recognize"))
+        .find(|r| r.get("stage").and_then(Json::as_str) == Some("recognize"))
         .expect("recognize row");
-    let median = row
-        .get("median_ns")
-        .and_then(deepeye_obs::Json::as_f64)
-        .unwrap() as u64;
-    let max = row
-        .get("max_ns")
-        .and_then(deepeye_obs::Json::as_f64)
-        .unwrap() as u64;
+    let median = row.get("median_ns").and_then(Json::as_f64).unwrap() as u64;
+    let max = row.get("max_ns").and_then(Json::as_f64).unwrap() as u64;
     let slowed_median = (median * 2).max(median + 1_000_000_000);
     let current = baseline
         .replacen(
@@ -126,7 +111,7 @@ fn a_span_that_does_not_close_once_fails_the_run() {
         span: "pipeline.ghost",
         max_median_ns: 1,
     };
-    let eye = models().pipeline(&Observer::enabled(), &CostCollector::disabled());
+    let eye = models().pipeline(&Observer::enabled());
     let err = run_scenario(&MINI, &eye, &[STAGES[0], ghost], 0, 1).unwrap_err();
     assert!(err.contains("mini-250x5"), "{err}");
     assert!(
@@ -134,7 +119,7 @@ fn a_span_that_does_not_close_once_fails_the_run() {
         "{err}"
     );
     // A disabled observer closes no span at all.
-    let blind = models().pipeline(&Observer::disabled(), &CostCollector::disabled());
+    let blind = models().pipeline(&Observer::disabled());
     let err = run_scenario(&MINI, &blind, &STAGES, 0, 1).unwrap_err();
     assert!(
         err.contains("\"ingest\"") && err.contains("closed 0 times"),
@@ -220,24 +205,15 @@ fn schema_fields_match_design_doc() {
 /// else byte-identical — the shape of a clean synthetic regression.
 fn double_stage_median(doc: &str, stage: &str) -> String {
     let parsed = deepeye_obs::parse_json(doc).expect("valid");
-    let row = parsed
-        .get("scenarios")
-        .and_then(deepeye_obs::Json::as_array)
-        .unwrap()[0]
+    let row = parsed.get("scenarios").and_then(Json::as_array).unwrap()[0]
         .get("stages")
-        .and_then(deepeye_obs::Json::as_array)
+        .and_then(Json::as_array)
         .unwrap()
         .iter()
-        .find(|r| r.get("stage").and_then(deepeye_obs::Json::as_str) == Some(stage))
+        .find(|r| r.get("stage").and_then(Json::as_str) == Some(stage))
         .unwrap_or_else(|| panic!("{stage} row"));
-    let median = row
-        .get("median_ns")
-        .and_then(deepeye_obs::Json::as_f64)
-        .unwrap() as u64;
-    let max = row
-        .get("max_ns")
-        .and_then(deepeye_obs::Json::as_f64)
-        .unwrap() as u64;
+    let median = row.get("median_ns").and_then(Json::as_f64).unwrap() as u64;
+    let max = row.get("max_ns").and_then(Json::as_f64).unwrap() as u64;
     let slowed = (median * 2).max(median + 1_000_000_000);
     let current = doc
         .replacen(
@@ -255,98 +231,82 @@ fn double_stage_median(doc: &str, stage: &str) -> String {
 }
 
 #[test]
-fn costed_run_validates_and_matches_worker_counters() {
+fn execute_children_cover_the_worker() {
     let obs = Observer::enabled();
-    let costs = CostCollector::enabled();
-    let _doc = mini_harness_with(&obs, 2, &costs);
-    let report = costs.report();
-    assert!(!report.candidates.is_empty(), "candidates collected");
-    let summary = validate_cost_json(&report.to_json()).expect("cost document validates");
-    assert!(summary.total_ops > 0);
-    assert_eq!(summary.candidates, report.candidates.len());
-    // The exactness invariant across surfaces: collector totals equal
-    // the `cost.*` counters the workers flushed under their
-    // `execute.worker` spans — no operation lost or double-counted.
-    let snapshot = obs.snapshot();
-    for op in Op::ALL {
+    let _doc = mini_harness(&obs, 2);
+    let workers = obs.stage_count("execute.worker");
+    assert!(workers >= 2, "one worker span or more per repetition");
+    for child in ["execute.charts", "execute.features"] {
         assert_eq!(
-            report.totals.get(op),
-            snapshot.counter(op.metric()),
-            "collector total vs worker counter for {}",
-            op.metric()
+            obs.stage_count(child),
+            workers,
+            "{child} closes once per worker"
         );
     }
+    let worker = obs.stage_duration("execute.worker");
+    let children = obs.stage_duration("execute.charts") + obs.stage_duration("execute.features");
+    assert!(
+        children.as_nanos() * 10 >= worker.as_nanos() * 9,
+        "the two phases cover >= 90% of the worker span ({children:?} of {worker:?})"
+    );
+}
+
+/// Add `delta_ns` to the `total_ns` of each of `paths` in a document's
+/// `"stages"` tail.
+fn inflate_paths(doc: &str, paths: &[&str], delta_ns: u64) -> String {
+    let parsed = deepeye_obs::parse_json(doc).expect("valid");
+    let tail = parsed.get("stages").expect("stages tail");
+    let mut out = doc.to_owned();
+    for path in paths {
+        let agg = tail
+            .get(path)
+            .unwrap_or_else(|| panic!("{path} in the tail"));
+        let field = |key: &str| agg.get(key).and_then(Json::as_f64).unwrap() as u64;
+        let (count, total) = (field("count"), field("total_ns"));
+        let row = |ns: u64| format!("\"{path}\": {{\"count\": {count}, \"total_ns\": {ns},");
+        let inflated = out.replacen(&row(total), &row(total + delta_ns), 1);
+        assert_ne!(inflated, out, "substitution must hit {path}");
+        out = inflated;
+    }
+    out
 }
 
 #[test]
 fn perfdiff_attributes_synthetic_execute_slowdown() {
-    // Acceptance shape: a 2x execute slowdown plus an inflated
-    // group-probe count must make perfdiff name the execute stage and
-    // the probe bucket as the top attribution.
-    let costs = CostCollector::enabled();
-    let baseline = mini_harness_with(&Observer::enabled(), 2, &costs);
-    let base_report = costs.report();
-    assert!(!base_report.candidates.is_empty());
+    // Acceptance shape: a 2x execute slowdown whose time all lands in
+    // feature extraction must make perfdiff name the execute stage and
+    // the `execute.features` span path as the top attribution.
+    let baseline = mini_harness(&Observer::enabled(), 2);
     let current = double_stage_median(&baseline, "execute");
+    let features = "pipeline.recommend/pipeline.execute/execute.worker/execute.features";
+    // The slowdown shows in the features span and, inclusively, in
+    // every ancestor.
+    let ancestors = [
+        "pipeline.recommend",
+        "pipeline.recommend/pipeline.execute",
+        "pipeline.recommend/pipeline.execute/execute.worker",
+        features,
+    ];
+    let current = inflate_paths(&current, &ancestors, 1_000_000_000);
 
-    // A "current" cost document with 8x the group-hash probes, rebuilt
-    // through a collector so the exactness invariant still holds.
-    let cur_costs = CostCollector::enabled();
-    let inflated: Vec<deepeye_obs::CandidateCost> = base_report
-        .candidates
-        .iter()
-        .cloned()
-        .map(|mut c| {
-            c.costs
-                .add(Op::GroupProbes, c.costs.get(Op::GroupProbes) * 7 + 1);
-            c
-        })
-        .collect();
-    cur_costs.record_worker(inflated);
-    let base_cost_doc = base_report.to_json();
-    let cur_cost_doc = cur_costs.report().to_json();
-
-    let report = diff_runs(
-        &baseline,
-        &current,
-        None,
-        Some((&base_cost_doc, &cur_cost_doc)),
-        &GateConfig::default(),
-    )
-    .expect("diff runs");
+    let report = diff_runs(&baseline, &current, None, &GateConfig::default()).expect("diff runs");
     let top = report.top_regression().expect("execute regressed");
     assert_eq!(top.stage, "execute");
     assert!(top.significant);
     let headline = report.attribution().expect("causal headline");
     assert!(headline.starts_with("execute regressed"), "{headline}");
     assert!(
-        headline.contains("attributed to group_probes on"),
+        headline.contains(&format!("most growth in {features} (+1.00s)")),
         "{headline}"
     );
-    let bucket = &report.buckets[0];
-    assert_eq!(bucket.op, "group_probes", "inflated bucket ranks first");
-    assert!(bucket.delta > 0);
-    // Growth spreads across rollup groups, but every growing bucket is
-    // a probe bucket — probes own all of the attributed growth (shares
-    // are per-bucket integer percentages, so their sum truncates low).
-    assert!(
-        report
-            .buckets
-            .iter()
-            .filter(|b| b.delta > 0)
-            .all(|b| b.op == "group_probes"),
-        "only probe buckets grew"
-    );
-    let probe_share: u64 = report
-        .buckets
+    // Self times: only the features path moved.
+    let grown: Vec<&str> = report
+        .paths
         .iter()
-        .filter(|b| b.op == "group_probes")
-        .map(|b| b.share_pct)
-        .sum();
-    assert!(
-        probe_share >= 80,
-        "probes dominate the growth: {probe_share}%"
-    );
+        .filter(|p| p.delta_ns > 0)
+        .map(|p| p.path.as_str())
+        .collect();
+    assert_eq!(grown, [features], "{:?}", report.paths);
     // The GitHub rendering survives the workflow-command quoting rules.
     for notice in report.github_notices(3) {
         assert!(notice.starts_with("::notice title=perfdiff"), "{notice}");

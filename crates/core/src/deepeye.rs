@@ -11,8 +11,8 @@ use crate::ranking::{order_by_score, HybridRanker, LtrRanker};
 use crate::recognition::Recognizer;
 use crate::rules;
 use deepeye_data::Table;
-use deepeye_obs::{CostCollector, Observer};
-use deepeye_query::{queries_with_verdict, valid_queries_observed, UdfRegistry, VisQuery};
+use deepeye_obs::Observer;
+use deepeye_query::{queries_with_verdict, UdfRegistry, VisQuery};
 
 /// How candidate visualizations are enumerated (the `E`/`R` split of the
 /// efficiency experiment, Figure 12).
@@ -63,13 +63,6 @@ pub struct DeepEyeConfig {
     ///
     /// [`Explanation`]: crate::provenance::Explanation
     pub provenance: Provenance,
-    /// Executor cost-profiling hook: per-candidate operator work counts
-    /// (rows scanned, group-hash probes, …) rolled up by chart type ×
-    /// transform × column-pair signature. Defaults to
-    /// [`CostCollector::disabled`] — the executor then runs the
-    /// uninstrumented code path — pass [`CostCollector::enabled`] to
-    /// collect and export a `deepeye-cost/v1` document.
-    pub costs: CostCollector,
 }
 
 impl Default for DeepEyeConfig {
@@ -81,7 +74,6 @@ impl Default for DeepEyeConfig {
             parallel: true,
             observer: Observer::disabled(),
             provenance: Provenance::disabled(),
-            costs: CostCollector::disabled(),
         }
     }
 }
@@ -286,9 +278,9 @@ impl DeepEye {
                 // (ill-typed queries would only fail execution below), minus
                 // the wasted error paths.
                 EnumerationMode::Exhaustive if prov.is_enabled() => {
-                    // Same space, same counters as `valid_queries_observed`,
-                    // plus a provenance record per candidate: why sema
-                    // admitted or rejected it.
+                    // Same space, same counters as the branch below, plus
+                    // a provenance record per candidate: why sema admitted
+                    // or rejected it.
                     let mut out = Vec::new();
                     let mut enumerated = 0u64;
                     let mut sema_rejected = 0u64;
@@ -323,9 +315,20 @@ impl DeepEye {
                     });
                     out
                 }
-                EnumerationMode::Exhaustive => {
-                    valid_queries_observed(table, &self.udfs, obs).collect()
-                }
+                EnumerationMode::Exhaustive => queries_with_verdict(table, &self.udfs)
+                    .filter_map(|(q, verdict)| {
+                        obs.incr("enumerate.raw", 1);
+                        obs.incr(
+                            if verdict.is_none() {
+                                "enumerate.candidates"
+                            } else {
+                                "sema.rejected"
+                            },
+                            1,
+                        );
+                        verdict.is_none().then_some(q)
+                    })
+                    .collect(),
                 EnumerationMode::RuleBased => {
                     let qs = rules::rule_based_queries(table);
                     obs.incr("enumerate.candidates", qs.len() as u64);
@@ -376,7 +379,6 @@ impl DeepEye {
                 self.config.parallel,
                 obs,
                 execute.id(),
-                &self.config.costs,
             )
         };
         if prov.is_enabled() {

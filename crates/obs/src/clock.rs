@@ -2,9 +2,8 @@
 //!
 //! All wall-clock reads in the workspace go through `deepeye-obs`: spans
 //! and [`Observer::timer`](crate::Observer::timer) cover the common
-//! cases, and [`Stopwatch`] covers the rest — per-item latencies buffered
-//! for a batched [`record_many_ns`](crate::Observer::record_many_ns)
-//! flush, or report scripts printing elapsed times. Code outside this
+//! cases, and [`Stopwatch`] covers the rest — report scripts and
+//! benchmarks printing elapsed times. Code outside this
 //! crate never touches `std::time::Instant` directly; clippy's
 //! `disallowed-types` (`clippy.toml`) enforces that, which keeps every
 //! timing source on one clock discipline (monotonic, nanosecond-resolution,

@@ -21,7 +21,9 @@
 //! guard ends it. A per-thread span stack supplies parents automatically;
 //! work shipped to worker threads passes the parent explicitly via
 //! [`Observer::span_under`] so cross-thread children merge under the right
-//! stage (see `deepeye_core::parallel`).
+//! stage (see `deepeye_core::parallel`, where each `execute.worker` span
+//! splits into `execute.charts` and `execute.features`). Time is the one
+//! ruler: a stage is broken down by child spans, never by work counts.
 //!
 //! An enabled observer keeps every finished span for the trace and
 //! flame exporters, and folds each one into exact per-path aggregates
@@ -34,7 +36,7 @@
 //! {
 //!     let _stage = obs.span("pipeline.enumerate");
 //!     obs.incr("enumerate.candidates", 42);
-//!     obs.record_ns("exec.query_ns", 1_500);
+//!     obs.record_ns("progressive.leaf_ns", 1_500);
 //! }
 //! let snapshot = obs.snapshot();
 //! assert_eq!(snapshot.counter("enumerate.candidates"), 42);
@@ -49,7 +51,6 @@
 
 pub mod alloc;
 pub mod clock;
-pub mod cost;
 pub mod flame;
 pub mod hist;
 pub mod json;
@@ -60,10 +61,6 @@ pub mod trace;
 
 pub use alloc::{fmt_bytes, AllocStats};
 pub use clock::Stopwatch;
-pub use cost::{
-    validate_cost_json, CandidateCost, CostAcc, CostCollector, CostReport, CostSummary, GroupCost,
-    NoCost, Op, OpCosts, COST_FIELDS, COST_SCHEMA,
-};
 pub use flame::{flame_svg, folded_stacks, spans_from_chrome_trace, FlameSpan};
 pub use hist::{HistSummary, Histogram};
 pub use json::{parse_json, Json, JsonError};

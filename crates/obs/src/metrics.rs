@@ -7,31 +7,18 @@
 //! [`Observer::record_ns`](crate::Observer::record_ns); nothing ties those
 //! literals together at the type level, so a typo silently forks a metric
 //! (`exec.ok` vs `exec.okay`) and dashboards read zeros. This module is
-//! the single source of truth, and every name in it belongs to a row of
-//! `deepeye-analyze`'s name-sync table, which fails the build when a
-//! literal names an unregistered metric, when a registered name is
-//! recorded nowhere (a dead entry is a doc lie), or when the name and
-//! its DESIGN.md section disagree:
-//!
-//! - `A0005`: the pipeline's metrics, recorded through `Observer` calls
-//!   outside this crate and documented in DESIGN.md §6 "Metric names";
-//! - `A0014`: the `cost.*` counters, one per operator of the
-//!   [`cost`](crate::cost) taxonomy, flushed by
-//!   `deepeye_core::parallel::flush_cost_counters` (§12).
+//! the single source of truth: rule `A0005` of `deepeye-analyze`'s
+//! name-sync table fails the build when a literal in an `Observer` call
+//! outside this crate names an unregistered metric, when a registered
+//! name is recorded nowhere (a dead entry is a doc lie), or when this
+//! registry and DESIGN.md §6 "Metric names" disagree.
 //!
 //! Adding a metric is a three-line change: the call site, this registry,
-//! and the DESIGN.md section of its row.
+//! and DESIGN.md §6.
 
 /// Every counter name ([`Observer::incr`](crate::Observer::incr)) the
 /// pipeline records, sorted.
 pub const COUNTERS: &[&str] = &[
-    "cost.agg_updates",
-    "cost.bin_computations",
-    "cost.group_inserts",
-    "cost.group_probes",
-    "cost.output_rows",
-    "cost.rows_scanned",
-    "cost.sort_comparisons",
     "enumerate.candidates",
     "enumerate.raw",
     "exec.err",
@@ -54,7 +41,7 @@ pub const COUNTERS: &[&str] = &[
 /// [`Observer::record_ns`](crate::Observer::record_ns),
 /// [`Observer::record_many_ns`](crate::Observer::record_many_ns)) the
 /// pipeline records, sorted.
-pub const HISTOGRAMS: &[&str] = &["exec.query_ns", "ltr.epoch_ns", "progressive.leaf_ns"];
+pub const HISTOGRAMS: &[&str] = &["ltr.epoch_ns", "progressive.leaf_ns"];
 
 /// Whether `name` is a registered counter.
 pub fn is_counter(name: &str) -> bool {
@@ -95,7 +82,7 @@ mod tests {
     fn lookups() {
         assert!(is_counter("exec.ok"));
         assert!(!is_counter("exec.okay"));
-        assert!(is_histogram("exec.query_ns"));
+        assert!(is_histogram("progressive.leaf_ns"));
         assert!(!is_histogram("exec.ok"));
     }
 

@@ -417,7 +417,7 @@ mod tests {
             }
         }
         obs.incr("enumerate.candidates", 12);
-        obs.record_many_ns("exec.query_ns", &[100, 2_000, 30_000]);
+        obs.record_many_ns("progressive.leaf_ns", &[100, 2_000, 30_000]);
         obs
     }
 
@@ -452,7 +452,7 @@ mod tests {
         assert!(report.contains("pipeline.recommend"));
         assert!(report.contains("  pipeline.enumerate"), "indented child");
         assert!(report.contains("enumerate.candidates"));
-        assert!(report.contains("exec.query_ns"));
+        assert!(report.contains("progressive.leaf_ns"));
         assert!(report.contains("count=3"));
     }
 
@@ -527,7 +527,7 @@ mod tests {
         );
         let hist = doc
             .get("histograms")
-            .and_then(|h| h.get("exec.query_ns"))
+            .and_then(|h| h.get("progressive.leaf_ns"))
             .expect("histogram exported");
         assert_eq!(hist.get("count").and_then(Json::as_f64), Some(3.0));
         assert_eq!(hist.get("sum_ns").and_then(Json::as_f64), Some(32_100.0));

@@ -15,10 +15,14 @@
 use crate::ast::{Aggregate, Transform, VisQuery};
 use crate::bins::{bin_keys, group_keys, Bucketizer, Key, UdfRegistry};
 use crate::chart::{ChartData, Series};
-use crate::exec::{apply_order, execute_impl, QueryError};
+use crate::exec::{apply_order, execute_with, QueryError};
 use deepeye_data::{ColumnData, Table};
-use deepeye_obs::{CostAcc, NoCost, Op, OpCosts};
 use std::collections::HashMap;
+
+/// Whether a query rides a shared scan: GROUP or BIN with an aggregate.
+fn shareable(q: &VisQuery) -> bool {
+    !matches!(q.transform, Transform::None) && q.aggregate != Aggregate::Raw
+}
 
 /// Execute many queries with shared scans. `results[i]` corresponds to
 /// `queries[i]`.
@@ -27,58 +31,6 @@ pub fn execute_batch(
     queries: &[VisQuery],
     udfs: &UdfRegistry,
 ) -> Vec<Result<ChartData, QueryError>> {
-    // NoCost is zero-sized: the per-query vector allocates nothing and
-    // every counter monomorphizes away.
-    execute_in_order(table, queries, udfs, &mut vec![NoCost; queries.len()])
-}
-
-/// [`execute_batch`], also returning each query's operator counts
-/// (aligned with `queries`). A group's shared scan is charged to its
-/// first member that passes sema, so the counts sum to exactly the work
-/// the batch did.
-pub fn execute_batch_costed(
-    table: &Table,
-    queries: &[VisQuery],
-    udfs: &UdfRegistry,
-) -> (Vec<Result<ChartData, QueryError>>, Vec<OpCosts>) {
-    let mut costs = vec![OpCosts::default(); queries.len()];
-    let results = execute_in_order(table, queries, udfs, &mut costs);
-    (results, costs)
-}
-
-/// The shared-scan executor's results, in input order.
-fn execute_in_order<C: CostAcc>(
-    table: &Table,
-    queries: &[VisQuery],
-    udfs: &UdfRegistry,
-    costs: &mut [C],
-) -> Vec<Result<ChartData, QueryError>> {
-    let mut results = Vec::with_capacity(queries.len());
-    execute_batch_each(table, queries, udfs, costs, |i, r| results.push((i, r)));
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Whether a query rides a shared scan: GROUP or BIN with an aggregate.
-fn shareable(q: &VisQuery) -> bool {
-    !matches!(q.transform, Transform::None) && q.aggregate != Aggregate::Raw
-}
-
-/// The shared-scan executor. Calls `emit(i, result)` exactly once per
-/// `queries[i]`: a group's queries one after another (in input order) at
-/// its first member's position, every other query at its own.
-///
-/// Each query's sema check, materialization and ORDER BY are charged to
-/// `costs[i]`; a group's scan is charged to — and runs just before the
-/// emission of — its first member that passes sema. A caller timing the
-/// gaps between emissions therefore attributes time the way costs are.
-pub fn execute_batch_each<C: CostAcc>(
-    table: &Table,
-    queries: &[VisQuery],
-    udfs: &UdfRegistry,
-    costs: &mut [C],
-    mut emit: impl FnMut(usize, Result<ChartData, QueryError>),
-) {
     // Query indices per unit of work, in order of first appearance: one
     // unit per (x, transform) group, one per unshareable query.
     let mut units: Vec<Vec<usize>> = Vec::new();
@@ -97,33 +49,32 @@ pub fn execute_batch_each<C: CostAcc>(
         }
     }
 
+    let mut results = Vec::with_capacity(queries.len());
     for members in &units {
         let first = members[0];
         if !shareable(&queries[first]) {
-            emit(
-                first,
-                execute_impl(table, &queries[first], udfs, &mut costs[first]),
-            );
+            results.push((first, execute_with(table, &queries[first], udfs)));
             continue;
         }
+        // The scan runs once, for the group's first member that passes
+        // sema; a member sema rejects fails alone.
         let mut scan: Option<Result<Scan, QueryError>> = None;
         for &i in members {
             let q = &queries[i];
             if let Err(diagnostic) = crate::sema::check_executable(table, q, udfs) {
-                emit(i, Err(diagnostic.into_query_error(q)));
+                results.push((i, Err(diagnostic.into_query_error(q))));
                 continue;
             }
-            let scan =
-                scan.get_or_insert_with(|| Scan::run(table, queries, members, udfs, &mut costs[i]));
-            emit(
-                i,
-                match scan {
-                    Ok(scan) => scan.materialize(q, &mut costs[i]),
-                    Err(e) => Err(e.clone()),
-                },
-            );
+            let scan = scan.get_or_insert_with(|| Scan::run(table, queries, members, udfs));
+            let result = match scan {
+                Ok(scan) => scan.materialize(q),
+                Err(e) => Err(e.clone()),
+            };
+            results.push((i, result));
         }
     }
+    results.sort_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One shared scan's accumulators, per bucket in first-seen key order:
@@ -141,27 +92,21 @@ impl<'q> Scan<'q> {
     /// The key pass and aggregation sweep for the group `members` (same
     /// x and transform; at least one passed sema, so x resolves and the
     /// transform suits it). Y-columns are borrowed, not cloned.
-    fn run<C: CostAcc>(
+    fn run(
         table: &Table,
         queries: &'q [VisQuery],
         members: &[usize],
         udfs: &UdfRegistry,
-        cost: &mut C,
     ) -> Result<Self, QueryError> {
         let q0 = &queries[members[0]];
         let x_col = table
             .column_by_name(&q0.x)
             .ok_or_else(|| QueryError::NoSuchColumn(q0.x.clone()))?;
         let keys = match &q0.transform {
-            Transform::Bin(strategy) => {
-                let keys = bin_keys(x_col, strategy, udfs)?;
-                cost.add(Op::BinComputations, keys.len() as u64);
-                keys
-            }
+            Transform::Bin(strategy) => bin_keys(x_col, strategy, udfs)?,
             // GROUP: raw queries never reach a scan.
             _ => group_keys(x_col),
         };
-        cost.add(Op::RowsScanned, keys.len() as u64);
 
         let mut ys: Vec<&'q str> = Vec::new();
         let mut y_values: Vec<&[Option<f64>]> = Vec::new();
@@ -185,19 +130,15 @@ impl<'q> Scan<'q> {
         let mut y_counts: Vec<Vec<u64>> = vec![Vec::new(); ys.len()];
         for (row, key) in keys.into_iter().enumerate() {
             let Some(key) = key else { continue };
-            cost.add(Op::GroupProbes, 1);
             let idx = buckets.index_of(key);
             if idx == counts.len() {
-                cost.add(Op::GroupInserts, 1);
                 counts.push(0);
                 sums.iter_mut().for_each(|s| s.push(0.0));
                 y_counts.iter_mut().for_each(|c| c.push(0));
             }
-            cost.add(Op::AggUpdates, 1);
             counts[idx] += 1;
             for (yi, vals) in y_values.iter().enumerate() {
                 if let Some(v) = vals[row] {
-                    cost.add(Op::AggUpdates, 1);
                     sums[yi][idx] += v;
                     y_counts[yi][idx] += 1;
                 }
@@ -213,7 +154,7 @@ impl<'q> Scan<'q> {
     }
 
     /// One member's chart from the accumulators, ORDER BY applied.
-    fn materialize<C: CostAcc>(&self, q: &VisQuery, cost: &mut C) -> Result<ChartData, QueryError> {
+    fn materialize(&self, q: &VisQuery) -> Result<ChartData, QueryError> {
         if self.keys.is_empty() {
             return Err(QueryError::EmptyResult);
         }
@@ -242,8 +183,7 @@ impl<'q> Scan<'q> {
             None => format!("CNT({})", q.x),
         };
         let mut series = Series::Keyed(self.keys.iter().cloned().zip(values).collect());
-        apply_order(&mut series, q.order, cost);
-        cost.add(Op::OutputRows, series.len() as u64);
+        apply_order(&mut series, q.order);
         Ok(ChartData {
             chart: q.chart,
             x_label: q.x.clone(),
@@ -257,8 +197,10 @@ impl<'q> Scan<'q> {
 mod tests {
     use super::*;
     use crate::ast::{BinStrategy, ChartType, SortOrder};
-    use crate::exec::{execute_costed, execute_with};
+    use crate::exec::execute_with;
     use deepeye_data::{parse_timestamp, Column, TableBuilder};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn table() -> Table {
         let n = 60;
@@ -396,63 +338,44 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(execute_batch(&table(), &[], &UdfRegistry::default()).is_empty());
-        let (results, costs) = execute_batch_costed(&table(), &[], &UdfRegistry::default());
-        assert!(results.is_empty());
-        assert!(costs.is_empty());
-    }
-
-    #[test]
-    fn costed_batch_matches_plain_batch() {
-        let t = table();
-        let udfs = UdfRegistry::default();
-        let qs = queries();
-        let plain = execute_batch(&t, &qs, &udfs);
-        let (costed, costs) = execute_batch_costed(&t, &qs, &udfs);
-        assert_eq!(plain, costed);
-        assert_eq!(costs.len(), qs.len());
-        assert!(costs.iter().any(|c| !c.is_zero()));
     }
 
     #[test]
     fn shared_scan_saves_work_versus_scalar() {
         // Three aggregates over the same (x, transform) share one scan:
-        // the batch's total work must be strictly below three scalar
-        // executions, and the scan must be charged to the first query.
+        // the batch bins the 60 rows once, three scalar executions bin
+        // them three times.
         let t = table();
-        let udfs = UdfRegistry::default();
-        let qs = sum_avg_cnt();
-        let (results, costs) = execute_batch_costed(&t, &qs, &udfs);
-        assert!(results.iter().all(Result::is_ok));
-        let mut scalar_total = OpCosts::default();
-        let mut batch_total = OpCosts::default();
-        for (q, c) in qs.iter().zip(&costs) {
-            let (out, scalar) = execute_costed(&t, q, &udfs);
-            assert!(out.is_ok());
-            scalar_total.merge(&scalar);
-            batch_total.merge(c);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut udfs = UdfRegistry::default();
+        let counter = Arc::clone(&calls);
+        udfs.register("counted", move |x| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Key::Text(if x < 0.0 { "neg" } else { "pos" }.to_owned())
+        });
+        let qs: Vec<VisQuery> = sum_avg_cnt()
+            .into_iter()
+            .map(|q| VisQuery {
+                x: "v".into(),
+                transform: Transform::Bin(BinStrategy::Udf("counted".into())),
+                ..q
+            })
+            .collect();
+        let batch = execute_batch(&t, &qs, &udfs);
+        assert!(batch.iter().all(Result::is_ok), "{batch:?}");
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 60, "one scan");
+        for (q, b) in qs.iter().zip(&batch) {
+            assert_eq!(b, &execute_with(&t, q, &udfs));
         }
-        // One scan instead of three.
-        assert_eq!(batch_total.get(Op::RowsScanned), 60);
-        assert_eq!(scalar_total.get(Op::RowsScanned), 180);
-        assert!(batch_total.get(Op::GroupProbes) < scalar_total.get(Op::GroupProbes));
-        assert!(batch_total.total() < scalar_total.total());
-        // The scan lands on the group's first query; every query pays
-        // for its own materialization.
-        assert_eq!(costs[0].get(Op::RowsScanned), 60);
-        for (r, per) in results.iter().zip(&costs) {
-            let chart = r.as_ref().unwrap();
-            assert_eq!(per.get(Op::OutputRows), chart.series.len() as u64);
-        }
-        for per in &costs[1..] {
-            assert_eq!(per.get(Op::RowsScanned), 0);
-            assert_eq!(per.get(Op::GroupProbes), 0);
-            assert_eq!(per.get(Op::OutputRows), 3); // a, b, c
-        }
+        assert_eq!(calls.load(Ordering::Relaxed), 180, "one scan per query");
     }
 
     #[test]
-    fn scan_is_charged_to_the_first_valid_member() {
+    fn a_rejected_first_member_fails_alone() {
+        // Sema rejects the group's first member; the scan still runs for
+        // the rest of the group, and every result matches the scalar one.
         let t = table();
+        let udfs = UdfRegistry::default();
         let mut qs = sum_avg_cnt();
         qs.insert(
             0,
@@ -461,35 +384,20 @@ mod tests {
                 ..qs[2].clone()
             },
         );
-        let (results, costs) = execute_batch_costed(&t, &qs, &UdfRegistry::default());
-        assert!(results[0].is_err());
-        assert!(costs[0].is_zero(), "a sema rejection does no work");
-        assert_eq!(costs[1].get(Op::RowsScanned), 60);
+        let results = execute_batch(&t, &qs, &udfs);
+        assert_eq!(results[0], Err(QueryError::NoSuchColumn("nope".into())));
+        for (q, r) in qs.iter().zip(&results).skip(1) {
+            assert!(r.is_ok(), "{q:?}");
+            assert_eq!(r, &execute_with(&t, q, &udfs));
+        }
     }
 
     #[test]
-    fn raw_fallback_costs_land_on_the_query() {
+    fn interleaved_groups_keep_input_order() {
+        // Two groups interleaved in the input: the scans run group by
+        // group, and the results come back in input order.
         let t = table();
         let udfs = UdfRegistry::default();
-        let raw = VisQuery {
-            chart: ChartType::Scatter,
-            x: "v".into(),
-            y: Some("w".into()),
-            transform: Transform::None,
-            aggregate: Aggregate::Raw,
-            order: SortOrder::None,
-        };
-        let (results, costs) = execute_batch_costed(&t, std::slice::from_ref(&raw), &udfs);
-        assert!(results[0].is_ok());
-        let (_, scalar) = execute_costed(&t, &raw, &udfs);
-        assert_eq!(costs[0], scalar);
-    }
-
-    #[test]
-    fn emission_follows_groups() {
-        // Interleaved groups: each group's members are emitted together,
-        // at the position of the group's first member.
-        let t = table();
         let a = sum_avg_cnt();
         let b: Vec<VisQuery> = a
             .iter()
@@ -501,17 +409,10 @@ mod tests {
             })
             .collect();
         let qs = vec![a[0].clone(), b[0].clone(), a[1].clone(), b[1].clone()];
-        let mut order = Vec::new();
-        execute_batch_each(
-            &t,
-            &qs,
-            &UdfRegistry::default(),
-            &mut [NoCost; 4],
-            |i, r| {
-                assert!(r.is_ok());
-                order.push(i);
-            },
-        );
-        assert_eq!(order, vec![0, 2, 1, 3]);
+        let results = execute_batch(&t, &qs, &udfs);
+        for (q, r) in qs.iter().zip(&results) {
+            assert!(r.is_ok(), "{q:?}");
+            assert_eq!(r, &execute_with(&t, q, &udfs), "{q:?}");
+        }
     }
 }

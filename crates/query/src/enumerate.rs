@@ -106,18 +106,14 @@ pub fn valid_queries<'a>(
     table: &'a Table,
     udfs: &'a UdfRegistry,
 ) -> impl Iterator<Item = VisQuery> + 'a {
-    filtered_queries(table, udfs, None)
-}
-
-/// [`valid_queries`] with observability: counts the raw space walked
-/// (`enumerate.raw`), the candidates admitted (`enumerate.candidates`),
-/// and the statically ill-typed queries sema rejects (`sema.rejected`).
-pub fn valid_queries_observed<'a>(
-    table: &'a Table,
-    udfs: &'a UdfRegistry,
-    obs: &'a deepeye_obs::Observer,
-) -> impl Iterator<Item = VisQuery> + 'a {
-    filtered_queries(table, udfs, Some(obs))
+    all_queries(table).filter(move |q| {
+        let executable = sema::check_executable(table, q, udfs).is_ok();
+        debug_assert!(
+            !executable || !sema::analyze(table, q, udfs).iter().any(|d| d.is_error()),
+            "sema invariant violated: check_executable passed a query that analyze rejects: {q:?}"
+        );
+        executable
+    })
 }
 
 /// [`all_queries`] with each candidate's sema verdict attached: `None`
@@ -133,32 +129,6 @@ pub fn queries_with_verdict<'a>(
     all_queries(table).map(move |q| {
         let verdict = sema::check_executable(table, &q, udfs).err();
         (q, verdict)
-    })
-}
-
-fn filtered_queries<'a>(
-    table: &'a Table,
-    udfs: &'a UdfRegistry,
-    obs: Option<&'a deepeye_obs::Observer>,
-) -> impl Iterator<Item = VisQuery> + 'a {
-    all_queries(table).filter(move |q| {
-        let executable = sema::check_executable(table, q, udfs).is_ok();
-        debug_assert!(
-            !executable || !sema::analyze(table, q, udfs).iter().any(|d| d.is_error()),
-            "sema invariant violated: check_executable passed a query that analyze rejects: {q:?}"
-        );
-        if let Some(obs) = obs {
-            obs.incr("enumerate.raw", 1);
-            obs.incr(
-                if executable {
-                    "enumerate.candidates"
-                } else {
-                    "sema.rejected"
-                },
-                1,
-            );
-        }
-        executable
     })
 }
 

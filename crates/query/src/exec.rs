@@ -8,7 +8,6 @@ use crate::ast::{Aggregate, SortOrder, Transform, VisQuery};
 use crate::bins::{bin_keys, group_keys, BinError, Bucketizer, Key, UdfRegistry};
 use crate::chart::{ChartData, Series};
 use deepeye_data::{Column, ColumnData, DataType, Table};
-use deepeye_obs::{CostAcc, NoCost, Op, OpCosts};
 use std::fmt;
 
 /// Errors raised while executing a visualization query.
@@ -59,35 +58,6 @@ pub fn execute_with(
     query: &VisQuery,
     udfs: &UdfRegistry,
 ) -> Result<ChartData, QueryError> {
-    // NoCost monomorphizes every counter away: this is the bare executor.
-    execute_impl(table, query, udfs, &mut NoCost)
-}
-
-/// [`execute_with`], also returning the executor's per-operator work
-/// counts (rows scanned, group-hash probes/inserts, bin computations,
-/// aggregate updates, sort comparisons, output rows). Costs are
-/// deterministic counts of work performed — identical across repeated
-/// runs on the same inputs — and are reported even when the query fails
-/// partway (the work done up to the failure is real).
-pub fn execute_costed(
-    table: &Table,
-    query: &VisQuery,
-    udfs: &UdfRegistry,
-) -> (Result<ChartData, QueryError>, OpCosts) {
-    let mut costs = OpCosts::default();
-    let out = execute_impl(table, query, udfs, &mut costs);
-    (out, costs)
-}
-
-/// The executor body, generic over the cost accumulator so the
-/// uninstrumented path pays nothing. `pub(crate)` for the batch
-/// executor's fallback path, which threads its own accumulators.
-pub(crate) fn execute_impl<C: CostAcc>(
-    table: &Table,
-    query: &VisQuery,
-    udfs: &UdfRegistry,
-    cost: &mut C,
-) -> Result<ChartData, QueryError> {
     if let Err(diagnostic) = crate::sema::check_executable(table, query, udfs) {
         return Err(diagnostic.into_query_error(query));
     }
@@ -104,7 +74,7 @@ pub(crate) fn execute_impl<C: CostAcc>(
     };
 
     let mut chart = match (&query.transform, query.aggregate) {
-        (Transform::None, Aggregate::Raw) => raw_chart(query, x_col, y_col, cost)?,
+        (Transform::None, Aggregate::Raw) => raw_chart(query, x_col, y_col)?,
         (Transform::None, agg) => {
             return Err(QueryError::Invalid(format!(
                 "{} requires a GROUP or BIN transform",
@@ -119,37 +89,28 @@ pub(crate) fn execute_impl<C: CostAcc>(
         (transform, agg) => {
             let keys = match transform {
                 Transform::Group => group_keys(x_col),
-                Transform::Bin(strategy) => {
-                    let keys = bin_keys(x_col, strategy, udfs)?;
-                    // One bin-key computation per source row.
-                    cost.add(Op::BinComputations, keys.len() as u64);
-                    keys
-                }
+                Transform::Bin(strategy) => bin_keys(x_col, strategy, udfs)?,
                 Transform::None => unreachable!("handled above"),
             };
-            cost.add(Op::RowsScanned, keys.len() as u64);
-            aggregated_chart(query, keys, y_col, agg, cost)?
+            aggregated_chart(query, keys, y_col, agg)?
         }
     };
 
-    apply_order(&mut chart.series, query.order, cost);
-    cost.add(Op::OutputRows, chart.series.len() as u64);
+    apply_order(&mut chart.series, query.order);
     Ok(chart)
 }
 
 /// Raw (untransformed) chart: pairs of cell values per row.
-fn raw_chart<C: CostAcc>(
+fn raw_chart(
     query: &VisQuery,
     x_col: &Column,
     y_col: Option<&Column>,
-    cost: &mut C,
 ) -> Result<ChartData, QueryError> {
     let y_col = y_col
         .ok_or_else(|| QueryError::Invalid("a raw query needs an explicit y column".to_owned()))?;
     let y_nums = numeric_view(y_col).ok_or_else(|| {
         QueryError::Invalid(format!("y column {:?} is not numeric", y_col.name()))
     })?;
-    cost.add(Op::RowsScanned, x_col.len() as u64);
     let series = match numeric_scale(x_col) {
         // Both sides numeric-ish: continuous points.
         Some(xs) => {
@@ -186,12 +147,11 @@ fn raw_chart<C: CostAcc>(
 }
 
 /// Grouped/binned chart with SUM / AVG / CNT per bucket.
-fn aggregated_chart<C: CostAcc>(
+fn aggregated_chart(
     query: &VisQuery,
     keys: Vec<Option<Key>>,
     y_col: Option<&Column>,
     agg: Aggregate,
-    cost: &mut C,
 ) -> Result<ChartData, QueryError> {
     let y_label = match (y_col, agg) {
         (_, Aggregate::Raw) => unreachable!("caller rejects Raw"),
@@ -222,21 +182,15 @@ fn aggregated_chart<C: CostAcc>(
     let mut counts: Vec<u64> = Vec::new();
     for (row, key) in keys.into_iter().enumerate() {
         let Some(key) = key else { continue };
-        cost.add(Op::GroupProbes, 1);
         let idx = buckets.index_of(key);
         if idx == sums.len() {
-            cost.add(Op::GroupInserts, 1);
             sums.push(0.0);
             counts.push(0);
         }
         match agg {
-            Aggregate::Cnt => {
-                cost.add(Op::AggUpdates, 1);
-                counts[idx] += 1;
-            }
+            Aggregate::Cnt => counts[idx] += 1,
             Aggregate::Sum | Aggregate::Avg => {
                 if let Some(Some(y)) = y_nums.as_ref().map(|v| v[row]) {
-                    cost.add(Op::AggUpdates, 1);
                     sums[idx] += y;
                     counts[idx] += 1;
                 }
@@ -276,36 +230,14 @@ fn aggregated_chart<C: CostAcc>(
 }
 
 /// Apply the ORDER BY clause in place: X' ascending or Y' descending.
-/// Comparator invocations are counted (`sort_comparisons`) — the sort's
-/// data-dependent work — then flushed to `cost` in one add.
-pub(crate) fn apply_order<C: CostAcc>(series: &mut Series, order: SortOrder, cost: &mut C) {
-    let mut cmps = 0u64;
-    if let Series::Keyed(pairs) = series {
-        match order {
-            SortOrder::None => {}
-            SortOrder::ByX => pairs.sort_by(|a, b| {
-                cmps += 1;
-                a.0.total_cmp(&b.0)
-            }),
-            SortOrder::ByY => pairs.sort_by(|a, b| {
-                cmps += 1;
-                b.1.total_cmp(&a.1)
-            }),
-        }
-    } else if let Series::Points(pts) = series {
-        match order {
-            SortOrder::None => {}
-            SortOrder::ByX => pts.sort_by(|a, b| {
-                cmps += 1;
-                a.0.total_cmp(&b.0)
-            }),
-            SortOrder::ByY => pts.sort_by(|a, b| {
-                cmps += 1;
-                b.1.total_cmp(&a.1)
-            }),
-        }
+pub(crate) fn apply_order(series: &mut Series, order: SortOrder) {
+    match (series, order) {
+        (_, SortOrder::None) => {}
+        (Series::Keyed(pairs), SortOrder::ByX) => pairs.sort_by(|a, b| a.0.total_cmp(&b.0)),
+        (Series::Keyed(pairs), SortOrder::ByY) => pairs.sort_by(|a, b| b.1.total_cmp(&a.1)),
+        (Series::Points(pts), SortOrder::ByX) => pts.sort_by(|a, b| a.0.total_cmp(&b.0)),
+        (Series::Points(pts), SortOrder::ByY) => pts.sort_by(|a, b| b.1.total_cmp(&a.1)),
     }
-    cost.add(Op::SortComparisons, cmps);
 }
 
 /// Numeric view of a column: numbers as-is; temporal as Unix seconds;
@@ -665,82 +597,6 @@ mod tests {
             ),
             Err(QueryError::EmptyResult)
         );
-    }
-
-    #[test]
-    fn costed_execution_matches_and_counts_group_work() {
-        let t = flights();
-        let query = q(
-            ChartType::Bar,
-            "carrier",
-            Some("delay"),
-            Transform::Group,
-            Aggregate::Avg,
-        )
-        .with_order(SortOrder::ByY);
-        let plain = execute(&t, &query).unwrap();
-        let (costed, costs) = execute_costed(&t, &query, &UdfRegistry::default());
-        assert_eq!(costed.unwrap(), plain);
-        // 5 rows, all keys non-null → 5 probes; 3 distinct carriers →
-        // 3 inserts; every row has a delay → 5 aggregate updates; the
-        // output is the 3 buckets; no bins on a GROUP transform.
-        assert_eq!(costs.get(Op::RowsScanned), 5);
-        assert_eq!(costs.get(Op::GroupProbes), 5);
-        assert_eq!(costs.get(Op::GroupInserts), 3);
-        assert_eq!(costs.get(Op::AggUpdates), 5);
-        assert_eq!(costs.get(Op::OutputRows), 3);
-        assert_eq!(costs.get(Op::BinComputations), 0);
-        // Sorting 3 pairs takes at least 2 comparisons.
-        assert!(costs.get(Op::SortComparisons) >= 2);
-    }
-
-    #[test]
-    fn costed_bin_counts_bin_computations() {
-        let query = q(
-            ChartType::Line,
-            "scheduled",
-            Some("delay"),
-            Transform::Bin(BinStrategy::Unit(TimeUnit::Hour)),
-            Aggregate::Avg,
-        );
-        let (out, costs) = execute_costed(&flights(), &query, &UdfRegistry::default());
-        assert!(out.is_ok());
-        assert_eq!(costs.get(Op::BinComputations), 5);
-        assert_eq!(costs.get(Op::RowsScanned), 5);
-        assert_eq!(costs.get(Op::GroupInserts), 2); // 08:00 and 09:00
-        assert_eq!(costs.get(Op::OutputRows), 2);
-    }
-
-    #[test]
-    fn costed_raw_counts_rows_and_output() {
-        let query = q(
-            ChartType::Scatter,
-            "delay",
-            Some("passengers"),
-            Transform::None,
-            Aggregate::Raw,
-        );
-        let (out, costs) = execute_costed(&flights(), &query, &UdfRegistry::default());
-        assert!(out.is_ok());
-        assert_eq!(costs.get(Op::RowsScanned), 5);
-        assert_eq!(costs.get(Op::OutputRows), 5);
-        assert_eq!(costs.get(Op::GroupProbes), 0);
-        assert_eq!(costs.get(Op::AggUpdates), 0);
-    }
-
-    #[test]
-    fn costed_failure_reports_no_phantom_work() {
-        // Rejected by sema before any scan: all counters stay zero.
-        let query = q(
-            ChartType::Bar,
-            "carrier",
-            Some("delay"),
-            Transform::None,
-            Aggregate::Avg,
-        );
-        let (out, costs) = execute_costed(&flights(), &query, &UdfRegistry::default());
-        assert!(out.is_err());
-        assert!(costs.is_zero());
     }
 
     #[test]

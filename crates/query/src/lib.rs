@@ -41,14 +41,14 @@ pub mod parser;
 pub mod sema;
 
 pub use ast::{Aggregate, BinStrategy, ChartType, SortOrder, Transform, VisQuery, DEFAULT_BUCKETS};
-pub use batch::{execute_batch, execute_batch_costed, execute_batch_each};
+pub use batch::execute_batch;
 pub use bins::{bin_keys, group_keys, BinError, Bucketizer, Key, UdfRegistry};
 pub use chart::{ChartData, Series};
 pub use enumerate::{
     all_queries, one_column_queries, one_column_space_size, queries_with_verdict,
-    two_column_queries, two_column_space_size, valid_queries, valid_queries_observed,
+    two_column_queries, two_column_space_size, valid_queries,
 };
-pub use exec::{execute, execute_costed, execute_with, QueryError};
+pub use exec::{execute, execute_with, QueryError};
 pub use multi::{
     analyze_multi_y, analyze_xyz, execute_multi_y, execute_xyz, MultiSeriesChart, MultiYQuery,
     XyzQuery,

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use deepeye_data::{
         table_from_csv_path, table_from_csv_str, DataType, Table, TableBuilder,
     };
-    pub use deepeye_obs::{CostCollector, Observer};
+    pub use deepeye_obs::Observer;
     pub use deepeye_query::{
         execute, parse_query, Aggregate, BinStrategy, ChartType, SortOrder, Transform, VisQuery,
     };

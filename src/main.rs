@@ -14,9 +14,10 @@
 //! snapshot), `--trace-out <file>` (Chrome trace-event timeline — load in
 //! Perfetto or chrome://tracing), `--flame-out <file>` (a self-contained
 //! flame SVG when the path ends in `.svg`, folded stacks otherwise),
-//! `--provenance-out <file>` (the per-candidate decision-provenance
-//! record), and `--cost-out <file>` (the executor cost report). The
-//! observability flags also print a per-stage timing report to stderr.
+//! and `--provenance-out <file>` (the per-candidate decision-provenance
+//! record). The observability flags also print a per-stage timing report
+//! to stderr. Any other `--` argument, or a positional argument beyond
+//! what the command takes, is a usage error (exit 2).
 //!
 //! `explain` runs the full pipeline with provenance collection on and
 //! prints the "why" report: the M/Q/W factor breakdown, dominance
@@ -39,8 +40,7 @@ fn usage() -> ExitCode {
          options:\n  --metrics-out <file>     write a JSON metrics snapshot\n  \
          --trace-out <file>       write a Chrome trace (Perfetto-loadable)\n  \
          --flame-out <file>       write a flame view (.svg) or folded stacks\n  \
-         --provenance-out <file>  write the decision-provenance JSON\n  \
-         --cost-out <file>        write the executor cost report (deepeye-cost/v1)"
+         --provenance-out <file>  write the decision-provenance JSON"
     );
     ExitCode::from(2)
 }
@@ -81,13 +81,23 @@ fn strip_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, ()> 
     Ok(Some(value))
 }
 
+/// The most arguments `command` takes, itself included (flags already
+/// stripped); `None` for an unknown command.
+fn max_args(command: &str) -> Option<usize> {
+    Some(match command {
+        "explain" | "inspect" => 2,
+        "recommend" | "query" | "dashboard" => 3,
+        "search" | "svg" => 4,
+        _ => return None,
+    })
+}
+
 /// Observability outputs requested on the command line.
 struct ObsFlags {
     metrics_out: Option<String>,
     trace_out: Option<String>,
     flame_out: Option<String>,
     provenance_out: Option<String>,
-    cost_out: Option<String>,
 }
 
 impl ObsFlags {
@@ -100,7 +110,6 @@ impl ObsFlags {
             trace_out: strip_flag(args, "--trace-out")?,
             flame_out: strip_flag(args, "--flame-out")?,
             provenance_out: strip_flag(args, "--provenance-out")?,
-            cost_out: strip_flag(args, "--cost-out")?,
         })
     }
 
@@ -129,39 +138,14 @@ impl ObsFlags {
         }
     }
 
-    /// An executor cost collector matching the flags: recording when a
-    /// cost export was requested, the no-op handle (uninstrumented
-    /// executor) otherwise.
-    fn costs(&self) -> CostCollector {
-        if self.cost_out.is_some() {
-            CostCollector::enabled()
-        } else {
-            CostCollector::disabled()
-        }
-    }
-
     /// Write the requested exports and print the stage report to stderr.
-    fn finish(
-        &self,
-        obs: &Observer,
-        prov: &Provenance,
-        costs: &CostCollector,
-    ) -> Result<(), ExitCode> {
+    fn finish(&self, obs: &Observer, prov: &Provenance) -> Result<(), ExitCode> {
         if let Some(path) = &self.provenance_out {
             std::fs::write(path, prov.to_json()).map_err(|e| {
                 eprintln!("error: cannot write {path}: {e}");
                 ExitCode::FAILURE
             })?;
             eprintln!("wrote decision provenance to {path}");
-        }
-        if let Some(path) = &self.cost_out {
-            let report = costs.report();
-            std::fs::write(path, report.to_json()).map_err(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                ExitCode::FAILURE
-            })?;
-            eprintln!("wrote executor cost report to {path}");
-            eprint!("{}", report.cost_table());
         }
         if !self.wanted() {
             return Ok(());
@@ -225,12 +209,30 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
     let Some(command) = args.first().cloned() else {
         return Ok(usage());
     };
+    // `explain`'s own flags go first, so what is left is positional.
+    let (top, query_text) = if command == "explain" {
+        match (
+            strip_flag(&mut args, "--top"),
+            strip_flag(&mut args, "--query"),
+        ) {
+            (Ok(top), Ok(query_text)) => (top, query_text),
+            _ => return Ok(usage()),
+        }
+    } else {
+        (None, None)
+    };
+    let Some(max) = max_args(&command) else {
+        return Ok(usage());
+    };
+    let unknown = args.iter().skip(1).find(|a| a.starts_with("--"));
+    if let Some(extra) = unknown.or_else(|| args.get(max)) {
+        eprintln!("error: unknown argument `{extra}`");
+        return Ok(usage());
+    }
     let prov = flags.provenance(command == "explain");
-    let costs = flags.costs();
     let eye = DeepEye::new(DeepEyeConfig {
         observer: obs.clone(),
         provenance: prov.clone(),
-        costs: costs.clone(),
         ..Default::default()
     });
     match command.as_str() {
@@ -262,7 +264,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                     rec.node.data.ascii_sketch(10)
                 )?;
             }
-            if let Err(code) = flags.finish(&obs, &prov, &costs) {
+            if let Err(code) = flags.finish(&obs, &prov) {
                 return Ok(code);
             }
             Ok(ExitCode::SUCCESS)
@@ -282,7 +284,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             for rec in keyword_search(&eye, &table, keywords, k) {
                 writeln!(stdout, "#{}\n{}", rec.rank, rec.node.data.ascii_sketch(10))?;
             }
-            if let Err(code) = flags.finish(&obs, &prov, &costs) {
+            if let Err(code) = flags.finish(&obs, &prov) {
                 return Ok(code);
             }
             Ok(ExitCode::SUCCESS)
@@ -318,12 +320,6 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             }
         }
         "explain" => {
-            let (Ok(top), Ok(query_text)) = (
-                strip_flag(&mut args, "--top"),
-                strip_flag(&mut args, "--query"),
-            ) else {
-                return Ok(usage());
-            };
             let top = match count("--top", top.as_ref(), 5) {
                 Ok(top) => top,
                 Err(code) => return Ok(code),
@@ -361,7 +357,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 }
                 None => write!(stdout, "{}", log.report(top))?,
             }
-            if let Err(code) = flags.finish(&obs, &prov, &costs) {
+            if let Err(code) = flags.finish(&obs, &prov) {
                 return Ok(code);
             }
             Ok(ExitCode::SUCCESS)
@@ -391,7 +387,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 }
                 writeln!(stdout, "wrote {file}")?;
             }
-            if let Err(code) = flags.finish(&obs, &prov, &costs) {
+            if let Err(code) = flags.finish(&obs, &prov) {
                 return Ok(code);
             }
             Ok(ExitCode::SUCCESS)
@@ -426,7 +422,7 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                 return Ok(ExitCode::FAILURE);
             }
             writeln!(stdout, "wrote {out} (fully offline, inline SVG)")?;
-            if let Err(code) = flags.finish(&obs, &prov, &costs) {
+            if let Err(code) = flags.finish(&obs, &prov) {
                 return Ok(code);
             }
             Ok(ExitCode::SUCCESS)

@@ -151,6 +151,35 @@ fn malformed_k_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_arguments_are_usage_errors() {
+    let dir = tmp_dir("unknown-arg");
+    let csv = sample_csv(&dir);
+    let csv = csv.to_str().unwrap();
+    let target = dir.join("f");
+    let f = target.to_str().unwrap();
+    for (args, bad) in [
+        (vec!["recommend", csv, "3", "--cost-out", f], "--cost-out"),
+        (
+            vec!["recommend", csv, "3", "--metrics-otu", f],
+            "--metrics-otu",
+        ),
+        (vec!["recommend", csv, "3", "4"], "4"),
+        (vec!["inspect", csv, "extra"], "extra"),
+        (vec!["search", "--top", "3", csv, "revenue"], "--top"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument `{bad}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(!target.exists(), "{args:?} wrote {f}");
+    }
+}
+
+#[test]
 fn recommend_strips_byte_order_mark_from_first_column() {
     let dir = tmp_dir("bom");
     let plain = std::fs::read_to_string(sample_csv(&dir)).unwrap();

@@ -58,10 +58,11 @@ fn stage_report_has_nonzero_pipeline_timings() {
         "pipeline.enumerate",
         "pipeline.execute",
         "execute.worker",
+        "execute.charts",
+        "execute.features",
         "pipeline.rank",
         "rank.partial_order",
         "enumerate.candidates",
-        "exec.query_ns",
     ] {
         assert!(
             report.contains(needle),
@@ -90,14 +91,24 @@ fn metrics_snapshot_matches_pipeline_counters() {
         obs.counter("enumerate.candidates"),
         obs.counter("exec.ok") + obs.counter("exec.err")
     );
-    // exec latencies: one histogram sample per executed query.
-    let count = json
-        .get("histograms")
-        .and_then(|h| h.get("exec.query_ns"))
-        .and_then(|h| h.get("count"))
-        .and_then(|v| v.as_f64())
-        .expect("exec.query_ns histogram");
-    assert_eq!(count as u64, obs.counter("enumerate.candidates"));
+    // Execute's two phases: one span each per worker, exported under
+    // the worker's path.
+    let stages = json.get("stages").expect("stages object");
+    let worker = "pipeline.recommend/pipeline.execute/execute.worker";
+    let count = |path: &str| {
+        stages
+            .get(path)
+            .and_then(|s| s.get("count"))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("stage {path} missing"))
+    };
+    for child in ["execute.charts", "execute.features"] {
+        assert_eq!(
+            count(&format!("{worker}/{child}")),
+            count(worker),
+            "{child}"
+        );
+    }
 }
 
 #[test]
@@ -159,11 +170,55 @@ fn parallel_and_sequential_counters_agree() {
     for name in ["enumerate.candidates", "exec.ok", "exec.err", "rank.nodes"] {
         assert_eq!(par.counter(name), seq.counter(name), "{name}");
     }
-    let (ph, sh) = (par.snapshot(), seq.snapshot());
-    assert_eq!(
-        ph.hist("exec.query_ns").map(|h| h.count),
-        sh.hist("exec.query_ns").map(|h| h.count)
-    );
+    for obs in [&par, &seq] {
+        let workers = obs.stage_count("execute.worker");
+        assert_eq!(obs.stage_count("execute.charts"), workers);
+        assert_eq!(obs.stage_count("execute.features"), workers);
+    }
+}
+
+/// A table with enough columns that `recommend` enumerates at least 32
+/// candidates, so its parallel run cuts the work into worker chunks.
+fn wide_table() -> Table {
+    let n = 60;
+    TableBuilder::new("wide")
+        .text("region", (0..n).map(|i| ["North", "South", "East"][i % 3]))
+        .text("channel", (0..n).map(|i| ["web", "store"][i % 2]))
+        .numeric("revenue", (0..n).map(|i| 50.0 + (i * 7 % 31) as f64))
+        .numeric("units", (0..n).map(|i| (i % 9) as f64))
+        .numeric("cost", (0..n).map(|i| 20.0 + (i * 3 % 17) as f64))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn every_worker_splits_into_charts_and_features() {
+    let t = wide_table();
+    for parallel in [false, true] {
+        let obs = Observer::enabled();
+        let eye = DeepEye::new(DeepEyeConfig {
+            observer: obs.clone(),
+            parallel,
+            ..Default::default()
+        });
+        assert!(!eye.recommend(&t, 5).is_empty());
+        assert!(
+            obs.counter("enumerate.candidates") >= 32,
+            "parallel = {parallel}"
+        );
+        let workers = obs.stage_count("execute.worker");
+        assert!(workers >= 1);
+        if !parallel {
+            assert_eq!(workers, 1);
+        }
+        for child in ["execute.charts", "execute.features"] {
+            assert_eq!(
+                obs.stage_count(child),
+                workers,
+                "{child}, parallel = {parallel}"
+            );
+        }
+    }
 }
 
 #[test]
