@@ -2,6 +2,7 @@
 //! recognizer, and a ranking method; get back the top-k visualizations of a
 //! table (the full online pipeline of Figure 4).
 
+use crate::features::{line_trend, slice_entropy};
 use crate::graph::{order_by_log_scores, partial_order_log_scores};
 use crate::node::VisNode;
 use crate::partial_order::{compute_factor_breakdowns, FactorBreakdown, Factors};
@@ -151,11 +152,9 @@ fn narrative_notes(node: &VisNode, f: &Factors) -> Vec<String> {
             ));
         }
         deepeye_query::ChartType::Line => {
-            parts.push(if node.features.trend {
-                format!(
-                    "The series follows a clear trend (fit {:.2}).",
-                    node.features.trend_fit
-                )
+            let trend = line_trend(&node.data.series);
+            parts.push(if trend.follows_distribution {
+                format!("The series follows a clear trend (fit {:.2}).", trend.fit)
             } else {
                 "The series shows no clear trend.".to_owned()
             });
@@ -167,12 +166,13 @@ fn narrative_notes(node: &VisNode, f: &Factors) -> Vec<String> {
             ));
         }
         deepeye_query::ChartType::Pie => {
+            let entropy = slice_entropy(&node.data.series);
             parts.push(format!(
                 "{} slices with {} size diversity.",
                 node.transformed_rows(),
-                if node.features.y_entropy > 0.8 {
+                if entropy > 0.8 {
                     "even"
-                } else if node.features.y_entropy > 0.4 {
+                } else if entropy > 0.4 {
                     "varied"
                 } else {
                     "one dominant"

@@ -8,7 +8,7 @@
 //! recognition classifier must judge.
 
 use deepeye_data::stats;
-use deepeye_data::{correlation, trend_of_series, DataType};
+use deepeye_data::{correlation, trend_of_series, DataType, Trend};
 use deepeye_query::{ChartData, ChartType, Series};
 
 /// Features (1)–(5) for one plotted column.
@@ -86,9 +86,11 @@ fn chart_code(c: ChartType) -> f64 {
     }
 }
 
-/// The full feature set of a visualization node. Carries the paper's 14
-/// dimensions plus the auxiliary statistics the partial-order factors need
-/// (trend fit, y entropy, original row count).
+/// The feature set of a visualization node: the paper's 14 dimensions
+/// plus the original row count and x type that Q (Eq. 6) reads. Every
+/// candidate needs these, for recognition and both rankers; the two
+/// statistics only M reads are computed from the series where M is, by
+/// [`line_trend`] (Eq. 4) and [`slice_entropy`] (Eq. 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeFeatures {
     pub x: ColumnFeatures,
@@ -101,14 +103,6 @@ pub struct NodeFeatures {
     pub source_rows: usize,
     /// Original (pre-transform) data type of the x column.
     pub source_x_type: DataType,
-    /// Eq. 4's binary trend test of the y-series (sorted by x).
-    pub trend: bool,
-    /// R² of the best trend fit, in [0, 1].
-    pub trend_fit: f64,
-    /// Normalized entropy of non-negative y weights (pie significance).
-    pub y_entropy: f64,
-    /// Smallest plotted y value (pie charts require min ≥ 0).
-    pub y_min: f64,
 }
 
 impl NodeFeatures {
@@ -116,62 +110,31 @@ impl NodeFeatures {
     ///
     /// `source_rows` / `source_x_type` describe the original column the
     /// query read so the transform-quality factor `Q(v) = 1 − |X'|/|X|`
-    /// can be computed.
+    /// can be computed. Apart from `chart.chart`, the result depends only
+    /// on these two and the plotted series.
     pub fn from_chart(chart: &ChartData, source_rows: usize, source_x_type: DataType) -> Self {
-        let (xs, ys, x_feat): (Vec<f64>, Vec<f64>, ColumnFeatures) = match &chart.series {
-            Series::Keyed(pairs) => {
-                let xs: Vec<f64> = pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (k, _))| k.scale_position().unwrap_or(i as f64))
-                    .collect();
-                let ys: Vec<f64> = pairs.iter().map(|(_, y)| *y).collect();
-                let x_feat = if pairs.iter().any(|(k, _)| k.scale_position().is_none()) {
-                    ColumnFeatures::from_labels(pairs.len(), pairs.len(), DataType::Categorical)
-                } else {
-                    let dtype = if source_x_type == DataType::Temporal {
-                        DataType::Temporal
-                    } else {
-                        DataType::Numerical
-                    };
-                    ColumnFeatures::from_values(&xs, dtype)
-                };
-                (xs, ys, x_feat)
+        let xs = chart.series.x_positions();
+        let ys = chart.series.y_values();
+        let x_feat = match &chart.series {
+            Series::Keyed(pairs) if pairs.iter().any(|(k, _)| k.scale_position().is_none()) => {
+                ColumnFeatures::from_labels(pairs.len(), pairs.len(), DataType::Categorical)
             }
-            Series::Points(pts) => {
-                let xs: Vec<f64> = pts.iter().map(|(x, _)| *x).collect();
-                let ys: Vec<f64> = pts.iter().map(|(_, y)| *y).collect();
+            _ => {
                 let dtype = if source_x_type == DataType::Temporal {
                     DataType::Temporal
                 } else {
                     DataType::Numerical
                 };
-                let x_feat = ColumnFeatures::from_values(&xs, dtype);
-                (xs, ys, x_feat)
+                ColumnFeatures::from_values(&xs, dtype)
             }
         };
-
-        let y_feat = ColumnFeatures::from_values(&ys, DataType::Numerical);
-        let corr = correlation(&xs, &ys);
-
-        // Trend is evaluated on the y-series in x order.
-        let mut order: Vec<usize> = (0..ys.len()).collect();
-        order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-        let sorted_ys: Vec<f64> = order.iter().map(|&i| ys[i]).collect();
-        let trend = trend_of_series(&sorted_ys);
-
-        let weights: Vec<f64> = ys.iter().map(|y| y.max(0.0)).collect();
         NodeFeatures {
             x: x_feat,
-            y: y_feat,
-            correlation: corr.coefficient,
+            y: ColumnFeatures::from_values(&ys, DataType::Numerical),
+            correlation: correlation(&xs, &ys).coefficient,
             chart: chart.chart,
             source_rows,
             source_x_type,
-            trend: trend.follows_distribution,
-            trend_fit: trend.fit,
-            y_entropy: stats::normalized_entropy(&weights),
-            y_min: stats::min(&ys).unwrap_or(0.0),
         }
     }
 
@@ -200,6 +163,25 @@ impl NodeFeatures {
     pub fn transformed_rows(&self) -> usize {
         self.x.tuples
     }
+}
+
+/// Eq. 4's trend test of a plotted series: its y-values in x order
+/// (stable, so equal positions keep plot order), fitted against
+/// 1, 2, …, n. Text keys sit at their plot rank.
+pub fn line_trend(series: &Series) -> Trend {
+    let xs = series.x_positions();
+    let ys = series.y_values();
+    let mut order: Vec<usize> = (0..ys.len()).collect();
+    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+    let sorted_ys: Vec<f64> = order.iter().map(|&i| ys[i]).collect();
+    trend_of_series(&sorted_ys)
+}
+
+/// Eq. 1's slice diversity: the normalized entropy of a plotted series'
+/// y-values as weights, negative values counting as 0.
+pub fn slice_entropy(series: &Series) -> f64 {
+    let weights: Vec<f64> = series.y_values().iter().map(|y| y.max(0.0)).collect();
+    stats::normalized_entropy(&weights)
 }
 
 /// Dimension of [`NodeFeatures::to_vector`].
@@ -390,7 +372,7 @@ mod tests {
         };
         let f = NodeFeatures::from_chart(&chart, 50, DataType::Numerical);
         assert!(f.correlation > 0.999);
-        assert!(f.trend);
+        assert!(line_trend(&chart.series).follows_distribution);
     }
 
     #[test]
@@ -405,8 +387,8 @@ mod tests {
             y_label: "y".into(),
             series: Series::Points(pts),
         };
-        let f = NodeFeatures::from_chart(&chart, 40, DataType::Numerical);
-        assert!(f.trend, "fit={}", f.trend_fit);
+        let trend = line_trend(&chart.series);
+        assert!(trend.follows_distribution, "fit={}", trend.fit);
     }
 
     #[test]
@@ -415,16 +397,18 @@ mod tests {
             ChartType::Pie,
             vec![(Key::Text("a".into()), 5.0), (Key::Text("b".into()), 5.0)],
         );
+        assert!((slice_entropy(&uniform.series) - 1.0).abs() < 1e-12);
         let f = NodeFeatures::from_chart(&uniform, 10, DataType::Categorical);
-        assert!((f.y_entropy - 1.0).abs() < 1e-12);
-        assert_eq!(f.y_min, 5.0);
+        assert_eq!(f.y.min, 5.0);
 
         let negative = keyed_chart(
             ChartType::Pie,
             vec![(Key::Text("a".into()), -2.0), (Key::Text("b".into()), 5.0)],
         );
+        // A negative slice weighs nothing: one positive slice, no diversity.
+        assert_eq!(slice_entropy(&negative.series), 0.0);
         let f = NodeFeatures::from_chart(&negative, 10, DataType::Categorical);
-        assert!(f.y_min < 0.0);
+        assert!(f.y.min < 0.0);
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub fn score_multi(table: &Table, chart: &MultiSeriesChart) -> f64 {
     let features = NodeFeatures::from_chart(&flat, table.row_count(), source_x_type);
     // Reuse the single-series match quality on the flattened view via a
     // synthetic node (the query part is irrelevant to M).
-    let node = crate::node::VisNode {
-        query: deepeye_query::VisQuery {
+    let node = crate::node::VisNode::new(
+        deepeye_query::VisQuery {
             chart: flat.chart,
             x: chart.x_label.clone(),
             y: None,
@@ -105,9 +105,9 @@ pub fn score_multi(table: &Table, chart: &MultiSeriesChart) -> f64 {
             aggregate: Aggregate::Sum,
             order: deepeye_query::SortOrder::None,
         },
-        data: flat,
+        flat,
         features,
-    };
+    );
     let m = raw_match_quality(&node);
     let q = crate::partial_order::transform_quality(&node);
 
@@ -263,8 +263,8 @@ pub fn recommend_multi_y(table: &Table, k: usize, udfs: &UdfRegistry) -> Vec<Mul
 
         let flat = chart.flattened();
         let features = NodeFeatures::from_chart(&flat, table.row_count(), DataType::Numerical);
-        let node = crate::node::VisNode {
-            query: deepeye_query::VisQuery {
+        let node = crate::node::VisNode::new(
+            deepeye_query::VisQuery {
                 chart: flat.chart,
                 x: chart.x_label.clone(),
                 y: None,
@@ -272,9 +272,9 @@ pub fn recommend_multi_y(table: &Table, k: usize, udfs: &UdfRegistry) -> Vec<Mul
                 aggregate: Aggregate::Cnt,
                 order: deepeye_query::SortOrder::None,
             },
-            data: flat,
+            flat,
             features,
-        };
+        );
         let m = raw_match_quality(&node);
         let q = crate::partial_order::transform_quality(&node);
         let score = (m + q + divergence) / 3.0;

@@ -3,17 +3,32 @@
 
 use crate::features::NodeFeatures;
 use deepeye_data::{DataType, Table};
-use deepeye_query::{execute_with, ChartData, ChartType, QueryError, UdfRegistry, VisQuery};
+use deepeye_query::{
+    execute_with, ChartData, ChartType, Key, QueryError, Series, UdfRegistry, VisQuery,
+};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::OnceLock;
 
 /// A visualization node: "the original data X, Y, the transformed data
 /// X', Y', features F, and the visualization type T" (Def. 1). We carry
 /// the query (which identifies X, Y and the transform), the executed chart
 /// (X', Y'), and the extracted features.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct VisNode {
     pub query: VisQuery,
     pub data: ChartData,
     pub features: NodeFeatures,
+    /// Raw M (Eqs. 1–4), kept from its first computation so that a
+    /// slimmed node still ranks as it did with its series.
+    raw_m: OnceLock<f64>,
+}
+
+/// Equality of query, chart and features; whether raw M has been read
+/// yet does not count.
+impl PartialEq for VisNode {
+    fn eq(&self, other: &Self) -> bool {
+        self.query == other.query && self.data == other.data && self.features == other.features
+    }
 }
 
 impl VisNode {
@@ -22,23 +37,25 @@ impl VisNode {
     /// nodes).
     pub fn build(table: &Table, query: VisQuery, udfs: &UdfRegistry) -> Result<Self, QueryError> {
         let data = execute_with(table, &query, udfs)?;
-        Ok(Self::from_chart(table, query, data))
+        let features =
+            NodeFeatures::from_chart(&data, table.row_count(), source_x_type(table, &query));
+        Ok(Self::new(query, data, features))
     }
 
-    /// The node of an already-executed `query`: extracts features from
-    /// `data` against the source table (the shared-scan executor's
-    /// counterpart of [`VisNode::build`]).
-    pub fn from_chart(table: &Table, query: VisQuery, data: ChartData) -> Self {
-        let source_x_type = table
-            .column_by_name(&query.x)
-            .map(|c| c.data_type())
-            .unwrap_or(DataType::Categorical);
-        let features = NodeFeatures::from_chart(&data, table.row_count(), source_x_type);
+    /// The node of an executed `query` whose features are already known.
+    pub(crate) fn new(query: VisQuery, data: ChartData, features: NodeFeatures) -> Self {
         VisNode {
             query,
             data,
             features,
+            raw_m: OnceLock::new(),
         }
+    }
+
+    /// This node's raw M: `eqs_1_to_4` on the first call, the kept value
+    /// after (the cell behind [`crate::partial_order::raw_match_quality`]).
+    pub(crate) fn raw_m(&self, eqs_1_to_4: impl FnOnce() -> f64) -> f64 {
+        *self.raw_m.get_or_init(eqs_1_to_4)
     }
 
     pub fn chart_type(&self) -> ChartType {
@@ -71,15 +88,18 @@ impl VisNode {
         self.features.to_vector()
     }
 
-    /// Drop the materialized series, keeping the query and features.
+    /// Drop the materialized series, keeping the query, the features and
+    /// raw M.
     ///
-    /// Recognition, the partial-order factors, and both rankers read only
-    /// `features`, so experiments over very large candidate sets (e.g. the
-    /// exhaustive enumeration of a 100k-row table) can slim nodes right
-    /// after feature extraction to bound memory. A slimmed node can always
-    /// be re-executed from its query.
+    /// Recognition and both rankers read only `features`, and M's two
+    /// series statistics (Eqs. 1 and 4) are computed here before the
+    /// series goes, so experiments over very large candidate sets (e.g.
+    /// the exhaustive enumeration of a 100k-row table) can slim nodes
+    /// right after feature extraction to bound memory. A slimmed node can
+    /// always be re-executed from its query.
     pub fn slim(&mut self) {
-        self.data.series = deepeye_query::Series::Keyed(Vec::new());
+        crate::partial_order::raw_match_quality(self);
+        self.data.series = Series::Keyed(Vec::new());
     }
 
     /// Rough heap footprint of the materialized series and labels, for
@@ -97,6 +117,139 @@ impl VisNode {
     /// never-built candidates live in the same id space).
     pub fn id(&self) -> String {
         crate::provenance::query_id(&self.query)
+    }
+}
+
+/// The original type of `query`'s x column (categorical when it is
+/// missing).
+fn source_x_type(table: &Table, query: &VisQuery) -> DataType {
+    table
+        .column_by_name(&query.x)
+        .map(|c| c.data_type())
+        .unwrap_or(DataType::Categorical)
+}
+
+/// The nodes of executed `(query, chart)` pairs, in order.
+///
+/// Apart from the chart type, §III's features are a function of the
+/// source x type and the plotted series (`source_rows` is the table's),
+/// so a repeat of an earlier (x type, series) copies that node's features
+/// with its own chart type instead of extracting them again. A repeat is
+/// found by [`plotted_hash`] and confirmed by [`same_series`]. Each hash
+/// keeps only its first series, so a collision costs one comparison and
+/// an extraction, however many series share the hash. Nothing else is
+/// shared: each node computes its own raw M.
+pub(crate) fn nodes_from_charts(
+    table: &Table,
+    executed: impl IntoIterator<Item = (VisQuery, ChartData)>,
+) -> Vec<VisNode> {
+    nodes_sharing_features(table, executed, plotted_hash)
+}
+
+/// [`nodes_from_charts`] with the hash that finds repeat candidates as a
+/// parameter, so a test can make every series collide.
+fn nodes_sharing_features(
+    table: &Table,
+    executed: impl IntoIterator<Item = (VisQuery, ChartData)>,
+    hash: impl Fn(DataType, &Series) -> u64,
+) -> Vec<VisNode> {
+    let rows = table.row_count();
+    let mut nodes: Vec<VisNode> = Vec::new();
+    let mut firsts: HashMap<u64, usize> = HashMap::new();
+    for (query, data) in executed {
+        let x_type = source_x_type(table, &query);
+        let first = match firsts.entry(hash(x_type, &data.series)) {
+            Entry::Occupied(first) => Some(&nodes[*first.get()]),
+            Entry::Vacant(slot) => {
+                slot.insert(nodes.len());
+                None
+            }
+        };
+        let features = match first.filter(|n| {
+            n.features.source_x_type == x_type && same_series(&n.data.series, &data.series)
+        }) {
+            Some(repeated) => NodeFeatures {
+                chart: data.chart,
+                ..repeated.features.clone()
+            },
+            None => NodeFeatures::from_chart(&data, rows, x_type),
+        };
+        nodes.push(VisNode::new(query, data, features));
+    }
+    nodes
+}
+
+/// A hash of the source x type and every bit of the plotted series, to
+/// find repeats: equal pairs hash equally. It mixes each 64-bit word by
+/// a rotate, xor and multiply (the FxHash step), one word per value.
+fn plotted_hash(x_type: DataType, series: &Series) -> u64 {
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut h = mix(0, x_type as u64);
+    match series {
+        Series::Keyed(pairs) => {
+            h = mix(mix(h, 0), pairs.len() as u64);
+            for (key, y) in pairs {
+                h = match key {
+                    Key::Text(s) => s.as_bytes().chunks(8).fold(mix(h, 1), |h, chunk| {
+                        let mut word = [0u8; 8];
+                        word[..chunk.len()].copy_from_slice(chunk);
+                        mix(h, u64::from_le_bytes(word))
+                    }),
+                    Key::Number(x) => mix(mix(h, 2), x.to_bits()),
+                    Key::Interval { lo, hi } => mix(mix(mix(h, 3), lo.to_bits()), hi.to_bits()),
+                    Key::Time(t) => mix(mix(h, 4), t.unix_seconds() as u64),
+                    Key::Period { unit, index } => mix(mix(mix(h, 5), *unit as u64), *index as u64),
+                };
+                h = mix(h, y.to_bits());
+            }
+        }
+        Series::Points(points) => {
+            h = mix(mix(h, 1), points.len() as u64);
+            for (x, y) in points {
+                h = mix(mix(h, x.to_bits()), y.to_bits());
+            }
+        }
+    }
+    h
+}
+
+/// Whether two plotted series are the same, bit for bit: the same
+/// variant and length, and pair by pair the same key variant, key payload
+/// and y-value, each `f64` compared by [`f64::to_bits`]. Under `==`,
+/// `0.0` would equal `-0.0`, yet `distinct` counts bits, so the two
+/// series have different features; and a NaN would not equal itself.
+pub(crate) fn same_series(a: &Series, b: &Series) -> bool {
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    let same_key = |a: &Key, b: &Key| match (a, b) {
+        (Key::Text(a), Key::Text(b)) => a == b,
+        (Key::Number(a), Key::Number(b)) => same(*a, *b),
+        (Key::Interval { lo, hi }, Key::Interval { lo: lo2, hi: hi2 }) => {
+            same(*lo, *lo2) && same(*hi, *hi2)
+        }
+        (Key::Time(a), Key::Time(b)) => a == b,
+        (
+            Key::Period { unit, index },
+            Key::Period {
+                unit: unit2,
+                index: index2,
+            },
+        ) => unit == unit2 && index == index2,
+        _ => false,
+    };
+    match (a, b) {
+        (Series::Keyed(a), Series::Keyed(b)) => {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((ka, ya), (kb, yb))| same(*ya, *yb) && same_key(ka, kb))
+        }
+        (Series::Points(a), Series::Points(b)) => {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((xa, ya), (xb, yb))| same(*xa, *xb) && same(*ya, *yb))
+        }
+        _ => false,
     }
 }
 
@@ -167,6 +320,31 @@ mod tests {
             slimmed.approx_heap_bytes() < full,
             "slimming shrinks the estimate"
         );
+    }
+
+    /// A hash hit is only a candidate repeat: when every series collides,
+    /// each must still get the features of its own series.
+    #[test]
+    fn colliding_series_keep_their_own_features() {
+        let t = table();
+        let udfs = UdfRegistry::default();
+        let queries = crate::rules::rule_based_queries(&t);
+        let executed: Vec<(VisQuery, ChartData)> = queries
+            .iter()
+            .filter_map(|q| Some((q.clone(), execute_with(&t, q, &udfs).ok()?)))
+            .collect();
+        assert!(executed.len() > 2);
+        let got = nodes_sharing_features(&t, executed, |_, _| 0);
+        for node in &got {
+            let want = VisNode::build(&t, node.query.clone(), &udfs).unwrap();
+            let bits = |n: &VisNode| {
+                n.feature_vector()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(node), bits(&want), "{:?}", node.query);
+        }
     }
 
     #[test]

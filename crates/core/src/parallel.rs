@@ -5,9 +5,10 @@
 //! shared-scan executor ([`deepeye_query::execute_batch`], §V-B
 //! optimization 1) makes every chart — one key pass and one aggregation
 //! sweep per (x column, transform), then per-candidate materialization —
-//! and then each chart's node is built with its features (§III).
+//! and then builds each chart's node, extracting §III's features once per
+//! distinct plotted series in the chunk.
 
-use crate::node::VisNode;
+use crate::node::{nodes_from_charts, VisNode};
 use deepeye_data::Table;
 use deepeye_obs::{Observer, SpanId};
 use deepeye_query::{execute_batch, UdfRegistry, VisQuery};
@@ -57,7 +58,7 @@ pub fn build_nodes_serial_observed(
 /// passing it explicitly is what merges worker spans under the right
 /// stage across threads), with two child spans that split its time:
 /// `execute.charts` (sema, the shared scans, materialization and ORDER
-/// BY) and `execute.features` (building each chart's node). Each worker
+/// BY) and `execute.features` (building the chunk's nodes). Each worker
 /// flushes its `exec.ok` / `exec.err` counts and one allocation charge
 /// once.
 pub fn build_nodes(
@@ -119,17 +120,15 @@ fn build_worker(
     };
     let nodes: Vec<VisNode> = {
         let _features = obs.span("execute.features");
-        chunk
+        let executed = chunk
             .iter()
             .zip(charts)
-            .filter_map(|(q, chart)| {
-                let mut node = VisNode::from_chart(table, q.clone(), chart.ok()?);
-                if slim {
-                    node.slim();
-                }
-                Some(node)
-            })
-            .collect()
+            .filter_map(|(q, chart)| Some((q.clone(), chart.ok()?)));
+        let mut nodes = nodes_from_charts(table, executed);
+        if slim {
+            nodes.iter_mut().for_each(VisNode::slim);
+        }
+        nodes
     };
     if obs.is_enabled() {
         let ok = nodes.len() as u64;
@@ -146,6 +145,7 @@ mod tests {
     use super::*;
     use crate::rules::rule_based_queries;
     use deepeye_data::{parse_timestamp, Column, ColumnData, TableBuilder};
+    use deepeye_query::{Aggregate, ChartType, SortOrder, Transform};
 
     fn table() -> Table {
         let n = 400;
@@ -245,6 +245,38 @@ mod tests {
                     assert_eq!(a.features, b.features, "{:?}", a.query);
                 }
             }
+        }
+    }
+
+    /// Features are shared only between bit-identical series. These two
+    /// charts differ only in `0.0` versus `-0.0`, so they are equal under
+    /// `==` (and to `parallel_equals_serial`), but `distinct` counts bits:
+    /// each must keep its own features.
+    #[test]
+    fn reuse_compares_series_bitwise() {
+        let t = TableBuilder::new("z")
+            .numeric("x", [1.0, 2.0, 3.0])
+            .numeric("pos", [0.0, 0.0, 5.0])
+            .numeric("neg", [-0.0, 0.0, 5.0])
+            .build()
+            .unwrap();
+        let scatter = |y: &str| VisQuery {
+            chart: ChartType::Scatter,
+            x: "x".into(),
+            y: Some(y.into()),
+            transform: Transform::None,
+            aggregate: Aggregate::Raw,
+            order: SortOrder::None,
+        };
+        let queries = vec![scatter("pos"), scatter("neg")];
+        let got = plain(&t, queries.clone(), false);
+        let want = reference(&t, &queries);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].data.series, got[1].data.series);
+        assert_ne!(want[0].features.y.distinct, want[1].features.y.distinct);
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.features.y.min.to_bits(), b.features.y.min.to_bits());
+            assert_eq!(a.features.y.distinct, b.features.y.distinct);
         }
     }
 

@@ -3,6 +3,7 @@
 //! **Q** (quality of transformation, Eq. 6), and
 //! **W** (importance of columns, Eqs. 7–8), plus dominance (Definition 2).
 
+use crate::features::{line_trend, slice_entropy};
 use crate::node::VisNode;
 use deepeye_query::ChartType;
 use deepeye_query::{Aggregate, Transform};
@@ -49,14 +50,24 @@ impl Factors {
 /// Scatter (Eq. 3): the correlation strength `|c(X, Y)|`.
 ///
 /// Line (Eq. 4): `Trend(Y)` — 1 when the series follows a distribution.
+///
+/// The pie's entropy and the line's trend are read from the node's series
+/// ([`slice_entropy`], [`line_trend`]), only for that chart type and
+/// after the early returns. The node keeps the value, so later calls,
+/// including those after [`VisNode::slim`], return it unchanged.
 pub fn raw_match_quality(node: &VisNode) -> f64 {
+    node.raw_m(|| match_quality(node))
+}
+
+/// Eqs. 1–4 for `node`, computed afresh.
+fn match_quality(node: &VisNode) -> f64 {
     let d = node.features.x.distinct;
     match node.chart_type() {
         ChartType::Pie => {
-            if d <= 1 || node.features.y_min < 0.0 || node.query.aggregate == Aggregate::Avg {
+            if d <= 1 || node.features.y.min < 0.0 || node.query.aggregate == Aggregate::Avg {
                 return 0.0;
             }
-            let entropy = node.features.y_entropy;
+            let entropy = slice_entropy(&node.data.series);
             if d <= 10 {
                 entropy
             } else {
@@ -74,7 +85,7 @@ pub fn raw_match_quality(node: &VisNode) -> f64 {
         }
         ChartType::Scatter => node.features.correlation.abs(),
         ChartType::Line => {
-            if node.features.trend {
+            if line_trend(&node.data.series).follows_distribution {
                 1.0
             } else {
                 0.0
@@ -241,7 +252,7 @@ mod tests {
     #[test]
     fn pie_with_negative_values_scores_zero() {
         let n = node(ChartType::Pie, "carrier", "delay", Aggregate::Sum);
-        assert!(n.features.y_min < 0.0);
+        assert!(n.features.y.min < 0.0);
         assert_eq!(raw_match_quality(&n), 0.0);
     }
 
@@ -250,6 +261,50 @@ mod tests {
         let n = node(ChartType::Pie, "carrier", "passengers", Aggregate::Sum);
         let m = raw_match_quality(&n);
         assert!(m > 0.5 && m <= 1.0, "m={m}");
+    }
+
+    /// Figure 12 ranks slimmed nodes. Eqs. 1 and 4 read the series, so
+    /// slimming keeps raw M, and reading it leaves the node equal.
+    #[test]
+    fn slimmed_nodes_rank_as_before() {
+        let t = TableBuilder::new("t")
+            .text(
+                "cat",
+                (0..60).map(|i| ["a", "b", "b", "c", "c", "c"][i % 6]),
+            )
+            .numeric("x", (0..60).map(f64::from))
+            .numeric("y", (0..60).map(|i| 2.0 * f64::from(i) + 1.0))
+            .build()
+            .unwrap();
+        let udfs = UdfRegistry::default();
+        let nodes: Vec<VisNode> = crate::rules::rule_based_queries(&t)
+            .into_iter()
+            .filter_map(|q| VisNode::build(&t, q, &udfs).ok())
+            .collect();
+        let unread = nodes[0].clone();
+        let mut slimmed = nodes.clone();
+        slimmed.iter_mut().for_each(VisNode::slim);
+        let bits = |b: &FactorBreakdown| [b.raw_m, b.m, b.q, b.raw_w, b.w].map(f64::to_bits);
+        let want = compute_factor_breakdowns(&nodes);
+        let got = compute_factor_breakdowns(&slimmed);
+        assert_eq!(
+            got.iter().map(bits).collect::<Vec<_>>(),
+            want.iter().map(bits).collect::<Vec<_>>()
+        );
+        let read = |chart: ChartType| {
+            nodes
+                .iter()
+                .zip(&want)
+                .filter(|(n, _)| n.chart_type() == chart)
+                .map(|(_, b)| b.raw_m)
+                .collect::<Vec<_>>()
+        };
+        assert!(read(ChartType::Line).contains(&1.0), "a line with a trend");
+        assert!(
+            read(ChartType::Pie).iter().any(|&m| m > 0.0 && m < 1.0),
+            "an uneven pie"
+        );
+        assert_eq!(nodes[0], unread);
     }
 
     #[test]

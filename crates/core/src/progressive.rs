@@ -15,7 +15,7 @@
 //! exact for this score: it returns the same top-k as scoring every
 //! candidate (see the `matches_exhaustive` tests).
 
-use crate::node::VisNode;
+use crate::node::{nodes_from_charts, VisNode};
 use crate::partial_order::{raw_match_quality, transform_quality};
 use crate::rules;
 use deepeye_data::{DataType, Table};
@@ -321,6 +321,8 @@ impl<'a> ProgressiveSelector<'a> {
     /// BY is cleared on aggregated candidates so only the winners are
     /// sorted (optimization 3); features of text-keyed charts depend on
     /// series order, so this is also what the scores are defined over.
+    /// Each transform's batch extracts §III's features once per distinct
+    /// plotted series.
     fn materialize_column(
         &self,
         candidates: &[Candidate],
@@ -354,13 +356,18 @@ impl<'a> ProgressiveSelector<'a> {
                 })
                 .collect();
             let results = execute_batch(self.table, &queries, self.udfs);
-            for ((cand, mut query), result) in cands.iter().zip(queries).zip(results) {
-                if let Ok(data) = result {
-                    stats.nodes_generated += 1;
+            let (built, executed): (Vec<&Candidate>, Vec<_>) = cands
+                .iter()
+                .zip(queries)
+                .zip(results)
+                .filter_map(|((cand, mut query), result)| {
                     query.order = cand.query.order;
-                    let node = VisNode::from_chart(self.table, query, data);
-                    out.push(self.score_node(node, cand.w_raw, max_w));
-                }
+                    Some((*cand, (query, result.ok()?)))
+                })
+                .unzip();
+            stats.nodes_generated += built.len();
+            for (cand, node) in built.iter().zip(nodes_from_charts(self.table, executed)) {
+                out.push(self.score_node(node, cand.w_raw, max_w));
             }
         }
         out

@@ -12,6 +12,7 @@
 
 use deepeye::datagen::{flight_table, PerceptionOracle};
 use deepeye::prelude::*;
+use deepeye_core::features::line_trend;
 use deepeye_data::TimeUnit;
 use deepeye_query::UdfRegistry;
 
@@ -64,14 +65,14 @@ fn main() {
     println!(
         "Figure 1(c) — AVG delay by hour of day   | {} buckets, trend: {}, oracle score {:.0}",
         hourly.transformed_rows(),
-        hourly.features.trend,
+        line_trend(&hourly.data.series).follows_distribution,
         oracle.score(&hourly)
     );
     println!("{}", hourly.data.ascii_sketch(24));
     println!(
         "Figure 1(d) — AVG delay by day of year   | {} buckets, trend: {}, oracle score {:.0}",
         daily.transformed_rows(),
-        daily.features.trend,
+        line_trend(&daily.data.series).follows_distribution,
         oracle.score(&daily)
     );
     println!("(sketch omitted — 365 structureless points, exactly why it's \"bad\")");

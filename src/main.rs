@@ -307,6 +307,9 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
             match parse_query(&text).map(|p| execute(&table, &p.query)) {
                 Ok(Ok(chart)) => {
                     writeln!(stdout, "{chart}")?;
+                    if let Err(code) = flags.finish(&obs, &prov) {
+                        return Ok(code);
+                    }
                     Ok(ExitCode::SUCCESS)
                 }
                 Ok(Err(e)) => {
@@ -445,6 +448,9 @@ fn run(stdout: &mut impl Write) -> io::Result<ExitCode> {
                     col.null_count(),
                     profile.summary_line(col.data_type()),
                 )?;
+            }
+            if let Err(code) = flags.finish(&obs, &prov) {
+                return Ok(code);
             }
             Ok(ExitCode::SUCCESS)
         }

@@ -218,6 +218,61 @@ fn recommend_trace_names_pipeline_ingest() {
     assert!(report.contains("pipeline.ingest"), "{report}");
 }
 
+#[test]
+fn inspect_writes_requested_metrics() {
+    let dir = tmp_dir("inspect-metrics");
+    let csv = sample_csv(&dir);
+    let metrics = dir.join("metrics.json");
+    let out = bin()
+        .args([
+            "inspect",
+            csv.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).expect("inspect wrote the metrics file");
+    deepeye::obs::validate_metrics_json(&text).expect("metrics validate");
+    assert!(text.contains("\"pipeline.ingest\""), "{text}");
+}
+
+#[test]
+fn query_writes_requested_trace() {
+    let dir = tmp_dir("query-trace");
+    let csv = sample_csv(&dir);
+    let vql = dir.join("q.vql");
+    std::fs::write(
+        &vql,
+        "VISUALIZE bar\nSELECT region, SUM(revenue)\nFROM sales\nGROUP BY region",
+    )
+    .unwrap();
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args([
+            "query",
+            csv.to_str().unwrap(),
+            vql.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).expect("query wrote the trace file");
+    deepeye::obs::validate_chrome_trace(&text).expect("trace validates");
+    assert!(text.contains("\"pipeline.ingest\""), "{text}");
+}
+
 /// What `deepeye` must do with one file of the CSV corpus.
 enum Expect {
     /// `recommend` exits 0 with ranked charts, and `inspect` reads this
