@@ -145,8 +145,6 @@ const OBS_METHODS: &[&str] = &[
     "alloc_many",
     "alloc_release",
     "incr",
-    "record_ns",
-    "record_many_ns",
     "timer",
     "span",
     "span_under",
@@ -378,8 +376,7 @@ pub enum Uses {
     /// `[a-z0-9_.]`), in the product code of every crate but this one.
     Literals,
     /// Metric literals in `Observer` record calls (`incr` records a
-    /// counter; `timer`, `record_ns` and `record_many_ns` a histogram)
-    /// outside deepeye-obs and this crate.
+    /// counter, `timer` a histogram) outside deepeye-obs and this crate.
     RecordCalls,
 }
 
@@ -625,7 +622,7 @@ fn record_call_metrics<'a>(ws: &'a Workspace, uses: &mut Vec<Use<'a>>) {
             }
             let kind = match toks.get(i + 1).and_then(Token::ident) {
                 Some("incr") => "counter",
-                Some("timer" | "record_ns" | "record_many_ns") => "histogram",
+                Some("timer") => "histogram",
                 _ => continue,
             };
             if !toks.get(i + 2).is_some_and(|t| t.is_punct('(')) || !file.is_product(i) {
@@ -743,7 +740,7 @@ fn f(prov: &Provenance) {
         let src = r#"
 fn f(obs: &Observer, name: &str) {
     obs.incr("plain.name", 1);
-    obs.record_many_ns(&format!("dyn.{name}"), &[1]);
+    let _t = obs.timer(&format!("dyn.{name}"));
 }
 "#;
         let hits = run_rule("A0002", vec![("crates/core/src/x.rs", src)], "");
@@ -840,7 +837,7 @@ impl Code {
             .iter()
             .map(|(name, kind)| match *kind {
                 "counter" => format!("    obs.incr({name:?}, 1);\n"),
-                _ => format!("    obs.record_ns({name:?}, 1);\n"),
+                _ => format!("    let _t = obs.timer({name:?});\n"),
             })
             .collect();
         let documented: Vec<String> = names.keys().map(|name| format!("`{name}`")).collect();

@@ -6,11 +6,13 @@
 //!    product's scorer, `partial_order_log_scores`, on the same factors,
 //!    with the number of distinct factor triples it folds over.
 //! 2. Progressive tournament vs exhaustive scoring (§V-B) — leaves
-//!    skipped, scans shared, identical top-k.
+//!    skipped, scans shared, identical top-k (node ids and score bits).
 //! 3. Hybrid α sweep — NDCG as a function of the preference weight.
 //! 4. Ranking lenses — DeepEye's perception-based partial order vs a
 //!    SeeDB-style deviation ranker on the same perception ground truth
 //!    (the paper's §I argument for angle 3 over angle 1).
+//!
+//! Exits non-zero when any `same …` cell reads `false`.
 
 // Experiment drivers are report scripts: aborting on a broken
 // invariant is the right behavior, so the workspace unwrap/panic
@@ -24,6 +26,7 @@ use deepeye_core::graph::order_by_log_scores;
 use deepeye_core::{
     compute_factors, exhaustive_top_k, partial_order_log_scores, rank_by_deviation,
     rank_by_partial_order, DeviationMetric, DominanceGraph, HybridRanker, ProgressiveSelector,
+    ScoredNode,
 };
 use deepeye_datagen::{
     build_table, candidate_nodes, dense_relevance, test_specs, PerceptionOracle,
@@ -32,9 +35,12 @@ use deepeye_ml::ndcg;
 use deepeye_obs::Stopwatch;
 use deepeye_query::UdfRegistry;
 use std::collections::HashSet;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let scale = scale_from_env();
+    // Every `same …` cell printed; one `false` fails the run.
+    let mut all_same = true;
     let oracle = PerceptionOracle::default();
     println!("== Ablations (scale {scale}) ==");
 
@@ -76,6 +82,7 @@ fn main() {
         let scorer_time = t2.elapsed();
         let scorer_top10 =
             order_by_log_scores(&factors, &scores)[..naive_top10.len()] == naive_top10;
+        all_same &= same_edges && same_top10;
         // The scorer folds once per distinct triple (−0.0 reads as 0.0).
         let distinct = factors
             .iter()
@@ -115,10 +122,13 @@ fn main() {
         let selector = ProgressiveSelector::new(&table, &udfs);
         let (prog, ps) = selector.top_k(5);
         let (exh, es) = exhaustive_top_k(&table, &udfs, 5);
-        let same = prog
-            .iter()
-            .zip(&exh)
-            .all(|(a, b)| (a.score - b.score).abs() < 1e-12);
+        let ids = |top: &[ScoredNode]| -> Vec<(String, u64)> {
+            top.iter()
+                .map(|s| (s.node.id(), s.score.to_bits()))
+                .collect()
+        };
+        let same = ids(&prog) == ids(&exh);
+        all_same &= same;
         t.row([
             format!("X{}", i + 1),
             format!("{}/{}", ps.leaves_materialized, ps.leaves_total),
@@ -215,4 +225,10 @@ fn main() {
          explain a choice the way the M/Q/W factors can. The comparison is\n\
          a genuine limitation of perception-oracle evaluation worth noting."
     );
+    if all_same {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("ablations: a `same …` cell reads false");
+        ExitCode::FAILURE
+    }
 }

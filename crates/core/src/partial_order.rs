@@ -98,14 +98,20 @@ fn match_quality(node: &VisNode) -> f64 {
 /// transform condenses the data, the better. Raw (untransformed) charts
 /// keep |X'| = |X| and thus score 0.
 pub fn transform_quality(node: &VisNode) -> f64 {
-    let source = node.source_rows();
-    if source == 0 {
-        return 0.0;
-    }
     if node.query.transform == Transform::None {
         return 0.0;
     }
-    (1.0 - node.transformed_rows() as f64 / source as f64).clamp(0.0, 1.0)
+    condensation(node.transformed_rows(), node.source_rows())
+}
+
+/// Eq. 6's `1 − |X'|/|X|` for `marks` plotted from `rows` source rows
+/// (0 for an empty source). The tournament bounds a GROUP leaf with this
+/// same expression, so the bound equals the realized Q bit for bit.
+pub(crate) fn condensation(marks: usize, rows: usize) -> f64 {
+    if rows == 0 {
+        return 0.0;
+    }
+    (1.0 - marks as f64 / rows as f64).clamp(0.0, 1.0)
 }
 
 /// Column importance W(X) for every column: the ratio of valid charts

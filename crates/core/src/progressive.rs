@@ -1,24 +1,29 @@
 //! The progressive top-k selector of §V-B.
 //!
 //! Instead of materializing every candidate visualization and ranking the
-//! lot, the selector keeps one lazy *leaf* per (column, type) — the paper's
-//! `L_c^X` / `L_n^X` / `L_t^X` lists — and runs a tournament: a leaf is
-//! only materialized when its optimistic score bound reaches the top of the
-//! heap, and materializing a leaf computes **all** of its charts from one
-//! shared scan per transform (§V-B optimization 1). Columns whose bound
-//! never surfaces are never scanned at all (optimization 2), and ORDER BY
-//! is applied only to the k winners (optimization 3).
+//! lot, the selector keeps one lazy *leaf* per (x column, transform), a
+//! finer cut of the paper's per-column `L_c^X` / `L_n^X` / `L_t^X` lists,
+//! and runs a tournament: a leaf is only materialized when its optimistic
+//! score bound reaches the top of the heap, and materializing a leaf
+//! computes **all** of its charts from one shared scan (§V-B optimization
+//! 1). A leaf's bound uses only what is known before any scan: M ≤ 1,
+//! Q = 0 for raw charts, Q = 1 − d/|X| exactly for a GROUP over d distinct
+//! keys, Q ≤ 1 for a BIN, and the best exact W among its candidates.
+//! Leaves whose bound never surfaces are never scanned at all
+//! (optimization 2), and ORDER BY is applied only to the k winners
+//! (optimization 3).
 //!
 //! Scores here are the unnormalized composite `(M + Q + W)/3`: unlike
 //! Eq. 5's set-relative normalization this is computable leaf-locally,
 //! which is what makes progressive evaluation possible. The tournament is
-//! exact for this score: it returns the same top-k as scoring every
-//! candidate (see the `matches_exhaustive` tests).
+//! exact for this score and its tie rule: it returns the same top-k, in
+//! the same order, as scoring every candidate and sorting by score, then
+//! node id ([`exhaustive_top_k`]).
 
 use crate::node::{nodes_from_charts, VisNode};
-use crate::partial_order::{raw_match_quality, transform_quality};
+use crate::partial_order::{condensation, raw_match_quality, transform_quality};
 use crate::rules;
-use deepeye_data::{DataType, Table};
+use deepeye_data::{Column, DataType, Table};
 use deepeye_query::{execute_batch, Series, SortOrder, Transform, UdfRegistry, VisQuery};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,20 +36,21 @@ pub struct ScoredNode {
     pub score: f64,
 }
 
-/// Work counters for the efficiency experiments and ablations.
+/// Work counters for the efficiency experiments and ablations. A leaf is
+/// one (x column, transform) pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectionStats {
-    /// Leaves (columns) actually materialized.
+    /// Leaves actually materialized.
     pub leaves_materialized: usize,
     /// Leaves evicted by their bound: still in the heap unmaterialized when
-    /// the tournament filled the top-k (their optimistic bound never beat a
-    /// realized score, so their columns were never scanned).
+    /// the tournament filled the top-k (their optimistic bound stayed below
+    /// the k-th realized score, so their charts were never computed).
     pub leaves_pruned: usize,
-    /// Total leaves (columns with any candidate).
+    /// Total leaves ((x column, transform) pairs with any candidate).
     pub leaves_total: usize,
     /// Candidate nodes generated.
     pub nodes_generated: usize,
-    /// Table scans performed (one per materialized (column, transform)).
+    /// Table scans performed (one per materialized GROUP or BIN leaf).
     pub shared_scans: usize,
 }
 
@@ -60,28 +66,46 @@ fn canonical_order(x_prime: DataType) -> SortOrder {
 }
 
 /// A candidate chart descriptor, known before any scan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Candidate {
     query: VisQuery,
     /// W(v): sum of participating columns' importance, unnormalized.
     w_raw: f64,
 }
 
+/// The candidates of one (x column, transform) and the optimistic bound
+/// on their scores.
+struct Leaf {
+    column: usize,
+    transform: Transform,
+    candidates: Vec<Candidate>,
+    bound: f64,
+}
+
+/// The progressive score `(M + Q + W)/3`. Leaf bounds use it too: each
+/// operation rounds monotonically, so factors no larger than the bound's
+/// never give a larger score.
+fn composite(m: f64, q: f64, w: f64) -> f64 {
+    (m + q + w) / 3.0
+}
+
 /// Heap entry: either an unmaterialized leaf with an optimistic bound or a
-/// concrete scored node.
+/// concrete scored node (`id` is its [`VisNode::id`]).
+///
+/// Entries pop in [`exhaustive_top_k`]'s order: higher score first, then
+/// lower node id. A leaf pops before a node whose score equals its bound,
+/// because the leaf may hold a chart of that score with a lower id; tied
+/// leaves pop in leaf order.
 enum Entry {
-    Leaf { column: usize, bound: f64 },
-    Node { score: f64, seq: usize },
+    Leaf { leaf: usize, bound: f64 },
+    Node { score: f64, id: String, seq: usize },
 }
 
 impl Entry {
-    fn key(&self) -> (f64, u8) {
-        // Nodes win ties against leaf bounds (a realized score equal to a
-        // bound can be emitted without materializing the leaf — the leaf
-        // cannot beat it, only match it; index tie-break keeps determinism).
+    fn value(&self) -> f64 {
         match self {
-            Entry::Leaf { bound, .. } => (*bound, 0),
-            Entry::Node { score, .. } => (*score, 1),
+            Entry::Leaf { bound, .. } => *bound,
+            Entry::Node { score, .. } => *score,
         }
     }
 }
@@ -99,9 +123,15 @@ impl PartialOrd for Entry {
 }
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        let (sa, ta) = self.key();
-        let (sb, tb) = other.key();
-        sa.total_cmp(&sb).then(ta.cmp(&tb))
+        // `BinaryHeap` pops the greatest entry.
+        self.value()
+            .total_cmp(&other.value())
+            .then_with(|| match (self, other) {
+                (Entry::Leaf { leaf: a, .. }, Entry::Leaf { leaf: b, .. }) => b.cmp(a),
+                (Entry::Leaf { .. }, Entry::Node { .. }) => Ordering::Greater,
+                (Entry::Node { .. }, Entry::Leaf { .. }) => Ordering::Less,
+                (Entry::Node { id: a, .. }, Entry::Node { id: b, .. }) => b.cmp(a),
+            })
     }
 }
 
@@ -116,8 +146,10 @@ impl<'a> ProgressiveSelector<'a> {
         ProgressiveSelector { table, udfs }
     }
 
-    /// All canonical candidates grouped by x-column, with raw W weights.
-    fn candidates_by_column(&self) -> (Vec<Vec<Candidate>>, f64) {
+    /// All canonical candidates as bounded leaves, one per (x column,
+    /// transform) in order of first appearance, and the max raw W that
+    /// normalizes every W.
+    fn leaves(&self) -> (Vec<Leaf>, f64) {
         let queries = canonical_candidates(self.table);
         // Column importance from candidate membership (computable without
         // executing anything).
@@ -136,7 +168,8 @@ impl<'a> ProgressiveSelector<'a> {
             .map(|(c, n)| (c.to_owned(), n as f64 / total))
             .collect();
 
-        let mut by_column: Vec<Vec<Candidate>> = vec![Vec::new(); self.table.column_count()];
+        let mut leaves: Vec<Leaf> = Vec::new();
+        let mut by_column: Vec<Vec<usize>> = vec![Vec::new(); self.table.column_count()];
         let mut max_w: f64 = 0.0;
         for query in queries {
             let mut w_raw = importance.get(&query.x).copied().unwrap_or(0.0);
@@ -146,13 +179,65 @@ impl<'a> ProgressiveSelector<'a> {
                 }
             }
             max_w = max_w.max(w_raw);
-            let Some(col) = self.table.column_index(&query.x) else {
+            let Some(column) = self.table.column_index(&query.x) else {
                 debug_assert!(false, "candidate references missing column {}", query.x);
                 continue;
             };
-            by_column[col].push(Candidate { query, w_raw });
+            let found = by_column[column]
+                .iter()
+                .copied()
+                .find(|&i| leaves[i].transform == query.transform);
+            let i = found.unwrap_or_else(|| {
+                by_column[column].push(leaves.len());
+                leaves.push(Leaf {
+                    column,
+                    transform: query.transform.clone(),
+                    candidates: Vec::new(),
+                    bound: 0.0,
+                });
+                leaves.len() - 1
+            });
+            leaves[i].candidates.push(Candidate { query, w_raw });
         }
-        (by_column, max_w.max(1e-12))
+        let max_w = max_w.max(1e-12);
+        for leaf in &mut leaves {
+            leaf.bound = self.bound(leaf, max_w);
+        }
+        (leaves, max_w)
+    }
+
+    /// A leaf's optimistic score, from what is known before any scan. M is
+    /// at most 1 for every chart type. Q is 0 for raw charts, at most 1
+    /// for a BIN, and exactly `1 − d/|X|` for a GROUP: its key pass makes
+    /// one group per distinct non-null key, which is how
+    /// [`Column::distinct_count`] counts. W is the leaf's best exact
+    /// weight. Q and the score use [`score_node`](Self::score_node)'s
+    /// expressions, so rounding never puts the bound below a score it
+    /// covers.
+    fn bound(&self, leaf: &Leaf, max_w: f64) -> f64 {
+        let q = match leaf.transform {
+            Transform::None => 0.0,
+            Transform::Group => condensation(
+                self.table
+                    .column(leaf.column)
+                    .map_or(0, Column::distinct_count),
+                self.table.row_count(),
+            ),
+            Transform::Bin(_) => 1.0,
+        };
+        let w_best = leaf
+            .candidates
+            .iter()
+            .map(|c| c.w_raw)
+            .fold(0.0f64, f64::max);
+        composite(1.0, q, w_best / max_w)
+    }
+
+    /// The provenance id of a leaf: `column:<name>|<transform>`, with the
+    /// transform formatted as [`crate::provenance::query_id`] formats it.
+    fn leaf_id(&self, leaf: &Leaf) -> String {
+        let name = self.table.column(leaf.column).map_or("?", Column::name);
+        format!("column:{name}|{:?}", leaf.transform)
     }
 
     /// Compute the top-k visualizations progressively.
@@ -173,8 +258,8 @@ impl<'a> ProgressiveSelector<'a> {
     }
 
     /// [`ProgressiveSelector::top_k_observed`] that additionally records
-    /// tournament provenance: a `column:<name>` record per leaf (bound,
-    /// materialized-or-pruned), a record per materialized candidate
+    /// tournament provenance: a `column:<name>|<transform>` record per leaf
+    /// (bound, materialized-or-pruned), a record per materialized candidate
     /// (winner rank or tournament loss), and the leaf-accounting counts.
     /// With provenance disabled this *is* `top_k_observed` — no ids are
     /// formatted, nothing extra allocates.
@@ -187,19 +272,19 @@ impl<'a> ProgressiveSelector<'a> {
         use crate::provenance::Outcome;
         let _span = obs.span("progressive.top_k");
         let explaining = prov.is_enabled();
-        let (by_column, max_w) = self.candidates_by_column();
-        let mut stats = SelectionStats::default();
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-        for (column, cands) in by_column.iter().enumerate() {
-            if cands.is_empty() {
-                continue;
-            }
-            stats.leaves_total += 1;
-            // Optimistic bound: M ≤ 1, Q ≤ 1, exact W known upfront.
-            let w_best = cands.iter().map(|c| c.w_raw).fold(0.0f64, f64::max) / max_w;
-            let bound = (1.0 + 1.0 + w_best) / 3.0;
-            heap.push(Entry::Leaf { column, bound });
-        }
+        let (leaves, max_w) = self.leaves();
+        let mut stats = SelectionStats {
+            leaves_total: leaves.len(),
+            ..SelectionStats::default()
+        };
+        let mut heap: BinaryHeap<Entry> = leaves
+            .iter()
+            .enumerate()
+            .map(|(leaf, l)| Entry::Leaf {
+                leaf,
+                bound: l.bound,
+            })
+            .collect();
 
         let mut materialized: Vec<ScoredNode> = Vec::new();
         let mut emitted: Vec<usize> = Vec::new();
@@ -213,24 +298,25 @@ impl<'a> ProgressiveSelector<'a> {
                     }
                     out.push(materialized[seq].clone());
                 }
-                Some(Entry::Leaf { column, bound }) => {
+                Some(Entry::Leaf { leaf, bound }) => {
+                    let leaf = &leaves[leaf];
                     stats.leaves_materialized += 1;
                     if explaining {
-                        let name = self
-                            .table
-                            .column(column)
-                            .map(deepeye_data::Column::name)
-                            .unwrap_or("?");
-                        prov.record(&format!("column:{name}"), |e| {
+                        prov.record(&self.leaf_id(leaf), |e| {
                             e.outcome = Outcome::LeafMaterialized;
                             e.tournament_score = Some(bound);
                             e.notes
-                                .push(format!("Leaf bound {bound:.4} surfaced; column scanned."));
+                                .push(format!("Leaf bound {bound:.4} surfaced; leaf scanned."));
                         });
                     }
                     let leaf_timer = obs.timer("progressive.leaf_ns");
-                    let nodes = self.materialize_column(&by_column[column], max_w, &mut stats);
+                    let nodes = self.materialize(leaf, max_w, &mut stats);
                     drop(leaf_timer);
+                    debug_assert!(
+                        nodes.iter().all(|s| s.score.total_cmp(&bound).is_le()),
+                        "a score of leaf {} exceeds its bound {bound}",
+                        self.leaf_id(leaf)
+                    );
                     if obs.is_enabled() {
                         // Arena point: leaf materialization is where the
                         // progressive path allocates; charge the batch to
@@ -242,6 +328,7 @@ impl<'a> ProgressiveSelector<'a> {
                         let seq = materialized.len();
                         heap.push(Entry::Node {
                             score: scored.score,
+                            id: scored.node.id(),
                             seq,
                         });
                         materialized.push(scored);
@@ -251,29 +338,25 @@ impl<'a> ProgressiveSelector<'a> {
         }
 
         // Leaves still in the heap were evicted by their bound: the top-k
-        // filled before their optimistic score surfaced, so their columns
-        // were never scanned (§V-B optimization 2).
-        stats.leaves_pruned = heap
+        // filled before their optimistic score surfaced, so their charts
+        // were never computed (§V-B optimization 2).
+        let pruned: Vec<usize> = heap
             .iter()
-            .filter(|e| matches!(e, Entry::Leaf { .. }))
-            .count();
+            .filter_map(|e| match e {
+                Entry::Leaf { leaf, .. } => Some(*leaf),
+                Entry::Node { .. } => None,
+            })
+            .collect();
+        stats.leaves_pruned = pruned.len();
         if explaining {
-            for entry in heap.iter() {
-                if let Entry::Leaf { column, bound } = entry {
-                    let name = self
-                        .table
-                        .column(*column)
-                        .map(deepeye_data::Column::name)
-                        .unwrap_or("?");
-                    let bound = *bound;
-                    prov.record_rejected(&format!("column:{name}"), Outcome::LeafPruned, |e| {
-                        e.tournament_score = Some(bound);
-                        e.notes.push(format!(
-                            "Bound {bound:.4} never reached the heap top; \
-                                 column never scanned."
-                        ));
-                    });
-                }
+            for leaf in pruned.iter().map(|&i| &leaves[i]) {
+                let bound = leaf.bound;
+                prov.record_rejected(&self.leaf_id(leaf), Outcome::LeafPruned, |e| {
+                    e.tournament_score = Some(bound);
+                    e.notes.push(format!(
+                        "Bound {bound:.4} never reached the heap top; leaf never scanned."
+                    ));
+                });
             }
             for (rank, scored) in out.iter().enumerate() {
                 let score = scored.score;
@@ -316,61 +399,43 @@ impl<'a> ProgressiveSelector<'a> {
         (out, stats)
     }
 
-    /// Materialize every candidate of one column through the shared-scan
-    /// executor: one key pass and aggregation sweep per transform. ORDER
-    /// BY is cleared on aggregated candidates so only the winners are
-    /// sorted (optimization 3); features of text-keyed charts depend on
-    /// series order, so this is also what the scores are defined over.
-    /// Each transform's batch extracts §III's features once per distinct
-    /// plotted series.
-    fn materialize_column(
-        &self,
-        candidates: &[Candidate],
-        max_w: f64,
-        stats: &mut SelectionStats,
-    ) -> Vec<ScoredNode> {
-        // Group candidates by transform so each transform scans once.
-        let mut by_transform: Vec<(&Transform, Vec<&Candidate>)> = Vec::new();
-        for cand in candidates {
-            match by_transform
-                .iter_mut()
-                .find(|(t, _)| **t == cand.query.transform)
-            {
-                Some((_, list)) => list.push(cand),
-                None => by_transform.push((&cand.query.transform, vec![cand])),
-            }
+    /// Materialize every candidate of one leaf in one `execute_batch`: a
+    /// GROUP or BIN leaf is one key pass and aggregation sweep, a raw leaf
+    /// executes each chart directly, ORDER BY included. ORDER BY is
+    /// cleared on aggregated candidates so only the winners are sorted
+    /// (optimization 3); features of text-keyed charts depend on series
+    /// order, so this is also what the scores are defined over. The batch
+    /// extracts §III's features once per distinct plotted series.
+    fn materialize(&self, leaf: &Leaf, max_w: f64, stats: &mut SelectionStats) -> Vec<ScoredNode> {
+        let raw = leaf.transform.is_none();
+        if !raw {
+            stats.shared_scans += 1;
         }
-
-        let mut out = Vec::new();
-        for (transform, cands) in by_transform {
-            // Raw charts execute directly, ORDER BY included.
-            let raw = matches!(transform, Transform::None);
-            if !raw {
-                stats.shared_scans += 1;
-            }
-            let queries: Vec<VisQuery> = cands
-                .iter()
-                .map(|c| VisQuery {
-                    order: if raw { c.query.order } else { SortOrder::None },
-                    ..c.query.clone()
-                })
-                .collect();
-            let results = execute_batch(self.table, &queries, self.udfs);
-            let (built, executed): (Vec<&Candidate>, Vec<_>) = cands
-                .iter()
-                .zip(queries)
-                .zip(results)
-                .filter_map(|((cand, mut query), result)| {
-                    query.order = cand.query.order;
-                    Some((*cand, (query, result.ok()?)))
-                })
-                .unzip();
-            stats.nodes_generated += built.len();
-            for (cand, node) in built.iter().zip(nodes_from_charts(self.table, executed)) {
-                out.push(self.score_node(node, cand.w_raw, max_w));
-            }
-        }
-        out
+        let queries: Vec<VisQuery> = leaf
+            .candidates
+            .iter()
+            .map(|c| VisQuery {
+                order: if raw { c.query.order } else { SortOrder::None },
+                ..c.query.clone()
+            })
+            .collect();
+        let results = execute_batch(self.table, &queries, self.udfs);
+        let (built, executed): (Vec<&Candidate>, Vec<_>) = leaf
+            .candidates
+            .iter()
+            .zip(queries)
+            .zip(results)
+            .filter_map(|((cand, mut query), result)| {
+                query.order = cand.query.order;
+                Some((cand, (query, result.ok()?)))
+            })
+            .unzip();
+        stats.nodes_generated += built.len();
+        built
+            .iter()
+            .zip(nodes_from_charts(self.table, executed))
+            .map(|(cand, node)| self.score_node(node, cand.w_raw, max_w))
+            .collect()
     }
 
     /// Score a materialized node; single-mark charts score the floor (the
@@ -382,9 +447,8 @@ impl<'a> ProgressiveSelector<'a> {
         }
         let m = raw_match_quality(&node);
         let q = transform_quality(&node);
-        let w = w_raw / max_w;
         ScoredNode {
-            score: (m + q + w) / 3.0,
+            score: composite(m, q, w_raw / max_w),
             node,
         }
     }
@@ -431,24 +495,23 @@ fn apply_order(node: &mut VisNode) {
 }
 
 /// Exhaustive reference: materialize and score every canonical candidate,
-/// sort best-first. Used by tests and the ablation bench to validate the
-/// tournament.
+/// sort by score, best first, then by node id. Used by tests and the
+/// ablation bench to validate the tournament.
 pub fn exhaustive_top_k(
     table: &Table,
     udfs: &UdfRegistry,
     k: usize,
 ) -> (Vec<ScoredNode>, SelectionStats) {
     let selector = ProgressiveSelector::new(table, udfs);
-    let (by_column, max_w) = selector.candidates_by_column();
-    let mut stats = SelectionStats::default();
+    let (leaves, max_w) = selector.leaves();
+    let mut stats = SelectionStats {
+        leaves_total: leaves.len(),
+        leaves_materialized: leaves.len(),
+        ..SelectionStats::default()
+    };
     let mut all = Vec::new();
-    for cands in &by_column {
-        if cands.is_empty() {
-            continue;
-        }
-        stats.leaves_total += 1;
-        stats.leaves_materialized += 1;
-        all.extend(selector.materialize_column(cands, max_w, &mut stats));
+    for leaf in &leaves {
+        all.extend(selector.materialize(leaf, max_w, &mut stats));
     }
     all.sort_by(|a, b| {
         b.score
@@ -465,7 +528,7 @@ pub fn exhaustive_top_k(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepeye_data::{parse_timestamp, Column, TableBuilder};
+    use deepeye_data::{parse_timestamp, ColumnData, TableBuilder};
 
     fn mixed_table() -> Table {
         let ts: Vec<_> = (0..12)
@@ -499,6 +562,148 @@ mod tests {
             .column(Column::temporal("scheduled", ts))
             .build()
             .unwrap()
+    }
+
+    /// Grouped categorical and temporal columns with null cells, which
+    /// form no group but count in |X|.
+    fn nullable_table() -> Table {
+        let month = |m: u32| parse_timestamp(&format!("2015-{m:02}-01"));
+        let carrier = [
+            Some("UA"),
+            None,
+            Some("AA"),
+            Some("UA"),
+            None,
+            Some("MQ"),
+            Some("AA"),
+            Some("UA"),
+        ];
+        TableBuilder::new("nullable")
+            .data(
+                "carrier",
+                ColumnData::Text(carrier.map(|c| c.map(str::to_owned)).to_vec()),
+            )
+            .data(
+                "month",
+                ColumnData::Temporal(vec![
+                    month(1),
+                    month(2),
+                    None,
+                    month(1),
+                    month(3),
+                    None,
+                    month(2),
+                    month(4),
+                ]),
+            )
+            .numeric("delay", [5.0, 3.0, -1.0, 2.0, 9.0, 4.0, 1.0, 7.0])
+            .build()
+            .unwrap()
+    }
+
+    fn one_row_table() -> Table {
+        TableBuilder::new("one")
+            .text("carrier", ["UA"])
+            .numeric("delay", [5.0])
+            .numeric("passengers", [10.0])
+            .column(Column::temporal(
+                "scheduled",
+                [parse_timestamp("2015-01-01").unwrap()],
+            ))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn leaf_bounds_cover_their_scores() {
+        // Every realized score is at most its leaf's bound, and a GROUP
+        // leaf's Q is the bound's, bit for bit.
+        let udfs = UdfRegistry::default();
+        for t in [mixed_table(), nullable_table(), one_row_table()] {
+            let selector = ProgressiveSelector::new(&t, &udfs);
+            let (leaves, max_w) = selector.leaves();
+            let groups = leaves
+                .iter()
+                .filter(|l| l.transform == Transform::Group)
+                .count();
+            assert!(groups >= 2, "{}: {groups} GROUP leaves", t.name());
+            let mut stats = SelectionStats::default();
+            for leaf in &leaves {
+                let d = t.column(leaf.column).unwrap().distinct_count();
+                for scored in selector.materialize(leaf, max_w, &mut stats) {
+                    assert!(
+                        scored.score.total_cmp(&leaf.bound).is_le(),
+                        "{}: {} scores {} above its leaf's bound {}",
+                        t.name(),
+                        scored.node.id(),
+                        scored.score,
+                        leaf.bound
+                    );
+                    if leaf.transform == Transform::Group {
+                        assert_eq!(
+                            transform_quality(&scored.node).to_bits(),
+                            condensation(d, t.row_count()).to_bits(),
+                            "{}: {}",
+                            t.name(),
+                            scored.node.id()
+                        );
+                    }
+                }
+            }
+            assert!(stats.nodes_generated > 0, "{}", t.name());
+        }
+    }
+
+    #[test]
+    fn top_k_is_the_exhaustive_prefix_by_id_and_score() {
+        let udfs = UdfRegistry::default();
+        for t in [mixed_table(), nullable_table(), one_row_table()] {
+            let selector = ProgressiveSelector::new(&t, &udfs);
+            let (everything, _) = exhaustive_top_k(&t, &udfs, usize::MAX);
+            for k in 0..=everything.len() + 1 {
+                let (top, _) = selector.top_k(k);
+                let got: Vec<(String, u64)> = top
+                    .iter()
+                    .map(|s| (s.node.id(), s.score.to_bits()))
+                    .collect();
+                let want: Vec<(String, u64)> = everything
+                    .iter()
+                    .take(k)
+                    .map(|s| (s.node.id(), s.score.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{} at k = {k}", t.name());
+            }
+        }
+    }
+
+    #[test]
+    fn heap_pops_leaves_at_ties_then_nodes_by_id() {
+        let node = |score: f64, id: &str| Entry::Node {
+            score,
+            id: id.to_owned(),
+            seq: 0,
+        };
+        let mut heap = BinaryHeap::from(vec![
+            node(0.5, "b"),
+            node(0.5, "a"),
+            Entry::Leaf {
+                leaf: 1,
+                bound: 0.5,
+            },
+            node(0.6, "z"),
+            Entry::Leaf {
+                leaf: 0,
+                bound: 0.5,
+            },
+        ]);
+        let mut order = Vec::new();
+        while let Some(entry) = heap.pop() {
+            order.push(match entry {
+                Entry::Leaf { leaf, .. } => format!("leaf {leaf}"),
+                Entry::Node { id, .. } => id,
+            });
+        }
+        assert_eq!(order, ["z", "leaf 0", "leaf 1", "a", "b"]);
     }
 
     #[test]
@@ -587,14 +792,15 @@ mod tests {
     fn leaf_accounting_is_exact() {
         // Golden test: materialized + pruned must equal the leaves the
         // exhaustive path enumerates — which is the number of distinct
-        // x-columns in the canonical candidate set. Nothing is silently
-        // dropped or double-counted, at any k.
+        // (x column, transform) pairs in the canonical candidate set.
+        // Nothing is silently dropped or double-counted, at any k.
         let t = mixed_table();
         let udfs = UdfRegistry::default();
-        let expected_leaves: std::collections::HashSet<String> = canonical_candidates(&t)
-            .iter()
-            .map(|q| q.x.clone())
-            .collect();
+        let expected_leaves: std::collections::HashSet<(String, Transform)> =
+            canonical_candidates(&t)
+                .into_iter()
+                .map(|q| (q.x, q.transform))
+                .collect();
         let (_, exh_stats) = exhaustive_top_k(&t, &udfs, 1);
         assert_eq!(exh_stats.leaves_total, expected_leaves.len());
         let selector = ProgressiveSelector::new(&t, &udfs);

@@ -67,9 +67,9 @@ pub enum Outcome {
     TournamentLost,
     /// Won the progressive tournament at this 1-based rank.
     TournamentRanked(usize),
-    /// A per-column tournament leaf evicted by its upper bound.
+    /// A (column, transform) tournament leaf evicted by its upper bound.
     LeafPruned,
-    /// A per-column tournament leaf that was materialized.
+    /// A (column, transform) tournament leaf that was materialized.
     LeafMaterialized,
 }
 
@@ -799,7 +799,7 @@ impl ProvenanceLog {
         ));
         if c.leaves_total > 0 {
             out.push_str(&format!(
-                "tournament: {} of {} column leaves materialized, {} pruned by bound.\n",
+                "tournament: {} of {} (column, transform) leaves materialized, {} pruned by bound.\n",
                 c.leaves_materialized, c.leaves_total, c.leaves_pruned,
             ));
         }

@@ -36,7 +36,7 @@
 //! {
 //!     let _stage = obs.span("pipeline.enumerate");
 //!     obs.incr("enumerate.candidates", 42);
-//!     obs.record_ns("progressive.leaf_ns", 1_500);
+//!     let _leaf = obs.timer("progressive.leaf_ns");
 //! }
 //! let snapshot = obs.snapshot();
 //! assert_eq!(snapshot.counter("enumerate.candidates"), 42);

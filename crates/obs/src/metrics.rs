@@ -3,8 +3,7 @@
 //!
 //! Instrumentation sites across the product crates pass name literals to
 //! [`Observer::incr`](crate::Observer::incr) /
-//! [`Observer::timer`](crate::Observer::timer) /
-//! [`Observer::record_ns`](crate::Observer::record_ns); nothing ties those
+//! [`Observer::timer`](crate::Observer::timer); nothing ties those
 //! literals together at the type level, so a typo silently forks a metric
 //! (`exec.ok` vs `exec.okay`) and dashboards read zeros. This module is
 //! the single source of truth: rule `A0005` of `deepeye-analyze`'s
@@ -37,9 +36,7 @@ pub const COUNTERS: &[&str] = &[
     "sema.rejected",
 ];
 
-/// Every histogram name ([`Observer::timer`](crate::Observer::timer),
-/// [`Observer::record_ns`](crate::Observer::record_ns),
-/// [`Observer::record_many_ns`](crate::Observer::record_many_ns)) the
+/// Every histogram name ([`Observer::timer`](crate::Observer::timer)) the
 /// pipeline records, sorted.
 pub const HISTOGRAMS: &[&str] = &["ltr.epoch_ns", "progressive.leaf_ns"];
 

@@ -285,28 +285,6 @@ impl Observer {
         }
     }
 
-    /// Record one sample into a named histogram.
-    pub fn record_ns(&self, name: &'static str, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.lock().hists.entry(name).or_default().record(ns);
-        }
-    }
-
-    /// Record a batch of samples with one lock acquisition — worker
-    /// threads buffer per-query latencies locally and flush once.
-    pub fn record_many_ns(&self, name: &'static str, samples: &[u64]) {
-        if samples.is_empty() {
-            return;
-        }
-        if let Some(inner) = &self.inner {
-            let mut state = inner.lock();
-            let hist = state.hists.entry(name).or_default();
-            for &ns in samples {
-                hist.record(ns);
-            }
-        }
-    }
-
     /// Attribute one allocation of `bytes` bytes to the innermost open
     /// span on the current thread. See [`crate::alloc`] for the model;
     /// with no open span (or disabled) the call records nothing.
@@ -552,7 +530,6 @@ mod tests {
             let guard = obs.span("never");
             assert_eq!(guard.id(), None);
             obs.incr("c", 5);
-            obs.record_ns("h", 100);
             let _t = obs.timer("h");
         }
         assert_eq!(obs.counter("c"), 0);
@@ -655,13 +632,24 @@ mod tests {
         let obs = Observer::enabled();
         obs.incr("n", 2);
         obs.incr("n", 3);
-        obs.record_ns("lat", 10);
-        obs.record_many_ns("lat", &[20, 30]);
+        for ms in [1, 2, 3] {
+            let _t = obs.timer("lat");
+            std::thread::sleep(Duration::from_millis(ms));
+        }
         assert_eq!(obs.counter("n"), 5);
         let snap = obs.snapshot();
         let lat = snap.hist("lat").expect("histogram recorded");
         assert_eq!(lat.count, 3);
-        assert_eq!(lat.sum, 60);
+        assert!(
+            lat.sum >= 6_000_000,
+            "slept ≥ 6ms in all, got {}ns",
+            lat.sum
+        );
+        assert!(
+            lat.max >= 3_000_000,
+            "longest sleep ≥ 3ms, got {}ns",
+            lat.max
+        );
     }
 
     #[test]

@@ -9,13 +9,16 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye::core::{query_id, validate_provenance_json, Factors, Outcome, ProgressiveSelector};
+use deepeye::core::{
+    canonical_candidates, query_id, validate_provenance_json, Factors, Outcome, ProgressiveSelector,
+};
 use deepeye::data::Column;
 use deepeye::datagen::{
     flight_table, ranking_examples, recognition_examples, year_start, PerceptionOracle, Synth,
 };
 use deepeye::prelude::*;
 use deepeye::query::UdfRegistry;
+use std::collections::HashSet;
 
 fn sales_table() -> Table {
     let mut region = Vec::new();
@@ -186,15 +189,27 @@ fn progressive_tournament_accounting_matches_selection_stats() {
     assert_eq!(c.leaves_total, stats.leaves_total as u64);
     assert_eq!(c.leaves_materialized + c.leaves_pruned, c.leaves_total);
 
-    // Leaf records (per column) re-derive the same split.
-    let count = |kind: &str| {
+    // Leaf records, one per (column, transform) and named after both,
+    // re-derive the same split.
+    let leaf_ids = |kind: &str| {
         log.records
             .iter()
             .filter(|e| e.outcome.kind() == kind)
-            .count() as u64
+            .map(|e| e.id.clone())
+            .collect::<HashSet<String>>()
     };
-    assert_eq!(count("leaf_materialized"), c.leaves_materialized);
-    assert_eq!(count("leaf_pruned"), c.leaves_pruned);
+    let (materialized, pruned) = (leaf_ids("leaf_materialized"), leaf_ids("leaf_pruned"));
+    assert_eq!(materialized.len() as u64, c.leaves_materialized);
+    assert_eq!(pruned.len() as u64, c.leaves_pruned);
+    let expected: HashSet<String> = canonical_candidates(&table)
+        .iter()
+        .map(|q| format!("column:{}|{:?}", q.x, q.transform))
+        .collect();
+    assert_eq!(
+        &materialized | &pruned,
+        expected,
+        "one leaf record per (column, transform)"
+    );
     assert!(
         c.leaves_pruned > 0,
         "expected the bound to prune some columns: {stats:?}"
