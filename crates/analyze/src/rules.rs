@@ -140,15 +140,7 @@ fn diag(file: &str, line: u32, code: &'static str, message: String) -> Diagnosti
 // re-check.
 
 pub(crate) const PROV_METHODS: &[&str] = &["record", "record_rejected", "bump"];
-const OBS_METHODS: &[&str] = &[
-    "alloc",
-    "alloc_many",
-    "alloc_release",
-    "incr",
-    "timer",
-    "span",
-    "span_under",
-];
+const OBS_METHODS: &[&str] = &["incr", "timer", "span", "span_under"];
 const ALLOC_MARKERS: &[&str] = &[
     "format",
     "to_owned",

@@ -2,14 +2,12 @@
 //! and explain *why* the numbers moved, not just that they did. Stage
 //! medians are diffed with the same noise-aware allowance `perfgate`
 //! enforces (so the two tools never disagree about significance), and
-//! span-path self times from folded-stack files (or the documents'
-//! `"stages"` tails) rank where the wall time went — e.g. "execute
-//! regressed 1.9 ms; most growth in
+//! span-path self times from the documents' `"stages"` tails rank where
+//! the wall time went — e.g. "execute regressed 1.9 ms; most growth in
 //! …/pipeline.execute/execute.worker/execute.features (+1.8 ms)".
 //!
-//! Usage: `perfdiff <baseline.json> <current.json>
-//! [--stacks-base F --stacks-cur F] [--rel FRAC] [--iqr-mult X]
-//! [--floor-ns N] [--top N] [--github]`
+//! Usage: `perfdiff <baseline.json> <current.json> [--rel FRAC]
+//! [--iqr-mult X] [--floor-ns N] [--top N] [--github]`
 //!
 //! Exit status: 0 on a successful diff (even one full of regressions —
 //! `perfdiff` diagnoses, `perfgate` gates), nonzero on unreadable or
@@ -28,8 +26,6 @@ use std::process::ExitCode;
 struct Args {
     baseline: Option<String>,
     current: Option<String>,
-    stacks_base: Option<String>,
-    stacks_cur: Option<String>,
     top: usize,
     github: bool,
 }
@@ -47,8 +43,6 @@ fn main() -> ExitCode {
             None => Err(format!("{flag} needs a value")),
         };
         let result = match arg.as_str() {
-            "--stacks-base" => value("--stacks-base").map(|v| parsed.stacks_base = Some(v)),
-            "--stacks-cur" => value("--stacks-cur").map(|v| parsed.stacks_cur = Some(v)),
             "--top" => value("--top").and_then(|v| {
                 v.parse()
                     .map(|n| parsed.top = n)
@@ -91,12 +85,6 @@ fn main() -> ExitCode {
     let (Some(baseline_path), Some(current_path)) = (&parsed.baseline, &parsed.current) else {
         return usage();
     };
-    // Both stack files or neither — a one-sided diff would silently
-    // compare against nothing.
-    if parsed.stacks_base.is_some() != parsed.stacks_cur.is_some() {
-        eprintln!("perfdiff: --stacks-base/--stacks-cur must be given together");
-        return usage();
-    }
     match run(&parsed, baseline_path, current_path, &cfg) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -116,16 +104,7 @@ fn run(
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     let baseline = read(baseline_path)?;
     let current = read(current_path)?;
-    let stacks = match (&parsed.stacks_base, &parsed.stacks_cur) {
-        (Some(b), Some(c)) => Some((read(b)?, read(c)?)),
-        _ => None,
-    };
-    let report = diff_runs(
-        &baseline,
-        &current,
-        stacks.as_ref().map(|(b, c)| (b.as_str(), c.as_str())),
-        cfg,
-    )?;
+    let report = diff_runs(&baseline, &current, cfg)?;
     print!("{}", report.render(parsed.top));
     if parsed.github {
         for notice in report.github_notices(parsed.top.min(3)) {
@@ -138,7 +117,6 @@ fn run(
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfdiff <baseline.json> <current.json> \
-         [--stacks-base F --stacks-cur F] \
          [--rel FRAC] [--iqr-mult X] [--floor-ns N] [--top N] [--github]"
     );
     ExitCode::FAILURE

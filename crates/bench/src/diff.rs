@@ -1,15 +1,14 @@
 //! Cross-run performance diffing: compare two harness runs and say not
 //! just *that* a stage moved but *where*. [`diff_runs`] takes two
-//! `deepeye-bench/v2` documents and, optionally, two folded-stack files,
-//! and produces a [`DiffReport`] with two delta layers ranked by
-//! absolute contribution:
+//! `deepeye-bench/v2` documents and produces a [`DiffReport`] with two
+//! delta layers ranked by absolute contribution:
 //!
 //! - **stages** — per (scenario, stage) median deltas, flagged
 //!   significant with the same [`GateConfig`] allowance `perfgate` uses,
 //!   so the differ and the gate never disagree about what counts;
-//! - **paths** — per span-path self-time deltas, from folded-stack files
-//!   when given, else from the documents' `"stages"` aggregate tails
-//!   (each path's total less its direct children's).
+//! - **paths** — per span-path self-time deltas, from the documents'
+//!   `"stages"` aggregate tails (each path's total less its direct
+//!   children's).
 //!
 //! The headline ties the layers together: the regressed stage and the
 //! span path below its span that grew the most — *"execute regressed
@@ -43,8 +42,8 @@ impl StageDelta {
     }
 }
 
-/// One span-path self-time delta (from folded stacks or the documents'
-/// `"stages"` tails).
+/// One span-path self-time delta (from the documents' `"stages"`
+/// tails).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathDelta {
     pub path: String,
@@ -121,31 +120,10 @@ pub fn diff_stages(baseline: &str, current: &str, cfg: &GateConfig) -> Result<St
     Ok((stages, lost, gained))
 }
 
-/// Parse folded-stack text (`path;to;frame <self_ns>` lines) into a
-/// path → total map. Duplicate paths sum; malformed lines error.
-fn folded_map(text: &str, which: &str) -> Result<BTreeMap<String, u64>, String> {
-    let mut out = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (path, ns) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("{which}: line {} is not `path ns`", i + 1))?;
-        let ns: u64 = ns
-            .trim()
-            .parse()
-            .map_err(|e| format!("{which}: line {}: {e}", i + 1))?;
-        *out.entry(path.to_owned()).or_insert(0) += ns;
-    }
-    Ok(out)
-}
-
 /// Parse the `"stages"` aggregate tail of a bench document into a span
 /// path → self-time map: each path's `total_ns` less its direct
-/// children's (at least 0; parallel children can outlast their parent),
-/// the measure folded stacks carry. Documents written before the tail
-/// existed yield an empty map.
+/// children's (at least 0; parallel children can outlast their parent).
+/// Documents written before the tail existed yield an empty map.
 fn doc_path_map(text: &str, which: &str) -> Result<BTreeMap<String, u64>, String> {
     let doc = parse_json(text).map_err(|e| format!("{which}: {e}"))?;
     let mut totals = BTreeMap::new();
@@ -197,28 +175,15 @@ fn diff_path_maps(
     out
 }
 
-/// Assemble the full cross-run diff. `stacks` is an optional
-/// `(baseline, current)` pair of folded-stack texts; when absent the
-/// span paths come from the documents' `"stages"` tails.
-pub fn diff_runs(
-    baseline: &str,
-    current: &str,
-    stacks: Option<(&str, &str)>,
-    cfg: &GateConfig,
-) -> Result<DiffReport, String> {
+/// Assemble the full cross-run diff: stage medians and the span paths
+/// of the documents' `"stages"` tails.
+pub fn diff_runs(baseline: &str, current: &str, cfg: &GateConfig) -> Result<DiffReport, String> {
     let (stages, lost, gained) = diff_stages(baseline, current, cfg)?;
-    let paths = match stacks {
-        Some((b, c)) => diff_path_maps(
-            folded_map(b, "baseline stacks")?,
-            folded_map(c, "current stacks")?,
-            cfg.floor_ns,
-        ),
-        None => diff_path_maps(
-            doc_path_map(baseline, "baseline")?,
-            doc_path_map(current, "current")?,
-            cfg.floor_ns,
-        ),
-    };
+    let paths = diff_path_maps(
+        doc_path_map(baseline, "baseline")?,
+        doc_path_map(current, "current")?,
+        cfg.floor_ns,
+    );
     Ok(DiffReport {
         stages,
         paths,
@@ -240,7 +205,7 @@ impl DiffReport {
         // `paths` is sorted by |delta|, so the first growing path below
         // `span` grew the most.
         self.paths.iter().find(|p| {
-            let mut frames = p.path.split(['/', ';']);
+            let mut frames = p.path.split('/');
             p.delta_ns > 0 && frames.any(|f| f == span) && frames.next().is_some()
         })
     }
@@ -407,7 +372,7 @@ mod tests {
     #[test]
     fn identical_runs_diff_clean() {
         let doc = doc_with(10_000_000, 7_000_000);
-        let report = diff_runs(&doc, &doc, None, &GateConfig::default()).unwrap();
+        let report = diff_runs(&doc, &doc, &GateConfig::default()).unwrap();
         assert!(report.top_regression().is_none());
         assert!(report.attribution().is_none());
         assert_eq!(report.stages.len(), STAGES.len());
@@ -421,7 +386,7 @@ mod tests {
     fn doubled_execute_names_stage_and_span_path() {
         let base = doc_with(10_000_000, 7_000_000);
         let cur = doc_with(20_000_000, 17_000_000);
-        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
+        let report = diff_runs(&base, &cur, &GateConfig::default()).unwrap();
         let top = report.top_regression().expect("execute regressed");
         assert_eq!(top.stage, "execute");
         assert_eq!(top.delta_ns, 10_000_000);
@@ -443,7 +408,7 @@ mod tests {
     fn improvements_are_significant_but_not_regressions() {
         let base = doc_with(20_000_000, 7_000_000);
         let cur = doc_with(10_000_000, 7_000_000);
-        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
+        let report = diff_runs(&base, &cur, &GateConfig::default()).unwrap();
         let exec = report.stages.iter().find(|d| d.stage == "execute").unwrap();
         assert!(exec.significant);
         assert!(exec.delta_ns < 0);
@@ -451,26 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn folded_stacks_rank_span_paths() {
-        let base = "pipeline.recommend;pipeline.execute 10000000\npipeline.recommend 500\n";
-        let cur = "pipeline.recommend;pipeline.execute 25000000\npipeline.recommend 600\n";
-        let doc = doc_with(10_000_000, 7_000_000);
-        let report = diff_runs(&doc, &doc, Some((base, cur)), &GateConfig::default()).unwrap();
-        // The 100-ns path is under the floor; only the execute path stays.
-        assert_eq!(report.paths.len(), 1);
-        assert_eq!(report.paths[0].path, "pipeline.recommend;pipeline.execute");
-        assert_eq!(report.paths[0].delta_ns, 15_000_000);
-        // Folded frames count as span paths below a stage too.
-        let below = report.top_path_below("pipeline.recommend");
-        assert_eq!(below.map(|p| p.delta_ns), Some(15_000_000));
-        assert!(report.top_path_below("pipeline.execute").is_none());
-    }
-
-    #[test]
     fn github_notices_escape_newlines() {
         let base = doc_with(10_000_000, 7_000_000);
         let cur = doc_with(20_000_000, 17_000_000);
-        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
+        let report = diff_runs(&base, &cur, &GateConfig::default()).unwrap();
         let notices = report.github_notices(3);
         assert!(notices.len() >= 2, "{notices:?}");
         assert!(notices[0].starts_with("::notice title=perfdiff::"));
@@ -488,7 +437,7 @@ mod tests {
     fn lost_and_gained_coverage_is_reported() {
         let base = doc_with(10_000_000, 7_000_000);
         let cur = base.replace("s-300x5", "s-600x5");
-        let report = diff_runs(&base, &cur, None, &GateConfig::default()).unwrap();
+        let report = diff_runs(&base, &cur, &GateConfig::default()).unwrap();
         assert_eq!(report.stages.len(), 0);
         assert_eq!(report.lost.len(), STAGES.len());
         assert_eq!(report.gained.len(), STAGES.len());

@@ -4,7 +4,9 @@
 //! learning-to-rank vs partial-order selection — with the enumeration /
 //! selection percentage split the paper annotates on each bar.
 
-use deepeye_core::{compute_factors, partial_order::raw_match_quality, LtrRanker, VisNode};
+use deepeye_core::{
+    build_nodes_parallel, compute_factors, partial_order::raw_match_quality, LtrRanker, VisNode,
+};
 use deepeye_datagen::{ranking_examples, training_tables, PerceptionOracle};
 use deepeye_obs::Observer;
 use deepeye_query::{all_queries, UdfRegistry};
@@ -65,12 +67,13 @@ impl EfficiencyBar {
     }
 }
 
-/// Enumerate candidates under a mode. The phase runs under an
-/// `enumerate.exhaustive` / `enumerate.rules` span and its wall time is
-/// read back from the observer's monotonic clock — the bench no longer
-/// keeps its own `Instant` bookkeeping. Nodes are slimmed right after
-/// feature extraction to bound memory on exhaustive runs over large
-/// tables.
+/// Enumerate candidates under a mode and build their nodes with the
+/// shipping builder (`build_nodes_parallel`: shared scans, features once
+/// per distinct series, duplicates by id dropped). The phase runs under
+/// an `enumerate.exhaustive` / `enumerate.rules` span and its wall time
+/// is read back from the observer's monotonic clock. Nodes are slimmed
+/// right after feature extraction to bound memory on exhaustive runs
+/// over large tables.
 fn enumerate_candidates(
     table: &deepeye_data::Table,
     mode: Enumeration,
@@ -86,16 +89,7 @@ fn enumerate_candidates(
         Enumeration::Exhaustive => all_queries(table).collect(),
         Enumeration::RuleBased => deepeye_core::rules::rule_based_queries(table),
     };
-    let mut seen = std::collections::HashSet::new();
-    let mut nodes = Vec::new();
-    for q in queries {
-        if let Ok(mut node) = VisNode::build(table, q, udfs) {
-            if seen.insert(node.id()) {
-                node.slim();
-                nodes.push(node);
-            }
-        }
-    }
+    let nodes = build_nodes_parallel(table, queries, udfs, true);
     drop(span);
     let elapsed = id.and_then(|i| obs.span_duration(i)).unwrap_or_default();
     (nodes, elapsed)

@@ -408,17 +408,13 @@ pub fn snapshot_tail(snapshot: &Snapshot) -> String {
         }
         out.push_str(&format!(
             "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \
-             \"p95_ns\": {}, \"p99_ns\": {}, \"alloc_count\": {}, \
-             \"alloc_bytes\": {}, \"alloc_peak\": {}}}",
+             \"p95_ns\": {}, \"p99_ns\": {}}}",
             escape(&s.path),
             s.count,
             s.total_ns,
             s.p50_ns,
             s.p95_ns,
-            s.p99_ns,
-            s.alloc_count,
-            s.alloc_bytes,
-            s.alloc_peak
+            s.p99_ns
         ));
     }
     if !snapshot.stages.is_empty() {

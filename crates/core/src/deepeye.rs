@@ -273,62 +273,52 @@ impl DeepEye {
         prov.set_table(table.name());
         let queries: Vec<VisQuery> = {
             let _enumerate = obs.span("pipeline.enumerate");
-            let qs = match self.config.enumeration {
+            match self.config.enumeration {
                 // The statically-executable subset: identical resulting nodes
                 // (ill-typed queries would only fail execution below), minus
-                // the wasted error paths.
-                EnumerationMode::Exhaustive if prov.is_enabled() => {
-                    // Same space, same counters as the branch below, plus
-                    // a provenance record per candidate: why sema admitted
-                    // or rejected it.
+                // the wasted error paths. With provenance on, each candidate
+                // also records why sema admitted or rejected it.
+                EnumerationMode::Exhaustive => {
                     let mut out = Vec::new();
-                    let mut enumerated = 0u64;
                     let mut sema_rejected = 0u64;
                     for (q, verdict) in queries_with_verdict(table, &self.udfs) {
                         obs.incr("enumerate.raw", 1);
-                        let id = crate::provenance::query_id(&q);
                         match verdict {
                             Some(diag) => {
                                 obs.incr("sema.rejected", 1);
                                 sema_rejected += 1;
-                                prov.record_rejected(&id, Outcome::SemaRejected, |e| {
-                                    e.query = q.to_language(table.name());
-                                    e.chart = q.chart.name().to_owned();
-                                    e.sema.push((diag.code.as_str().to_owned(), diag.message));
-                                });
+                                if prov.is_enabled() {
+                                    let id = crate::provenance::query_id(&q);
+                                    prov.record_rejected(&id, Outcome::SemaRejected, |e| {
+                                        e.query = q.to_language(table.name());
+                                        e.chart = q.chart.name().to_owned();
+                                        e.sema.push((diag.code.as_str().to_owned(), diag.message));
+                                    });
+                                }
                             }
                             None => {
                                 obs.incr("enumerate.candidates", 1);
-                                enumerated += 1;
-                                prov.record(&id, |e| {
-                                    e.query = q.to_language(table.name());
-                                    e.chart = q.chart.name().to_owned();
-                                    e.outcome = Outcome::Enumerated;
-                                });
+                                if prov.is_enabled() {
+                                    let id = crate::provenance::query_id(&q);
+                                    prov.record(&id, |e| {
+                                        e.query = q.to_language(table.name());
+                                        e.chart = q.chart.name().to_owned();
+                                        e.outcome = Outcome::Enumerated;
+                                    });
+                                }
                                 out.push(q);
                             }
                         }
                     }
-                    prov.bump(|c| {
-                        c.enumerated += enumerated;
-                        c.sema_rejected += sema_rejected;
-                    });
+                    if prov.is_enabled() {
+                        let enumerated = out.len() as u64;
+                        prov.bump(|c| {
+                            c.enumerated += enumerated;
+                            c.sema_rejected += sema_rejected;
+                        });
+                    }
                     out
                 }
-                EnumerationMode::Exhaustive => queries_with_verdict(table, &self.udfs)
-                    .filter_map(|(q, verdict)| {
-                        obs.incr("enumerate.raw", 1);
-                        obs.incr(
-                            if verdict.is_none() {
-                                "enumerate.candidates"
-                            } else {
-                                "sema.rejected"
-                            },
-                            1,
-                        );
-                        verdict.is_none().then_some(q)
-                    })
-                    .collect(),
                 EnumerationMode::RuleBased => {
                     let qs = rules::rule_based_queries(table);
                     obs.incr("enumerate.candidates", qs.len() as u64);
@@ -346,21 +336,7 @@ impl DeepEye {
                     }
                     qs
                 }
-            };
-            if obs.is_enabled() {
-                // Arena point: the enumerated candidate set is the stage's
-                // dominant allocation; one batched charge covers it.
-                let bytes: u64 = qs
-                    .iter()
-                    .map(|q| {
-                        (std::mem::size_of::<VisQuery>()
-                            + q.x.len()
-                            + q.y.as_ref().map_or(0, String::len)) as u64
-                    })
-                    .sum();
-                obs.alloc_many(qs.len() as u64, bytes);
             }
-            qs
         };
         // Ids of everything admitted to execution, so execution failures
         // (runtime errors, empty results) can be charged to their candidate.

@@ -102,16 +102,6 @@ impl VisNode {
         self.data.series = Series::Keyed(Vec::new());
     }
 
-    /// Rough heap footprint of the materialized series and labels, for
-    /// allocation attribution ([`deepeye_obs::Observer::alloc_many`] at
-    /// the executor's arena points). An estimate — allocator slack and
-    /// enum niche layout are not modeled — but deterministic, O(marks)
-    /// cheap, and stable enough for stage-relative comparison.
-    pub fn approx_heap_bytes(&self) -> u64 {
-        let query_labels = self.query.x.len() + self.query.y.as_ref().map_or(0, String::len);
-        self.data.approx_heap_bytes() + query_labels as u64
-    }
-
     /// Stable identity string for deduplication, provenance records, and
     /// test assertions (shared with [`crate::provenance::query_id`] so
     /// never-built candidates live in the same id space).
@@ -307,19 +297,6 @@ mod tests {
         };
         let node = VisNode::build(&table(), q, &UdfRegistry::default()).unwrap();
         assert_eq!(node.columns(), vec!["carrier"]);
-    }
-
-    #[test]
-    fn approx_heap_bytes_tracks_materialization() {
-        let node = VisNode::build(&table(), group_avg(), &UdfRegistry::default()).unwrap();
-        let full = node.approx_heap_bytes();
-        assert!(full > 0, "materialized node has a footprint");
-        let mut slimmed = node.clone();
-        slimmed.slim();
-        assert!(
-            slimmed.approx_heap_bytes() < full,
-            "slimming shrinks the estimate"
-        );
     }
 
     /// A hash hit is only a candidate repeat: when every series collides,

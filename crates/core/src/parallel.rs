@@ -59,8 +59,7 @@ pub fn build_nodes_serial_observed(
 /// stage across threads), with two child spans that split its time:
 /// `execute.charts` (sema, the shared scans, materialization and ORDER
 /// BY) and `execute.features` (building the chunk's nodes). Each worker
-/// flushes its `exec.ok` / `exec.err` counts and one allocation charge
-/// once.
+/// flushes its `exec.ok` / `exec.err` counts once.
 pub fn build_nodes(
     table: &Table,
     queries: Vec<VisQuery>,
@@ -134,8 +133,6 @@ fn build_worker(
         let ok = nodes.len() as u64;
         obs.incr("exec.ok", ok);
         obs.incr("exec.err", (chunk.len() as u64).saturating_sub(ok));
-        // One batched charge per chunk, attributed to this worker's span.
-        obs.alloc_many(ok, nodes.iter().map(VisNode::approx_heap_bytes).sum());
     }
     nodes
 }

@@ -317,13 +317,6 @@ impl<'a> ProgressiveSelector<'a> {
                         "a score of leaf {} exceeds its bound {bound}",
                         self.leaf_id(leaf)
                     );
-                    if obs.is_enabled() {
-                        // Arena point: leaf materialization is where the
-                        // progressive path allocates; charge the batch to
-                        // the open `progressive.top_k` span.
-                        let bytes: u64 = nodes.iter().map(|s| s.node.approx_heap_bytes()).sum();
-                        obs.alloc_many(nodes.len() as u64, bytes);
-                    }
                     for scored in nodes {
                         let seq = materialized.len();
                         heap.push(Entry::Node {

@@ -49,7 +49,6 @@
 // (`clippy.toml` disallows it everywhere else).
 #![allow(clippy::disallowed_types)]
 
-pub mod alloc;
 pub mod clock;
 pub mod flame;
 pub mod hist;
@@ -59,13 +58,10 @@ pub mod observer;
 pub mod report;
 pub mod trace;
 
-pub use alloc::{fmt_bytes, AllocStats};
 pub use clock::Stopwatch;
 pub use flame::{flame_svg, folded_stacks, spans_from_chrome_trace, FlameSpan};
 pub use hist::{HistSummary, Histogram};
 pub use json::{parse_json, Json, JsonError};
 pub use observer::{HistTimer, Observer, SpanGuard, SpanId, SpanRecord};
 pub use report::{fmt_duration, validate_metrics_json, MetricsSummary, Snapshot, StageAgg};
-pub use trace::{
-    chrome_trace_json_with_accounting, validate_chrome_trace, RetentionStats, TraceSummary,
-};
+pub use trace::{validate_chrome_trace, TraceSummary};

@@ -9,13 +9,10 @@
 //!
 //! An enabled observer keeps every finished span in a `Vec<SpanRecord>`
 //! for the trace and flame exporters, and folds each one into exact
-//! per-path aggregates (count, total, duration histogram,
-//! self-allocation) at span close for the stage report and the metrics
-//! snapshot.
+//! per-path aggregates (count, total, duration histogram) at span close
+//! for the stage report and the metrics snapshot.
 
-use crate::alloc::{AllocCell, AllocStats};
 use crate::hist::Histogram;
-use crate::trace::RetentionStats;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,10 +39,6 @@ pub struct SpanRecord {
     /// B/E events balanced even under timestamp ties.
     pub begin_seq: u64,
     pub end_seq: u64,
-    /// Allocation accounting attributed to this span (self, not
-    /// inclusive — [`crate::report::Snapshot`] folds children into
-    /// ancestors at aggregation time).
-    pub alloc: AllocStats,
 }
 
 /// A span that has begun but not yet ended. Registered under the state
@@ -66,15 +59,10 @@ pub(crate) struct PathAgg {
     pub path: String,
     pub name: &'static str,
     pub depth: usize,
-    /// Parent path index (`None` for roots).
-    pub parent: Option<u32>,
     pub count: u64,
     pub total_ns: u64,
     /// Span durations at this exact path (per-stage p50/p95/p99).
     pub hist: Histogram,
-    /// Self (non-inclusive) allocation totals; the snapshot folds
-    /// children into ancestors.
-    pub alloc: AllocStats,
 }
 
 /// Interned span paths: one [`PathAgg`] per distinct root-to-leaf name
@@ -101,11 +89,9 @@ impl PathTable {
             path,
             name,
             depth,
-            parent,
             count: 0,
             total_ns: 0,
             hist: Histogram::default(),
-            alloc: AllocStats::default(),
         });
         self.ids.insert((parent, name), id);
         id
@@ -117,9 +103,6 @@ pub(crate) struct State {
     pub spans: Vec<SpanRecord>,
     pub counters: BTreeMap<&'static str, u64>,
     pub hists: BTreeMap<&'static str, Histogram>,
-    /// Live allocation cells of *open* spans, drained into the
-    /// [`SpanRecord`] when the owning guard drops.
-    pub open_allocs: BTreeMap<SpanId, AllocCell>,
     /// Spans currently open, by id.
     pub open: BTreeMap<SpanId, OpenSpan>,
     /// Exact per-path aggregates.
@@ -188,7 +171,6 @@ impl Observer {
                     spans: Vec::new(),
                     counters: BTreeMap::new(),
                     hists: BTreeMap::new(),
-                    open_allocs: BTreeMap::new(),
                     open: BTreeMap::new(),
                     paths: PathTable::default(),
                 }),
@@ -285,45 +267,6 @@ impl Observer {
         }
     }
 
-    /// Attribute one allocation of `bytes` bytes to the innermost open
-    /// span on the current thread. See [`crate::alloc`] for the model;
-    /// with no open span (or disabled) the call records nothing.
-    pub fn alloc(&self, bytes: u64) {
-        self.alloc_many(1, bytes);
-    }
-
-    /// Attribute a batch of `count` allocations totalling `bytes` bytes
-    /// with one lock acquisition — arena points that build many values at
-    /// once (result tables, node batches) report a single charge.
-    pub fn alloc_many(&self, count: u64, bytes: u64) {
-        if let Some(inner) = &self.inner {
-            if let Some(span) = self.current_span() {
-                inner
-                    .lock()
-                    .open_allocs
-                    .entry(span)
-                    .or_default()
-                    .charge(count, bytes);
-            }
-        }
-    }
-
-    /// Report `bytes` bytes released while the innermost open span is
-    /// live, lowering the live count its `peak` tracks. Gross `bytes`
-    /// totals are unaffected.
-    pub fn alloc_release(&self, bytes: u64) {
-        if let Some(inner) = &self.inner {
-            if let Some(span) = self.current_span() {
-                inner
-                    .lock()
-                    .open_allocs
-                    .entry(span)
-                    .or_default()
-                    .release(bytes);
-            }
-        }
-    }
-
     /// Time a region into a histogram: the sample is recorded when the
     /// returned guard drops. No-op (no clock read) when disabled.
     pub fn timer(&self, name: &'static str) -> HistTimer {
@@ -413,22 +356,9 @@ impl Observer {
     }
 
     /// Chrome trace-event JSON of the finished spans, loadable in
-    /// `chrome://tracing` or Perfetto. An enabled observer's trace carries
-    /// a `span_accounting` metadata event declaring every finished span
-    /// retained, which [`crate::trace::validate_chrome_trace`] checks
-    /// against the span pairs present.
+    /// `chrome://tracing` or Perfetto.
     pub fn chrome_trace_json(&self) -> String {
-        if !self.is_enabled() {
-            return crate::trace::chrome_trace_json(&[]);
-        }
-        let spans = self.finished_spans();
-        let n = spans.len() as u64;
-        let stats = RetentionStats {
-            finished: n,
-            retained: n,
-            dropped: 0,
-        };
-        crate::trace::chrome_trace_json_with_accounting(&spans, &stats)
+        crate::trace::chrome_trace_json(&self.finished_spans())
     }
 }
 
@@ -477,16 +407,10 @@ impl Drop for SpanGuard {
             return;
         };
         let dur_ns = end_ns.saturating_sub(open.start_ns);
-        let alloc = state
-            .open_allocs
-            .remove(&ctx.id)
-            .map(|cell| cell.stats)
-            .unwrap_or_default();
         if let Some(agg) = state.paths.aggs.get_mut(open.path as usize) {
             agg.count += 1;
             agg.total_ns += dur_ns;
             agg.hist.record(dur_ns);
-            agg.alloc.merge(&alloc);
         }
         state.spans.push(SpanRecord {
             id: ctx.id,
@@ -497,7 +421,6 @@ impl Drop for SpanGuard {
             dur_ns,
             begin_seq: ctx.begin_seq,
             end_seq,
-            alloc,
         });
     }
 }
@@ -694,78 +617,6 @@ mod tests {
         }
         assert_eq!(obs.counter("shared"), 7);
         assert_eq!(obs.finished_spans().len(), 1);
-    }
-
-    #[test]
-    fn allocations_attribute_to_the_innermost_span() {
-        let obs = Observer::enabled();
-        {
-            let _outer = obs.span("outer");
-            obs.alloc(100);
-            {
-                let _inner = obs.span("inner");
-                obs.alloc_many(3, 60);
-                obs.alloc_release(50);
-                obs.alloc(10);
-            }
-            obs.alloc(1);
-        }
-        let spans = obs.finished_spans();
-        let inner = spans.iter().find(|s| s.name == "inner").expect("inner");
-        assert_eq!(inner.alloc.count, 4);
-        assert_eq!(inner.alloc.bytes, 70);
-        assert_eq!(inner.alloc.peak, 60, "release before the last alloc");
-        let outer = spans.iter().find(|s| s.name == "outer").expect("outer");
-        assert_eq!(outer.alloc.count, 2, "self stats exclude the child");
-        assert_eq!(outer.alloc.bytes, 101);
-    }
-
-    #[test]
-    fn allocations_outside_any_span_are_dropped() {
-        let obs = Observer::enabled();
-        obs.alloc(999);
-        {
-            let _s = obs.span("s");
-        }
-        obs.alloc_release(999);
-        let spans = obs.finished_spans();
-        assert!(spans.iter().all(|s| s.alloc.is_empty()));
-    }
-
-    #[test]
-    fn disabled_alloc_is_a_no_op() {
-        let obs = Observer::disabled();
-        let _g = obs.span("never");
-        obs.alloc(1);
-        obs.alloc_many(2, 2);
-        obs.alloc_release(1);
-        assert!(obs.finished_spans().is_empty());
-    }
-
-    #[test]
-    fn cross_thread_workers_account_their_own_allocations() {
-        let obs = Observer::enabled();
-        let stage = obs.span("stage");
-        let stage_id = stage.id();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let _w = obs.span_under("worker", stage_id);
-                    obs.alloc_many(2, 100);
-                });
-            }
-        });
-        drop(stage);
-        let spans = obs.finished_spans();
-        let worker_bytes: u64 = spans
-            .iter()
-            .filter(|s| s.name == "worker")
-            .map(|s| s.alloc.bytes)
-            .sum();
-        assert_eq!(worker_bytes, 400);
-        let stage = spans.iter().find(|s| s.name == "stage").expect("stage");
-        assert!(stage.alloc.is_empty(), "self stats; snapshot adds children");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! every consumer reads identical numbers. Aggregates are maintained at
 //! span close.
 
-use crate::alloc::{fmt_bytes, AllocStats};
 use crate::hist::HistSummary;
 use crate::json::escape;
 use crate::observer::State;
@@ -27,14 +26,6 @@ pub struct StageAgg {
     pub p50_ns: u64,
     pub p95_ns: u64,
     pub p99_ns: u64,
-    /// Inclusive attributed allocation events (this path and everything
-    /// underneath it).
-    pub alloc_count: u64,
-    /// Inclusive attributed bytes.
-    pub alloc_bytes: u64,
-    /// Sum of per-span live-byte peaks underneath this path — an upper
-    /// bound on concurrent live bytes, never an undercount.
-    pub alloc_peak: u64,
 }
 
 /// Point-in-time aggregate view of an observer's recordings.
@@ -48,29 +39,15 @@ pub struct Snapshot {
 
 impl Snapshot {
     pub(crate) fn build(state: &State) -> Snapshot {
-        let aggs = &state.paths.aggs;
-        // Fold every path's self allocation stats into all of its
-        // ancestors, so stage aggregates read inclusive. A child is
-        // always interned after its parent (the parent was open when the
-        // child started), so one reverse index walk propagates
-        // grandchildren before their parents move up. A path whose spans
-        // are all still open at snapshot time has `count == 0` and is
-        // skipped from the export rather than invented.
-        let mut inclusive: Vec<AllocStats> = aggs.iter().map(|a| a.alloc).collect();
-        for i in (0..aggs.len()).rev() {
-            let Some(parent) = aggs.get(i).and_then(|a| a.parent) else {
-                continue;
-            };
-            let stats = inclusive.get(i).copied().unwrap_or_default();
-            if let Some(slot) = inclusive.get_mut(parent as usize) {
-                slot.merge(&stats);
-            }
-        }
-        let mut stages: Vec<StageAgg> = aggs
+        // A path whose spans are all still open at snapshot time has
+        // `count == 0` and is skipped from the export rather than
+        // invented.
+        let mut stages: Vec<StageAgg> = state
+            .paths
+            .aggs
             .iter()
-            .zip(inclusive.iter())
-            .filter(|(a, _)| a.count > 0)
-            .map(|(a, alloc)| StageAgg {
+            .filter(|a| a.count > 0)
+            .map(|a| StageAgg {
                 path: a.path.clone(),
                 name: a.name,
                 depth: a.depth,
@@ -79,9 +56,6 @@ impl Snapshot {
                 p50_ns: a.hist.quantile(0.50),
                 p95_ns: a.hist.quantile(0.95),
                 p99_ns: a.hist.quantile(0.99),
-                alloc_count: alloc.count,
-                alloc_bytes: alloc.bytes,
-                alloc_peak: alloc.peak,
             })
             .collect();
         stages.sort_by(|a, b| a.path.cmp(&b.path));
@@ -133,13 +107,13 @@ impl Snapshot {
                 .unwrap_or(0)
                 .max("stage".len());
             out.push_str(&format!(
-                "{:<name_width$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}  {:>10}  {:>10}\n",
-                "stage", "count", "total", "mean", "p50", "p95", "p99", "allocs", "alloc", "peak"
+                "{:<name_width$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}\n",
+                "stage", "count", "total", "mean", "p50", "p95", "p99"
             ));
             for s in &self.stages {
                 let mean_ns = s.total_ns.checked_div(s.count).unwrap_or(0);
                 out.push_str(&format!(
-                    "{:<name_width$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}  {:>10}  {:>10}\n",
+                    "{:<name_width$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}\n",
                     format!("{}{}", "  ".repeat(s.depth), s.name),
                     s.count,
                     fmt_duration(s.total_ns),
@@ -147,9 +121,6 @@ impl Snapshot {
                     fmt_duration(s.p50_ns),
                     fmt_duration(s.p95_ns),
                     fmt_duration(s.p99_ns),
-                    s.alloc_count,
-                    fmt_bytes(s.alloc_bytes),
-                    fmt_bytes(s.alloc_peak),
                 ));
             }
         }
@@ -224,17 +195,13 @@ impl Snapshot {
             }
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \
-                 \"p95_ns\": {}, \"p99_ns\": {}, \"alloc_count\": {}, \
-                 \"alloc_bytes\": {}, \"alloc_peak\": {}}}",
+                 \"p95_ns\": {}, \"p99_ns\": {}}}",
                 escape(&s.path),
                 s.count,
                 s.total_ns,
                 s.p50_ns,
                 s.p95_ns,
-                s.p99_ns,
-                s.alloc_count,
-                s.alloc_bytes,
-                s.alloc_peak
+                s.p99_ns
             ));
         }
         if !self.stages.is_empty() {
@@ -269,8 +236,7 @@ fn non_negative_int(v: &crate::json::Json, what: &str) -> Result<u64, String> {
 /// present; when `count > 0`, `min ≤ p50 ≤ p95 ≤ p99 ≤ max`,
 /// `min ≤ mean ≤ max`, and `sum ≥ max`). Every stage must carry ordered
 /// `p50_ns ≤ p95_ns ≤ p99_ns` duration quantiles with `p99_ns ≤
-/// total_ns`, plus the three `alloc_*` attribution fields with
-/// `alloc_peak ≤ alloc_bytes` and no bytes without events.
+/// total_ns`.
 pub fn validate_metrics_json(text: &str) -> Result<MetricsSummary, String> {
     use crate::json::{parse_json, Json};
     let doc = parse_json(text).map_err(|e| e.to_string())?;
@@ -359,26 +325,6 @@ pub fn validate_metrics_json(text: &str) -> Result<MetricsSummary, String> {
                 "stage `{path}` p99 {p99} exceeds total_ns {total_ns}"
             ));
         }
-        let alloc_field = |key: &str| -> Result<u64, String> {
-            non_negative_int(
-                s.get(key)
-                    .ok_or_else(|| format!("stage `{path}` missing `{key}`"))?,
-                &format!("stage `{path}`.{key}"),
-            )
-        };
-        let alloc_count = alloc_field("alloc_count")?;
-        let alloc_bytes = alloc_field("alloc_bytes")?;
-        let alloc_peak = alloc_field("alloc_peak")?;
-        if alloc_peak > alloc_bytes {
-            return Err(format!(
-                "stage `{path}` alloc_peak {alloc_peak} exceeds alloc_bytes {alloc_bytes}"
-            ));
-        }
-        if alloc_count == 0 && alloc_bytes > 0 {
-            return Err(format!(
-                "stage `{path}` has {alloc_bytes} attributed bytes but zero events"
-            ));
-        }
     }
     Ok(MetricsSummary {
         counters: counters.len(),
@@ -409,11 +355,9 @@ mod tests {
             let _root = obs.span("pipeline.recommend");
             {
                 let _e = obs.span("pipeline.enumerate");
-                obs.alloc_many(2, 64);
             }
             {
                 let _x = obs.span("pipeline.execute");
-                obs.alloc(192);
             }
         }
         obs.incr("enumerate.candidates", 12);
@@ -462,59 +406,6 @@ mod tests {
     fn empty_report_renders() {
         let report = Observer::enabled().stage_report();
         assert!(report.contains("no spans recorded"));
-    }
-
-    #[test]
-    fn alloc_aggregates_are_inclusive() {
-        let snap = sample_observer().snapshot();
-        let root = snap.stage("pipeline.recommend").expect("root");
-        assert_eq!(root.alloc_count, 3, "root folds both children in");
-        assert_eq!(root.alloc_bytes, 256);
-        assert_eq!(root.alloc_peak, 256);
-        let enumerate = snap.stage("pipeline.enumerate").expect("child");
-        assert_eq!(enumerate.alloc_count, 2);
-        assert_eq!(enumerate.alloc_bytes, 64);
-        // Children never exceed the parent's inclusive totals.
-        let child_bytes: u64 = snap
-            .stages
-            .iter()
-            .filter(|s| s.depth == 1)
-            .map(|s| s.alloc_bytes)
-            .sum();
-        assert!(child_bytes <= root.alloc_bytes);
-    }
-
-    #[test]
-    fn stage_report_shows_alloc_columns() {
-        let report = sample_observer().stage_report();
-        assert!(report.contains("allocs"), "alloc column header");
-        assert!(report.contains("256B"), "inclusive root bytes rendered");
-    }
-
-    #[test]
-    fn metrics_json_carries_alloc_fields() {
-        let doc = parse_json(&sample_observer().metrics_json()).expect("valid JSON");
-        let root = doc
-            .get("stages")
-            .and_then(|s| s.get("pipeline.recommend"))
-            .expect("root stage exported");
-        assert_eq!(root.get("alloc_count").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(root.get("alloc_bytes").and_then(Json::as_f64), Some(256.0));
-        assert_eq!(root.get("alloc_peak").and_then(Json::as_f64), Some(256.0));
-    }
-
-    #[test]
-    fn validator_rejects_inconsistent_alloc_fields() {
-        // Missing field.
-        let doc = sample_observer()
-            .metrics_json()
-            .replace("\"alloc_peak\": ", "\"alloc_peek\": ");
-        assert!(validate_metrics_json(&doc).unwrap_err().contains("alloc"));
-        // Peak above bytes.
-        let doc = sample_observer()
-            .metrics_json()
-            .replace("\"alloc_peak\": 256", "\"alloc_peak\": 999");
-        assert!(validate_metrics_json(&doc).unwrap_err().contains("exceeds"));
     }
 
     #[test]
@@ -616,13 +507,11 @@ mod tests {
     fn validator_rejects_broken_stage_quantiles() {
         // Missing stage quantile field.
         let bad = r#"{"counters": {}, "histograms": {}, "stages": {"op":
-            {"count": 1, "total_ns": 10, "p95_ns": 1, "p99_ns": 1,
-             "alloc_count": 0, "alloc_bytes": 0, "alloc_peak": 0}}}"#;
+            {"count": 1, "total_ns": 10, "p95_ns": 1, "p99_ns": 1}}}"#;
         assert!(validate_metrics_json(bad).unwrap_err().contains("p50_ns"));
         // Out-of-order stage quantiles.
         let bad = r#"{"counters": {}, "histograms": {}, "stages": {"op":
-            {"count": 1, "total_ns": 10, "p50_ns": 9, "p95_ns": 1, "p99_ns": 10,
-             "alloc_count": 0, "alloc_bytes": 0, "alloc_peak": 0}}}"#;
+            {"count": 1, "total_ns": 10, "p50_ns": 9, "p95_ns": 1, "p99_ns": 10}}}"#;
         assert!(validate_metrics_json(bad)
             .unwrap_err()
             .contains("monotonic"));

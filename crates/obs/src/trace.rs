@@ -17,32 +17,8 @@ use crate::json::{escape, parse_json, Json};
 use crate::observer::SpanRecord;
 use std::collections::BTreeMap;
 
-/// Span accounting stamped into a trace's `span_accounting` metadata
-/// event. The invariant `retained + dropped == finished` must hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetentionStats {
-    /// Spans that finished.
-    pub finished: u64,
-    /// Spans the trace holds.
-    pub retained: u64,
-    /// Spans left out of the trace.
-    pub dropped: u64,
-}
-
 /// Serialize spans as Chrome trace-event JSON.
 pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
-    chrome_trace_json_inner(spans, None)
-}
-
-/// Serialize spans with an explicit `span_accounting` metadata event
-/// declaring how many spans the trace holds and how many it leaves out.
-/// A trace whose accounting says `dropped > 0` must be marked
-/// `truncated` — [`validate_chrome_trace`] rejects drop-without-marker.
-pub fn chrome_trace_json_with_accounting(spans: &[SpanRecord], stats: &RetentionStats) -> String {
-    chrome_trace_json_inner(spans, Some(stats))
-}
-
-fn chrome_trace_json_inner(spans: &[SpanRecord], stats: Option<&RetentionStats>) -> String {
     // One event per begin and per end, replayed in recorded order.
     let mut events: Vec<(u64, String)> = Vec::with_capacity(2 * spans.len() + 4);
     let mut tids: Vec<u64> = Vec::new();
@@ -87,20 +63,6 @@ fn chrome_trace_json_inner(spans: &[SpanRecord], stats: Option<&RetentionStats>)
         &mut out,
         &mut first,
     );
-    if let Some(stats) = stats {
-        push(
-            format!(
-                "{{\"name\":\"span_accounting\",\"ph\":\"M\",\"pid\":1,\"args\":{{\
-                 \"finished\":{},\"retained\":{},\"dropped\":{},\"truncated\":{}}}}}",
-                stats.finished,
-                stats.retained,
-                stats.dropped,
-                stats.dropped > 0
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
     for tid in tids {
         push(
             format!(
@@ -128,21 +90,12 @@ pub struct TraceSummary {
     pub max_depth: usize,
     /// Distinct thread lanes seen on duration events.
     pub threads: usize,
-    /// Spans left out of the trace per the `span_accounting` metadata
-    /// event (0 when absent).
-    pub dropped: u64,
-    /// Whether the trace declares itself truncated.
-    pub truncated: bool,
 }
 
 /// Validate a Chrome trace-event document: well-formed JSON (bare array
 /// or `{"traceEvents": [...]}`), legal `ph` phases, numeric non-negative
 /// `ts`/`dur` where required, timestamps non-decreasing per thread, and
-/// balanced, name-matched `B`/`E` nesting per thread. A trace carrying a
-/// `span_accounting` metadata event must be internally consistent:
-/// `retained + dropped == finished`, the retained count must match the
-/// span pairs actually present, and `dropped > 0` requires the
-/// `truncated` marker (a partial trace may never pose as complete).
+/// balanced, name-matched `B`/`E` nesting per thread.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let doc = parse_json(text).map_err(|e| e.to_string())?;
     let events = match &doc {
@@ -158,7 +111,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut spans = 0usize;
     let mut max_depth = 0usize;
-    let mut accounting: Option<(u64, u64, bool)> = None;
     for (i, event) in events.iter().enumerate() {
         let fail = |msg: String| Err(format!("event {i}: {msg}"));
         if event.as_object().is_none() {
@@ -171,39 +123,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             return fail(format!("unknown phase {ph:?}"));
         }
         if ph == "M" {
-            if event.get("name").and_then(Json::as_str) == Some("span_accounting") {
-                let args = event
-                    .get("args")
-                    .ok_or_else(|| format!("event {i}: span_accounting without `args`"))?;
-                let field = |key: &str| -> Result<u64, String> {
-                    match args.get(key).and_then(Json::as_f64) {
-                        Some(v) if v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
-                        _ => Err(format!("event {i}: span_accounting bad `{key}`")),
-                    }
-                };
-                let finished = field("finished")?;
-                let retained = field("retained")?;
-                let dropped = field("dropped")?;
-                let truncated = match args.get("truncated") {
-                    Some(Json::Bool(b)) => *b,
-                    _ => return fail("span_accounting without boolean `truncated`".to_owned()),
-                };
-                if retained + dropped != finished {
-                    return fail(format!(
-                        "span_accounting inconsistent: retained {retained} + dropped {dropped} \
-                         != finished {finished}"
-                    ));
-                }
-                if dropped > 0 && !truncated {
-                    return fail(format!(
-                        "{dropped} spans dropped but trace not marked truncated"
-                    ));
-                }
-                if dropped == 0 && truncated {
-                    return fail("trace marked truncated with zero drops".to_owned());
-                }
-                accounting = Some((retained, dropped, truncated));
-            }
             continue;
         }
         let ts = match event.get("ts").and_then(Json::as_f64) {
@@ -256,25 +175,12 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             return Err(format!("unclosed span {open:?} on lane {lane:?}"));
         }
     }
-    let (dropped, truncated) = match accounting {
-        Some((retained, dropped, truncated)) => {
-            if retained != spans as u64 {
-                return Err(format!(
-                    "span_accounting claims {retained} retained spans but the trace holds {spans}"
-                ));
-            }
-            (dropped, truncated)
-        }
-        None => (0, false),
-    };
     let threads = last_ts.len();
     Ok(TraceSummary {
         events: events.len(),
         spans,
         max_depth,
         threads,
-        dropped,
-        truncated,
     })
 }
 
@@ -361,55 +267,6 @@ mod tests {
         assert_eq!(summary.spans, 1);
         let bad = r#"[{"ph":"X","ts":1,"pid":1,"tid":1,"name":"x"}]"#;
         assert!(validate_chrome_trace(bad).is_err(), "X needs dur");
-    }
-
-    #[test]
-    fn truncated_trace_requires_the_marker() {
-        let obs = Observer::enabled();
-        for _ in 0..2 {
-            let _s = obs.span("op");
-        }
-        let stats = RetentionStats {
-            finished: 10,
-            retained: 2,
-            dropped: 8,
-        };
-        let json = chrome_trace_json_with_accounting(&obs.finished_spans(), &stats);
-        let summary = validate_chrome_trace(&json).expect("valid truncated trace");
-        assert_eq!(summary.spans, 2);
-        assert_eq!(summary.dropped, 8);
-        assert!(summary.truncated);
-        // Drop-without-marker must be rejected.
-        let bad = json.replace("\"truncated\":true", "\"truncated\":false");
-        assert!(validate_chrome_trace(&bad)
-            .unwrap_err()
-            .contains("truncated"));
-        // Accounting that hides the drops from the span count is a lie.
-        let bad = json.replace(
-            "\"retained\":2,\"dropped\":8,\"truncated\":true",
-            "\"retained\":10,\"dropped\":0,\"truncated\":false",
-        );
-        assert!(validate_chrome_trace(&bad).unwrap_err().contains("claims"));
-    }
-
-    #[test]
-    fn complete_trace_accounting_validates() {
-        let obs = Observer::enabled();
-        {
-            let _s = obs.span("op");
-        }
-        let json = obs.chrome_trace_json();
-        assert!(json.contains("span_accounting"));
-        let summary = validate_chrome_trace(&json).expect("valid");
-        assert!(!summary.truncated);
-        assert_eq!(summary.dropped, 0);
-        // Marking a complete trace truncated is also inconsistent.
-        let bad = json.replace("\"truncated\":false", "\"truncated\":true");
-        assert!(validate_chrome_trace(&bad).is_err());
-        // Traces without any accounting event (external tools) still pass.
-        let bare = chrome_trace_json(&obs.finished_spans());
-        let summary = validate_chrome_trace(&bare).expect("valid bare trace");
-        assert_eq!(summary.dropped, 0);
     }
 
     #[test]

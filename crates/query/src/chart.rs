@@ -70,31 +70,6 @@ impl ChartData {
         }
     }
 
-    /// Rough heap footprint of the materialized series and axis labels,
-    /// for allocation attribution ([`alloc_many`] at the executor's arena
-    /// points). An estimate — allocator slack and enum niche layout are
-    /// not modeled — but deterministic, O(marks) cheap, and stable enough
-    /// for stage-relative comparison.
-    ///
-    /// [`alloc_many`]: https://docs.rs/deepeye-obs
-    pub fn approx_heap_bytes(&self) -> u64 {
-        let series_bytes = match &self.series {
-            Series::Keyed(pairs) => {
-                let inline = pairs.len() * std::mem::size_of::<(Key, f64)>();
-                let text: usize = pairs
-                    .iter()
-                    .map(|(k, _)| match k {
-                        Key::Text(s) => s.len(),
-                        _ => 0,
-                    })
-                    .sum();
-                inline + text
-            }
-            Series::Points(points) => points.len() * std::mem::size_of::<(f64, f64)>(),
-        };
-        (series_bytes + self.x_label.len() + self.y_label.len()) as u64
-    }
-
     /// Export the chart data as CSV (header `x,y`), quoting fields that
     /// need it — handy for piping recommendations into other tools.
     pub fn to_csv(&self) -> String {

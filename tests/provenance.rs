@@ -234,8 +234,14 @@ fn provenance_collection_never_changes_recommendations() {
         ..Default::default()
     }];
     for make in configs {
-        let plain = DeepEye::new(make());
+        let plain_obs = Observer::enabled();
+        let plain = DeepEye::new(DeepEyeConfig {
+            observer: plain_obs.clone(),
+            ..make()
+        });
+        let explained_obs = Observer::enabled();
         let explained = DeepEye::new(DeepEyeConfig {
+            observer: explained_obs.clone(),
             provenance: Provenance::enabled(),
             ..make()
         });
@@ -252,6 +258,17 @@ fn provenance_collection_never_changes_recommendations() {
             ids(explained.recommend_progressive(&table, 3)),
             "recommend_progressive() must be provenance-invariant"
         );
+        // The enumeration counters are provenance-invariant too.
+        let counters = |obs: &Observer| {
+            ["enumerate.raw", "enumerate.candidates", "sema.rejected"].map(|c| obs.counter(c))
+        };
+        let [raw, candidates, rejected] = counters(&plain_obs);
+        assert_eq!(counters(&explained_obs), [raw, candidates, rejected]);
+        assert!(candidates > 0);
+        if make().enumeration == EnumerationMode::Exhaustive {
+            assert!(rejected > 0, "the exhaustive space holds ill-typed queries");
+            assert_eq!(raw, candidates + rejected);
+        }
     }
 }
 
