@@ -1,8 +1,7 @@
 //! The `analyze` CLI: lint the workspace against its baseline.
 //!
 //! ```text
-//! analyze --workspace [--root DIR] [--baseline FILE] [--github]
-//!                     [--rules A0002,A0003] [--effects]
+//! analyze --workspace [--root DIR] [--baseline FILE] [--github] [--effects]
 //! analyze --list-rules
 //! ```
 //!
@@ -11,17 +10,14 @@
 //! annotates the offending lines in the diff view; witness chains ride
 //! along `%0A`-encoded in the message.
 //!
-//! `--rules` is an include filter: only the named rules run (unknown
-//! codes are a usage error). `--effects` prints the per-function
-//! zero-cost effect summary — one line per theorem-scoped function with
-//! its any-path and disabled-world effect sets. `--list-rules` prints the
-//! rule catalog and exits.
+//! `--effects` prints the per-function zero-cost effect summary — one
+//! line per theorem-scoped function with its any-path and disabled-world
+//! effect sets. `--list-rules` prints the rule catalog and exits.
 //!
 //! Exit status: 0 when clean, 1 on violations / stale baseline entries,
 //! 2 on usage or I/O errors.
 
 use deepeye_analyze::{Baseline, Workspace};
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -32,7 +28,6 @@ fn main() -> ExitCode {
     let mut baseline_path: Option<PathBuf> = None;
     let mut github = false;
     let mut effects = false;
-    let mut only: Option<BTreeSet<String>> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -40,18 +35,6 @@ fn main() -> ExitCode {
             "--list-rules" => mode = Some("list-rules"),
             "--github" => github = true,
             "--effects" => effects = true,
-            "--rules" => match it.next() {
-                Some(v) => {
-                    let set: BTreeSet<String> = v.split(',').map(|c| c.trim().to_owned()).collect();
-                    for code in &set {
-                        if !deepeye_analyze::rules::RULES.iter().any(|r| r.code == code) {
-                            return usage(&format!("unknown rule code {code:?}"));
-                        }
-                    }
-                    only = Some(set);
-                }
-                None => return usage("--rules needs a comma-separated list of codes"),
-            },
             "--root" => match it.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage("--root needs a value"),
@@ -64,7 +47,7 @@ fn main() -> ExitCode {
         }
     }
     match mode {
-        Some("workspace") => run_lint(root, baseline_path, github, effects, only),
+        Some("workspace") => run_lint(root, baseline_path, github, effects),
         Some("list-rules") => run_list_rules(),
         _ => usage("pass --workspace or --list-rules"),
     }
@@ -72,8 +55,7 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("analyze: {err}");
-    eprintln!("usage: analyze --workspace [--root DIR] [--baseline FILE] [--github]");
-    eprintln!("                           [--rules A0002,A0003] [--effects]");
+    eprintln!("usage: analyze --workspace [--root DIR] [--baseline FILE] [--github] [--effects]");
     eprintln!("       analyze --list-rules");
     ExitCode::from(2)
 }
@@ -122,7 +104,6 @@ fn run_lint(
     baseline_path: Option<PathBuf>,
     github: bool,
     effects: bool,
-    only: Option<BTreeSet<String>>,
 ) -> ExitCode {
     let root = root.unwrap_or_else(default_root);
     let ws = match Workspace::load(&root) {
@@ -143,7 +124,7 @@ fn run_lint(
         },
         Err(_) => Baseline::default(), // missing baseline = empty
     };
-    let outcome = deepeye_analyze::lint::run_filtered(&ws, &baseline, only.as_ref());
+    let outcome = deepeye_analyze::lint::run(&ws, &baseline);
     if effects {
         for row in &outcome.effects {
             let fmt = |list: &[&str]| {
@@ -186,13 +167,10 @@ fn run_lint(
             println!("::warning title=stale baseline entry::{s}");
         }
     }
-    let rules_run = only
-        .as_ref()
-        .map_or(deepeye_analyze::rules::RULES.len(), BTreeSet::len);
     println!(
         "analyze: {} file(s), {} rule(s): {} violation(s), {} suppressed, {} stale baseline entr{}",
         outcome.files_scanned,
-        rules_run,
+        deepeye_analyze::rules::RULES.len(),
         outcome.violations.len(),
         outcome.suppressed.len(),
         outcome.stale.len(),

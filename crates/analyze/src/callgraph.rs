@@ -2,8 +2,10 @@
 //!
 //! [`Analysis::build`] runs once per lint invocation: it extracts every
 //! function definition (via [`crate::cfg`]), precomputes the per-file
-//! guard masks, and then resolves call sites to their callees so the
-//! interprocedural rules (A0008–A0012) can walk chains instead of single
+//! guard masks, resolves call sites to their callees, condenses the
+//! product call graph into its strongly connected components (Tarjan),
+//! and computes every function's effect summary, so the interprocedural
+//! rules (A0009, A0010, A0015, A0019) can walk chains instead of single
 //! token windows.
 //!
 //! Resolution is heuristic — this is a lexer-level analysis, not rustc —
@@ -23,7 +25,6 @@
 //!    method (`push`, `len`, `clone`, …) where "unique in workspace"
 //!    proves nothing.
 
-use crate::absint::{condense, BitSet, CondensedGraph};
 use crate::cfg::{self, FuncDef};
 use crate::effects::EffectSummary;
 use crate::lexer::Token;
@@ -44,8 +45,6 @@ pub struct CallSite {
     pub line: u32,
     /// Token index of the callee-name token.
     pub tok: usize,
-    /// The site sits behind an `is_enabled()` guard.
-    pub guarded: bool,
 }
 
 /// Everything the interprocedural rules need, built once per run.
@@ -54,8 +53,6 @@ pub struct Analysis {
     pub calls: Vec<CallSite>,
     /// Per function: call-site indices *inside* it.
     pub calls_from: Vec<Vec<usize>>,
-    /// Per function: call-site indices that *target* it.
-    pub callers_of: Vec<Vec<usize>>,
     /// Per file: per-token `is_enabled()` guard mask.
     pub guard_masks: Vec<Vec<bool>>,
     /// Per file: per-token index of the innermost enclosing function.
@@ -63,8 +60,8 @@ pub struct Analysis {
     /// SCC-condensed reachability over resolved product calls, shared
     /// by every interprocedural rule (A0009, A0015).
     pub reach: Reachability,
-    /// Per-function effect summaries from the abstract-interpretation
-    /// pass (see [`crate::effects`]), indexed like `funcs`.
+    /// Per-function effect summaries (see [`crate::effects`]), indexed
+    /// like `funcs`.
     pub effects: Vec<EffectSummary>,
 }
 
@@ -123,6 +120,158 @@ impl Reachability {
             (Some(&a), Some(&b)) => self.reach.get(a).is_some_and(|set| set.contains(b)),
             _ => false,
         }
+    }
+}
+
+/// A dense bit set over `0..n`, the representation of one row of the
+/// condensed reachability relation.
+#[derive(Clone, Default)]
+pub struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    pub fn new(n: usize) -> BitSet {
+        BitSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    pub fn insert(&mut self, i: usize) {
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w |= 1u64 << (i % 64);
+        }
+    }
+
+    pub fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+    }
+
+    /// `self |= other`.
+    pub fn union_with(&mut self, other: &BitSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= *b;
+        }
+    }
+}
+
+/// Tarjan SCC condensation of a directed graph.
+///
+/// Components are emitted in **reverse topological order**: every edge
+/// of the condensation points from a later component to an earlier one
+/// (`comp_succs[c]` only contains indices `< c`), so a bottom-up
+/// interprocedural pass is a single ascending sweep over `comps`.
+pub struct CondensedGraph {
+    /// Node → component index.
+    pub comp_of: Vec<usize>,
+    /// Component → member nodes (sorted), callees-first order.
+    pub comps: Vec<Vec<usize>>,
+    /// Condensation edges (deduped, each strictly decreasing).
+    pub comp_succs: Vec<Vec<usize>>,
+}
+
+impl CondensedGraph {
+    /// Per component: the set of components reachable from it,
+    /// including itself — one ascending sweep thanks to the reverse
+    /// topological component order.
+    pub fn reachable_sets(&self) -> Vec<BitSet> {
+        let n = self.comps.len();
+        let mut reach: Vec<BitSet> = Vec::with_capacity(n);
+        for c in 0..n {
+            let mut set = BitSet::new(n);
+            set.insert(c);
+            for &s in &self.comp_succs[c] {
+                if let Some(prev) = reach.get(s) {
+                    set.union_with(prev);
+                }
+            }
+            reach.push(set);
+        }
+        reach
+    }
+}
+
+/// Iterative Tarjan over `0..n` with adjacency `succs` (out-of-range
+/// targets are ignored). No recursion, so workspace-deep call chains
+/// cannot overflow the stack.
+pub fn condense(n: usize, succs: &[Vec<usize>]) -> CondensedGraph {
+    const UNSEEN: usize = usize::MAX;
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut comp_of = vec![0usize; n];
+    let mut comps: Vec<Vec<usize>> = Vec::new();
+    let mut next_index = 0usize;
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        index[root] = next_index;
+        low[root] = next_index;
+        next_index += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        frames.push((root, 0));
+        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
+            let edges: &[usize] = succs.get(v).map(|e| e.as_slice()).unwrap_or(&[]);
+            if *child < edges.len() {
+                let w = edges[*child];
+                *child += 1;
+                if w >= n {
+                    continue;
+                }
+                if index[w] == UNSEEN {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(p, _)) = frames.last() {
+                    low[p] = low[p].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut comp = Vec::new();
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        comp_of[w] = comps.len();
+                        comp.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comp.sort_unstable();
+                    comps.push(comp);
+                }
+            }
+        }
+    }
+
+    let mut succ_sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); comps.len()];
+    for (v, out) in succs.iter().enumerate().take(n) {
+        for &w in out {
+            if w < n && comp_of[v] != comp_of[w] {
+                succ_sets[comp_of[v]].insert(comp_of[w]);
+            }
+        }
+    }
+    CondensedGraph {
+        comp_of,
+        comps,
+        comp_succs: succ_sets
+            .into_iter()
+            .map(|s| s.into_iter().collect())
+            .collect(),
     }
 }
 
@@ -267,7 +416,6 @@ impl Analysis {
 
         let mut analysis = Analysis {
             calls_from: vec![Vec::new(); funcs.len()],
-            callers_of: vec![Vec::new(); funcs.len()],
             funcs,
             calls: Vec::new(),
             guard_masks,
@@ -280,9 +428,6 @@ impl Analysis {
         }
         for (ci, c) in analysis.calls.iter().enumerate() {
             analysis.calls_from[c.caller].push(ci);
-            if let Some(callee) = c.callee {
-                analysis.callers_of[callee].push(ci);
-            }
         }
         analysis.reach = Reachability::build(ws, &analysis);
         analysis.effects = crate::effects::summarize(ws, &analysis);
@@ -290,7 +435,7 @@ impl Analysis {
     }
 
     /// The innermost function containing token `tok` of file `file`.
-    pub fn func_at(&self, file: usize, tok: usize) -> Option<usize> {
+    fn func_at(&self, file: usize, tok: usize) -> Option<usize> {
         self.owner.get(file)?.get(tok).copied().flatten()
     }
 
@@ -364,7 +509,7 @@ impl Analysis {
                 .map(|c| c[0]),
             None => self.unique_fallback(name, caller, by_name),
         };
-        Some(self.site(fi, i + 1, toks[i + 1].line, caller, callee))
+        Some(site(fi, i + 1, toks[i + 1].line, caller, callee))
     }
 
     /// `f(…)`, `path::f(…)`, `Type::m(…)`, `Self::m(…)` at the
@@ -427,7 +572,7 @@ impl Analysis {
         } else {
             self.resolve_free(name, caller, by_name)
         };
-        Some(self.site(fi, i, toks[i].line, caller, callee))
+        Some(site(fi, i, toks[i].line, caller, callee))
     }
 
     /// Resolve `path::to::f` by qualified-name suffix match, after
@@ -546,23 +691,15 @@ impl Analysis {
             .collect();
         (cands.len() == 1).then(|| cands[0])
     }
+}
 
-    fn site(
-        &self,
-        fi: usize,
-        name_tok: usize,
-        line: u32,
-        caller: usize,
-        callee: Option<usize>,
-    ) -> CallSite {
-        CallSite {
-            caller,
-            callee,
-            file: fi,
-            line,
-            tok: name_tok,
-            guarded: self.guard_masks[fi].get(name_tok).copied().unwrap_or(false),
-        }
+fn site(file: usize, tok: usize, line: u32, caller: usize, callee: Option<usize>) -> CallSite {
+    CallSite {
+        caller,
+        callee,
+        file,
+        line,
+        tok,
     }
 }
 
@@ -723,25 +860,36 @@ pub fn count(items: &[u32]) -> usize { items.len() }
     }
 
     #[test]
-    fn guard_context_attaches_to_sites() {
-        let src = r#"
-pub fn caller(prov: &Provenance) {
-    if prov.is_enabled() {
-        guarded_callee();
+    fn condensation_is_reverse_topological() {
+        // 0 -> 1 <-> 2 -> 3, 0 -> 3.
+        let succs = vec![vec![1, 3], vec![2], vec![1, 3], vec![]];
+        let g = condense(4, &succs);
+        assert_eq!(g.comps.len(), 3);
+        assert_eq!(g.comp_of[1], g.comp_of[2]);
+        for (c, out) in g.comp_succs.iter().enumerate() {
+            for &s in out {
+                assert!(s < c, "condensation edge {c} -> {s} not reverse-topo");
+            }
+        }
+        let reach = g.reachable_sets();
+        assert!(reach[g.comp_of[0]].contains(g.comp_of[3]));
+        assert!(reach[g.comp_of[1]].contains(g.comp_of[3]));
+        assert!(!reach[g.comp_of[3]].contains(g.comp_of[0]));
     }
-    unguarded_callee();
-}
-fn guarded_callee() {}
-fn unguarded_callee() {}
-"#;
-        let a = build(vec![("crates/core/src/g.rs", src)]);
-        let site = |callee: &str| {
-            a.calls
-                .iter()
-                .find(|c| c.callee.is_some_and(|i| a.funcs[i].qual == callee))
-                .expect("site found")
-        };
-        assert!(site("core::g::guarded_callee").guarded);
-        assert!(!site("core::g::unguarded_callee").guarded);
+
+    #[test]
+    fn bitset_roundtrip() {
+        let mut s = BitSet::new(130);
+        s.insert(0);
+        s.insert(64);
+        s.insert(129);
+        let mut t = BitSet::new(130);
+        t.insert(65);
+        s.union_with(&t);
+        for i in [0usize, 64, 65, 129] {
+            assert!(s.contains(i));
+        }
+        assert!(!s.contains(1));
+        assert!(!s.contains(200));
     }
 }

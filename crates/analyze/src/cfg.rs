@@ -1,21 +1,11 @@
-//! Function extraction and per-function CFG-lite.
+//! Function extraction and the `is_enabled()` guard mask.
 //!
-//! The interprocedural rules (A0008–A0012) need more than a flat token
-//! stream: they need to know *which function* a token belongs to, the
-//! function's module-qualified name, and whether a site sits behind an
-//! `is_enabled()` guard. This module
-//! derives all of that from the lexer's token stream — no AST, no
-//! rustc — by tracking `mod` / `impl` / `trait` / `fn` scopes through
-//! the brace structure and splitting each function body into basic
-//! blocks at control keywords (`if` / `else` / `match` / `loop` /
-//! `while` / `for` / `return` / `?`).
-//!
-//! The CFG is deliberately "lite": blocks are maximal straight-line
-//! token runs, successor edges cover fallthrough, branch joins, and
-//! loop back/exit edges. That is enough for the dataflow layer's
-//! reachability questions (a panic site inside a function, an effect on
-//! some path, a lock acquired before a call) without
-//! pretending to be a real control-flow analysis.
+//! The interprocedural rules (A0009, A0010, A0015, A0019) need more than
+//! a flat token stream: they need to know *which function* a token
+//! belongs to, the function's module-qualified name, and whether a site
+//! sits behind an `is_enabled()` guard. This module derives all of that
+//! from the lexer's token stream — no AST, no rustc — by tracking
+//! `mod` / `impl` / `trait` / `fn` scopes through the brace structure.
 
 use crate::lexer::{matching_brace, Token};
 use crate::lint::SourceFile;
@@ -48,8 +38,6 @@ pub struct FuncDef {
     pub body_end: usize,
     /// Inside a `#[cfg(test)]` region or a test file.
     pub is_test: bool,
-    /// The per-function CFG-lite.
-    pub cfg: Cfg,
 }
 
 impl FuncDef {
@@ -57,38 +45,6 @@ impl FuncDef {
     pub fn body_range(&self) -> std::ops::Range<usize> {
         (self.body_start + 1)..self.body_end.saturating_sub(1)
     }
-}
-
-/// Basic-block kind, named after the token that opened it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockKind {
-    Entry,
-    Seq,
-    /// Starts at `if` / `else` / `match`.
-    Branch,
-    /// Starts at `loop` / `while` / `for`.
-    LoopHead,
-    /// Starts at `return` or a `?` propagation point.
-    Exit,
-}
-
-/// One straight-line block: a token range plus successor edges.
-#[derive(Debug, Clone)]
-pub struct Block {
-    /// Token range `[start, end)` in the file token stream.
-    pub start: usize,
-    pub end: usize,
-    /// Line of the first token.
-    pub line: u32,
-    pub kind: BlockKind,
-    /// Successor block indices within the same CFG.
-    pub succs: Vec<usize>,
-}
-
-/// A function's CFG-lite.
-#[derive(Debug, Clone, Default)]
-pub struct Cfg {
-    pub blocks: Vec<Block>,
 }
 
 /// Keywords that never start a call and never name a callee.
@@ -330,7 +286,7 @@ fn parse_type_header(window: &[Token]) -> Option<String> {
 }
 
 /// Parse a `fn` header starting at the `fn` keyword index; returns the
-/// partially-filled def (no body/cfg yet) and the index of the body `{`.
+/// partially-filled def (no body end yet) and the index of the body `{`.
 #[allow(clippy::too_many_arguments)]
 fn parse_fn_header(
     file: &SourceFile,
@@ -427,7 +383,6 @@ fn parse_fn_header(
             body_start: body_open,
             body_end: body_open, // fixed up by the caller
             is_test,
-            cfg: Cfg::default(),
         },
         body_open,
     ))
@@ -468,8 +423,7 @@ fn push_param(params: &mut Vec<(String, String)>, item: &[&Token]) {
     params.push((name.to_owned(), ty));
 }
 
-/// Extract every function defined in `file`, with module/impl context
-/// and a per-function CFG.
+/// Extract every function defined in `file`, with module/impl context.
 pub fn functions_in_file(file: &SourceFile, file_idx: usize) -> Vec<FuncDef> {
     let toks = &file.tokens;
     let mut out: Vec<FuncDef> = Vec::new();
@@ -522,9 +476,7 @@ pub fn functions_in_file(file: &SourceFile, file_idx: usize) -> Vec<FuncDef> {
                 scope_ty.as_ref(),
                 is_test,
             ) {
-                let body_close = matching_brace(toks, body_open);
-                def.body_end = body_close;
-                def.cfg = build_cfg(toks, body_open, body_close);
+                def.body_end = matching_brace(toks, body_open);
                 out.push(def);
                 // Continue scanning *inside* the body so nested items are
                 // found too; window resumes after the header.
@@ -556,87 +508,6 @@ fn classify_window(window: &[Token]) -> Scope {
         }
     }
     Scope::Other
-}
-
-/// Split the body token range `[open, close)` into CFG-lite blocks.
-fn build_cfg(toks: &[Token], open: usize, close: usize) -> Cfg {
-    let start = open + 1;
-    let end = close.saturating_sub(1).max(start);
-    // Block boundaries: control keywords and `?` start a new block.
-    let mut bounds: Vec<(usize, BlockKind)> = vec![(start, BlockKind::Entry)];
-    for k in start..end {
-        let t = &toks[k];
-        let kind = if t.is_ident("if") || t.is_ident("else") || t.is_ident("match") {
-            Some(BlockKind::Branch)
-        } else if t.is_ident("loop")
-            || t.is_ident("while")
-            || (t.is_ident("for") && toks[k..end.min(k + 24)].iter().any(|t| t.is_ident("in")))
-        {
-            Some(BlockKind::LoopHead)
-        } else if t.is_ident("return") || t.is_punct('?') {
-            Some(BlockKind::Exit)
-        } else {
-            None
-        };
-        if let Some(kind) = kind {
-            if bounds.last().map(|b| b.0) != Some(k) {
-                bounds.push((k, kind));
-            } else if let Some(last) = bounds.last_mut() {
-                last.1 = kind;
-            }
-        }
-    }
-    let mut blocks: Vec<Block> = Vec::new();
-    for (bi, (bstart, kind)) in bounds.iter().enumerate() {
-        let bend = bounds.get(bi + 1).map(|b| b.0).unwrap_or(end);
-        blocks.push(Block {
-            start: *bstart,
-            end: bend,
-            line: toks.get(*bstart).map(|t| t.line).unwrap_or(0),
-            kind: *kind,
-            succs: Vec::new(),
-        });
-    }
-    // Edges: fallthrough for non-exit blocks; branch join and loop
-    // back/exit edges resolved through the construct's body braces.
-    let block_at =
-        |tok: usize| -> Option<usize> { blocks.iter().position(|b| b.start <= tok && tok < b.end) };
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for bi in 0..blocks.len() {
-        let kind = blocks[bi].kind;
-        if kind != BlockKind::Exit && bi + 1 < blocks.len() {
-            edges.push((bi, bi + 1));
-        }
-        if matches!(kind, BlockKind::Branch | BlockKind::LoopHead) {
-            if let Some(body_open) = find_body_open(toks, blocks[bi].start + 1) {
-                let body_close = matching_brace(toks, body_open);
-                if body_close <= end {
-                    if let Some(join) = block_at(body_close) {
-                        // Branch: edge over the arm to the join point.
-                        // Loop: exit edge past the body.
-                        if join != bi {
-                            edges.push((bi, join));
-                        }
-                    }
-                    if kind == BlockKind::LoopHead {
-                        // Back edge from the last block inside the body; a
-                        // body with no inner control flow stays merged with
-                        // the head, so the back edge degenerates to a
-                        // self-edge.
-                        if let Some(last_in_body) = block_at(body_close.saturating_sub(1)) {
-                            edges.push((last_in_body, bi));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    for (from, to) in edges {
-        blocks[from].succs.push(to);
-    }
-    Cfg { blocks }
 }
 
 #[cfg(test)]
@@ -711,36 +582,6 @@ mod inner {
         assert_eq!(fmt.impl_type.as_deref(), Some("Widget"));
         assert!(fmt.returns_result);
         assert!(!fs[2].is_pub);
-    }
-
-    #[test]
-    fn cfg_blocks_split_at_control_flow() {
-        let src = r#"
-fn f(n: u32) -> u32 {
-    let mut acc = 0;
-    for i in 0..n {
-        acc += i;
-    }
-    if acc > 10 {
-        return acc;
-    }
-    acc
-}
-"#;
-        let fs = funcs("crates/core/src/x.rs", src);
-        assert_eq!(fs.len(), 1);
-        let cfg = &fs[0].cfg;
-        assert!(cfg.blocks.len() >= 4, "{:?}", cfg.blocks);
-        assert!(cfg.blocks.iter().any(|b| b.kind == BlockKind::LoopHead));
-        assert!(cfg.blocks.iter().any(|b| b.kind == BlockKind::Branch));
-        assert!(cfg.blocks.iter().any(|b| b.kind == BlockKind::Exit));
-        // The loop has a back edge: some edge points at an earlier block.
-        let back_edge = cfg
-            .blocks
-            .iter()
-            .enumerate()
-            .any(|(bi, b)| b.succs.iter().any(|&s| s <= bi));
-        assert!(back_edge, "loop back edge missing: {:?}", cfg.blocks);
     }
 
     #[test]

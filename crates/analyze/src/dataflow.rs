@@ -1,29 +1,21 @@
-//! Interprocedural rules over the workspace call graph (A0008–A0012).
+//! Interprocedural rules over the workspace call graph (A0009, A0010).
 //!
 //! Where the rules in [`crate::rules`] match tokens in one window or sync
 //! name tables, these rules walk the [`Analysis`] built once per run:
 //!
-//! * **A0008** — builds the static lock-order graph (which locks are
-//!   held when other locks are acquired, transitively through calls) and
-//!   reports any cycle: the classic ABBA deadlock, with the full
-//!   acquisition chain as `file:line` steps.
 //! * **A0009** — panic reachability: a public API in `core`/`query`/
 //!   `obs` must not reach `panic!` / `.unwrap()` / `.expect()` /
 //!   unguarded indexing, transitively through workspace calls.
 //! * **A0010** — dropped results: `let _ = f(…)` and an unconsumed
 //!   `.ok()` on a workspace call that returns `Result` swallow errors
 //!   the pipeline is supposed to surface.
-//! * **A0012** — the interprocedural face of A0002: a helper whose
-//!   record calls are lexically unguarded is clean if *every* product
-//!   call site is behind an `is_enabled()` guard (directly or through a
-//!   context-guarded caller); otherwise the unguarded chain is named.
 //!
 //! Every heuristic degrades toward silence: an unresolved call
 //! contributes no edge, so these rules under-report rather than flood.
 
 use crate::callgraph::Analysis;
 use crate::lint::{Diagnostic, PathStep, Workspace};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 fn step(file: &str, line: u32, note: String) -> PathStep {
     PathStep {
@@ -40,330 +32,6 @@ fn call_index(a: &Analysis) -> BTreeMap<(usize, usize), usize> {
         .enumerate()
         .map(|(ci, c)| ((c.file, c.tok), ci))
         .collect()
-}
-
-/// Whether the call site is product code in its file.
-fn product_call(ws: &Workspace, a: &Analysis, ci: usize) -> bool {
-    let c = &a.calls[ci];
-    ws.files[c.file].is_product(c.tok) && !a.funcs[c.caller].is_test
-}
-
-// ---------------------------------------------------------------------------
-// A0008 — static lock-order graph with cycle detection.
-
-/// One acquisition of a lock while others are held (the edge payload is
-/// the witness chain establishing the order).
-struct LockEdge {
-    steps: Vec<PathStep>,
-}
-
-pub fn lock_order(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-    // Direct acquisitions per function: (canonical lock id, line, token).
-    let mut direct: Vec<Vec<(String, u32, usize)>> = vec![Vec::new(); a.funcs.len()];
-    for (fi, f) in a.funcs.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let toks = &ws.files[f.file].tokens;
-        for i in f.body_range() {
-            if let Some(id) = lock_acquisition(ws, a, fi, i) {
-                direct[fi].push((id, toks[i].line, i));
-            }
-        }
-    }
-    // Transitive lock sets: locks a call to `f` may end up acquiring.
-    let mut trans: Vec<BTreeSet<String>> = direct
-        .iter()
-        .map(|d| d.iter().map(|(id, _, _)| id.clone()).collect())
-        .collect();
-    loop {
-        let mut changed = false;
-        for fi in 0..a.funcs.len() {
-            for &ci in &a.calls_from[fi] {
-                let Some(callee) = a.calls[ci].callee else {
-                    continue;
-                };
-                let add: Vec<String> = trans[callee]
-                    .iter()
-                    .filter(|id| !trans[fi].contains(*id))
-                    .cloned()
-                    .collect();
-                if !add.is_empty() {
-                    trans[fi].extend(add);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Order edges: while A is held, B gets acquired (directly or through
-    // a call). First witness per (A, B) pair wins.
-    let calls_at = call_index(a);
-    let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-    for (fi, f) in a.funcs.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let file = &ws.files[f.file];
-        let toks = &file.tokens;
-        // Held-lock tracking: `let`-bound guards live to the end of their
-        // block, temporaries to the end of the statement (same discipline
-        // as A0003).
-        struct Held {
-            id: String,
-            line: u32,
-            depth: usize,
-            temp: bool,
-        }
-        let mut held: Vec<Held> = Vec::new();
-        let mut depth = 0usize;
-        let mut stmt_start = f.body_range().start;
-        for i in f.body_range() {
-            let t = &toks[i];
-            if t.is_punct('{') {
-                depth += 1;
-                stmt_start = i + 1;
-                continue;
-            }
-            if t.is_punct('}') {
-                depth = depth.saturating_sub(1);
-                held.retain(|h| h.depth <= depth);
-                stmt_start = i + 1;
-                continue;
-            }
-            if t.is_punct(';') {
-                held.retain(|h| !h.temp);
-                stmt_start = i + 1;
-                continue;
-            }
-            if !file.is_product(i) {
-                continue;
-            }
-            if let Some(id) = lock_acquisition(ws, a, fi, i) {
-                for h in &held {
-                    if h.id != id {
-                        edges.entry((h.id.clone(), id.clone())).or_insert(LockEdge {
-                            steps: vec![
-                                step(
-                                    &f.rel,
-                                    h.line,
-                                    format!("`{}` acquires lock `{}`", f.qual, h.id),
-                                ),
-                                step(&f.rel, t.line, format!("then acquires lock `{id}`")),
-                            ],
-                        });
-                    }
-                }
-                let is_let = toks.get(stmt_start).is_some_and(|t| t.is_ident("let"));
-                held.push(Held {
-                    id,
-                    line: t.line,
-                    depth,
-                    temp: !is_let,
-                });
-                continue;
-            }
-            if held.is_empty() {
-                continue;
-            }
-            if let Some(&ci) = calls_at.get(&(f.file, i)) {
-                let Some(callee) = a.calls[ci].callee else {
-                    continue;
-                };
-                for b in trans[callee].iter() {
-                    for h in &held {
-                        if &h.id == b || edges.contains_key(&(h.id.clone(), b.clone())) {
-                            continue;
-                        }
-                        let Some(mut chain) = acquisition_chain(ws, a, &direct, callee, b) else {
-                            continue;
-                        };
-                        let mut steps = vec![
-                            step(
-                                &f.rel,
-                                h.line,
-                                format!("`{}` acquires lock `{}`", f.qual, h.id),
-                            ),
-                            step(
-                                &f.rel,
-                                a.calls[ci].line,
-                                format!("calls `{}` with `{}` held", a.funcs[callee].qual, h.id),
-                            ),
-                        ];
-                        steps.append(&mut chain);
-                        edges.insert((h.id.clone(), b.clone()), LockEdge { steps });
-                    }
-                }
-            }
-        }
-    }
-
-    // Cycle detection over lock ids: an edge A→B with a path B→…→A is a
-    // deadlock-capable order inversion. Report each cycle once (by its
-    // sorted lock set).
-    let mut out = Vec::new();
-    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    let adj: BTreeMap<&String, Vec<&String>> =
-        edges.keys().fold(BTreeMap::new(), |mut m, (x, y)| {
-            m.entry(x).or_default().push(y);
-            m
-        });
-    for ((x, y), edge) in &edges {
-        let Some(path_back) = edge_path(&adj, y, x) else {
-            continue;
-        };
-        let mut cycle: Vec<String> = vec![x.clone()];
-        cycle.extend(path_back.iter().map(|s| (*s).clone()));
-        let mut key = cycle.clone();
-        key.sort();
-        key.dedup();
-        if !reported.insert(key) {
-            continue;
-        }
-        let mut steps = edge.steps.clone();
-        let mut prev = y.clone();
-        for next in &path_back[1..] {
-            if let Some(e) = edges.get(&(prev.clone(), (*next).clone())) {
-                steps.extend(e.steps.iter().cloned());
-            }
-            prev = (*next).clone();
-        }
-        let order: Vec<&str> = cycle.iter().map(String::as_str).collect();
-        out.push(Diagnostic {
-            file: steps[0].file.clone(),
-            line: steps[0].line,
-            code: "A0008",
-            message: format!(
-                "lock-order cycle {} — two threads interleaving these chains deadlock; \
-                 pick one global order",
-                order.join(" -> "),
-            ),
-            path: steps,
-        });
-    }
-    out
-}
-
-/// Canonical lock id for a `.lock()` at the `.` token, e.g.
-/// `self.inner.lock()` in an `impl Sink` → `Sink.inner`. Unknown
-/// receivers (chained expressions) yield `None`.
-fn lock_acquisition(ws: &Workspace, a: &Analysis, func: usize, i: usize) -> Option<String> {
-    let f = &a.funcs[func];
-    let toks = &ws.files[f.file].tokens;
-    if !(toks[i].is_punct('.')
-        && toks.get(i + 1).is_some_and(|t| t.is_ident("lock"))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct('(')))
-    {
-        return None;
-    }
-    let mut segs: Vec<&str> = Vec::new();
-    let mut k = i;
-    while k >= 1 {
-        let Some(name) = toks[k - 1].ident() else {
-            break;
-        };
-        segs.push(name);
-        if k >= 3 && toks[k - 2].is_punct('.') {
-            k -= 2;
-        } else {
-            break;
-        }
-    }
-    if segs.is_empty() {
-        return None;
-    }
-    segs.reverse();
-    let mut parts: Vec<String> = segs.iter().map(|s| (*s).to_owned()).collect();
-    if parts[0] == "self" {
-        parts[0] = f.impl_type.clone().unwrap_or_else(|| "Self".to_owned());
-    }
-    Some(parts.join("."))
-}
-
-/// Shortest call chain from `from` to a function that directly acquires
-/// `lock`, rendered as path steps ending at the acquisition line.
-fn acquisition_chain(
-    ws: &Workspace,
-    a: &Analysis,
-    direct: &[Vec<(String, u32, usize)>],
-    from: usize,
-    lock: &str,
-) -> Option<Vec<PathStep>> {
-    let mut prev: BTreeMap<usize, usize> = BTreeMap::new(); // func -> call idx used
-    let mut queue = VecDeque::from([from]);
-    let mut seen = BTreeSet::from([from]);
-    while let Some(f) = queue.pop_front() {
-        if let Some((_, line, _)) = direct[f].iter().find(|(id, _, _)| id == lock) {
-            // Walk back to `from`, emitting call steps forward.
-            let mut calls_rev: Vec<usize> = Vec::new();
-            let mut cur = f;
-            while cur != from {
-                let ci = prev[&cur];
-                calls_rev.push(ci);
-                cur = a.calls[ci].caller;
-            }
-            let mut steps = Vec::new();
-            for &ci in calls_rev.iter().rev() {
-                let c = &a.calls[ci];
-                let callee = c.callee.unwrap_or(c.caller);
-                steps.push(step(
-                    &a.funcs[c.caller].rel,
-                    c.line,
-                    format!("calls `{}`", a.funcs[callee].qual),
-                ));
-            }
-            steps.push(step(
-                &a.funcs[f].rel,
-                *line,
-                format!("`{}` acquires lock `{lock}`", a.funcs[f].qual),
-            ));
-            return Some(steps);
-        }
-        for &ci in &a.calls_from[f] {
-            let Some(callee) = a.calls[ci].callee else {
-                continue;
-            };
-            if ws.files[a.calls[ci].file].is_product(a.calls[ci].tok) && seen.insert(callee) {
-                prev.insert(callee, ci);
-                queue.push_back(callee);
-            }
-        }
-    }
-    None
-}
-
-/// BFS path (as lock ids, starting at `from`'s successor… ending at
-/// `to`) through the lock-order edge graph.
-fn edge_path<'a>(
-    adj: &BTreeMap<&'a String, Vec<&'a String>>,
-    from: &'a String,
-    to: &'a String,
-) -> Option<Vec<&'a String>> {
-    let mut prev: BTreeMap<&String, &String> = BTreeMap::new();
-    let mut queue = VecDeque::from([from]);
-    let mut seen: BTreeSet<&String> = BTreeSet::from([from]);
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut path = vec![n];
-            let mut cur = n;
-            while cur != from {
-                cur = prev[cur];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for next in adj.get(n).into_iter().flatten() {
-            if seen.insert(next) {
-                prev.insert(next, n);
-                queue.push_back(next);
-            }
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -621,114 +289,6 @@ fn matching_open_paren(toks: &[crate::lexer::Token], dot: usize) -> Option<usize
     None
 }
 
-// ---------------------------------------------------------------------------
-// A0012 — interprocedural is_enabled() guard propagation.
-
-/// Record-call sites A0002 defers to this rule: lexically unguarded, in
-/// a non-pub function that has at least one resolved product call site.
-pub fn guard_propagation(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-    // Greatest-fixpoint "context guarded": true when every product call
-    // site is guarded at the site or sits in a context-guarded caller.
-    let mut cg: Vec<bool> = a
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(fi, _)| !product_callers(ws, a, fi).is_empty())
-        .collect();
-    loop {
-        let mut changed = false;
-        for fi in 0..a.funcs.len() {
-            if !cg[fi] {
-                continue;
-            }
-            let ok = product_callers(ws, a, fi)
-                .iter()
-                .all(|&ci| a.calls[ci].guarded || cg[a.calls[ci].caller]);
-            if !ok {
-                cg[fi] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut out = Vec::new();
-    for (fi, f) in a.funcs.iter().enumerate() {
-        let file = &ws.files[f.file];
-        if file.in_dir("crates/obs") || f.is_test {
-            continue;
-        }
-        if f.is_pub || product_callers(ws, a, fi).is_empty() {
-            continue; // A0002 owns these
-        }
-        let toks = &file.tokens;
-        let mask = &a.guard_masks[f.file];
-        for i in f.body_range() {
-            if !file.is_product(i) || mask.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let Some((recv, method, _)) = crate::rules::record_call_at(file, i) else {
-                continue;
-            };
-            if cg[fi] {
-                continue; // every caller path is guarded — the point of this rule
-            }
-            // Witness: one unguarded call chain from a root down to here.
-            let mut steps = vec![step(
-                &f.rel,
-                toks[i].line,
-                format!("`{recv}.{method}(…)` with no local guard in `{}`", f.qual),
-            )];
-            let mut cur = fi;
-            let mut visited = BTreeSet::from([fi]);
-            while let Some(&ci) = product_callers(ws, a, cur)
-                .iter()
-                .find(|&&ci| !a.calls[ci].guarded || !cg[a.calls[ci].caller])
-            {
-                let c = &a.calls[ci];
-                steps.push(step(
-                    &a.funcs[c.caller].rel,
-                    c.line,
-                    format!("called unguarded from `{}`", a.funcs[c.caller].qual),
-                ));
-                if !visited.insert(c.caller) {
-                    break;
-                }
-                cur = c.caller;
-            }
-            out.push(Diagnostic {
-                file: f.rel.clone(),
-                line: toks[i].line,
-                code: "A0012",
-                message: format!(
-                    "`{recv}.{method}(…)` in helper `{}` is reached on an unguarded call \
-                     path — guard the call site or the helper",
-                    f.qual,
-                ),
-                path: steps,
-            });
-        }
-    }
-    out
-}
-
-/// Resolved product call sites targeting `fi`.
-fn product_callers(ws: &Workspace, a: &Analysis, fi: usize) -> Vec<usize> {
-    a.callers_of[fi]
-        .iter()
-        .copied()
-        .filter(|&ci| product_call(ws, a, ci))
-        .collect()
-}
-
-/// Whether `fi` has at least one resolved product call site — the
-/// criterion A0002 uses to defer a helper's record calls to A0012.
-pub(crate) fn has_product_caller(ws: &Workspace, a: &Analysis, fi: usize) -> bool {
-    !product_callers(ws, a, fi).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,71 +300,6 @@ mod tests {
         let ws = Workspace::from_sources(files, "");
         let a = Analysis::build(&ws);
         rule(&ws, &a)
-    }
-
-    #[test]
-    fn a0008_flags_abba_cycle_through_a_call() {
-        let src = r#"
-pub struct Pair { a: Mutex<u32>, b: Mutex<u32> }
-impl Pair {
-    pub fn ab(&self) {
-        let ga = self.a.lock();
-        self.take_b();
-    }
-    fn take_b(&self) {
-        let gb = self.b.lock();
-    }
-    pub fn ba(&self) {
-        let gb = self.b.lock();
-        let ga = self.a.lock();
-    }
-}
-"#;
-        let hits = run(vec![("crates/core/src/locks.rs", src)], lock_order);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].code, "A0008");
-        assert!(
-            hits[0].message.contains("lock-order cycle"),
-            "{}",
-            hits[0].message
-        );
-        assert!(
-            hits[0].message.contains("Pair.a") && hits[0].message.contains("Pair.b"),
-            "{}",
-            hits[0].message
-        );
-        // The witness names the interprocedural step and renders as
-        // file:line steps.
-        assert!(hits[0].path.len() >= 4, "{:?}", hits[0].path);
-        assert!(
-            hits[0]
-                .path
-                .iter()
-                .any(|s| s.note.contains("take_b") && s.note.contains("held")),
-            "{:?}",
-            hits[0].path
-        );
-        let text = format!("{}", hits[0]);
-        assert!(text.contains("at crates/core/src/locks.rs:"), "{text}");
-    }
-
-    #[test]
-    fn a0008_consistent_order_is_clean() {
-        let src = r#"
-pub struct Pair { a: Mutex<u32>, b: Mutex<u32> }
-impl Pair {
-    pub fn first(&self) {
-        let ga = self.a.lock();
-        let gb = self.b.lock();
-    }
-    pub fn second(&self) {
-        let ga = self.a.lock();
-        let gb = self.b.lock();
-    }
-}
-"#;
-        let hits = run(vec![("crates/core/src/locks.rs", src)], lock_order);
-        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]
@@ -880,88 +375,5 @@ pub fn caller() {
         assert!(hits
             .iter()
             .any(|d| d.message.contains("`.ok()`") && d.message.contains("core::r::fallible")));
-    }
-
-    fn a0002(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-        let rule = crate::rules::RULES
-            .iter()
-            .find(|r| r.code == "A0002")
-            .expect("A0002 registered");
-        (rule.check)(ws, a)
-    }
-
-    #[test]
-    fn a0012_flags_unguarded_call_path_into_helper() {
-        let src = r#"
-pub fn entry(prov: &Provenance) {
-    note(prov);
-}
-fn note(prov: &Provenance) {
-    prov.record("id", |e| e.x = 1);
-}
-"#;
-        let ws = Workspace::from_sources(vec![("crates/core/src/g.rs", src)], "");
-        let a = Analysis::build(&ws);
-        // A0002 defers the helper to this rule…
-        assert!(a0002(&ws, &a).is_empty(), "{:?}", a0002(&ws, &a));
-        // …which names the unguarded chain.
-        let hits = guard_propagation(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].code, "A0012");
-        assert!(
-            hits[0].message.contains("core::g::note"),
-            "{}",
-            hits[0].message
-        );
-        assert!(
-            hits[0]
-                .path
-                .iter()
-                .any(|s| s.note.contains("called unguarded from `core::g::entry`")),
-            "{:?}",
-            hits[0].path
-        );
-    }
-
-    #[test]
-    fn a0012_guarded_call_sites_cover_the_helper() {
-        let src = r#"
-pub fn entry(prov: &Provenance) {
-    if prov.is_enabled() {
-        note(prov);
-    }
-}
-fn note(prov: &Provenance) {
-    prov.record("id", |e| e.x = 1);
-}
-"#;
-        let ws = Workspace::from_sources(vec![("crates/core/src/g.rs", src)], "");
-        let a = Analysis::build(&ws);
-        assert!(a0002(&ws, &a).is_empty(), "{:?}", a0002(&ws, &a));
-        let hits = guard_propagation(&ws, &a);
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0012_guard_propagates_through_a_middle_helper() {
-        // entry guards; middle forwards; leaf records — all clean.
-        let src = r#"
-pub fn entry(prov: &Provenance) {
-    if prov.is_enabled() {
-        middle(prov);
-    }
-}
-fn middle(prov: &Provenance) {
-    leaf(prov);
-}
-fn leaf(prov: &Provenance) {
-    prov.record("id", |e| e.x = 1);
-}
-"#;
-        let ws = Workspace::from_sources(vec![("crates/core/src/g.rs", src)], "");
-        let a = Analysis::build(&ws);
-        assert!(a0002(&ws, &a).is_empty());
-        let hits = guard_propagation(&ws, &a);
-        assert!(hits.is_empty(), "{hits:?}");
     }
 }

@@ -1,13 +1,14 @@
 //! Interprocedural effect summaries and the rules they power.
 //!
-//! This is the client layer of [`crate::absint`]: per-function effect
-//! sets (allocates / locks / does-io / may-panic) are computed with the
-//! fixpoint solver over each function's CFG-lite, then propagated
-//! bottom-up over the Tarjan condensation of the call graph so that a
-//! caller's summary includes everything its callees may do. Each
-//! function gets **two** summaries:
+//! Each function's effect set (allocates / locks / does-io / may-panic)
+//! is the union, over every token of its body, of the effect a token
+//! marks directly (`vec!`, `.lock()`, `println!`, …) and the summary of
+//! the callee a call token names. Summaries are computed bottom-up over
+//! the Tarjan condensation of the call graph, so a caller's summary
+//! includes everything its callees may do. Each function gets **two**
+//! summaries:
 //!
-//! * `full` — effects on any path, with every branch assumed takeable;
+//! * `full` — effects of every token of the body;
 //! * `off` — effects in the *disabled world*, where every
 //!   `is_enabled()` check returns false and every `self.inner`-style
 //!   `Option` gate is `None`. Tokens that only execute when enabled are
@@ -16,19 +17,63 @@
 //! The disabled world is what the zero-cost claim quantifies over:
 //! rule A0015 demands `off` be pure for every gate-bearing function of
 //! the observability layer, with a witness chain naming the first effect
-//! when the proof fails. The interval domain powers A0018 (possibly-zero
-//! divisors), and A0019 keeps DESIGN.md's zero-cost claims honest
-//! against the engine.
+//! when the proof fails, and A0019 keeps DESIGN.md's zero-cost claims
+//! honest against the engine.
 
-use crate::absint::{
-    fixpoint, EffectSet, Interval, JoinSemiLattice, EFFECT_ALLOC, EFFECT_BITS, EFFECT_IO,
-    EFFECT_LOCK, EFFECT_PANIC,
-};
 use crate::callgraph::Analysis;
-use crate::cfg::{find_body_open, Cfg, FuncDef};
+use crate::cfg::{find_body_open, FuncDef};
 use crate::lexer::{matching_brace, Token};
-use crate::lint::{Diagnostic, PathStep, SourceFile, Workspace};
+use crate::lint::{Diagnostic, PathStep, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Effect bit: the function may allocate.
+pub const EFFECT_ALLOC: u8 = 1;
+/// Effect bit: the function may take a lock.
+pub const EFFECT_LOCK: u8 = 2;
+/// Effect bit: the function may perform I/O.
+pub const EFFECT_IO: u8 = 4;
+/// Effect bit: the function may panic.
+pub const EFFECT_PANIC: u8 = 8;
+
+/// All effect bits, paired with their report names, in emission order.
+pub const EFFECT_BITS: [(u8, &str); 4] = [
+    (EFFECT_ALLOC, "alloc"),
+    (EFFECT_LOCK, "lock"),
+    (EFFECT_IO, "io"),
+    (EFFECT_PANIC, "panic"),
+];
+
+/// A set of effects over {alloc, lock, io, panic}, one bit each.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct EffectSet(pub u8);
+
+impl EffectSet {
+    /// The empty set: pure.
+    pub fn pure() -> EffectSet {
+        EffectSet(0)
+    }
+
+    pub fn is_pure(&self) -> bool {
+        self.0 == 0
+    }
+
+    pub fn has(&self, bit: u8) -> bool {
+        self.0 & bit != 0
+    }
+
+    pub fn insert(&mut self, bit: u8) {
+        self.0 |= bit;
+    }
+
+    /// Report names of the effects present, in fixed order.
+    pub fn names(&self) -> Vec<&'static str> {
+        EFFECT_BITS
+            .iter()
+            .filter(|(bit, _)| self.has(*bit))
+            .map(|&(_, name)| name)
+            .collect()
+    }
+}
 
 /// Where an effect bit first enters a function's summary.
 #[derive(Debug, Clone)]
@@ -212,21 +257,15 @@ fn direct_marker(toks: &[Token], i: usize) -> Option<(u8, String)> {
     None
 }
 
-/// Whether tokens `[k..]` start a `self.FIELD` access where FIELD is a
-/// plain field (not a method call).
-fn self_field_at(toks: &[Token], k: usize) -> bool {
-    toks.get(k).is_some_and(|t| t.is_ident("self"))
-        && toks.get(k + 1).is_some_and(|t| t.is_punct('.'))
-        && toks.get(k + 2).and_then(Token::ident).is_some()
-        && !toks.get(k + 3).is_some_and(|t| t.is_punct('('))
-}
-
-/// Whether tokens at `k` are a `self.inner` access — the
+/// Whether tokens at `k` are a `self.inner` field access — the
 /// `inner: Option<Arc<Inner>>` disabled-state convention Observer and
 /// Provenance share. Only this field gates the disabled world; an
 /// arbitrary `self.field` Option carries data, not enablement.
 fn state_field_at(toks: &[Token], k: usize) -> bool {
-    self_field_at(toks, k) && toks.get(k + 2).is_some_and(|t| t.is_ident("inner"))
+    toks.get(k).is_some_and(|t| t.is_ident("self"))
+        && toks.get(k + 1).is_some_and(|t| t.is_punct('.'))
+        && toks.get(k + 2).is_some_and(|t| t.is_ident("inner"))
+        && !toks.get(k + 3).is_some_and(|t| t.is_punct('('))
 }
 
 /// Whether any token in `[start, end)` is a `self.inner` access.
@@ -380,8 +419,9 @@ fn assign_eq(toks: &[Token], from: usize, end: usize) -> Option<usize> {
 }
 
 /// Compute the two effect summaries for every function, bottom-up over
-/// the SCC condensation so callee summaries are final (or iterated to a
-/// local fixpoint inside recursive components) before callers read them.
+/// the SCC condensation so callee summaries are final (or iterated until
+/// they stop changing inside recursive components) before callers read
+/// them.
 pub fn summarize(ws: &Workspace, a: &Analysis) -> Vec<EffectSummary> {
     let n = a.funcs.len();
     let mut summaries: Vec<EffectSummary> = vec![EffectSummary::default(); n];
@@ -445,8 +485,9 @@ pub fn summarize(ws: &Workspace, a: &Analysis) -> Vec<EffectSummary> {
     }
 
     // Pass 3: bottom-up evaluation over the condensation. Components
-    // arrive callees-first; inside a recursive component we iterate to a
-    // local fixpoint (the effect lattice is finite, so this is fast).
+    // arrive callees-first; inside a recursive component we iterate
+    // until no summary changes (summaries only gain bits, and there are
+    // four, so this is fast).
     let comps: Vec<Vec<usize>> = a.reach.scc.comps.clone();
     for comp in &comps {
         loop {
@@ -475,25 +516,10 @@ enum Mode {
     Off,
 }
 
-/// Blocks reachable from the CFG entry.
-fn reachable_blocks(cfg: &Cfg) -> Vec<bool> {
-    let n = cfg.blocks.len();
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    while let Some(b) = stack.pop() {
-        if b >= n || seen[b] {
-            continue;
-        }
-        seen[b] = true;
-        for &s in &cfg.blocks[b].succs {
-            stack.push(s);
-        }
-    }
-    seen
-}
-
-/// One function's effect set + first-witness table in the given mode,
-/// reading callee summaries from `summaries`.
+/// One function's effect set and first-witness table in the given mode:
+/// the union, over every unmasked token of the body, of the token's
+/// direct marker and the summary (read from `summaries`) of the callee
+/// it names. The witness per bit is its first contributor in body order.
 fn eval_effects(
     ws: &Workspace,
     a: &Analysis,
@@ -505,85 +531,30 @@ fn eval_effects(
 ) -> (EffectSet, [Option<Witness>; 4]) {
     let f = &a.funcs[fi];
     let toks = &ws.files[f.file].tokens;
-    let base = f.body_start;
-    let masked = |k: usize| -> bool {
-        mode == Mode::Off
-            && masks[fi]
-                .get(k.wrapping_sub(base))
-                .copied()
-                .unwrap_or(false)
-    };
-    let cfg = &f.cfg;
-    if cfg.blocks.is_empty() {
-        return (EffectSet::pure(), [None, None, None, None]);
-    }
-    // Per-block local effects (direct markers + call imports).
-    let mut block_fx: Vec<EffectSet> = Vec::with_capacity(cfg.blocks.len());
-    for b in &cfg.blocks {
-        let mut fx = EffectSet::pure();
-        for k in b.start..b.end.min(toks.len()) {
-            if masked(k) {
-                continue;
-            }
-            if let Some((bit, _)) = direct_marker(toks, k) {
-                fx.insert(bit);
-            }
-            if let Some(&ci) = site_at[fi].get(&k) {
-                if let Some(callee) = a.calls[ci].callee {
-                    let s = &summaries[callee];
-                    let imported = match mode {
-                        Mode::Full => s.full,
-                        Mode::Off => s.off,
-                    };
-                    fx = fx.join(&imported);
-                }
-            }
-        }
-        block_fx.push(fx);
-    }
-    let result = fixpoint(cfg, EffectSet::pure(), |b, s: &EffectSet| {
-        s.join(&block_fx[b])
-    });
-    let reach = reachable_blocks(cfg);
     let mut total = EffectSet::pure();
-    for (b, ok) in reach.iter().enumerate() {
-        if *ok {
-            total = total.join(&result.outputs[b]);
-        }
-    }
-    // First witness per bit, scanning reachable blocks in order.
     let mut witness: [Option<Witness>; 4] = [None, None, None, None];
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        if !reach[b] {
+    for k in f.body_range() {
+        if mode == Mode::Off && masks[fi].get(k - f.body_start).copied().unwrap_or(false) {
             continue;
         }
-        for k in block.start..block.end.min(toks.len()) {
-            if masked(k) {
-                continue;
-            }
-            if let Some((bit, what)) = direct_marker(toks, k) {
-                let slot = &mut witness[bit_index(bit)];
-                if total.has(bit) && slot.is_none() {
-                    *slot = Some(Witness::Direct {
-                        line: toks[k].line,
-                        what,
-                    });
-                }
-            }
-            if let Some(&ci) = site_at[fi].get(&k) {
-                if let Some(callee) = a.calls[ci].callee {
-                    let imported = match mode {
-                        Mode::Full => summaries[callee].full,
-                        Mode::Off => summaries[callee].off,
-                    };
-                    for &(bit, _) in &EFFECT_BITS {
-                        let slot = &mut witness[bit_index(bit)];
-                        if imported.has(bit) && total.has(bit) && slot.is_none() {
-                            *slot = Some(Witness::Call { site: ci });
-                        }
-                    }
-                }
-            }
+        if let Some((bit, what)) = direct_marker(toks, k) {
+            total.insert(bit);
+            let line = toks[k].line;
+            witness[bit_index(bit)].get_or_insert(Witness::Direct { line, what });
+        }
+        let Some(&site) = site_at[fi].get(&k) else {
+            continue;
+        };
+        let Some(callee) = a.calls[site].callee else {
+            continue;
+        };
+        let imported = match mode {
+            Mode::Full => summaries[callee].full,
+            Mode::Off => summaries[callee].off,
+        };
+        for &(bit, _) in EFFECT_BITS.iter().filter(|(bit, _)| imported.has(*bit)) {
+            total.insert(bit);
+            witness[bit_index(bit)].get_or_insert(Witness::Call { site });
         }
     }
     (total, witness)
@@ -708,589 +679,6 @@ pub(crate) fn zero_cost(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Interval environment (the second absint domain in action)
-// ---------------------------------------------------------------------
-
-/// Abstract store for the interval analysis: named locals (and
-/// `self.field` slots) mapped to intervals. A missing name means top —
-/// the environment only records what it knows. `live = false` is the
-/// bottom element (unreachable).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Env {
-    live: bool,
-    vars: BTreeMap<String, Interval>,
-}
-
-impl Env {
-    fn start() -> Env {
-        Env {
-            live: true,
-            vars: BTreeMap::new(),
-        }
-    }
-
-    fn get(&self, name: &str) -> Interval {
-        self.vars
-            .get(name)
-            .copied()
-            .unwrap_or_else(Interval::unsigned_top)
-    }
-
-    fn set(&mut self, name: String, v: Interval) {
-        self.vars.insert(name, v);
-    }
-}
-
-impl JoinSemiLattice for Env {
-    fn bottom() -> Self {
-        Env {
-            live: false,
-            vars: BTreeMap::new(),
-        }
-    }
-    fn join(&self, other: &Self) -> Self {
-        if !self.live {
-            return other.clone();
-        }
-        if !other.live {
-            return self.clone();
-        }
-        // Keys present in both join pointwise; keys in only one side
-        // drop to top (absent).
-        let mut vars = BTreeMap::new();
-        for (k, v) in &self.vars {
-            if let Some(w) = other.vars.get(k) {
-                vars.insert(k.clone(), v.join(w));
-            }
-        }
-        Env { live: true, vars }
-    }
-    fn leq(&self, other: &Self) -> bool {
-        if !self.live {
-            return true;
-        }
-        if !other.live {
-            return false;
-        }
-        // Every constraint `other` records must be implied by `self`.
-        other.vars.iter().all(|(k, w)| self.get(k).leq(w))
-    }
-    fn widen(&self, next: &Self) -> Self {
-        if !self.live {
-            return next.clone();
-        }
-        if !next.live {
-            return self.clone();
-        }
-        let mut vars = BTreeMap::new();
-        for (k, v) in &self.vars {
-            if let Some(w) = next.vars.get(k) {
-                vars.insert(k.clone(), v.widen(w));
-            }
-        }
-        Env { live: true, vars }
-    }
-}
-
-/// Parse a numeric literal's value from its raw source slice
-/// (underscores stripped, integer type suffixes dropped, `0x`/`0o`/`0b`
-/// honored). Floats and char literals yield `None`.
-fn num_value(text: &str) -> Option<i128> {
-    let t: String = text.chars().filter(|c| *c != '_').collect();
-    if t.contains('.') || t.contains('\'') {
-        return None;
-    }
-    let t = [
-        "usize", "u128", "u64", "u32", "u16", "u8", "isize", "i128", "i64", "i32", "i16", "i8",
-    ]
-    .iter()
-    .find_map(|s| t.strip_suffix(s))
-    .unwrap_or(&t);
-    if t.contains('f') && !t.starts_with("0x") {
-        return None; // f32/f64 suffix
-    }
-    if let Some(hex) = t.strip_prefix("0x") {
-        return i128::from_str_radix(hex, 16).ok();
-    }
-    if let Some(oct) = t.strip_prefix("0o") {
-        return i128::from_str_radix(oct, 8).ok();
-    }
-    if let Some(bin) = t.strip_prefix("0b") {
-        return i128::from_str_radix(bin, 2).ok();
-    }
-    t.parse::<i128>().ok()
-}
-
-/// The raw source slice of token `k` (char-offset spans; ASCII fast
-/// path, char-walk fallback).
-fn raw_slice<'a>(file: &'a SourceFile, toks: &[Token], k: usize) -> std::borrow::Cow<'a, str> {
-    let Some(t) = toks.get(k) else {
-        return std::borrow::Cow::Borrowed("");
-    };
-    let (s, e) = (t.span.0 as usize, t.span.1 as usize);
-    if file.raw.is_ascii() {
-        std::borrow::Cow::Borrowed(file.raw.get(s..e).unwrap_or(""))
-    } else {
-        std::borrow::Cow::Owned(file.raw.chars().skip(s).take(e.saturating_sub(s)).collect())
-    }
-}
-
-/// Evaluate the expression tokens `[s, e)` to an interval, reading
-/// named values from `env`. Handles literals, names, `self.field`,
-/// parentheses, one level of `+`/`-`/`*`, and postfix chains
-/// (`.len()`, `.max(k)`, `.min(k)`, `.saturating_*`). Anything else
-/// degrades to the unknown unsigned value `[0, +∞]`.
-fn eval_expr(
-    file: &SourceFile,
-    toks: &[Token],
-    s: usize,
-    e: usize,
-    env: &Env,
-    depth: u32,
-) -> Interval {
-    let e = e.min(toks.len());
-    if s >= e || depth > 8 {
-        return Interval::unsigned_top();
-    }
-    // Strip one full set of wrapping parens.
-    if toks[s].is_punct('(') && matching_paren(toks, s) == e {
-        return eval_expr(file, toks, s + 1, e - 1, env, depth + 1);
-    }
-    // Top-level binary `+` / `-` / `*` (rightmost, lowest precedence
-    // first) — skip unary minus and compound-assign shapes.
-    let mut pd = 0i32;
-    for op in ['+', '-', '*'] {
-        for k in (s + 1..e).rev() {
-            let t = &toks[k];
-            if t.is_punct(')') || t.is_punct(']') {
-                pd += 1;
-            } else if t.is_punct('(') || t.is_punct('[') {
-                pd -= 1;
-            } else if pd == 0 && t.is_punct(op) {
-                // `*` directly after `(`/`=`/operator is a deref/unary.
-                let prev_operand = toks.get(k - 1).is_some_and(|p| {
-                    matches!(p.tok, crate::lexer::Tok::Ident(_) | crate::lexer::Tok::Num)
-                        || p.is_punct(')')
-                });
-                if !prev_operand {
-                    continue;
-                }
-                let lhs = eval_expr(file, toks, s, k, env, depth + 1);
-                let rhs = eval_expr(file, toks, k + 1, e, env, depth + 1);
-                return match op {
-                    '+' => lhs.add(&rhs),
-                    '-' => lhs.sub(&rhs),
-                    _ => lhs.mul(&rhs),
-                };
-            }
-        }
-        pd = 0;
-    }
-    // Primary + postfix chain.
-    let (mut v, mut k) = match &toks[s].tok {
-        crate::lexer::Tok::Num => match num_value(&raw_slice(file, toks, s)) {
-            Some(n) => (Interval::exact(n), s + 1),
-            None => return Interval::unsigned_top(),
-        },
-        crate::lexer::Tok::Ident(w)
-            if w == "self" && toks.get(s + 1).is_some_and(|t| t.is_punct('.')) =>
-        {
-            match toks.get(s + 2).and_then(Token::ident) {
-                Some(fieldname) => (env.get(&format!("self.{fieldname}")), s + 3),
-                None => return Interval::unsigned_top(),
-            }
-        }
-        crate::lexer::Tok::Ident(w) => {
-            if toks.get(s + 1).is_some_and(|t| t.is_punct('(')) {
-                // Free/constructor call: unknown result.
-                (Interval::unsigned_top(), matching_paren(toks, s + 1))
-            } else {
-                (env.get(w), s + 1)
-            }
-        }
-        _ => return Interval::unsigned_top(),
-    };
-    while k < e {
-        if toks[k].is_punct('.') {
-            let Some(name) = toks.get(k + 1).and_then(Token::ident) else {
-                return Interval::unsigned_top();
-            };
-            if !toks.get(k + 2).is_some_and(|t| t.is_punct('(')) {
-                // Plain field hop: value unknown.
-                v = Interval::unsigned_top();
-                k += 2;
-                continue;
-            }
-            let close = matching_paren(toks, k + 2);
-            let arg = || eval_expr(file, toks, k + 3, close.saturating_sub(1), env, depth + 1);
-            v = match name {
-                "max" => v.max_of(&arg()),
-                "min" => v.min_of(&arg()),
-                "len" => Interval::range(0, crate::absint::POS_INF),
-                "saturating_add" => v.add(&arg()).max_of(&Interval::exact(0)),
-                "saturating_mul" => v.mul(&arg()).max_of(&Interval::exact(0)),
-                "saturating_sub" => v.sub(&arg()).max_of(&Interval::exact(0)),
-                _ => Interval::unsigned_top(),
-            };
-            k = close;
-            continue;
-        }
-        break; // a cast or any other suffix: keep the value so far.
-    }
-    v
-}
-
-/// Replay the statements of token range `[start, end)` into `env`:
-/// `let` bindings, plain and compound assignments to locals and
-/// `self.field` slots.
-fn replay(file: &SourceFile, toks: &[Token], start: usize, end: usize, env: &mut Env) {
-    let end = end.min(toks.len());
-    let stmt_end = |from: usize| -> usize {
-        let mut d = 0i32;
-        for (k, t) in toks.iter().enumerate().take(end).skip(from) {
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                d += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                d -= 1;
-            } else if d == 0 && t.is_punct(';') {
-                return k;
-            }
-        }
-        end
-    };
-    let mut i = start;
-    while i < end {
-        let t = &toks[i];
-        if t.is_ident("let") {
-            let mut k = i + 1;
-            if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
-                k += 1;
-            }
-            if let Some(name) = toks.get(k).and_then(Token::ident) {
-                let send = stmt_end(k);
-                if let Some(eq) = assign_eq(toks, k + 1, send) {
-                    let v = eval_expr(file, toks, eq + 1, send, env, 0);
-                    env.set(name.to_owned(), v);
-                }
-                i = send + 1;
-                continue;
-            }
-        }
-        // `name = expr;` / `name op= expr;` / `self.f = expr;` at a
-        // statement boundary.
-        let at_boundary = i == start
-            || toks
-                .get(i - 1)
-                .is_some_and(|p| p.is_punct(';') || p.is_punct('{') || p.is_punct('}'));
-        if at_boundary {
-            let (key, after) = if self_field_at(toks, i) {
-                (
-                    toks.get(i + 2)
-                        .and_then(Token::ident)
-                        .map(|f| format!("self.{f}")),
-                    i + 3,
-                )
-            } else if let Some(name) = t.ident() {
-                (Some(name.to_owned()), i + 1)
-            } else {
-                (None, i + 1)
-            };
-            if let Some(key) = key {
-                let send = stmt_end(i);
-                // Compound: `+= -= *=` as adjacent punct pairs.
-                let compound = toks.get(after).and_then(|p| match p.tok {
-                    crate::lexer::Tok::Punct(c @ ('+' | '-' | '*')) => Some(c),
-                    _ => None,
-                });
-                if let Some(op) = compound {
-                    let adjacent = toks
-                        .get(after + 1)
-                        .is_some_and(|n| n.is_punct('=') && n.span.0 == toks[after].span.1);
-                    if adjacent {
-                        let rhs = eval_expr(file, toks, after + 2, send, env, 0);
-                        let cur = env.get(&key);
-                        let v = match op {
-                            '+' => cur.add(&rhs),
-                            '-' => cur.sub(&rhs),
-                            _ => cur.mul(&rhs),
-                        };
-                        env.set(key, v);
-                        i = send + 1;
-                        continue;
-                    }
-                } else if toks.get(after).is_some_and(|p| p.is_punct('='))
-                    && !toks.get(after + 1).is_some_and(|n| n.is_punct('='))
-                {
-                    let v = eval_expr(file, toks, after + 1, send, env, 0);
-                    env.set(key, v);
-                    i = send + 1;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The interval environment holding at token `site` of function `fi`:
-/// the owning block's fixpoint input, plus a replay of the block's
-/// statements up to the site.
-fn env_at(ws: &Workspace, a: &Analysis, fi: usize, site: usize) -> Env {
-    let f = &a.funcs[fi];
-    let file = &ws.files[f.file];
-    let toks = &file.tokens;
-    let cfg = &f.cfg;
-    if cfg.blocks.is_empty() {
-        return Env::start();
-    }
-    let result = fixpoint(cfg, Env::start(), |b, s: &Env| {
-        let mut out = s.clone();
-        if out.live {
-            let blk = &cfg.blocks[b];
-            replay(file, toks, blk.start, blk.end, &mut out);
-        }
-        out
-    });
-    let Some(b) = cfg
-        .blocks
-        .iter()
-        .position(|blk| blk.start <= site && site < blk.end)
-    else {
-        return Env::start();
-    };
-    let mut env = result.inputs[b].clone();
-    if !env.live {
-        env = Env::start();
-    }
-    replay(file, toks, cfg.blocks[b].start, site, &mut env);
-    env
-}
-
-// ---------------------------------------------------------------------
-// A0018: division by a possibly-zero abstract value
-// ---------------------------------------------------------------------
-
-/// Statement window around token `i`: from just after the previous
-/// `;`/`{`/`}` to the next `;` (exclusive).
-fn stmt_window(toks: &[Token], i: usize) -> (usize, usize) {
-    let mut s = i;
-    while s > 0 {
-        let p = &toks[s - 1];
-        if p.is_punct(';') || p.is_punct('{') || p.is_punct('}') {
-            break;
-        }
-        s -= 1;
-    }
-    let mut e = i;
-    while e < toks.len() && !toks[e].is_punct(';') {
-        e += 1;
-    }
-    (s, e)
-}
-
-/// The primary tokens of the divisor starting at `s` (`total`,
-/// `self.capacity`, `x` of `x.len()`): returns (token indices, one past
-/// the full postfix operand).
-fn divisor_operand(toks: &[Token], s: usize) -> (Vec<usize>, usize) {
-    let mut prim: Vec<usize> = Vec::new();
-    let mut k = s;
-    if toks.get(k).is_some_and(|t| t.is_punct('(')) {
-        return (prim, matching_paren(toks, k));
-    }
-    match toks.get(k).map(|t| &t.tok) {
-        Some(crate::lexer::Tok::Ident(w)) if w == "self" => {
-            prim.push(k);
-            if toks.get(k + 1).is_some_and(|t| t.is_punct('.'))
-                && toks.get(k + 2).and_then(Token::ident).is_some()
-            {
-                prim.push(k + 1);
-                prim.push(k + 2);
-                k += 3;
-            } else {
-                k += 1;
-            }
-        }
-        Some(crate::lexer::Tok::Ident(_)) | Some(crate::lexer::Tok::Num) => {
-            prim.push(k);
-            k += 1;
-        }
-        _ => return (prim, k),
-    }
-    // Postfix chain: `.name(args)` hops extend the operand but not the
-    // primary.
-    while toks.get(k).is_some_and(|t| t.is_punct('.'))
-        && toks.get(k + 1).and_then(Token::ident).is_some()
-    {
-        if toks.get(k + 2).is_some_and(|t| t.is_punct('(')) {
-            k = matching_paren(toks, k + 2);
-        } else {
-            prim.push(k + 1);
-            k += 2;
-        }
-    }
-    (prim, k)
-}
-
-/// Do the tokens at `[at..]` match the divisor's primary tokens?
-fn seq_matches(toks: &[Token], at: usize, prim: &[usize]) -> bool {
-    prim.iter()
-        .enumerate()
-        .all(|(o, &p)| toks.get(at + o).is_some_and(|t| t.tok == toks[p].tok))
-}
-
-/// Lexical refinements the interval domain cannot see: an early
-/// `== 0` bail-out, a positive-guard block around the site, a prior
-/// positive increment, or an `is_empty` check for `.len()` divisors.
-fn divisor_refined(toks: &[Token], f: &FuncDef, prim: &[usize], site: usize) -> bool {
-    if prim.is_empty() {
-        return false;
-    }
-    let plen = prim.len();
-    let range = f.body_range();
-    for k in range.clone() {
-        if k + plen >= toks.len() {
-            break;
-        }
-        // `if <divisor> == 0 { …diverge… }` before the site.
-        if toks[k].is_ident("if") && seq_matches(toks, k + 1, prim) {
-            let after = k + 1 + plen;
-            let eq0 = toks.get(after).is_some_and(|t| t.is_punct('='))
-                && toks.get(after + 1).is_some_and(|t| t.is_punct('='))
-                && toks
-                    .get(after + 2)
-                    .is_some_and(|t| matches!(t.tok, crate::lexer::Tok::Num));
-            if eq0 && k < site {
-                if let Some(open) = find_body_open(toks, after + 2) {
-                    let close = matching_brace(toks, open);
-                    let diverges = toks[open..close.min(toks.len())].iter().any(|t| {
-                        t.is_ident("return") || t.is_ident("continue") || t.is_ident("break")
-                    });
-                    if diverges && close <= site {
-                        return true;
-                    }
-                }
-            }
-            // `if <divisor> > 0 { … site … }` / `!= 0` / `>= n`.
-            let positive = toks.get(after).is_some_and(|t| t.is_punct('>'))
-                || (toks.get(after).is_some_and(|t| t.is_punct('!'))
-                    && toks.get(after + 1).is_some_and(|t| t.is_punct('=')));
-            if positive {
-                if let Some(open) = find_body_open(toks, after) {
-                    let close = matching_brace(toks, open);
-                    if open < site && site < close {
-                        return true;
-                    }
-                }
-            }
-        }
-        // `<divisor> += <positive literal>` before the site.
-        if k < site && seq_matches(toks, k, prim) {
-            let after = k + plen;
-            let plus = toks.get(after).is_some_and(|t| t.is_punct('+'))
-                && toks
-                    .get(after + 1)
-                    .is_some_and(|t| t.is_punct('=') && t.span.0 == toks[after].span.1);
-            if plus
-                && toks
-                    .get(after + 2)
-                    .is_some_and(|t| matches!(t.tok, crate::lexer::Tok::Num))
-            {
-                return true;
-            }
-        }
-    }
-    // `.len()` divisor guarded by an `is_empty` check on the same base.
-    let base: Vec<usize> = prim.to_vec();
-    let len_div = {
-        let last = *base.last().unwrap_or(&0);
-        toks.get(last + 1).is_some_and(|t| t.is_punct('.'))
-            && toks.get(last + 2).is_some_and(|t| t.is_ident("len"))
-    };
-    if len_div {
-        for k in range {
-            if seq_matches(toks, k, &base)
-                && toks.get(k + base.len()).is_some_and(|t| t.is_punct('.'))
-                && toks
-                    .get(k + base.len() + 1)
-                    .is_some_and(|t| t.is_ident("is_empty"))
-            {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// A0018: `/` or `%` in histogram-bucket / rollup math where the
-/// divisor's abstract value may contain zero.
-pub(crate) fn div_by_zero(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (fi, file) in ws.files.iter().enumerate() {
-        if !file.rel.starts_with("crates/obs/src/") {
-            continue;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !(toks[i].is_punct('/') || toks[i].is_punct('%')) || !file.is_product(i) {
-                continue;
-            }
-            // `/=` compound divides don't occur in rollup math; skip.
-            if toks.get(i + 1).is_some_and(|n| n.is_punct('=')) {
-                continue;
-            }
-            let (ws_start, ws_end) = stmt_window(toks, i);
-            // Float math is out of scope (f64 division never traps).
-            let is_float = toks[ws_start..ws_end.min(toks.len())]
-                .iter()
-                .enumerate()
-                .any(|(o, t)| {
-                    t.is_ident("f64")
-                        || t.is_ident("f32")
-                        || (matches!(t.tok, crate::lexer::Tok::Num)
-                            && raw_slice(file, toks, ws_start + o).contains('.'))
-                });
-            if is_float {
-                continue;
-            }
-            let Some(owner) = a.func_at(fi, i) else {
-                continue;
-            };
-            if a.funcs[owner].is_test {
-                continue;
-            }
-            let (prim, operand_end) = divisor_operand(toks, i + 1);
-            let env = env_at(ws, a, owner, i);
-            let v = eval_expr(file, toks, i + 1, operand_end, &env, 0);
-            if !v.is_empty() && !v.contains_zero() {
-                continue;
-            }
-            if divisor_refined(toks, &a.funcs[owner], &prim, i) {
-                continue;
-            }
-            let shown: String = prim
-                .iter()
-                .filter_map(|&p| match &toks[p].tok {
-                    crate::lexer::Tok::Ident(w) => Some(w.as_str()),
-                    crate::lexer::Tok::Punct('.') => Some("."),
-                    _ => None,
-                })
-                .collect();
-            out.push(Diagnostic {
-                file: file.rel.clone(),
-                line: toks[i].line,
-                code: "A0018",
-                message: format!(
-                    "divisor `{}` may be zero here; guard it or clamp with `.max(1)`",
-                    if shown.is_empty() { "<expr>" } else { &shown }
-                ),
-                path: Vec::new(),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // A0019: DESIGN.md zero-cost claims must match the engine
 // ---------------------------------------------------------------------
 
@@ -1409,6 +797,27 @@ fn quiet(x: u64) -> u64 { x + 1 }
         assert!(summary_of(&a, "mid").full.has(EFFECT_ALLOC));
         assert!(summary_of(&a, "top").full.has(EFFECT_ALLOC));
         assert!(summary_of(&a, "quiet").full.is_pure());
+    }
+
+    #[test]
+    fn effects_after_an_early_exit_count() {
+        // `?` and `return` end no summary: the `vec!` after both allocates.
+        let src = r#"
+fn f(x: Option<u32>) -> Option<Vec<u32>> { let y = x?; if y == 0 { return None; } Some(vec![y]) }
+"#;
+        let (_ws, a) = build(vec![("crates/core/src/x.rs", src)], "");
+        assert!(summary_of(&a, "f").full.has(EFFECT_ALLOC));
+    }
+
+    #[test]
+    fn effect_names_follow_bit_order() {
+        let mut s = EffectSet::pure();
+        assert!(s.is_pure());
+        for bit in [EFFECT_IO, EFFECT_ALLOC, EFFECT_LOCK] {
+            s.insert(bit);
+        }
+        assert!(s.has(EFFECT_LOCK) && !s.has(EFFECT_PANIC));
+        assert_eq!(s.names(), vec!["alloc", "lock", "io"]);
     }
 
     #[test]
@@ -1543,56 +952,6 @@ impl Prov {
         assert!(s.off.is_pure(), "off: {:?}", s.off.names());
         assert!(s.full.has(EFFECT_ALLOC));
         assert!(zero_cost(&ws, &a).is_empty());
-    }
-
-    // -- A0018 ------------------------------------------------------------
-
-    #[test]
-    fn a0018_fires_on_unproven_divisor() {
-        let src = r#"
-fn bucket(n: u64, d: u64) -> u64 {
-    n / d
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
-        let hits = div_by_zero(&ws, &a);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("may be zero"), "{hits:?}");
-    }
-
-    #[test]
-    fn a0018_clean_on_clamped_or_guarded_divisors() {
-        let src = r#"
-fn clamped(n: u64, d: u64) -> u64 {
-    n / d.max(1)
-}
-fn early(n: u64, d: u64) -> u64 {
-    if d == 0 {
-        return 0;
-    }
-    n / d
-}
-fn guarded(n: u64, d: u64) -> u64 {
-    if d > 0 {
-        return n / d;
-    }
-    0
-}
-fn constant(n: u64) -> u64 {
-    let width = 64;
-    n / width
-}
-"#;
-        let (ws, a) = build(vec![("crates/obs/src/observer.rs", src)], "");
-        let hits = div_by_zero(&ws, &a);
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn a0018_only_audits_obs_sources() {
-        let src = "fn f(n: u64, d: u64) -> u64 { n / d }";
-        let (ws, a) = build(vec![("crates/query/src/exec.rs", src)], "");
-        assert!(div_by_zero(&ws, &a).is_empty());
     }
 
     // -- A0019 ------------------------------------------------------------

@@ -15,7 +15,7 @@
 //! (escapes honored), `br#"…"#` / `rb"…"` like raw strings, and `b'x'` /
 //! `b'\n'` like char literals — a byte string mis-lexed as a raw string
 //! would desynchronize on its first escaped quote and corrupt every
-//! token after it, which the CFG extraction layer cannot tolerate.
+//! token after it, which function extraction cannot tolerate.
 //!
 //! Unsupported exotica degrades gracefully: the lexer never panics, it
 //! just tokenizes conservatively.

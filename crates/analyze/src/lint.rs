@@ -261,22 +261,9 @@ pub struct LintOutcome {
 /// Run every rule over the workspace and split the findings against the
 /// baseline. Diagnostics come back sorted by (file, line, code).
 pub fn run(ws: &Workspace, baseline: &Baseline) -> LintOutcome {
-    run_filtered(ws, baseline, None)
-}
-
-/// Like [`run`], restricted to the rule codes in `only` (all rules when
-/// `None`) — the `--rules A0015,A0018` CLI scope. The analysis pass and
-/// effect summaries are computed either way; only rule checks are
-/// skipped.
-pub fn run_filtered(
-    ws: &Workspace,
-    baseline: &Baseline,
-    only: Option<&std::collections::BTreeSet<String>>,
-) -> LintOutcome {
     let analysis = crate::callgraph::Analysis::build(ws);
     let mut all: Vec<Diagnostic> = crate::rules::RULES
         .iter()
-        .filter(|r| only.is_none_or(|set| set.contains(r.code)))
         .flat_map(|r| (r.check)(ws, &analysis))
         .collect();
     all.sort();
@@ -318,12 +305,12 @@ mod tests {
 
     #[test]
     fn baseline_parses_and_matches() {
-        let b = Baseline::parse("# comment\n\nA0003 crates/x/src/lib.rs\nA0002 a.rs:7\n")
+        let b = Baseline::parse("# comment\n\nA0010 crates/x/src/lib.rs\nA0002 a.rs:7\n")
             .expect("parses");
         let hit = Diagnostic {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
-            code: "A0003",
+            code: "A0010",
             message: String::new(),
             path: Vec::new(),
         };

@@ -3,18 +3,19 @@
 //! These are the invariants clippy cannot express because they are
 //! *ours*: what discipline the observability layer's call sites follow,
 //! which documents must agree with which constants. (The clock and
-//! thread disciplines, which clippy can express, live in `clippy.toml`.) Each rule is a pure function over the lexed [`Workspace`]
-//! plus the once-per-run interprocedural
-//! [`Analysis`]; all rules skip
+//! thread disciplines, which clippy can express, live in `clippy.toml`.)
+//! Each rule is a pure function over the lexed [`Workspace`] plus the
+//! once-per-run interprocedural [`Analysis`]; all rules skip
 //! `#[cfg(test)]` regions and `tests/`/`benches/` files (panicking and
 //! unguarded shortcuts are the failure channel there) and never scan
 //! `vendor/*` (not loaded at all).
 //!
-//! `A0002` and `A0003` are single-window token matchers. The
-//! name-sync rules (`A0004`, `A0005`) are rows of one table,
-//! [`FAMILIES`], checked by one engine.
-//! `A0008`–`A0012` (implemented in [`crate::dataflow`]) walk the call
-//! graph and attach `file:line` witness chains to their findings.
+//! `A0002` is a single-window token matcher. The name-sync rules
+//! (`A0004`, `A0005`) are rows of one table, [`FAMILIES`], checked by one
+//! engine. `A0009` and `A0010` (implemented in [`crate::dataflow`]) walk
+//! the call graph and attach `file:line` witness chains to their
+//! findings; `A0015` and `A0019` (in [`crate::effects`]) read the effect
+//! summaries.
 //!
 //! The catalog table in DESIGN.md §8 is the human-facing mirror of
 //! [`RULES`]; a doc-sync test keeps the two identical.
@@ -47,12 +48,6 @@ pub static RULES: &[Rule] = &[
         check: unguarded_record_calls,
     },
     Rule {
-        code: "A0003",
-        summary: "no Mutex guard held across an observer/provenance callback",
-        interprocedural: false,
-        check: lock_across_callback,
-    },
-    Rule {
         code: "A0004",
         summary:
             "sema diagnostic codes are unique and in sync with the sema doc table and DESIGN.md",
@@ -64,12 +59,6 @@ pub static RULES: &[Rule] = &[
         summary: "metric name literals match the central registry (deepeye_obs::metrics)",
         interprocedural: false,
         check: |ws, _| sync(ws, "A0005"),
-    },
-    Rule {
-        code: "A0008",
-        summary: "no lock-order cycles across the workspace call graph (static ABBA deadlock detection)",
-        interprocedural: true,
-        check: crate::dataflow::lock_order,
     },
     Rule {
         code: "A0009",
@@ -84,22 +73,10 @@ pub static RULES: &[Rule] = &[
         check: crate::dataflow::dropped_results,
     },
     Rule {
-        code: "A0012",
-        summary: "is_enabled() guard facts propagate through calls — helpers reached only under guards need no local re-check",
-        interprocedural: true,
-        check: crate::dataflow::guard_propagation,
-    },
-    Rule {
         code: "A0015",
-        summary: "disabled-path functions of the observability layer are effect-free — the zero-cost theorem, proven by fixpoint effect inference",
+        summary: "disabled-path functions of the observability layer are effect-free — the zero-cost theorem, proven by effect inference",
         interprocedural: true,
         check: crate::effects::zero_cost,
-    },
-    Rule {
-        code: "A0018",
-        summary: "no division or modulo by a possibly-zero abstract value in histogram-bucket and rollup math",
-        interprocedural: false,
-        check: crate::effects::div_by_zero,
     },
     Rule {
         code: "A0019",
@@ -132,14 +109,11 @@ fn diag(file: &str, line: u32, code: &'static str, message: String) -> Diagnosti
 //
 // The recognized guard shapes (direct guard, match-arm guard, named
 // guard variable, negated early-return guard) are encoded in
-// `cfg::guard_mask`, which this rule shares with the call-graph layer.
-//
-// Record calls inside a *non-pub helper that has resolved product call
-// sites* are deferred to A0012, which checks that every call path into
-// the helper is guarded — so a guarded wrapper does not need a local
-// re-check.
+// `cfg::guard_mask`, which this rule shares with the effect engine. A
+// guard at a helper's call site does not cover the helper: the guard
+// must sit around the record call itself.
 
-pub(crate) const PROV_METHODS: &[&str] = &["record", "record_rejected", "bump"];
+const PROV_METHODS: &[&str] = &["record", "record_rejected", "bump"];
 const OBS_METHODS: &[&str] = &["incr", "timer", "span", "span_under"];
 const ALLOC_MARKERS: &[&str] = &[
     "format",
@@ -153,7 +127,7 @@ const ALLOC_MARKERS: &[&str] = &[
 ];
 
 /// The kind of record call a site is (drives the A0002 message).
-pub(crate) enum RecordKind {
+enum RecordKind {
     /// Provenance record family — always allocates an id.
     Prov,
     /// Observer call with a visibly allocating argument.
@@ -162,8 +136,8 @@ pub(crate) enum RecordKind {
 
 /// If tokens at `i` start a record-family method call
 /// (`prov.record(…)`, `obs.incr(format!…)`, …), return
-/// `(receiver, method, kind)`. Shared by A0002 and A0012.
-pub(crate) fn record_call_at(file: &SourceFile, i: usize) -> Option<(&str, &str, RecordKind)> {
+/// `(receiver, method, kind)`.
+fn record_call_at(file: &SourceFile, i: usize) -> Option<(&str, &str, RecordKind)> {
     let toks = &file.tokens;
     let recv = toks[i].ident()?;
     if !(toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
@@ -203,13 +177,6 @@ fn unguarded_record_calls(ws: &Workspace, a: &Analysis) -> Vec<Diagnostic> {
             let Some((recv, method, kind)) = record_call_at(file, i) else {
                 continue;
             };
-            // A non-pub helper with resolved product call sites belongs
-            // to A0012: the guard may live at the call sites.
-            if let Some(func) = a.func_at(fi, i) {
-                if !a.funcs[func].is_pub && crate::dataflow::has_product_caller(ws, a, func) {
-                    continue;
-                }
-            }
             let message = match kind {
                 RecordKind::Prov => format!(
                     "`{recv}.{method}(…)` outside an `is_enabled()` guard — provenance \
@@ -241,96 +208,6 @@ fn call_args(toks: &[Token], open: usize) -> &[Token] {
         }
     }
     &toks[open.min(toks.len())..]
-}
-
-// ---------------------------------------------------------------------------
-// A0003 — no lock held across an observer/provenance callback.
-//
-// Recording into the Observer/Provenance sinks takes *their* internal
-// lock; calling them while holding one of ours nests two mutexes on the
-// hot path — a contention multiplier at best, a deadlock when the sink
-// ever calls back out. The callbacks are A0002's record families;
-// `deepeye-obs` and `core::provenance` own their sink locks and are
-// exempt.
-
-fn lock_across_callback(ws: &Workspace, _a: &Analysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.in_dir("crates/obs")
-            || file.rel == "crates/core/src/provenance.rs"
-            || file.is_test_file
-        {
-            continue;
-        }
-        let toks = &file.tokens;
-        // Depth of the innermost block holding a `let`-bound lock guard;
-        // None when no guard is live.
-        let mut depth = 0usize;
-        let mut locked_at: Option<usize> = None;
-        let mut lock_line = 0u32;
-        let mut stmt_start = 0usize;
-        let mut temp_lock = false; // non-`let` lock, lives to the `;`
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.is_punct('{') {
-                depth += 1;
-                stmt_start = i + 1;
-                continue;
-            }
-            if t.is_punct('}') {
-                depth = depth.saturating_sub(1);
-                if locked_at.is_some_and(|d| depth < d) {
-                    locked_at = None;
-                }
-                stmt_start = i + 1;
-                continue;
-            }
-            if t.is_punct(';') {
-                stmt_start = i + 1;
-                temp_lock = false;
-                continue;
-            }
-            // `.lock()` — a guard is born.
-            if t.is_punct('.')
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("lock"))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-                && file.is_product(i)
-            {
-                if toks.get(stmt_start).is_some_and(|t| t.is_ident("let")) {
-                    locked_at = Some(depth);
-                    lock_line = t.line;
-                } else {
-                    temp_lock = true;
-                    lock_line = t.line;
-                }
-                continue;
-            }
-            if locked_at.is_none() && !temp_lock {
-                continue;
-            }
-            // Observer/provenance callback while the guard lives?
-            if t.is_punct('.')
-                && toks
-                    .get(i + 1)
-                    .and_then(Token::ident)
-                    .is_some_and(|m| OBS_METHODS.contains(&m) || PROV_METHODS.contains(&m))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-                && file.is_product(i)
-            {
-                let method = toks[i + 1].ident().unwrap_or_default();
-                out.push(diag(
-                    &file.rel,
-                    toks[i + 1].line,
-                    "A0003",
-                    format!(
-                        "`.{method}(…)` called while a Mutex guard taken on line \
-                         {lock_line} is still held — drop the guard before recording"
-                    ),
-                ));
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -741,23 +618,20 @@ fn f(obs: &Observer, name: &str) {
     }
 
     #[test]
-    fn a0003_lock_across_callback() {
+    fn a0002_guarded_call_site_does_not_cover_the_helper() {
         let src = r#"
-fn bad(state: &Mutex<u64>, obs: &Observer) {
-    let guard = state.lock().unwrap_or_else(|p| p.into_inner());
-    obs.incr("exec.ok", *guard);
+pub fn entry(prov: &Provenance) {
+    if prov.is_enabled() {
+        note(prov);
+    }
 }
-fn good(state: &Mutex<u64>, obs: &Observer) {
-    let n = {
-        let guard = state.lock().unwrap_or_else(|p| p.into_inner());
-        *guard
-    };
-    obs.incr("exec.ok", n);
+fn note(prov: &Provenance) {
+    prov.record("id", |e| e.x = 1);
 }
 "#;
-        let hits = run_rule("A0003", vec![("crates/core/src/x.rs", src)], "");
+        let hits = run_rule("A0002", vec![("crates/core/src/x.rs", src)], "");
         assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 4);
+        assert_eq!(hits[0].line, 8);
     }
 
     #[test]
@@ -919,13 +793,13 @@ fn f(obs: &Observer, prov: &Provenance) {
             "",
         );
         let baseline =
-            Baseline::parse("A0002 crates/core/src/x.rs\nA0003 crates/core/src/gone.rs\n")
+            Baseline::parse("A0002 crates/core/src/x.rs\nA0009 crates/core/src/gone.rs\n")
                 .expect("parses");
         let outcome = crate::lint::run(&ws, &baseline);
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
         assert_eq!(outcome.suppressed.len(), 1);
         assert_eq!(outcome.suppressed[0].code, "A0002");
-        assert_eq!(outcome.stale, vec!["A0003 crates/core/src/gone.rs"]);
+        assert_eq!(outcome.stale, vec!["A0009 crates/core/src/gone.rs"]);
     }
 
     #[test]

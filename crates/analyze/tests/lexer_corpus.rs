@@ -2,10 +2,11 @@
 //! must lex with faithful, monotone spans and survive a render/re-lex
 //! round trip.
 //!
-//! The interprocedural rules (A0008–A0012) trust the token stream as
-//! their only view of the code — a span drift or a silently dropped
-//! construct (raw strings, nested comments, byte literals) would not
-//! crash anything, it would just quietly blind the analysis. This test
+//! The interprocedural rules (A0009, A0010, A0015, A0019) trust the
+//! token stream as their only view of the code — a span drift or a
+//! silently dropped construct (raw strings, nested comments, byte
+//! literals) would not crash anything, it would just quietly blind the
+//! analysis. This test
 //! turns the whole repository into the lexer's regression corpus.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -112,9 +113,9 @@ fn corpus_round_trips_through_render_and_relex() {
 }
 
 /// Raw identifiers (`r#fn`, `r#loop`) are one token each: the escape
-/// must not leak a bare keyword into downstream matchers (a `loop`
-/// keyword token where none exists would, e.g., invent a loop block in
-/// the CFG-lite), and must survive the render/re-lex round trip.
+/// must not leak a bare keyword into downstream matchers (an `fn`
+/// keyword token where none exists would, e.g., invent a function in the
+/// call graph), and must survive the render/re-lex round trip.
 #[test]
 fn raw_identifiers_lex_as_single_tokens_and_round_trip() {
     let src = r##"fn r#fn(r#loop: u32) -> u32 { let r#match = r#loop + 1; r#match }

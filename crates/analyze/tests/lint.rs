@@ -122,7 +122,7 @@ fn name_sync_table_paths_exist() {
 }
 
 /// Rule codes are unique and well-formed — the keys `analyze.allow`
-/// entries and `--rules` name.
+/// entries name.
 #[test]
 fn rule_codes_are_unique_and_well_formed() {
     let mut codes: Vec<&str> = RULES.iter().map(|r| r.code).collect();

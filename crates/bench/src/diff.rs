@@ -8,7 +8,8 @@
 //!   so the differ and the gate never disagree about what counts;
 //! - **paths** — per span-path self-time deltas, from the documents'
 //!   `"stages"` aggregate tails (each path's total less its direct
-//!   children's).
+//!   children's; a path whose children overlapped in either document
+//!   has no self time and is left out).
 //!
 //! The headline ties the layers together: the regressed stage and the
 //! span path below its span that grew the most — *"execute regressed
@@ -122,14 +123,15 @@ pub fn diff_stages(baseline: &str, current: &str, cfg: &GateConfig) -> Result<St
 
 /// Parse the `"stages"` aggregate tail of a bench document into a span
 /// path → self-time map: each path's `total_ns` less its direct
-/// children's (at least 0; parallel children can outlast their parent).
-/// Documents written before the tail existed yield an empty map.
-fn doc_path_map(text: &str, which: &str) -> Result<BTreeMap<String, u64>, String> {
+/// children's. A path whose direct children sum to more than its own
+/// total ran them in parallel, so its self time is undefined: it maps to
+/// `None`. Documents written before the tail existed yield an empty map.
+fn doc_path_map(text: &str, which: &str) -> Result<BTreeMap<String, Option<u64>>, String> {
     let doc = parse_json(text).map_err(|e| format!("{which}: {e}"))?;
-    let mut totals = BTreeMap::new();
     let Some(stages) = doc.get("stages").and_then(Json::as_object) else {
-        return Ok(totals);
+        return Ok(BTreeMap::new());
     };
+    let mut totals = BTreeMap::new();
     for (path, agg) in stages {
         let total = agg
             .get("total_ns")
@@ -137,21 +139,25 @@ fn doc_path_map(text: &str, which: &str) -> Result<BTreeMap<String, u64>, String
             .ok_or_else(|| format!("{which}: stage path {path:?} missing total_ns"))?;
         totals.insert(path.clone(), total.max(0.0) as u64);
     }
-    let mut own = totals.clone();
+    let mut own: BTreeMap<String, Option<u64>> = totals
+        .iter()
+        .map(|(path, &total)| (path.clone(), Some(total)))
+        .collect();
     for (path, total) in &totals {
         let parent = path.rsplit_once('/').and_then(|(p, _)| own.get_mut(p));
         if let Some(parent) = parent {
-            *parent = parent.saturating_sub(*total);
+            *parent = parent.and_then(|ns| ns.checked_sub(*total));
         }
     }
     Ok(own)
 }
 
-/// Diff two path → ns maps, dropping sub-`floor_ns` deltas (scheduler
-/// noise no matter the ratio) and ranking by absolute delta.
+/// Diff two path → ns maps, dropping paths without a self time in
+/// either document and sub-`floor_ns` deltas (scheduler noise no matter
+/// the ratio), and ranking by absolute delta.
 fn diff_path_maps(
-    base: BTreeMap<String, u64>,
-    cur: BTreeMap<String, u64>,
+    base: BTreeMap<String, Option<u64>>,
+    cur: BTreeMap<String, Option<u64>>,
     floor_ns: u64,
 ) -> Vec<PathDelta> {
     let mut keys: Vec<&String> = base.keys().chain(cur.keys()).collect();
@@ -159,15 +165,15 @@ fn diff_path_maps(
     keys.dedup();
     let mut out: Vec<PathDelta> = keys
         .into_iter()
-        .map(|path| {
-            let b = base.get(path).copied().unwrap_or(0);
-            let c = cur.get(path).copied().unwrap_or(0);
-            PathDelta {
+        .filter_map(|path| {
+            let b = base.get(path).copied().unwrap_or(Some(0))?;
+            let c = cur.get(path).copied().unwrap_or(Some(0))?;
+            Some(PathDelta {
                 path: path.clone(),
                 baseline_ns: b,
                 current_ns: c,
                 delta_ns: c as i64 - b as i64,
-            }
+            })
         })
         .filter(|d| d.delta_ns.unsigned_abs() >= floor_ns)
         .collect();
@@ -402,6 +408,21 @@ mod tests {
         let rendered = report.render(5);
         assert!(rendered.contains("SIG"), "{rendered}");
         assert!(rendered.contains("span paths (self time"), "{rendered}");
+    }
+
+    #[test]
+    fn parent_of_overlapping_children_is_no_mover() {
+        const EXECUTE: &str = "pipeline.recommend/pipeline.execute";
+        let total = |ns: u64| format!("\"{EXECUTE}\": {{\"count\": 1, \"total_ns\": {ns}}}");
+        // One tree. The baseline's execute span has 14 ms of self time;
+        // in the current run its workers (11.5 ms) overlap inside 8 ms.
+        let base = doc_with(10_000_000, 7_000_000).replace(&total(10_000_000), &total(23_500_000));
+        let cur = doc_with(10_000_000, 9_000_000).replace(&total(12_000_000), &total(8_000_000));
+        let report = diff_runs(&base, &cur, &GateConfig::default()).unwrap();
+        // Execute has no self time to compare; its children stay in.
+        assert_eq!(report.paths.len(), 1, "{:?}", report.paths);
+        assert_eq!(report.paths[0].path, FEATURES);
+        assert_eq!(report.paths[0].delta_ns, 2_000_000);
     }
 
     #[test]

@@ -14,15 +14,8 @@
 //!   external assets) for a quick look without leaving the terminal's
 //!   `open` command.
 //!
-//! Both accept [`FlameSpan`]s, an owned mirror of
-//! [`SpanRecord`] — owned because the third entry
-//! point, [`spans_from_chrome_trace`], rebuilds spans from a *recorded
-//! trace file* (Chrome trace-event JSON), where names are strings from
-//! disk, not `&'static str`. Any trace the exporter in [`crate::trace`]
-//! wrote — or any well-formed B/E trace from elsewhere — round-trips
-//! into a flame view.
+//! Both accept [`FlameSpan`]s, an owned mirror of [`SpanRecord`].
 
-use crate::json::{parse_json, Json};
 use crate::observer::SpanRecord;
 use std::collections::BTreeMap;
 
@@ -228,93 +221,6 @@ pub fn flame_svg(spans: &[FlameSpan]) -> String {
     out
 }
 
-/// Rebuild [`FlameSpan`]s from a Chrome trace-event document (bare array
-/// or `{"traceEvents": [...]}`): `B`/`E` pairs are replayed per
-/// `(pid, tid)` lane exactly like [`crate::validate_chrome_trace`], `X`
-/// events become leaf spans under the lane's open stack, and metadata
-/// events are skipped. Unbalanced or malformed input is an error.
-pub fn spans_from_chrome_trace(text: &str) -> Result<Vec<FlameSpan>, String> {
-    let doc = parse_json(text).map_err(|e| e.to_string())?;
-    let events = match &doc {
-        Json::Arr(items) => items.as_slice(),
-        Json::Obj(_) => doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .ok_or("document has no `traceEvents` array")?,
-        _ => return Err("document is neither an event array nor an object".to_owned()),
-    };
-    // Per-lane stack of (span index into `spans`, name, start ts µs).
-    type LaneStacks = BTreeMap<(u64, u64), Vec<(usize, String, f64)>>;
-    let mut spans: Vec<FlameSpan> = Vec::new();
-    let mut stacks: LaneStacks = BTreeMap::new();
-    let mut next_id: u64 = 1;
-    for (i, event) in events.iter().enumerate() {
-        let fail = |msg: String| Err(format!("event {i}: {msg}"));
-        let Some(ph) = event.get("ph").and_then(Json::as_str) else {
-            return fail("missing `ph`".to_owned());
-        };
-        if !matches!(ph, "B" | "E" | "X") {
-            continue; // metadata / counters / instants carry no duration
-        }
-        let Some(ts) = event.get("ts").and_then(Json::as_f64) else {
-            return fail("missing numeric `ts`".to_owned());
-        };
-        let pid = event.get("pid").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let tid = event.get("tid").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let stack = stacks.entry((pid, tid)).or_default();
-        let parent = stack.last().map(|&(idx, _, _)| spans[idx].id);
-        match ph {
-            "B" => {
-                let Some(name) = event.get("name").and_then(Json::as_str) else {
-                    return fail("B event without a name".to_owned());
-                };
-                spans.push(FlameSpan {
-                    id: next_id,
-                    parent,
-                    name: name.to_owned(),
-                    dur_ns: 0,
-                });
-                stack.push((spans.len() - 1, name.to_owned(), ts));
-                next_id += 1;
-            }
-            "E" => {
-                let Some((idx, open, start)) = stack.pop() else {
-                    return fail(format!("E without matching B on lane ({pid}, {tid})"));
-                };
-                if let Some(name) = event.get("name").and_then(Json::as_str) {
-                    if name != open {
-                        return fail(format!("E name {name:?} closes B name {open:?}"));
-                    }
-                }
-                spans[idx].dur_ns = ((ts - start).max(0.0) * 1e3) as u64;
-            }
-            _ => {
-                // "X": a complete event; `dur` is µs like `ts`.
-                let Some(dur) = event.get("dur").and_then(Json::as_f64) else {
-                    return fail("X event without `dur`".to_owned());
-                };
-                let name = event
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unnamed");
-                spans.push(FlameSpan {
-                    id: next_id,
-                    parent,
-                    name: name.to_owned(),
-                    dur_ns: (dur.max(0.0) * 1e3) as u64,
-                });
-                next_id += 1;
-            }
-        }
-    }
-    for ((pid, tid), stack) in &stacks {
-        if let Some((_, open, _)) = stack.last() {
-            return Err(format!("unclosed span {open:?} on lane ({pid}, {tid})"));
-        }
-    }
-    Ok(spans)
-}
-
 impl crate::Observer {
     /// Folded-stack rendering of all finished spans (see
     /// [`folded_stacks`]). Empty when disabled.
@@ -406,45 +312,6 @@ mod tests {
             !svg.contains("http://") || svg.contains("xmlns"),
             "no external fetches"
         );
-    }
-
-    #[test]
-    fn chrome_trace_round_trips_into_flame_spans() {
-        let obs = Observer::enabled();
-        {
-            let _a = obs.span("outer");
-            let _b = obs.span("inner");
-        }
-        let spans = spans_from_chrome_trace(&obs.chrome_trace_json()).expect("parses");
-        assert_eq!(spans.len(), 2);
-        let inner = spans.iter().find(|s| s.name == "inner").expect("inner");
-        let outer = spans.iter().find(|s| s.name == "outer").expect("outer");
-        assert_eq!(inner.parent, Some(outer.id));
-        let folded = folded_stacks(&spans);
-        assert!(folded.contains("outer;inner "));
-    }
-
-    #[test]
-    fn trace_replay_rejects_malformed_input() {
-        assert!(spans_from_chrome_trace("not json").is_err());
-        let unbalanced = r#"[{"ph":"B","ts":1,"pid":1,"tid":1,"name":"x"}]"#;
-        assert!(spans_from_chrome_trace(unbalanced).is_err());
-        let mismatch = r#"[{"ph":"B","ts":1,"pid":1,"tid":1,"name":"x"},
-                           {"ph":"E","ts":2,"pid":1,"tid":1,"name":"y"}]"#;
-        assert!(spans_from_chrome_trace(mismatch).is_err());
-    }
-
-    #[test]
-    fn x_events_nest_under_the_open_stack() {
-        let doc = r#"[{"ph":"B","ts":0,"pid":1,"tid":1,"name":"stage"},
-                      {"ph":"X","ts":1,"dur":5,"pid":1,"tid":1,"name":"leaf"},
-                      {"ph":"E","ts":10,"pid":1,"tid":1,"name":"stage"}]"#;
-        let spans = spans_from_chrome_trace(doc).expect("parses");
-        let leaf = spans.iter().find(|s| s.name == "leaf").expect("leaf");
-        let stage = spans.iter().find(|s| s.name == "stage").expect("stage");
-        assert_eq!(leaf.parent, Some(stage.id));
-        assert_eq!(leaf.dur_ns, 5_000);
-        assert_eq!(stage.dur_ns, 10_000);
     }
 
     #[test]

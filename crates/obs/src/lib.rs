@@ -59,7 +59,7 @@ pub mod report;
 pub mod trace;
 
 pub use clock::Stopwatch;
-pub use flame::{flame_svg, folded_stacks, spans_from_chrome_trace, FlameSpan};
+pub use flame::{flame_svg, folded_stacks, FlameSpan};
 pub use hist::{HistSummary, Histogram};
 pub use json::{parse_json, Json, JsonError};
 pub use observer::{HistTimer, Observer, SpanGuard, SpanId, SpanRecord};
