@@ -210,28 +210,12 @@ fn plotted_hash(x_type: DataType, series: &Series) -> u64 {
 /// series have different features; and a NaN would not equal itself.
 pub(crate) fn same_series(a: &Series, b: &Series) -> bool {
     let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-    let same_key = |a: &Key, b: &Key| match (a, b) {
-        (Key::Text(a), Key::Text(b)) => a == b,
-        (Key::Number(a), Key::Number(b)) => same(*a, *b),
-        (Key::Interval { lo, hi }, Key::Interval { lo: lo2, hi: hi2 }) => {
-            same(*lo, *lo2) && same(*hi, *hi2)
-        }
-        (Key::Time(a), Key::Time(b)) => a == b,
-        (
-            Key::Period { unit, index },
-            Key::Period {
-                unit: unit2,
-                index: index2,
-            },
-        ) => unit == unit2 && index == index2,
-        _ => false,
-    };
     match (a, b) {
         (Series::Keyed(a), Series::Keyed(b)) => {
             a.len() == b.len()
                 && a.iter()
                     .zip(b)
-                    .all(|((ka, ya), (kb, yb))| same(*ya, *yb) && same_key(ka, kb))
+                    .all(|((ka, ya), (kb, yb))| same(*ya, *yb) && ka.same(kb))
         }
         (Series::Points(a), Series::Points(b)) => {
             a.len() == b.len()

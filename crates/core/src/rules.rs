@@ -28,10 +28,12 @@ pub use deepeye_query::sema::{
 pub fn rule_based_queries(table: &Table) -> Vec<VisQuery> {
     let mut out = Vec::new();
     let columns = table.columns();
+    // Each column's non-null numbers, read once for every pair.
+    let numbers: Vec<Vec<f64>> = columns.iter().map(|c| c.numbers()).collect();
 
     // Two-column candidates.
-    for x_col in columns {
-        for y_col in columns {
+    for (x_col, xs) in columns.iter().zip(&numbers) {
+        for (y_col, ys) in columns.iter().zip(&numbers) {
             if std::ptr::eq(x_col, y_col) {
                 continue;
             }
@@ -39,11 +41,8 @@ pub fn rule_based_queries(table: &Table) -> Vec<VisQuery> {
 
             // Raw charts: only numeric/temporal x against numeric y.
             if y_type == DataType::Numerical && x_type != DataType::Categorical {
-                let correlated = x_type == DataType::Numerical && {
-                    let xs = x_col.numbers();
-                    let ys = y_col.numbers();
-                    correlation(&xs, &ys).strength() >= SCATTER_CORRELATION_THRESHOLD
-                };
+                let correlated = x_type == DataType::Numerical
+                    && correlation(xs, ys).strength() >= SCATTER_CORRELATION_THRESHOLD;
                 let raw_charts = match x_type {
                     DataType::Numerical => applicable_charts(DataType::Numerical, correlated),
                     DataType::Temporal => applicable_charts(DataType::Temporal, false),

@@ -1,8 +1,9 @@
 //! Typed columnar storage.
 
+use crate::first_seen::FirstSeen;
 use crate::temporal::Timestamp;
 use crate::value::{DataType, Value};
-use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Physical storage for one column, chosen to match its semantic type.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,24 +145,22 @@ impl Column {
         }
     }
 
-    /// Number of distinct non-null values, `d(X)` in feature (1).
+    /// Number of distinct non-null values, `d(X)` in feature (1): numbers
+    /// by their bits, so `0.0` and `-0.0` are two values. This is the
+    /// number of groups a GROUP BY makes, counted with the same
+    /// [`FirstSeen`] matching.
     pub fn distinct_count(&self) -> usize {
+        fn count<K: Clone + Eq + Hash>(keys: impl Iterator<Item = K>) -> usize {
+            let mut seen = FirstSeen::new();
+            keys.for_each(|k| {
+                seen.code(k);
+            });
+            seen.len()
+        }
         match &self.data {
-            ColumnData::Numeric(v) => {
-                let mut set: HashSet<u64> = HashSet::new();
-                for x in v.iter().flatten() {
-                    set.insert(x.to_bits());
-                }
-                set.len()
-            }
-            ColumnData::Text(v) => {
-                let set: HashSet<&str> = v.iter().flatten().map(String::as_str).collect();
-                set.len()
-            }
-            ColumnData::Temporal(v) => {
-                let set: HashSet<Timestamp> = v.iter().flatten().copied().collect();
-                set.len()
-            }
+            ColumnData::Numeric(v) => count(v.iter().flatten().map(|x| x.to_bits())),
+            ColumnData::Text(v) => count(v.iter().flatten().map(String::as_str)),
+            ColumnData::Temporal(v) => count(v.iter().flatten()),
         }
     }
 

@@ -29,6 +29,7 @@
 pub mod column;
 pub mod correlate;
 pub mod csv;
+pub mod first_seen;
 pub mod infer;
 pub mod profile;
 pub mod stats;
@@ -39,6 +40,7 @@ pub mod value;
 pub use column::{Column, ColumnData};
 pub use correlate::{correlation, trend, trend_of_series, Correlation, CorrelationModel, Trend};
 pub use csv::{table_from_csv_path, table_from_csv_str, table_from_csv_str_delim, CsvError};
+pub use first_seen::FirstSeen;
 pub use infer::detect_and_parse;
 pub use profile::{
     profile_column, quantile_sorted, CategoricalProfile, ColumnProfile, NumericProfile,

@@ -252,23 +252,32 @@ impl Timestamp {
     /// - `Month` → month of year (1–12)
     /// - `Quarter` → quarter of year (1–4)
     /// - `Year` → the calendar year itself (the one non-periodic unit)
+    ///
+    /// Minute and hour come from the second of the day; the other units
+    /// convert the day to a civil date once.
     pub fn period_index(self, unit: TimeUnit) -> i64 {
-        let c = self.civil();
+        let days = self.0.div_euclid(86_400);
+        let secs = self.0.rem_euclid(86_400);
         match unit {
-            TimeUnit::Minute => i64::from(c.minute),
-            TimeUnit::Hour => i64::from(c.hour),
-            TimeUnit::Day => self.day_of_year(),
-            TimeUnit::Week => (self.day_of_year() - 1) / 7 + 1,
-            TimeUnit::Month => i64::from(c.month),
-            TimeUnit::Quarter => i64::from((c.month - 1) / 3 + 1),
-            TimeUnit::Year => i64::from(c.year),
+            TimeUnit::Minute => secs % 3_600 / 60,
+            TimeUnit::Hour => secs / 3_600,
+            TimeUnit::Day | TimeUnit::Week => {
+                let (year, _, _) = civil_from_days(days);
+                let day_of_year = days - days_from_civil(year, 1, 1) + 1;
+                match unit {
+                    TimeUnit::Day => day_of_year,
+                    _ => (day_of_year - 1) / 7 + 1,
+                }
+            }
+            TimeUnit::Month | TimeUnit::Quarter | TimeUnit::Year => {
+                let (year, month, _) = civil_from_days(days);
+                match unit {
+                    TimeUnit::Month => i64::from(month),
+                    TimeUnit::Quarter => i64::from((month - 1) / 3 + 1),
+                    _ => i64::from(year),
+                }
+            }
         }
-    }
-
-    /// 1-based day of year.
-    fn day_of_year(self) -> i64 {
-        let c = self.civil();
-        days_from_civil(c.year, c.month, c.day) - days_from_civil(c.year, 1, 1) + 1
     }
 
     /// Human-readable label for a periodic bin index, e.g. `14:00` for
@@ -716,6 +725,71 @@ mod tests {
         }
         assert_eq!(hours.len(), 24);
         assert_eq!(days.len(), 365);
+    }
+
+    #[test]
+    fn period_index_equals_the_two_conversion_formula() {
+        // The formula before one-conversion `period_index`: the civil date
+        // of the timestamp, and for Day and Week a second conversion for
+        // the day of year.
+        fn reference(t: Timestamp, unit: TimeUnit) -> i64 {
+            let c = t.civil();
+            let day_of_year = || {
+                let c = t.civil();
+                days_from_civil(c.year, c.month, c.day) - days_from_civil(c.year, 1, 1) + 1
+            };
+            match unit {
+                TimeUnit::Minute => i64::from(c.minute),
+                TimeUnit::Hour => i64::from(c.hour),
+                TimeUnit::Day => day_of_year(),
+                TimeUnit::Week => (day_of_year() - 1) / 7 + 1,
+                TimeUnit::Month => i64::from(c.month),
+                TimeUnit::Quarter => i64::from((c.month - 1) / 3 + 1),
+                TimeUnit::Year => i64::from(c.year),
+            }
+        }
+        // Around each anchor: every second of the minute either side, and
+        // a prime stride through the two days either side. The anchors are
+        // the epoch, leap days (including 1900's and 2100's absence),
+        // year ends and dates before 1970.
+        let anchors = [
+            ts(1970, 1, 1, 0, 0, 0),
+            ts(1969, 12, 31, 23, 59, 59),
+            ts(1968, 2, 29, 12, 0, 0),
+            ts(1900, 3, 1, 0, 0, 0),
+            ts(1600, 2, 29, 23, 59, 59),
+            ts(2000, 2, 29, 0, 0, 0),
+            ts(2000, 12, 31, 23, 59, 59),
+            ts(2015, 12, 31, 23, 59, 59),
+            ts(2016, 2, 29, 23, 59, 59),
+            ts(2016, 12, 31, 0, 0, 0),
+            ts(2100, 3, 1, 0, 0, 0),
+            ts(1, 1, 1, 0, 0, 0),
+            ts(-44, 3, 15, 12, 0, 0),
+        ];
+        let mut checked = 0;
+        for anchor in anchors {
+            let base = anchor.unix_seconds();
+            let near = (-60..=60).map(|d| base + d);
+            let stride = (-172_800..=172_800).step_by(997).map(|d| base + d);
+            for secs in near.chain(stride) {
+                let t = Timestamp::from_unix_seconds(secs);
+                for unit in TimeUnit::ALL {
+                    assert_eq!(t.period_index(unit), reference(t, unit), "{t} {unit}");
+                    checked += 1;
+                }
+            }
+        }
+        // Ten years from 1965 at an hour and a prime number of seconds.
+        let start = ts(1965, 1, 1, 0, 0, 0).unix_seconds();
+        for secs in (start..start + 10 * 366 * 86_400).step_by(3_607) {
+            let t = Timestamp::from_unix_seconds(secs);
+            for unit in TimeUnit::ALL {
+                assert_eq!(t.period_index(unit), reference(t, unit), "{t} {unit}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 600_000, "{checked}");
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //! when grouping and binning the column, we compute the AGG values on
 //! other columns together and avoid binning/grouping multiple times."
 //!
-//! This is the pipeline's executor: `core::parallel` builds every
-//! candidate through it and `core::progressive` materializes every leaf
-//! with it. Aggregated queries are grouped by `(x column, transform)`;
-//! each group makes one key pass and one aggregation sweep computing CNT
-//! plus SUM and non-null count for every numeric y-column its queries
-//! aggregate, then materializes each chart from the shared accumulators.
-//! Raw (untransformed) queries run through the single-query executor.
-//! Every query passes [`crate::sema::check_executable`] first, so each
-//! result — chart or error — equals [`crate::execute_with`]'s.
+//! This is the one aggregation kernel: `core::parallel` builds every
+//! candidate through it, `core::progressive` materializes every leaf with
+//! it, and [`crate::execute_with`] runs an aggregated query as a scan of
+//! one. Aggregated queries are grouped by `(x column, transform)`; each
+//! group maps its rows to dense bucket codes once
+//! ([`crate::bins::key_codes`]), counts CNT over the codes, then sums every
+//! numeric y-column its queries aggregate over (codes, y) in row order,
+//! and materializes each chart from the shared accumulators. Raw
+//! (untransformed) queries run through the single-query executor. Every
+//! query passes [`crate::sema::check_executable`] first.
 
 use crate::ast::{Aggregate, Transform, VisQuery};
-use crate::bins::{bin_keys, group_keys, Bucketizer, Key, UdfRegistry};
+use crate::bins::{key_codes, Key, KeyCodes, UdfRegistry, NULL_CODE};
 use crate::chart::{ChartData, Series};
 use crate::exec::{apply_order, execute_with, QueryError};
 use deepeye_data::{ColumnData, Table};
@@ -80,7 +81,7 @@ pub fn execute_batch(
 /// One shared scan's accumulators, per bucket in first-seen key order:
 /// CNT, plus SUM and non-null count for each numeric y-column the
 /// group's queries aggregate with SUM or AVG.
-struct Scan<'q> {
+pub(crate) struct Scan<'q> {
     keys: Vec<Key>,
     counts: Vec<u64>,
     ys: Vec<&'q str>,
@@ -89,10 +90,11 @@ struct Scan<'q> {
 }
 
 impl<'q> Scan<'q> {
-    /// The key pass and aggregation sweep for the group `members` (same
+    /// The key codes and aggregation sweeps for the group `members` (same
     /// x and transform; at least one passed sema, so x resolves and the
-    /// transform suits it). Y-columns are borrowed, not cloned.
-    fn run(
+    /// transform suits it). Y-columns are borrowed, not cloned. Each
+    /// bucket's sums take their additions in row order.
+    pub(crate) fn run(
         table: &Table,
         queries: &'q [VisQuery],
         members: &[usize],
@@ -102,14 +104,17 @@ impl<'q> Scan<'q> {
         let x_col = table
             .column_by_name(&q0.x)
             .ok_or_else(|| QueryError::NoSuchColumn(q0.x.clone()))?;
-        let keys = match &q0.transform {
-            Transform::Bin(strategy) => bin_keys(x_col, strategy, udfs)?,
-            // GROUP: raw queries never reach a scan.
-            _ => group_keys(x_col),
-        };
+        let KeyCodes { codes, keys } = key_codes(x_col, &q0.transform, udfs)?;
 
+        let mut counts = vec![0u64; keys.len()];
+        for &code in &codes {
+            if code != NULL_CODE {
+                counts[code as usize] += 1;
+            }
+        }
         let mut ys: Vec<&'q str> = Vec::new();
-        let mut y_values: Vec<&[Option<f64>]> = Vec::new();
+        let mut sums: Vec<Vec<f64>> = Vec::new();
+        let mut y_counts: Vec<Vec<u64>> = Vec::new();
         for &i in members {
             let q = &queries[i];
             let (Some(y), Aggregate::Sum | Aggregate::Avg) = (&q.y, q.aggregate) else {
@@ -118,34 +123,23 @@ impl<'q> Scan<'q> {
             if ys.contains(&y.as_str()) {
                 continue;
             }
-            if let Some(ColumnData::Numeric(v)) = table.column_by_name(y).map(|c| c.data()) {
-                ys.push(y);
-                y_values.push(v);
-            }
-        }
-
-        let mut buckets = Bucketizer::new();
-        let mut counts: Vec<u64> = Vec::new();
-        let mut sums: Vec<Vec<f64>> = vec![Vec::new(); ys.len()];
-        let mut y_counts: Vec<Vec<u64>> = vec![Vec::new(); ys.len()];
-        for (row, key) in keys.into_iter().enumerate() {
-            let Some(key) = key else { continue };
-            let idx = buckets.index_of(key);
-            if idx == counts.len() {
-                counts.push(0);
-                sums.iter_mut().for_each(|s| s.push(0.0));
-                y_counts.iter_mut().for_each(|c| c.push(0));
-            }
-            counts[idx] += 1;
-            for (yi, vals) in y_values.iter().enumerate() {
-                if let Some(v) = vals[row] {
-                    sums[yi][idx] += v;
-                    y_counts[yi][idx] += 1;
+            let Some(ColumnData::Numeric(vals)) = table.column_by_name(y).map(|c| c.data()) else {
+                continue;
+            };
+            let mut sum = vec![0.0; keys.len()];
+            let mut count = vec![0u64; keys.len()];
+            for (&code, v) in codes.iter().zip(vals) {
+                if let (true, Some(v)) = (code != NULL_CODE, v) {
+                    sum[code as usize] += v;
+                    count[code as usize] += 1;
                 }
             }
+            ys.push(y);
+            sums.push(sum);
+            y_counts.push(count);
         }
         Ok(Scan {
-            keys: buckets.into_keys(),
+            keys,
             counts,
             ys,
             sums,
@@ -154,7 +148,7 @@ impl<'q> Scan<'q> {
     }
 
     /// One member's chart from the accumulators, ORDER BY applied.
-    fn materialize(&self, q: &VisQuery) -> Result<ChartData, QueryError> {
+    pub(crate) fn materialize(&self, q: &VisQuery) -> Result<ChartData, QueryError> {
         if self.keys.is_empty() {
             return Err(QueryError::EmptyResult);
         }

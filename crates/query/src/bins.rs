@@ -1,14 +1,16 @@
 //! Binning and grouping keys.
 //!
 //! Binning "partitions the numerical or temporal values into different
-//! buckets" (§II-A). A bin produces a [`Key`] per row; rows sharing a key
-//! land in the same bucket and are then aggregated.
+//! buckets" (§II-A). Grouping or binning an x column maps each row to a
+//! dense bucket code ([`key_codes`]); rows sharing a code land in the same
+//! bucket and are then aggregated, and each bucket keeps one [`Key`].
 
-use crate::ast::{BinStrategy, DEFAULT_BUCKETS};
-use deepeye_data::{Column, ColumnData, TimeUnit, Timestamp, Value};
+use crate::ast::{BinStrategy, Transform, DEFAULT_BUCKETS};
+use deepeye_data::{Column, ColumnData, FirstSeen, TimeUnit, Timestamp, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The key of a group or bucket on the x-axis.
@@ -55,14 +57,26 @@ impl Key {
         }
     }
 
-    /// Hashable identity (bit-exact for floats) for bucket maps.
-    fn identity(&self) -> KeyId {
-        match self {
-            Key::Text(s) => KeyId::Text(s.clone()),
-            Key::Number(x) => KeyId::Bits(x.to_bits()),
-            Key::Interval { lo, hi } => KeyId::Pair(lo.to_bits(), hi.to_bits()),
-            Key::Time(t) => KeyId::Time(t.unix_seconds()),
-            Key::Period { unit, index } => KeyId::Period(*unit, *index),
+    /// Whether two keys are one bucket: the same variant and payload,
+    /// each `f64` compared by its bits, so `0.0` and `-0.0` are two
+    /// buckets and a NaN is one.
+    pub fn same(&self, other: &Key) -> bool {
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+        match (self, other) {
+            (Key::Text(a), Key::Text(b)) => a == b,
+            (Key::Number(a), Key::Number(b)) => same(a, b),
+            (Key::Interval { lo, hi }, Key::Interval { lo: lo2, hi: hi2 }) => {
+                same(lo, lo2) && same(hi, hi2)
+            }
+            (Key::Time(a), Key::Time(b)) => a == b,
+            (
+                Key::Period { unit, index },
+                Key::Period {
+                    unit: unit2,
+                    index: index2,
+                },
+            ) => unit == unit2 && index == index2,
+            _ => false,
         }
     }
 }
@@ -79,13 +93,29 @@ impl fmt::Display for Key {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyId {
-    Text(String),
-    Bits(u64),
-    Pair(u64, u64),
-    Time(i64),
-    Period(TimeUnit, i64),
+/// A key as bucket identity: equal under [`Key::same`], hashed by the
+/// same bits.
+#[derive(Debug, Clone)]
+pub(crate) struct Exact(pub(crate) Key);
+
+impl PartialEq for Exact {
+    fn eq(&self, other: &Exact) -> bool {
+        self.0.same(&other.0)
+    }
+}
+
+impl Eq for Exact {}
+
+impl Hash for Exact {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match &self.0 {
+            Key::Text(s) => (0u8, s).hash(state),
+            Key::Number(x) => (1u8, x.to_bits()).hash(state),
+            Key::Interval { lo, hi } => (2u8, lo.to_bits(), hi.to_bits()).hash(state),
+            Key::Time(t) => (3u8, t).hash(state),
+            Key::Period { unit, index } => (4u8, unit, index).hash(state),
+        }
+    }
 }
 
 /// A user-defined binning function: maps a numeric value to a bucket key.
@@ -169,121 +199,158 @@ impl fmt::Display for BinError {
 
 impl std::error::Error for BinError {}
 
-/// Compute the bin key per row of `column` (None for null cells), according
-/// to `strategy`.
-pub fn bin_keys(
+/// The code of a row whose key is null: the row joins no bucket.
+pub(crate) const NULL_CODE: u32 = u32::MAX;
+
+/// The buckets of one (x column, transform): each row's dense bucket code
+/// ([`NULL_CODE`] for a null key), and the bucket keys indexed by code,
+/// in the order the rows first reach them.
+#[derive(Debug)]
+pub(crate) struct KeyCodes {
+    pub(crate) codes: Vec<u32>,
+    pub(crate) keys: Vec<Key>,
+}
+
+/// The bucket code of every row of `column` under `transform`, built
+/// straight from the cells: no per-row [`Key`], only one per bucket. A
+/// GROUP makes one bucket per distinct non-null cell, matched as
+/// [`Column::distinct_count`] counts (numbers by their bits).
+pub(crate) fn key_codes(
     column: &Column,
-    strategy: &BinStrategy,
+    transform: &Transform,
     udfs: &UdfRegistry,
-) -> Result<Vec<Option<Key>>, BinError> {
-    match strategy {
-        BinStrategy::Unit(unit) => match column.data() {
-            ColumnData::Temporal(vals) => Ok(vals
-                .iter()
-                .map(|v| {
-                    v.map(|t| Key::Period {
-                        unit: *unit,
-                        index: t.period_index(*unit),
-                    })
-                })
-                .collect()),
-            _ => Err(BinError::NotTemporal),
-        },
-        BinStrategy::Default => equi_width(column, DEFAULT_BUCKETS),
-        BinStrategy::IntoBuckets(n) => {
-            if *n == 0 {
-                return Err(BinError::ZeroBuckets);
-            }
-            equi_width(column, *n)
+) -> Result<KeyCodes, BinError> {
+    let strategy = match transform {
+        Transform::Bin(strategy) => strategy,
+        // GROUP; a raw query never reaches a scan.
+        _ => {
+            return Ok(match column.data() {
+                ColumnData::Text(v) => {
+                    matched(v.iter().map(Option::as_deref), |s| Key::Text(s.to_owned()))
+                }
+                ColumnData::Numeric(v) => matched(v.iter().map(|x| x.map(f64::to_bits)), |b| {
+                    Key::Number(f64::from_bits(b))
+                }),
+                ColumnData::Temporal(v) => matched(v.iter().copied(), Key::Time),
+            })
         }
-        BinStrategy::Udf(name) => {
+    };
+    match (strategy, column.data()) {
+        (BinStrategy::Unit(unit), ColumnData::Temporal(v)) => Ok(calendar(v, *unit)),
+        (BinStrategy::Unit(_), _) => Err(BinError::NotTemporal),
+        (BinStrategy::IntoBuckets(0), _) => Err(BinError::ZeroBuckets),
+        (BinStrategy::Default, ColumnData::Numeric(v)) => Ok(equi_width(v, DEFAULT_BUCKETS)),
+        (BinStrategy::IntoBuckets(n), ColumnData::Numeric(v)) => Ok(equi_width(v, *n)),
+        (BinStrategy::Udf(name), data) => {
             let f = udfs
                 .get(name)
                 .ok_or_else(|| BinError::UnknownUdf(name.clone()))?;
-            match column.data() {
-                ColumnData::Numeric(vals) => Ok(vals.iter().map(|v| v.map(|x| f(x))).collect()),
+            match data {
+                // The UDF runs once per non-null row; its key is matched
+                // against the keys seen so far, not cloned.
+                ColumnData::Numeric(v) => {
+                    Ok(matched(v.iter().map(|x| x.map(|x| Exact(f(x)))), |k| k.0))
+                }
                 _ => Err(BinError::NotNumeric),
             }
         }
+        _ => Err(BinError::NotNumeric),
     }
 }
 
-/// Equi-width numeric binning into `n` buckets spanning [min, max].
-fn equi_width(column: &Column, n: usize) -> Result<Vec<Option<Key>>, BinError> {
-    let vals = match column.data() {
-        ColumnData::Numeric(v) => v,
-        _ => return Err(BinError::NotNumeric),
-    };
-    let (lo, hi) = match (column.min_scalar(), column.max_scalar()) {
-        (Some(lo), Some(hi)) => (lo, hi),
-        _ => return Ok(vals.iter().map(|_| None).collect()),
-    };
-    let width = if hi > lo { (hi - lo) / n as f64 } else { 1.0 };
-    Ok(vals
+/// Codes for a column of optional keys, one [`FirstSeen`] code per
+/// distinct key; `key` turns each distinct key into its bucket key.
+fn matched<K: Clone + Eq + Hash>(
+    cells: impl Iterator<Item = Option<K>>,
+    key: impl Fn(K) -> Key,
+) -> KeyCodes {
+    let mut seen = FirstSeen::new();
+    let codes = cells
+        .map(|cell| cell.map_or(NULL_CODE, |k| seen.code(k)))
+        .collect();
+    KeyCodes {
+        codes,
+        keys: seen.into_keys().into_iter().map(key).collect(),
+    }
+}
+
+/// The code cached in `slots[i]`, or `code()`'s, cached there; an index
+/// past the slots is not cached.
+fn cached(slots: &mut [u32], i: usize, code: impl FnOnce() -> u32) -> u32 {
+    match slots.get_mut(i) {
+        Some(slot) if *slot != NULL_CODE => *slot,
+        Some(slot) => {
+            *slot = code();
+            *slot
+        }
+        None => code(),
+    }
+}
+
+/// Periodic calendar buckets (`BIN X BY HOUR` …). Every unit but YEAR has
+/// at most 367 periods, so a table indexed by the period caches codes.
+fn calendar(vals: &[Option<Timestamp>], unit: TimeUnit) -> KeyCodes {
+    let mut slots = [NULL_CODE; 367];
+    let mut seen = FirstSeen::new();
+    let codes = vals
         .iter()
-        .map(|v| {
-            v.map(|x| {
-                // The max value falls in the last bucket, not a phantom one.
-                let idx = (((x - lo) / width) as usize).min(n - 1);
-                Key::Interval {
-                    lo: lo + idx as f64 * width,
-                    hi: lo + (idx + 1) as f64 * width,
-                }
+        .map(|t| {
+            let Some(t) = t else { return NULL_CODE };
+            let index = t.period_index(unit);
+            let slot = usize::try_from(index).unwrap_or(usize::MAX);
+            cached(&mut slots, slot, || seen.code(index))
+        })
+        .collect();
+    KeyCodes {
+        codes,
+        keys: seen
+            .into_keys()
+            .into_iter()
+            .map(|index| Key::Period { unit, index })
+            .collect(),
+    }
+}
+
+/// Equi-width numeric binning into `n` buckets spanning [min, max]. A
+/// bucket is its `[lo, hi)` bounds, bit for bit: indices whose bounds
+/// round to the same bits share one bucket. Bucket indices below the row
+/// count cache their code.
+fn equi_width(vals: &[Option<f64>], n: usize) -> KeyCodes {
+    // The range in one pass, with `Column::min_scalar`'s and
+    // `max_scalar`'s folds. An all-null column has none, and no row
+    // needs one.
+    let (lo, hi) = vals
+        .iter()
+        .flatten()
+        .fold(None, |acc, &x| {
+            Some(acc.map_or((x, x), |(lo, hi): (f64, f64)| (lo.min(x), hi.max(x))))
+        })
+        .unwrap_or_default();
+    let width = if hi > lo { (hi - lo) / n as f64 } else { 1.0 };
+    let mut slots = vec![NULL_CODE; n.min(vals.len())];
+    let mut seen = FirstSeen::new();
+    let codes = vals
+        .iter()
+        .map(|x| {
+            let Some(x) = x else { return NULL_CODE };
+            // The max value falls in the last bucket, not a phantom one.
+            let idx = (((x - lo) / width) as usize).min(n - 1);
+            cached(&mut slots, idx, || {
+                let bounds = (lo + idx as f64 * width, lo + (idx + 1) as f64 * width);
+                seen.code((bounds.0.to_bits(), bounds.1.to_bits()))
             })
         })
-        .collect())
-}
-
-/// Grouping keys: one key per row, from the cell's exact value.
-/// Works for every column type (the paper groups categorical and temporal
-/// columns; grouping a numeric column by exact value is used by the raw
-/// enumeration and then filtered by rules/classifier).
-pub fn group_keys(column: &Column) -> Vec<Option<Key>> {
-    match column.data() {
-        ColumnData::Text(vals) => vals
-            .iter()
-            .map(|v| v.as_ref().map(|s| Key::Text(s.clone())))
+        .collect();
+    KeyCodes {
+        codes,
+        keys: seen
+            .into_keys()
+            .into_iter()
+            .map(|(lo, hi)| Key::Interval {
+                lo: f64::from_bits(lo),
+                hi: f64::from_bits(hi),
+            })
             .collect(),
-        ColumnData::Numeric(vals) => vals.iter().map(|v| v.map(Key::Number)).collect(),
-        ColumnData::Temporal(vals) => vals.iter().map(|v| v.map(Key::Time)).collect(),
-    }
-}
-
-/// Stable bucket accumulator: assigns each distinct key a dense index in
-/// first-seen order and remembers the key.
-#[derive(Debug, Default)]
-pub struct Bucketizer {
-    ids: HashMap<KeyId, usize>,
-    keys: Vec<Key>,
-}
-
-impl Bucketizer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Dense index for `key`, inserting it on first sight.
-    pub fn index_of(&mut self, key: Key) -> usize {
-        let id = key.identity();
-        if let Some(&i) = self.ids.get(&id) {
-            return i;
-        }
-        let i = self.keys.len();
-        self.ids.insert(id, i);
-        self.keys.push(key);
-        i
-    }
-
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    pub fn into_keys(self) -> Vec<Key> {
-        self.keys
     }
 }
 
@@ -292,41 +359,55 @@ mod tests {
     use super::*;
     use deepeye_data::parse_timestamp;
 
+    fn codes(column: &Column, strategy: BinStrategy) -> Result<KeyCodes, BinError> {
+        key_codes(column, &Transform::Bin(strategy), &UdfRegistry::default())
+    }
+
+    fn labels(codes: &KeyCodes) -> Vec<String> {
+        codes
+            .codes
+            .iter()
+            .map(|&c| codes.keys[c as usize].to_string())
+            .collect()
+    }
+
     #[test]
     fn equi_width_covers_all_rows() {
         let c = Column::numeric("x", (0..100).map(f64::from));
-        let keys = bin_keys(&c, &BinStrategy::IntoBuckets(10), &UdfRegistry::default()).unwrap();
-        assert!(keys.iter().all(Option::is_some));
+        let b = codes(&c, BinStrategy::IntoBuckets(10)).unwrap();
+        assert!(b.codes.iter().all(|&c| c != NULL_CODE));
         // Max value must land in the last bucket, not overflow.
-        let last = keys.last().unwrap().clone().unwrap();
-        match last {
+        match b.keys[b.codes[99] as usize] {
             Key::Interval { lo, hi } => {
                 assert!(lo <= 99.0 && 99.0 <= hi);
             }
-            other => panic!("unexpected key {other:?}"),
+            ref other => panic!("unexpected key {other:?}"),
         }
     }
 
     #[test]
     fn equi_width_distinct_buckets_bounded() {
         let c = Column::numeric("x", (0..1000).map(|i| f64::from(i % 500)));
-        let keys = bin_keys(&c, &BinStrategy::Default, &UdfRegistry::default()).unwrap();
-        let mut b = Bucketizer::new();
-        for k in keys.into_iter().flatten() {
-            b.index_of(k);
-        }
-        assert_eq!(b.len(), DEFAULT_BUCKETS);
+        let b = codes(&c, BinStrategy::Default).unwrap();
+        assert_eq!(b.keys.len(), DEFAULT_BUCKETS);
     }
 
     #[test]
     fn constant_column_bins_to_one_bucket() {
         let c = Column::numeric("x", [5.0, 5.0, 5.0]);
-        let keys = bin_keys(&c, &BinStrategy::IntoBuckets(4), &UdfRegistry::default()).unwrap();
-        let mut b = Bucketizer::new();
-        for k in keys.into_iter().flatten() {
-            b.index_of(k);
-        }
-        assert_eq!(b.len(), 1);
+        let b = codes(&c, BinStrategy::IntoBuckets(4)).unwrap();
+        assert_eq!(b.keys.len(), 1);
+        assert_eq!(b.codes, [0, 0, 0]);
+    }
+
+    #[test]
+    fn bucket_indices_with_equal_bounds_share_a_bucket() {
+        // A range of one subnormal step: the width rounds to 0, so the
+        // two occupied bucket indices, 0 and 1, both have bounds [0, 0).
+        let c = Column::numeric("x", [0.0, 5e-324, 0.0]);
+        let b = codes(&c, BinStrategy::IntoBuckets(2)).unwrap();
+        assert_eq!(b.codes, [0, 0, 0]);
+        assert!(matches!(b.keys[..], [Key::Interval { lo, hi }] if lo == 0.0 && hi == 0.0));
     }
 
     #[test]
@@ -339,38 +420,23 @@ mod tests {
             .map(|s| parse_timestamp(s).unwrap())
             .collect();
         let c = Column::temporal("t", ts);
-        let keys = bin_keys(
-            &c,
-            &BinStrategy::Unit(TimeUnit::Hour),
-            &UdfRegistry::default(),
-        )
-        .unwrap();
-        let mut b = Bucketizer::new();
-        for k in keys.into_iter().flatten() {
-            b.index_of(k);
-        }
-        assert_eq!(b.len(), 2); // 08:00 and 09:00 of day
-                                // Month bins likewise pool by month-of-year.
-        let keys = bin_keys(
-            &c,
-            &BinStrategy::Unit(TimeUnit::Month),
-            &UdfRegistry::default(),
-        )
-        .unwrap();
-        let labels: Vec<String> = keys.into_iter().flatten().map(|k| k.to_string()).collect();
-        assert_eq!(labels, vec!["Jan", "Feb", "Jan"]);
+        let b = codes(&c, BinStrategy::Unit(TimeUnit::Hour)).unwrap();
+        assert_eq!(b.keys.len(), 2); // 08:00 and 09:00 of day
+        assert_eq!(b.codes, [0, 0, 1]);
+        // Month bins likewise pool by month-of-year.
+        let b = codes(&c, BinStrategy::Unit(TimeUnit::Month)).unwrap();
+        assert_eq!(labels(&b), vec!["Jan", "Feb", "Jan"]);
+        // Years are not periodic, nor bounded by the period table.
+        let b = codes(&c, BinStrategy::Unit(TimeUnit::Year)).unwrap();
+        assert_eq!(labels(&b), vec!["2015", "2015", "2015"]);
     }
 
     #[test]
     fn calendar_bin_on_numeric_rejected() {
         let c = Column::numeric("x", [1.0]);
         assert_eq!(
-            bin_keys(
-                &c,
-                &BinStrategy::Unit(TimeUnit::Day),
-                &UdfRegistry::default()
-            ),
-            Err(BinError::NotTemporal)
+            codes(&c, BinStrategy::Unit(TimeUnit::Day)).unwrap_err(),
+            BinError::NotTemporal
         );
     }
 
@@ -378,34 +444,24 @@ mod tests {
     fn bucket_bin_on_text_rejected() {
         let c = Column::text("x", ["a"]);
         assert_eq!(
-            bin_keys(&c, &BinStrategy::Default, &UdfRegistry::default()),
-            Err(BinError::NotNumeric)
+            codes(&c, BinStrategy::Default).unwrap_err(),
+            BinError::NotNumeric
         );
     }
 
     #[test]
     fn sign_udf_splits_at_zero() {
         let c = Column::numeric("x", [-5.0, -0.1, 0.0, 3.0]);
-        let keys = bin_keys(
-            &c,
-            &BinStrategy::Udf("sign".into()),
-            &UdfRegistry::default(),
-        )
-        .unwrap();
-        let labels: Vec<String> = keys.into_iter().flatten().map(|k| k.to_string()).collect();
-        assert_eq!(labels, vec!["< 0", "< 0", ">= 0", ">= 0"]);
+        let b = codes(&c, BinStrategy::Udf("sign".into())).unwrap();
+        assert_eq!(labels(&b), vec!["< 0", "< 0", ">= 0", ">= 0"]);
     }
 
     #[test]
     fn unknown_udf_rejected() {
         let c = Column::numeric("x", [1.0]);
         assert_eq!(
-            bin_keys(
-                &c,
-                &BinStrategy::Udf("nope".into()),
-                &UdfRegistry::default()
-            ),
-            Err(BinError::UnknownUdf("nope".into()))
+            codes(&c, BinStrategy::Udf("nope".into())).unwrap_err(),
+            BinError::UnknownUdf("nope".into())
         );
     }
 
@@ -414,29 +470,33 @@ mod tests {
         let mut reg = UdfRegistry::default();
         reg.register("decade", |x| Key::Number((x / 10.0).floor() * 10.0));
         let c = Column::numeric("x", [1995.0, 1999.0, 2003.0]);
-        let keys = bin_keys(&c, &BinStrategy::Udf("decade".into()), &reg).unwrap();
-        let mut b = Bucketizer::new();
-        for k in keys.into_iter().flatten() {
-            b.index_of(k);
-        }
-        assert_eq!(b.len(), 2);
+        let b = key_codes(&c, &Transform::Bin(BinStrategy::Udf("decade".into())), &reg).unwrap();
+        assert_eq!(b.keys.len(), 2);
+        assert_eq!(b.codes, [0, 0, 1]);
     }
 
     #[test]
-    fn group_keys_per_type() {
-        assert!(matches!(
-            group_keys(&Column::text("c", ["a"]))[0],
-            Some(Key::Text(_))
+    fn group_codes_per_type() {
+        let udfs = UdfRegistry::default();
+        let group = |c: &Column| key_codes(c, &Transform::Group, &udfs).unwrap();
+        let text = group(&Column::new(
+            "c",
+            ColumnData::Text(vec![
+                Some("a".into()),
+                None,
+                Some("b".into()),
+                Some("a".into()),
+            ]),
         ));
-        assert!(matches!(
-            group_keys(&Column::numeric("n", [1.0]))[0],
-            Some(Key::Number(_))
-        ));
+        assert_eq!(text.codes, [0, NULL_CODE, 1, 0]);
+        assert!(matches!(&text.keys[..], [Key::Text(a), Key::Text(b)] if a == "a" && b == "b"));
+        // Numbers group by their bits: 0.0 and -0.0 are two groups.
+        let nums = group(&Column::numeric("n", [1.0, 0.0, -0.0, 1.0]));
+        assert_eq!(nums.codes, [0, 1, 2, 0]);
         let t = parse_timestamp("2015-01-01").unwrap();
-        assert!(matches!(
-            group_keys(&Column::temporal("t", [t]))[0],
-            Some(Key::Time(_))
-        ));
+        let times = group(&Column::temporal("t", [t, t]));
+        assert_eq!(times.codes, [0, 0]);
+        assert!(matches!(times.keys[..], [Key::Time(k)] if k == t));
     }
 
     #[test]
@@ -455,20 +515,19 @@ mod tests {
     }
 
     #[test]
-    fn bucketizer_dense_and_stable() {
-        let mut b = Bucketizer::new();
-        assert_eq!(b.index_of(Key::Text("x".into())), 0);
-        assert_eq!(b.index_of(Key::Text("y".into())), 1);
-        assert_eq!(b.index_of(Key::Text("x".into())), 0);
-        assert_eq!(b.into_keys().len(), 2);
+    fn same_compares_bits() {
+        assert!(Key::Number(f64::NAN).same(&Key::Number(f64::NAN)));
+        assert!(!Key::Number(0.0).same(&Key::Number(-0.0)));
+        assert!(!Key::Number(1.0).same(&Key::Interval { lo: 1.0, hi: 1.0 }));
+        assert!(Key::Text("x".into()).same(&Key::Text("x".into())));
     }
 
     #[test]
     fn zero_buckets_rejected() {
         let c = Column::numeric("x", [1.0]);
         assert_eq!(
-            bin_keys(&c, &BinStrategy::IntoBuckets(0), &UdfRegistry::default()),
-            Err(BinError::ZeroBuckets)
+            codes(&c, BinStrategy::IntoBuckets(0)).unwrap_err(),
+            BinError::ZeroBuckets
         );
     }
 }

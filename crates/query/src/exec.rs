@@ -2,12 +2,14 @@
 //!
 //! The executor applies the TRANSFORM clause (group or bin the x-column),
 //! aggregates the y-column per bucket (SUM / AVG / CNT), applies ORDER BY,
-//! and assembles a [`ChartData`].
+//! and assembles a [`ChartData`]. An aggregated query is a shared scan of
+//! one query ([`crate::batch`]); a raw query pairs cells row by row.
 
 use crate::ast::{Aggregate, SortOrder, Transform, VisQuery};
-use crate::bins::{bin_keys, group_keys, BinError, Bucketizer, Key, UdfRegistry};
+use crate::batch::Scan;
+use crate::bins::{BinError, Key, UdfRegistry};
 use crate::chart::{ChartData, Series};
-use deepeye_data::{Column, ColumnData, DataType, Table};
+use deepeye_data::{Column, ColumnData, Table};
 use std::fmt;
 
 /// Errors raised while executing a visualization query.
@@ -73,31 +75,21 @@ pub fn execute_with(
         None => None,
     };
 
-    let mut chart = match (&query.transform, query.aggregate) {
-        (Transform::None, Aggregate::Raw) => raw_chart(query, x_col, y_col)?,
-        (Transform::None, agg) => {
-            return Err(QueryError::Invalid(format!(
-                "{} requires a GROUP or BIN transform",
-                agg.name()
-            )));
+    match (&query.transform, query.aggregate) {
+        (Transform::None, Aggregate::Raw) => {
+            let mut chart = raw_chart(query, x_col, y_col)?;
+            apply_order(&mut chart.series, query.order);
+            Ok(chart)
         }
-        (Transform::Group, Aggregate::Raw) | (Transform::Bin(_), Aggregate::Raw) => {
-            return Err(QueryError::Invalid(
-                "a transform requires an aggregate (SUM, AVG, or CNT)".to_owned(),
-            ));
-        }
-        (transform, agg) => {
-            let keys = match transform {
-                Transform::Group => group_keys(x_col),
-                Transform::Bin(strategy) => bin_keys(x_col, strategy, udfs)?,
-                Transform::None => unreachable!("handled above"),
-            };
-            aggregated_chart(query, keys, y_col, agg)?
-        }
-    };
-
-    apply_order(&mut chart.series, query.order);
-    Ok(chart)
+        (Transform::None, agg) => Err(QueryError::Invalid(format!(
+            "{} requires a GROUP or BIN transform",
+            agg.name()
+        ))),
+        (Transform::Group, Aggregate::Raw) | (Transform::Bin(_), Aggregate::Raw) => Err(
+            QueryError::Invalid("a transform requires an aggregate (SUM, AVG, or CNT)".to_owned()),
+        ),
+        _ => Scan::run(table, std::slice::from_ref(query), &[0], udfs)?.materialize(query),
+    }
 }
 
 /// Raw (untransformed) chart: pairs of cell values per row.
@@ -108,36 +100,30 @@ fn raw_chart(
 ) -> Result<ChartData, QueryError> {
     let y_col = y_col
         .ok_or_else(|| QueryError::Invalid("a raw query needs an explicit y column".to_owned()))?;
-    let y_nums = numeric_view(y_col).ok_or_else(|| {
-        QueryError::Invalid(format!("y column {:?} is not numeric", y_col.name()))
-    })?;
-    let series = match numeric_scale(x_col) {
-        // Both sides numeric-ish: continuous points.
-        Some(xs) => {
-            let pts: Vec<(f64, f64)> = xs
-                .iter()
-                .zip(y_nums.iter())
-                .filter_map(|(x, y)| Some(((*x)?, (*y)?)))
-                .collect();
-            if pts.is_empty() {
-                return Err(QueryError::EmptyResult);
-            }
-            Series::Points(pts)
-        }
+    let ColumnData::Numeric(ys) = y_col.data() else {
+        return Err(QueryError::Invalid(format!(
+            "y column {:?} is not numeric",
+            y_col.name()
+        )));
+    };
+    let series = match x_col.data() {
         // Categorical x: keyed rows.
-        None => {
-            let keys = group_keys(x_col);
-            let pairs: Vec<(Key, f64)> = keys
-                .into_iter()
-                .zip(y_nums.iter())
-                .filter_map(|(k, y)| Some((k?, (*y)?)))
-                .collect();
-            if pairs.is_empty() {
-                return Err(QueryError::EmptyResult);
-            }
-            Series::Keyed(pairs)
+        ColumnData::Text(labels) => Series::Keyed(
+            labels
+                .iter()
+                .zip(ys)
+                .filter_map(|(x, y)| Some((Key::Text(x.clone()?), (*y)?)))
+                .collect(),
+        ),
+        // Numeric or temporal x (as Unix seconds): continuous points.
+        ColumnData::Numeric(xs) => points(xs.iter().copied(), ys),
+        ColumnData::Temporal(ts) => {
+            points(ts.iter().map(|t| t.map(|t| t.unix_seconds() as f64)), ys)
         }
     };
+    if series.is_empty() {
+        return Err(QueryError::EmptyResult);
+    }
     Ok(ChartData {
         chart: query.chart,
         x_label: query.x.clone(),
@@ -146,87 +132,9 @@ fn raw_chart(
     })
 }
 
-/// Grouped/binned chart with SUM / AVG / CNT per bucket.
-fn aggregated_chart(
-    query: &VisQuery,
-    keys: Vec<Option<Key>>,
-    y_col: Option<&Column>,
-    agg: Aggregate,
-) -> Result<ChartData, QueryError> {
-    let y_label = match (y_col, agg) {
-        (_, Aggregate::Raw) => unreachable!("caller rejects Raw"),
-        (None, Aggregate::Cnt) => format!("CNT({})", query.x),
-        (None, other) => {
-            return Err(QueryError::Invalid(format!(
-                "one-column queries support CNT only, got {}",
-                other.name()
-            )));
-        }
-        (Some(y), Aggregate::Cnt) => format!("CNT({})", y.name()),
-        (Some(y), other) => {
-            if y.data_type() != DataType::Numerical {
-                return Err(QueryError::Invalid(format!(
-                    "{} requires a numerical y column, {:?} is {}",
-                    other.name(),
-                    y.name(),
-                    y.data_type()
-                )));
-            }
-            format!("{}({})", other.name(), y.name())
-        }
-    };
-
-    let y_nums: Option<Vec<Option<f64>>> = y_col.and_then(numeric_view);
-    let mut buckets = Bucketizer::new();
-    let mut sums: Vec<f64> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
-    for (row, key) in keys.into_iter().enumerate() {
-        let Some(key) = key else { continue };
-        let idx = buckets.index_of(key);
-        if idx == sums.len() {
-            sums.push(0.0);
-            counts.push(0);
-        }
-        match agg {
-            Aggregate::Cnt => counts[idx] += 1,
-            Aggregate::Sum | Aggregate::Avg => {
-                if let Some(Some(y)) = y_nums.as_ref().map(|v| v[row]) {
-                    sums[idx] += y;
-                    counts[idx] += 1;
-                }
-            }
-            Aggregate::Raw => unreachable!(),
-        }
-    }
-    if buckets.is_empty() {
-        return Err(QueryError::EmptyResult);
-    }
-    let pairs: Vec<(Key, f64)> = buckets
-        .into_keys()
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let v = match agg {
-                Aggregate::Cnt => counts[i] as f64,
-                Aggregate::Sum => sums[i],
-                Aggregate::Avg => {
-                    if counts[i] == 0 {
-                        0.0
-                    } else {
-                        sums[i] / counts[i] as f64
-                    }
-                }
-                Aggregate::Raw => unreachable!(),
-            };
-            (k, v)
-        })
-        .collect();
-    Ok(ChartData {
-        chart: query.chart,
-        x_label: query.x.clone(),
-        y_label,
-        series: Series::Keyed(pairs),
-    })
+/// The rows where both x and y are non-null, as points.
+fn points(xs: impl Iterator<Item = Option<f64>>, ys: &[Option<f64>]) -> Series {
+    Series::Points(xs.zip(ys).filter_map(|(x, y)| Some((x?, (*y)?))).collect())
 }
 
 /// Apply the ORDER BY clause in place: X' ascending or Y' descending.
@@ -237,28 +145,6 @@ pub(crate) fn apply_order(series: &mut Series, order: SortOrder) {
         (Series::Keyed(pairs), SortOrder::ByY) => pairs.sort_by(|a, b| b.1.total_cmp(&a.1)),
         (Series::Points(pts), SortOrder::ByX) => pts.sort_by(|a, b| a.0.total_cmp(&b.0)),
         (Series::Points(pts), SortOrder::ByY) => pts.sort_by(|a, b| b.1.total_cmp(&a.1)),
-    }
-}
-
-/// Numeric view of a column: numbers as-is; temporal as Unix seconds;
-/// `None` for categorical.
-fn numeric_scale(col: &Column) -> Option<Vec<Option<f64>>> {
-    match col.data() {
-        ColumnData::Numeric(v) => Some(v.clone()),
-        ColumnData::Temporal(v) => Some(
-            v.iter()
-                .map(|t| t.map(|t| t.unix_seconds() as f64))
-                .collect(),
-        ),
-        ColumnData::Text(_) => None,
-    }
-}
-
-/// Numeric values of a numerical column only (used for y aggregation).
-fn numeric_view(col: &Column) -> Option<Vec<Option<f64>>> {
-    match col.data() {
-        ColumnData::Numeric(v) => Some(v.clone()),
-        _ => None,
     }
 }
 

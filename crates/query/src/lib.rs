@@ -42,7 +42,7 @@ pub mod sema;
 
 pub use ast::{Aggregate, BinStrategy, ChartType, SortOrder, Transform, VisQuery, DEFAULT_BUCKETS};
 pub use batch::execute_batch;
-pub use bins::{bin_keys, group_keys, BinError, Bucketizer, Key, UdfRegistry};
+pub use bins::{BinError, Key, UdfRegistry};
 pub use chart::{ChartData, Series};
 pub use enumerate::{
     all_queries, one_column_queries, one_column_space_size, queries_with_verdict,

@@ -12,11 +12,11 @@
 //!    destination.
 
 use crate::ast::{Aggregate, ChartType, SortOrder, Transform, VisQuery};
-use crate::bins::{bin_keys, group_keys, Bucketizer, Key, UdfRegistry};
+use crate::bins::{key_codes, Exact, Key, UdfRegistry, NULL_CODE};
 use crate::chart::{ChartData, Series};
 use crate::exec::{execute_with, QueryError};
 use crate::sema::{self, Clause, Code, Diagnostic};
-use deepeye_data::{DataType, Table};
+use deepeye_data::{ColumnData, DataType, FirstSeen, Table};
 
 /// A chart with several named series over a shared x-scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +38,11 @@ impl MultiSeriesChart {
     /// Collapse to a single-series [`ChartData`] by summing across series
     /// (used by ranking, which scores the overall shape).
     pub fn flattened(&self) -> ChartData {
-        let mut buckets = Bucketizer::new();
+        let mut buckets = FirstSeen::new();
         let mut totals: Vec<f64> = Vec::new();
         for (_, pts) in &self.series {
             for (k, v) in pts {
-                let idx = buckets.index_of(k.clone());
+                let idx = buckets.code(Exact(k.clone())) as usize;
                 if idx == totals.len() {
                     totals.push(0.0);
                 }
@@ -52,6 +52,7 @@ impl MultiSeriesChart {
         let pairs = buckets
             .into_keys()
             .into_iter()
+            .map(|k| k.0)
             .zip(totals)
             .collect::<Vec<_>>();
         ChartData {
@@ -277,9 +278,9 @@ pub fn execute_xyz(
             "XYZ queries require an aggregate".to_owned(),
         ));
     }
-    let z_vals: Vec<Option<f64>> = match z_col.data() {
-        deepeye_data::ColumnData::Numeric(v) => v.clone(),
-        _ if query.aggregate == Aggregate::Cnt => vec![Some(1.0); table.row_count()],
+    let z_vals: Option<&[Option<f64>]> = match z_col.data() {
+        ColumnData::Numeric(v) => Some(v),
+        _ if query.aggregate == Aggregate::Cnt => None,
         _ => {
             return Err(QueryError::Invalid(format!(
                 "{} requires a numerical z column",
@@ -288,67 +289,67 @@ pub fn execute_xyz(
         }
     };
 
-    let series_keys = group_keys(series_col);
-    let x_keys = match &query.x_transform {
-        Transform::Group => group_keys(x_col),
-        Transform::Bin(strategy) => bin_keys(x_col, strategy, udfs)?,
+    let series_codes = key_codes(series_col, &Transform::Group, udfs)?;
+    let x_codes = match &query.x_transform {
         Transform::None => {
             return Err(QueryError::Invalid(
                 "XYZ queries require the x column to be grouped or binned".to_owned(),
             ));
         }
+        transform => key_codes(x_col, transform, udfs)?,
     };
 
-    // (series index, x index) → accumulator.
-    let mut series_buckets = Bucketizer::new();
-    let mut x_buckets = Bucketizer::new();
-    let mut cells: std::collections::HashMap<(usize, usize), (f64, u64)> =
-        std::collections::HashMap::new();
-    for row in 0..table.row_count() {
-        let (Some(sk), Some(xk)) = (series_keys[row].clone(), x_keys[row].clone()) else {
+    // Series and x buckets are numbered from their column codes in the
+    // order rows with both keys non-null first reach them, and cells from
+    // those numbers; each cell takes its rows in row order.
+    let mut series_seen = FirstSeen::new();
+    let mut x_seen = FirstSeen::new();
+    let mut cells = FirstSeen::new();
+    let mut acc: Vec<(f64, u64)> = Vec::new();
+    for (row, (&s, &x)) in series_codes.codes.iter().zip(&x_codes.codes).enumerate() {
+        if s == NULL_CODE || x == NULL_CODE {
             continue;
-        };
-        let si = series_buckets.index_of(sk);
-        let xi = x_buckets.index_of(xk);
-        let entry = cells.entry((si, xi)).or_insert((0.0, 0));
-        match query.aggregate {
-            Aggregate::Cnt => entry.1 += 1,
-            Aggregate::Sum | Aggregate::Avg => {
-                if let Some(z) = z_vals[row] {
-                    entry.0 += z;
-                    entry.1 += 1;
+        }
+        let cell = cells.code((series_seen.code(s), x_seen.code(x))) as usize;
+        if cell == acc.len() {
+            acc.push((0.0, 0));
+        }
+        match (query.aggregate, z_vals) {
+            (Aggregate::Sum | Aggregate::Avg, Some(z)) => {
+                if let Some(z) = z[row] {
+                    acc[cell].0 += z;
+                    acc[cell].1 += 1;
                 }
             }
-            Aggregate::Raw => unreachable!(),
+            _ => acc[cell].1 += 1,
         }
     }
-    if series_buckets.is_empty() {
+    if acc.is_empty() {
         return Err(QueryError::EmptyResult);
     }
-    let series_names = series_buckets.into_keys();
-    let x_keys_dense = x_buckets.into_keys();
-    let mut series = Vec::with_capacity(series_names.len());
-    for (si, name) in series_names.iter().enumerate() {
-        let mut pts: Vec<(Key, f64)> = Vec::new();
-        for (xi, xk) in x_keys_dense.iter().enumerate() {
-            if let Some((sum, cnt)) = cells.get(&(si, xi)) {
-                let v = match query.aggregate {
-                    Aggregate::Cnt => *cnt as f64,
-                    Aggregate::Sum => *sum,
-                    Aggregate::Avg => {
-                        if *cnt == 0 {
-                            continue;
-                        } else {
-                            sum / *cnt as f64
-                        }
-                    }
-                    Aggregate::Raw => unreachable!(),
-                };
-                pts.push((xk.clone(), v));
-            }
-        }
+    let x_order = x_seen.into_keys();
+    let mut series: Vec<(String, Vec<(Key, f64)>)> = series_seen
+        .into_keys()
+        .into_iter()
+        .map(|code| (series_codes.keys[code as usize].to_string(), Vec::new()))
+        .collect();
+    let cell_keys = cells.into_keys();
+    let mut by_cell: Vec<usize> = (0..cell_keys.len()).collect();
+    by_cell.sort_by_key(|&c| cell_keys[c]);
+    for c in by_cell {
+        let (s, x) = cell_keys[c];
+        let (sum, cnt) = acc[c];
+        let v = match query.aggregate {
+            Aggregate::Sum => sum,
+            Aggregate::Avg if cnt == 0 => continue,
+            Aggregate::Avg => sum / cnt as f64,
+            _ => cnt as f64,
+        };
+        let key = x_codes.keys[x_order[x as usize] as usize].clone();
+        series[s as usize].1.push((key, v));
+    }
+    for (_, pts) in &mut series {
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        series.push((name.to_string(), pts));
     }
     series.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(MultiSeriesChart {

@@ -2,9 +2,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_data::{Column, ColumnData, Table, TableBuilder, Timestamp};
+mod oracle;
+
+use deepeye_data::{Column, ColumnData, Table, TableBuilder, TimeUnit, Timestamp};
 use deepeye_query::{
-    all_queries, execute, Aggregate, ChartType, Series, SortOrder, Transform, VisQuery,
+    all_queries, execute, execute_batch, execute_with, execute_xyz, Aggregate, BinStrategy,
+    ChartType, Key, Series, SortOrder, Transform, UdfRegistry, VisQuery, XyzQuery,
 };
 use proptest::prelude::*;
 
@@ -178,18 +181,25 @@ proptest! {
         }
     }
 
-    /// Batch execution with shared scans returns exactly what the scalar
-    /// executor returns — the same chart or the same error — for every
-    /// query in a sampled slice of the space, over tables with nulls.
+    /// The kernel — `execute_batch`, and `execute_with` as a scan of one —
+    /// returns the oracle's result for a sample of the space: the same
+    /// error, or the same chart with every key and `f64` equal by its
+    /// bits.
     #[test]
-    fn batch_equals_scalar((table, skip) in (nullable_table(), 0usize..100)) {
-        let udfs = deepeye_query::UdfRegistry::default();
-        let qs: Vec<VisQuery> = all_queries(&table).skip(skip * 11).take(40).collect();
-        let batch = deepeye_query::execute_batch(&table, &qs, &udfs);
-        for (q, b) in qs.iter().zip(batch) {
-            let scalar = deepeye_query::execute_with(&table, q, &udfs);
-            prop_assert_eq!(b, scalar, "{:?}: batch {:?} != scalar {:?}", q, b, scalar);
-        }
+    fn kernel_equals_the_oracle(
+        (table, skip) in (prop_oneof![arbitrary_table(), nullable_table()], 0usize..37)
+    ) {
+        let qs: Vec<VisQuery> = all_queries(&table).skip(skip).step_by(37).collect();
+        let bad = kernel_mismatches(&table, &qs, &UdfRegistry::default());
+        prop_assert!(bad.is_empty(), "{:?}", bad);
+    }
+
+    /// `execute_xyz` returns the oracle's result for every (series, x, z)
+    /// column triple, x transform and aggregate.
+    #[test]
+    fn xyz_equals_the_oracle(table in prop_oneof![arbitrary_table(), nullable_table()]) {
+        let bad = xyz_mismatches(&table, &UdfRegistry::default());
+        prop_assert!(bad.is_empty(), "{:?}", bad);
     }
 
     /// Sorting never changes the multiset of y-values.
@@ -210,5 +220,187 @@ proptest! {
         a.sort_by(f64::total_cmp);
         b.sort_by(f64::total_cmp);
         prop_assert_eq!(a, b);
+    }
+}
+
+/// The queries whose kernel result differs from the oracle's, through
+/// `execute_batch` or `execute_with`.
+fn kernel_mismatches(table: &Table, qs: &[VisQuery], udfs: &UdfRegistry) -> Vec<String> {
+    let mut bad = Vec::new();
+    for (q, batch) in qs.iter().zip(execute_batch(table, qs, udfs)) {
+        let want = oracle::execute_with(table, q, udfs);
+        let scalar = execute_with(table, q, udfs);
+        if !oracle::same_chart(&batch, &want) || !oracle::same_chart(&scalar, &want) {
+            bad.push(format!(
+                "{q:?}: batch {batch:?}, execute_with {scalar:?}, oracle {want:?}"
+            ));
+        }
+    }
+    bad
+}
+
+/// The XYZ queries over every column triple whose result differs from
+/// the oracle's.
+fn xyz_mismatches(table: &Table, udfs: &UdfRegistry) -> Vec<String> {
+    let mut transforms = vec![
+        Transform::None,
+        Transform::Group,
+        Transform::Bin(BinStrategy::Default),
+        Transform::Bin(BinStrategy::IntoBuckets(3)),
+    ];
+    transforms.extend(TimeUnit::ALL.map(|u| Transform::Bin(BinStrategy::Unit(u))));
+    transforms.extend(
+        udfs.names()
+            .map(|name| Transform::Bin(BinStrategy::Udf(name.to_owned()))),
+    );
+    let names: Vec<String> = table
+        .columns()
+        .iter()
+        .map(|c| c.name().to_owned())
+        .collect();
+    let mut bad = Vec::new();
+    for series_column in &names {
+        for x in &names {
+            for z in &names {
+                for x_transform in &transforms {
+                    for aggregate in Aggregate::ALL {
+                        let q = XyzQuery {
+                            chart: ChartType::Bar,
+                            series_column: series_column.clone(),
+                            x: x.clone(),
+                            x_transform: x_transform.clone(),
+                            z: z.clone(),
+                            aggregate,
+                        };
+                        let got = execute_xyz(table, &q, udfs);
+                        let want = oracle::execute_xyz(table, &q, udfs);
+                        if !oracle::same_multi(&got, &want) {
+                            bad.push(format!("{q:?}: {got:?}, oracle {want:?}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    bad
+}
+
+/// Every query of the space over `table`, plus `BIN x INTO n` for n in
+/// 1..=40 and every UDF of `udfs` on each numeric x, through the kernel
+/// and the oracle; XYZ queries too. Returns the mismatches.
+fn oracle_mismatches(table: &Table, udfs: &UdfRegistry) -> Vec<String> {
+    let mut qs: Vec<VisQuery> = all_queries(table).collect();
+    for col in table.columns() {
+        let mut bins: Vec<BinStrategy> = (1..=40).map(BinStrategy::IntoBuckets).collect();
+        bins.extend(udfs.names().map(|n| BinStrategy::Udf(n.to_owned())));
+        for strategy in bins {
+            for y in [None, Some("y")] {
+                for aggregate in [Aggregate::Cnt, Aggregate::Sum, Aggregate::Avg] {
+                    qs.push(VisQuery {
+                        chart: ChartType::Bar,
+                        x: col.name().to_owned(),
+                        y: y.map(str::to_owned),
+                        transform: Transform::Bin(strategy.clone()),
+                        aggregate,
+                        order: SortOrder::ByX,
+                    });
+                }
+            }
+        }
+    }
+    let mut bad = kernel_mismatches(table, &qs, udfs);
+    bad.extend(xyz_mismatches(table, udfs));
+    bad
+}
+
+/// A table of an x column beside a numeric `y` (with a null and a
+/// `-0.0`) and a categorical `s` for XYZ series.
+fn fixed_table(x: Column) -> Table {
+    let n = x.len();
+    TableBuilder::new("fixed")
+        .column(x)
+        .column(Column::new(
+            "y",
+            ColumnData::Numeric(
+                (0..n)
+                    .map(|i| match i % 5 {
+                        0 => None,
+                        1 => Some(-0.0),
+                        _ => Some(i as f64 * 0.7 - 3.0),
+                    })
+                    .collect(),
+            ),
+        ))
+        .text("s", (0..n).map(|i| ["a", "b", "c"][i % 3]))
+        .build()
+        .unwrap()
+}
+
+fn assert_matches_oracle(table: &Table, udfs: &UdfRegistry) {
+    let bad = oracle_mismatches(table, udfs);
+    assert!(
+        bad.is_empty(),
+        "{} mismatches, first: {}",
+        bad.len(),
+        bad[0]
+    );
+}
+
+#[test]
+fn constant_numeric_column_equals_the_oracle() {
+    let table = fixed_table(Column::numeric("x", [2.5; 12]));
+    assert_matches_oracle(&table, &UdfRegistry::default());
+}
+
+#[test]
+fn values_near_1e17_equal_the_oracle() {
+    // An ulp at 1e17 is 16, so over a range of a few ulps `lo + idx·width`
+    // rounds, and the bounds of many bucket indices coincide.
+    let xs = (0..24).map(|i| 1e17 + 16.0 * f64::from(i % 4));
+    let table = fixed_table(Column::numeric("x", xs));
+    assert_matches_oracle(&table, &UdfRegistry::default());
+}
+
+#[test]
+fn a_subnormal_range_equals_the_oracle() {
+    // The width rounds to 0, so occupied bucket indices share the bounds
+    // [0, 0) and must share one bucket.
+    let xs = (0..12).map(|i| if i % 3 == 0 { 5e-324 } else { 0.0 });
+    let table = fixed_table(Column::numeric("x", xs));
+    assert_matches_oracle(&table, &UdfRegistry::default());
+}
+
+#[test]
+fn negative_zero_beside_zero_equals_the_oracle() {
+    // GROUP keys numbers by their bits: 0.0 and -0.0 are two groups, and
+    // as XYZ series they print alike, so their order is first-seen order.
+    let xs = (0..15).map(|i| [0.0, -0.0, 1.0, -0.0, 0.0][i % 5]);
+    let table = fixed_table(Column::numeric("x", xs));
+    assert_matches_oracle(&table, &UdfRegistry::default());
+}
+
+#[test]
+fn a_udf_with_many_keys_equals_the_oracle() {
+    // 67 distinct keys, more than any small-set fast path holds, with
+    // -0.0 (from x in (-3, 0)) beside 0.0.
+    let mut udfs = UdfRegistry::default();
+    udfs.register("thirds", |x| Key::Number((x / 3.0).trunc()));
+    udfs.register("labels", |x| {
+        Key::Text(format!("k{}", (x as i64).rem_euclid(40)))
+    });
+    let xs = (0..400).map(|i| f64::from((i * 37) % 201) - 100.0);
+    let table = fixed_table(Column::numeric("x", xs));
+    assert_matches_oracle(&table, &udfs);
+}
+
+#[test]
+fn an_all_null_x_column_equals_the_oracle() {
+    for x in [
+        Column::new("x", ColumnData::Numeric(vec![None; 6])),
+        Column::new("x", ColumnData::Text(vec![None; 6])),
+        Column::new("x", ColumnData::Temporal(vec![None; 6])),
+    ] {
+        let table = fixed_table(x);
+        assert_matches_oracle(&table, &UdfRegistry::default());
     }
 }
