@@ -113,6 +113,17 @@ impl NodeFeatures {
     /// can be computed. Apart from `chart.chart`, the result depends only
     /// on these two and the plotted series.
     pub fn from_chart(chart: &ChartData, source_rows: usize, source_x_type: DataType) -> Self {
+        Self::with_correlation(chart, source_rows, source_x_type, None)
+    }
+
+    /// [`Self::from_chart`] with feature (6) already known, or computed
+    /// from the plotted series when `None`.
+    pub(crate) fn with_correlation(
+        chart: &ChartData,
+        source_rows: usize,
+        source_x_type: DataType,
+        correlation: Option<f64>,
+    ) -> Self {
         let xs = chart.series.x_positions();
         let ys = chart.series.y_values();
         let x_feat = match &chart.series {
@@ -131,7 +142,8 @@ impl NodeFeatures {
         NodeFeatures {
             x: x_feat,
             y: ColumnFeatures::from_values(&ys, DataType::Numerical),
-            correlation: correlation(&xs, &ys).coefficient,
+            correlation: correlation
+                .unwrap_or_else(|| deepeye_data::correlation(&xs, &ys).coefficient),
             chart: chart.chart,
             source_rows,
             source_x_type,

@@ -2,10 +2,12 @@
 //! recognizer classifies and the rankers order.
 
 use crate::features::NodeFeatures;
-use deepeye_data::{DataType, Table};
+use deepeye_data::{ColumnData, DataType, PreparedColumn, Table};
 use deepeye_query::{
-    execute_with, ChartData, ChartType, Key, QueryError, Series, UdfRegistry, VisQuery,
+    execute_with, Aggregate, ChartData, ChartType, Key, QueryError, Series, SortOrder, Transform,
+    UdfRegistry, VisQuery,
 };
+use std::cell::OnceCell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::OnceLock;
 
@@ -144,6 +146,21 @@ fn nodes_sharing_features(
     hash: impl Fn(DataType, &Series) -> u64,
 ) -> Vec<VisNode> {
     let rows = table.row_count();
+    let columns = table.columns();
+    // The columns of unsorted raw numeric charts, prepared for correlation
+    // on first use; `None` for a column with a null.
+    let prepared: Vec<OnceCell<Option<PreparedColumn>>> =
+        columns.iter().map(|_| OnceCell::new()).collect();
+    let prepare = |i: usize| {
+        prepared[i]
+            .get_or_init(|| match columns[i].data() {
+                ColumnData::Numeric(cells) if cells.iter().all(Option::is_some) => {
+                    Some(PreparedColumn::new(columns[i].numbers()))
+                }
+                _ => None,
+            })
+            .as_ref()
+    };
     let mut nodes: Vec<VisNode> = Vec::new();
     let mut firsts: HashMap<u64, usize> = HashMap::new();
     for (query, data) in executed {
@@ -162,11 +179,31 @@ fn nodes_sharing_features(
                 chart: data.chart,
                 ..repeated.features.clone()
             },
-            None => NodeFeatures::from_chart(&data, rows, x_type),
+            None => {
+                let correlation = unsorted_raw_pair(table, &query)
+                    .and_then(|(x, y)| Some(prepare(x)?.correlation(prepare(y)?).coefficient));
+                NodeFeatures::with_correlation(&data, rows, x_type, correlation)
+            }
         };
         nodes.push(VisNode::new(query, data, features));
     }
     nodes
+}
+
+/// The column indices of an unsorted raw chart. When both columns are
+/// numeric without a null, its plotted series is exactly their numbers in
+/// row order, so feature (6) is the prepared columns' correlation.
+fn unsorted_raw_pair(table: &Table, query: &VisQuery) -> Option<(usize, usize)> {
+    let raw = matches!(query.transform, Transform::None)
+        && query.aggregate == Aggregate::Raw
+        && query.order == SortOrder::None;
+    if !raw {
+        return None;
+    }
+    Some((
+        table.column_index(&query.x)?,
+        table.column_index(query.y.as_deref()?)?,
+    ))
 }
 
 /// A hash of the source x type and every bit of the plotted series, to
@@ -231,7 +268,6 @@ pub(crate) fn same_series(a: &Series, b: &Series) -> bool {
 mod tests {
     use super::*;
     use deepeye_data::TableBuilder;
-    use deepeye_query::{Aggregate, SortOrder, Transform};
 
     fn table() -> Table {
         TableBuilder::new("t")
@@ -305,6 +341,73 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(bits(node), bits(&want), "{:?}", node.query);
+        }
+    }
+
+    /// Feature (6) of an unsorted raw numeric chart comes from prepared
+    /// columns, yet every node's features equal `VisNode::build`'s bit for
+    /// bit: with nulls (the columns' numbers would pair across rows), with
+    /// infinite cells (the kernel's filter drops them) and with neither.
+    #[test]
+    fn prepared_correlations_equal_built_nodes() {
+        let a = [1.0, 2.5, 3.0, 4.5, 5.0, 7.5, 6.0, 9.0];
+        let b = [2.0, -1.0, 6.5, 8.0, 9.5, 14.0, 11.0, 20.0];
+        let c = [0.5, 0.25, 4.0, 2.0, 8.0, 1.0, 16.0, 3.0];
+        let with = |values: &[f64], at: usize, cell: Option<f64>| {
+            let mut cells: Vec<Option<f64>> = values.iter().copied().map(Some).collect();
+            cells[at] = cell;
+            ColumnData::Numeric(cells)
+        };
+        let plain = |values: &[f64]| with(values, 0, Some(values[0]));
+        let tables = [
+            ("plain", plain(&a), plain(&b)),
+            ("nulls", with(&a, 1, None), with(&b, 3, None)),
+            (
+                "infinite",
+                with(&a, 2, Some(f64::INFINITY)),
+                with(&b, 5, Some(f64::NEG_INFINITY)),
+            ),
+        ];
+        let udfs = UdfRegistry::default();
+        for (name, a, b) in tables {
+            let t = TableBuilder::new(name)
+                .data("a", a)
+                .data("b", b)
+                .numeric("c", c)
+                .text("k", ["p", "q", "p", "r", "q", "p", "r", "q"])
+                .build()
+                .unwrap();
+            let mut queries = crate::rules::rule_based_queries(&t);
+            for x in ["a", "b", "c"] {
+                for y in ["a", "b", "c"] {
+                    queries.push(VisQuery {
+                        chart: ChartType::Scatter,
+                        x: x.into(),
+                        y: Some(y.into()),
+                        transform: Transform::None,
+                        aggregate: Aggregate::Raw,
+                        order: SortOrder::None,
+                    });
+                }
+            }
+            let executed: Vec<(VisQuery, ChartData)> = queries
+                .iter()
+                .filter_map(|q| Some((q.clone(), execute_with(&t, q, &udfs).ok()?)))
+                .collect();
+            let got = nodes_from_charts(&t, executed);
+            assert!(got
+                .iter()
+                .any(|n| unsorted_raw_pair(&t, &n.query).is_some()));
+            for node in &got {
+                let want = VisNode::build(&t, node.query.clone(), &udfs).unwrap();
+                let bits = |n: &VisNode| {
+                    n.feature_vector()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(node), bits(&want), "{name}: {:?}", node.query);
+            }
         }
     }
 

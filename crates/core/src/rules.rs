@@ -11,9 +11,10 @@
 //! [`sema::analyze`] returns no diagnostics at all (neither executor
 //! errors nor §V-A meaningfulness warnings).
 
-use deepeye_data::{correlation, DataType, Table};
+use deepeye_data::{DataType, PreparedColumn, Table};
 use deepeye_query::sema;
 use deepeye_query::{Aggregate, ChartType, SortOrder, Transform, VisQuery};
+use std::cell::OnceCell;
 
 pub use deepeye_query::sema::{
     applicable_aggregates, applicable_charts, applicable_orders, applicable_transforms,
@@ -28,13 +29,15 @@ pub use deepeye_query::sema::{
 pub fn rule_based_queries(table: &Table) -> Vec<VisQuery> {
     let mut out = Vec::new();
     let columns = table.columns();
-    // Each column's non-null numbers, read once for every pair.
-    let numbers: Vec<Vec<f64>> = columns.iter().map(|c| c.numbers()).collect();
+    // Each numeric column's non-null numbers, prepared for correlation
+    // once, on its first pair.
+    let prepared: Vec<OnceCell<PreparedColumn>> = columns.iter().map(|_| OnceCell::new()).collect();
+    let prepare = |i: usize| prepared[i].get_or_init(|| PreparedColumn::new(columns[i].numbers()));
 
     // Two-column candidates.
-    for (x_col, xs) in columns.iter().zip(&numbers) {
-        for (y_col, ys) in columns.iter().zip(&numbers) {
-            if std::ptr::eq(x_col, y_col) {
+    for (i, x_col) in columns.iter().enumerate() {
+        for (j, y_col) in columns.iter().enumerate() {
+            if i == j {
                 continue;
             }
             let (x_type, y_type) = (x_col.data_type(), y_col.data_type());
@@ -42,7 +45,8 @@ pub fn rule_based_queries(table: &Table) -> Vec<VisQuery> {
             // Raw charts: only numeric/temporal x against numeric y.
             if y_type == DataType::Numerical && x_type != DataType::Categorical {
                 let correlated = x_type == DataType::Numerical
-                    && correlation(xs, ys).strength() >= SCATTER_CORRELATION_THRESHOLD;
+                    && prepare(i).correlation(prepare(j)).strength()
+                        >= SCATTER_CORRELATION_THRESHOLD;
                 let raw_charts = match x_type {
                     DataType::Numerical => applicable_charts(DataType::Numerical, correlated),
                     DataType::Temporal => applicable_charts(DataType::Temporal, false),

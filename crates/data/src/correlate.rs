@@ -6,7 +6,8 @@
 //! detection asks whether a series follows one of the distributions named by
 //! Eq. 4: linear, power-law, log, or exponential.
 
-use crate::stats::{linear_fit, pearson, quadratic_fit, r_squared};
+use crate::stats::{self, linear_fit, quadratic_fit, r_squared};
+use std::borrow::Cow;
 
 /// Which functional form produced a correlation or trend score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,78 +40,269 @@ impl Correlation {
     }
 }
 
-fn paired_filter(
-    xs: &[f64],
-    ys: &[f64],
-    keep: impl Fn(f64, f64) -> bool,
-    fx: impl Fn(f64) -> f64,
-    fy: impl Fn(f64) -> f64,
-) -> (Vec<f64>, Vec<f64>) {
-    let n = xs.len().min(ys.len());
-    let mut tx = Vec::with_capacity(n);
-    let mut ty = Vec::with_capacity(n);
-    for i in 0..n {
-        if xs[i].is_finite() && ys[i].is_finite() && keep(xs[i], ys[i]) {
-            tx.push(fx(xs[i]));
-            ty.push(fy(ys[i]));
-        }
-    }
-    (tx, ty)
-}
-
-/// Pearson correlation under a quadratic model: the correlation between the
-/// fitted quadratic's predictions and the observations, signed by the linear
-/// component's direction.
-fn polynomial_r(xs: &[f64], ys: &[f64]) -> f64 {
-    let n = xs.len().min(ys.len());
-    if n < 4 {
-        return 0.0;
-    }
-    let (c0, c1, c2) = quadratic_fit(xs, ys);
-    let predicted: Vec<f64> = xs[..n].iter().map(|&x| c0 + c1 * x + c2 * x * x).collect();
-    let r2 = r_squared(&ys[..n], &predicted);
-    let sign = if pearson(xs, ys) < 0.0 { -1.0 } else { 1.0 };
-    sign * r2.sqrt()
-}
-
 /// Minimum fraction of pairs a transformed model (power/log) must retain for
 /// its fit to be meaningful; guards against judging correlation from a
 /// handful of positive outliers.
 const MIN_SUPPORT: f64 = 0.8;
 
+/// Whether `kept` of `n` pairs are enough for a power or log fit.
+fn supported(kept: usize, n: usize) -> bool {
+    kept as f64 >= MIN_SUPPORT * n as f64
+}
+
 /// Compute `c(X, Y)`: evaluate all four models and return the one with the
 /// greatest absolute correlation. Returns a zero-coefficient linear
 /// correlation when fewer than two valid pairs exist.
-pub fn correlation(raw_xs: &[f64], raw_ys: &[f64]) -> Correlation {
-    // Drop pairs with a non-finite side so every model sees clean input.
-    let (fx, fy) = paired_filter(raw_xs, raw_ys, |_, _| true, |x| x, |y| y);
-    let (xs, ys) = (fx.as_slice(), fy.as_slice());
-    let n = xs.len() as f64;
+///
+/// The i-th x pairs with the i-th y, up to the shorter slice; pairs with
+/// a non-finite side are dropped, and the remaining columns go through
+/// the same kernel as [`PreparedColumn::correlation`].
+pub fn correlation(xs: &[f64], ys: &[f64]) -> Correlation {
+    let n = xs.len().min(ys.len());
+    let (xs, ys) = (&xs[..n], &ys[..n]);
+    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+    if finite(xs) && finite(ys) {
+        return pair(xs, &Sums::new(xs), ys, &Sums::new(ys));
+    }
+    let (xs, ys): (Vec<f64>, Vec<f64>) = xs
+        .iter()
+        .zip(ys)
+        .filter(|(x, y)| x.is_finite() && y.is_finite())
+        .unzip();
+    pair(&xs, &Sums::new(&xs), &ys, &Sums::new(&ys))
+}
+
+/// A numeric column prepared once for every correlation it takes part in:
+/// its mean, the centred power sums that Pearson's r and the quadratic
+/// fit read, and `ln` of its values with their moments. A pair's four
+/// models then take two passes over the two columns and no `ln` call.
+#[derive(Debug)]
+pub struct PreparedColumn<'a> {
+    values: Cow<'a, [f64]>,
+    /// `None` when a value is not finite: such a column pairs through
+    /// [`correlation`]'s filter.
+    sums: Option<Sums>,
+}
+
+impl<'a> PreparedColumn<'a> {
+    /// Prepare a column's values, borrowed or owned, for its pairs.
+    pub fn new(values: impl Into<Cow<'a, [f64]>>) -> Self {
+        let values = values.into();
+        let sums = values
+            .iter()
+            .all(|x| x.is_finite())
+            .then(|| Sums::new(&values));
+        PreparedColumn { values, sums }
+    }
+
+    /// `c(self, y)`, bit for bit [`correlation`] of the two columns'
+    /// values. Two finite columns of one length go straight to the
+    /// kernel; any other pair goes through the filter.
+    pub fn correlation(&self, y: &PreparedColumn) -> Correlation {
+        match (&self.sums, &y.sums) {
+            (Some(sx), Some(sy)) if self.values.len() == y.values.len() => {
+                pair(&self.values, sx, &y.values, sy)
+            }
+            _ => correlation(&self.values, &y.values),
+        }
+    }
+}
+
+/// What one finite column contributes to each of its pairs. The means
+/// are `stats::mean`'s; every other sum starts at 0.0 and adds in row
+/// order, as the fits it stands for do.
+#[derive(Debug)]
+struct Sums {
+    mean: f64,
+    /// Σ dxᵏ for k = 0..4, dx = x − mean: the quadratic's `s`; `pow[2]`
+    /// is also Pearson's Σdx².
+    pow: [f64; 5],
+    /// Σ x: the quadratic's `t₀` when this column is y.
+    sum: f64,
+    /// Σ (x − mean)² as `r_squared` adds it: the polynomial's `ss_tot`.
+    ss_tot: f64,
+    /// `None` when too few values are positive for this column to take
+    /// part in a log (as x) or power fit.
+    logs: Option<Logs>,
+}
+
+/// `ln x` per row and the moments of its positive rows.
+#[derive(Debug)]
+struct Logs {
+    /// `ln x`, read only where x > 0.
+    ln: Vec<f64>,
+    positives: usize,
+    /// Mean and Σ(ln x − mean)² over the positive rows.
+    mean: f64,
+    ss: f64,
+}
+
+impl Sums {
+    fn new(xs: &[f64]) -> Self {
+        let mean = stats::mean(xs);
+        let (mut pow, mut sum, mut ss_tot) = ([0.0; 5], 0.0, 0.0);
+        for &x in xs {
+            let dx = x - mean;
+            let dx2 = dx * dx;
+            let dx3 = dx2 * dx;
+            pow[0] += 1.0;
+            pow[1] += dx;
+            pow[2] += dx2;
+            pow[3] += dx3;
+            pow[4] += dx3 * dx;
+            sum += x;
+            ss_tot += dx.powi(2);
+        }
+        let positives = xs.iter().filter(|&&x| x > 0.0).count();
+        let logs = supported(positives, xs.len()).then(|| {
+            let ln: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
+            let positive_ln = || ln.iter().zip(xs).filter(|(_, &x)| x > 0.0).map(|(l, _)| *l);
+            let mean = match positives {
+                0 => 0.0,
+                k => positive_ln().sum::<f64>() / k as f64,
+            };
+            let ss = positive_ln().fold(0.0, |ss, l| ss + (l - mean) * (l - mean));
+            Logs {
+                ln,
+                positives,
+                mean,
+                ss,
+            }
+        });
+        Sums {
+            mean,
+            pow,
+            sum,
+            ss_tot,
+            logs,
+        }
+    }
+}
+
+/// The four models of one ordered pair of finite columns of one length,
+/// kept to the strongest in the order linear, polynomial, log, power.
+///
+/// Pass 1 adds Pearson's Σdx·dy, the quadratic's `t₁` and `t₂`, and the
+/// log and power models' Σdx·dy over `ln` wherever every row is positive;
+/// pass 2 adds the quadratic's residuals. A log or power fit over part of
+/// the rows takes its own passes ([`pearson_over`]).
+fn pair(xs: &[f64], x: &Sums, ys: &[f64], y: &Sums) -> Correlation {
+    let n = xs.len();
     let mut best = Correlation {
-        coefficient: pearson(xs, ys),
+        coefficient: 0.0,
         model: CorrelationModel::Linear,
     };
+    if n < 2 {
+        return best;
+    }
+    let all_positive = |l: &&Logs| l.positives == n;
+    let (lx, ly) = (
+        x.logs.as_ref().filter(all_positive),
+        y.logs.as_ref().filter(all_positive),
+    );
+    let (mut sxy, mut t1, mut t2, mut log_xy, mut power_xy) = (0.0, 0.0, 0.0, 0.0, 0.0);
+    for i in 0..n {
+        let dx = xs[i] - x.mean;
+        let dy = ys[i] - y.mean;
+        sxy += dx * dy;
+        let ydx = ys[i] * dx;
+        t1 += ydx;
+        t2 += ydx * dx;
+        if let Some(lx) = lx {
+            let dlx = lx.ln[i] - lx.mean;
+            log_xy += dlx * dy;
+            if let Some(ly) = ly {
+                power_xy += dlx * (ly.ln[i] - ly.mean);
+            }
+        }
+    }
+    let linear = pearson_from_sums(n, sxy, x.pow[2], y.pow[2]);
+    best.coefficient = linear;
     let mut consider = |coefficient: f64, model: CorrelationModel| {
         if coefficient.abs() > best.coefficient.abs() {
             best = Correlation { coefficient, model };
         }
     };
 
-    consider(polynomial_r(xs, ys), CorrelationModel::Polynomial);
-
-    // Log: y vs ln x, needs x > 0.
-    let (lx, ly) = paired_filter(xs, ys, |x, _| x > 0.0, f64::ln, |y| y);
-    if lx.len() as f64 >= MIN_SUPPORT * n {
-        consider(pearson(&lx, &ly), CorrelationModel::Log);
+    // Polynomial: the quadratic's R², signed by the linear direction.
+    if n >= 4 {
+        let (c0, c1, c2) =
+            stats::solve_quadratic(x.pow, [y.sum, t1, t2], x.mean).unwrap_or_else(|| {
+                // `linear_fit`'s line, from the same sums.
+                match x.pow[2] {
+                    sxx if sxx <= 0.0 => (y.mean, 0.0, 0.0),
+                    sxx => {
+                        let b = sxy / sxx;
+                        (y.mean - b * x.mean, b, 0.0)
+                    }
+                }
+            });
+        let mut ss_res = 0.0;
+        for (&x, &y) in xs.iter().zip(ys) {
+            ss_res += (y - (c0 + c1 * x + c2 * x * x)).powi(2);
+        }
+        let r2 = match y.ss_tot {
+            ss_tot if ss_tot <= 0.0 => 0.0,
+            ss_tot => (1.0 - ss_res / ss_tot).clamp(0.0, 1.0),
+        };
+        let sign = if linear < 0.0 { -1.0 } else { 1.0 };
+        consider(sign * r2.sqrt(), CorrelationModel::Polynomial);
     }
 
-    // Power: ln y vs ln x, needs x > 0 and y > 0.
-    let (px, py) = paired_filter(xs, ys, |x, y| x > 0.0 && y > 0.0, f64::ln, f64::ln);
-    if px.len() as f64 >= MIN_SUPPORT * n {
-        consider(pearson(&px, &py), CorrelationModel::Power);
+    // Log: y against ln x, over the rows with x > 0.
+    if let Some(l) = &x.logs {
+        let r = match lx {
+            Some(_) => pearson_from_sums(n, log_xy, l.ss, y.pow[2]),
+            None => pearson_over(n, |i| xs[i] > 0.0, &l.ln, ys).unwrap_or(0.0),
+        };
+        consider(r, CorrelationModel::Log);
+    }
+
+    // Power: ln y against ln x, over the rows with x > 0 and y > 0.
+    if let (Some(l), Some(m)) = (&x.logs, &y.logs) {
+        let r = match (lx, ly) {
+            (Some(_), Some(_)) => Some(pearson_from_sums(n, power_xy, l.ss, m.ss)),
+            _ => pearson_over(n, |i| xs[i] > 0.0 && ys[i] > 0.0, &l.ln, &m.ln),
+        };
+        if let Some(r) = r {
+            consider(r, CorrelationModel::Power);
+        }
     }
 
     best
+}
+
+/// Pearson's r of `n` points from their centred sums Σdx·dy, Σdx² and
+/// Σdy²: 0 for fewer than two points or a side without variance.
+fn pearson_from_sums(n: usize, sxy: f64, sxx: f64, syy: f64) -> f64 {
+    if n < 2 || sxx <= 0.0 || syy <= 0.0 {
+        return 0.0;
+    }
+    (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
+}
+
+/// Pearson's r of `a` against `b` over the rows of `0..n` that `keep`
+/// admits, as [`stats::pearson`] reads them from the filtered vectors;
+/// `None` when too few rows are kept.
+fn pearson_over(n: usize, keep: impl Fn(usize) -> bool, a: &[f64], b: &[f64]) -> Option<f64> {
+    let rows: Vec<usize> = (0..n).filter(|&i| keep(i)).collect();
+    if !supported(rows.len(), n) {
+        return None;
+    }
+    if rows.len() < 2 {
+        return Some(0.0);
+    }
+    let ma = rows.iter().map(|&i| a[i]).sum::<f64>() / rows.len() as f64;
+    let mb = rows.iter().map(|&i| b[i]).sum::<f64>() / rows.len() as f64;
+    let (mut sab, mut saa, mut sbb) = (0.0, 0.0, 0.0);
+    for &i in &rows {
+        let da = a[i] - ma;
+        let db = b[i] - mb;
+        sab += da * db;
+        saa += da * da;
+        sbb += db * db;
+    }
+    Some(pearson_from_sums(rows.len(), sab, saa, sbb))
 }
 
 /// Result of Eq. 4's trend test on a y-series (x taken as the sorted scale).
@@ -130,6 +322,25 @@ pub struct Trend {
 /// pattern) pass and Figure 1(d) (structureless daily averages) fail on our
 /// synthetic flight data, matching the user-study verdicts in Example 1.
 pub const TREND_R2_THRESHOLD: f64 = 0.5;
+
+fn paired_filter(
+    xs: &[f64],
+    ys: &[f64],
+    keep: impl Fn(f64, f64) -> bool,
+    fx: impl Fn(f64) -> f64,
+    fy: impl Fn(f64) -> f64,
+) -> (Vec<f64>, Vec<f64>) {
+    let n = xs.len().min(ys.len());
+    let mut tx = Vec::with_capacity(n);
+    let mut ty = Vec::with_capacity(n);
+    for i in 0..n {
+        if xs[i].is_finite() && ys[i].is_finite() && keep(xs[i], ys[i]) {
+            tx.push(fx(xs[i]));
+            ty.push(fy(ys[i]));
+        }
+    }
+    (tx, ty)
+}
 
 fn model_r2(xs: &[f64], ys: &[f64], model: CorrelationModel) -> f64 {
     let n = xs.len().min(ys.len());

@@ -38,7 +38,9 @@ pub mod temporal;
 pub mod value;
 
 pub use column::{Column, ColumnData};
-pub use correlate::{correlation, trend, trend_of_series, Correlation, CorrelationModel, Trend};
+pub use correlate::{
+    correlation, trend, trend_of_series, Correlation, CorrelationModel, PreparedColumn, Trend,
+};
 pub use csv::{table_from_csv_path, table_from_csv_str, table_from_csv_str_delim, CsvError};
 pub use first_seen::FirstSeen;
 pub use infer::detect_and_parse;

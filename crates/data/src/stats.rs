@@ -151,21 +151,30 @@ pub fn quadratic_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
     }
     // Center x for conditioning.
     let mx = mean(&xs[..n]);
-    let cx: Vec<f64> = xs[..n].iter().map(|x| x - mx).collect();
     let mut s = [0.0f64; 5]; // Σ x^k for k=0..4
     let mut t = [0.0f64; 3]; // Σ y·x^k for k=0..2
-    for i in 0..n {
-        let x = cx[i];
+    for (&x, &y) in xs[..n].iter().zip(&ys[..n]) {
+        let x = x - mx;
         let mut p = 1.0;
         for sk in s.iter_mut() {
             *sk += p;
             p *= x;
         }
-        let y = ys[i];
         t[0] += y;
         t[1] += y * x;
         t[2] += y * x * x;
     }
+    solve_quadratic(s, t, mx).unwrap_or_else(|| {
+        let (c0, c1) = linear_fit(xs, ys);
+        (c0, c1, 0.0)
+    })
+}
+
+/// Solve the quadratic's normal equations from the centred sums `s`
+/// (Σ dxᵏ, k = 0..4, with dx = x − `mx`) and `t` (Σ y·dxᵏ, k = 0..2), and
+/// un-centre the coefficients; `None` when the system is near-singular,
+/// where [`quadratic_fit`] falls back to a line.
+pub(crate) fn solve_quadratic(s: [f64; 5], t: [f64; 3], mx: f64) -> Option<(f64, f64, f64)> {
     // Solve the symmetric system [[s0,s1,s2],[s1,s2,s3],[s2,s3,s4]] c = t
     // by Gaussian elimination with partial pivoting.
     let mut a = [
@@ -179,8 +188,7 @@ pub fn quadratic_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
             .unwrap_or(col);
         a.swap(col, pivot);
         if a[col][col].abs() < 1e-12 {
-            let (c0, c1) = linear_fit(xs, ys);
-            return (c0, c1, 0.0);
+            return None;
         }
         for row in 0..3 {
             if row != col {
@@ -198,7 +206,7 @@ pub fn quadratic_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
     // Un-center: y = c0c + c1c (x - mx) + c2c (x - mx)^2.
     let c0 = c0c - c1c * mx + c2c * mx * mx;
     let c1 = c1c - 2.0 * c2c * mx;
-    (c0, c1, c2c)
+    Some((c0, c1, c2c))
 }
 
 #[cfg(test)]

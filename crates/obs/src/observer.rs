@@ -225,7 +225,7 @@ impl Observer {
     /// record still carries the raw parent id for the trace.
     pub fn span_under(&self, name: &'static str, parent: Option<SpanId>) -> SpanGuard {
         let Some(inner) = &self.inner else {
-            return SpanGuard { ctx: None };
+            return SpanGuard { inner: None };
         };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let begin_seq = inner.seq.fetch_add(1, Ordering::Relaxed);
@@ -249,7 +249,7 @@ impl Observer {
         }
         SPAN_STACK.with(|stack| stack.borrow_mut().push((token, id)));
         SpanGuard {
-            ctx: Some(SpanCtx {
+            inner: Some(SpanCtx {
                 inner: Arc::clone(inner),
                 token,
                 id,
@@ -271,7 +271,7 @@ impl Observer {
     /// returned guard drops. No-op (no clock read) when disabled.
     pub fn timer(&self, name: &'static str) -> HistTimer {
         HistTimer {
-            ctx: self
+            inner: self
                 .inner
                 .as_ref()
                 .map(|inner| (Arc::clone(inner), name, Instant::now())),
@@ -372,20 +372,20 @@ struct SpanCtx {
 /// RAII guard for an open span; the span is recorded when this drops.
 #[must_use = "a span ends when its guard drops — binding to `_` ends it immediately"]
 pub struct SpanGuard {
-    ctx: Option<SpanCtx>,
+    inner: Option<SpanCtx>,
 }
 
 impl SpanGuard {
     /// Id of this span for use as an explicit cross-thread parent.
     /// `None` when the observer is disabled.
     pub fn id(&self) -> Option<SpanId> {
-        self.ctx.as_ref().map(|c| c.id)
+        self.inner.as_ref().map(|c| c.id)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(ctx) = self.ctx.take() else { return };
+        let Some(ctx) = self.inner.take() else { return };
         // End time on the same monotonic origin as the start: begin/end
         // timestamps of successive spans on one thread can then never
         // regress, which the trace validator checks per lane.
@@ -429,12 +429,12 @@ impl Drop for SpanGuard {
 /// histogram on drop.
 #[must_use = "a timer records when its guard drops — binding to `_` records immediately"]
 pub struct HistTimer {
-    ctx: Option<(Arc<Inner>, &'static str, Instant)>,
+    inner: Option<(Arc<Inner>, &'static str, Instant)>,
 }
 
 impl Drop for HistTimer {
     fn drop(&mut self) {
-        if let Some((inner, name, start)) = self.ctx.take() {
+        if let Some((inner, name, start)) = self.inner.take() {
             let ns = start.elapsed().as_nanos() as u64;
             inner.lock().hists.entry(name).or_default().record(ns);
         }
