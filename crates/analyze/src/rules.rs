@@ -24,7 +24,7 @@ use crate::callgraph::Analysis;
 use crate::lexer::Token;
 use crate::lint::{Diagnostic, SourceFile, Workspace};
 use deepeye_obs::metrics;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One registered rule.
 pub struct Rule {
@@ -114,7 +114,7 @@ fn diag(file: &str, line: u32, code: &'static str, message: String) -> Diagnosti
 // must sit around the record call itself.
 
 const PROV_METHODS: &[&str] = &["record", "record_rejected", "bump"];
-const OBS_METHODS: &[&str] = &["incr", "timer", "span", "span_under"];
+const OBS_METHODS: &[&str] = &["incr", "span", "span_under"];
 const ALLOC_MARKERS: &[&str] = &[
     "format",
     "to_owned",
@@ -217,8 +217,7 @@ fn call_args(toks: &[Token], open: usize) -> &[Token] {
 // registry, the code that uses the names, and a DESIGN.md section.
 // `Family::check` runs the same four checks on every row:
 //
-// 1. every use is registered (a record call's metric as the kind the
-//    call records);
+// 1. every use is registered;
 // 2. every registered name is used in the row's files;
 // 3. every registered name is documented in the section;
 // 4. every family-shaped word in the section is registered.
@@ -232,8 +231,7 @@ const SEMA_RS: &str = "crates/query/src/sema.rs";
 
 /// Where a family's registered names come from.
 pub enum Registry {
-    /// The `deepeye_obs::metrics` counters and histograms under these
-    /// prefixes.
+    /// The `deepeye_obs::metrics` counters under these prefixes.
     Metrics(&'static [&'static str]),
     /// The `//! | E0001 | … |` table in the anchor file's module doc.
     SemaTable,
@@ -244,8 +242,8 @@ pub enum Uses {
     /// String literals shaped like a family name (a registry prefix, then
     /// `[a-z0-9_.]`), in the product code of every crate but this one.
     Literals,
-    /// Metric literals in `Observer` record calls (`incr` records a
-    /// counter, `timer` a histogram) outside deepeye-obs and this crate.
+    /// Metric literals in `Observer::incr` calls outside deepeye-obs and
+    /// this crate.
     RecordCalls,
 }
 
@@ -294,7 +292,6 @@ pub static FAMILIES: &[Family] = &[
         registry: Registry::Metrics(&[
             "enumerate.",
             "exec.",
-            "ltr.",
             "progressive.",
             "rank.",
             "recognize.",
@@ -315,9 +312,8 @@ fn sync(ws: &Workspace, code: &str) -> Vec<Diagnostic> {
     rows.flat_map(|f| f.check(ws)).collect()
 }
 
-/// One use of a family name: the name, its file and line, and the metric
-/// kind a record call records.
-type Use<'a> = (&'a str, &'a str, u32, Option<&'static str>);
+/// One use of a family name: the name, its file and line.
+type Use<'a> = (&'a str, &'a str, u32);
 
 impl Family {
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
@@ -328,19 +324,11 @@ impl Family {
         };
         let registry = self.registry.names(ws.file(self.anchor));
         let uses = self.find_uses(ws);
-        // 1. Every use is registered, as the kind it is used as.
-        for &(name, file, line, used_as) in &uses {
-            match (registry.get(name), used_as) {
-                (None, _) => {
-                    let source = self.registry.source();
-                    report(file, line, format!("{noun} {name:?} is not in {source}"));
-                }
-                (Some(&kind), Some(used_as)) if kind != used_as => {
-                    let message =
-                        format!("{name:?} is a registered {kind}, recorded here as a {used_as}");
-                    report(file, line, message);
-                }
-                _ => {}
+        // 1. Every use is registered.
+        for &(name, file, line) in &uses {
+            if !registry.contains(name) {
+                let source = self.registry.source();
+                report(file, line, format!("{noun} {name:?} is not in {source}"));
             }
         }
         if ws.file(self.anchor).is_none() {
@@ -349,7 +337,7 @@ impl Family {
         // 2. Every registered name is used in the row's files (and a
         // sema code is emitted there once).
         let mut used = BTreeSet::new();
-        for &(name, file, line, _) in &uses {
+        for &(name, file, line) in &uses {
             let listed = self.files.is_empty() || self.files.contains(&file);
             if listed && !used.insert(name) && matches!(self.registry, Registry::SemaTable) {
                 let message =
@@ -357,7 +345,7 @@ impl Family {
                 report(file, line, message);
             }
         }
-        for name in registry.keys().filter(|name| !used.contains(*name)) {
+        for name in registry.iter().filter(|name| !used.contains(*name)) {
             let message = format!("{noun} {name:?} is registered but {}", self.unused);
             report(self.unused_at, 1, message);
         }
@@ -371,7 +359,7 @@ impl Family {
             None => "DESIGN.md".to_owned(),
         };
         let words = prefixed_words(section, self.registry.prefixes());
-        for name in registry.keys() {
+        for name in &registry {
             if !words.iter().any(|(word, _)| word == name) {
                 let message = format!("{noun} {name:?} is not documented in {doc}");
                 report("DESIGN.md", 1, message);
@@ -379,7 +367,7 @@ impl Family {
         }
         // 4. Every family-shaped word in the section is registered.
         for (word, at) in words {
-            if !registry.contains_key(word) {
+            if !registry.contains(word) {
                 let line = ws.design[..offset + at].matches('\n').count() + 1;
                 let message = format!("{doc} names {noun} {word:?}, which is not in the registry");
                 report("DESIGN.md", line as u32, message);
@@ -403,7 +391,7 @@ impl Family {
                     for (i, t) in file.tokens.iter().enumerate() {
                         let Some(lit) = t.str_lit() else { continue };
                         if family_shaped(lit, prefixes) && file.is_product(i) {
-                            uses.push((lit, file.rel.as_str(), t.line, None));
+                            uses.push((lit, file.rel.as_str(), t.line));
                         }
                     }
                 }
@@ -425,27 +413,19 @@ impl Family {
 }
 
 impl Registry {
-    /// Every registered name, with its kind.
-    fn names<'a>(&self, anchor: Option<&'a SourceFile>) -> BTreeMap<&'a str, &'static str> {
-        let lists = match self {
-            Registry::Metrics(_) => [
-                (metrics::COUNTERS, "counter"),
-                (metrics::HISTOGRAMS, "histogram"),
-            ],
+    /// Every registered name.
+    fn names<'a>(&self, anchor: Option<&'a SourceFile>) -> BTreeSet<&'a str> {
+        match self {
+            Registry::Metrics(prefixes) => metrics::COUNTERS
+                .iter()
+                .copied()
+                .filter(|name| family_shaped(name, prefixes))
+                .collect(),
             Registry::SemaTable => {
                 let doc = anchor.map_or("", |f| f.raw.as_str()).lines();
-                return doc
-                    .filter_map(doc_table_code)
-                    .map(|c| (c, "code"))
-                    .collect();
+                doc.filter_map(doc_table_code).collect()
             }
-        };
-        let prefixes = self.prefixes();
-        lists
-            .into_iter()
-            .flat_map(|(names, kind)| names.iter().map(move |&name| (name, kind)))
-            .filter(|(name, _)| family_shaped(name, prefixes))
-            .collect()
+        }
     }
 
     fn prefixes(&self) -> &'static [&'static str] {
@@ -476,7 +456,7 @@ fn family_shaped(s: &str, prefixes: &[&str]) -> bool {
     rest.is_some_and(|rest| !rest.is_empty() && rest.chars().all(|c| name_char(c) || c == '.'))
 }
 
-/// Metric-shaped literals in the argument lists of `Observer` record
+/// Metric-shaped literals in the argument lists of `Observer::incr`
 /// calls outside deepeye-obs (whose self-metrics are recorded without
 /// them) and this crate (whose fixtures are not the pipeline's).
 fn record_call_metrics<'a>(ws: &'a Workspace, uses: &mut Vec<Use<'a>>) {
@@ -489,12 +469,8 @@ fn record_call_metrics<'a>(ws: &'a Workspace, uses: &mut Vec<Use<'a>>) {
             if !toks[i].is_punct('.') {
                 continue;
             }
-            let kind = match toks.get(i + 1).and_then(Token::ident) {
-                Some("incr") => "counter",
-                Some("timer") => "histogram",
-                _ => continue,
-            };
-            if !toks.get(i + 2).is_some_and(|t| t.is_punct('(')) || !file.is_product(i) {
+            let incr = toks.get(i + 1).and_then(Token::ident) == Some("incr");
+            if !incr || !toks.get(i + 2).is_some_and(|t| t.is_punct('(')) || !file.is_product(i) {
                 continue;
             }
             // Every metric-shaped literal in the arguments (covers
@@ -502,7 +478,7 @@ fn record_call_metrics<'a>(ws: &'a Workspace, uses: &mut Vec<Use<'a>>) {
             for t in call_args(toks, i + 2) {
                 let Some(name) = t.str_lit() else { continue };
                 if name.contains('.') && name.chars().all(|c| name_char(c) || c == '.') {
-                    uses.push((name, file.rel.as_str(), t.line, Some(kind)));
+                    uses.push((name, file.rel.as_str(), t.line));
                 }
             }
         }
@@ -609,7 +585,7 @@ fn f(prov: &Provenance) {
         let src = r#"
 fn f(obs: &Observer, name: &str) {
     obs.incr("plain.name", 1);
-    let _t = obs.timer(&format!("dyn.{name}"));
+    let _s = obs.span(&format!("dyn.{name}"));
 }
 "#;
         let hits = run_rule("A0002", vec![("crates/core/src/x.rs", src)], "");
@@ -685,14 +661,6 @@ impl Code {
         assert!(hits[0].message.contains("exec.okay"));
     }
 
-    #[test]
-    fn a0005_checks_kind_not_just_name() {
-        // A histogram name passed to a counter call is a category error.
-        let src = r#"fn f(obs: &Observer) { obs.incr("progressive.leaf_ns", 1); }"#;
-        let hits = run_rule("A0005", vec![("crates/core/src/x.rs", src)], "");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-    }
-
     /// A pipeline fixture recording every metric of the A0005 row, and a
     /// DESIGN.md §6 fixture naming each of them (plus an unregistered
     /// name after `### Exporters`, outside the section).
@@ -701,12 +669,9 @@ impl Code {
         let names = family.registry.names(None);
         let calls: String = names
             .iter()
-            .map(|(name, kind)| match *kind {
-                "counter" => format!("    obs.incr({name:?}, 1);\n"),
-                _ => format!("    let _t = obs.timer({name:?});\n"),
-            })
+            .map(|name| format!("    obs.incr({name:?}, 1);\n"))
             .collect();
-        let documented: Vec<String> = names.keys().map(|name| format!("`{name}`")).collect();
+        let documented: Vec<String> = names.iter().map(|name| format!("`{name}`")).collect();
         (
             format!("fn f(obs: &Observer) {{\n{calls}}}\n"),
             format!(
@@ -726,11 +691,11 @@ impl Code {
     #[test]
     fn a0005_flags_product_metric_missing_from_section_6() {
         let (src, design) = product_fixture();
-        let design = design.replace("`ltr.groups`, ", "");
+        let design = design.replace("`rank.nodes`, ", "");
         let hits = run_rule("A0005", vec![("crates/core/src/deepeye.rs", &src)], &design);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!((hits[0].file.as_str(), hits[0].line), ("DESIGN.md", 1));
-        assert!(hits[0].message.contains("\"ltr.groups\" is not documented"));
+        assert!(hits[0].message.contains("\"rank.nodes\" is not documented"));
     }
 
     #[test]
@@ -747,14 +712,11 @@ impl Code {
 
     #[test]
     fn every_registered_metric_belongs_to_a_family() {
-        let metrics = deepeye_obs::metrics::COUNTERS
-            .iter()
-            .chain(deepeye_obs::metrics::HISTOGRAMS);
-        for name in metrics {
+        for name in deepeye_obs::metrics::COUNTERS {
             assert!(
                 FAMILIES
                     .iter()
-                    .any(|f| f.registry.names(None).contains_key(name)),
+                    .any(|f| f.registry.names(None).contains(name)),
                 "{name} is in no row of the name-sync table"
             );
         }

@@ -27,7 +27,7 @@ fn read_baseline() -> Baseline {
     Baseline::parse(&text).expect("analyze.allow parses")
 }
 
-/// The headline acceptance criterion: `analyze --workspace` is clean on
+/// The headline acceptance check: `analyze --workspace` is clean on
 /// the final tree, and the baseline used to get there is empty.
 #[test]
 fn real_workspace_lints_clean_with_empty_baseline() {

@@ -5,8 +5,8 @@
 //!   well-formed JSON, known phase types, balanced name-matched B/E
 //!   pairs, monotone per-lane timestamps.
 //! - Metrics files (`--metrics-out`, `DEEPEYE_METRICS_OUT`): schema,
-//!   non-negative integer counters, internally consistent histogram
-//!   summaries (`min ≤ p50 ≤ p95 ≤ p99 ≤ max`).
+//!   non-negative integer counters, ordered stage quantiles
+//!   (`p50 ≤ p95 ≤ p99 ≤ total`).
 //! - Provenance files (`--provenance-out`): schema, known outcomes, the
 //!   tournament leaf invariant, and hybrid scores that recompute from
 //!   their recorded parts.
@@ -94,8 +94,8 @@ fn main() -> ExitCode {
             Kind::Metrics => match validate_metrics_json(&text) {
                 Ok(summary) => {
                     println!(
-                        "{path}: ok — {} counters, {} histograms, {} stages",
-                        summary.counters, summary.histograms, summary.stages
+                        "{path}: ok — {} counters, {} stages",
+                        summary.counters, summary.stages
                     );
                     if summary.stages == 0 {
                         eprintln!("{path}: no stages recorded — was the observer enabled?");

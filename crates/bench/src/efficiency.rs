@@ -235,7 +235,8 @@ pub fn bench_json(scale: f64, datasets: &[DatasetRun], snapshot: &deepeye_obs::S
         out.push_str("\n  ");
     }
     out.push_str("],\n");
-    out.push_str(&crate::perf::snapshot_tail(snapshot));
+    out.push_str(&snapshot.json_members());
+    out.push_str("}\n");
     out
 }
 

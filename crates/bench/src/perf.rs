@@ -384,43 +384,8 @@ pub fn results_json(scenarios: &[ScenarioRun], snapshot: &Snapshot) -> String {
         out.push_str("\n  ");
     }
     out.push_str("],\n");
-    out.push_str(&snapshot_tail(snapshot));
-    out
-}
-
-/// The shared `counters` / `stages` tail of every bench document, read
-/// from a metrics snapshot (same numbers `metrics_json` exports).
-pub fn snapshot_tail(snapshot: &Snapshot) -> String {
-    let mut out = String::from("  \"counters\": {");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{}\": {}", escape(name), value));
-    }
-    if !snapshot.counters.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n  \"stages\": {");
-    for (i, s) in snapshot.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \
-             \"p95_ns\": {}, \"p99_ns\": {}}}",
-            escape(&s.path),
-            s.count,
-            s.total_ns,
-            s.p50_ns,
-            s.p95_ns,
-            s.p99_ns
-        ));
-    }
-    if !snapshot.stages.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}\n");
+    out.push_str(&snapshot.json_members());
+    out.push_str("}\n");
     out
 }
 

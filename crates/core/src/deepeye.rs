@@ -7,7 +7,7 @@ use crate::graph::{order_by_log_scores, partial_order_log_scores};
 use crate::node::VisNode;
 use crate::partial_order::{compute_factor_breakdowns, FactorBreakdown, Factors};
 use crate::progressive::ProgressiveSelector;
-use crate::provenance::{DominanceSummary, HybridParts, Outcome, Provenance, RankBreakdown};
+use crate::provenance::{DominanceSummary, HybridParts, Outcome, Provenance, RankBreakdown, TOP_N};
 use crate::ranking::{order_by_score, HybridRanker, LtrRanker};
 use crate::recognition::Recognizer;
 use crate::rules;
@@ -51,10 +51,11 @@ pub struct DeepEyeConfig {
     /// Execute candidate queries across threads (§VI-D: the task is
     /// "trivially parallelizable"). Output is identical either way.
     pub parallel: bool,
-    /// Observability hook: spans, counters, and latency histograms for
-    /// every pipeline stage. Defaults to [`Observer::disabled`], which
-    /// costs one branch per instrumentation site and allocates nothing —
-    /// pass [`Observer::enabled`] to collect and export.
+    /// Observability hook: spans (each path with its duration quantiles)
+    /// and counters for every pipeline stage. Defaults to
+    /// [`Observer::disabled`], which costs one branch per instrumentation
+    /// site and allocates nothing — pass [`Observer::enabled`] to collect
+    /// and export.
     pub observer: Observer,
     /// Decision-provenance hook: records a per-candidate [`Explanation`]
     /// (sema verdict, classifier evidence, factor breakdown, dominance,
@@ -524,7 +525,7 @@ impl DeepEye {
 
     /// Fill the per-node ranking provenance: factor breakdowns, the
     /// scores and positions of each ranking method that ran, and — for
-    /// the candidates landing in the top `ProvenanceCaps::top_n` pre-dedup
+    /// the candidates landing in the top [`TOP_N`] pre-dedup
     /// positions — a dominance summary and the narrative notes.
     fn record_rank_provenance(
         &self,
@@ -542,7 +543,6 @@ impl DeepEye {
         if !prov.is_enabled() {
             return;
         }
-        let caps = prov.caps();
         let n = nodes.len();
         // Position of each node in an order; `None` for a method that did
         // not run.
@@ -579,7 +579,7 @@ impl DeepEye {
                 final_pos: final_pos[i],
             };
             let breakdown = breakdowns[i];
-            let (dominance, notes) = if final_pos[i].is_some_and(|p| p < caps.top_n) {
+            let (dominance, notes) = if final_pos[i].is_some_and(|p| p < TOP_N) {
                 (
                     Some(dominance_summary(nodes, factors, i)),
                     narrative_notes(node, &factors[i]),

@@ -73,7 +73,7 @@ pub use progressive::{
 };
 pub use provenance::{
     query_id, validate_provenance_json, ClassifierEvidence, Explanation, Outcome, Provenance,
-    ProvenanceCaps, ProvenanceCounts, ProvenanceLog, ProvenanceSummary,
+    ProvenanceCounts, ProvenanceLog, ProvenanceSummary,
 };
 pub use ranking::{rank_by_partial_order, HybridRanker, LtrRanker, RankingExample};
 pub use recognition::{ClassifierKind, LabeledExample, Recognizer};

@@ -246,8 +246,8 @@ impl<'a> ProgressiveSelector<'a> {
     }
 
     /// [`ProgressiveSelector::top_k`] with observability: runs under a
-    /// `progressive.top_k` span, times each leaf materialization into the
-    /// `progressive.leaf_ns` histogram, and mirrors the final
+    /// `progressive.top_k` span, times each leaf materialization in a
+    /// `progressive.leaf` child span, and mirrors the final
     /// [`SelectionStats`] into `progressive.*` counters.
     pub fn top_k_observed(
         &self,
@@ -309,9 +309,9 @@ impl<'a> ProgressiveSelector<'a> {
                                 .push(format!("Leaf bound {bound:.4} surfaced; leaf scanned."));
                         });
                     }
-                    let leaf_timer = obs.timer("progressive.leaf_ns");
+                    let leaf_span = obs.span("progressive.leaf");
                     let nodes = self.materialize(leaf, max_w, &mut stats);
-                    drop(leaf_timer);
+                    drop(leaf_span);
                     debug_assert!(
                         nodes.iter().all(|s| s.score.total_cmp(&bound).is_le()),
                         "a score of leaf {} exceeds its bound {bound}",
@@ -841,10 +841,16 @@ mod tests {
             obs.counter("progressive.shared_scans"),
             stats.shared_scans as u64
         );
-        let snap = obs.snapshot();
-        let leaf_hist = snap.hist("progressive.leaf_ns");
-        assert!(leaf_hist.is_some_and(|h| h.count == stats.leaves_materialized as u64));
-        assert_eq!(obs.finished_spans().len(), 1);
-        assert_eq!(obs.finished_spans()[0].name, "progressive.top_k");
+        // One `progressive.top_k` span, and one `progressive.leaf` child
+        // per materialized leaf.
+        let spans = obs.finished_spans();
+        assert!(stats.leaves_materialized > 0, "{stats:?}");
+        assert_eq!(spans.len(), 1 + stats.leaves_materialized);
+        assert_eq!(spans[0].name, "progressive.top_k");
+        assert_eq!(spans[0].parent, None);
+        for leaf in &spans[1..] {
+            assert_eq!(leaf.name, "progressive.leaf");
+            assert_eq!(leaf.parent, Some(spans[0].id));
+        }
     }
 }

@@ -14,11 +14,12 @@
 //! pattern exactly: a cheaply cloneable `Option<Arc<_>>` that records
 //! into a shared sink when enabled and costs a single branch — no
 //! allocation, no locking — when disabled (the default). Memory is
-//! bounded by [`ProvenanceCaps`]: rejected candidates beyond the sample
-//! cap keep a minimal id + outcome record (so accounting still reconciles
+//! bounded by three constants: the top [`TOP_N`] candidates get dominance
+//! detail; rejected candidates beyond [`REJECTED_SAMPLES`] keep a minimal
+//! id + outcome record (so accounting still reconciles
 //! candidate-for-candidate with the observer counters) but drop the
-//! per-decision detail, and a hard record ceiling guards pathological
-//! enumerations.
+//! per-decision detail; and a hard record ceiling ([`MAX_RECORDS`])
+//! guards pathological enumerations.
 //!
 //! [`Observer`]: deepeye_obs::Observer
 
@@ -525,29 +526,17 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Memory bounds for a [`Provenance`] collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProvenanceCaps {
-    /// How many top candidates get full dominance-edge detail.
-    pub top_n: usize,
-    /// How many rejected/pruned candidates keep full per-decision detail;
-    /// beyond this, rejects still get a minimal id + outcome record so
-    /// the accounting stays exact.
-    pub rejected_samples: usize,
-    /// Hard ceiling on stored records; the excess is counted in
-    /// `dropped_records` instead of stored.
-    pub max_records: usize,
-}
+/// How many top candidates get full dominance-edge detail.
+pub const TOP_N: usize = 16;
 
-impl Default for ProvenanceCaps {
-    fn default() -> Self {
-        ProvenanceCaps {
-            top_n: 16,
-            rejected_samples: 64,
-            max_records: 100_000,
-        }
-    }
-}
+/// How many rejected/pruned candidates keep full per-decision detail;
+/// beyond this, rejects still get a minimal id + outcome record so the
+/// accounting stays exact.
+pub const REJECTED_SAMPLES: usize = 64;
+
+/// Hard ceiling on stored records; the excess is counted in
+/// `dropped_records` instead of stored.
+pub const MAX_RECORDS: usize = 100_000;
 
 /// Pipeline-wide decision tallies, kept alongside the records so the
 /// export reconciles with the observer counters by construction.
@@ -597,12 +586,6 @@ struct State {
     detailed_rejects: u64,
 }
 
-#[derive(Debug)]
-struct Inner {
-    caps: ProvenanceCaps,
-    state: Mutex<State>,
-}
-
 /// The provenance collection handle carried on `DeepEyeConfig`.
 ///
 /// Mirrors [`deepeye_obs::Observer`]: `Clone` shares the sink, the
@@ -610,22 +593,14 @@ struct Inner {
 /// is a single branch.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Arc<Mutex<State>>>,
 }
 
 impl Provenance {
-    /// A recording collector with default caps.
+    /// A recording collector.
     pub fn enabled() -> Self {
-        Provenance::with_caps(ProvenanceCaps::default())
-    }
-
-    /// A recording collector with explicit memory bounds.
-    pub fn with_caps(caps: ProvenanceCaps) -> Self {
         Provenance {
-            inner: Some(Arc::new(Inner {
-                caps,
-                state: Mutex::new(State::default()),
-            })),
+            inner: Some(Arc::new(Mutex::new(State::default()))),
         }
     }
 
@@ -638,33 +613,28 @@ impl Provenance {
         self.inner.is_some()
     }
 
-    /// The configured memory bounds (defaults when disabled).
-    pub fn caps(&self) -> ProvenanceCaps {
-        self.inner.as_ref().map(|i| i.caps).unwrap_or_default()
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&ProvenanceCaps, &mut State) -> R) -> Option<R> {
+    fn with_state<R>(&self, f: impl FnOnce(&mut State) -> R) -> Option<R> {
         let inner = self.inner.as_ref()?;
-        let mut state = match inner.state.lock() {
+        let mut state = match inner.lock() {
             Ok(guard) => guard,
             // A panicking recorder cannot corrupt append-only tallies.
             Err(poisoned) => poisoned.into_inner(),
         };
-        Some(f(&inner.caps, &mut state))
+        Some(f(&mut state))
     }
 
     /// Name of the table the decisions are about.
     pub fn set_table(&self, name: &str) {
-        self.with_state(|_, s| s.table = name.to_owned());
+        self.with_state(|s| s.table = name.to_owned());
     }
 
     /// Upsert the record for candidate `id` and let `f` fill it in.
-    /// New records beyond `max_records` are dropped (and counted).
+    /// New records beyond [`MAX_RECORDS`] are dropped (and counted).
     pub fn record(&self, id: &str, f: impl FnOnce(&mut Explanation)) {
-        self.with_state(|caps, s| match s.index.get(id) {
+        self.with_state(|s| match s.index.get(id) {
             Some(&i) => f(&mut s.records[i]),
             None => {
-                if s.records.len() >= caps.max_records {
+                if s.records.len() >= MAX_RECORDS {
                     s.counts.dropped_records += 1;
                     return;
                 }
@@ -676,27 +646,27 @@ impl Provenance {
         });
     }
 
-    /// Record a rejected/pruned candidate. The first `rejected_samples`
+    /// Record a rejected/pruned candidate. The first [`REJECTED_SAMPLES`]
     /// distinct rejects keep the full detail `f` provides; later ones
     /// store only id + outcome so every candidate stays accounted for.
     pub fn record_rejected(&self, id: &str, outcome: Outcome, f: impl FnOnce(&mut Explanation)) {
-        self.with_state(|caps, s| {
+        self.with_state(|s| {
             if let Some(&i) = s.index.get(id) {
                 let e = &mut s.records[i];
                 e.outcome = outcome;
-                if s.detailed_rejects < caps.rejected_samples as u64 {
+                if s.detailed_rejects < REJECTED_SAMPLES as u64 {
                     s.detailed_rejects += 1;
                     f(e);
                 }
                 return;
             }
-            if s.records.len() >= caps.max_records {
+            if s.records.len() >= MAX_RECORDS {
                 s.counts.dropped_records += 1;
                 return;
             }
             let mut e = Explanation::new(id);
             e.outcome = outcome;
-            if s.detailed_rejects < caps.rejected_samples as u64 {
+            if s.detailed_rejects < REJECTED_SAMPLES as u64 {
                 s.detailed_rejects += 1;
                 f(&mut e);
             }
@@ -707,12 +677,12 @@ impl Provenance {
 
     /// Mutate the pipeline-wide tallies.
     pub fn bump(&self, f: impl FnOnce(&mut ProvenanceCounts)) {
-        self.with_state(|_, s| f(&mut s.counts));
+        self.with_state(|s| f(&mut s.counts));
     }
 
     /// Point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> ProvenanceLog {
-        self.with_state(|_, s| ProvenanceLog {
+        self.with_state(|s| ProvenanceLog {
             table: s.table.clone(),
             records: s.records.clone(),
             counts: s.counts,
@@ -1001,22 +971,18 @@ mod tests {
 
     #[test]
     fn rejected_sample_cap_keeps_minimal_records() {
-        let caps = ProvenanceCaps {
-            rejected_samples: 2,
-            ..ProvenanceCaps::default()
-        };
-        let prov = Provenance::with_caps(caps);
-        for i in 0..5 {
+        let prov = Provenance::enabled();
+        for i in 0..REJECTED_SAMPLES + 3 {
             prov.record_rejected(&format!("r{i}"), Outcome::ClassifierRejected, |e| {
                 e.notes.push("detail".into());
             });
         }
         let log = prov.snapshot();
         // Every reject is accounted for...
-        assert_eq!(log.records.len(), 5);
-        // ...but only the first two carry detail.
+        assert_eq!(log.records.len(), REJECTED_SAMPLES + 3);
+        // ...but only the first `REJECTED_SAMPLES` carry detail.
         let detailed = log.records.iter().filter(|e| !e.notes.is_empty()).count();
-        assert_eq!(detailed, 2);
+        assert_eq!(detailed, REJECTED_SAMPLES);
         for e in &log.records {
             assert_eq!(e.outcome, Outcome::ClassifierRejected);
         }
@@ -1024,16 +990,12 @@ mod tests {
 
     #[test]
     fn max_records_cap_counts_drops() {
-        let caps = ProvenanceCaps {
-            max_records: 3,
-            ..ProvenanceCaps::default()
-        };
-        let prov = Provenance::with_caps(caps);
-        for i in 0..10 {
+        let prov = Provenance::enabled();
+        for i in 0..MAX_RECORDS + 7 {
             prov.record(&format!("n{i}"), |_| {});
         }
         let log = prov.snapshot();
-        assert_eq!(log.records.len(), 3);
+        assert_eq!(log.records.len(), MAX_RECORDS);
         assert_eq!(log.counts.dropped_records, 7);
     }
 

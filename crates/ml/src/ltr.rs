@@ -94,22 +94,7 @@ fn max_dcg(relevance: &[f64]) -> f64 {
 impl LambdaMart {
     /// Train on the given query groups.
     pub fn train(groups: &[QueryGroup], params: LambdaMartParams) -> Self {
-        Self::train_observed(groups, params, &deepeye_obs::Observer::disabled())
-    }
-
-    /// [`LambdaMart::train`] with observability: wraps training in an
-    /// `ltr.train` span with one `ltr.epoch` child span per boosting
-    /// round, records per-round wall time into the `ltr.epoch_ns`
-    /// histogram, and counts `ltr.epochs` / `ltr.docs` / `ltr.groups`.
-    pub fn train_observed(
-        groups: &[QueryGroup],
-        params: LambdaMartParams,
-        obs: &deepeye_obs::Observer,
-    ) -> Self {
-        let _train = obs.span("ltr.train");
         let total_docs: usize = groups.iter().map(QueryGroup::len).sum();
-        obs.incr("ltr.docs", total_docs as u64);
-        obs.incr("ltr.groups", groups.len() as u64);
         // Flatten features once; remember each group's offset.
         let mut flat_features: Vec<Vec<f64>> = Vec::with_capacity(total_docs);
         let mut offsets = Vec::with_capacity(groups.len());
@@ -125,9 +110,6 @@ impl LambdaMart {
         let mut weights = vec![0.0f64; total_docs];
 
         for _ in 0..params.trees {
-            let _epoch = obs.span("ltr.epoch");
-            let _epoch_timer = obs.timer("ltr.epoch_ns");
-            obs.incr("ltr.epochs", 1);
             lambdas.iter_mut().for_each(|l| *l = 0.0);
             weights.iter_mut().for_each(|w| *w = 0.0);
 
@@ -335,27 +317,6 @@ mod tests {
     fn empty_training_gives_constant_scores() {
         let model = LambdaMart::fit(&[]);
         assert_eq!(model.score(&[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn observed_training_records_epochs() {
-        let groups = synthetic_groups(3, 12);
-        let obs = deepeye_obs::Observer::enabled();
-        let params = LambdaMartParams {
-            trees: 7,
-            ..Default::default()
-        };
-        let observed = LambdaMart::train_observed(&groups, params, &obs);
-        assert_eq!(observed.tree_count(), 7);
-        assert_eq!(obs.counter("ltr.epochs"), 7);
-        assert_eq!(obs.counter("ltr.groups"), 3);
-        let snap = obs.snapshot();
-        assert_eq!(snap.stage("ltr.epoch").map(|s| s.count), Some(7));
-        assert_eq!(snap.hist("ltr.epoch_ns").map(|h| h.count), Some(7));
-        // Observation must not change the trained model.
-        let baseline = LambdaMart::train(&groups, params);
-        let row = &groups[0].features[0];
-        assert_eq!(observed.score(row), baseline.score(row));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The sanctioned monotonic clock for ad-hoc timing.
 //!
 //! All wall-clock reads in the workspace go through `deepeye-obs`: spans
-//! and [`Observer::timer`](crate::Observer::timer) cover the common
-//! cases, and [`Stopwatch`] covers the rest — report scripts and
-//! benchmarks printing elapsed times. Code outside this
+//! ([`Observer::span`](crate::Observer::span)) cover the common cases,
+//! and [`Stopwatch`] covers the rest — report scripts and benchmarks
+//! printing elapsed times. Code outside this
 //! crate never touches `std::time::Instant` directly; clippy's
 //! `disallowed-types` (`clippy.toml`) enforces that, which keeps every
 //! timing source on one clock discipline (monotonic, nanosecond-resolution,
@@ -26,8 +26,8 @@ impl Stopwatch {
     }
 
     /// Nanoseconds elapsed since [`start`](Self::start), saturated into
-    /// `u64` (580+ years) — the unit every histogram in the workspace
-    /// records.
+    /// `u64` (580+ years) — the unit every span duration in the workspace
+    /// is recorded in.
     #[must_use]
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)

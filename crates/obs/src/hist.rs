@@ -1,4 +1,6 @@
-//! Log-scale histograms for latency distributions.
+//! Log-scale histograms of span durations: every span path's aggregate
+//! records its spans here, and the stage report and the metrics snapshot
+//! read its p50/p95/p99 back.
 //!
 //! Values (nanoseconds) land in power-of-two buckets: bucket 0 holds 0,
 //! bucket `b` holds `[2^(b-1), 2^b)`. 64 buckets cover the full `u64`
@@ -14,7 +16,6 @@ const BUCKETS: usize = 65;
 #[derive(Debug, Clone)]
 pub struct Histogram {
     count: u64,
-    sum: u128,
     min: u64,
     max: u64,
     buckets: [u64; BUCKETS],
@@ -24,7 +25,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             count: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
             buckets: [0; BUCKETS],
@@ -55,51 +55,14 @@ impl Histogram {
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
         self.count += 1;
-        self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.buckets[bucket_of(value)] += 1;
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Approximate quantile (`q` in `[0, 1]`): the geometric midpoint of
     /// the bucket holding the `ceil(q·count)`-th sample, clamped to the
-    /// observed min/max so tails never exceed reality.
+    /// observed min/max so tails never exceed reality. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -110,38 +73,11 @@ impl Histogram {
         for (b, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return bucket_mid(b).clamp(self.min(), self.max);
+                return bucket_mid(b).clamp(self.min, self.max);
             }
         }
         self.max
     }
-
-    /// A compact summary for exporters.
-    pub fn summary(&self) -> HistSummary {
-        HistSummary {
-            count: self.count,
-            sum: self.sum,
-            min: self.min(),
-            max: self.max,
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
-    }
-}
-
-/// Point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistSummary {
-    pub count: u64,
-    pub sum: u128,
-    pub min: u64,
-    pub max: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
 }
 
 #[cfg(test)]
@@ -151,12 +87,10 @@ mod tests {
     #[test]
     fn empty_histogram_is_zeroed() {
         let h = Histogram::default();
-        let s = h.summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 0);
-        assert_eq!(s.p50, 0);
-        assert_eq!(s.mean, 0.0);
+        assert_eq!(h.count, 0);
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile(q), 0);
+        }
     }
 
     #[test]
@@ -165,14 +99,12 @@ mod tests {
         for v in [100u64, 200, 300, 400, 10_000] {
             h.record(v);
         }
-        let s = h.summary();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 11_000);
-        assert_eq!(s.min, 100);
-        assert_eq!(s.max, 10_000);
+        assert_eq!((h.count, h.min, h.max), (5, 100, 10_000));
         // p50 lands in the bucket of 200–300; log-scale tolerance.
-        assert!(s.p50 >= 128 && s.p50 <= 512, "p50 = {}", s.p50);
-        assert!(s.p99 <= 10_000);
+        let p50 = h.quantile(0.5);
+        assert!((128..=512).contains(&p50), "p50 = {p50}");
+        assert!(h.quantile(0.99) <= 10_000);
+        assert_eq!(h.quantile(0.0), 100, "clamped to the smallest sample");
     }
 
     #[test]
@@ -183,25 +115,8 @@ mod tests {
         }
         let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
         assert!(p50 <= p95 && p95 <= p99);
-        assert!(p99 <= h.max());
-        assert!(h.quantile(0.0) >= h.min());
-    }
-
-    #[test]
-    fn merge_equals_recording_everything() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut all = Histogram::default();
-        for v in [1u64, 5, 9, 120, 7_000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [0u64, 33, 900_000] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.summary(), all.summary());
+        assert!(p99 <= 17_000);
+        assert!(h.quantile(0.0) >= 17);
     }
 
     #[test]
@@ -209,13 +124,11 @@ mod tests {
         let mut h = Histogram::default();
         h.record(0);
         h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
+        assert_eq!((h.count, h.min, h.max), (2, 0, u64::MAX));
         // Quantiles stay within the recorded range and stay ordered.
         let (lo, hi) = (h.quantile(0.0), h.quantile(1.0));
         assert!(lo <= hi);
-        assert!(lo >= h.min());
-        assert!(hi <= h.max());
+        assert_eq!(lo, 0);
+        assert!(hi >= 1 << 63, "the top bucket answers p100");
     }
 }

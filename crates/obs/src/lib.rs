@@ -1,9 +1,11 @@
 //! # deepeye-obs
 //!
 //! Lightweight observability for the DeepEye pipeline: hierarchical spans
-//! on a monotonic clock, counters, log-scale latency histograms, and three
-//! exporters — a human-readable per-stage report, a JSON metrics snapshot,
-//! and Chrome trace-event JSON loadable in `chrome://tracing` / Perfetto.
+//! on a monotonic clock, counters, and three exporters — a human-readable
+//! per-stage report, a JSON metrics snapshot, and Chrome trace-event JSON
+//! loadable in `chrome://tracing` / Perfetto. The span is the one way the
+//! program records a duration: each span path keeps its count, total and
+//! a log-scale duration histogram for p50/p95/p99.
 //!
 //! Like the other external stand-ins in this workspace (`vendor/*`), the
 //! crate is dependency-free: the build environment has no crates.io
@@ -36,10 +38,13 @@
 //! {
 //!     let _stage = obs.span("pipeline.enumerate");
 //!     obs.incr("enumerate.candidates", 42);
-//!     let _leaf = obs.timer("progressive.leaf_ns");
+//! }
+//! for _ in 0..3 {
+//!     let _leaf = obs.span("progressive.leaf");
 //! }
 //! let snapshot = obs.snapshot();
 //! assert_eq!(snapshot.counter("enumerate.candidates"), 42);
+//! assert_eq!(snapshot.stage("progressive.leaf").map(|s| s.count), Some(3));
 //! assert!(obs.stage_report().contains("pipeline.enumerate"));
 //! deepeye_obs::validate_chrome_trace(&obs.chrome_trace_json()).unwrap();
 //! ```
@@ -60,8 +65,8 @@ pub mod trace;
 
 pub use clock::Stopwatch;
 pub use flame::{flame_svg, folded_stacks, FlameSpan};
-pub use hist::{HistSummary, Histogram};
+pub use hist::Histogram;
 pub use json::{parse_json, Json, JsonError};
-pub use observer::{HistTimer, Observer, SpanGuard, SpanId, SpanRecord};
+pub use observer::{Observer, SpanGuard, SpanId, SpanRecord};
 pub use report::{fmt_duration, validate_metrics_json, MetricsSummary, Snapshot, StageAgg};
 pub use trace::{validate_chrome_trace, TraceSummary};

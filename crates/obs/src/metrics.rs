@@ -1,9 +1,8 @@
-//! The central metric registry: every counter and histogram name the
-//! pipeline may record.
+//! The central metric registry: every counter name the pipeline may
+//! record.
 //!
 //! Instrumentation sites across the product crates pass name literals to
-//! [`Observer::incr`](crate::Observer::incr) /
-//! [`Observer::timer`](crate::Observer::timer); nothing ties those
+//! [`Observer::incr`](crate::Observer::incr); nothing ties those
 //! literals together at the type level, so a typo silently forks a metric
 //! (`exec.ok` vs `exec.okay`) and dashboards read zeros. This module is
 //! the single source of truth: rule `A0005` of `deepeye-analyze`'s
@@ -22,9 +21,6 @@ pub const COUNTERS: &[&str] = &[
     "enumerate.raw",
     "exec.err",
     "exec.ok",
-    "ltr.docs",
-    "ltr.epochs",
-    "ltr.groups",
     "progressive.leaves_materialized",
     "progressive.leaves_pruned",
     "progressive.leaves_total",
@@ -36,18 +32,9 @@ pub const COUNTERS: &[&str] = &[
     "sema.rejected",
 ];
 
-/// Every histogram name ([`Observer::timer`](crate::Observer::timer)) the
-/// pipeline records, sorted.
-pub const HISTOGRAMS: &[&str] = &["ltr.epoch_ns", "progressive.leaf_ns"];
-
 /// Whether `name` is a registered counter.
 pub fn is_counter(name: &str) -> bool {
     COUNTERS.binary_search(&name).is_ok()
-}
-
-/// Whether `name` is a registered histogram.
-pub fn is_histogram(name: &str) -> bool {
-    HISTOGRAMS.binary_search(&name).is_ok()
 }
 
 #[cfg(test)]
@@ -56,22 +43,13 @@ mod tests {
 
     #[test]
     fn lists_are_sorted_and_unique() {
-        for list in [COUNTERS, HISTOGRAMS] {
-            for pair in list.windows(2) {
-                assert!(
-                    pair[0] < pair[1],
-                    "{} must sort before {}",
-                    pair[0],
-                    pair[1]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn counters_and_histograms_are_disjoint() {
-        for c in COUNTERS {
-            assert!(!is_histogram(c), "{c} registered as both kinds");
+        for pair in COUNTERS.windows(2) {
+            assert!(
+                pair[0] < pair[1],
+                "{} must sort before {}",
+                pair[0],
+                pair[1]
+            );
         }
     }
 
@@ -79,13 +57,11 @@ mod tests {
     fn lookups() {
         assert!(is_counter("exec.ok"));
         assert!(!is_counter("exec.okay"));
-        assert!(is_histogram("progressive.leaf_ns"));
-        assert!(!is_histogram("exec.ok"));
     }
 
     #[test]
     fn names_are_well_formed() {
-        for name in COUNTERS.iter().chain(HISTOGRAMS) {
+        for name in COUNTERS {
             assert!(
                 name.contains('.')
                     && name

@@ -1,5 +1,5 @@
-//! The [`Observer`] handle: spans, counters, and histograms behind a
-//! single `Option` check.
+//! The [`Observer`] handle: spans and counters behind a single `Option`
+//! check.
 //!
 //! An enabled observer shares one `Arc`'d recorder between clones — the
 //! pipeline stores one in `DeepEyeConfig`, hands clones to worker
@@ -102,7 +102,6 @@ pub(crate) struct State {
     /// Every finished span, in end order.
     pub spans: Vec<SpanRecord>,
     pub counters: BTreeMap<&'static str, u64>,
-    pub hists: BTreeMap<&'static str, Histogram>,
     /// Spans currently open, by id.
     pub open: BTreeMap<SpanId, OpenSpan>,
     /// Exact per-path aggregates.
@@ -170,7 +169,6 @@ impl Observer {
                 state: Mutex::new(State {
                     spans: Vec::new(),
                     counters: BTreeMap::new(),
-                    hists: BTreeMap::new(),
                     open: BTreeMap::new(),
                     paths: PathTable::default(),
                 }),
@@ -267,17 +265,6 @@ impl Observer {
         }
     }
 
-    /// Time a region into a histogram: the sample is recorded when the
-    /// returned guard drops. No-op (no clock read) when disabled.
-    pub fn timer(&self, name: &'static str) -> HistTimer {
-        HistTimer {
-            inner: self
-                .inner
-                .as_ref()
-                .map(|inner| (Arc::clone(inner), name, Instant::now())),
-        }
-    }
-
     /// Current value of a counter (0 if never incremented or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner
@@ -344,13 +331,12 @@ impl Observer {
         crate::report::Snapshot::build(&state)
     }
 
-    /// Human-readable per-stage report (span tree, counters, histograms).
+    /// Human-readable per-stage report (span tree, counters).
     pub fn stage_report(&self) -> String {
         self.snapshot().stage_report()
     }
 
-    /// JSON metrics snapshot (counters, histogram summaries, span
-    /// aggregates by path).
+    /// JSON metrics snapshot (counters, span aggregates by path).
     pub fn metrics_json(&self) -> String {
         self.snapshot().metrics_json()
     }
@@ -425,22 +411,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// RAII guard from [`Observer::timer`]: records the elapsed time into a
-/// histogram on drop.
-#[must_use = "a timer records when its guard drops — binding to `_` records immediately"]
-pub struct HistTimer {
-    inner: Option<(Arc<Inner>, &'static str, Instant)>,
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        if let Some((inner, name, start)) = self.inner.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            inner.lock().hists.entry(name).or_default().record(ns);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,13 +423,11 @@ mod tests {
             let guard = obs.span("never");
             assert_eq!(guard.id(), None);
             obs.incr("c", 5);
-            let _t = obs.timer("h");
         }
         assert_eq!(obs.counter("c"), 0);
         assert!(obs.finished_spans().is_empty());
         let snap = obs.snapshot();
         assert!(snap.counters.is_empty());
-        assert!(snap.hists.is_empty());
         assert!(snap.stages.is_empty());
     }
 
@@ -556,36 +524,25 @@ mod tests {
         obs.incr("n", 2);
         obs.incr("n", 3);
         for ms in [1, 2, 3] {
-            let _t = obs.timer("lat");
+            let _s = obs.span("lat");
             std::thread::sleep(Duration::from_millis(ms));
         }
         assert_eq!(obs.counter("n"), 5);
         let snap = obs.snapshot();
-        let lat = snap.hist("lat").expect("histogram recorded");
+        let lat = snap.stage("lat").expect("span path aggregated");
         assert_eq!(lat.count, 3);
         assert!(
-            lat.sum >= 6_000_000,
+            lat.total_ns >= 6_000_000,
             "slept ≥ 6ms in all, got {}ns",
-            lat.sum
+            lat.total_ns
         );
+        // The path's duration histogram answers p99 from the bucket of the
+        // longest span (≥ 3ms), within its log2 resolution.
         assert!(
-            lat.max >= 3_000_000,
-            "longest sleep ≥ 3ms, got {}ns",
-            lat.max
+            lat.p99_ns >= 2_000_000,
+            "p99 {}ns below the 3ms sleep's bucket",
+            lat.p99_ns
         );
-    }
-
-    #[test]
-    fn timer_records_into_histogram() {
-        let obs = Observer::enabled();
-        {
-            let _t = obs.timer("work_ns");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let snap = obs.snapshot();
-        let h = snap.hist("work_ns").expect("recorded");
-        assert_eq!(h.count, 1);
-        assert!(h.max >= 1_000_000, "slept ≥ 1ms, got {}ns", h.max);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! A [`Snapshot`] reads the observer's per-*path* aggregates
 //! (`pipeline.recommend/pipeline.execute/execute.worker`), carrying
-//! counters and histogram summaries alongside. The same snapshot feeds
-//! both the human-readable stage report and the JSON metrics export, so
+//! counters alongside. The same snapshot feeds the human-readable stage
+//! report, the JSON metrics export and the bench documents' tail, so
 //! every consumer reads identical numbers. Aggregates are maintained at
 //! span close.
 
-use crate::hist::HistSummary;
 use crate::json::escape;
 use crate::observer::State;
 
@@ -34,7 +33,6 @@ pub struct Snapshot {
     /// Stage aggregates sorted by path (so children follow parents).
     pub stages: Vec<StageAgg>,
     pub counters: Vec<(String, u64)>,
-    pub hists: Vec<(String, HistSummary)>,
 }
 
 impl Snapshot {
@@ -66,11 +64,6 @@ impl Snapshot {
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), *v))
                 .collect(),
-            hists: state
-                .hists
-                .iter()
-                .map(|(k, h)| ((*k).to_owned(), h.summary()))
-                .collect(),
         }
     }
 
@@ -81,11 +74,6 @@ impl Snapshot {
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
             .unwrap_or(0)
-    }
-
-    /// Histogram summary by name.
-    pub fn hist(&self, name: &str) -> Option<&HistSummary> {
-        self.hists.iter().find(|(k, _)| k == name).map(|(_, h)| h)
     }
 
     /// Stage aggregate whose leaf name matches (first in path order).
@@ -136,27 +124,21 @@ impl Snapshot {
                 out.push_str(&format!("  {name:<width$}  {value}\n"));
             }
         }
-        if !self.hists.is_empty() {
-            out.push_str("\nhistograms:\n");
-            for (name, h) in &self.hists {
-                out.push_str(&format!(
-                    "  {name}  count={} mean={} p50={} p95={} p99={} max={}\n",
-                    h.count,
-                    fmt_duration(h.mean as u64),
-                    fmt_duration(h.p50),
-                    fmt_duration(h.p95),
-                    fmt_duration(h.p99),
-                    fmt_duration(h.max),
-                ));
-            }
-        }
         out
     }
 
-    /// The JSON metrics export: counters, histogram summaries, and span
-    /// aggregates keyed by path.
+    /// The JSON metrics export: counters and span aggregates keyed by
+    /// path.
     pub fn metrics_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
+        format!("{{\n{}}}\n", self.json_members())
+    }
+
+    /// The `counters` and `stages` members as they sit inside a top-level
+    /// JSON object (two-space indent, trailing newline): the body of
+    /// [`metrics_json`](Self::metrics_json) and the tail of every bench
+    /// document, each of which closes the object after them.
+    pub fn json_members(&self) -> String {
+        let mut out = String::from("  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -164,28 +146,6 @@ impl Snapshot {
             out.push_str(&format!("\n    \"{}\": {}", escape(name), value));
         }
         if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-                 \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}",
-                escape(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.mean,
-                h.p50,
-                h.p95,
-                h.p99
-            ));
-        }
-        if !self.hists.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("},\n  \"stages\": {");
@@ -207,7 +167,7 @@ impl Snapshot {
         if !self.stages.is_empty() {
             out.push_str("\n  ");
         }
-        out.push_str("}\n}\n");
+        out.push_str("}\n");
         out
     }
 }
@@ -216,7 +176,6 @@ impl Snapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSummary {
     pub counters: usize,
-    pub histograms: usize,
     pub stages: usize,
 }
 
@@ -230,13 +189,10 @@ fn non_negative_int(v: &crate::json::Json, what: &str) -> Result<u64, String> {
     Ok(x as u64)
 }
 
-/// Validate a [`Snapshot::metrics_json`] document: the three top-level
-/// objects must be present, counters must be non-negative integers, and
-/// each histogram summary must be internally consistent (all eight fields
-/// present; when `count > 0`, `min ≤ p50 ≤ p95 ≤ p99 ≤ max`,
-/// `min ≤ mean ≤ max`, and `sum ≥ max`). Every stage must carry ordered
-/// `p50_ns ≤ p95_ns ≤ p99_ns` duration quantiles with `p99_ns ≤
-/// total_ns`.
+/// Validate a [`Snapshot::metrics_json`] document: the two top-level
+/// objects must be present and counters must be non-negative integers.
+/// Every stage must carry ordered `p50_ns ≤ p95_ns ≤ p99_ns` duration
+/// quantiles with `p99_ns ≤ total_ns`.
 pub fn validate_metrics_json(text: &str) -> Result<MetricsSummary, String> {
     use crate::json::{parse_json, Json};
     let doc = parse_json(text).map_err(|e| e.to_string())?;
@@ -246,46 +202,6 @@ pub fn validate_metrics_json(text: &str) -> Result<MetricsSummary, String> {
         .ok_or("missing `counters` object")?;
     for (name, value) in counters {
         non_negative_int(value, &format!("counter `{name}`"))?;
-    }
-    let hists = doc
-        .get("histograms")
-        .and_then(Json::as_object)
-        .ok_or("missing `histograms` object")?;
-    for (name, h) in hists {
-        let field = |key: &str| -> Result<u64, String> {
-            non_negative_int(
-                h.get(key)
-                    .ok_or_else(|| format!("histogram `{name}` missing `{key}`"))?,
-                &format!("histogram `{name}`.{key}"),
-            )
-        };
-        let count = field("count")?;
-        let sum = field("sum_ns")?;
-        let min = field("min_ns")?;
-        let max = field("max_ns")?;
-        let mean = h
-            .get("mean_ns")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("histogram `{name}` missing `mean_ns`"))?;
-        let p50 = field("p50_ns")?;
-        let p95 = field("p95_ns")?;
-        let p99 = field("p99_ns")?;
-        if count > 0 {
-            if !(min <= p50 && p50 <= p95 && p95 <= p99 && p99 <= max) {
-                return Err(format!(
-                    "histogram `{name}` percentiles not monotonic: \
-                     min {min} p50 {p50} p95 {p95} p99 {p99} max {max}"
-                ));
-            }
-            if mean < min as f64 || mean > max as f64 {
-                return Err(format!(
-                    "histogram `{name}` mean {mean} outside [{min}, {max}]"
-                ));
-            }
-            if sum < max {
-                return Err(format!("histogram `{name}` sum {sum} < max {max}"));
-            }
-        }
     }
     let stages = doc
         .get("stages")
@@ -328,7 +244,6 @@ pub fn validate_metrics_json(text: &str) -> Result<MetricsSummary, String> {
     }
     Ok(MetricsSummary {
         counters: counters.len(),
-        histograms: hists.len(),
         stages: stages.len(),
     })
 }
@@ -362,7 +277,7 @@ mod tests {
         }
         obs.incr("enumerate.candidates", 12);
         for _ in 0..3 {
-            let _leaf = obs.timer("progressive.leaf_ns");
+            let _leaf = obs.span("progressive.leaf");
         }
         obs
     }
@@ -398,8 +313,11 @@ mod tests {
         assert!(report.contains("pipeline.recommend"));
         assert!(report.contains("  pipeline.enumerate"), "indented child");
         assert!(report.contains("enumerate.candidates"));
-        assert!(report.contains("progressive.leaf_ns"));
-        assert!(report.contains("count=3"));
+        let leaf = report
+            .lines()
+            .find(|l| l.starts_with("progressive.leaf"))
+            .expect("leaf row");
+        assert_eq!(leaf.split_whitespace().nth(1), Some("3"), "{leaf}");
     }
 
     #[test]
@@ -418,16 +336,21 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(12.0)
         );
-        let hist = doc
-            .get("histograms")
-            .and_then(|h| h.get("progressive.leaf_ns"))
-            .expect("histogram exported");
+        let members: Vec<&str> = doc
+            .as_object()
+            .map(|m| m.iter().map(|(k, _)| k.as_str()).collect())
+            .unwrap_or_default();
+        assert_eq!(members, ["counters", "stages"]);
+        let leaf = doc
+            .get("stages")
+            .and_then(|s| s.get("progressive.leaf"))
+            .expect("leaf path exported");
         let recorded = obs
             .snapshot()
-            .hist("progressive.leaf_ns")
-            .map(|h| h.sum as f64);
-        assert_eq!(hist.get("count").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(hist.get("sum_ns").and_then(Json::as_f64), recorded);
+            .stage("progressive.leaf")
+            .map(|s| s.total_ns as f64);
+        assert_eq!(leaf.get("count").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(leaf.get("total_ns").and_then(Json::as_f64), recorded);
         let stages = doc.get("stages").and_then(Json::as_object).expect("stages");
         assert!(stages
             .iter()
@@ -449,8 +372,7 @@ mod tests {
         let summary =
             validate_metrics_json(&sample_observer().metrics_json()).expect("valid metrics");
         assert_eq!(summary.counters, 1);
-        assert_eq!(summary.histograms, 1);
-        assert!(summary.stages >= 3);
+        assert_eq!(summary.stages, 4);
         // The empty (disabled) export is also well-formed.
         let empty = validate_metrics_json(&Observer::disabled().metrics_json()).unwrap();
         assert_eq!(empty.counters, 0);
@@ -506,11 +428,11 @@ mod tests {
     #[test]
     fn validator_rejects_broken_stage_quantiles() {
         // Missing stage quantile field.
-        let bad = r#"{"counters": {}, "histograms": {}, "stages": {"op":
+        let bad = r#"{"counters": {}, "stages": {"op":
             {"count": 1, "total_ns": 10, "p95_ns": 1, "p99_ns": 1}}}"#;
         assert!(validate_metrics_json(bad).unwrap_err().contains("p50_ns"));
         // Out-of-order stage quantiles.
-        let bad = r#"{"counters": {}, "histograms": {}, "stages": {"op":
+        let bad = r#"{"counters": {}, "stages": {"op":
             {"count": 1, "total_ns": 10, "p50_ns": 9, "p95_ns": 1, "p99_ns": 10}}}"#;
         assert!(validate_metrics_json(bad)
             .unwrap_err()

@@ -7,7 +7,7 @@
 //! it, and [`crate::execute_with`] runs an aggregated query as a scan of
 //! one. Aggregated queries are grouped by `(x column, transform)`; each
 //! group maps its rows to dense bucket codes once
-//! ([`crate::bins::key_codes`]), counts CNT over the codes, then sums every
+//! (`crate::bins::key_codes`), counts CNT over the codes, then sums every
 //! numeric y-column its queries aggregate over (codes, y) in row order,
 //! and materializes each chart from the shared accumulators. Raw
 //! (untransformed) queries run through the single-query executor. Every

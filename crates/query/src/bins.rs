@@ -2,7 +2,7 @@
 //!
 //! Binning "partitions the numerical or temporal values into different
 //! buckets" (§II-A). Grouping or binning an x column maps each row to a
-//! dense bucket code ([`key_codes`]); rows sharing a code land in the same
+//! dense bucket code (`key_codes`); rows sharing a code land in the same
 //! bucket and are then aggregated, and each bucket keeps one [`Key`].
 
 use crate::ast::{BinStrategy, Transform, DEFAULT_BUCKETS};

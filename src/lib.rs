@@ -58,8 +58,8 @@ pub use deepeye_query as query;
 pub mod prelude {
     pub use deepeye_core::{
         ClassifierKind, DeepEye, DeepEyeConfig, EnumerationMode, Explanation, HybridRanker,
-        LabeledExample, LtrRanker, Provenance, ProvenanceCaps, ProvenanceLog, RankingMethod,
-        Recognizer, Recommendation, VisNode,
+        LabeledExample, LtrRanker, Provenance, ProvenanceLog, RankingMethod, Recognizer,
+        Recommendation, VisNode,
     };
     pub use deepeye_data::{
         table_from_csv_path, table_from_csv_str, DataType, Table, TableBuilder,

@@ -136,6 +136,17 @@ fn progressive_metrics_match_selection_stats() {
             .unwrap_or_else(|| panic!("counter {name} missing"));
         assert_eq!(exported as usize, want, "{name}");
     }
+    // Each materialized leaf is one `progressive.leaf` span under the
+    // tournament's span.
+    assert!(stats.leaves_materialized > 0, "{stats:?}");
+    let leaf_path = "pipeline.progressive/progressive.top_k/progressive.leaf";
+    let leaves = json
+        .get("stages")
+        .and_then(|s| s.get(leaf_path))
+        .and_then(|s| s.get("count"))
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| panic!("stage {leaf_path} missing"));
+    assert_eq!(leaves as usize, stats.leaves_materialized);
 }
 
 #[test]

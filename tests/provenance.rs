@@ -9,6 +9,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use deepeye::core::provenance::TOP_N;
 use deepeye::core::{
     canonical_candidates, query_id, validate_provenance_json, Factors, Outcome, ProgressiveSelector,
 };
@@ -386,7 +387,7 @@ fn dominance_summaries_match_brute_force() {
     });
     assert!(!eye.recommend(&sales_table(), 5).is_empty());
     let (ranked, checked) = check_dominance_summaries(&prov.snapshot());
-    assert_eq!(checked, ranked.min(ProvenanceCaps::default().top_n));
+    assert_eq!(checked, ranked.min(TOP_N));
     assert!(checked > 0);
 
     // A ranked set above 4,000 nodes gets the same summaries.
@@ -398,5 +399,5 @@ fn dominance_summaries_match_brute_force() {
     assert!(!eye.recommend(&wide_table(), 5).is_empty());
     let (ranked, checked) = check_dominance_summaries(&prov.snapshot());
     assert!(ranked > 4_000, "only {ranked} ranked nodes");
-    assert_eq!(checked, ProvenanceCaps::default().top_n);
+    assert_eq!(checked, TOP_N);
 }
