@@ -4,7 +4,7 @@
 
 use crate::features::{line_trend, slice_entropy};
 use crate::graph::{order_by_log_scores, partial_order_log_scores};
-use crate::node::VisNode;
+use crate::node::{variant_key, VisNode};
 use crate::partial_order::{compute_factor_breakdowns, FactorBreakdown, Factors};
 use crate::progressive::ProgressiveSelector;
 use crate::provenance::{DominanceSummary, HybridParts, Outcome, Provenance, RankBreakdown, TOP_N};
@@ -48,8 +48,11 @@ pub struct DeepEyeConfig {
     /// executable candidates (useful before a model is trained).
     pub recognizer: Option<Recognizer>,
     pub ranking: RankingMethod,
-    /// Execute candidate queries across threads (§VI-D: the task is
-    /// "trivially parallelizable"). Output is identical either way.
+    /// Run the pipeline's parallel sites across threads (§VI-D: the task
+    /// is "trivially parallelizable"): candidate execution in
+    /// [`DeepEye::recommend`] and leaf materialization in
+    /// [`DeepEye::recommend_progressive`]. With `false` both run on the
+    /// calling thread. Output is identical either way.
     pub parallel: bool,
     /// Observability hook: spans (each path with its duration quantiles)
     /// and counters for every pipeline stage. Defaults to
@@ -476,16 +479,6 @@ impl DeepEye {
                 ltr.as_ref(),
             );
         }
-        let variant_key = |n: &VisNode| {
-            format!(
-                "{}|{}|{}|{:?}|{:?}",
-                n.query.chart,
-                n.query.x,
-                n.query.y.as_deref().unwrap_or(""),
-                n.query.transform,
-                n.query.aggregate
-            )
-        };
         let mut seen = std::collections::HashSet::new();
         let mut nodes: Vec<Option<VisNode>> = nodes.into_iter().map(Some).collect();
         let mut out = Vec::with_capacity(k.min(nodes.len()));
@@ -496,7 +489,7 @@ impl DeepEye {
             }
             // Rankers emit each index at most once; a repeat is a ranker bug,
             // surfaced in debug builds and skipped in release.
-            let Some(key) = nodes[idx].as_ref().map(&variant_key) else {
+            let Some(key) = nodes[idx].as_ref().map(|n| variant_key(&n.query)) else {
                 debug_assert!(false, "ranking emitted index {idx} twice");
                 continue;
             };
@@ -613,7 +606,14 @@ impl DeepEye {
         let _progressive = obs.span("pipeline.progressive");
         prov.set_table(table.name());
         let selector = ProgressiveSelector::new(table, &self.udfs);
-        let (scored, _) = selector.top_k_explained(k, obs, prov);
+        let parallel = self.config.parallel;
+        let (scored, _) = selector.tournament(k, obs, prov, |leaves| {
+            if parallel {
+                selector.batch_width(leaves)
+            } else {
+                1
+            }
+        });
         scored
             .into_iter()
             .enumerate()

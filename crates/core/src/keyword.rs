@@ -8,7 +8,7 @@
 //! "distribution"). Matching rescales the base ranking instead of hard
 //! filtering, so a vague query degrades gracefully to the default top-k.
 
-use crate::node::VisNode;
+use crate::node::{variant_key, VisNode};
 use deepeye_data::TimeUnit;
 use deepeye_query::{Aggregate, BinStrategy, ChartType, Transform};
 
@@ -198,16 +198,6 @@ pub fn keyword_search(
     // variants of one chart would otherwise fill the page (same
     // deduplication as `DeepEye::rank_nodes`); single-mark charts are
     // never useful search hits.
-    let variant_key = |n: &crate::node::VisNode| {
-        format!(
-            "{}|{}|{}|{:?}|{:?}",
-            n.query.chart,
-            n.query.x,
-            n.query.y.as_deref().unwrap_or(""),
-            n.query.transform,
-            n.query.aggregate
-        )
-    };
     let mut seen = std::collections::HashSet::new();
     let mut nodes: Vec<Option<crate::node::VisNode>> = nodes.into_iter().map(Some).collect();
     let mut out = Vec::with_capacity(k.min(nodes.len()));
@@ -216,7 +206,7 @@ pub fn keyword_search(
             debug_assert!(false, "ranking emitted index {idx} twice");
             continue;
         };
-        if node_ref.data.series.len() < 2 || !seen.insert(variant_key(node_ref)) {
+        if node_ref.data.series.len() < 2 || !seen.insert(variant_key(&node_ref.query)) {
             continue;
         }
         let Some(node) = nodes[idx].take() else {

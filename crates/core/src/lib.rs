@@ -54,6 +54,10 @@ pub mod rules;
 pub mod similarity;
 pub mod svg;
 
+#[cfg(test)]
+#[path = "../../../tests/support/csv_text.rs"]
+mod csv_text;
+
 pub use deepeye::{DeepEye, DeepEyeConfig, EnumerationMode, RankingMethod, Recommendation};
 pub use deviation::{
     deviation_between, deviation_from_uniform, rank_by_deviation, DeviationMetric,

@@ -112,6 +112,16 @@ impl VisNode {
     }
 }
 
+/// A chart's identity up to ORDER BY, by value: its chart type, x, y,
+/// transform and aggregate. ORDER BY variants of one chart have identical
+/// factors, so candidate lists and rankings keep one chart per key.
+pub(crate) fn variant_key(query: &VisQuery) -> VisQuery {
+    VisQuery {
+        order: SortOrder::None,
+        ..query.clone()
+    }
+}
+
 /// The original type of `query`'s x column (categorical when it is
 /// missing).
 fn source_x_type(table: &Table, query: &VisQuery) -> DataType {

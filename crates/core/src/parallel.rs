@@ -1,27 +1,18 @@
 //! Parallel candidate generation. §VI-D notes that "the task of
-//! visualization selection is trivially parallelizable"; this module
-//! shards the candidates across scoped std threads (no runtime dependency
-//! needed), and each worker builds its share in two phases: the
-//! shared-scan executor ([`deepeye_query::execute_batch`], §V-B
-//! optimization 1) makes every chart — one key pass and one aggregation
-//! sweep per (x column, transform), then per-candidate materialization —
-//! and then builds each chart's node, extracting §III's features once per
-//! distinct plotted series in the chunk.
+//! visualization selection is trivially parallelizable"; this module cuts
+//! the candidates into contiguous chunks and builds them through
+//! [`par::map`], and each chunk is built in two phases: the shared-scan
+//! executor ([`deepeye_query::execute_batch`], §V-B optimization 1) makes
+//! every chart — one key pass and one aggregation sweep per (x column,
+//! transform), then per-candidate materialization — and then builds each
+//! chart's node, extracting §III's features once per distinct plotted
+//! series in the chunk.
 
 use crate::node::{nodes_from_charts, VisNode};
-use deepeye_data::Table;
+use deepeye_data::{par, Table};
 use deepeye_obs::{Observer, SpanId};
 use deepeye_query::{execute_batch, UdfRegistry, VisQuery};
-use std::num::NonZeroUsize;
-
-/// Number of worker threads to use: the available parallelism, capped by
-/// the work size (no point spawning more threads than queries).
-pub(crate) fn worker_count(work_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    hw.min(work_items).max(1)
-}
+use std::collections::HashSet;
 
 /// [`build_nodes`] across all cores, unobserved.
 pub fn build_nodes_parallel(
@@ -46,20 +37,22 @@ pub fn build_nodes_serial_observed(
     build_nodes(table, queries, udfs, slim, false, obs, parent)
 }
 
-/// Build visualization nodes for `queries`. Invalid queries are skipped;
-/// output order matches input order, and duplicates by node id are
-/// dropped keeping the first, at any worker count. `slim` drops each
-/// node's series after feature extraction ([`VisNode::slim`]).
+/// Build visualization nodes for `queries`. Repeated queries are dropped
+/// keeping the first, and invalid queries are skipped; output order
+/// matches input order at any worker count. `slim` drops each node's
+/// series after feature extraction ([`VisNode::slim`]).
 ///
 /// With `parallel`, 32 or more candidates are cut into one contiguous
-/// chunk per core; otherwise the whole input is one chunk built on the
-/// calling thread. Each chunk runs under an `execute.worker` span
-/// parented to `parent` (normally the caller's `pipeline.execute` span —
-/// passing it explicitly is what merges worker spans under the right
-/// stage across threads), with two child spans that split its time:
-/// `execute.charts` (sema, the shared scans, materialization and ORDER
-/// BY) and `execute.features` (building the chunk's nodes). Each worker
-/// flushes its `exec.ok` / `exec.err` counts once.
+/// chunk per core, built through [`par::map`] (the calling thread builds
+/// one); otherwise the whole input is one chunk built on the calling
+/// thread. A panic while building reaches the caller either way. Each
+/// chunk runs under an `execute.worker` span parented to `parent`
+/// (normally the caller's `pipeline.execute` span — passing it explicitly
+/// is what merges worker spans under the right stage across threads), with
+/// two child spans that split its time: `execute.charts` (sema, the shared
+/// scans, materialization and ORDER BY) and `execute.features` (building
+/// the chunk's nodes). Each chunk flushes its `exec.ok` / `exec.err`
+/// counts once.
 pub fn build_nodes(
     table: &Table,
     queries: Vec<VisQuery>,
@@ -69,37 +62,31 @@ pub fn build_nodes(
     obs: &Observer,
     parent: Option<SpanId>,
 ) -> Vec<VisNode> {
+    let queries: Vec<VisQuery> = {
+        let mut seen = HashSet::new();
+        let first: Vec<bool> = queries.iter().map(|q| seen.insert(q)).collect();
+        queries
+            .into_iter()
+            .zip(first)
+            .filter_map(|(q, first)| first.then_some(q))
+            .collect()
+    };
     let workers = if parallel && queries.len() >= 32 {
-        worker_count(queries.len())
+        par::workers(queries.len())
     } else {
         1
     };
-    let per_chunk: Vec<Vec<VisNode>> = if workers == 1 {
-        vec![build_worker(table, &queries, udfs, slim, obs, parent)]
+    let chunks: Vec<&[VisQuery]> = if workers > 1 {
+        queries.chunks(queries.len().div_ceil(workers)).collect()
     } else {
-        let chunk = queries.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|chunk| {
-                    let obs = obs.clone();
-                    scope.spawn(move || build_worker(table, chunk, udfs, slim, &obs, parent))
-                })
-                .collect();
-            // A panicked worker contributes no nodes; the panic itself is
-            // surfaced by the runtime on stderr.
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        })
+        vec![&queries]
     };
-    let mut seen = std::collections::HashSet::new();
-    per_chunk
-        .into_iter()
-        .flatten()
-        .filter(|node| seen.insert(node.id()))
-        .collect()
+    par::map(&chunks, workers, |chunk| {
+        build_worker(table, chunk, udfs, slim, obs, parent)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// One worker: its chunk's charts, then their nodes, each phase under

@@ -27,23 +27,36 @@ use crate::partial_order::FactorBreakdown;
 use deepeye_obs::json::escape;
 use deepeye_obs::{parse_json, Json};
 use deepeye_query::VisQuery;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Stable identity of a candidate query — the same string
 /// [`crate::VisNode::id`] produces, computable *before* execution so
 /// sema-rejected and exec-failed candidates share the id space with
-/// built nodes.
+/// built nodes. In column names `\` is written `\\` and `|` is written
+/// `\|`, so distinct queries never share an id, whatever their columns
+/// are called.
 pub fn query_id(q: &VisQuery) -> String {
     format!(
         "{}|{}|{}|{:?}|{:?}|{:?}",
         q.chart,
-        q.x,
-        q.y.as_deref().unwrap_or(""),
+        escape_name(&q.x),
+        escape_name(q.y.as_deref().unwrap_or("")),
         q.transform,
         q.aggregate,
         q.order,
     )
+}
+
+/// `name` as [`query_id`] writes it; a name without `\` or `|` is
+/// unchanged.
+pub(crate) fn escape_name(name: &str) -> Cow<'_, str> {
+    if name.contains(['\\', '|']) {
+        Cow::Owned(name.replace('\\', "\\\\").replace('|', "\\|"))
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 /// What finally happened to a candidate.
@@ -1079,5 +1092,25 @@ mod tests {
         };
         let id = query_id(&q);
         assert!(id.starts_with("bar|carrier|delay|"), "{id}");
+    }
+
+    /// A `|` or `\` in a column name cannot make two queries share an id.
+    #[test]
+    fn query_ids_escape_separators_in_names() {
+        use deepeye_query::{Aggregate, ChartType, SortOrder, Transform};
+        let line = |x: &str, y: &str| {
+            query_id(&VisQuery {
+                chart: ChartType::Line,
+                x: x.into(),
+                y: Some(y.into()),
+                transform: Transform::None,
+                aggregate: Aggregate::Raw,
+                order: SortOrder::None,
+            })
+        };
+        assert_ne!(line("a", "b|c"), line("a|b", "c"));
+        assert_ne!(line("a\\", "|b"), line("a\\|", "b"));
+        assert_eq!(line("a|b", "c"), "line|a\\|b|c|None|Raw|None");
+        assert_eq!(line("a\\b", "c"), "line|a\\\\b|c|None|Raw|None");
     }
 }

@@ -10,10 +10,12 @@
 //! closing quote joins the field. Blank lines are skipped, and a record
 //! with the wrong number of fields is reported by the physical line it
 //! starts on. Each column's cells then go through one type-inference pass
-//! ([`crate::infer`]) into a typed [`Table`].
+//! ([`crate::infer`]) into a typed [`Table`]; from 1,000 rows the columns
+//! are inferred in parallel.
 
 use crate::column::Column;
 use crate::infer::infer;
+use crate::par;
 use crate::table::{Table, TableError};
 use std::borrow::Cow;
 use std::fmt;
@@ -232,6 +234,31 @@ pub fn table_from_csv_str_delim(
     text: &str,
     delimiter: char,
 ) -> Result<Table, CsvError> {
+    read_table(name, text, delimiter, |rows, width| {
+        if rows >= PARALLEL_ROWS {
+            par::workers(width)
+        } else {
+            1
+        }
+    })
+}
+
+/// Fewest data rows at which ingest infers its columns in parallel. Below
+/// it a column's inference costs about what starting and joining a thread
+/// does: on 2 vCPUs a second thread made the 300-row, 5-column table of
+/// the perf harness 5–8% slower to ingest, and 600 rows or more faster.
+const PARALLEL_ROWS: usize = 1_000;
+
+/// [`table_from_csv_str_delim`], inferring the columns on
+/// `workers(rows, width)` threads: each column's type inference is one
+/// unit of [`par::map`]. Splitting the text into fields stays on the
+/// calling thread.
+pub(crate) fn read_table(
+    name: &str,
+    text: &str,
+    delimiter: char,
+    workers: impl Fn(usize, usize) -> usize,
+) -> Result<Table, CsvError> {
     let text = text.strip_prefix('\u{FEFF}').unwrap_or(text);
     let mut reader = Reader::new(text, delimiter);
     let mut fields = Vec::new();
@@ -267,10 +294,12 @@ pub fn table_from_csv_str_delim(
     if let Some(e) = ragged {
         return Err(e);
     }
+    let rows = cells.first().map_or(0, Vec::len);
+    let inferred = par::map(&cells, workers(rows, width), |cells| infer(cells));
     let columns = names
         .into_iter()
-        .zip(&cells)
-        .map(|(name, cells)| Column::new(name, infer(cells)))
+        .zip(inferred)
+        .map(|(name, data)| Column::new(name, data))
         .collect();
     Ok(Table::new(name, columns)?)
 }
@@ -441,5 +470,59 @@ mod tests {
         let t = table_from_csv_str_delim("t", "a\tb\n1\t2\n", '\t').unwrap();
         assert_eq!(t.column_count(), 2);
         assert_eq!(t.row_count(), 1);
+    }
+
+    /// An ingest result as the worker-count tests compare it: each column's
+    /// name, type and cells (numbers by their bits), or the error's message.
+    fn ingested(
+        text: &str,
+        workers: usize,
+    ) -> Result<Vec<(String, DataType, Vec<String>)>, String> {
+        let table = read_table("t", text, ',', |_, _| workers).map_err(|e| e.to_string())?;
+        Ok(table
+            .columns()
+            .iter()
+            .map(|c| {
+                let cells = (0..c.len())
+                    .map(|row| match c.data().get(row) {
+                        crate::Value::Number(x) => format!("{:x}", x.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect();
+                (c.name().to_owned(), c.data_type(), cells)
+            })
+            .collect())
+    }
+
+    #[test]
+    fn ingest_of_every_corpus_file_is_independent_of_worker_count() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+        let mut files = 0;
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = String::from_utf8_lossy(&fs::read(&path).unwrap()).into_owned();
+            let serial = ingested(&text, 1);
+            for workers in 2..=4 {
+                assert_eq!(
+                    ingested(&text, workers),
+                    serial,
+                    "{path:?}, {workers} workers"
+                );
+            }
+            files += 1;
+        }
+        assert!(files >= 23, "{files} corpus files");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ingest_of_generated_csv_is_independent_of_worker_count(
+            text in crate::csv_text::csv_text()
+        ) {
+            let serial = ingested(&text, 1);
+            for workers in 2..=4 {
+                proptest::prop_assert_eq!(ingested(&text, workers), serial.clone());
+            }
+        }
     }
 }

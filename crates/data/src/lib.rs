@@ -13,6 +13,8 @@
 //! - temporal parsing and calendar truncation for the seven bin units
 //!   (minute … year);
 //! - a CSV reader with automatic type detection;
+//! - [`par::map`], the order-preserving parallel map behind every
+//!   parallel site of the pipeline;
 //! - the four-model column [`correlation`] (linear / polynomial / power /
 //!   log) and the [`trend`] test backing Eq. 4.
 //!
@@ -31,11 +33,16 @@ pub mod correlate;
 pub mod csv;
 pub mod first_seen;
 pub mod infer;
+pub mod par;
 pub mod profile;
 pub mod stats;
 pub mod table;
 pub mod temporal;
 pub mod value;
+
+#[cfg(test)]
+#[path = "../../../tests/support/csv_text.rs"]
+mod csv_text;
 
 pub use column::{Column, ColumnData};
 pub use correlate::{

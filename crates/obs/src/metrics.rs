@@ -32,11 +32,6 @@ pub const COUNTERS: &[&str] = &[
     "sema.rejected",
 ];
 
-/// Whether `name` is a registered counter.
-pub fn is_counter(name: &str) -> bool {
-    COUNTERS.binary_search(&name).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,12 +46,6 @@ mod tests {
                 pair[1]
             );
         }
-    }
-
-    #[test]
-    fn lookups() {
-        assert!(is_counter("exec.ok"));
-        assert!(!is_counter("exec.okay"));
     }
 
     #[test]

@@ -332,6 +332,11 @@ const CORPUS: &[(&str, Expect)] = &[
     ("nan_and_inf.csv", Expect::Charts(24, &[("temp", "Num", 4)])),
     ("one_column.csv", Expect::Charts(8, &[("region", "Cat", 0)])),
     ("one_row.csv", Expect::NothingToChart),
+    // `|` in column names: `line a vs b|c` is not `line a|b vs c`.
+    (
+        "pipe_in_names.csv",
+        Expect::Charts(40, &[("a|b", "Num", 0), ("b|c", "Num", 0)]),
+    ),
     (
         "quoted_newlines.csv",
         Expect::Charts(6, &[("note", "Cat", 0)]),

@@ -9,6 +9,10 @@ use deepeye::prelude::*;
 use deepeye::query::{execute_with, UdfRegistry};
 use proptest::prelude::*;
 
+#[path = "support/csv_text.rs"]
+mod csv_text;
+use csv_text::csv_text;
+
 const CSV: &str = "\
 when,store,sales,footfall
 2015-01-03 09:15,downtown,120,340
@@ -168,56 +172,28 @@ fn multi_column_extension_runs() {
     );
 }
 
-/// One generated cell: a kind (0 number, 1 ISO date, 2 short category,
-/// 3 any of the three), an empty-cell draw, and a value seed.
-fn cell(kind: u8, empty: u8, v: u32) -> String {
-    const CATEGORIES: [&str; 6] = ["a", "b", "c", "dd", "east", "west"];
-    let kind = if kind == 3 { (v % 3) as u8 } else { kind };
-    match (empty, kind) {
-        (0, _) => String::new(),
-        (_, 0) => format!("{}.{}", v as i64 / 10 - 40, v % 10),
-        (_, 1) => format!("2015-{:02}-{:02}", v % 12 + 1, v % 28 + 1),
-        _ => CATEGORIES[v as usize % CATEGORIES.len()].to_owned(),
-    }
-}
+/// A top-10 as node ids and factor bits.
+type Top10 = Vec<(String, [u64; 3])>;
 
-/// CSV text of 1–60 rows and 4–6 columns of numbers, ISO dates, short
-/// categories and empty cells.
-fn csv_text() -> impl Strategy<Value = String> {
-    (1usize..61, 4usize..7).prop_flat_map(|(rows, cols)| {
-        let kinds = proptest::collection::vec(0u8..4, cols);
-        let cells = proptest::collection::vec((0u8..10, 0u32..1000), rows * cols);
-        (kinds, cells).prop_map(move |(kinds, cells)| {
-            let header: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
-            let mut text = header.join(",") + "\n";
-            for row in cells.chunks(cols) {
-                let line: Vec<String> = row
-                    .iter()
-                    .zip(&kinds)
-                    .map(|(&(empty, v), &kind)| cell(kind, empty, v))
-                    .collect();
-                text.push_str(&line.join(","));
-                text.push('\n');
-            }
-            text
-        })
-    })
-}
-
-/// The top-10 as query texts and factor bits, with the given worker mode.
-fn top_10(table: &Table, parallel: bool) -> Vec<(String, [u64; 3])> {
+/// The top-10s of `recommend` and of `recommend_progressive`, with the
+/// given worker mode.
+fn top_10(table: &Table, parallel: bool) -> (Top10, Top10) {
     let eye = DeepEye::new(DeepEyeConfig {
         parallel,
         ..Default::default()
     });
-    eye.recommend(table, 10)
-        .iter()
-        .map(|r| {
-            let f = &r.factors;
-            let bits = [f.m.to_bits(), f.q.to_bits(), f.w.to_bits()];
-            (r.query_text(table.name()), bits)
-        })
-        .collect()
+    let bits = |recs: Vec<Recommendation>| -> Top10 {
+        recs.iter()
+            .map(|r| {
+                let f = &r.factors;
+                (r.node.id(), [f.m.to_bits(), f.q.to_bits(), f.w.to_bits()])
+            })
+            .collect()
+    };
+    (
+        bits(eye.recommend(table, 10)),
+        bits(eye.recommend_progressive(table, 10)),
+    )
 }
 
 /// Every chart's series equals executing its query on the table, one
@@ -244,8 +220,9 @@ proptest! {
 
     /// `recommend` never panics on a table the CSV reader accepts,
     /// serial and parallel execution return the same charts with
-    /// bit-identical factors, in the same order, and every chart equals
-    /// the direct execution of its query.
+    /// bit-identical factors, in the same order, for `recommend` and for
+    /// `recommend_progressive`, and every chart equals the direct
+    /// execution of its query.
     #[test]
     fn recommend_is_total_and_independent_of_worker_count(text in csv_text()) {
         if let Ok(table) = table_from_csv_str("generated", &text) {
@@ -280,16 +257,17 @@ proptest! {
 }
 
 /// `build_nodes` splits work across workers only at 32 or more
-/// candidates; this table is sure to reach that.
+/// candidates, ingest only from 1,000 rows and the tournament only from
+/// 2,000 rows; this table reaches all three.
 #[test]
 fn parallel_recommend_equals_serial_on_a_split_workload() {
     let mut text = String::from("day,region,product,sales,units,price\n");
-    for i in 0..60u32 {
+    for i in 0..2_000u32 {
         let region = ["north", "south", "east", "west"][i as usize % 4];
         let product = ["tea", "coffee", "cocoa"][i as usize % 3];
         text.push_str(&format!(
             "2015-{:02}-{:02},{region},{product},{},{},{}.{}\n",
-            i / 28 + 1,
+            i / 28 % 12 + 1,
             i % 28 + 1,
             100 + (i * 37) % 250,
             1 + (i * 7) % 40,
@@ -298,10 +276,59 @@ fn parallel_recommend_equals_serial_on_a_split_workload() {
         ));
     }
     let table = table_from_csv_str("split", &text).unwrap();
-    assert_eq!((table.row_count(), table.column_count()), (60, 6));
+    assert_eq!((table.row_count(), table.column_count()), (2_000, 6));
     let candidates = DeepEye::with_defaults().candidates(&table).len();
     assert!(candidates >= 32, "only {candidates} candidates");
     let serial = top_10(&table, false);
-    assert_eq!(serial.len(), 10);
+    assert_eq!((serial.0.len(), serial.1.len()), (10, 10));
     assert_eq!(serial, top_10(&table, true));
+}
+
+/// Charts are told apart by value: a `|` in a column name no longer makes
+/// `line a vs b|c` and `line a|b vs c` one chart. Every distinct executable
+/// query builds one node, every distinct chart is one canonical candidate,
+/// and the tournament still returns the exhaustive top-k.
+#[test]
+fn pipes_in_column_names_keep_charts_apart() {
+    use deepeye::core::{build_nodes_parallel, canonical_candidates, rules, VisNode};
+    use std::collections::HashSet;
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/pipe_in_names.csv");
+    let table = deepeye::data::table_from_csv_path(path).unwrap();
+    let udfs = UdfRegistry::default();
+    let queries = rules::rule_based_queries(&table);
+    let distinct: HashSet<&VisQuery> = queries.iter().collect();
+    let executable = distinct
+        .iter()
+        .filter(|q| execute_with(&table, q, &udfs).is_ok())
+        .count();
+    let nodes = build_nodes_parallel(&table, queries.clone(), &udfs, false);
+    assert_eq!(nodes.len(), executable);
+    let ids: HashSet<String> = nodes.iter().map(VisNode::id).collect();
+    assert_eq!(ids.len(), nodes.len(), "node ids are unique");
+
+    let chart = |q: &VisQuery| {
+        (
+            q.chart,
+            q.x.clone(),
+            q.y.clone(),
+            q.transform.clone(),
+            q.aggregate,
+        )
+    };
+    let charts: HashSet<_> = queries.iter().map(chart).collect();
+    let candidates = canonical_candidates(&table);
+    assert_eq!(candidates.len(), charts.len());
+    assert_eq!(candidates.iter().map(chart).collect::<HashSet<_>>(), charts);
+
+    let selector = ProgressiveSelector::new(&table, &udfs);
+    let ids = |top: &[ScoredNode]| -> Vec<(String, u64)> {
+        top.iter()
+            .map(|s| (s.node.id(), s.score.to_bits()))
+            .collect()
+    };
+    for k in [1, 5, 10, usize::MAX] {
+        let (progressive, _) = selector.top_k(k);
+        let (exhaustive, _) = exhaustive_top_k(&table, &udfs, k);
+        assert_eq!(ids(&progressive), ids(&exhaustive), "k = {k}");
+    }
 }
