@@ -30,8 +30,13 @@ pub struct ColumnFeatures {
 
 impl ColumnFeatures {
     fn from_values(values: &[f64], dtype: DataType) -> Self {
+        Self::counted(values, distinct_count(values), dtype)
+    }
+
+    /// [`Self::from_values`] with the distinct count of `values` (by
+    /// their bits) already known.
+    pub(crate) fn counted(values: &[f64], distinct: usize, dtype: DataType) -> Self {
         let tuples = values.len();
-        let distinct = distinct_count(values);
         ColumnFeatures {
             distinct,
             tuples,
@@ -67,6 +72,16 @@ fn distinct_count(values: &[f64]) -> usize {
     bits.sort_unstable();
     bits.dedup();
     bits.len()
+}
+
+/// The type of an x-scale whose source column has type `source`:
+/// temporal stays temporal, anything else plots as numbers.
+pub(crate) fn scale_type(source: DataType) -> DataType {
+    if source == DataType::Temporal {
+        DataType::Temporal
+    } else {
+        DataType::Numerical
+    }
 }
 
 fn dtype_code(t: DataType) -> f64 {
@@ -113,37 +128,18 @@ impl NodeFeatures {
     /// can be computed. Apart from `chart.chart`, the result depends only
     /// on these two and the plotted series.
     pub fn from_chart(chart: &ChartData, source_rows: usize, source_x_type: DataType) -> Self {
-        Self::with_correlation(chart, source_rows, source_x_type, None)
-    }
-
-    /// [`Self::from_chart`] with feature (6) already known, or computed
-    /// from the plotted series when `None`.
-    pub(crate) fn with_correlation(
-        chart: &ChartData,
-        source_rows: usize,
-        source_x_type: DataType,
-        correlation: Option<f64>,
-    ) -> Self {
         let xs = chart.series.x_positions();
         let ys = chart.series.y_values();
         let x_feat = match &chart.series {
             Series::Keyed(pairs) if pairs.iter().any(|(k, _)| k.scale_position().is_none()) => {
                 ColumnFeatures::from_labels(pairs.len(), pairs.len(), DataType::Categorical)
             }
-            _ => {
-                let dtype = if source_x_type == DataType::Temporal {
-                    DataType::Temporal
-                } else {
-                    DataType::Numerical
-                };
-                ColumnFeatures::from_values(&xs, dtype)
-            }
+            _ => ColumnFeatures::from_values(&xs, scale_type(source_x_type)),
         };
         NodeFeatures {
             x: x_feat,
             y: ColumnFeatures::from_values(&ys, DataType::Numerical),
-            correlation: correlation
-                .unwrap_or_else(|| deepeye_data::correlation(&xs, &ys).coefficient),
+            correlation: correlation(&xs, &ys).coefficient,
             chart: chart.chart,
             source_rows,
             source_x_type,

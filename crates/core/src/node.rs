@@ -1,13 +1,12 @@
 //! Visualization nodes (Definition 1 of the paper): the unit the
 //! recognizer classifies and the rankers order.
 
-use crate::features::NodeFeatures;
-use deepeye_data::{ColumnData, DataType, PreparedColumn, Table};
+use crate::features::{scale_type, ColumnFeatures, NodeFeatures};
+use deepeye_data::{DataType, Table};
 use deepeye_query::{
     execute_with, Aggregate, ChartData, ChartType, Key, QueryError, Series, SortOrder, Transform,
     UdfRegistry, VisQuery,
 };
-use std::cell::OnceCell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::OnceLock;
 
@@ -133,13 +132,15 @@ fn source_x_type(table: &Table, query: &VisQuery) -> DataType {
 
 /// The nodes of executed `(query, chart)` pairs, in order.
 ///
-/// Apart from the chart type, §III's features are a function of the
-/// source x type and the plotted series (`source_rows` is the table's),
-/// so a repeat of an earlier (x type, series) copies that node's features
-/// with its own chart type instead of extracting them again. A repeat is
-/// found by [`plotted_hash`] and confirmed by [`same_series`]. Each hash
-/// keeps only its first series, so a collision costs one comparison and
-/// an extraction, however many series share the hash. Nothing else is
+/// A raw chart that keeps every row takes its features from its two
+/// columns ([`raw_features`]). Apart from the chart type, §III's features
+/// are a function of the source x type and the plotted series
+/// (`source_rows` is the table's), so any other chart that repeats an
+/// earlier (x type, series) copies that node's features with its own
+/// chart type instead of extracting them again. A repeat is found by
+/// [`plotted_hash`] and confirmed by [`same_series`]. Each hash keeps only
+/// its first series, so a collision costs one comparison and an
+/// extraction, however many series share the hash. Nothing else is
 /// shared: each node computes its own raw M.
 pub(crate) fn nodes_from_charts(
     table: &Table,
@@ -156,25 +157,14 @@ fn nodes_sharing_features(
     hash: impl Fn(DataType, &Series) -> u64,
 ) -> Vec<VisNode> {
     let rows = table.row_count();
-    let columns = table.columns();
-    // The columns of unsorted raw numeric charts, prepared for correlation
-    // on first use; `None` for a column with a null.
-    let prepared: Vec<OnceCell<Option<PreparedColumn>>> =
-        columns.iter().map(|_| OnceCell::new()).collect();
-    let prepare = |i: usize| {
-        prepared[i]
-            .get_or_init(|| match columns[i].data() {
-                ColumnData::Numeric(cells) if cells.iter().all(Option::is_some) => {
-                    Some(PreparedColumn::new(columns[i].numbers()))
-                }
-                _ => None,
-            })
-            .as_ref()
-    };
     let mut nodes: Vec<VisNode> = Vec::new();
     let mut firsts: HashMap<u64, usize> = HashMap::new();
     for (query, data) in executed {
         let x_type = source_x_type(table, &query);
+        if let Some(features) = raw_features(table, &query, &data, x_type) {
+            nodes.push(VisNode::new(query, data, features));
+            continue;
+        }
         let first = match firsts.entry(hash(x_type, &data.series)) {
             Entry::Occupied(first) => Some(&nodes[*first.get()]),
             Entry::Vacant(slot) => {
@@ -189,31 +179,50 @@ fn nodes_sharing_features(
                 chart: data.chart,
                 ..repeated.features.clone()
             },
-            None => {
-                let correlation = unsorted_raw_pair(table, &query)
-                    .and_then(|(x, y)| Some(prepare(x)?.correlation(prepare(y)?).coefficient));
-                NodeFeatures::with_correlation(&data, rows, x_type, correlation)
-            }
+            None => NodeFeatures::from_chart(&data, rows, x_type),
         };
         nodes.push(VisNode::new(query, data, features));
     }
     nodes
 }
 
-/// The column indices of an unsorted raw chart. When both columns are
-/// numeric without a null, its plotted series is exactly their numbers in
-/// row order, so feature (6) is the prepared columns' correlation.
-fn unsorted_raw_pair(table: &Table, query: &VisQuery) -> Option<(usize, usize)> {
-    let raw = matches!(query.transform, Transform::None)
-        && query.aggregate == Aggregate::Raw
-        && query.order == SortOrder::None;
-    if !raw {
+/// The features of a raw point chart that keeps every row, from its two
+/// columns' cached [`deepeye_data::Positions`]; `None` for any other
+/// chart. Such a chart plots x's and y's positions in row order or, when
+/// sorted by x, in x's order, so its distinct counts are the columns' and
+/// feature (6) pairs prepared columns: x's ordered positions meet y
+/// gathered in that order. Min and max fold exactly the plotted sequence,
+/// since folding another order can flip the sign of a zero.
+fn raw_features(
+    table: &Table,
+    query: &VisQuery,
+    chart: &ChartData,
+    x_type: DataType,
+) -> Option<NodeFeatures> {
+    let raw = matches!(query.transform, Transform::None) && query.aggregate == Aggregate::Raw;
+    let rows = table.row_count();
+    if !raw || query.order == SortOrder::ByY || chart.series.len() != rows {
         return None;
     }
-    Some((
-        table.column_index(&query.x)?,
-        table.column_index(query.y.as_deref()?)?,
-    ))
+    let x = table.column_by_name(&query.x)?.positions()?;
+    let y = table.column_by_name(query.y.as_deref()?)?.positions()?;
+    let (xf, yf) = (x.full.as_ref()?, y.full.as_ref()?);
+    let gathered;
+    let (xs, ys) = match query.order {
+        SortOrder::ByX => {
+            gathered = yf.rows.gathered(&x.order);
+            (&xf.ordered, &gathered)
+        }
+        _ => (&xf.rows, &yf.rows),
+    };
+    Some(NodeFeatures {
+        x: ColumnFeatures::counted(xs.values(), xf.distinct, scale_type(x_type)),
+        y: ColumnFeatures::counted(ys.values(), yf.distinct, DataType::Numerical),
+        correlation: xs.correlation(ys).coefficient,
+        chart: chart.chart,
+        source_rows: rows,
+        source_x_type: x_type,
+    })
 }
 
 /// A hash of the source x type and every bit of the plotted series, to
@@ -277,7 +286,7 @@ pub(crate) fn same_series(a: &Series, b: &Series) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepeye_data::TableBuilder;
+    use deepeye_data::{ColumnData, TableBuilder, Timestamp};
 
     fn table() -> Table {
         TableBuilder::new("t")
@@ -354,10 +363,15 @@ mod tests {
         }
     }
 
-    /// Feature (6) of an unsorted raw numeric chart comes from prepared
-    /// columns, yet every node's features equal `VisNode::build`'s bit for
-    /// bit: with nulls (the columns' numbers would pair across rows), with
-    /// infinite cells (the kernel's filter drops them) and with neither.
+    /// Raw point charts take their features from their columns' cached
+    /// positions, yet every node's features equal `VisNode::build`'s bit
+    /// for bit, and every raw point chart is its rows' points in a stable
+    /// sort by its ORDER BY. The tables hold nulls in both columns of a
+    /// pair or in y alone (the fast path must not apply), infinite cells
+    /// (the kernel's filter drops them), temporal x with repeated dates,
+    /// `0.0` beside `-0.0` (a fold over another order flips the sign of
+    /// a zero min), tied x values, and timestamps one second apart beyond
+    /// 2^53 s in descending order, whose positions collide.
     #[test]
     fn prepared_correlations_equal_built_nodes() {
         let a = [1.0, 2.5, 3.0, 4.5, 5.0, 7.5, 6.0, 9.0];
@@ -369,16 +383,43 @@ mod tests {
             ColumnData::Numeric(cells)
         };
         let plain = |values: &[f64]| with(values, 0, Some(values[0]));
+        let seconds = |secs: &[i64]| {
+            ColumnData::Temporal(
+                secs.iter()
+                    .map(|&s| Some(Timestamp::from_unix_seconds(s)))
+                    .collect(),
+            )
+        };
+        let day = |d: i64| 1_420_070_400 + 86_400 * d;
+        let beyond: Vec<i64> = (0..8).rev().map(|i| (1 << 53) + i).collect();
         let tables = [
             ("plain", plain(&a), plain(&b)),
             ("nulls", with(&a, 1, None), with(&b, 3, None)),
+            ("y nulls", plain(&a), with(&b, 3, None)),
             (
                 "infinite",
                 with(&a, 2, Some(f64::INFINITY)),
                 with(&b, 5, Some(f64::NEG_INFINITY)),
             ),
+            (
+                "dates",
+                seconds(&[3, 1, 3, 0, 1, 2, 0, 3].map(day)),
+                plain(&b),
+            ),
+            (
+                "zeros",
+                plain(&[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 0.0]),
+                plain(&[-0.0, 0.0, 3.0, 0.0, -0.0, 1.0, 0.0, -0.0]),
+            ),
+            (
+                "ties",
+                plain(&[3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0]),
+                plain(&b),
+            ),
+            ("beyond 2^53 s", seconds(&beyond), plain(&c)),
         ];
         let udfs = UdfRegistry::default();
+        let mut fast = 0;
         for (name, a, b) in tables {
             let t = TableBuilder::new(name)
                 .data("a", a)
@@ -388,16 +429,18 @@ mod tests {
                 .build()
                 .unwrap();
             let mut queries = crate::rules::rule_based_queries(&t);
-            for x in ["a", "b", "c"] {
+            for x in ["a", "b", "c", "k"] {
                 for y in ["a", "b", "c"] {
-                    queries.push(VisQuery {
-                        chart: ChartType::Scatter,
-                        x: x.into(),
-                        y: Some(y.into()),
-                        transform: Transform::None,
-                        aggregate: Aggregate::Raw,
-                        order: SortOrder::None,
-                    });
+                    for order in SortOrder::ALL {
+                        queries.push(VisQuery {
+                            chart: ChartType::Scatter,
+                            x: x.into(),
+                            y: Some(y.into()),
+                            transform: Transform::None,
+                            aggregate: Aggregate::Raw,
+                            order,
+                        });
+                    }
                 }
             }
             let executed: Vec<(VisQuery, ChartData)> = queries
@@ -405,20 +448,51 @@ mod tests {
                 .filter_map(|q| Some((q.clone(), execute_with(&t, q, &udfs).ok()?)))
                 .collect();
             let got = nodes_from_charts(&t, executed);
-            assert!(got
-                .iter()
-                .any(|n| unsorted_raw_pair(&t, &n.query).is_some()));
             for node in &got {
-                let want = VisNode::build(&t, node.query.clone(), &udfs).unwrap();
+                let q = &node.query;
+                let want = VisNode::build(&t, q.clone(), &udfs).unwrap();
                 let bits = |n: &VisNode| {
                     n.feature_vector()
                         .iter()
                         .map(|v| v.to_bits())
                         .collect::<Vec<_>>()
                 };
-                assert_eq!(bits(node), bits(&want), "{name}: {:?}", node.query);
+                assert_eq!(bits(node), bits(&want), "{name}: {q:?}");
+                let x_type = source_x_type(&t, q);
+                let full = |c: &str| t.column_by_name(c).is_some_and(|c| c.null_count() == 0);
+                let expected = q.aggregate == Aggregate::Raw
+                    && q.order != SortOrder::ByY
+                    && x_type != DataType::Categorical
+                    && full(&q.x)
+                    && q.y.as_deref().is_some_and(full);
+                let taken = raw_features(&t, q, &node.data, x_type).is_some();
+                assert_eq!(taken, expected, "{name}: {q:?}");
+                fast += usize::from(taken);
+                if let Series::Points(points) = &node.data.series {
+                    let unsorted = VisQuery {
+                        order: SortOrder::None,
+                        ..q.clone()
+                    };
+                    let Series::Points(mut sorted) =
+                        execute_with(&t, &unsorted, &udfs).unwrap().series
+                    else {
+                        panic!("{name}: {q:?} plots points unsorted only")
+                    };
+                    match q.order {
+                        SortOrder::None => {}
+                        SortOrder::ByX => sorted.sort_by(|p, q| p.0.total_cmp(&q.0)),
+                        SortOrder::ByY => sorted.sort_by(|p, q| q.1.total_cmp(&p.1)),
+                    }
+                    let bits = |pts: &[(f64, f64)]| {
+                        pts.iter()
+                            .map(|(x, y)| (x.to_bits(), y.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(points), bits(&sorted), "{name}: {q:?}");
+                }
             }
         }
+        assert!(fast > 100, "{fast} raw charts took their columns' features");
     }
 
     #[test]

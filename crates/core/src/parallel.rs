@@ -264,6 +264,45 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// On generated CSV text, `build_nodes` at one worker and at
+        /// every core builds per-query `VisNode::build`'s nodes, each
+        /// feature by its bits, raw charts in every order included.
+        #[test]
+        fn generated_csv_builds_the_reference_nodes(text in crate::csv_text::csv_text()) {
+            let Ok(t) = deepeye_data::table_from_csv_str("generated", &text) else {
+                return Ok(());
+            };
+            let mut queries = rule_based_queries(&t);
+            for x in t.columns() {
+                for y in t.columns() {
+                    for order in SortOrder::ALL {
+                        queries.push(VisQuery {
+                            chart: ChartType::Line,
+                            x: x.name().to_owned(),
+                            y: Some(y.name().to_owned()),
+                            transform: Transform::None,
+                            aggregate: Aggregate::Raw,
+                            order,
+                        });
+                    }
+                }
+            }
+            let want = reference(&t, &queries);
+            let bits = |n: &VisNode| n.feature_vector().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for parallel in [false, true] {
+                let got = plain(&t, queries.clone(), parallel);
+                proptest::prop_assert_eq!(got.len(), want.len());
+                for (a, b) in got.iter().zip(&want) {
+                    proptest::prop_assert_eq!(&a.query, &b.query);
+                    proptest::prop_assert_eq!(bits(a), bits(b), "{:?}", a.query);
+                }
+            }
+        }
+    }
+
     #[test]
     fn slim_mode_drops_series() {
         let t = table();

@@ -1,9 +1,12 @@
 //! Typed columnar storage.
 
+use crate::correlate::PreparedColumn;
 use crate::first_seen::FirstSeen;
 use crate::temporal::Timestamp;
 use crate::value::{DataType, Value};
+use std::fmt;
 use std::hash::Hash;
+use std::sync::OnceLock;
 
 /// Physical storage for one column, chosen to match its semantic type.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,10 +61,91 @@ impl ColumnData {
 }
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     name: String,
     data: ColumnData,
+    /// [`Column::positions`], computed by its first reader.
+    positions: OnceLock<Positions>,
+}
+
+/// What every raw chart over a numeric or temporal column reads of it,
+/// computed once per column. A column's *positions* are what a raw chart
+/// plots for it: its numbers, or its timestamps as Unix seconds in `f64`.
+/// Two timestamps beyond ±2^53 s can share one position, so positions,
+/// not timestamps, are ordered and counted here.
+#[derive(Debug)]
+pub struct Positions {
+    /// The non-null rows in ascending order of position by
+    /// [`f64::total_cmp`], ties in row order: the order a stable sort of
+    /// a raw chart's points by x gives.
+    pub order: Vec<usize>,
+    /// `None` when the column has a null.
+    pub full: Option<FullPositions>,
+}
+
+/// The positions of a column without a null.
+#[derive(Debug)]
+pub struct FullPositions {
+    /// In row order, prepared for correlation.
+    pub rows: PreparedColumn<'static>,
+    /// In [`Positions::order`], prepared.
+    pub ordered: PreparedColumn<'static>,
+    /// The number of distinct positions, by their bits.
+    pub distinct: usize,
+}
+
+impl Positions {
+    fn new(cells: Vec<Option<f64>>) -> Self {
+        let mut sorted: Vec<(f64, usize)> = (cells.iter().enumerate())
+            .filter_map(|(row, cell)| Some(((*cell)?, row)))
+            .collect();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let order: Vec<usize> = sorted.into_iter().map(|(_, row)| row).collect();
+        let full = (order.len() == cells.len()).then(|| {
+            let rows = PreparedColumn::new(cells.into_iter().flatten().collect::<Vec<f64>>());
+            let ordered = rows.gathered(&order);
+            // Under `total_cmp` two positions are equal exactly when
+            // their bits are, so equal bits sit side by side in order.
+            let distinct = match ordered.values() {
+                [] => 0,
+                v => {
+                    1 + v
+                        .windows(2)
+                        .filter(|w| w[0].to_bits() != w[1].to_bits())
+                        .count()
+                }
+            };
+            FullPositions {
+                rows,
+                ordered,
+                distinct,
+            }
+        });
+        Positions { order, full }
+    }
+}
+
+/// Equality of name and cells: the cached [`Positions`] do not count.
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.data == other.data
+    }
+}
+
+/// A clone starts with an empty cache.
+impl Clone for Column {
+    fn clone(&self) -> Self {
+        Column::new(self.name.clone(), self.data.clone())
+    }
+}
+
+impl fmt::Debug for Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Column")
+            .field("name", &self.name)
+            .field("data", &self.data)
+            .finish()
+    }
 }
 
 impl Column {
@@ -69,6 +153,7 @@ impl Column {
         Column {
             name: name.into(),
             data,
+            positions: OnceLock::new(),
         }
     }
 
@@ -143,6 +228,30 @@ impl Column {
             ColumnData::Temporal(v) => v.iter().flatten().copied().collect(),
             _ => Vec::new(),
         }
+    }
+
+    /// The position of the cell at `row`: its number, or its timestamp
+    /// in Unix seconds; `None` for a null or text cell, or past the end.
+    pub fn position(&self, row: usize) -> Option<f64> {
+        match &self.data {
+            ColumnData::Numeric(v) => *v.get(row)?,
+            ColumnData::Temporal(v) => v.get(row)?.map(|t| t.unix_seconds() as f64),
+            ColumnData::Text(_) => None,
+        }
+    }
+
+    /// The [`Positions`] of a numeric or temporal column, computed on the
+    /// first call; `None` for a text column. Many threads may read one
+    /// column: the first computes the cache while the others wait.
+    pub fn positions(&self) -> Option<&Positions> {
+        if let ColumnData::Text(_) = self.data {
+            return None;
+        }
+        Some(
+            self.positions.get_or_init(|| {
+                Positions::new((0..self.len()).map(|r| self.position(r)).collect())
+            }),
+        )
     }
 
     /// Number of distinct non-null values, `d(X)` in feature (1): numbers

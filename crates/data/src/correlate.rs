@@ -62,14 +62,14 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> Correlation {
     let (xs, ys) = (&xs[..n], &ys[..n]);
     let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
     if finite(xs) && finite(ys) {
-        return pair(xs, &Sums::new(xs), ys, &Sums::new(ys));
+        return pair(xs, &Sums::of(xs), ys, &Sums::of(ys));
     }
     let (xs, ys): (Vec<f64>, Vec<f64>) = xs
         .iter()
         .zip(ys)
         .filter(|(x, y)| x.is_finite() && y.is_finite())
         .unzip();
-    pair(&xs, &Sums::new(&xs), &ys, &Sums::new(&ys))
+    pair(&xs, &Sums::of(&xs), &ys, &Sums::of(&ys))
 }
 
 /// A numeric column prepared once for every correlation it takes part in:
@@ -91,8 +91,30 @@ impl<'a> PreparedColumn<'a> {
         let sums = values
             .iter()
             .all(|x| x.is_finite())
-            .then(|| Sums::new(&values));
+            .then(|| Sums::of(&values));
         PreparedColumn { values, sums }
+    }
+
+    /// The values at `rows`, in that order, prepared: bit for bit
+    /// [`PreparedColumn::new`] of those values. Each `ln` is gathered
+    /// where this column holds it, and every sum is added again in the
+    /// new order.
+    pub fn gathered(&self, rows: &[usize]) -> PreparedColumn<'static> {
+        let values: Vec<f64> = rows.iter().map(|&r| self.values[r]).collect();
+        let logs = self.sums.as_ref().and_then(|s| s.logs.as_ref());
+        let sums = values.iter().all(|x| x.is_finite()).then(|| match logs {
+            Some(l) => Sums::new(&values, rows.iter().map(|&r| l.ln[r])),
+            None => Sums::of(&values),
+        });
+        PreparedColumn {
+            values: values.into(),
+            sums,
+        }
+    }
+
+    /// The prepared values, in their order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// `c(self, y)`, bit for bit [`correlation`] of the two columns'
@@ -138,7 +160,13 @@ struct Logs {
 }
 
 impl Sums {
-    fn new(xs: &[f64]) -> Self {
+    fn of(xs: &[f64]) -> Self {
+        Sums::new(xs, xs.iter().map(|x| x.ln()))
+    }
+
+    /// The sums of `xs`, taking `ln` of each value from `ln`, which is
+    /// read only when the column takes part in log fits.
+    fn new(xs: &[f64], ln: impl Iterator<Item = f64>) -> Self {
         let mean = stats::mean(xs);
         let (mut pow, mut sum, mut ss_tot) = ([0.0; 5], 0.0, 0.0);
         for &x in xs {
@@ -155,7 +183,7 @@ impl Sums {
         }
         let positives = xs.iter().filter(|&&x| x > 0.0).count();
         let logs = supported(positives, xs.len()).then(|| {
-            let ln: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
+            let ln: Vec<f64> = ln.collect();
             let positive_ln = || ln.iter().zip(xs).filter(|(_, &x)| x > 0.0).map(|(l, _)| *l);
             let mean = match positives {
                 0 => 0.0,

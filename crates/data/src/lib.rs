@@ -44,7 +44,7 @@ pub mod value;
 #[path = "../../../tests/support/csv_text.rs"]
 mod csv_text;
 
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, FullPositions, Positions};
 pub use correlate::{
     correlation, trend, trend_of_series, Correlation, CorrelationModel, PreparedColumn, Trend,
 };

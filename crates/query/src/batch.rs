@@ -176,13 +176,13 @@ impl<'q> Scan<'q> {
             Some(y) => format!("{}({y})", q.aggregate.name()),
             None => format!("CNT({})", q.x),
         };
-        let mut series = Series::Keyed(self.keys.iter().cloned().zip(values).collect());
-        apply_order(&mut series, q.order);
+        let mut pairs: Vec<(Key, f64)> = self.keys.iter().cloned().zip(values).collect();
+        apply_order(&mut pairs, q.order);
         Ok(ChartData {
             chart: q.chart,
             x_label: q.x.clone(),
             y_label,
-            series,
+            series: Series::Keyed(pairs),
         })
     }
 }

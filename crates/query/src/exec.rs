@@ -76,11 +76,7 @@ pub fn execute_with(
     };
 
     match (&query.transform, query.aggregate) {
-        (Transform::None, Aggregate::Raw) => {
-            let mut chart = raw_chart(query, x_col, y_col)?;
-            apply_order(&mut chart.series, query.order);
-            Ok(chart)
-        }
+        (Transform::None, Aggregate::Raw) => raw_chart(query, x_col, y_col),
         (Transform::None, agg) => Err(QueryError::Invalid(format!(
             "{} requires a GROUP or BIN transform",
             agg.name()
@@ -92,7 +88,8 @@ pub fn execute_with(
     }
 }
 
-/// Raw (untransformed) chart: pairs of cell values per row.
+/// Raw (untransformed) chart: pairs of cell values per row, ORDER BY
+/// applied.
 fn raw_chart(
     query: &VisQuery,
     x_col: &Column,
@@ -108,18 +105,17 @@ fn raw_chart(
     };
     let series = match x_col.data() {
         // Categorical x: keyed rows.
-        ColumnData::Text(labels) => Series::Keyed(
-            labels
+        ColumnData::Text(labels) => {
+            let mut pairs: Vec<(Key, f64)> = labels
                 .iter()
                 .zip(ys)
                 .filter_map(|(x, y)| Some((Key::Text(x.clone()?), (*y)?)))
-                .collect(),
-        ),
-        // Numeric or temporal x (as Unix seconds): continuous points.
-        ColumnData::Numeric(xs) => points(xs.iter().copied(), ys),
-        ColumnData::Temporal(ts) => {
-            points(ts.iter().map(|t| t.map(|t| t.unix_seconds() as f64)), ys)
+                .collect();
+            apply_order(&mut pairs, query.order);
+            Series::Keyed(pairs)
         }
+        // Numeric or temporal x (at its positions): continuous points.
+        _ => Series::Points(points(x_col, ys, query.order)),
     };
     if series.is_empty() {
         return Err(QueryError::EmptyResult);
@@ -132,20 +128,36 @@ fn raw_chart(
     })
 }
 
-/// The rows where both x and y are non-null, as points.
-fn points(xs: impl Iterator<Item = Option<f64>>, ys: &[Option<f64>]) -> Series {
-    Series::Points(xs.zip(ys).filter_map(|(x, y)| Some((x?, (*y)?))).collect())
+/// The rows where both x and y are non-null, as (x position, y) points
+/// in ORDER BY order. By x, the points follow x's cached order, which is
+/// a stable sort by position; by y, they are sorted descending.
+fn points(x: &Column, ys: &[Option<f64>], order: SortOrder) -> Vec<(f64, f64)> {
+    let point = |row: usize| Some((x.position(row)?, ys[row]?));
+    if order == SortOrder::ByX {
+        if let Some(positions) = x.positions() {
+            return positions.order.iter().filter_map(|&r| point(r)).collect();
+        }
+    }
+    let mut pts: Vec<(f64, f64)> = (0..ys.len()).filter_map(point).collect();
+    if order == SortOrder::ByY {
+        descending_y(&mut pts);
+    }
+    pts
 }
 
-/// Apply the ORDER BY clause in place: X' ascending or Y' descending.
-pub(crate) fn apply_order(series: &mut Series, order: SortOrder) {
-    match (series, order) {
-        (_, SortOrder::None) => {}
-        (Series::Keyed(pairs), SortOrder::ByX) => pairs.sort_by(|a, b| a.0.total_cmp(&b.0)),
-        (Series::Keyed(pairs), SortOrder::ByY) => pairs.sort_by(|a, b| b.1.total_cmp(&a.1)),
-        (Series::Points(pts), SortOrder::ByX) => pts.sort_by(|a, b| a.0.total_cmp(&b.0)),
-        (Series::Points(pts), SortOrder::ByY) => pts.sort_by(|a, b| b.1.total_cmp(&a.1)),
+/// Apply the ORDER BY clause to keyed pairs in place: X' ascending or Y'
+/// descending.
+pub(crate) fn apply_order(pairs: &mut [(Key, f64)], order: SortOrder) {
+    match order {
+        SortOrder::None => {}
+        SortOrder::ByX => pairs.sort_by(|a, b| a.0.total_cmp(&b.0)),
+        SortOrder::ByY => descending_y(pairs),
     }
+}
+
+/// A stable sort by y, descending.
+fn descending_y<K>(pairs: &mut [(K, f64)]) {
+    pairs.sort_by(|a, b| b.1.total_cmp(&a.1));
 }
 
 #[cfg(test)]

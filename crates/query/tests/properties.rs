@@ -21,16 +21,21 @@ fn nullable_table() -> impl Strategy<Value = Table> {
     table_strategy(true)
 }
 
+/// Columns `num`, `cat`, `tem` and `num2`, a second numeric column drawn
+/// from a few values with `0.0` beside `-0.0`, so raw charts between two
+/// numeric columns meet tied x values and signed zeros.
 fn table_strategy(nullable: bool) -> impl Strategy<Value = Table> {
+    const FEW: [f64; 5] = [0.0, -0.0, 1.5, -2.0, 7.0];
     let rows = 1usize..40;
     rows.prop_flat_map(move |n| {
         (
             proptest::collection::vec(-100.0f64..100.0, n),
             proptest::collection::vec(0u8..4, n),
             proptest::collection::vec(0i64..100_000_000, n),
-            proptest::collection::vec(0u8..64, n),
+            proptest::collection::vec(0usize..FEW.len(), n),
+            proptest::collection::vec(any::<u8>(), n),
         )
-            .prop_map(move |(nums, cats, secs, nulls)| {
+            .prop_map(move |(nums, cats, secs, few, nulls)| {
                 // Bits 2c..2c+1 of a row's draw are both clear → column c
                 // is null in that row.
                 let keep = |row: usize, col: u8| !nullable || (nulls[row] >> (2 * col)) & 3 != 0;
@@ -60,6 +65,15 @@ fn table_strategy(nullable: bool) -> impl Strategy<Value = Table> {
                             secs.iter()
                                 .enumerate()
                                 .map(|(r, &s)| keep(r, 2).then(|| Timestamp::from_unix_seconds(s)))
+                                .collect(),
+                        ),
+                    ))
+                    .column(Column::new(
+                        "num2",
+                        ColumnData::Numeric(
+                            few.iter()
+                                .enumerate()
+                                .map(|(r, &i)| cell(r, 3, FEW[i]))
                                 .collect(),
                         ),
                     ))

@@ -353,6 +353,15 @@ const CORPUS: &[(&str, Expect)] = &[
         "ragged_after_quoted_newline.csv",
         Expect::Fails("record on line 4 has 1 fields"),
     ),
+    // Ties, -0 beside 0, a column with empty cells, and timestamps one
+    // second apart beyond 2^53 s, whose positions pair up.
+    (
+        "raw_positions.csv",
+        Expect::Charts(
+            12,
+            &[("when", "Tem", 0), ("b", "Num", 0), ("gaps", "Num", 3)],
+        ),
+    ),
     (
         "thousands_percent_currency.csv",
         Expect::Charts(
