@@ -607,13 +607,14 @@ impl DeepEye {
         prov.set_table(table.name());
         let selector = ProgressiveSelector::new(table, &self.udfs);
         let parallel = self.config.parallel;
-        let (scored, _) = selector.tournament(k, obs, prov, |leaves| {
+        let width = |leaves| {
             if parallel {
                 selector.batch_width(leaves)
             } else {
                 1
             }
-        });
+        };
+        let (scored, _) = selector.tournament(k, obs, prov, width, false);
         scored
             .into_iter()
             .enumerate()

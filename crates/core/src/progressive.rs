@@ -6,10 +6,12 @@
 //! and runs a tournament: a leaf is only materialized when its optimistic
 //! score bound reaches the top of the heap, and materializing a leaf
 //! computes **all** of its charts from one shared scan (§V-B optimization
-//! 1). A leaf's bound uses only what is known before any scan: M ≤ 1,
-//! Q = 0 for raw charts, Q = 1 − d/|X| exactly for a GROUP over d distinct
-//! keys, Q ≤ 1 for a BIN, and the best exact W among its candidates.
-//! Leaves whose bound never surfaces are never scanned at all
+//! 1). A leaf's bound uses no scan of its charts: M ≤ 1, Q = 0 for raw
+//! charts, Q = 1 − d/|X| exactly for a GROUP over d distinct keys, Q ≤ 1
+//! for a BIN, and the best exact W among its candidates. A GROUP leaf
+//! enters the heap with Q ≤ 1 and its column is counted for d only when
+//! that loose bound first surfaces, so it goes back with its exact one.
+//! Leaves whose bound never surfaces are never counted or scanned at all
 //! (optimization 2), and ORDER BY is applied only to the k winners
 //! (optimization 3).
 //!
@@ -83,13 +85,11 @@ struct Candidate {
     w_raw: f64,
 }
 
-/// The candidates of one (x column, transform) and the optimistic bound
-/// on their scores.
+/// The candidates of one (x column, transform).
 struct Leaf {
     column: usize,
     transform: Transform,
     candidates: Vec<Candidate>,
-    bound: f64,
 }
 
 /// Fewest table rows at which the tournament materializes leaves in
@@ -108,15 +108,25 @@ fn composite(m: f64, q: f64, w: f64) -> f64 {
 }
 
 /// Heap entry: either an unmaterialized leaf with an optimistic bound or a
-/// concrete scored node (`id` is its [`VisNode::id`]).
+/// concrete scored node (`id` is its [`VisNode::id`]). A leaf's bound is
+/// [`ProgressiveSelector::bound`] once `counted`, and before that a GROUP
+/// leaf's loose one, which takes its Q as 1.
 ///
 /// Entries pop in [`exhaustive_top_k`]'s order: higher score first, then
 /// lower node id. A leaf pops before a node whose score equals its bound,
 /// because the leaf may hold a chart of that score with a lower id; tied
 /// leaves pop in leaf order.
 enum Entry {
-    Leaf { leaf: usize, bound: f64 },
-    Node { score: f64, id: String, seq: usize },
+    Leaf {
+        leaf: usize,
+        bound: f64,
+        counted: bool,
+    },
+    Node {
+        score: f64,
+        id: String,
+        seq: usize,
+    },
 }
 
 impl Entry {
@@ -153,6 +163,27 @@ impl Ord for Entry {
     }
 }
 
+/// Count every leaf that stands at the top of `heap` on its loose bound,
+/// putting it back with its exact bound `exact(leaf)`, until the top is a
+/// counted leaf, a node, or nothing.
+fn count_surfaced(heap: &mut BinaryHeap<Entry>, exact: impl Fn(usize) -> f64) {
+    while let Some(mut top) = heap.peek_mut() {
+        let Entry::Leaf {
+            leaf,
+            counted: false,
+            ..
+        } = *top
+        else {
+            break;
+        };
+        *top = Entry::Leaf {
+            leaf,
+            bound: exact(leaf),
+            counted: true,
+        };
+    }
+}
+
 /// Progressive top-k selection over a table.
 pub struct ProgressiveSelector<'a> {
     table: &'a Table,
@@ -164,9 +195,9 @@ impl<'a> ProgressiveSelector<'a> {
         ProgressiveSelector { table, udfs }
     }
 
-    /// All canonical candidates as bounded leaves, one per (x column,
-    /// transform) in order of first appearance, and the max raw W that
-    /// normalizes every W.
+    /// All canonical candidates as leaves, one per (x column, transform)
+    /// in order of first appearance, and the max raw W that normalizes
+    /// every W.
     fn leaves(&self) -> (Vec<Leaf>, f64) {
         let queries = canonical_candidates(self.table);
         // Column importance from candidate membership (computable without
@@ -211,37 +242,36 @@ impl<'a> ProgressiveSelector<'a> {
                     column,
                     transform: query.transform.clone(),
                     candidates: Vec::new(),
-                    bound: 0.0,
                 });
                 leaves.len() - 1
             });
             leaves[i].candidates.push(Candidate { query, w_raw });
         }
-        let max_w = max_w.max(1e-12);
-        for leaf in &mut leaves {
-            leaf.bound = self.bound(leaf, max_w);
-        }
-        (leaves, max_w)
+        (leaves, max_w.max(1e-12))
     }
 
-    /// A leaf's optimistic score, from what is known before any scan. M is
-    /// at most 1 for every chart type. Q is 0 for raw charts, at most 1
-    /// for a BIN, and exactly `1 − d/|X|` for a GROUP: its key pass makes
-    /// one group per distinct non-null key, which is how
-    /// [`Column::distinct_count`] counts. W is the leaf's best exact
-    /// weight. Q and the score use [`score_node`](Self::score_node)'s
-    /// expressions, so rounding never puts the bound below a score it
-    /// covers.
-    fn bound(&self, leaf: &Leaf, max_w: f64) -> f64 {
+    /// A leaf's optimistic score, from no scan of its charts. M is at most
+    /// 1 for every chart type. Q is 0 for raw charts, at most 1 for a BIN,
+    /// and exactly `1 − d/|X|` for a GROUP: its key pass makes one group
+    /// per distinct non-null key, which is how [`Column::distinct_count`]
+    /// counts. W is the leaf's best exact weight. Q and the score use
+    /// [`score_node`](Self::score_node)'s expressions, so rounding never
+    /// puts the bound below a score it covers.
+    ///
+    /// Only a GROUP's Q reads its column, so unless `counted` it is taken
+    /// as 1, and the tournament counts the column when the leaf first
+    /// surfaces ([`Entry`]). Each operation of [`composite`] rounds
+    /// monotonically, so that loose bound is no lower than the exact one.
+    fn bound(&self, leaf: &Leaf, max_w: f64, counted: bool) -> f64 {
         let q = match leaf.transform {
             Transform::None => 0.0,
-            Transform::Group => condensation(
+            Transform::Group if counted => condensation(
                 self.table
                     .column(leaf.column)
                     .map_or(0, Column::distinct_count),
                 self.table.row_count(),
             ),
-            Transform::Bin(_) => 1.0,
+            Transform::Group | Transform::Bin(_) => 1.0,
         };
         let w_best = leaf
             .candidates
@@ -290,7 +320,7 @@ impl<'a> ProgressiveSelector<'a> {
         obs: &deepeye_obs::Observer,
         prov: &crate::provenance::Provenance,
     ) -> (Vec<ScoredNode>, SelectionStats) {
-        self.tournament(k, obs, prov, |leaves| self.batch_width(leaves))
+        self.tournament(k, obs, prov, |leaves| self.batch_width(leaves), false)
     }
 
     /// The tournament's batch width: [`par::workers`] over the leaves on a
@@ -304,7 +334,8 @@ impl<'a> ProgressiveSelector<'a> {
     }
 
     /// [`ProgressiveSelector::top_k_explained`] with batches of at most
-    /// `width(leaves)` leaves.
+    /// `width(leaves)` leaves, counting every GROUP leaf's bound before the
+    /// first pop when `count_up_front`.
     ///
     /// When a leaf pops before its charts are ready, the leaves directly
     /// behind it in the heap (up to `width − 1`, stopping at the first node
@@ -316,17 +347,25 @@ impl<'a> ProgressiveSelector<'a> {
     /// batch changes when charts are computed, never which are returned. A
     /// kept leaf's charts are ready by its turn, so no unmaterialized leaf
     /// ever stands behind a ready one.
+    ///
+    /// A leaf on its loose bound is counted whenever it reaches the top,
+    /// first thing in a turn or while a batch gathers, and never pops
+    /// uncounted. Its loose bound is no lower than its exact one, so the
+    /// counted entries pop in the sequence the exact bounds alone give:
+    /// counting late changes what is counted, never what pops.
     pub(crate) fn tournament(
         &self,
         k: usize,
         obs: &deepeye_obs::Observer,
         prov: &crate::provenance::Provenance,
         width: impl Fn(usize) -> usize,
+        count_up_front: bool,
     ) -> (Vec<ScoredNode>, SelectionStats) {
         use crate::provenance::Outcome;
         let _span = obs.span("progressive.top_k");
         let explaining = prov.is_enabled();
         let (leaves, max_w) = self.leaves();
+        let exact = |leaf: usize| self.bound(&leaves[leaf], max_w, true);
         let width = width(leaves.len());
         let mut stats = SelectionStats {
             leaves_total: leaves.len(),
@@ -335,9 +374,13 @@ impl<'a> ProgressiveSelector<'a> {
         let mut heap: BinaryHeap<Entry> = leaves
             .iter()
             .enumerate()
-            .map(|(leaf, l)| Entry::Leaf {
-                leaf,
-                bound: l.bound,
+            .map(|(leaf, l)| {
+                let counted = count_up_front || l.transform != Transform::Group;
+                Entry::Leaf {
+                    leaf,
+                    bound: self.bound(l, max_w, counted),
+                    counted,
+                }
             })
             .collect();
 
@@ -347,6 +390,7 @@ impl<'a> ProgressiveSelector<'a> {
         let mut emitted: Vec<usize> = Vec::new();
         let mut out = Vec::new();
         while out.len() < k {
+            count_surfaced(&mut heap, exact);
             match heap.pop() {
                 None => break,
                 Some(Entry::Node { seq, .. }) => {
@@ -355,7 +399,9 @@ impl<'a> ProgressiveSelector<'a> {
                     }
                     out.push(materialized[seq].clone());
                 }
-                Some(Entry::Leaf { leaf: index, bound }) => {
+                Some(Entry::Leaf {
+                    leaf: index, bound, ..
+                }) => {
                     let leaf = &leaves[index];
                     stats.leaves_materialized += 1;
                     if explaining {
@@ -370,24 +416,30 @@ impl<'a> ProgressiveSelector<'a> {
                     let nodes = match ready[index].take() {
                         Some(nodes) => nodes,
                         None => {
-                            let mut batch = vec![index];
+                            let mut batch = vec![(index, bound)];
                             while batch.len() < width {
-                                let Some(&Entry::Leaf { leaf: next, .. }) = heap.peek() else {
+                                count_surfaced(&mut heap, exact);
+                                let Some(&Entry::Leaf {
+                                    leaf: next, bound, ..
+                                }) = heap.peek()
+                                else {
                                     break;
                                 };
                                 debug_assert!(ready[next].is_none(), "leaf {next} is ready");
                                 heap.pop();
-                                batch.push(next);
+                                batch.push((next, bound));
                             }
-                            let mut charts =
-                                par::map(&batch, width, |&i| self.materialize(&leaves[i], max_w))
-                                    .into_iter();
+                            let mut charts = par::map(&batch, width, |&(i, _)| {
+                                self.materialize(&leaves[i], max_w)
+                            })
+                            .into_iter();
                             let nodes = charts.next().unwrap_or_default();
-                            for (&i, nodes) in batch[1..].iter().zip(charts) {
+                            for (&(i, bound), nodes) in batch[1..].iter().zip(charts) {
                                 ready[i] = Some(nodes);
                                 heap.push(Entry::Leaf {
                                     leaf: i,
-                                    bound: leaves[i].bound,
+                                    bound,
+                                    counted: true,
                                 });
                             }
                             nodes
@@ -415,18 +467,26 @@ impl<'a> ProgressiveSelector<'a> {
 
         // Leaves still in the heap were evicted by their bound: the top-k
         // filled before their optimistic score surfaced, so their charts
-        // were never computed (§V-B optimization 2).
-        let pruned: Vec<usize> = heap
+        // were never computed (§V-B optimization 2). They are recorded in
+        // leaf order, which, unlike the heap's, does not depend on when
+        // bounds were counted; each with its exact bound, counted now if
+        // the leaf never surfaced.
+        let mut pruned: Vec<(usize, Option<f64>)> = heap
             .iter()
-            .filter_map(|e| match e {
-                Entry::Leaf { leaf, .. } => Some(*leaf),
+            .filter_map(|e| match *e {
+                Entry::Leaf {
+                    leaf,
+                    bound,
+                    counted,
+                } => Some((leaf, counted.then_some(bound))),
                 Entry::Node { .. } => None,
             })
             .collect();
         stats.leaves_pruned = pruned.len();
         if explaining {
-            for leaf in pruned.iter().map(|&i| &leaves[i]) {
-                let bound = leaf.bound;
+            pruned.sort_unstable_by_key(|&(leaf, _)| leaf);
+            for (index, bound) in pruned {
+                let (leaf, bound) = (&leaves[index], bound.unwrap_or_else(|| exact(index)));
                 prov.record_rejected(&self.leaf_id(leaf), Outcome::LeafPruned, |e| {
                     e.tournament_score = Some(bound);
                     e.notes.push(format!(
@@ -682,8 +742,9 @@ mod tests {
 
     #[test]
     fn leaf_bounds_cover_their_scores() {
-        // Every realized score is at most its leaf's bound, and a GROUP
-        // leaf's Q is the bound's, bit for bit.
+        // Every realized score is at most its leaf's exact bound, which is
+        // at most the bound the leaf enters the heap with, and a GROUP
+        // leaf's Q is the exact bound's, bit for bit.
         let udfs = UdfRegistry::default();
         for t in [mixed_table(), nullable_table(), one_row_table()] {
             let selector = ProgressiveSelector::new(&t, &udfs);
@@ -696,16 +757,18 @@ mod tests {
             let mut generated = 0;
             for leaf in &leaves {
                 let d = t.column(leaf.column).unwrap().distinct_count();
+                let bound = selector.bound(leaf, max_w, true);
+                let loose = selector.bound(leaf, max_w, false);
+                assert!(bound.total_cmp(&loose).is_le(), "{bound} > {loose}");
                 let nodes = selector.materialize(leaf, max_w);
                 generated += nodes.len();
                 for scored in nodes {
                     assert!(
-                        scored.score.total_cmp(&leaf.bound).is_le(),
-                        "{}: {} scores {} above its leaf's bound {}",
+                        scored.score.total_cmp(&bound).is_le(),
+                        "{}: {} scores {} above its leaf's bound {bound}",
                         t.name(),
                         scored.node.id(),
                         scored.score,
-                        leaf.bound
                     );
                     if leaf.transform == Transform::Group {
                         assert_eq!(
@@ -744,7 +807,7 @@ mod tests {
             let (top, serial) = selector.top_k(k);
             assert_eq!(ids(&top), want, "{} at k = {k}", t.name());
             for width in [1, 2, 3, 8] {
-                let (top, stats) = selector.tournament(k, &obs, &prov, |_| width);
+                let (top, stats) = selector.tournament(k, &obs, &prov, |_| width, false);
                 assert_eq!(ids(&top), want, "{} at k = {k}, width {width}", t.name());
                 assert_eq!(stats, serial, "{} at k = {k}, width {width}", t.name());
             }
@@ -773,6 +836,71 @@ mod tests {
         }
     }
 
+    /// What a tournament decides: its top-k by node id and score bits,
+    /// its stats, and each provenance record's id, outcome and tournament
+    /// score bits, in log order.
+    type Decisions = (
+        Vec<(String, u64)>,
+        SelectionStats,
+        Vec<(String, String, Option<u64>)>,
+    );
+
+    fn decisions(
+        selector: &ProgressiveSelector,
+        k: usize,
+        width: usize,
+        count_up_front: bool,
+    ) -> Decisions {
+        let prov = crate::provenance::Provenance::enabled();
+        let obs = deepeye_obs::Observer::disabled();
+        let (top, stats) = selector.tournament(k, &obs, &prov, |_| width, count_up_front);
+        let records = prov.snapshot().records.into_iter().map(|e| {
+            let outcome = format!("{:?}", e.outcome);
+            (e.id, outcome, e.tournament_score.map(f64::to_bits))
+        });
+        (ids(&top), stats, records.collect())
+    }
+
+    /// At each k in `ks` and batch widths 1, 2, 3 and 8, GROUP bounds
+    /// counted when their leaves surface decide what bounds counted before
+    /// the first pop do.
+    fn lazy_bounds_agree(t: &Table, ks: impl IntoIterator<Item = usize>) {
+        let udfs = UdfRegistry::default();
+        let selector = ProgressiveSelector::new(t, &udfs);
+        for k in ks {
+            for width in [1, 2, 3, 8] {
+                assert_eq!(
+                    decisions(&selector, k, width, false),
+                    decisions(&selector, k, width, true),
+                    "{} at k = {k}, width {width}",
+                    t.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_bounds_materialize_and_prune_as_bounds_counted_up_front() {
+        let udfs = UdfRegistry::default();
+        for t in [mixed_table(), nullable_table(), one_row_table()] {
+            let (everything, _) = exhaustive_top_k(&t, &udfs, usize::MAX);
+            lazy_bounds_agree(&t, 0..=everything.len() + 1);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lazy_bounds_materialize_and_prune_as_bounds_counted_up_front_on_generated_csv(
+            text in crate::csv_text::csv_text()
+        ) {
+            if let Ok(t) = deepeye_data::table_from_csv_str("generated", &text) {
+                lazy_bounds_agree(&t, [0, 1, 3, 10, usize::MAX]);
+            }
+        }
+    }
+
     #[test]
     fn heap_pops_leaves_at_ties_then_nodes_by_id() {
         let node = |score: f64, id: &str| Entry::Node {
@@ -786,11 +914,13 @@ mod tests {
             Entry::Leaf {
                 leaf: 1,
                 bound: 0.5,
+                counted: true,
             },
             node(0.6, "z"),
             Entry::Leaf {
                 leaf: 0,
                 bound: 0.5,
+                counted: false,
             },
         ]);
         let mut order = Vec::new();

@@ -5,7 +5,6 @@ use crate::first_seen::FirstSeen;
 use crate::temporal::Timestamp;
 use crate::value::{DataType, Value};
 use std::fmt;
-use std::hash::Hash;
 use std::sync::OnceLock;
 
 /// Physical storage for one column, chosen to match its semantic type.
@@ -255,21 +254,27 @@ impl Column {
     }
 
     /// Number of distinct non-null values, `d(X)` in feature (1): numbers
-    /// by their bits, so `0.0` and `-0.0` are two values. This is the
-    /// number of groups a GROUP BY makes, counted with the same
-    /// [`FirstSeen`] matching.
+    /// by their bits, so `0.0` and `-0.0` are two values, and timestamps
+    /// by their seconds. This is the number of groups a GROUP BY makes,
+    /// whose [`FirstSeen`] matches keys the same way. Numbers and
+    /// timestamps are counted by sorting a copy of their keys and
+    /// counting the runs, text with a [`FirstSeen`].
     pub fn distinct_count(&self) -> usize {
-        fn count<K: Clone + Eq + Hash>(keys: impl Iterator<Item = K>) -> usize {
-            let mut seen = FirstSeen::new();
-            keys.for_each(|k| {
-                seen.code(k);
-            });
-            seen.len()
+        fn runs<K: Ord>(mut keys: Vec<K>) -> usize {
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
         }
         match &self.data {
-            ColumnData::Numeric(v) => count(v.iter().flatten().map(|x| x.to_bits())),
-            ColumnData::Text(v) => count(v.iter().flatten().map(String::as_str)),
-            ColumnData::Temporal(v) => count(v.iter().flatten()),
+            ColumnData::Numeric(v) => runs(v.iter().flatten().map(|x| x.to_bits()).collect()),
+            ColumnData::Temporal(v) => runs(v.iter().flatten().map(|t| t.unix_seconds()).collect()),
+            ColumnData::Text(v) => {
+                let mut seen = FirstSeen::new();
+                v.iter().flatten().for_each(|s| {
+                    seen.code(s.as_str());
+                });
+                seen.len()
+            }
         }
     }
 
@@ -369,6 +374,75 @@ mod tests {
         assert_eq!(c.min_scalar(), Some(a.unix_seconds() as f64));
         assert_eq!(c.max_scalar(), Some(b.unix_seconds() as f64));
         assert_eq!(c.timestamps().len(), 3);
+    }
+
+    #[test]
+    fn sorted_distinct_counts_equal_first_seen_counts() {
+        fn first_seen<K: Clone + Eq + std::hash::Hash>(keys: impl Iterator<Item = K>) -> usize {
+            let mut seen = FirstSeen::new();
+            keys.for_each(|k| {
+                seen.code(k);
+            });
+            seen.len()
+        }
+        // Nulls, both zeros, NaNs of four bit patterns and infinities,
+        // then enough repeats to take `FirstSeen` past its linear scan.
+        let nans = [
+            0x7ff8_0000_0000_0000,
+            0x7ff8_0000_0000_0001,
+            0xfff8_0000_0000_0000,
+            0x7ff0_0000_0000_0001,
+        ]
+        .map(f64::from_bits);
+        let mut cells = vec![
+            None,
+            Some(0.0),
+            Some(-0.0),
+            None,
+            Some(0.0),
+            Some(f64::INFINITY),
+        ];
+        cells.extend(nans.iter().chain(&nans).map(|&x| Some(x)));
+        cells.extend((0..100).map(|i| (i % 7 != 0).then_some(f64::from(i % 37) * -0.5)));
+        let numbers = Column::new("n", ColumnData::Numeric(cells.clone()));
+        let want = first_seen(cells.iter().flatten().map(|x| x.to_bits()));
+        assert_eq!(numbers.distinct_count(), want);
+        assert_eq!(
+            want,
+            3 + 4 + 36,
+            "0.0, -0.0, ∞, four NaNs, 36 more negatives"
+        );
+
+        // Seconds beyond ±2^53 that share one `f64` position stay apart.
+        let big = 1i64 << 53;
+        let seconds = [
+            big,
+            big + 1,
+            -big,
+            -big - 1,
+            i64::MAX,
+            i64::MAX - 1,
+            i64::MIN,
+            0,
+            big,
+        ];
+        let mut stamps: Vec<Option<Timestamp>> = seconds
+            .iter()
+            .map(|&s| Some(Timestamp::from_unix_seconds(s)))
+            .collect();
+        stamps.push(None);
+        stamps.extend((0..60).map(|i| Some(Timestamp::from_unix_seconds(i % 23 * 3_600))));
+        let times = Column::new("t", ColumnData::Temporal(stamps.clone()));
+        let want = first_seen(stamps.iter().flatten().copied());
+        assert_eq!(times.distinct_count(), want);
+        assert_eq!(want, 8 + 23 - 1);
+        let positions = first_seen(
+            stamps
+                .iter()
+                .flatten()
+                .map(|t| (t.unix_seconds() as f64).to_bits()),
+        );
+        assert!(positions < want, "{positions} positions, {want} timestamps");
     }
 
     #[test]

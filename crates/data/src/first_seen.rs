@@ -1,9 +1,11 @@
 //! Dense codes for distinct keys, in first-seen order.
 //!
-//! [`Column::distinct_count`](crate::Column::distinct_count) and the query
-//! executor's GROUP, UDF and calendar-year buckets all number distinct
-//! keys with a [`FirstSeen`], so they agree on what "distinct" means and
-//! hash the same way.
+//! The query executor's GROUP, UDF and calendar-year buckets number
+//! distinct keys with a [`FirstSeen`], and
+//! [`Column::distinct_count`](crate::Column::distinct_count) counts text
+//! with one. It counts numbers and timestamps by sorting their keys
+//! instead, with the equality a GROUP's [`FirstSeen`] uses (a number's
+//! bits, a timestamp's seconds), so the count is the number of groups.
 
 use std::collections::HashMap;
 use std::hash::Hash;

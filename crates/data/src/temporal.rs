@@ -440,7 +440,59 @@ fn parse_date_token(s: &str) -> Option<Civil> {
 /// Bare 4-digit integers in `[1500, 2100]` are treated as years only by
 /// [`parse_timestamp_loose`]; this strict variant rejects them so that
 /// numeric columns containing values like `2000` are not misdetected.
+///
+/// Two kinds of cell are answered in one scan, with the result the
+/// general parser gives them. One is the fixed-width ISO shape
+/// `YYYY-MM-DD`, optionally followed by `T` or a space and `HH:MM` or
+/// `HH:MM:SS`, when its fields make a real date and time. The other is
+/// ASCII text with none of `-`, `/`, `:`, `,` or whitespace (as
+/// [`char::is_whitespace`] has it, so U+000B counts), which no accepted
+/// format can be: a date token needs `-` or `/`, a time needs `:`, and
+/// the month-name forms need three words. Every other string goes
+/// through the general parser.
 pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
+    let s = s.trim();
+    if let Some(t) = fixed_width_iso(s) {
+        return Some(t);
+    }
+    let separator = |b: u8| matches!(b, b'-' | b'/' | b':' | b',') || char::from(b).is_whitespace();
+    if s.bytes().all(|b| b.is_ascii() && !separator(b)) {
+        return None;
+    }
+    parse_general(s)
+}
+
+/// `YYYY-MM-DD`, optionally followed by `T` or a space and then `HH:MM`
+/// or `HH:MM:SS`, every field all ASCII digits: the timestamp, when the
+/// fields make a real date and time, and `None` otherwise. On such a
+/// string the general parser splits the same fields at the same places.
+fn fixed_width_iso(s: &str) -> Option<Timestamp> {
+    let b = s.as_bytes();
+    if !matches!(b.len(), 10 | 16 | 19) || b[4] != b'-' || b[7] != b'-' {
+        return None;
+    }
+    // The two digits at `at` as a number.
+    let two = |at: usize| {
+        let digit = |i: usize| b[i].is_ascii_digit().then(|| b[i] - b'0');
+        Some(digit(at)? * 10 + digit(at + 1)?)
+    };
+    let (hour, minute, second) = if b.len() == 10 {
+        (0, 0, 0)
+    } else {
+        let seconds = b.len() == 19;
+        if !matches!(b[10], b'T' | b' ') || b[13] != b':' || (seconds && b[16] != b':') {
+            return None;
+        }
+        (two(11)?, two(14)?, if seconds { two(17)? } else { 0 })
+    };
+    let year = i32::from(two(0)?) * 100 + i32::from(two(2)?);
+    Civil::new(year, two(5)?, two(8)?, hour, minute, second).map(Timestamp::from_civil)
+}
+
+/// The general parser: every accepted format, tried in turn. It answers
+/// what [`parse_timestamp`] does not answer in one scan, and is the
+/// reference its tests compare it with.
+fn parse_general(s: &str) -> Option<Timestamp> {
     let s = s.trim();
     if s.is_empty() {
         return None;
@@ -510,6 +562,8 @@ pub(crate) fn parse_bare_year(s: &str) -> Option<Timestamp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::{collection, prop_assert_eq};
 
     fn ts(y: i32, mo: u8, d: u8, h: u8, mi: u8, s: u8) -> Timestamp {
         Timestamp::from_civil(Civil::new(y, mo, d, h, mi, s).unwrap())
@@ -646,6 +700,174 @@ mod tests {
             "01-Jan-3000000000",
         ] {
             assert_eq!(parse_timestamp(s), None, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn month_names_split_at_commas_and_any_whitespace() {
+        // U+000B is whitespace to `char::is_whitespace`, not to
+        // `u8::is_ascii_whitespace`.
+        for s in [
+            "Jan\u{B}5\u{B}2015",
+            "Jan\u{A0}5,\u{C}2015",
+            "5\u{B}Jan\u{B}2015",
+            "Jan,5,2015",
+        ] {
+            assert_eq!(parse_timestamp(s), Some(ts(2015, 1, 5, 0, 0, 0)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn fixed_width_iso_shapes_match_the_general_parser() {
+        for (s, want) in [
+            ("2015-01-01 18:01:00", Some(ts(2015, 1, 1, 18, 1, 0))),
+            ("\t2015-01-01T18:01\u{A0}", Some(ts(2015, 1, 1, 18, 1, 0))),
+            ("0000-02-29", Some(ts(0, 2, 29, 0, 0, 0))),
+            ("2015-02-29", None),
+            ("2015-01-01 24:00", None),
+            ("2015-01-01 23:60", None),
+            ("2015-01-01T23:59:60", None),
+            ("2015-01-01 23:59Z", None),
+            ("2015-01-01x23:59", None),
+            ("2015-01-01  23:59", Some(ts(2015, 1, 1, 23, 59, 0))),
+            ("2015-1-01 23:59:5", Some(ts(2015, 1, 1, 23, 59, 5))),
+            ("20150101", None),
+            ("12.5", None),
+        ] {
+            assert_eq!(parse_timestamp(s), want, "{s:?}");
+            assert_eq!(parse_general(s), want, "{s:?}");
+        }
+    }
+
+    /// `digits(lo, hi)`: `lo` to `hi` ASCII digits.
+    fn digits(lo: usize, hi: usize) -> impl Strategy<Value = String> {
+        collection::vec(b'0'..=b'9', lo..hi + 1).prop_map(|d| String::from_utf8(d).unwrap())
+    }
+
+    /// A field of a near-ISO string: mostly a value in `1..=max` padded to
+    /// `width` digits, else `width` or 1–5 random digits, or a value that
+    /// makes an edge or impossible date or time.
+    fn field(width: usize, max: u16) -> impl Strategy<Value = String> {
+        const EDGES: [&str; 18] = [
+            "0000", "1900", "2000", "2015", "2016", "00", "01", "02", "12", "13", "23", "24", "28",
+            "29", "30", "31", "59", "60",
+        ];
+        let valid = move || (1..=max).prop_map(move |n| format!("{n:0width$}"));
+        prop_oneof![
+            valid(),
+            valid(),
+            valid(),
+            valid(),
+            digits(width, width),
+            digits(1, 5),
+            (0..EDGES.len()).prop_map(|i| EDGES[i].to_owned()),
+        ]
+    }
+
+    /// A separator: mostly `usual`, else any of `- / : T`, space or `x`.
+    fn separator(usual: &'static str) -> impl Strategy<Value = &'static str> {
+        const ANY: [&str; 6] = ["-", "/", ":", "T", " ", "x"];
+        prop_oneof![
+            Just(usual),
+            Just(usual),
+            Just(usual),
+            (0..ANY.len()).prop_map(|i| ANY[i])
+        ]
+    }
+
+    /// Up to two characters of U+0009–U+000D, U+0020 or U+00A0.
+    fn padding() -> impl Strategy<Value = String> {
+        const WHITE: [char; 7] = ['\t', '\n', '\u{B}', '\u{C}', '\r', ' ', '\u{A0}'];
+        collection::vec(0..WHITE.len(), 0..3)
+            .prop_map(|v| v.into_iter().map(|i| WHITE[i]).collect())
+    }
+
+    /// `YYYY-MM-DD[T ]HH:MM:SS` cut after 1–6 fields, each field and
+    /// separator sometimes off its shape, sometimes with a trailing `Z`,
+    /// inside whitespace.
+    fn near_iso() -> impl Strategy<Value = String> {
+        (
+            (
+                field(4, 9_999),
+                field(2, 12),
+                field(2, 28),
+                field(2, 23),
+                field(2, 59),
+                field(2, 59),
+            ),
+            (
+                separator("-"),
+                separator("-"),
+                prop_oneof![Just("T"), separator(" ")],
+                separator(":"),
+                separator(":"),
+            ),
+            prop_oneof![Just(3usize), Just(5), Just(6), 1usize..7],
+            prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+            (padding(), padding()),
+        )
+            .prop_map(|(f, p, n, zulu, (lead, trail))| {
+                let fields = [f.0, f.1, f.2, f.3, f.4, f.5];
+                let seps = [p.0, p.1, p.2, p.3, p.4];
+                let mut s = lead;
+                s.push_str(&fields[0]);
+                for i in 1..n {
+                    s.push_str(seps[i - 1]);
+                    s.push_str(&fields[i]);
+                }
+                if zulu {
+                    s.push('Z');
+                }
+                s + &trail
+            })
+    }
+
+    #[test]
+    fn near_iso_strings_reach_every_path() {
+        // The property below is only as strong as its strings: they must
+        // reach the fixed-width answer, the general parser's dates, and
+        // rejects at the fixed widths and at others.
+        let (strategy, mut rng) = (near_iso(), TestRng::deterministic("near_iso"));
+        let mut reached = [0usize; 4];
+        for _ in 0..4_096 {
+            let s = strategy.generate(&mut rng);
+            let t = s.trim();
+            let path = match (fixed_width_iso(t), parse_general(t)) {
+                (Some(_), _) => 0,
+                (None, Some(_)) => 1,
+                (None, None) if matches!(t.len(), 10 | 16 | 19) => 2,
+                (None, None) => 3,
+            };
+            reached[path] += 1;
+        }
+        assert!(reached.iter().all(|&n| n >= 100), "{reached:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+        #[test]
+        fn parse_timestamp_equals_the_general_parser_near_iso(s in near_iso()) {
+            prop_assert_eq!(parse_timestamp(&s), parse_general(&s), "{:?}", s);
+        }
+
+        #[test]
+        fn parse_timestamp_equals_the_general_parser_on_ascii(
+            bytes in collection::vec(0u8..128, 0..24)
+        ) {
+            let s = String::from_utf8(bytes).unwrap();
+            prop_assert_eq!(parse_timestamp(&s), parse_general(&s), "{:?}", s);
+        }
+
+        #[test]
+        fn parse_timestamp_equals_the_general_parser_on_unicode(
+            chars in collection::vec(
+                prop_oneof![0u32..0x80, 0u32..0x3000, 0u32..0x11_0000, digits(1, 1).prop_map(|d| u32::from(d.as_bytes()[0]))],
+                0..24
+            )
+        ) {
+            let s: String = chars.into_iter().filter_map(char::from_u32).collect();
+            prop_assert_eq!(parse_timestamp(&s), parse_general(&s), "{:?}", s);
         }
     }
 

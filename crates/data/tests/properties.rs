@@ -48,8 +48,10 @@ proptest! {
     }
 
     /// Type detection is total and parsing never changes the column length.
+    /// Cells reach the 16- and 19-character ISO shapes
+    /// (`YYYY-MM-DD HH:MM:SS`, with `T` or a space).
     #[test]
-    fn detect_parse_total(cells in vec("[a-z0-9./: -]{0,12}", 0..40)) {
+    fn detect_parse_total(cells in vec("[a-zT0-9./: -]{0,20}", 0..40)) {
         let (ty, data) = detect_and_parse(&cells);
         prop_assert_eq!(data.len(), cells.len());
         prop_assert_eq!(data.data_type(), ty);

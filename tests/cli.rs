@@ -319,6 +319,12 @@ const CORPUS: &[(&str, Expect)] = &[
     ),
     // `55" wide`: a quote after a field's first byte is a literal.
     ("inch_marks.csv", Expect::Charts(3, &[("size", "Cat", 0)])),
+    // Dates just off the fixed-width ISO shapes, one split by U+000B,
+    // all parsed; impossible ISO dates and times, none parsed.
+    (
+        "iso_near_misses.csv",
+        Expect::Charts(14, &[("when", "Tem", 0), ("label", "Cat", 0)]),
+    ),
     // Latin-1 bytes, not UTF-8.
     (
         "latin1.csv",
