@@ -11,13 +11,10 @@
 // lints are relaxed here.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_bench::efficiency::DatasetRun;
 use deepeye_bench::fmt::{ms, TextTable};
 use deepeye_bench::{efficiency, scale_from_env};
-use deepeye_core::ProgressiveSelector;
 use deepeye_datagen::{build_table, test_specs, PerceptionOracle};
 use deepeye_obs::Observer;
-use deepeye_query::UdfRegistry;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -27,8 +24,6 @@ fn main() -> ExitCode {
     eprintln!("(offline) training learning-to-rank model …");
     let ltr = efficiency::offline_ltr(scale.min(0.1), &oracle);
     let obs = Observer::enabled();
-    let udfs = UdfRegistry::default();
-    let mut runs: Vec<DatasetRun> = Vec::new();
     let mut findings_inverted = 0usize;
 
     let mut t = TextTable::new([
@@ -49,15 +44,6 @@ fn main() -> ExitCode {
             table.row_count()
         );
         let bars = efficiency::run_table_observed(&table, &ltr, 10, &obs);
-        // The §V-B tournament on the same table, so the export's
-        // progressive.* counters (leaves pruned/materialized) describe
-        // this run's datasets.
-        ProgressiveSelector::new(&table, &udfs).top_k_observed(10, &obs);
-        runs.push(DatasetRun {
-            name: format!("X{}", i + 1),
-            rows: table.row_count(),
-            bars: bars.clone(),
-        });
         for bar in &bars {
             t.row([
                 format!("X{}", i + 1),
@@ -93,16 +79,6 @@ fn main() -> ExitCode {
         if !path.is_empty() {
             std::fs::write(&path, obs.chrome_trace_json()).expect("write trace file");
             eprintln!("wrote Chrome trace to {path}");
-        }
-    }
-    // DEEPEYE_BENCH_OUT=<path> exports the machine-readable results:
-    // per-dataset bar timings plus the observer counters (including the
-    // progressive tournament's leaves_pruned) and stage aggregates.
-    if let Ok(path) = std::env::var("DEEPEYE_BENCH_OUT") {
-        if !path.is_empty() {
-            let json = efficiency::bench_json(scale, &runs, &obs.snapshot());
-            std::fs::write(&path, json).expect("write bench file");
-            eprintln!("wrote machine-readable results to {path}");
         }
     }
     // Tiny scales are dominated by constant costs, so an inverted finding

@@ -3,15 +3,12 @@
 //! table's CSV bytes, then runs `recommend` and `recommend_progressive`.
 //! Every stage sample is read from the span that stage opens
 //! (`deepeye_bench::perf::STAGES`), and the run writes the versioned
-//! `BENCH_results.json` document that `perfgate` diffs and `trace_check
-//! --bench --budgets` validates.
+//! `BENCH_results.json` document that `perfgate` reads.
 //!
-//! Usage: `harness [--smoke] [--out <path>] [--warmup N] [--reps N]
-//! [--stacks <path>] [--flame <path>]`
+//! Usage: `harness [--smoke] [--out <path>] [--warmup N] [--reps N]`
 //!
-//! `--smoke` keeps only the smallest scenario (CI mode). `--stacks` /
-//! `--flame` additionally export the run's span tree as a folded-stack
-//! file / self-contained flame SVG.
+//! `--smoke` keeps only the smallest scenario (CI mode). For a flame view
+//! of a run, the CLI's `--flame-out` renders the span tree of any command.
 
 use deepeye_bench::perf::{results_json, run_scenario, scenario_matrix, Models, STAGES};
 use deepeye_obs::Observer;
@@ -22,8 +19,6 @@ struct Args {
     out: String,
     warmup: usize,
     reps: usize,
-    stacks: Option<String>,
-    flame: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -32,8 +27,6 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_results.json".to_owned(),
         warmup: 1,
         reps: 5,
-        stacks: None,
-        flame: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -55,18 +48,10 @@ fn parse_args() -> Result<Args, String> {
                 }
                 parsed.reps = reps;
             }
-            "--stacks" => parsed.stacks = Some(value("--stacks")?),
-            "--flame" => parsed.flame = Some(value("--flame")?),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(parsed)
-}
-
-fn write(path: &str, text: &str, what: &str) -> Result<(), String> {
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("harness: wrote {what} to {path}");
-    Ok(())
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -90,13 +75,10 @@ fn run(args: &Args) -> Result<(), String> {
         runs.push(run_scenario(&spec, &eye, &STAGES, args.warmup, args.reps)?);
     }
 
-    write(&args.out, &results_json(&runs, &obs.snapshot()), "results")?;
-    if let Some(path) = &args.stacks {
-        write(path, &obs.folded_stacks(), "folded stacks")?;
-    }
-    if let Some(path) = &args.flame {
-        write(path, &obs.flame_svg(), "flame SVG")?;
-    }
+    let out = &args.out;
+    std::fs::write(out, results_json(&runs, &obs.snapshot()))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    eprintln!("harness: wrote results to {out}");
     println!("{}", obs.snapshot().stage_report());
     Ok(())
 }
@@ -106,10 +88,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("harness: {e}");
-            eprintln!(
-                "usage: harness [--smoke] [--out <path>] [--warmup N] [--reps N] \
-                 [--stacks <path>] [--flame <path>]"
-            );
+            eprintln!("usage: harness [--smoke] [--out <path>] [--warmup N] [--reps N]");
             return ExitCode::FAILURE;
         }
     };

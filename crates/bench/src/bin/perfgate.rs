@@ -1,41 +1,39 @@
-//! The perf-regression gate: compare two `harness` result documents
-//! (baseline vs current) with noise-aware thresholds and exit nonzero
-//! when any (scenario, stage) median regressed past its allowance —
-//! naming the scenario, stage, and span in the verdict. Documents of
-//! different schema versions are refused, not compared.
+//! The perf gate: the one reader of `harness` documents. It validates a
+//! baseline and a current document, checks the current run's stage
+//! budgets, compares the (scenario, stage) medians with noise-aware
+//! thresholds, and says where the time went — naming the scenario, stage,
+//! and span of every regression.
 //!
 //! Usage: `perfgate <baseline.json> <current.json>
-//! [--scenarios a,b] [--rel FRAC] [--iqr-mult X] [--floor-ns N]`
+//! [--scenarios a,b] [--rel FRAC] [--iqr-mult X] [--floor-ns N] [--github]`
 //!
 //! A stage regresses when `current_median > baseline_median +
 //! max(rel × baseline_median, iqr_mult × max(IQRs), floor_ns)` — see
-//! `deepeye_bench::perf::GateConfig` for the rationale behind each term.
+//! `deepeye_bench::diff::GateConfig` for the rationale behind each term.
+//! The report lists the largest stage deltas, the span paths whose self
+//! time moved the most (when both runs covered the same scenarios and
+//! passes), and a headline naming the path below a regressed stage that
+//! grew the most; `--github` adds the headline and the top significant
+//! stages as `::notice` workflow commands.
 //!
-//! `--scenarios` restricts the gate to a baseline subset, so a smoke
-//! run can gate against a full-matrix baseline without tripping the
-//! lost-coverage error. `perfdiff` attributes a failure to the span
-//! paths that grew.
+//! `--scenarios` restricts the comparison to a baseline subset, so a smoke
+//! run can gate against a full-matrix baseline. The exit status is 1 on a
+//! regression, a budget violation, an in-scope (scenario, stage) pair the
+//! current run lacks, a scenario the baseline lacks, or an unreadable or
+//! invalid document.
 
-// Experiment drivers are report scripts: aborting on a broken
-// invariant is the right behavior, so the workspace unwrap/panic
-// lints are relaxed here.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
-use deepeye_bench::perf::{perf_gate_scoped, GateConfig};
+use deepeye_bench::diff::{diff_runs, GateConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut cfg = GateConfig::default();
     let mut paths: Vec<String> = Vec::new();
     let mut scenarios: Option<Vec<String>> = None;
+    let mut github = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| match args.next() {
-            Some(v) => Ok(v),
-            None => Err(format!("{flag} needs a value")),
-        };
         let parsed = match arg.as_str() {
-            "--scenarios" => value("--scenarios").map(|v| {
+            "--scenarios" => value(&arg, args.next()).map(|v: String| {
                 scenarios = Some(
                     v.split(',')
                         .map(str::trim)
@@ -44,21 +42,13 @@ fn main() -> ExitCode {
                         .collect(),
                 );
             }),
-            "--rel" => value("--rel").and_then(|v| {
-                v.parse()
-                    .map(|r| cfg.rel = r)
-                    .map_err(|e| format!("--rel: {e}"))
-            }),
-            "--iqr-mult" => value("--iqr-mult").and_then(|v| {
-                v.parse()
-                    .map(|m| cfg.iqr_mult = m)
-                    .map_err(|e| format!("--iqr-mult: {e}"))
-            }),
-            "--floor-ns" => value("--floor-ns").and_then(|v| {
-                v.parse()
-                    .map(|f| cfg.floor_ns = f)
-                    .map_err(|e| format!("--floor-ns: {e}"))
-            }),
+            "--rel" => value(&arg, args.next()).map(|r| cfg.rel = r),
+            "--iqr-mult" => value(&arg, args.next()).map(|m| cfg.iqr_mult = m),
+            "--floor-ns" => value(&arg, args.next()).map(|f| cfg.floor_ns = f),
+            "--github" => {
+                github = true;
+                Ok(())
+            }
             _ => {
                 paths.push(arg);
                 Ok(())
@@ -76,38 +66,54 @@ fn main() -> ExitCode {
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     let report = read(baseline_path)
         .and_then(|baseline| read(current_path).map(|current| (baseline, current)))
-        .and_then(|(baseline, current)| {
-            perf_gate_scoped(&baseline, &current, &cfg, scenarios.as_deref())
-        });
-    match report {
-        Ok(report) => {
-            println!(
-                "perfgate: compared {} stage(s) (rel {}, iqr-mult {}, floor {} ns)",
-                report.compared, cfg.rel, cfg.iqr_mult, cfg.floor_ns
-            );
-            if report.regressions.is_empty() {
-                println!("perfgate: OK — no regressions");
-                ExitCode::SUCCESS
-            } else {
-                for r in &report.regressions {
-                    eprintln!("perfgate: {}", r.describe());
-                }
-                eprintln!("perfgate: {} regression(s)", report.regressions.len());
-                ExitCode::FAILURE
-            }
-        }
+        .and_then(|(baseline, current)| diff_runs(&baseline, &current, &cfg, scenarios.as_deref()));
+    let report = match report {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("perfgate: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
+        }
+    };
+    print!("{}", report.render());
+    if github {
+        for notice in report.github_notices() {
+            println!("{notice}");
         }
     }
+    let failures = report.failures();
+    for failure in &failures {
+        eprintln!("perfgate: {failure}");
+    }
+    if failures.is_empty() {
+        println!(
+            "perfgate: OK — {} stage(s) compared (rel {}, iqr-mult {}, floor {} ns), \
+             no regression, every median within budget",
+            report.stages.len(),
+            cfg.rel,
+            cfg.iqr_mult,
+            cfg.floor_ns
+        );
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("perfgate: {} failure(s)", failures.len());
+        ExitCode::FAILURE
+    }
+}
+
+/// The value after `flag`, parsed.
+fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = next.ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfgate <baseline.json> <current.json> \
          [--scenarios a,b] \
-         [--rel FRAC] [--iqr-mult X] [--floor-ns N]"
+         [--rel FRAC] [--iqr-mult X] [--floor-ns N] [--github]"
     );
     ExitCode::FAILURE
 }

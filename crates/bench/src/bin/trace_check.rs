@@ -10,21 +10,15 @@
 //! - Provenance files (`--provenance-out`): schema, known outcomes, the
 //!   tournament leaf invariant, and hybrid scores that recompute from
 //!   their recorded parts.
-//! - Bench results (`--bench`, from `harness` or `fig12_efficiency`'s
-//!   `DEEPEYE_BENCH_OUT`): versioned schema, stage rows naming their
-//!   spans, internally consistent robust timings.
-//! - Stage budgets (`--budgets`): a harness document's per-stage medians
-//!   against the ceilings of the stage table (`deepeye_bench::perf::STAGES`).
 //!
 //! Usage: `trace_check [<trace.json> ...] [--metrics <metrics.json>]...
-//! [--provenance <prov.json>]... [--bench <bench.json>]...
-//! [--budgets <bench.json>]...`
+//! [--provenance <prov.json>]...`
 //!
 //! Exits nonzero (via `ExitCode`, so the workspace `clippy::exit` lint
 //! stays intact) if any file fails validation — CI runs this against the
-//! quickstart example's exports.
+//! quickstart example's and the CLI's exports. `harness` documents have
+//! their own reader, `perfgate`.
 
-use deepeye_bench::perf::{check_budgets, validate_bench_json};
 use deepeye_core::validate_provenance_json;
 use deepeye_obs::{validate_chrome_trace, validate_metrics_json};
 use std::process::ExitCode;
@@ -33,8 +27,6 @@ enum Kind {
     Trace,
     Metrics,
     Provenance,
-    Bench,
-    Budgets,
 }
 
 fn main() -> ExitCode {
@@ -48,14 +40,6 @@ fn main() -> ExitCode {
             },
             "--provenance" => match args.next() {
                 Some(path) => jobs.push((Kind::Provenance, path)),
-                None => return usage(),
-            },
-            "--bench" => match args.next() {
-                Some(path) => jobs.push((Kind::Bench, path)),
-                None => return usage(),
-            },
-            "--budgets" => match args.next() {
-                Some(path) => jobs.push((Kind::Budgets, path)),
                 None => return usage(),
             },
             _ => jobs.push((Kind::Trace, arg)),
@@ -123,33 +107,6 @@ fn main() -> ExitCode {
                     failed = true;
                 }
             },
-            Kind::Bench => match validate_bench_json(&text) {
-                Ok(summary) => {
-                    println!(
-                        "{path}: ok — {} with {} scenario(s), {} stage row(s)",
-                        summary.experiment, summary.scenarios, summary.stage_rows
-                    );
-                }
-                Err(e) => {
-                    eprintln!("{path}: INVALID — {e}");
-                    failed = true;
-                }
-            },
-            Kind::Budgets => match check_budgets(&text) {
-                Ok(violations) if violations.is_empty() => {
-                    println!("{path}: ok — all stage medians within budget");
-                }
-                Ok(violations) => {
-                    for v in &violations {
-                        eprintln!("{path}: {v}");
-                    }
-                    failed = true;
-                }
-                Err(e) => {
-                    eprintln!("{path}: INVALID — {e}");
-                    failed = true;
-                }
-            },
         }
     }
     if failed {
@@ -162,8 +119,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: trace_check [<trace.json> ...] [--metrics <metrics.json>]... \
-         [--provenance <prov.json>]... [--bench <bench.json>]... \
-         [--budgets <bench.json>]..."
+         [--provenance <prov.json>]..."
     );
     ExitCode::FAILURE
 }

@@ -182,64 +182,6 @@ pub fn offline_ltr(scale: f64, oracle: &PerceptionOracle) -> LtrRanker {
     LtrRanker::fit(&groups)
 }
 
-/// One dataset's Figure-12 results, for the machine-readable export.
-#[derive(Debug, Clone)]
-pub struct DatasetRun {
-    pub name: String,
-    pub rows: usize,
-    pub bars: Vec<EfficiencyBar>,
-}
-
-/// The machine-readable `BENCH_efficiency.json` document: per-dataset bar
-/// timings plus the observer's counters and per-path stage aggregates
-/// from the same run (so `progressive.leaves_pruned` et al. land next to
-/// the wall-clock numbers they explain). Written by `fig12_efficiency`
-/// when `DEEPEYE_BENCH_OUT` is set.
-pub fn bench_json(scale: f64, datasets: &[DatasetRun], snapshot: &deepeye_obs::Snapshot) -> String {
-    use deepeye_obs::json::escape;
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema\": \"{}\",\n",
-        crate::perf::BENCH_SCHEMA
-    ));
-    out.push_str("  \"experiment\": \"fig12_efficiency\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str("  \"datasets\": [");
-    for (i, d) in datasets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"rows\": {}, \"bars\": [",
-            escape(&d.name),
-            d.rows
-        ));
-        for (j, b) in d.bars.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"config\": \"{}\", \"enumerate_ns\": {}, \"select_ns\": {}, \
-                 \"total_ns\": {}, \"candidates\": {}, \"annotation\": \"{}\"}}",
-                b.label(),
-                b.enumerate_time.as_nanos(),
-                b.select_time.as_nanos(),
-                b.total().as_nanos(),
-                b.candidates,
-                escape(&b.annotation())
-            ));
-        }
-        out.push_str("]}");
-    }
-    if !datasets.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str(&snapshot.json_members());
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,48 +230,6 @@ mod tests {
             assert!(bar.total() > Duration::ZERO);
             assert!(bar.candidates > 0);
         }
-    }
-
-    #[test]
-    fn bench_json_is_valid_and_carries_counters() {
-        let oracle = PerceptionOracle::default();
-        let ltr = offline_ltr(0.03, &oracle);
-        let table = flight_table(4, 200);
-        let obs = Observer::enabled();
-        let bars = run_table_observed(&table, &ltr, 5, &obs);
-        // The progressive tournament (run separately by the driver) feeds
-        // the pruning counters the export carries.
-        let udfs = UdfRegistry::default();
-        deepeye_core::ProgressiveSelector::new(&table, &udfs).top_k_observed(5, &obs);
-        let runs = vec![DatasetRun {
-            name: "X1".into(),
-            rows: table.row_count(),
-            bars,
-        }];
-        let text = bench_json(0.03, &runs, &obs.snapshot());
-        let summary = crate::perf::validate_bench_json(&text).expect("versioned schema validates");
-        assert_eq!(summary.experiment, "fig12_efficiency");
-        assert_eq!(summary.scenarios, 1);
-        let doc = deepeye_obs::parse_json(&text).expect("valid JSON");
-        let datasets = doc
-            .get("datasets")
-            .and_then(deepeye_obs::Json::as_array)
-            .expect("datasets");
-        assert_eq!(datasets.len(), 1);
-        let bars = datasets[0]
-            .get("bars")
-            .and_then(deepeye_obs::Json::as_array)
-            .expect("bars");
-        assert_eq!(bars.len(), 4);
-        assert_eq!(
-            bars[0].get("config").and_then(deepeye_obs::Json::as_str),
-            Some("EL")
-        );
-        let counters = doc.get("counters").expect("counters");
-        assert!(counters
-            .get("progressive.leaves_total")
-            .and_then(deepeye_obs::Json::as_f64)
-            .is_some_and(|v| v >= 1.0));
     }
 
     #[test]

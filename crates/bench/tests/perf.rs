@@ -3,15 +3,14 @@
 //! runner as the `harness` binary, and the resulting artifacts must
 //! satisfy the layer's contract — gate self-consistency, regression
 //! naming, one close per stage span and repetition, execute's split into
-//! its two child spans, folded-stack coverage, perfdiff's span-path
+//! its two child spans, folded-stack coverage, the gate's span-path
 //! attribution, and schema/doc sync.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_bench::diff::diff_runs;
+use deepeye_bench::diff::{diff_runs, GateConfig};
 use deepeye_bench::perf::{
-    check_budgets, perf_gate, results_json, run_scenario, validate_bench_json, GateConfig, Models,
-    ScenarioSpec, Stage, SCHEMA_FIELDS, STAGES,
+    read_bench, results_json, run_scenario, Models, ScenarioSpec, Stage, SCHEMA_FIELDS, STAGES,
 };
 use deepeye_obs::{Json, Observer};
 use std::sync::OnceLock;
@@ -43,9 +42,8 @@ fn two_harness_runs_pass_the_gate() {
     let doc_a = mini_harness(&Observer::enabled(), 3);
     let doc_b = mini_harness(&Observer::enabled(), 3);
     for doc in [&doc_a, &doc_b] {
-        let summary = validate_bench_json(doc).expect("document validates");
-        assert_eq!(summary.experiment, "harness");
-        assert_eq!(summary.stage_rows, STAGES.len());
+        let read = read_bench(doc).expect("document validates");
+        assert_eq!(read.rows.len(), STAGES.len());
         for stage in ["ingest", "partial_order", "progressive"] {
             assert!(doc.contains(&format!("\"stage\": \"{stage}\"")), "{stage}");
         }
@@ -57,51 +55,30 @@ fn two_harness_runs_pass_the_gate() {
         iqr_mult: 5.0,
         floor_ns: 200_000_000,
     };
-    let report = perf_gate(&doc_a, &doc_b, &cfg).expect("gate runs");
-    assert_eq!(report.compared, STAGES.len());
+    let report = diff_runs(&doc_a, &doc_b, &cfg, None).expect("gate runs");
+    assert_eq!(report.stages.len(), STAGES.len());
     assert!(
-        report.regressions.is_empty(),
-        "two back-to-back runs pass: {:?}",
-        report.regressions
+        report.failures().is_empty(),
+        "two back-to-back runs pass, within budget: {:?}",
+        report.failures()
     );
-    assert_eq!(check_budgets(&doc_a).expect("valid"), Vec::<String>::new());
+    // Equal scenarios × passes: the span-path layer is compared.
+    assert_eq!(report.paths_skipped, None);
 }
 
 #[test]
 fn synthetic_slowdown_names_stage_and_span() {
-    let obs = Observer::enabled();
-    let baseline = mini_harness(&obs, 3);
-    // Rebuild the same document with one stage's median doubled — the
-    // shape of a real 2x regression in `recognize`.
-    let doc = deepeye_obs::parse_json(&baseline).expect("valid");
-    let row = doc.get("scenarios").and_then(Json::as_array).unwrap()[0]
-        .get("stages")
-        .and_then(Json::as_array)
-        .unwrap()
-        .iter()
-        .find(|r| r.get("stage").and_then(Json::as_str) == Some("recognize"))
-        .expect("recognize row");
-    let median = row.get("median_ns").and_then(Json::as_f64).unwrap() as u64;
-    let max = row.get("max_ns").and_then(Json::as_f64).unwrap() as u64;
-    let slowed_median = (median * 2).max(median + 1_000_000_000);
-    let current = baseline
-        .replacen(
-            &format!("\"median_ns\": {median}, \"iqr_ns\""),
-            &format!("\"median_ns\": {slowed_median}, \"iqr_ns\""),
-            1,
-        )
-        .replacen(
-            &format!("\"max_ns\": {max}"),
-            &format!("\"max_ns\": {}", slowed_median.max(max)),
-            1,
-        );
-    assert_ne!(baseline, current, "substitution must hit");
-    let report = perf_gate(&baseline, &current, &GateConfig::default()).expect("gate runs");
-    assert_eq!(report.regressions.len(), 1, "exactly the slowed stage");
-    let r = &report.regressions[0];
-    assert_eq!(r.stage, "recognize");
-    assert_eq!(r.span, "pipeline.recognize");
-    assert_eq!(r.scenario, "mini-250x5");
+    let baseline = mini_harness(&Observer::enabled(), 3);
+    // The same document with one stage's median doubled — the shape of a
+    // real 2x regression in `recognize`.
+    let current = double_stage_median(&baseline, "recognize");
+    let report = diff_runs(&baseline, &current, &GateConfig::default(), None).expect("gate runs");
+    let failures = report.failures();
+    assert_eq!(failures.len(), 1, "exactly the slowed stage: {failures:?}");
+    assert!(
+        failures[0].starts_with("REGRESSION mini-250x5 / recognize (pipeline.recognize): median "),
+        "{failures:?}"
+    );
 }
 
 #[test]
@@ -162,11 +139,15 @@ fn schema_fields_match_design_doc() {
     let start = design
         .find("## 9. Performance observability")
         .expect("DESIGN.md has section 9 on performance observability");
-    let end = design[start..]
-        .find("\n## 10.")
-        .map(|i| start + i)
+    let end = design[start + 1..]
+        .find("\n## ")
+        .map(|i| start + 1 + i)
         .unwrap_or(design.len());
     let section = &design[start..end];
+    assert!(
+        section.contains("`perfgate`"),
+        "section 9 documents the gate"
+    );
     let doc = mini_harness(&Observer::enabled(), 1);
     for field in SCHEMA_FIELDS {
         assert!(
@@ -251,9 +232,9 @@ fn inflate_paths(doc: &str, paths: &[&str], delta_ns: u64) -> String {
 }
 
 #[test]
-fn perfdiff_attributes_synthetic_execute_slowdown() {
+fn perfgate_attributes_synthetic_execute_slowdown() {
     // Acceptance shape: a 2x execute slowdown whose time all lands in
-    // feature extraction must make perfdiff name the execute stage and
+    // feature extraction must make the gate name the execute stage and
     // the `execute.features` span path as the top attribution.
     let baseline = mini_harness(&Observer::enabled(), 2);
     let current = double_stage_median(&baseline, "execute");
@@ -268,10 +249,9 @@ fn perfdiff_attributes_synthetic_execute_slowdown() {
     ];
     let current = inflate_paths(&current, &ancestors, 1_000_000_000);
 
-    let report = diff_runs(&baseline, &current, &GateConfig::default()).expect("diff runs");
+    let report = diff_runs(&baseline, &current, &GateConfig::default(), None).expect("diff runs");
     let top = report.top_regression().expect("execute regressed");
-    assert_eq!(top.stage, "execute");
-    assert!(top.significant);
+    assert_eq!(top.stage.name, "execute");
     let headline = report.attribution().expect("causal headline");
     assert!(headline.starts_with("execute regressed"), "{headline}");
     assert!(
@@ -287,8 +267,8 @@ fn perfdiff_attributes_synthetic_execute_slowdown() {
         .collect();
     assert_eq!(grown, [features], "{:?}", report.paths);
     // The GitHub rendering survives the workflow-command quoting rules.
-    for notice in report.github_notices(3) {
-        assert!(notice.starts_with("::notice title=perfdiff"), "{notice}");
+    for notice in report.github_notices() {
+        assert!(notice.starts_with("::notice title=perfgate"), "{notice}");
         assert!(!notice.contains('\n'), "{notice}");
     }
 }

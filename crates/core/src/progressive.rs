@@ -292,35 +292,13 @@ impl<'a> ProgressiveSelector<'a> {
     /// Compute the top-k visualizations progressively, materializing up to
     /// [`par::workers`] leaves at a time on tables of 2,000 rows or more.
     pub fn top_k(&self, k: usize) -> (Vec<ScoredNode>, SelectionStats) {
-        self.top_k_observed(k, &deepeye_obs::Observer::disabled())
-    }
-
-    /// [`ProgressiveSelector::top_k`] with observability: runs under a
-    /// `progressive.top_k` span, opens one `progressive.leaf` child span
-    /// per popped leaf (a batch of leaves is timed in the span of the leaf
-    /// that started it), and mirrors the final [`SelectionStats`] into
-    /// `progressive.*` counters.
-    pub fn top_k_observed(
-        &self,
-        k: usize,
-        obs: &deepeye_obs::Observer,
-    ) -> (Vec<ScoredNode>, SelectionStats) {
-        self.top_k_explained(k, obs, &crate::provenance::Provenance::disabled())
-    }
-
-    /// [`ProgressiveSelector::top_k_observed`] that additionally records
-    /// tournament provenance: a `column:<name>|<transform>` record per leaf
-    /// (bound, materialized-or-pruned), a record per materialized candidate
-    /// (winner rank or tournament loss), and the leaf-accounting counts.
-    /// With provenance disabled this *is* `top_k_observed` — no ids are
-    /// formatted, nothing extra allocates.
-    pub fn top_k_explained(
-        &self,
-        k: usize,
-        obs: &deepeye_obs::Observer,
-        prov: &crate::provenance::Provenance,
-    ) -> (Vec<ScoredNode>, SelectionStats) {
-        self.tournament(k, obs, prov, |leaves| self.batch_width(leaves), false)
+        self.tournament(
+            k,
+            &deepeye_obs::Observer::disabled(),
+            &crate::provenance::Provenance::disabled(),
+            |leaves| self.batch_width(leaves),
+            false,
+        )
     }
 
     /// The tournament's batch width: [`par::workers`] over the leaves on a
@@ -333,9 +311,18 @@ impl<'a> ProgressiveSelector<'a> {
         }
     }
 
-    /// [`ProgressiveSelector::top_k_explained`] with batches of at most
+    /// [`ProgressiveSelector::top_k`] with batches of at most
     /// `width(leaves)` leaves, counting every GROUP leaf's bound before the
     /// first pop when `count_up_front`.
+    ///
+    /// It runs under a `progressive.top_k` span, opens one
+    /// `progressive.leaf` child span per popped leaf (a batch of leaves is
+    /// timed in the span of the leaf that started it), and mirrors the final
+    /// [`SelectionStats`] into `progressive.*` counters. With `prov` enabled
+    /// it records tournament provenance: a `column:<name>|<transform>`
+    /// record per leaf (bound, materialized-or-pruned), a record per
+    /// materialized candidate (winner rank or tournament loss), and the
+    /// leaf-accounting counts; disabled, no id is formatted.
     ///
     /// When a leaf pops before its charts are ready, the leaves directly
     /// behind it in the heap (up to `width − 1`, stopping at the first node
@@ -1051,7 +1038,9 @@ mod tests {
         let udfs = UdfRegistry::default();
         let obs = deepeye_obs::Observer::enabled();
         let selector = ProgressiveSelector::new(&t, &udfs);
-        let (top, stats) = selector.top_k_observed(3, &obs);
+        let prov = crate::provenance::Provenance::disabled();
+        let width = |leaves| selector.batch_width(leaves);
+        let (top, stats) = selector.tournament(3, &obs, &prov, width, false);
         let (plain, plain_stats) = selector.top_k(3);
         assert_eq!(top.len(), plain.len());
         assert_eq!(stats, plain_stats);

@@ -145,35 +145,24 @@ impl Recognizer {
     }
 
     /// [`Recognizer::filter_good`] under a `pipeline.recognize` span,
-    /// counting `recognize.kept` / `recognize.rejected`.
-    pub fn filter_good_observed(
-        &self,
-        nodes: Vec<VisNode>,
-        obs: &deepeye_obs::Observer,
-    ) -> Vec<VisNode> {
-        let _span = obs.span("pipeline.recognize");
-        let total = nodes.len() as u64;
-        let kept = self.filter_good(nodes);
-        obs.incr("recognize.kept", kept.len() as u64);
-        obs.incr("recognize.rejected", total - kept.len() as u64);
-        kept
-    }
-
-    /// [`Recognizer::filter_good_observed`] that additionally records a
-    /// per-candidate provenance verdict (kept with evidence, or a
-    /// classifier-rejected record). Falls back to the plain observed
-    /// filter when provenance is disabled, so the hot path stays
-    /// allocation-free.
+    /// counting `recognize.kept` / `recognize.rejected`, that additionally
+    /// records a per-candidate provenance verdict (kept with evidence, or a
+    /// classifier-rejected record). With provenance disabled it only
+    /// filters and counts, so the hot path stays allocation-free.
     pub fn filter_good_explained(
         &self,
         nodes: Vec<VisNode>,
         obs: &deepeye_obs::Observer,
         prov: &Provenance,
     ) -> Vec<VisNode> {
-        if !prov.is_enabled() {
-            return self.filter_good_observed(nodes, obs);
-        }
         let _span = obs.span("pipeline.recognize");
+        if !prov.is_enabled() {
+            let total = nodes.len() as u64;
+            let kept = self.filter_good(nodes);
+            obs.incr("recognize.kept", kept.len() as u64);
+            obs.incr("recognize.rejected", total - kept.len() as u64);
+            return kept;
+        }
         let mut kept = Vec::with_capacity(nodes.len());
         let mut rejected = 0u64;
         for node in nodes {

@@ -10,7 +10,7 @@
 //! - columnar [`Column`]/[`Table`] storage with the per-column statistics
 //!   that feed DeepEye's 14-feature vector (`d(X)`, `|X|`, `r(X)`,
 //!   min/max, type);
-//! - temporal parsing and calendar truncation for the seven bin units
+//! - temporal parsing and the periodic bin index for the seven bin units
 //!   (minute … year);
 //! - a CSV reader with automatic type detection;
 //! - [`par::map`], the order-preserving parallel map behind every

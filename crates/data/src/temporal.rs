@@ -2,18 +2,21 @@
 //!
 //! DeepEye detects temporal columns automatically from the attribute values
 //! (§II-A of the paper) and bins them by minute, hour, day, week, month,
-//! quarter, or year. This module provides a compact timestamp type with the
-//! civil-calendar conversions those bins need, plus a permissive parser for
-//! the date/time formats that appear in the paper's datasets (for example
-//! `01-Jan 00:05` from the flight-delay table).
+//! quarter, or year. The bins are periodic: rows with the same hour of the
+//! day share an `HOUR` bin whatever their date ([`Timestamp::period_index`]).
+//! This module provides a compact timestamp type with the civil-calendar
+//! conversions those bins need, plus a permissive parser for the date/time
+//! formats that appear in the paper's datasets (for example `01-Jan 00:05`
+//! from the flight-delay table).
 
 use std::fmt;
 
 /// Seconds-precision timestamp, stored as seconds relative to the Unix epoch.
 ///
 /// A full datetime library is overkill for binning: all DeepEye needs is to
-/// parse common formats and truncate to calendar boundaries. Ordering and
-/// arithmetic are those of the underlying second count.
+/// parse common formats and read a timestamp's periodic bin index and its
+/// civil fields. Ordering and arithmetic are those of the underlying second
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(i64);
 
@@ -189,56 +192,6 @@ impl Timestamp {
         }
     }
 
-    /// Truncate down to the start of the enclosing `unit` period.
-    ///
-    /// Weeks start on Monday (ISO-8601); quarters on Jan/Apr/Jul/Oct 1.
-    pub fn truncate(self, unit: TimeUnit) -> Timestamp {
-        match unit {
-            TimeUnit::Minute => Timestamp(self.0.div_euclid(60) * 60),
-            TimeUnit::Hour => Timestamp(self.0.div_euclid(3_600) * 3_600),
-            TimeUnit::Day => Timestamp(self.0.div_euclid(86_400) * 86_400),
-            TimeUnit::Week => {
-                let days = self.0.div_euclid(86_400);
-                // 1970-01-01 was a Thursday; shift so weeks start on Monday.
-                let dow = (days + 3).rem_euclid(7); // 0 = Monday
-                Timestamp((days - dow) * 86_400)
-            }
-            TimeUnit::Month => {
-                let c = self.civil();
-                Timestamp::from_civil(Civil {
-                    day: 1,
-                    hour: 0,
-                    minute: 0,
-                    second: 0,
-                    ..c
-                })
-            }
-            TimeUnit::Quarter => {
-                let c = self.civil();
-                let month = 1 + (c.month - 1) / 3 * 3;
-                Timestamp::from_civil(Civil {
-                    month,
-                    day: 1,
-                    hour: 0,
-                    minute: 0,
-                    second: 0,
-                    ..c
-                })
-            }
-            TimeUnit::Year => {
-                let c = self.civil();
-                Timestamp::from_civil(Civil {
-                    month: 1,
-                    day: 1,
-                    hour: 0,
-                    minute: 0,
-                    second: 0,
-                    ..c
-                })
-            }
-        }
-    }
-
     /// The periodic component of this timestamp for the given unit —
     /// DeepEye's temporal bins put "the rows with the same hour … in the
     /// same bucket" (§II-A / Example 1), and the paper's Table II confirms
@@ -294,29 +247,6 @@ impl Timestamp {
                 .unwrap_or_else(|| format!("month {index}")),
             TimeUnit::Quarter => format!("Q{index}"),
             TimeUnit::Year => format!("{index}"),
-        }
-    }
-
-    /// Human-readable label for a bin boundary at the given granularity,
-    /// e.g. `2015-03` for a month bin or `14:00` for an hour bin (used by
-    /// calendar *truncation*, e.g. axis ticks — periodic bins use
-    /// [`Timestamp::period_label`]).
-    pub fn bin_label(self, unit: TimeUnit) -> String {
-        let c = self.civil();
-        match unit {
-            TimeUnit::Minute => format!(
-                "{:04}-{:02}-{:02} {:02}:{:02}",
-                c.year, c.month, c.day, c.hour, c.minute
-            ),
-            TimeUnit::Hour => {
-                format!("{:04}-{:02}-{:02} {:02}:00", c.year, c.month, c.day, c.hour)
-            }
-            TimeUnit::Day | TimeUnit::Week => {
-                format!("{:04}-{:02}-{:02}", c.year, c.month, c.day)
-            }
-            TimeUnit::Month => format!("{:04}-{:02}", c.year, c.month),
-            TimeUnit::Quarter => format!("{:04}-Q{}", c.year, (c.month - 1) / 3 + 1),
-            TimeUnit::Year => format!("{:04}", c.year),
         }
     }
 }
@@ -869,48 +799,6 @@ mod tests {
             let s: String = chars.into_iter().filter_map(char::from_u32).collect();
             prop_assert_eq!(parse_timestamp(&s), parse_general(&s), "{:?}", s);
         }
-    }
-
-    #[test]
-    fn truncation_boundaries() {
-        let t = ts(2015, 8, 19, 14, 37, 42);
-        assert_eq!(t.truncate(TimeUnit::Minute), ts(2015, 8, 19, 14, 37, 0));
-        assert_eq!(t.truncate(TimeUnit::Hour), ts(2015, 8, 19, 14, 0, 0));
-        assert_eq!(t.truncate(TimeUnit::Day), ts(2015, 8, 19, 0, 0, 0));
-        // 2015-08-19 was a Wednesday; the week starts Monday 2015-08-17.
-        assert_eq!(t.truncate(TimeUnit::Week), ts(2015, 8, 17, 0, 0, 0));
-        assert_eq!(t.truncate(TimeUnit::Month), ts(2015, 8, 1, 0, 0, 0));
-        assert_eq!(t.truncate(TimeUnit::Quarter), ts(2015, 7, 1, 0, 0, 0));
-        assert_eq!(t.truncate(TimeUnit::Year), ts(2015, 1, 1, 0, 0, 0));
-    }
-
-    #[test]
-    fn truncation_is_idempotent_and_monotone() {
-        let samples = [
-            ts(2015, 1, 1, 0, 0, 0),
-            ts(2015, 12, 31, 23, 59, 59),
-            ts(1969, 6, 15, 11, 11, 11),
-            ts(2000, 2, 29, 5, 0, 0),
-        ];
-        for unit in TimeUnit::ALL {
-            for t in samples {
-                let tr = t.truncate(unit);
-                assert_eq!(tr.truncate(unit), tr, "{unit} not idempotent");
-                assert!(tr <= t, "{unit} truncation must not move forward");
-            }
-        }
-    }
-
-    #[test]
-    fn bin_labels() {
-        let t = ts(2015, 8, 19, 14, 37, 42);
-        assert_eq!(
-            t.truncate(TimeUnit::Hour).bin_label(TimeUnit::Hour),
-            "2015-08-19 14:00"
-        );
-        assert_eq!(t.bin_label(TimeUnit::Month), "2015-08");
-        assert_eq!(t.bin_label(TimeUnit::Quarter), "2015-Q3");
-        assert_eq!(t.bin_label(TimeUnit::Year), "2015");
     }
 
     #[test]

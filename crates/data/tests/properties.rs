@@ -6,7 +6,7 @@ mod oracle;
 
 use deepeye_data::csv::parse_records;
 use deepeye_data::stats;
-use deepeye_data::temporal::{Civil, TimeUnit, Timestamp};
+use deepeye_data::temporal::{Civil, Timestamp};
 use deepeye_data::{
     correlation, detect_and_parse, table_from_csv_str_delim, trend_of_series, Column, ColumnData,
     CsvError, DataType, Table, Value,
@@ -25,19 +25,6 @@ proptest! {
     fn civil_round_trip(c in civil_strategy()) {
         let t = Timestamp::from_civil(c);
         prop_assert_eq!(t.civil(), c);
-    }
-
-    /// Truncation is idempotent, never moves forward, and is monotone.
-    #[test]
-    fn truncate_laws(c1 in civil_strategy(), c2 in civil_strategy(), unit_idx in 0usize..7) {
-        let unit = TimeUnit::ALL[unit_idx];
-        let (a, b) = (Timestamp::from_civil(c1), Timestamp::from_civil(c2));
-        let (ta, tb) = (a.truncate(unit), b.truncate(unit));
-        prop_assert_eq!(ta.truncate(unit), ta);
-        prop_assert!(ta <= a);
-        if a <= b {
-            prop_assert!(ta <= tb);
-        }
     }
 
     /// Timestamp ordering agrees with second counts.

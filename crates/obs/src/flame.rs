@@ -14,46 +14,27 @@
 //!   external assets) for a quick look without leaving the terminal's
 //!   `open` command.
 //!
-//! Both accept [`FlameSpan`]s, an owned mirror of [`SpanRecord`].
+//! Both take the observer's finished [`SpanRecord`]s, as the trace
+//! exporter does.
 
 use crate::observer::SpanRecord;
 use std::collections::BTreeMap;
 
-/// One span as the flame exporters consume it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlameSpan {
-    pub id: u64,
-    pub parent: Option<u64>,
-    pub name: String,
-    pub dur_ns: u64,
-}
-
-impl From<&SpanRecord> for FlameSpan {
-    fn from(s: &SpanRecord) -> FlameSpan {
-        FlameSpan {
-            id: s.id,
-            parent: s.parent,
-            name: s.name.to_owned(),
-            dur_ns: s.dur_ns,
-        }
-    }
-}
-
 /// Per-span stack path (root-first, `;`-joined) via the parent chain.
 /// Unknown parents (still-open spans) root the chain there; a depth cap
 /// guards against a buggy cycle.
-fn stack_paths(spans: &[FlameSpan]) -> Vec<String> {
-    let by_id: BTreeMap<u64, &FlameSpan> = spans.iter().map(|s| (s.id, s)).collect();
+fn stack_paths(spans: &[SpanRecord]) -> Vec<String> {
+    let by_id: BTreeMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     spans
         .iter()
         .map(|span| {
-            let mut names = vec![span.name.as_str()];
+            let mut names = vec![span.name];
             let mut cursor = span.parent;
             for _ in 0..64 {
                 let Some(parent) = cursor.and_then(|id| by_id.get(&id)) else {
                     break;
                 };
-                names.push(parent.name.as_str());
+                names.push(parent.name);
                 cursor = parent.parent;
             }
             names.reverse();
@@ -64,7 +45,7 @@ fn stack_paths(spans: &[FlameSpan]) -> Vec<String> {
 
 /// Render spans as folded stacks: one `path;to;frame <self_ns>` line per
 /// distinct stack, sorted by path. Empty input renders an empty string.
-pub fn folded_stacks(spans: &[FlameSpan]) -> String {
+pub fn folded_stacks(spans: &[SpanRecord]) -> String {
     // Self time = own duration minus direct children's durations.
     let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
     for span in spans {
@@ -184,7 +165,7 @@ fn escape_xml(s: &str) -> String {
 
 /// Render spans as a self-contained SVG icicle flame view (roots on top,
 /// callees below, width proportional to inclusive time).
-pub fn flame_svg(spans: &[FlameSpan]) -> String {
+pub fn flame_svg(spans: &[SpanRecord]) -> String {
     let mut roots: Frame = Frame::default();
     for (span, path) in spans.iter().zip(stack_paths(spans)) {
         let mut node = &mut roots;
@@ -225,15 +206,13 @@ impl crate::Observer {
     /// Folded-stack rendering of all finished spans (see
     /// [`folded_stacks`]). Empty when disabled.
     pub fn folded_stacks(&self) -> String {
-        let spans: Vec<FlameSpan> = self.finished_spans().iter().map(FlameSpan::from).collect();
-        folded_stacks(&spans)
+        folded_stacks(&self.finished_spans())
     }
 
     /// Self-contained SVG flame view of all finished spans (see
     /// [`flame_svg`]).
     pub fn flame_svg(&self) -> String {
-        let spans: Vec<FlameSpan> = self.finished_spans().iter().map(FlameSpan::from).collect();
-        flame_svg(&spans)
+        flame_svg(&self.finished_spans())
     }
 }
 
@@ -242,7 +221,7 @@ mod tests {
     use super::*;
     use crate::Observer;
 
-    fn sample_spans() -> Vec<FlameSpan> {
+    fn sample_spans() -> Vec<SpanRecord> {
         let obs = Observer::enabled();
         {
             let _root = obs.span("pipeline.recommend");
@@ -255,7 +234,7 @@ mod tests {
                 let _w = obs.span("execute.worker");
             }
         }
-        obs.finished_spans().iter().map(FlameSpan::from).collect()
+        obs.finished_spans()
     }
 
     #[test]
@@ -323,5 +302,64 @@ mod tests {
         assert!(obs.folded_stacks().starts_with("only "));
         assert!(obs.flame_svg().contains("only"));
         assert_eq!(Observer::disabled().folded_stacks(), "");
+    }
+
+    /// Nine fixed records: two workers overlapping inside their parent, a
+    /// child listed before its parent, a parent that never closed, and a
+    /// name the SVG escapes.
+    fn fixed_records() -> Vec<SpanRecord> {
+        let record = |id, parent, name, tid, start_ns, dur_ns| SpanRecord {
+            id,
+            parent,
+            name,
+            tid,
+            start_ns,
+            dur_ns,
+            begin_seq: id,
+            end_seq: 100 - id,
+        };
+        vec![
+            record(6, Some(4), "execute.features", 1, 2_500, 3_000),
+            record(4, Some(3), "execute.worker", 1, 2_000, 4_000),
+            record(5, Some(3), "execute.worker", 2, 2_100, 4_500),
+            record(2, Some(1), "pipeline.enumerate", 0, 100, 2_000),
+            record(9, Some(1), "render<&>", 0, 9_000, 100),
+            record(3, Some(1), "pipeline.execute", 0, 2_000, 7_000),
+            record(1, None, "pipeline.recommend", 0, 0, 10_000),
+            record(7, None, "pipeline.ingest", 0, 20_000, 1_500),
+            record(8, Some(99), "orphan", 3, 30_000, 500),
+        ]
+    }
+
+    /// Both views of [`fixed_records`], pinned byte for byte: a change to
+    /// either rendering must update them on purpose.
+    const FOLDED: &str = "orphan 500\n\
+pipeline.ingest 1500\n\
+pipeline.recommend 900\n\
+pipeline.recommend;pipeline.enumerate 2000\n\
+pipeline.recommend;pipeline.execute 0\n\
+pipeline.recommend;pipeline.execute;execute.worker 5500\n\
+pipeline.recommend;pipeline.execute;execute.worker;execute.features 3000\n\
+pipeline.recommend;render<&> 100\n\
+";
+    const SVG: &str = r##"<svg xmlns="http://www.w3.org/2000/svg" width="1200" height="102" viewBox="0 0 1200 102">
+<rect width="100%" height="100%" fill="#f8f8f8"/>
+<g><title>orphan — 500ns (4.0%)</title><rect x="0.00" y="0.0" width="47.62" height="17.0" fill="rgb(250,141,37)" stroke="white" stroke-width="0.5"/><text x="3.00" y="13.0" font-size="11" font-family="monospace" fill="black">orphan</text></g>
+<g><title>pipeline.ingest — 1.5µs (11.9%)</title><rect x="47.62" y="0.0" width="142.86" height="17.0" fill="rgb(242,181,50)" stroke="white" stroke-width="0.5"/><text x="50.62" y="13.0" font-size="11" font-family="monospace" fill="black">pipeline.ingest</text></g>
+<g><title>pipeline.recommend — 10.6µs (84.1%)</title><rect x="190.48" y="0.0" width="1009.52" height="17.0" fill="rgb(236,107,35)" stroke="white" stroke-width="0.5"/><text x="193.48" y="13.0" font-size="11" font-family="monospace" fill="black">pipeline.recommend</text></g>
+<g><title>pipeline.enumerate — 2.0µs (15.9%)</title><rect x="190.48" y="18.0" width="190.48" height="17.0" fill="rgb(242,102,54)" stroke="white" stroke-width="0.5"/><text x="193.48" y="31.0" font-size="11" font-family="monospace" fill="black">pipeline.enumerate</text></g>
+<g><title>pipeline.execute — 8.5µs (67.5%)</title><rect x="380.95" y="18.0" width="809.52" height="17.0" fill="rgb(253,176,56)" stroke="white" stroke-width="0.5"/><text x="383.95" y="31.0" font-size="11" font-family="monospace" fill="black">pipeline.execute</text></g>
+<g><title>execute.worker — 8.5µs (67.5%)</title><rect x="380.95" y="36.0" width="809.52" height="17.0" fill="rgb(231,178,57)" stroke="white" stroke-width="0.5"/><text x="383.95" y="49.0" font-size="11" font-family="monospace" fill="black">execute.worker</text></g>
+<g><title>execute.features — 3.0µs (23.8%)</title><rect x="380.95" y="54.0" width="285.71" height="17.0" fill="rgb(222,134,63)" stroke="white" stroke-width="0.5"/><text x="383.95" y="67.0" font-size="11" font-family="monospace" fill="black">execute.features</text></g>
+<g><title>render&lt;&amp;&gt; — 100ns (0.8%)</title><rect x="1190.48" y="18.0" width="9.52" height="17.0" fill="rgb(220,174,48)" stroke="white" stroke-width="0.5"/></g>
+<text x="4" y="94.0" font-size="11" font-family="monospace" fill="#555">deepeye flame view — 9 spans, 12.6µs</text>
+</svg>
+"##;
+
+    #[test]
+    fn fixed_records_render_the_recorded_views() {
+        let spans = fixed_records();
+        assert_eq!(folded_stacks(&spans), FOLDED);
+        assert_eq!(flame_svg(&spans), SVG);
     }
 }

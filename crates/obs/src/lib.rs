@@ -64,7 +64,7 @@ pub mod report;
 pub mod trace;
 
 pub use clock::Stopwatch;
-pub use flame::{flame_svg, folded_stacks, FlameSpan};
+pub use flame::{flame_svg, folded_stacks};
 pub use hist::Histogram;
 pub use json::{parse_json, Json, JsonError};
 pub use observer::{Observer, SpanGuard, SpanId, SpanRecord};

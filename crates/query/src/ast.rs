@@ -56,7 +56,8 @@ pub const DEFAULT_BUCKETS: usize = 10;
 /// calendar units, default buckets, and a user-defined function.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BinStrategy {
-    /// `BIN X BY {MINUTE … YEAR}` — calendar truncation of temporal values.
+    /// `BIN X BY {MINUTE … YEAR}` — periodic bins of temporal values
+    /// (hour of the day, month of the year, …).
     Unit(TimeUnit),
     /// `BIN X` — [`DEFAULT_BUCKETS`] equi-width numeric buckets.
     Default,
