@@ -19,10 +19,11 @@
 //! `--scenarios` restricts the comparison to a baseline subset, so a smoke
 //! run can gate against a full-matrix baseline. The exit status is 1 on a
 //! regression, a budget violation, an in-scope (scenario, stage) pair the
-//! current run lacks, a scenario the baseline lacks, or an unreadable or
-//! invalid document.
+//! current run lacks, a scenario the baseline lacks, a `--scenarios`
+//! value that names none (`,` or `""`), or an unreadable or invalid
+//! document.
 
-use deepeye_bench::diff::{diff_runs, GateConfig};
+use deepeye_bench::diff::{diff_runs, parse_scenarios, GateConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -33,15 +34,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let parsed = match arg.as_str() {
-            "--scenarios" => value(&arg, args.next()).map(|v: String| {
-                scenarios = Some(
-                    v.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_owned)
-                        .collect(),
-                );
-            }),
+            "--scenarios" => {
+                value(&arg, args.next()).map(|v: String| scenarios = Some(parse_scenarios(&v)))
+            }
             "--rel" => value(&arg, args.next()).map(|r| cfg.rel = r),
             "--iqr-mult" => value(&arg, args.next()).map(|m| cfg.iqr_mult = m),
             "--floor-ns" => value(&arg, args.next()).map(|f| cfg.floor_ns = f),

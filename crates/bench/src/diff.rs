@@ -233,6 +233,18 @@ fn diff_path_maps(
     out
 }
 
+/// The scenarios a `--scenarios a,b` value names: comma-separated,
+/// trimmed, blanks dropped, so `,` and `""` name none — a scope
+/// [`diff_runs`] refuses.
+pub fn parse_scenarios(value: &str) -> Vec<String> {
+    value
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_owned)
+        .collect()
+}
+
 /// Read both harness documents and assemble the full cross-run diff:
 /// stage medians, the span paths of the `"stages"` tails when the runs
 /// are comparable, and the current run's budget violations.
@@ -240,9 +252,10 @@ fn diff_path_maps(
 /// When `scenarios` is given, only those scenarios' rows are compared
 /// (every current row is still budgeted), so
 /// a smoke run (e.g. CI's `--smoke` matrix) can gate against a baseline
-/// recorded from the full matrix. Naming a scenario the baseline does not
-/// cover is an error — a typo must not read as "nothing to gate" — as is
-/// an unreadable document or one of another schema.
+/// recorded from the full matrix. An empty scope, or naming a scenario
+/// the baseline does not cover, is an error — a typo must not read as
+/// "nothing to gate" — as is an unreadable document or one of another
+/// schema.
 pub fn diff_runs(
     baseline: &str,
     current: &str,
@@ -254,6 +267,9 @@ pub fn diff_runs(
     // Every row of the current run is budgeted, in scope or not.
     let budgets = check_budgets(&cur);
     if let Some(only) = scenarios {
+        if only.is_empty() {
+            return Err("empty scenario scope: name at least one scenario".to_owned());
+        }
         if let Some(want) = only
             .iter()
             .find(|want| !base.rows.iter().any(|row| row.scenario == **want))
@@ -688,6 +704,29 @@ mod tests {
         let typo = ["s-300x5".to_owned(), "x-nope".to_owned()];
         let err = diff_runs(full, &smoke, &ci, Some(&typo)).unwrap_err();
         assert_eq!(err, "baseline has no scenario \"x-nope\"");
+    }
+
+    #[test]
+    fn empty_scope_is_an_error() {
+        // `--scenarios ,` and `--scenarios ""` both parse to no scenario;
+        // gating nothing must not pass against a doubled execute median.
+        let full = include_str!("../../../BENCH_baseline.json");
+        let doubled = full.replace(
+            "\"median_ns\": 18641750, \"iqr_ns\": 853415, \"min_ns\": 18191779, \"max_ns\": 19210967",
+            "\"median_ns\": 37283500, \"iqr_ns\": 853415, \"min_ns\": 36383558, \"max_ns\": 38421934",
+        );
+        let cfg = GateConfig::default();
+        let scoped = diff_runs(full, &doubled, &cfg, Some(&["m-1500x16".to_owned()])).unwrap();
+        assert!(
+            scoped.failures()[0].starts_with("REGRESSION m-1500x16 / execute"),
+            "{:?}",
+            scoped.failures()
+        );
+        for spelling in [",", ""] {
+            let only = parse_scenarios(spelling);
+            let err = diff_runs(full, &doubled, &cfg, Some(&only)).unwrap_err();
+            assert_eq!(err, "empty scenario scope: name at least one scenario");
+        }
     }
 
     /// The one scenario object of a [`doc_with`] document.

@@ -1,7 +1,9 @@
 //! Folded-stack and SVG flame-view export of a span tree.
 //!
-//! Two renderings of "where did the time go", both derived from the same
-//! parent-chain walk the stage report uses:
+//! Two renderings of "where did the time go", both over the span paths
+//! the stage report groups by (`observer::span_paths`: a span sits under
+//! its parent when the parent's record is present and was open when the
+//! span began):
 //!
 //! * [`folded_stacks`] emits the `frame;frame;frame <ns>` lines the
 //!   flamegraph toolchain (`flamegraph.pl`, speedscope, inferno)
@@ -17,31 +19,8 @@
 //! Both take the observer's finished [`SpanRecord`]s, as the trace
 //! exporter does.
 
-use crate::observer::SpanRecord;
+use crate::observer::{span_paths, SpanRecord};
 use std::collections::BTreeMap;
-
-/// Per-span stack path (root-first, `;`-joined) via the parent chain.
-/// Unknown parents (still-open spans) root the chain there; a depth cap
-/// guards against a buggy cycle.
-fn stack_paths(spans: &[SpanRecord]) -> Vec<String> {
-    let by_id: BTreeMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
-    spans
-        .iter()
-        .map(|span| {
-            let mut names = vec![span.name];
-            let mut cursor = span.parent;
-            for _ in 0..64 {
-                let Some(parent) = cursor.and_then(|id| by_id.get(&id)) else {
-                    break;
-                };
-                names.push(parent.name);
-                cursor = parent.parent;
-            }
-            names.reverse();
-            names.join(";")
-        })
-        .collect()
-}
 
 /// Render spans as folded stacks: one `path;to;frame <self_ns>` line per
 /// distinct stack, sorted by path. Empty input renders an empty string.
@@ -54,11 +33,11 @@ pub fn folded_stacks(spans: &[SpanRecord]) -> String {
         }
     }
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    for (span, path) in spans.iter().zip(stack_paths(spans)) {
+    for (span, path) in spans.iter().zip(span_paths(spans)) {
         let self_ns = span
             .dur_ns
             .saturating_sub(child_ns.get(&span.id).copied().unwrap_or(0));
-        *folded.entry(path).or_insert(0) += self_ns;
+        *folded.entry(path.join(";")).or_insert(0) += self_ns;
     }
     let mut out = String::new();
     for (path, ns) in folded {
@@ -167,9 +146,9 @@ fn escape_xml(s: &str) -> String {
 /// callees below, width proportional to inclusive time).
 pub fn flame_svg(spans: &[SpanRecord]) -> String {
     let mut roots: Frame = Frame::default();
-    for (span, path) in spans.iter().zip(stack_paths(spans)) {
+    for (span, path) in spans.iter().zip(span_paths(spans)) {
         let mut node = &mut roots;
-        for name in path.split(';') {
+        for name in path {
             node = node.children.entry(name.to_owned()).or_default();
         }
         node.own_ns += span.dur_ns;
@@ -219,7 +198,7 @@ impl crate::Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Observer;
+    use crate::{Observer, Snapshot};
 
     fn sample_spans() -> Vec<SpanRecord> {
         let obs = Observer::enabled();
@@ -356,10 +335,50 @@ pipeline.recommend;render<&> 100\n\
 </svg>
 "##;
 
+    /// The snapshot of [`fixed_records`]: one row per path, with the
+    /// nearest-rank quantiles of its recorded durations.
+    const SNAPSHOT: &str = r#"{
+  "counters": {},
+  "stages": {
+    "orphan": {"count": 1, "total_ns": 500, "p50_ns": 500, "p95_ns": 500, "p99_ns": 500},
+    "pipeline.ingest": {"count": 1, "total_ns": 1500, "p50_ns": 1500, "p95_ns": 1500, "p99_ns": 1500},
+    "pipeline.recommend": {"count": 1, "total_ns": 10000, "p50_ns": 10000, "p95_ns": 10000, "p99_ns": 10000},
+    "pipeline.recommend/pipeline.enumerate": {"count": 1, "total_ns": 2000, "p50_ns": 2000, "p95_ns": 2000, "p99_ns": 2000},
+    "pipeline.recommend/pipeline.execute": {"count": 1, "total_ns": 7000, "p50_ns": 7000, "p95_ns": 7000, "p99_ns": 7000},
+    "pipeline.recommend/pipeline.execute/execute.worker": {"count": 2, "total_ns": 8500, "p50_ns": 4000, "p95_ns": 4500, "p99_ns": 4500},
+    "pipeline.recommend/pipeline.execute/execute.worker/execute.features": {"count": 1, "total_ns": 3000, "p50_ns": 3000, "p95_ns": 3000, "p99_ns": 3000},
+    "pipeline.recommend/render<&>": {"count": 1, "total_ns": 100, "p50_ns": 100, "p95_ns": 100, "p99_ns": 100}
+  }
+}
+"#;
+
     #[test]
     fn fixed_records_render_the_recorded_views() {
         let spans = fixed_records();
         assert_eq!(folded_stacks(&spans), FOLDED);
         assert_eq!(flame_svg(&spans), SVG);
+        let snapshot = Snapshot::build(&spans, &BTreeMap::new());
+        assert_eq!(snapshot.metrics_json(), SNAPSHOT);
+    }
+
+    #[test]
+    fn snapshot_and_folded_stacks_share_paths() {
+        let snapshot = Snapshot::build(&fixed_records(), &BTreeMap::new());
+        let mut stage_paths: Vec<String> = snapshot
+            .stages
+            .iter()
+            .map(|s| s.path.replace('/', ";"))
+            .collect();
+        stage_paths.sort_unstable();
+        let folded_paths: Vec<&str> = FOLDED
+            .lines()
+            .filter_map(|l| l.rsplit_once(' '))
+            .map(|(path, _)| path)
+            .collect();
+        assert_eq!(stage_paths, folded_paths, "both sorted by `;`-path");
+        for s in &snapshot.stages {
+            assert_eq!(s.depth, s.path.matches('/').count(), "{}", s.path);
+            assert!(s.path.ends_with(s.name), "{}", s.path);
+        }
     }
 }

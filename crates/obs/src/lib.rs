@@ -4,8 +4,8 @@
 //! on a monotonic clock, counters, and three exporters — a human-readable
 //! per-stage report, a JSON metrics snapshot, and Chrome trace-event JSON
 //! loadable in `chrome://tracing` / Perfetto. The span is the one way the
-//! program records a duration: each span path keeps its count, total and
-//! a log-scale duration histogram for p50/p95/p99.
+//! program records a duration, and the finished span is the one record
+//! of it.
 //!
 //! Like the other external stand-ins in this workspace (`vendor/*`), the
 //! crate is dependency-free: the build environment has no crates.io
@@ -27,9 +27,12 @@
 //! splits into `execute.charts` and `execute.features`). Time is the one
 //! ruler: a stage is broken down by child spans, never by work counts.
 //!
-//! An enabled observer keeps every finished span for the trace and
-//! flame exporters, and folds each one into exact per-path aggregates
-//! for the stage report and the metrics snapshot.
+//! An enabled observer keeps every finished span as a [`SpanRecord`], and
+//! every timing view is computed from those records: the stage report,
+//! the metrics snapshot and the bench documents' tail group them by path
+//! (count, total, and nearest-rank p50/p95/p99, so each quantile is a
+//! duration some span measured), and the trace and flame exporters
+//! replay them.
 //!
 //! ```
 //! use deepeye_obs::Observer;
@@ -56,7 +59,6 @@
 
 pub mod clock;
 pub mod flame;
-pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod observer;
@@ -65,8 +67,9 @@ pub mod trace;
 
 pub use clock::Stopwatch;
 pub use flame::{flame_svg, folded_stacks};
-pub use hist::Histogram;
 pub use json::{parse_json, Json, JsonError};
 pub use observer::{Observer, SpanGuard, SpanId, SpanRecord};
-pub use report::{fmt_duration, validate_metrics_json, MetricsSummary, Snapshot, StageAgg};
+pub use report::{
+    fmt_duration, nearest_rank, validate_metrics_json, MetricsSummary, Snapshot, StageAgg,
+};
 pub use trace::{validate_chrome_trace, TraceSummary};

@@ -7,12 +7,13 @@
 //! observer holds nothing: every method is a branch on `None`, so
 //! carrying one through the hot path costs nothing when tracing is off.
 //!
-//! An enabled observer keeps every finished span in a `Vec<SpanRecord>`
-//! for the trace and flame exporters, and folds each one into exact
-//! per-path aggregates (count, total, duration histogram) at span close
-//! for the stage report and the metrics snapshot.
+//! An enabled observer's record of time is its finished spans: one
+//! [`SpanRecord`] per span, pushed when the span closes. Every timing
+//! view is computed from those records — the stage report, the metrics
+//! snapshot and the flame views group them by path (`span_paths`), the
+//! trace exporter replays them — so all of them read the same
+//! durations.
 
-use crate::hist::Histogram;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +21,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Identifier of a recorded span, usable as an explicit parent for spans
-/// started on other threads ([`Observer::span_under`]).
+/// started on other threads ([`Observer::span_under`]). Ids are unique
+/// across observers, so one observer's span never names another's.
 pub type SpanId = u64;
 
 /// A finished span as stored by the recorder.
@@ -41,76 +43,43 @@ pub struct SpanRecord {
     pub end_seq: u64,
 }
 
-/// A span that has begun but not yet ended. Registered under the state
-/// lock at span start so cross-thread children can resolve their
-/// parent's path.
-pub(crate) struct OpenSpan {
-    pub name: &'static str,
-    pub parent: Option<SpanId>,
-    pub tid: u64,
-    pub start_ns: u64,
-    /// Index into [`PathTable::aggs`].
-    pub path: u32,
-}
-
-/// Exact per-path aggregate, updated at every span close.
-pub(crate) struct PathAgg {
-    /// Slash-joined root-to-leaf name chain.
-    pub path: String,
-    pub name: &'static str,
-    pub depth: usize,
-    pub count: u64,
-    pub total_ns: u64,
-    /// Span durations at this exact path (per-stage p50/p95/p99).
-    pub hist: Histogram,
-}
-
-/// Interned span paths: one [`PathAgg`] per distinct root-to-leaf name
-/// chain, allocated on first occurrence. Append-only, so indices are
-/// stable for the lifetime of the observer.
-#[derive(Default)]
-pub(crate) struct PathTable {
-    ids: BTreeMap<(Option<u32>, &'static str), u32>,
-    pub aggs: Vec<PathAgg>,
-}
-
-impl PathTable {
-    /// Path id for `name` under `parent`, interning on first sight.
-    pub(crate) fn intern(&mut self, parent: Option<u32>, name: &'static str) -> u32 {
-        if let Some(&id) = self.ids.get(&(parent, name)) {
-            return id;
-        }
-        let (path, depth) = match parent.and_then(|p| self.aggs.get(p as usize)) {
-            Some(p) => (format!("{}/{}", p.path, name), p.depth + 1),
-            None => (name.to_owned(), 0),
-        };
-        let id = self.aggs.len() as u32;
-        self.aggs.push(PathAgg {
-            path,
-            name,
-            depth,
-            count: 0,
-            total_ns: 0,
-            hist: Histogram::default(),
-        });
-        self.ids.insert((parent, name), id);
-        id
+/// Each span's path, root first: the span's name under its parent's path
+/// when the parent's record is present and the parent was open when the
+/// span began (`parent.begin_seq < begin_seq < parent.end_seq`), its name
+/// alone otherwise. A parent always begins before its child, so the walk
+/// in begin order meets every parent first. Records may come in any
+/// order; the paths come back in the same order.
+pub(crate) fn span_paths(spans: &[SpanRecord]) -> Vec<Vec<&'static str>> {
+    let by_id: BTreeMap<SpanId, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let mut begin_order: Vec<&SpanRecord> = spans.iter().collect();
+    begin_order.sort_by_key(|s| s.begin_seq);
+    let mut path_of: BTreeMap<SpanId, Vec<&'static str>> = BTreeMap::new();
+    for span in begin_order {
+        let open_parent = span
+            .parent
+            .and_then(|p| by_id.get(&p))
+            .filter(|p| p.begin_seq < span.begin_seq && span.begin_seq < p.end_seq);
+        let mut path = open_parent
+            .and_then(|p| path_of.get(&p.id))
+            .cloned()
+            .unwrap_or_default();
+        path.push(span.name);
+        path_of.insert(span.id, path);
     }
+    spans
+        .iter()
+        .map(|s| path_of.get(&s.id).cloned().unwrap_or_else(|| vec![s.name]))
+        .collect()
 }
 
 pub(crate) struct State {
     /// Every finished span, in end order.
     pub spans: Vec<SpanRecord>,
     pub counters: BTreeMap<&'static str, u64>,
-    /// Spans currently open, by id.
-    pub open: BTreeMap<SpanId, OpenSpan>,
-    /// Exact per-path aggregates.
-    pub paths: PathTable,
 }
 
 pub(crate) struct Inner {
     pub(crate) origin: Instant,
-    next_id: AtomicU64,
     seq: AtomicU64,
     state: Mutex<State>,
 }
@@ -126,6 +95,7 @@ impl Inner {
     }
 }
 
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -164,13 +134,10 @@ impl Observer {
         Observer {
             inner: Some(Arc::new(Inner {
                 origin: Instant::now(),
-                next_id: AtomicU64::new(1),
                 seq: AtomicU64::new(1),
                 state: Mutex::new(State {
                     spans: Vec::new(),
                     counters: BTreeMap::new(),
-                    open: BTreeMap::new(),
-                    paths: PathTable::default(),
                 }),
             })),
         }
@@ -219,39 +186,35 @@ impl Observer {
     /// another thread). `parent: None` makes a root span. The parent must
     /// still be open when the child starts — which RAII guards guarantee
     /// (a guard's id outlives every use of it as a parent); a closed or
-    /// unknown parent id roots the child's *path* at the child while the
-    /// record still carries the raw parent id for the trace.
+    /// unknown parent id, or one from another observer, starts the
+    /// child's *path* at the child while the record still carries the raw
+    /// parent id for the trace.
+    ///
+    /// Paths are computed from the finished records, so a view taken
+    /// while a span is still open lists that span's finished descendants
+    /// from their highest finished ancestor: `stage/worker` reads
+    /// `worker` until `stage` closes.
     pub fn span_under(&self, name: &'static str, parent: Option<SpanId>) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard { inner: None };
         };
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let begin_seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let token = self.token();
-        let tid = current_tid();
-        let start_ns = inner.origin.elapsed().as_nanos() as u64;
-        {
-            let mut state = inner.lock();
-            let parent_path = parent.and_then(|p| state.open.get(&p)).map(|o| o.path);
-            let path = state.paths.intern(parent_path, name);
-            state.open.insert(
-                id,
-                OpenSpan {
-                    name,
-                    parent,
-                    tid,
-                    start_ns,
-                    path,
-                },
-            );
-        }
-        SPAN_STACK.with(|stack| stack.borrow_mut().push((token, id)));
+        let record = SpanRecord {
+            id,
+            parent,
+            name,
+            tid: current_tid(),
+            start_ns: inner.origin.elapsed().as_nanos() as u64,
+            dur_ns: 0,
+            begin_seq,
+            end_seq: 0,
+        };
+        SPAN_STACK.with(|stack| stack.borrow_mut().push((self.token(), id)));
         SpanGuard {
             inner: Some(SpanCtx {
                 inner: Arc::clone(inner),
-                token,
-                id,
-                begin_seq,
+                record,
             }),
         }
     }
@@ -273,28 +236,26 @@ impl Observer {
             .unwrap_or(0)
     }
 
-    /// Total recorded duration of all finished spans with this name,
-    /// computed from the path aggregates.
+    /// Total recorded duration of all finished spans with this name.
     pub fn stage_duration(&self, name: &str) -> Duration {
-        Duration::from_nanos(self.stage_sum(name, |a| a.total_ns))
+        Duration::from_nanos(self.stage_sum(name, |s| s.dur_ns))
     }
 
     /// How many spans with this name have finished (0 when disabled).
     pub fn stage_count(&self, name: &str) -> u64 {
-        self.stage_sum(name, |a| a.count)
+        self.stage_sum(name, |_| 1)
     }
 
-    /// Sum of one path-aggregate field over every path ending in `name`.
-    fn stage_sum(&self, name: &str, field: impl Fn(&PathAgg) -> u64) -> u64 {
+    /// Sum of `field` over the finished spans named `name`.
+    fn stage_sum(&self, name: &str, field: impl Fn(&SpanRecord) -> u64) -> u64 {
         let Some(inner) = &self.inner else {
             return 0;
         };
         let state = inner.lock();
         state
-            .paths
-            .aggs
+            .spans
             .iter()
-            .filter(|a| a.name == name)
+            .filter(|s| s.name == name)
             .map(field)
             .sum()
     }
@@ -321,14 +282,14 @@ impl Observer {
         spans
     }
 
-    /// Point-in-time aggregate of everything recorded so far, built from
-    /// the path aggregates.
+    /// Point-in-time aggregate of everything recorded so far, computed
+    /// from the finished spans and the counters.
     pub fn snapshot(&self) -> crate::report::Snapshot {
         let Some(inner) = &self.inner else {
             return crate::report::Snapshot::default();
         };
         let state = inner.lock();
-        crate::report::Snapshot::build(&state)
+        crate::report::Snapshot::build(&state.spans, &state.counters)
     }
 
     /// Human-readable per-stage report (span tree, counters).
@@ -350,9 +311,8 @@ impl Observer {
 
 struct SpanCtx {
     inner: Arc<Inner>,
-    token: usize,
-    id: SpanId,
-    begin_seq: u64,
+    /// The span's record, complete but for its end.
+    record: SpanRecord,
 }
 
 /// RAII guard for an open span; the span is recorded when this drops.
@@ -365,49 +325,31 @@ impl SpanGuard {
     /// Id of this span for use as an explicit cross-thread parent.
     /// `None` when the observer is disabled.
     pub fn id(&self) -> Option<SpanId> {
-        self.inner.as_ref().map(|c| c.id)
+        self.inner.as_ref().map(|c| c.record.id)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(ctx) = self.inner.take() else { return };
+        let Some(mut ctx) = self.inner.take() else {
+            return;
+        };
         // End time on the same monotonic origin as the start: begin/end
         // timestamps of successive spans on one thread can then never
         // regress, which the trace validator checks per lane.
         let end_ns = ctx.inner.origin.elapsed().as_nanos() as u64;
-        let end_seq = ctx.inner.seq.fetch_add(1, Ordering::Relaxed);
+        ctx.record.end_seq = ctx.inner.seq.fetch_add(1, Ordering::Relaxed);
+        ctx.record.dur_ns = end_ns.saturating_sub(ctx.record.start_ns);
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Usually the top entry; search backwards to stay correct if
-            // guards are dropped out of order.
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|&(t, id)| t == ctx.token && id == ctx.id)
-            {
+            // guards are dropped out of order. Ids are unique across
+            // observers, so the id alone finds the entry.
+            if let Some(pos) = stack.iter().rposition(|&(_, id)| id == ctx.record.id) {
                 stack.remove(pos);
             }
         });
-        let mut state = ctx.inner.lock();
-        let Some(open) = state.open.remove(&ctx.id) else {
-            return;
-        };
-        let dur_ns = end_ns.saturating_sub(open.start_ns);
-        if let Some(agg) = state.paths.aggs.get_mut(open.path as usize) {
-            agg.count += 1;
-            agg.total_ns += dur_ns;
-            agg.hist.record(dur_ns);
-        }
-        state.spans.push(SpanRecord {
-            id: ctx.id,
-            parent: open.parent,
-            name: open.name,
-            tid: open.tid,
-            start_ns: open.start_ns,
-            dur_ns,
-            begin_seq: ctx.begin_seq,
-            end_seq,
-        });
+        ctx.inner.lock().spans.push(ctx.record);
     }
 }
 
@@ -475,6 +417,21 @@ mod tests {
         }
     }
 
+    /// Snapshot paths, each followed by its count.
+    fn paths(obs: &Observer) -> Vec<String> {
+        let stages = obs.snapshot().stages;
+        stages
+            .iter()
+            .map(|s| format!("{} {}", s.path, s.count))
+            .collect()
+    }
+
+    /// The parent id a finished span's record carries.
+    fn recorded_parent(obs: &Observer, name: &str) -> Option<SpanId> {
+        let spans = obs.finished_spans();
+        spans.iter().find(|s| s.name == name).and_then(|s| s.parent)
+    }
+
     #[test]
     fn explicit_parent_crosses_threads() {
         let obs = Observer::enabled();
@@ -485,6 +442,7 @@ mod tests {
                 let obs = obs.clone();
                 scope.spawn(move || {
                     let _w = obs.span_under("worker", stage_id);
+                    let _f = obs.span("features");
                 });
             }
         });
@@ -502,20 +460,62 @@ mod tests {
             .map(|s| s.tid)
             .unwrap_or(0);
         assert!(workers.iter().all(|w| w.tid != stage_tid));
+        assert_eq!(
+            paths(&obs),
+            ["stage 1", "stage/worker 3", "stage/worker/features 3"]
+        );
     }
 
     #[test]
     fn two_observers_do_not_cross_parent() {
         let a = Observer::enabled();
         let b = Observer::enabled();
-        let _outer_a = a.span("a.outer");
+        let outer_a = a.span("a.outer");
+        let a_id = outer_a.id();
         {
             let _inner_b = b.span("b.inner");
+            let _child_b = b.span_under("b.child", a_id);
         }
-        drop(_outer_a);
-        let b_spans = b.finished_spans();
-        assert_eq!(b_spans.len(), 1);
-        assert_eq!(b_spans[0].parent, None, "b must not parent under a's span");
+        drop(outer_a);
+        assert_eq!(
+            recorded_parent(&b, "b.inner"),
+            None,
+            "b must not parent under a's span"
+        );
+        // An explicit parent from another observer is unknown to b: the
+        // record keeps the raw id, the path starts at the child.
+        assert_eq!(recorded_parent(&b, "b.child"), a_id);
+        assert_eq!(paths(&b), ["b.child 1", "b.inner 1"]);
+        assert_eq!(paths(&a), ["a.outer 1"]);
+    }
+
+    #[test]
+    fn closed_or_unknown_parent_starts_the_child_path() {
+        let obs = Observer::enabled();
+        let closed = obs.span("stage").id();
+        {
+            let _late = obs.span_under("late", closed);
+            let _lost = obs.span_under("lost", Some(u64::MAX));
+        }
+        assert_eq!(paths(&obs), ["late 1", "lost 1", "stage 1"]);
+        assert_eq!(recorded_parent(&obs, "late"), closed, "raw parent id kept");
+        assert_eq!(recorded_parent(&obs, "lost"), Some(u64::MAX));
+    }
+
+    #[test]
+    fn open_ancestor_lists_descendants_from_the_highest_finished_one() {
+        let obs = Observer::enabled();
+        let stage = obs.span("stage");
+        {
+            let _w = obs.span("worker");
+            let _f = obs.span("features");
+        }
+        assert_eq!(paths(&obs), ["worker 1", "worker/features 1"]);
+        drop(stage);
+        assert_eq!(
+            paths(&obs),
+            ["stage 1", "stage/worker 1", "stage/worker/features 1"]
+        );
     }
 
     #[test]
@@ -536,13 +536,11 @@ mod tests {
             "slept ≥ 6ms in all, got {}ns",
             lat.total_ns
         );
-        // The path's duration histogram answers p99 from the bucket of the
-        // longest span (≥ 3ms), within its log2 resolution.
-        assert!(
-            lat.p99_ns >= 2_000_000,
-            "p99 {}ns below the 3ms sleep's bucket",
-            lat.p99_ns
-        );
+        // Nearest rank over three spans: p50 is the second-shortest span
+        // (two of them slept ≥ 2ms), p99 the longest (≥ 3ms).
+        assert!(lat.p50_ns >= 2_000_000, "p50 {}ns", lat.p50_ns);
+        assert!(lat.p99_ns >= 3_000_000, "p99 {}ns", lat.p99_ns);
+        assert!(lat.p50_ns <= lat.p95_ns && lat.p95_ns <= lat.p99_ns);
     }
 
     #[test]
@@ -561,7 +559,7 @@ mod tests {
         );
         let id = id.expect("enabled span has an id");
         assert!(obs.span_duration(id).expect("finished") >= Duration::from_millis(1));
-        assert_eq!(obs.span_duration(9999), None);
+        assert_eq!(obs.span_duration(u64::MAX), None);
     }
 
     #[test]

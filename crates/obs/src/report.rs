@@ -1,14 +1,17 @@
 //! Aggregation and the human/JSON exporters.
 //!
-//! A [`Snapshot`] reads the observer's per-*path* aggregates
-//! (`pipeline.recommend/pipeline.execute/execute.worker`), carrying
-//! counters alongside. The same snapshot feeds the human-readable stage
-//! report, the JSON metrics export and the bench documents' tail, so
-//! every consumer reads identical numbers. Aggregates are maintained at
-//! span close.
+//! A [`Snapshot`] groups the observer's finished spans by *path*
+//! (`pipeline.recommend/pipeline.execute/execute.worker`, the same paths
+//! the flame views draw) and carries the counters alongside. Each path's
+//! count, total and p50/p95/p99 are computed from its spans' recorded
+//! durations when the snapshot is taken; the quantiles are nearest-rank,
+//! so each one is a duration some span measured. The same snapshot feeds
+//! the human-readable stage report, the JSON metrics export and the bench
+//! documents' tail, so every consumer reads identical numbers.
 
 use crate::json::escape;
-use crate::observer::State;
+use crate::observer::{span_paths, SpanRecord};
+use std::collections::BTreeMap;
 
 /// Aggregate of all spans sharing one path (root-to-leaf name chain).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,12 +22,29 @@ pub struct StageAgg {
     pub name: &'static str,
     /// Nesting depth (0 = root).
     pub depth: usize,
+    /// How many spans at this path finished.
     pub count: u64,
+    /// Sum of their durations.
     pub total_ns: u64,
-    /// Median span duration at this path (log2-bucket approximation).
+    /// Nearest-rank median of their durations ([`nearest_rank`]): a
+    /// duration one of them measured.
     pub p50_ns: u64,
+    /// Nearest-rank 95th percentile of their durations.
     pub p95_ns: u64,
+    /// Nearest-rank 99th percentile of their durations.
     pub p99_ns: u64,
+}
+
+/// The nearest-rank `percent`-th percentile of ascending samples: the
+/// smallest sample with at least `percent`% of the samples at or below
+/// it, `sorted[⌈percent·n/100⌉ − 1]` (the smallest sample at 0; above
+/// 100 reads as 100). 0 when there are no samples.
+pub fn nearest_rank(sorted: &[u64], percent: u8) -> u64 {
+    let rank = (sorted.len() * usize::from(percent.min(100))).div_ceil(100);
+    sorted
+        .get(rank.saturating_sub(1))
+        .copied()
+        .unwrap_or_default()
 }
 
 /// Point-in-time aggregate view of an observer's recordings.
@@ -36,31 +56,36 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    pub(crate) fn build(state: &State) -> Snapshot {
-        // A path whose spans are all still open at snapshot time has
-        // `count == 0` and is skipped from the export rather than
-        // invented.
-        let mut stages: Vec<StageAgg> = state
-            .paths
-            .aggs
-            .iter()
-            .filter(|a| a.count > 0)
-            .map(|a| StageAgg {
-                path: a.path.clone(),
-                name: a.name,
-                depth: a.depth,
-                count: a.count,
-                total_ns: a.total_ns,
-                p50_ns: a.hist.quantile(0.50),
-                p95_ns: a.hist.quantile(0.95),
-                p99_ns: a.hist.quantile(0.99),
+    /// Group finished spans by path; only finished spans count, so a
+    /// path whose spans are all still open is absent, not invented.
+    pub(crate) fn build(spans: &[SpanRecord], counters: &BTreeMap<&'static str, u64>) -> Snapshot {
+        let mut durations: BTreeMap<String, (&'static str, usize, Vec<u64>)> = BTreeMap::new();
+        for (span, path) in spans.iter().zip(span_paths(spans)) {
+            durations
+                .entry(path.join("/"))
+                .or_insert_with(|| (span.name, path.len() - 1, Vec::new()))
+                .2
+                .push(span.dur_ns);
+        }
+        let stages = durations
+            .into_iter()
+            .map(|(path, (name, depth, mut ns))| {
+                ns.sort_unstable();
+                StageAgg {
+                    path,
+                    name,
+                    depth,
+                    count: ns.len() as u64,
+                    total_ns: ns.iter().sum(),
+                    p50_ns: nearest_rank(&ns, 50),
+                    p95_ns: nearest_rank(&ns, 95),
+                    p99_ns: nearest_rank(&ns, 99),
+                }
             })
             .collect();
-        stages.sort_by(|a, b| a.path.cmp(&b.path));
         Snapshot {
             stages,
-            counters: state
-                .counters
+            counters: counters
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), *v))
                 .collect(),

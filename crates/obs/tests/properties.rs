@@ -1,32 +1,38 @@
-//! Property-based tests for the observability layer: histogram quantile
-//! bounds.
+//! Property-based tests for the observability layer: nearest-rank
+//! quantiles.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_obs::Histogram;
+use deepeye_obs::nearest_rank;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Quantiles stay monotone in `q` and inside the recorded range, for
-    /// any sample set.
+    /// For any sample set, the p-th percentile is `sorted[⌈p·n/100⌉ − 1]`:
+    /// a sample with at least p% of the samples at or below it and fewer
+    /// than p% strictly below it, monotone in p and inside the samples'
+    /// range.
     #[test]
-    fn quantiles_are_monotone_and_bounded(
-        samples in proptest::collection::vec(0u64..u64::MAX / 2, 1..200),
+    fn nearest_rank_is_a_recorded_sample(
+        mut samples in proptest::collection::vec(0u64..u64::MAX / 2, 1..200),
     ) {
-        let mut h = Histogram::default();
-        for &v in &samples {
-            h.record(v);
+        samples.sort_unstable();
+        let n = samples.len();
+        let mut previous = 0;
+        for percent in 0..=100u8 {
+            let q = nearest_rank(&samples, percent);
+            let rank = (n * usize::from(percent)).div_ceil(100).max(1);
+            prop_assert_eq!(q, samples[rank - 1]);
+            let at_or_below = samples.iter().filter(|&&x| x <= q).count();
+            let below = samples.iter().filter(|&&x| x < q).count();
+            prop_assert!(100 * at_or_below >= usize::from(percent) * n);
+            prop_assert!(percent == 0 || 100 * below < usize::from(percent) * n);
+            prop_assert!(q >= previous, "monotone in p: {} then {}", previous, q);
+            prop_assert!(samples[0] <= q && q <= samples[n - 1]);
+            previous = q;
         }
-        let qs: Vec<u64> = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
-            .iter()
-            .map(|&q| h.quantile(q))
-            .collect();
-        for w in qs.windows(2) {
-            prop_assert!(w[0] <= w[1], "quantiles must be monotone: {:?}", qs);
-        }
-        prop_assert!(qs[0] >= *samples.iter().min().unwrap());
-        prop_assert!(qs[qs.len() - 1] <= *samples.iter().max().unwrap());
+        prop_assert_eq!(nearest_rank(&samples, 200), samples[n - 1]);
+        prop_assert_eq!(nearest_rank(&[], 50), 0);
     }
 }
